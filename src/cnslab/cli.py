@@ -66,13 +66,6 @@ COMMANDS = (
     "validate-fdm",
 )
 
-_CHANNELS = {
-    "density": ObservationChannel.DENSITY,
-    "velocity": ObservationChannel.VELOCITY,
-    "temperature": ObservationChannel.TEMPERATURE,
-}
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -93,6 +86,14 @@ class _Config:
             return cast(raw)
         except ValueError as exc:
             raise ConfigError(f"cannot parse [{section}] {key} = {raw!r}", key=key) from exc
+
+    def channel(self, section: str, default: str) -> ObservationChannel:
+        name = self.get(section, "channel", str, default=default)
+        try:
+            return ObservationChannel(name)
+        except ValueError:
+            choices = ", ".join(c.value for c in ObservationChannel)
+            raise ConfigError(f"unknown channel {name!r} in [{section}], expected one of {choices}", key="channel") from None
 
     def section(self, name: str) -> dict[str, str]:
         if not self.parser.has_section(name):
@@ -148,7 +149,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
-def run(config_path: str | Path, out_dir: str | Path | None = None, threads: int = 1, verify: bool = False) -> int:
+def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool = False) -> int:
     """Execute the experiment described by the config; return the exit code."""
     config_path = Path(config_path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -194,26 +195,14 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, threads: int
     elif command == "observe":
         N = cfg.get("observe", "N", int)
         T = cfg.get("observe", "T", float)
-        channel = _CHANNELS[cfg.get("observe", "channel", str, default="density")]
+        channel = cfg.channel("observe", default="density")
         trials = cfg.get("observe", "trials", int, default=1)
         slice_ = build_slice(params, N)
 
-        # one independent substream per trial, so the artifact is identical
-        # for any worker count
-        children = np.random.SeedSequence(seed).spawn(trials)
-
-        def one_trial(child):
-            trial_rng = np.random.default_rng(child)
-            field = _random_mean_zero_field(params.dim, N, trial_rng, real=False)
-            return observability_quotient(field, channel, T, None, slice_).to_dict()
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reports = list(pool.map(one_trial, children))
-        else:
-            reports = [one_trial(child) for child in children]
+        reports = []
+        for child in np.random.SeedSequence(seed).spawn(trials):
+            field = _random_mean_zero_field(params.dim, N, np.random.default_rng(child), real=False)
+            reports.append(observability_quotient(field, channel, T, None, slice_).to_dict())
         payload = {
             "reports": reports,
             "min_quotient": min(r["quotient"] for r in reports),
@@ -238,7 +227,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, threads: int
     elif command == "synthesize":
         N = cfg.get("synthesize", "N", int)
         T = cfg.get("synthesize", "T", float)
-        channel = _CHANNELS[cfg.get("synthesize", "channel", str, default="density")]
+        channel = cfg.channel("synthesize", default="density")
         n_verify = cfg.get("synthesize", "N_verify", int, default=2 * N)
         grid_points = cfg.get("synthesize", "grid", int, default=201)
         slice_ = build_slice(params, max(n_verify, N))
@@ -264,7 +253,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, threads: int
 
     elif command == "witness-degenerate":
         N = cfg.get("witness", "N", int, default=4)
-        channel = _CHANNELS[cfg.get("witness", "channel", str, default="density")]
+        channel = cfg.channel("witness", default="density")
         slice_ = build_slice(params, N)
         record = degenerate_uc_witness(params, channel, slice_)
         path = out / "witness_degenerate.json"
@@ -272,7 +261,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, threads: int
         outputs.append(path)
 
     elif command == "witness-regularity":
-        channel = _CHANNELS[cfg.get("witness", "channel", str, default="velocity")]
+        channel = cfg.channel("witness", default="velocity")
         s = cfg.get("witness", "s", float)
         n_list = [int(v) for v in cfg.get("witness", "n_list", str).split(",")]
         T = cfg.get("witness", "T", float, default=2.0)
@@ -326,7 +315,6 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, threads: int
         "command": command,
         "system": system,
         "seed": seed,
-        "defaults": {"threads": threads},
         "outputs": {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs
         },
@@ -353,12 +341,11 @@ def main(argv: list[str] | None = None) -> int:
     runp = sub.add_parser("run", help="execute one experiment config")
     runp.add_argument("config")
     runp.add_argument("--out", default=None, help="output directory (overrides config)")
-    runp.add_argument("--threads", type=int, default=1)
     runp.add_argument("--verify", action="store_true", help="re-run invariant checks after the experiment")
     args = parser.parse_args(argv)
 
     try:
-        return run(args.config, out_dir=args.out, threads=args.threads, verify=args.verify)
+        return run(args.config, out_dir=args.out, verify=args.verify)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ class ConditioningError(CnsLabError):
 
 
 class QuadratureNotConverged(CnsLabError):
-    """Richardson refinement failed to certify the observation-energy integral."""
+    """The observation energy is not finite or its rounding bound exceeds 1e-3 of it."""
 
 
 class ZeroState(CnsLabError):

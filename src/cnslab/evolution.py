@@ -17,7 +17,6 @@ by the test suite rather than enforced here.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -116,12 +115,6 @@ class ObservationSignal:
 
     def value_at_terminal(self) -> complex:
         return complex(sum(t.coefficient for t in self.terms if t.poly_degree == 0))
-
-    def max_imag_rate(self) -> float:
-        return max((abs(t.rate.imag) for t in self.terms), default=0.0)
-
-    def max_real_rate(self) -> float:
-        return max((abs(t.rate.real) for t in self.terms), default=0.0)
 
 
 @dataclass
@@ -258,12 +251,3 @@ def observation_signal(
             offset += m
     return ObservationSignal(terms=terms, horizon=T)
 
-
-def export_signal_csv(signal: ObservationSignal, grid: np.ndarray, path) -> None:
-    """Write ``t,re_y,im_y`` on the caller's grid."""
-    values = signal(grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re_y", "im_y"])
-        for t, y in zip(grid, values):
-            writer.writerow([format(float(t), ".17g"), format(y.real, ".17g"), format(y.imag, ".17g")])

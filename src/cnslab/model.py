@@ -35,8 +35,8 @@ DEFAULT_INTEGER_TOL = 1e-9
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not value > 0:
-            raise DomainError(f"{name} must be positive, got {value!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,9 @@
 """Quantitative observability: energies, quotients, and the Ingham audit.
 
-The observation energy ``integral_0^T |y(t)|**2 dt`` is measured by composite
-Gauss-Legendre quadrature with panels capped by the fastest oscillation and
-graded geometrically toward the terminal time where parabolic terms spike;
-a Richardson comparison against the doubled resolution certifies the value.
-The closed-form bilinear expansion of the same integral lives in
-:mod:`cnslab.kernels` and serves as the independent oracle in the tests.
+The observation energy ``integral_0^T |y(t)|**2 dt`` is the closed-form
+Hermitian form of :func:`cnslab.kernels.signal_energy`, certified by its
+rounding bound; composite Gauss-Legendre quadrature of the same integral
+lives in the tests as the independent oracle.
 
 The Ingham audit measures every hypothesis of the combined
 parabolic-hyperbolic inequality on a finite spectrum window and reports
@@ -16,6 +14,7 @@ values and hypothesis measurements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,76 +29,26 @@ from .evolution import (
     observation_signal,
 )
 from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
-from .kernels import poly_exp_integral
+from .kernels import poly_exp_integral, signal_energy
 from .model import BarotropicParams, SystemParams
 from .spectrum import BranchLabel, SpectrumSlice
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+def observation_energy(signal: ObservationSignal, T: float | None = None) -> tuple[float, float]:
+    """Closed-form value and rounding bound of ``int_0^T |y|**2 dt``.
 
-
-def _panel_edges(T: float, max_imag: float, max_real: float, panels_per_period: int) -> np.ndarray:
-    """Panel edges in s = T - t, graded near s = 0 and capped by oscillation."""
-    h_osc = T
-    if max_imag > 0.0:
-        h_osc = min(h_osc, 2.0 * np.pi / (panels_per_period * max_imag))
-    h0 = min(h_osc, T)
-    if max_real > 0.0:
-        h0 = min(h0, 1.0 / max_real)
-    edges = [0.0]
-    h = h0
-    while edges[-1] < T:
-        edges.append(min(edges[-1] + h, T))
-        h = min(2.0 * h, h_osc)
-    return np.array(edges)
-
-
-def _integrate_panels(signal: ObservationSignal, edges: np.ndarray) -> float:
-    T = signal.horizon
-    lefts = edges[:-1]
-    rights = edges[1:]
-    mids = 0.5 * (lefts + rights)
-    halves = 0.5 * (rights - lefts)
-    # nodes in s, then evaluate |y|^2 at t = T - s
-    s_nodes = mids[:, None] + halves[:, None] * _GL_NODES[None, :]
-    y = signal(T - s_nodes.ravel()).reshape(s_nodes.shape)
-    panel_vals = (np.abs(y) ** 2 * _GL_WEIGHTS[None, :]).sum(axis=1) * halves
-    return float(panel_vals.sum())
-
-
-def _halve(edges: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return np.sort(np.concatenate([edges, mids]))
-
-
-def observation_energy(
-    signal: ObservationSignal,
-    T: float | None = None,
-    panels_per_period: int = 8,
-) -> tuple[float, float]:
-    """Quadrature value and certified error bound of ``int_0^T |y|**2 dt``."""
+    Raises :class:`QuadratureNotConverged` when the value is not finite or
+    the bound exceeds 1e-3 of it.
+    """
     if T is None:
         T = signal.horizon
     if abs(T - signal.horizon) > 1e-12 * max(1.0, signal.horizon):
         raise DomainError("integration horizon must match the signal horizon")
-    if panels_per_period < 4:
-        raise DomainError("panels_per_period must be >= 4")
-    if not signal.terms:
-        return 0.0, 0.0
-    edges = _panel_edges(T, signal.max_imag_rate(), signal.max_real_rate(), panels_per_period)
-    coarse = _integrate_panels(signal, edges)
-    edges = _halve(edges)
-    value = _integrate_panels(signal, edges)
-    err = abs(value - coarse)
-    if err > 1e-3 * max(abs(value), 1e-300):
-        edges = _halve(edges)
-        finer = _integrate_panels(signal, edges)
-        err = abs(finer - value)
-        value = finer
-        if err > 1e-3 * max(abs(value), 1e-300):
-            raise QuadratureNotConverged(
-                f"energy integral did not certify: value {value:.6e}, estimate {err:.3e}"
-            )
-    return value, err
+    value, bound = signal_energy(signal.terms, T)
+    if not (math.isfinite(value) and bound <= 1e-3 * value):
+        raise QuadratureNotConverged(
+            f"energy integral did not certify: value {value:.6e}, rounding bound {bound:.3e}"
+        )
+    return value, bound
 
 
 @dataclass
@@ -137,7 +86,6 @@ def observability_quotient(
     T: float,
     norm_spec: NormSpec | None,
     slice_: SpectrumSlice,
-    panels_per_period: int = 8,
 ) -> ObservabilityReport:
     """Observation energy over squared initial-state norm for one terminal datum."""
     if not channel_dim_ok(channel, slice_.dim):
@@ -150,14 +98,13 @@ def observability_quotient(
         nonstandard = norm_spec != standard
     expansion = expand_in_eigenbasis(terminal_field, slice_)
     signal = observation_signal(expansion, slice_, channel, T)
-    energy, err = observation_energy(signal, T, panels_per_period)
+    energy, err = observation_energy(signal, T)
     initial = adjoint_state(expansion, slice_, T, 0.0)
     norm0 = sobolev_norm(initial.state, norm_spec)
     if norm0 < 1e-150:
         raise ZeroState("initial adjoint state norm underflowed")
     metadata = {
         "N": slice_.N,
-        "panels_per_period": panels_per_period,
         "clustering_tolerance": slice_.clustering_tolerance,
     }
     if nonstandard:
@@ -417,11 +364,8 @@ def biorthogonal_gram(parabolic_rates, T: float, svd_threshold: float = 1e-12) -
         for j in range(i + 1, len(rates)):
             if rates[i] == rates[j]:
                 raise DuplicateRate(f"rates {i} and {j} coincide: {rates[i]}")
-    m = len(rates)
-    G = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            G[a, b] = poly_exp_integral(0, np.conj(rates[a]) + rates[b], T)
+    nu = np.array(rates)
+    G = poly_exp_integral(0, nu.conj()[:, None] + nu[None, :], T)
     svals = np.linalg.svd(G, compute_uv=False)
     thresh = svd_threshold * svals[0]
     rank = int(np.sum(svals > thresh))

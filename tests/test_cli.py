@@ -74,6 +74,24 @@ class TestRun:
         cfg = _write(tmp_path, BASE.format(command="frobnicate", u_bar=1.0, b=1.0))
         assert main(["run", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "command,section",
+        [
+            ("observe", "[observe]\nN = 4\nT = 8.0\n"),
+            ("synthesize", "[synthesize]\nN = 3\nT = 8.0\n"),
+            ("witness-degenerate", "[witness]\nN = 4\n"),
+            ("witness-regularity", "[witness]\ns = 0.0\nn_list = 4,8\n"),
+        ],
+        ids=["observe", "synthesize", "witness-degenerate", "witness-regularity"],
+    )
+    def test_unknown_channel_is_a_config_error(self, tmp_path, capsys, command, section):
+        text = BASE.format(command=command, u_bar=0.9, b=1.3) + "\n" + section + "channel = densty\n"
+        cfg = _write(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown channel 'densty'" in err
+        assert "Traceback" not in err
+
     def test_synthesize_writes_control_and_verification(self, tmp_path):
         cfg = _write(
             tmp_path,

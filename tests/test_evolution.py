@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from energy_oracle import quadrature_energy
 
 from cnslab.errors import DimMismatch
 from cnslab.evolution import (
@@ -13,7 +14,6 @@ from cnslab.evolution import (
     observation_value,
 )
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
-from cnslab.kernels import signal_energy_exact
 from cnslab.observability import observation_energy
 from cnslab.spectrum import BranchLabel, build_slice, eigen_barotropic, mode_matrix
 
@@ -220,4 +220,4 @@ class TestObservationSignal:
         energy, err = observation_energy(signal, 4.0)
         assert np.isfinite(energy)
         assert err <= 1e-3 * energy
-        assert energy == pytest.approx(signal_energy_exact(signal.terms, 4.0), rel=1e-8)
+        assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)

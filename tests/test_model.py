@@ -8,6 +8,7 @@ from cnslab.errors import DomainError
 from cnslab.model import (
     BarotropicParams,
     DegeneracyVerdict,
+    NonBarotropicParams,
     check_degeneracy_barotropic,
     check_s_membership,
     derive_barotropic,
@@ -39,6 +40,18 @@ class TestDeriveBarotropic:
         kwargs[field] = value
         with pytest.raises(DomainError, match=field):
             derive_barotropic(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["rho_bar", "u_bar", "mu0", "b"])
+    def test_non_finite_coefficients_rejected(self, field, value):
+        kwargs = dict(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=field):
+            BarotropicParams(**kwargs)
+
+    def test_non_finite_nonbarotropic_rejected(self):
+        with pytest.raises(DomainError, match="kappa0"):
+            NonBarotropicParams(rho_bar=1.0, u_bar=1.0, theta_bar=1.0, lambda0=1.0, kappa0=math.inf, R=1.0, c0=1.0)
 
     def test_omega0_consistency(self):
         p = derive_barotropic(rho_bar=1.7, u_bar=0.4, a=2.3, gamma=1.4, lambda_visc=0.2, mu_visc=0.9)

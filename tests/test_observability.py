@@ -1,12 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from energy_oracle import poly_exp_integral_scalar, quadrature_energy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnslab.errors import DomainError, DuplicateRate, ZeroState
+from cnslab import counterexamples
+from cnslab.errors import DomainError, DuplicateRate, QuadratureNotConverged, ZeroState
 from cnslab.evolution import ObservationChannel, ObservationSignal, SignalTerm, observation_signal
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
-from cnslab.kernels import poly_exp_integral, signal_energy_exact
+from cnslab.kernels import poly_exp_integral, poly_exp_integral_mp, signal_energy_exact
+from cnslab.model import BarotropicParams
 from cnslab.observability import (
     biorthogonal_gram,
     ingham_audit,
@@ -14,6 +20,31 @@ from cnslab.observability import (
     observation_energy,
 )
 from cnslab.spectrum import build_slice, eigen_barotropic
+
+# |z|*T from 1e-3 to 1e2, so both the Taylor ball (|z|*T < 0.25) and the
+# recurrence are drawn; exact zero is added explicitly.
+_SCALED_RATES = st.one_of(
+    st.just(0j),
+    st.builds(
+        lambda mag, angle: 10.0**mag * complex(math.cos(angle), math.sin(angle)),
+        st.floats(-3.0, 2.0),
+        st.floats(0.0, 2.0 * math.pi),
+    ),
+)
+
+
+@st.composite
+def _chain_signals(draw):
+    """Signals on well-separated rates, each rate carrying a chain of degrees 0..m-1."""
+    T = draw(st.floats(0.5, 6.0))
+    cells = draw(st.lists(st.tuples(st.integers(0, 10), st.integers(-8, 8)), min_size=1, max_size=6, unique=True))
+    coefficient = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    terms = []
+    for i, (a, b) in enumerate(cells):
+        rate = complex(-0.05 - 0.6 * a + draw(st.floats(0.0, 0.2)), 1.5 * b + draw(st.floats(0.0, 0.5)))
+        chain = draw(st.integers(2 if i == 0 else 1, 3))
+        terms += [SignalTerm(draw(coefficient), rate, j) for j in range(chain)]
+    return ObservationSignal(terms=terms, horizon=T)
 
 
 class TestObservationEnergy:
@@ -30,12 +61,12 @@ class TestObservationEnergy:
         assert observation_energy(signal, 1.0) == (0.0, 0.0)
 
     def test_two_term_cross_terms(self):
-        # rates i*u +- omega content: quadrature matches the exact bilinear form
+        # rates i*u +- omega content: the closed form matches the quadrature oracle
         T = 2.0
         terms = [SignalTerm(1.0 + 0.3j, -1.0 + 4.0j, 0), SignalTerm(0.4 - 1.1j, -1.0 - 4.0j, 0)]
         signal = ObservationSignal(terms=terms, horizon=T)
         energy, _ = observation_energy(signal, T)
-        assert energy == pytest.approx(signal_energy_exact(terms, T), rel=1e-10)
+        assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
 
     def test_many_term_bilinear_oracle(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 12)
@@ -46,7 +77,7 @@ class TestObservationEnergy:
             signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
             assert len(signal.terms) <= 50
             energy, _ = observation_energy(signal, T)
-            assert energy == pytest.approx(signal_energy_exact(signal.terms, T), rel=1e-8)
+            assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
 
     def test_poly_exp_integral_against_quadrature(self):
         from scipy.integrate import quad
@@ -60,7 +91,77 @@ class TestObservationEnergy:
     def test_panel_floor_validation(self):
         signal = ObservationSignal(terms=[SignalTerm(1.0, -1.0, 0)], horizon=1.0)
         with pytest.raises(DomainError):
-            observation_energy(signal, 1.0, panels_per_period=2)
+            quadrature_energy(signal, panels_per_period=2)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "term,T",
+        [(SignalTerm(complex("nan+0j"), -1.0, 0), 1.0), (SignalTerm(1.0, 800.0 + 0j, 0), 1.0)],
+        ids=["nan-coefficient", "overflowing-rate"],
+    )
+    def test_non_finite_energy_raises(self, term, T):
+        signal = ObservationSignal(terms=[term, SignalTerm(1.0, -2.0 + 1j, 1)], horizon=T)
+        with pytest.raises(QuadratureNotConverged):
+            observation_energy(signal, T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.lists(st.tuples(st.integers(0, 3), _SCALED_RATES), min_size=1, max_size=24),
+        T=st.floats(0.1, 10.0),
+    )
+    def test_broadcast_integral_matches_scalar_path(self, data, T):
+        m = np.array([d for d, _ in data])
+        z = np.array([r for _, r in data]) / T
+        got = poly_exp_integral(m, z, T)
+        assert got.shape == z.shape
+        scalar = [poly_exp_integral(int(d), r, T) for d, r in zip(m, z)]
+        assert all(type(v) is complex for v in scalar)
+        np.testing.assert_array_equal(got, scalar)
+        # the one-term loop adds its Taylor terms in Python complex arithmetic,
+        # which rounds a division differently: a few ulps, never more
+        reference = np.array([poly_exp_integral_scalar(int(d), r, T) for d, r in zip(m, z)])
+        assert np.all(np.abs(got - reference) <= 2e-15 * np.abs(reference))
+        # a scalar degree broadcasts over an array of rates
+        np.testing.assert_array_equal(poly_exp_integral(int(m[0]), z, T), poly_exp_integral(np.full(z.shape, m[0]), z, T))
+
+    @settings(max_examples=60, deadline=None)
+    @given(signal=_chain_signals())
+    def test_closed_form_matches_quadrature_on_chain_signals(self, signal):
+        energy, bound = observation_energy(signal, signal.horizon)
+        assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
+        assert 0.0 <= bound <= 1e-3 * energy
+
+    def test_criterion7_witness_signals_against_40_digits(self, monkeypatch):
+        # the small-time witness signals cancel to ~1e-9 of sum |c|**2, the
+        # hardest case for the double-precision Hermitian form
+        signals = []
+        production = counterexamples.observation_energy
+
+        def recording(signal, T=None):
+            signals.append(signal)
+            return production(signal, T)
+
+        monkeypatch.setattr(counterexamples, "observation_energy", recording)
+        workhorse = BarotropicParams(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3)
+        counterexamples.small_time_witness(workhorse, 3.0, [8, 12, 16, 24], counterexamples.BumpSpec(3.2, 5.8))
+        assert len(signals) == 4
+        for signal in signals:
+            value, bound = observation_energy(signal, signal.horizon)
+            terms = signal.terms
+            with mpmath.workdps(40):
+                c = [mpmath.mpc(t.coefficient) for t in terms]
+                nu = [mpmath.mpc(t.rate) for t in terms]
+                T = mpmath.mpf(signal.horizon)
+                exact = mpmath.mpf(0)
+                for a in range(len(terms)):
+                    for b in range(a, len(terms)):
+                        pair = c[a] * mpmath.conj(c[b]) * poly_exp_integral_mp(
+                            terms[a].poly_degree + terms[b].poly_degree, nu[a] + mpmath.conj(nu[b]), T
+                        )
+                        exact += pair.real if a == b else 2 * pair.real
+                exact = float(exact)
+            assert abs(value - exact) <= 1e-6 * exact
+            assert bound >= abs(value - exact)
 
 
 class TestObservabilityQuotient:
