@@ -70,6 +70,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _int_list(raw: str) -> list[int]:
+    """Comma-separated integers; a bad entry raises ValueError, reported as a config error."""
+    return [int(v) for v in raw.split(",")]
+
+
 class _Config:
     """Typed accessors over the parsed INI with key-level diagnostics."""
 
@@ -243,7 +248,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
     elif command == "witness-smalltime":
         T = cfg.get("witness", "T", float)
-        n_list = [int(v) for v in cfg.get("witness", "N_list", str).split(",")]
+        n_list = cfg.get("witness", "N_list", _int_list)
         x_left = cfg.get("witness", "x_left", float)
         x_right = cfg.get("witness", "x_right", float)
         report = small_time_witness(params, T, n_list, BumpSpec(x_left=x_left, x_right=x_right, seed=seed))
@@ -263,7 +268,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
     elif command == "witness-regularity":
         channel = cfg.channel("witness", default="velocity")
         s = cfg.get("witness", "s", float)
-        n_list = [int(v) for v in cfg.get("witness", "n_list", str).split(",")]
+        n_list = cfg.get("witness", "n_list", _int_list)
         T = cfg.get("witness", "T", float, default=2.0)
         record = regularity_gap_witness(params, channel, s, n_list, T)
         path = out / "witness_regularity.json"

@@ -110,9 +110,6 @@ class SpectralField:
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         return self + (-1.0) * other
 
-    def norm_linf_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -200,13 +197,6 @@ class EigenExpansion:
         if n not in self.coefficients:
             return 0.0
         return complex(self.coefficients[n][index])
-
-    def copy_scaled(self, factor: complex) -> "EigenExpansion":
-        return EigenExpansion(
-            dim=self.dim,
-            coefficients={n: factor * c for n, c in self.coefficients.items()},
-            condition_numbers=dict(self.condition_numbers),
-        )
 
 
 def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenExpansion:

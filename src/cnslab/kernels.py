@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
+#: below this ``|z| T`` the integrals use the Taylor series in ``zT``
+TAYLOR_RADIUS = 0.25
+
 
 def poly_exp_integral(m, z, T: float):
     """integral_0^T s**m exp(z*s) ds for integer m >= 0.
@@ -31,7 +34,7 @@ def poly_exp_integral(m, z, T: float):
     )
     if np.any(m < 0):
         raise ValueError("polynomial degree must be nonnegative")
-    near = np.abs(z) * T < 0.25
+    near = np.abs(z) * T < TAYLOR_RADIUS
     if near.any():
         out = np.empty(z.shape, dtype=complex)
         out[~near] = _recurrence(m[~near], z[~near], T)
@@ -54,7 +57,7 @@ def _recurrence(m: np.ndarray, z: np.ndarray, T: float) -> np.ndarray:
 
 
 def _taylor(m: np.ndarray, z: np.ndarray, T: float) -> np.ndarray:
-    """Taylor series in z*T on the ball |z|*T < 0.25; each entry stops at its own convergence."""
+    """Taylor series in z*T on the ball |z|*T < TAYLOR_RADIUS; each entry stops at its own convergence."""
     total = np.zeros(z.shape, dtype=complex)
     term_pow = np.ones(z.shape, dtype=complex)
     live = np.arange(z.size)
@@ -79,7 +82,7 @@ def poly_exp_integral_mp(m: int, z, T) -> "mpmath.mpc":
     """
     z = mpmath.mpc(z)
     T = mpmath.mpf(T)
-    if abs(z) * T < mpmath.mpf("0.25"):
+    if abs(z) * T < TAYLOR_RADIUS:
         total = mpmath.mpc(0)
         term_pow = mpmath.mpc(1)
         tol = mpmath.mpf(10) ** (-mpmath.mp.dps - 5)
@@ -89,7 +92,16 @@ def poly_exp_integral_mp(m: int, z, T) -> "mpmath.mpc":
             if abs(term_pow) * T ** (m + k + 2) / mpmath.factorial(k + 1) < tol * max(abs(total), mpmath.mpf("1e-300")):
                 break
         return total
-    ezt = mpmath.exp(z * T)
+    return exp_recurrence_mp(m, z, T, mpmath.exp(z * T))
+
+
+def exp_recurrence_mp(m: int, z, T, ezt) -> "mpmath.mpc":
+    """``I_m(z, T)`` at working precision from a precomputed ``ezt = e^{zT}``.
+
+    The upward recurrence of :func:`poly_exp_integral_mp`, valid away from
+    z = 0 (``|z| T >= TAYLOR_RADIUS``).  Callers that pair many rates pass
+    ``ezt`` as a product of per-rate exponentials, one ``exp`` per rate.
+    """
     val = (ezt - 1) / z
     for k in range(1, m + 1):
         val = (T**k * ezt - k * val) / z
@@ -105,14 +117,9 @@ class KernelTerm:
     degree: int
 
 
-def kernel_inner(row_a: list[KernelTerm], row_b: list[KernelTerm], T: float) -> complex:
-    """L2(0,T) pairing ``integral k_a(t) * conj(k_b(t)) dt`` in closed form."""
-    total = 0.0 + 0.0j
-    for a in row_a:
-        for b in row_b:
-            z = a.rate + np.conj(b.rate)
-            total += a.coef * np.conj(b.coef) * poly_exp_integral(a.degree + b.degree, z, T)
-    return complex(total)
+def pair_integrals(rates: np.ndarray, degrees: np.ndarray, T: float) -> np.ndarray:
+    """``K[a, b] = I_{j_a + j_b}(nu_a + conj(nu_b), T)`` for every pair of terms, in one broadcast call."""
+    return poly_exp_integral(degrees[:, None] + degrees[None, :], rates[:, None] + rates.conj()[None, :], T)
 
 
 def signal_energy(terms, T: float) -> tuple[float, float]:
@@ -130,7 +137,7 @@ def signal_energy(terms, T: float) -> tuple[float, float]:
     c = np.array([t.coefficient for t in term_list], dtype=complex)
     rates = np.array([t.rate for t in term_list], dtype=complex)
     degrees = np.array([t.poly_degree for t in term_list], dtype=np.int64)
-    K = poly_exp_integral(degrees[:, None] + degrees[None, :], rates[:, None] + rates.conj()[None, :], T)
+    K = pair_integrals(rates, degrees, T)
     value = float((c @ K @ c.conj()).real)
     abs_c = np.abs(c)
     bound = float(np.finfo(float).eps * c.size * (abs_c @ np.abs(K) @ abs_c))

@@ -72,9 +72,6 @@ class ModeMatrix:
     entries: np.ndarray
     kind: MatrixKind
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
-
 
 def _symbol(params: SystemParams, n: int, kind: MatrixKind) -> np.ndarray:
     """Raw symbol matrix, valid for any integer mode including zero."""

@@ -92,6 +92,21 @@ class TestRun:
         assert "unknown channel 'densty'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command,section",
+        [
+            ("witness-smalltime", "[witness]\nT = 3.0\nN_list = 6,eight\nx_left = 3.2\nx_right = 5.8\n"),
+            ("witness-regularity", "[witness]\ns = 0.0\nn_list = 4,eight\n"),
+        ],
+        ids=["witness-smalltime", "witness-regularity"],
+    )
+    def test_bad_integer_list_is_a_config_error(self, tmp_path, capsys, command, section):
+        cfg = _write(tmp_path, BASE.format(command=command, u_bar=0.9, b=1.3) + "\n" + section)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "cannot parse [witness]" in err and "eight" in err
+        assert "Traceback" not in err
+
     def test_synthesize_writes_control_and_verification(self, tmp_path):
         cfg = _write(
             tmp_path,

@@ -4,11 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from cnslab.control import build_moment_system, synthesize_control, verify_terminal
+from control_oracle import gram_mp, targets_mp
+from energy_oracle import quadrature_energy
+
+from cnslab.control import MomentRow, MomentSystem, build_moment_system, gram_matrix, synthesize_control, verify_terminal
 from cnslab.errors import DomainError, RankDeficient
 from cnslab.evolution import ObservationChannel, observation_signal
 from cnslab.fields import EigenExpansion, SpectralField
-from cnslab.kernels import kernel_inner, signal_energy_exact
+from cnslab.kernels import KernelTerm
 from cnslab.spectrum import build_slice
 
 
@@ -76,17 +79,16 @@ class TestSynthesizeControl:
 
     def test_residual_matches_recomputation(self, nondegenerate_barotropic):
         # recompute ||A x - m|| / ||m|| from scratch at the solver's precision
-        # (double-precision Gram entries cannot resolve residuals this small)
-        from cnslab.control import _gram_mp, _targets_mp
-
+        # with the oracle's per-pair Gram (double-precision Gram entries
+        # cannot resolve residuals this small)
         slice_ = build_slice(nondegenerate_barotropic, 8)
         rng = np.random.default_rng(1)
         field = _random_mean_zero(rng, 2, 8, content=4)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
         solution = synthesize_control(system)
         with mpmath.workdps(solution.solve_dps):
-            G = _gram_mp(system)
-            m = mpmath.matrix(_targets_mp(system))
+            G = gram_mp(system.rows, system.horizon)
+            m = targets_mp(system.rows)
             x = mpmath.matrix(solution.coefficients_mp)
             r = G * x - m
             recomputed = float(mpmath.norm(r) / mpmath.norm(m))
@@ -195,18 +197,18 @@ class TestVerifyTerminal:
 
 class TestDualityExactness:
     def test_moment_integrals_match_energy_cross_terms(self, nondegenerate_barotropic):
-        # the closed-form pairing used by the Gram equals the bilinear
-        # expansion of the observation energy on matching signals
+        # the closed-form pairing used by the Gram equals the observation
+        # energy of the matching signal, integrated by quadrature
         slice_ = build_slice(nondegenerate_barotropic, 4)
         rng = np.random.default_rng(7)
         coeffs = {n: rng.normal(size=2) + 1j * rng.normal(size=2) for n in slice_.modes}
         expansion = EigenExpansion(dim=2, coefficients=coeffs)
         T = 5.0
         signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
-        from cnslab.kernels import KernelTerm
-
-        row = [KernelTerm(coef=t.coefficient, rate=t.rate, degree=t.poly_degree) for t in signal.terms]
-        assert kernel_inner(row, row, T).real == pytest.approx(signal_energy_exact(signal.terms, T), rel=1e-10)
+        kernel = [KernelTerm(coef=t.coefficient, rate=t.rate, degree=t.poly_degree) for t in signal.terms]
+        row = MomentRow(n=1, cluster_index=0, level=0, rate=0j, kernel=kernel, target=0j, observation=0j)
+        system = MomentSystem(ObservationChannel.DENSITY, T, 4, [row], 1.0, False)
+        assert gram_matrix(system)[0, 0].real == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
 
     def test_minimum_norm_property(self, nondegenerate_barotropic):
         # grid oracle: any constraint-preserving perturbation (orthogonal to
