@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import sys
@@ -66,6 +67,22 @@ COMMANDS = (
     "validate-fdm",
 )
 
+#: Keys of the [run] section.
+_RUN_KEYS = ("system", "command", "seed", "out")
+#: The section each command reads and its keys; any other key there is a config error.
+_COMMAND_KEYS = {
+    "spectrum": ("spectrum", ("N",)),
+    "closeness": ("closeness", ("N_start", "N_end")),
+    "observe": ("observe", ("N", "T", "channel", "trials")),
+    "ingham": ("ingham", ("N", "T")),
+    "synthesize": ("synthesize", ("N", "T", "channel", "N_verify", "grid")),
+    "witness-smalltime": ("witness", ("T", "N_list", "x_left", "x_right")),
+    "witness-degenerate": ("witness", ("N", "channel")),
+    "witness-regularity": ("witness", ("channel", "s", "n_list", "T")),
+    "validate-fdm": ("fdm", ("N", "M", "dt", "T", "decay", "export_trajectory")),
+}
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -99,6 +116,17 @@ class _Config:
         except ValueError:
             choices = ", ".join(c.value for c in ObservationChannel)
             raise ConfigError(f"unknown channel {name!r} in [{section}], expected one of {choices}", key="channel") from None
+
+    def reject_unknown(self, section: str, known) -> None:
+        """Raise ConfigError for a key of ``section`` outside ``known``: a typo must not fall back to a default."""
+        if not self.parser.has_section(section):
+            return
+        defaults = self.parser.defaults()
+        unknown = [k for k in self.parser[section] if k not in known and k not in defaults]
+        if unknown:
+            raise ConfigError(
+                f"unknown key {unknown[0]!r} in [{section}], expected one of {', '.join(known)}", key=unknown[0]
+            )
 
     def section(self, name: str) -> dict[str, str]:
         if not self.parser.has_section(name):
@@ -173,9 +201,12 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         raise ConfigError(f"unknown command {command!r}", key="command")
     seed = cfg.get("run", "seed", int, default=0)
     out = Path(out_dir) if out_dir is not None else Path(cfg.get("run", "out", str, default="out"))
+    params = _load_params(cfg, system)
+    cfg.reject_unknown("run", _RUN_KEYS)
+    cfg.reject_unknown("params", [f.name for f in dataclasses.fields(params) if f.init])
+    cfg.reject_unknown(*_COMMAND_KEYS[command])
     out.mkdir(parents=True, exist_ok=True)
 
-    params = _load_params(cfg, system)
     rng = np.random.default_rng(seed)
     outputs: list[Path] = []
 

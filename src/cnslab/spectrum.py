@@ -18,16 +18,22 @@ proximity to their asymptote anchors:
 Eigenvector normalization follows fixed closed forms (leading entries
 ``rho_bar`` or ``R*rho_bar`` on the hyperbolic branch) so that the boundary
 observation identities stay literal downstream.
+
+All modes of a window are solved in one batched pass over stacked
+``(modes, dim, dim)`` symbols; only modes whose values come close enough to
+coincide run the per-mode defect logic (multiplet refinement, Jordan
+chains).  The batched arithmetic reproduces the per-mode scalar arithmetic
+bit for bit, see :func:`_cmul`.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
+import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -62,6 +68,14 @@ _BRANCH_ORDER = {
     BranchLabel.PARABOLIC_KAPPA: 2,
 }
 
+#: Column ``b`` of every batched array holds branch ``_BRANCHES[dim][b]``.
+_BRANCHES = {
+    2: (BranchLabel.HYPERBOLIC, BranchLabel.PARABOLIC),
+    3: (BranchLabel.HYPERBOLIC, BranchLabel.PARABOLIC_LAMBDA, BranchLabel.PARABOLIC_KAPPA),
+}
+
+_PERMUTATIONS_3 = np.array(list(itertools.permutations(range(3))))
+
 
 @dataclass(frozen=True)
 class ModeMatrix:
@@ -73,36 +87,85 @@ class ModeMatrix:
     kind: MatrixKind
 
 
+# ---------------------------------------------------------------------------
+# scalar-exact array arithmetic
+#
+# numpy's vectorized complex multiply and absolute value may fuse
+# multiply-adds and use their own hypot, so they can differ in the last bit
+# from the same operation on Python or numpy scalars.  The batched solve
+# forms complex products from rounded real products and moduli with
+# np.hypot, and Python-style quotients where Python complex division was
+# used, so every mode gets exactly the values a per-mode solve gives.
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _cmul(a, b) -> np.ndarray:
+    """``a*b`` with each real product rounded on its own, as a scalar complex product is."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cabs(z: np.ndarray) -> np.ndarray:
+    """``abs(z)`` as for a scalar complex."""
+    return np.hypot(z.real, z.imag)
+
+
+def _pydiv(a, b) -> np.ndarray:
+    """``a/b`` as Python's complex division (Smith's method, dividing by the denominator)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return _complex(re, im)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis, accumulated as ``np.linalg.norm`` of one vector is."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+# ---------------------------------------------------------------------------
+# stacked symbols and branch anchors
+
+
+def _symbols(params: SystemParams, ns, kind: MatrixKind) -> np.ndarray:
+    """Symbol matrices of the modes ``ns`` stacked as ``(len(ns), dim, dim)``; any integer mode, zero included."""
+    p = params
+    s = 1.0 if kind is MatrixKind.ADJOINT else -1.0
+    nf = np.asarray(ns, dtype=float)
+    n2 = nf * nf
+    inx = _cmul(1j, nf)
+    advect = _cmul(s * p.u_bar, inx)
+    M = np.zeros((nf.size, p.dim, p.dim), dtype=complex)
+    M[:, 0, 0] = advect
+    M[:, 0, 1] = _cmul(s * p.rho_bar, inx)
+    if isinstance(params, BarotropicParams):
+        M[:, 1, 0] = _cmul(s * p.b, inx)
+        M[:, 1, 1] = -p.mu0 * n2 + advect
+        return M
+    M[:, 1, 0] = _cmul(s * (p.R * p.theta_bar / p.rho_bar), inx)
+    M[:, 1, 1] = -p.lambda0 * n2 + advect
+    M[:, 1, 2] = _cmul(s * p.R, inx)
+    M[:, 2, 1] = _cmul(s * (p.R * p.theta_bar / p.c0), inx)
+    M[:, 2, 2] = -p.kappa0 * n2 + advect
+    return M
+
+
 def _symbol(params: SystemParams, n: int, kind: MatrixKind) -> np.ndarray:
     """Raw symbol matrix, valid for any integer mode including zero."""
-    s = 1.0 if kind is MatrixKind.ADJOINT else -1.0
-    inx = 1j * n
-    if isinstance(params, BarotropicParams):
-        p = params
-        return np.array(
-            [
-                [s * p.u_bar * inx, s * p.rho_bar * inx],
-                [s * p.b * inx, -p.mu0 * n**2 + s * p.u_bar * inx],
-            ],
-            dtype=complex,
-        )
-    p = params
-    return np.array(
-        [
-            [s * p.u_bar * inx, s * p.rho_bar * inx, 0.0],
-            [
-                s * (p.R * p.theta_bar / p.rho_bar) * inx,
-                -p.lambda0 * n**2 + s * p.u_bar * inx,
-                s * p.R * inx,
-            ],
-            [
-                0.0,
-                s * (p.R * p.theta_bar / p.c0) * inx,
-                -p.kappa0 * n**2 + s * p.u_bar * inx,
-            ],
-        ],
-        dtype=complex,
-    )
+    return _symbols(params, [n], kind)[0]
 
 
 def mode_matrix(params: SystemParams, n: int, kind: MatrixKind = MatrixKind.ADJOINT) -> ModeMatrix:
@@ -110,6 +173,31 @@ def mode_matrix(params: SystemParams, n: int, kind: MatrixKind = MatrixKind.ADJO
     if n == 0:
         raise DomainError("mode n = 0 is excluded (constant kernel)")
     return ModeMatrix(n=n, dim=params.dim, entries=_symbol(params, n, kind), kind=kind)
+
+
+def _anchors(params: SystemParams, nf: np.ndarray) -> np.ndarray:
+    """Asymptote anchor of every branch, ``(len(nf), dim)`` in branch order."""
+    iun = _cmul(1j * params.u_bar, nf)
+    if isinstance(params, BarotropicParams):
+        return np.stack([iun - params.omega0, -params.mu0 * nf**2 + iun], axis=1)
+    return np.stack(
+        [iun - params.omega_bar, -params.lambda0 * nf**2 + iun, -params.kappa0 * nf**2 + iun],
+        axis=1,
+    )
+
+
+def classify_branch(params: SystemParams, n: int, value: complex) -> BranchLabel:
+    """Nearest-anchor branch label with a deterministic tie-break.
+
+    Ties resolve toward hyperbolic first, then the momentum-diffusion
+    parabolic branch.
+    """
+    dists = _cabs(value - _anchors(params, np.array([float(n)]))[0])
+    return _BRANCHES[params.dim][int(np.argmin(dists))]
+
+
+# ---------------------------------------------------------------------------
+# result types
 
 
 @dataclass(frozen=True)
@@ -217,220 +305,87 @@ class SpectrumSlice:
 
 
 # ---------------------------------------------------------------------------
-# branch anchors and classification
+# characteristic polynomial and multiplets
 
 
-def _anchors(params: SystemParams, n: int) -> list[tuple[BranchLabel, complex]]:
-    iun = 1j * params.u_bar * n
-    if isinstance(params, BarotropicParams):
-        return [
-            (BranchLabel.HYPERBOLIC, iun - params.omega0),
-            (BranchLabel.PARABOLIC, -params.mu0 * n**2 + iun),
-        ]
-    return [
-        (BranchLabel.HYPERBOLIC, iun - params.omega_bar),
-        (BranchLabel.PARABOLIC_LAMBDA, -params.lambda0 * n**2 + iun),
-        (BranchLabel.PARABOLIC_KAPPA, -params.kappa0 * n**2 + iun),
-    ]
-
-
-def classify_branch(params: SystemParams, n: int, value: complex) -> BranchLabel:
-    """Nearest-anchor branch label with a deterministic tie-break.
-
-    Ties resolve toward hyperbolic first, then the momentum-diffusion
-    parabolic branch.
-    """
-    anchors = _anchors(params, n)
-    dists = [abs(value - a) for _, a in anchors]
-    best = min(dists)
-    for (label, _), d in zip(anchors, dists):
-        if d <= best:
-            return label
-    return anchors[0][0]
-
-
-# ---------------------------------------------------------------------------
-# eigenvector closed forms
-
-
-def _residual(M: np.ndarray, value: complex, vector: np.ndarray) -> float:
-    scale = np.linalg.norm(M, 2) * np.linalg.norm(vector)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(M @ vector - value * vector) / scale)
-
-
-def _kernel_vector(M: np.ndarray, value: complex) -> np.ndarray:
-    """Unit vector spanning the (numerical) kernel of ``M - value*I``."""
-    _, _, vh = np.linalg.svd(M - value * np.eye(M.shape[0]))
-    return vh[-1].conj()
-
-
-def _vector_barotropic(params: BarotropicParams, n: int, branch: BranchLabel, nu_scaled: complex) -> np.ndarray:
-    if branch is BranchLabel.HYPERBOLIC:
-        return np.array([params.rho_bar, nu_scaled - params.u_bar], dtype=complex)
-    return np.array([params.rho_bar / (nu_scaled - params.u_bar), 1.0], dtype=complex)
-
-
-def _vector_nonbarotropic(params: NonBarotropicParams, n: int, branch: BranchLabel, nu: complex) -> np.ndarray:
-    p = params
-    lam = p.lambda0 * 1j * n + p.u_bar - nu
-    kap = p.kappa0 * 1j * n + p.u_bar - nu
-    if branch is BranchLabel.HYPERBOLIC:
-        return np.array(
-            [
-                p.R * p.rho_bar,
-                -p.R * (p.u_bar - nu),
-                lam * (p.u_bar - nu) - p.R * p.theta_bar,
-            ],
-            dtype=complex,
-        )
-    if branch is BranchLabel.PARABOLIC_LAMBDA:
-        d = p.u_bar - nu
-        return np.array(
-            [
-                -p.R * p.rho_bar / d,
-                p.R,
-                (p.R * p.theta_bar - lam * d) / d,
-            ],
-            dtype=complex,
-        )
-    return np.array(
-        [
-            lam * kap - p.R**2 * p.theta_bar / p.c0,
-            -(p.R * p.theta_bar / p.rho_bar) * kap,
-            p.R**2 * p.theta_bar**2 / (p.rho_bar * p.c0),
-        ],
-        dtype=complex,
-    )
-
-
-def _pinned_component(dim: int, branch: BranchLabel) -> int:
-    """Index of the eigenvector component pinned by the closed-form normalization."""
-    if dim == 2:
-        return 0 if branch is BranchLabel.HYPERBOLIC else 1
-    return {
-        BranchLabel.HYPERBOLIC: 0,
-        BranchLabel.PARABOLIC_LAMBDA: 1,
-        BranchLabel.PARABOLIC_KAPPA: 2,
-    }[branch]
-
-
-def _pinned_value(params: SystemParams, branch: BranchLabel) -> complex:
-    if isinstance(params, BarotropicParams):
-        return params.rho_bar if branch is BranchLabel.HYPERBOLIC else 1.0
-    return {
-        BranchLabel.HYPERBOLIC: params.R * params.rho_bar,
-        BranchLabel.PARABOLIC_LAMBDA: params.R,
-        BranchLabel.PARABOLIC_KAPPA: params.R**2 * params.theta_bar**2 / (params.rho_bar * params.c0),
-    }[branch]
-
-
-def _rescale_to_convention(params: SystemParams, branch: BranchLabel, vector: np.ndarray) -> np.ndarray:
-    comp = _pinned_component(params.dim, branch)
-    pivot = vector[comp]
-    if abs(pivot) < 1e-300:
-        return vector
-    return vector * (_pinned_value(params, branch) / pivot)
-
-
-# ---------------------------------------------------------------------------
-# barotropic closed-form eigensolve
-
-
-def eigen_barotropic(
-    params: BarotropicParams,
-    n: int,
-    clustering_tolerance: float = DEFAULT_CLUSTERING_TOL,
-) -> tuple[EigenPair, EigenPair]:
-    """Closed-form eigenpairs of the adjoint symbol at mode ``n``.
-
-    Emits :class:`DegenerateWarning` (without failing) when the two values
-    coincide within the clustering tolerance.
-    """
-    if n == 0:
-        raise DomainError("mode n = 0 is excluded")
-    M = _symbol(params, n, MatrixKind.ADJOINT)
-    mu0, b, rho, u = params.mu0, params.b, params.rho_bar, params.u_bar
-    disc = cmath.sqrt(complex(mu0**2 * n**4 - 4.0 * b * rho * n**2))
-    # Principal square root throughout.  Below the threshold (imaginary
-    # discriminant) the hyperbolic label follows conjugate symmetry in n, so
-    # that the branch identity n -> -n pairs p with p; above the threshold
-    # the principal root already realizes that symmetry.
-    sign = 1.0 if (disc.imag == 0.0 or n > 0) else -1.0
-    nu_h = 0.5 * (-mu0 * n**2 + 2j * u * n + sign * disc)
-    nu_p = 0.5 * (-mu0 * n**2 + 2j * u * n - sign * disc)
-    refined = _refine_multiplets(M, np.array([nu_h, nu_p]), clustering_tolerance)
-    nu_h, nu_p = complex(refined[0]), complex(refined[1])
-    out = []
-    for branch, value in ((BranchLabel.HYPERBOLIC, nu_h), (BranchLabel.PARABOLIC, nu_p)):
-        nu_scaled = value / (1j * n)
-        vec = _vector_barotropic(params, n, branch, nu_scaled)
-        res = _residual(M, value, vec)
-        if res > EIGEN_RESIDUAL_TOL:
-            vec = _rescale_to_convention(params, branch, _kernel_vector(M, value))
-            res = _residual(M, value, vec)
-        out.append(EigenPair(n=n, branch=branch, value=value, vector=vec, nu_scaled=nu_scaled, residual=res))
-    if abs(nu_h - nu_p) <= clustering_tolerance * max(1.0, abs(nu_h)):
-        warnings.warn(
-            f"mode {n}: hyperbolic and parabolic eigenvalues coincide ({nu_h:.6g})",
-            DegenerateWarning,
-            stacklevel=2,
-        )
-    return out[0], out[1]
-
-
-# ---------------------------------------------------------------------------
-# dense eigensolve with Newton polish (three-field system)
-
-
-def _charpoly_coeffs(M: np.ndarray) -> np.ndarray:
-    """Coefficients of det(x I - M), highest power first, for dim <= 3."""
-    d = M.shape[0]
-    tr = np.trace(M)
+def _charpoly(M: np.ndarray) -> np.ndarray:
+    """Coefficients of det(x I - M), highest power first, for stacked symbols of dim <= 3."""
+    tr = np.trace(M, axis1=1, axis2=2)
     det = np.linalg.det(M)
-    if d == 2:
-        return np.array([1.0, -tr, det], dtype=complex)
+    one = np.ones_like(tr)
+    if M.shape[1] == 2:
+        return np.stack([one, -tr, det], axis=1)
     minors = (
-        M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
-        + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-        + M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        _cmul(M[:, 1, 1], M[:, 2, 2]) - _cmul(M[:, 1, 2], M[:, 2, 1])
+        + _cmul(M[:, 0, 0], M[:, 2, 2]) - _cmul(M[:, 0, 2], M[:, 2, 0])
+        + _cmul(M[:, 0, 0], M[:, 1, 1]) - _cmul(M[:, 0, 1], M[:, 1, 0])
     )
-    return np.array([1.0, -tr, minors, -det], dtype=complex)
+    return np.stack([one, -tr, minors, -det], axis=1)
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex, scale: float) -> complex:
-    p = np.polyval(coeffs, z)
-    dp = np.polyval(np.polyder(coeffs), z)
-    if abs(dp) < 1e-8 * max(1.0, abs(p)) / max(scale, 1e-300):
-        return z  # multiple root; Newton is ill-posed there
-    step = p / dp
-    if abs(step) < 0.5 * max(1.0, abs(z)):
-        return z - step
-    return z
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``np.polyval`` of each mode's coefficient row at that mode's values.
+
+    Plain array arithmetic: ``np.polyval`` runs its Horner steps through the
+    same vectorized loops, even for a single value.
+    """
+    y = np.zeros_like(z)
+    for c in coeffs.T:
+        y = y * z + c[:, None]
+    return y
+
+
+def _newton_polish(coeffs: np.ndarray, z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """One Newton step per value on its mode's characteristic polynomial.
+
+    Skipped near a multiple root, where Newton is ill-posed, and when the
+    step is not small against the value.
+    """
+    p = _horner(coeffs, z)
+    dp = _horner(coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1), z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = p / dp
+    multiple = _cabs(dp) < 1e-8 * np.fmax(1.0, _cabs(p)) / np.maximum(scale, 1e-300)[:, None]
+    take = ~multiple & (_cabs(step) < 0.5 * np.fmax(1.0, _cabs(z)))
+    return np.where(take, z - step, z)
 
 
 def _resolution_radius(m: int, magnitude: float) -> float:
     """Attainable eigenvalue resolution for an m-fold defective value.
 
-    A backward perturbation of size ``eps`` splits a Jordn-block eigenvalue
+    A backward perturbation of size ``eps`` splits a Jordan-block eigenvalue
     into a cluster of radius ``~eps**(1/m)``; values closer than this are
     numerically indistinguishable from an exact multiple root.
     """
     return 50.0 * float(np.finfo(float).eps) ** (1.0 / m) * max(1.0, magnitude)
 
 
-def _refine_multiplets(M: np.ndarray, values: np.ndarray, clustering_tolerance: float) -> np.ndarray:
-    """Collapse within-resolution clusters onto the polished multiple root.
+def _within_reach(values: np.ndarray, clustering_tolerance: float) -> np.ndarray:
+    """Modes whose values come close enough for refinement or clustering to act.
+
+    :func:`_refine_multiplets` merges values lying within the resolution
+    radius (or the tolerance) of their mean, and clustering groups values
+    within the tolerance, so a mode none of whose pairs is within twice that
+    reach is left untouched by both.  The factor 4 keeps the test a superset.
+    """
+    dim = values.shape[1]
+    i, j = np.triu_indices(dim, 1)
+    gap = _cabs(values[:, i] - values[:, j]).min(axis=1)
+    scale = max(clustering_tolerance, _resolution_radius(dim, 0.0))
+    return gap <= 4.0 * scale * np.fmax(1.0, _cabs(values).max(axis=1))
+
+
+def _refine_multiplets(coeffs: np.ndarray, values: np.ndarray, clustering_tolerance: float) -> np.ndarray:
+    """Collapse within-resolution clusters of one mode onto the polished multiple root.
 
     For a candidate m-cluster the (m-1)-th derivative of the characteristic
-    polynomial has a *simple* root at the multiple eigenvalue, so one Newton
-    run there recovers it to machine accuracy (the dense solve only locates
-    the individual copies to ``eps**(1/m)``).  The refined value replaces all
-    cluster members; non-confirming clusters are left untouched.
+    polynomial (coefficients ``coeffs``) has a *simple* root at the multiple
+    eigenvalue, so one Newton run there recovers it to machine accuracy (the
+    dense solve only locates the individual copies to ``eps**(1/m)``).  The
+    refined value replaces all cluster members; non-confirming clusters are
+    left untouched.
     """
     d = len(values)
-    coeffs = _charpoly_coeffs(M)
     out = values.copy()
 
     def try_merge(idx: list[int]) -> bool:
@@ -471,6 +426,257 @@ def _refine_multiplets(M: np.ndarray, values: np.ndarray, clustering_tolerance: 
     return out
 
 
+# ---------------------------------------------------------------------------
+# batched eigensolve
+
+
+class _ModeBatch(NamedTuple):
+    """Eigenstructure of a window of modes; column ``b`` holds branch ``_BRANCHES[dim][b]``."""
+
+    ns: np.ndarray  # (K,) modes
+    symbols: np.ndarray  # (K, dim, dim) adjoint symbols
+    values: np.ndarray  # (K, dim)
+    nu_scaled: np.ndarray  # (K, dim), values / (i n)
+    vectors: np.ndarray  # (K, dim, dim), vectors[k, b] the eigenvector of branch b
+    residuals: np.ndarray  # (K, dim)
+    near: np.ndarray  # (K,) modes for the per-mode defect logic (see _within_reach)
+
+
+def _barotropic_roots(params: BarotropicParams, nf: np.ndarray, M: np.ndarray, tol: float):
+    """Closed-form eigenvalues, ``nu_scaled`` and eigenvectors of the two-field symbols."""
+    p = params
+    n2 = nf * nf
+    disc = np.sqrt(_complex(p.mu0**2 * (n2 * n2) - 4.0 * p.b * p.rho_bar * n2, 0.0))
+    # Principal square root throughout.  Below the threshold (imaginary
+    # discriminant) the hyperbolic label follows conjugate symmetry in n, so
+    # that the branch identity n -> -n pairs p with p; above the threshold
+    # the principal root already realizes that symmetry.
+    sign = np.where((disc.imag == 0.0) | (nf > 0), 1.0, -1.0)
+    base = -p.mu0 * n2 + _cmul(2j * p.u_bar, nf)
+    shift = _cmul(sign, disc)
+    values = np.stack([_cmul(0.5, base + shift), _cmul(0.5, base - shift)], axis=1)
+    near = _within_reach(values, tol)
+    if near.any():
+        coeffs = _charpoly(M[near])
+        values[near] = [_refine_multiplets(c, v, tol) for c, v in zip(coeffs, values[near])]
+    nu_scaled = _pydiv(values, _cmul(1j, nf)[:, None])
+    d = nu_scaled - p.u_bar
+    vectors = np.empty(M.shape, dtype=complex)
+    vectors[:, 0, 0] = p.rho_bar
+    vectors[:, 0, 1] = d[:, 0]
+    vectors[:, 1, 0] = _pydiv(p.rho_bar, d[:, 1])
+    vectors[:, 1, 1] = 1.0
+    return values, nu_scaled, vectors, near
+
+
+def _dense_nonbarotropic(params: NonBarotropicParams, ns: np.ndarray, M: np.ndarray, scale: np.ndarray, tol: float):
+    """Dense eigenpairs of the three-field symbols, polished, labelled and put in branch order.
+
+    Returns the values, ``nu_scaled``, closed-form eigenvectors, the mask
+    of modes near a multiplet and the dense eigenvectors (the first
+    fallback of a failed closed form).
+    """
+    p = params
+    nf = ns.astype(float)
+    values, dense = np.linalg.eig(M)
+    backward = np.linalg.norm(M @ dense - dense * values[:, None, :], axis=1).max(axis=1)
+    bad = np.flatnonzero(backward > 1e-8 * np.maximum(scale, 1.0))
+    if bad.size:
+        k = bad[0]
+        raise ConditioningError(
+            f"mode {ns[k]}: dense eigensolve backward error {backward[k]:.3e} exceeds 1e-8*|M|"
+        )
+    coeffs = _charpoly(M)
+    values = _newton_polish(coeffs, values, scale)
+    near = _within_reach(values, tol)
+    if near.any():
+        values[near] = [_refine_multiplets(c, v, tol) for c, v in zip(coeffs[near], values[near])]
+
+    columns = _label_columns(params, nf, values, dense)
+    values = np.take_along_axis(values, columns, axis=1)
+    dense = np.take_along_axis(dense, columns[:, None, :], axis=2).swapaxes(1, 2)
+    nu_scaled = values / _cmul(1j, nf)[:, None]
+
+    lam = _cmul(p.lambda0 * 1j, nf)[:, None] + p.u_bar - nu_scaled
+    kap = _cmul(p.kappa0 * 1j, nf)[:, None] + p.u_bar - nu_scaled
+    d = p.u_bar - nu_scaled
+    h, pl, pk = 0, 1, 2
+    vectors = np.empty(M.shape, dtype=complex)
+    vectors[:, h, 0] = p.R * p.rho_bar
+    vectors[:, h, 1] = _cmul(-p.R, d[:, h])
+    vectors[:, h, 2] = _cmul(lam[:, h], d[:, h]) - p.R * p.theta_bar
+    vectors[:, pl, 0] = -p.R * p.rho_bar / d[:, pl]
+    vectors[:, pl, 1] = p.R
+    vectors[:, pl, 2] = (p.R * p.theta_bar - _cmul(lam[:, pl], d[:, pl])) / d[:, pl]
+    vectors[:, pk, 0] = _cmul(lam[:, pk], kap[:, pk]) - p.R**2 * p.theta_bar / p.c0
+    vectors[:, pk, 1] = _cmul(-(p.R * p.theta_bar / p.rho_bar), kap[:, pk])
+    vectors[:, pk, 2] = p.R**2 * p.theta_bar**2 / (p.rho_bar * p.c0)
+    return values, nu_scaled, vectors, near, dense
+
+
+def _degenerate_diffusions(params: SystemParams) -> bool:
+    return isinstance(params, NonBarotropicParams) and (
+        abs(params.lambda0 - params.kappa0) <= 1e-12 * max(params.lambda0, params.kappa0)
+    )
+
+
+def _label_columns(params: NonBarotropicParams, nf: np.ndarray, values: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """``columns[k, b]``: the column of ``values[k]`` that carries branch ``b``.
+
+    Minimal total anchor distance over the 6 assignments, the first in
+    permutation order winning unless another is smaller by more than
+    1e-15 relative.  When the two diffusions coincide the parabolic anchors
+    merge: the value nearest the hyperbolic anchor is hyperbolic and the
+    other two split by dominant eigenvector component (velocity vs
+    temperature), which tracks eigenvector continuity in n.
+    """
+    dists = _cabs(values[:, :, None] - _anchors(params, nf)[:, None, :])
+    rows = np.arange(values.shape[0])
+    if _degenerate_diffusions(params):
+        labels = np.empty(values.shape, dtype=int)
+        hyp = np.argsort(dists[:, :, 0], axis=1)[:, 0]
+        rest = np.array([[1, 2], [0, 2], [0, 1]])[hyp]
+        vel = _cabs(dense[rows[:, None], 1, rest])
+        temp = _cabs(dense[rows[:, None], 2, rest])
+        dominant = vel >= temp
+        key = -vel / np.fmax(temp, 1e-300)
+        first_lambda = np.where(dominant[:, 0] == dominant[:, 1], ~(key[:, 1] < key[:, 0]), dominant[:, 0])
+        labels[rows, hyp] = 0
+        labels[rows, rest[:, 0]] = np.where(first_lambda, 1, 2)
+        labels[rows, rest[:, 1]] = np.where(first_lambda, 2, 1)
+    else:
+        P = _PERMUTATIONS_3
+        costs = dists[:, 0, P[:, 0]] + dists[:, 1, P[:, 1]] + dists[:, 2, P[:, 2]]
+        best = np.zeros(values.shape[0], dtype=int)
+        best_cost = costs[:, 0]
+        for q in range(1, len(P)):
+            better = costs[:, q] < best_cost - 1e-15 * np.fmax(1.0, np.abs(best_cost))
+            best = np.where(better, q, best)
+            best_cost = np.where(better, costs[:, q], best_cost)
+        labels = P[best]
+    return np.argsort(labels, axis=1)
+
+
+def _pinned_values(params: SystemParams) -> np.ndarray:
+    """Closed-form value of the pinned component of each branch; branch ``b`` pins component ``b``."""
+    p = params
+    if isinstance(p, BarotropicParams):
+        return np.array([p.rho_bar, 1.0])
+    return np.array([p.R * p.rho_bar, p.R, p.R**2 * p.theta_bar**2 / (p.rho_bar * p.c0)])
+
+
+def _rescale_to_convention(pinned: np.ndarray, component: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Scale each vector so that its ``component`` takes the value ``pinned``; a vanishing pivot leaves it as is."""
+    pivot = vectors[np.arange(len(vectors)), component]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = vectors * (pinned / pivot)[:, None]
+    return np.where((_cabs(pivot) < 1e-300)[:, None], vectors, scaled)
+
+
+def _residuals(M: np.ndarray, M_norm: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``|(M - value I) v| / (|M|_2 |v|)`` per eigenpair, 0 where the scale vanishes.
+
+    ``M`` and its 2-norms ``M_norm`` broadcast against the leading axes of ``values``.
+    """
+    Mv = np.matmul(M, vectors[..., None])[..., 0]
+    scale = M_norm * _norms(vectors)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = _norms(Mv - values[..., None] * vectors) / scale
+    return np.where(scale == 0.0, 0.0, res)
+
+
+def _kernel_vectors(M: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Unit vectors spanning the (numerical) kernel of each ``M - value*I``."""
+    _, _, vh = np.linalg.svd(M - values[:, None, None] * np.eye(M.shape[-1]))
+    return vh[:, -1].conj()
+
+
+def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> _ModeBatch:
+    """Eigenpairs of the adjoint symbols of all modes ``ns`` in one batched pass.
+
+    Each eigenvector is the closed form when its residual passes; otherwise
+    (three-field only) the rescaled dense eigenvector, and when that fails
+    too, which is the signature of a defective value whose dense eigenvector
+    is only ``eps**(1/m)`` accurate, the rescaled kernel vector of the
+    shifted matrix.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    if np.any(ns == 0):
+        raise DomainError("mode n = 0 is excluded")
+    M = _symbols(params, ns, MatrixKind.ADJOINT)
+    M_norm = np.linalg.norm(M, 2, axis=(1, 2))
+    tol = clustering_tolerance
+    if isinstance(params, BarotropicParams):
+        values, nu_scaled, vectors, near = _barotropic_roots(params, ns.astype(float), M, tol)
+        dense = None
+    else:
+        values, nu_scaled, vectors, near, dense = _dense_nonbarotropic(params, ns, M, M_norm, tol)
+    residuals = _residuals(M[:, None], M_norm[:, None], values, vectors)
+    pinned = _pinned_values(params)
+
+    def retry(redo: np.ndarray, candidates) -> None:
+        k, b = np.nonzero(redo)
+        if k.size:
+            vectors[k, b] = _rescale_to_convention(pinned[b], b, candidates(k, b))
+            residuals[k, b] = _residuals(M[k], M_norm[k], values[k, b], vectors[k, b])
+
+    if dense is not None:
+        # a non-finite closed form has a NaN residual, which no comparison flags
+        retry(~np.all(np.isfinite(vectors), axis=2) | (residuals > EIGEN_RESIDUAL_TOL), lambda k, b: dense[k, b])
+    retry(residuals > EIGEN_RESIDUAL_TOL, lambda k, b: _kernel_vectors(M[k], values[k, b]))
+    return _ModeBatch(ns, M, values, nu_scaled, vectors, residuals, near)
+
+
+def _mode_pairs(params: SystemParams, batch: _ModeBatch) -> list[tuple[EigenPair, ...]]:
+    """The eigenpairs of every mode of the batch, each mode's in branch order.
+
+    Values keep the scalar type of the arithmetic that made them: Python
+    complex for the closed forms, numpy complex for the dense solve.
+    """
+    if isinstance(params, BarotropicParams):
+        values, nu_scaled = batch.values.tolist(), batch.nu_scaled.tolist()
+    else:
+        values, nu_scaled = list(map(list, batch.values)), list(map(list, batch.nu_scaled))
+    branches = _BRANCHES[params.dim]
+    unclassified = [_degenerate_diffusions(params) and b is not BranchLabel.HYPERBOLIC for b in branches]
+    residuals = batch.residuals.tolist()
+    return [
+        tuple(
+            EigenPair(
+                n=n,
+                branch=branch,
+                value=values[k][b],
+                vector=batch.vectors[k, b],
+                nu_scaled=nu_scaled[k][b],
+                residual=residuals[k][b],
+                unclassified_by_paper=unclassified[b],
+            )
+            for b, branch in enumerate(branches)
+        )
+        for k, n in enumerate(batch.ns.tolist())
+    ]
+
+
+def eigen_barotropic(
+    params: BarotropicParams,
+    n: int,
+    clustering_tolerance: float = DEFAULT_CLUSTERING_TOL,
+) -> tuple[EigenPair, EigenPair]:
+    """Closed-form eigenpairs of the adjoint symbol at mode ``n``.
+
+    Emits :class:`DegenerateWarning` (without failing) when the two values
+    coincide within the clustering tolerance.
+    """
+    ((h, p),) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance))
+    if abs(h.value - p.value) <= clustering_tolerance * max(1.0, abs(h.value)):
+        warnings.warn(
+            f"mode {n}: hyperbolic and parabolic eigenvalues coincide ({h.value:.6g})",
+            DegenerateWarning,
+            stacklevel=2,
+        )
+    return h, p
+
+
 def eigen_nonbarotropic(
     params: NonBarotropicParams,
     n: int,
@@ -485,106 +691,16 @@ def eigen_nonbarotropic(
     assigned by dominant eigenvector component instead, with the pairs
     flagged ``unclassified_by_paper``.
     """
-    if n == 0:
-        raise DomainError("mode n = 0 is excluded")
-    M = _symbol(params, n, MatrixKind.ADJOINT)
-    values, vectors = np.linalg.eig(M)
-    scale = float(np.linalg.norm(M, 2))
-
-    backward = max(
-        float(np.linalg.norm(M @ vectors[:, k] - values[k] * vectors[:, k]))
-        for k in range(3)
-    )
-    if backward > 1e-8 * max(scale, 1.0):
-        raise ConditioningError(
-            f"mode {n}: dense eigensolve backward error {backward:.3e} exceeds 1e-8*|M|"
-        )
-
-    coeffs = _charpoly_coeffs(M)
-    values = np.array([_newton_polish(coeffs, z, scale) for z in values])
-    values = _refine_multiplets(M, values, clustering_tolerance)
-
-    degenerate_diffusions = (
-        abs(params.lambda0 - params.kappa0)
-        <= 1e-12 * max(params.lambda0, params.kappa0)
-    )
-    labels = _assign_labels(params, n, values, vectors, degenerate_diffusions)
-
-    pairs = []
-    for k in range(3):
-        value = values[k]
-        branch = labels[k]
-        nu_scaled = value / (1j * n)
-        vec = _vector_nonbarotropic(params, n, branch, nu_scaled)
-        res = _residual(M, value, vec)
-        if not np.all(np.isfinite(vec)) or res > EIGEN_RESIDUAL_TOL:
-            vec = _rescale_to_convention(params, branch, vectors[:, k].copy())
-            res = _residual(M, value, vec)
-        if res > EIGEN_RESIDUAL_TOL:
-            # Defective value: the dense eigenvector is only eps**(1/m)
-            # accurate, but the kernel of the shifted matrix is well posed.
-            vec = _rescale_to_convention(params, branch, _kernel_vector(M, value))
-            res = _residual(M, value, vec)
-        pairs.append(
-            EigenPair(
-                n=n,
-                branch=branch,
-                value=value,
-                vector=vec,
-                nu_scaled=nu_scaled,
-                residual=res,
-                unclassified_by_paper=degenerate_diffusions and branch is not BranchLabel.HYPERBOLIC,
-            )
-        )
-    pairs.sort(key=lambda p: _BRANCH_ORDER[p.branch])
-
+    (pairs,) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance))
     vals = [p.value for p in pairs]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(vals[i] - vals[j]) <= clustering_tolerance * max(1.0, abs(vals[i])):
-                warnings.warn(
-                    f"mode {n}: eigenvalues {vals[i]:.6g} and {vals[j]:.6g} coincide",
-                    DegenerateWarning,
-                    stacklevel=2,
-                )
+    for i, j in itertools.combinations(range(3), 2):
+        if abs(vals[i] - vals[j]) <= clustering_tolerance * max(1.0, abs(vals[i])):
+            warnings.warn(
+                f"mode {n}: eigenvalues {vals[i]:.6g} and {vals[j]:.6g} coincide",
+                DegenerateWarning,
+                stacklevel=2,
+            )
     return pairs[0], pairs[1], pairs[2]
-
-
-def _assign_labels(params, n, values, vectors, degenerate_diffusions):
-    """One label per eigenvalue; greedy nearest-anchor with branch tie-break."""
-    anchors = _anchors(params, n)
-    if degenerate_diffusions:
-        # The two parabolic anchors coincide; keep the hyperbolic assignment by
-        # distance and split the parabolic pair by dominant component (velocity
-        # vs temperature), which tracks eigenvector continuity in n.
-        hyp_anchor = anchors[0][1]
-        order = np.argsort([abs(v - hyp_anchor) for v in values])
-        labels = [None, None, None]
-        labels[order[0]] = BranchLabel.HYPERBOLIC
-        rest = [k for k in range(3) if labels[k] is None]
-        dominant = [abs(vectors[1, k]) >= abs(vectors[2, k]) for k in rest]
-        if dominant[0] == dominant[1]:
-            rest.sort(key=lambda k: -abs(vectors[1, k]) / max(abs(vectors[2, k]), 1e-300))
-            labels[rest[0]] = BranchLabel.PARABOLIC_LAMBDA
-            labels[rest[1]] = BranchLabel.PARABOLIC_KAPPA
-        else:
-            for k, is_lambda in zip(rest, dominant):
-                labels[k] = BranchLabel.PARABOLIC_LAMBDA if is_lambda else BranchLabel.PARABOLIC_KAPPA
-        return labels
-
-    # Cost matrix assignment: try all 6 permutations (dim 3), pick minimal
-    # total distance; ties fall to the branch-order preference.
-    import itertools
-
-    dists = np.array([[abs(v - a) for _, a in anchors] for v in values])
-    best_perm = None
-    best_cost = None
-    for perm in itertools.permutations(range(3)):
-        cost = sum(dists[k, perm[k]] for k in range(3))
-        if best_cost is None or cost < best_cost - 1e-15 * max(1.0, abs(best_cost)):
-            best_cost = cost
-            best_perm = perm
-    return [anchors[best_perm[k]][0] for k in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -636,17 +752,8 @@ def generalized_chain(
 # slice assembly
 
 
-def _mode_pairs(params: SystemParams, n: int, tol: float) -> tuple[EigenPair, ...]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateWarning)
-        if isinstance(params, BarotropicParams):
-            return tuple(eigen_barotropic(params, n, tol))
-        return tuple(eigen_nonbarotropic(params, n, tol))
-
-
-def _cluster_mode(params: SystemParams, n: int, pairs: tuple[EigenPair, ...], tol: float) -> ModeSpectrum:
+def _cluster_mode(M: ModeMatrix, pairs: tuple[EigenPair, ...], tol: float) -> ModeSpectrum:
     """Group coincident values of one mode and attach chains where defective."""
-    M = mode_matrix(params, n, MatrixKind.ADJOINT)
     unused = list(range(len(pairs)))
     groups: list[list[int]] = []
     while unused:
@@ -686,7 +793,54 @@ def _cluster_mode(params: SystemParams, n: int, pairs: tuple[EigenPair, ...], to
                 chain=chain,
             )
         )
-    return ModeSpectrum(n=n, pairs=pairs, clusters=tuple(clusters))
+    return ModeSpectrum(n=M.n, pairs=pairs, clusters=tuple(clusters))
+
+
+def _coincidences(batch: _ModeBatch, branches: tuple[BranchLabel, ...], tol: float) -> list[Coincidence]:
+    """Every pair of (mode, branch) slots whose values agree within ``tol``.
+
+    Slots run over modes ascending, branches in order; a pair ``i < j`` is
+    recorded when ``|v_i - v_j| <= tol*max(1, |v_i|)``.  Slot ``j`` can
+    only match ``i`` when its real part, and its imaginary part, lies within
+    that radius of ``v_i``'s, so the candidates come from a sort along one
+    axis and a window search.  The axis is the one with fewer candidates:
+    the real parts of a hyperbolic branch all crowd around ``-omega`` and
+    would make every pair of its slots a candidate at large N.  The windows
+    are widened by a few rounding units so that no match is lost.
+    """
+    order = np.argsort(batch.ns, kind="stable")
+    values = batch.values[order].ravel()
+    radius = tol * np.fmax(1.0, _cabs(values))
+    windows = []
+    for coord in (values.real, values.imag):
+        by_coord = np.argsort(coord, kind="stable")
+        reach = radius * (1.0 + 1e-12) + 1e-15 * np.abs(coord)
+        lo = np.searchsorted(coord[by_coord], coord - reach, side="left")
+        hi = np.searchsorted(coord[by_coord], coord + reach, side="right")
+        windows.append((int((hi - lo).sum()), by_coord, lo, hi - lo))
+    total, by_coord, lo, counts = min(windows, key=lambda w: w[0])
+    i = np.repeat(np.arange(values.size), counts)
+    j = by_coord[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)]
+    later = j > i
+    i, j = i[later], j[later]
+    distance = _cabs(values[i] - values[j])
+    hit = distance <= radius[i]
+    pick = np.lexsort((j[hit], i[hit]))
+    i, j, distance = i[hit][pick], j[hit][pick], distance[hit][pick]
+    dim = len(branches)
+    modes = batch.ns[order].tolist()
+    out = []
+    for a, b, dist in zip(i.tolist(), j.tolist(), distance.tolist()):
+        na, nb = modes[a // dim], modes[b // dim]
+        out.append(
+            Coincidence(
+                first=(na, branches[a % dim]),
+                second=(nb, branches[b % dim]),
+                distance=dist,
+                cross_mode=(na != nb),
+            )
+        )
+    return out
 
 
 def build_slice(
@@ -702,32 +856,21 @@ def build_slice(
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
+    ns = np.repeat(np.arange(1, N + 1), 2) * np.tile([-1, 1], N)
+    batch = _solve_modes(params, ns, clustering_tolerance)
     modes = {}
-    for n in [k for a in range(1, N + 1) for k in (-a, a)]:
-        pairs = _mode_pairs(params, n, clustering_tolerance)
-        modes[n] = _cluster_mode(params, n, pairs, clustering_tolerance)
-
-    slots = [(p.n, p.branch, p.value) for n in sorted(modes) for p in modes[n].pairs]
-    coincidences = []
-    for i in range(len(slots)):
-        for j in range(i + 1, len(slots)):
-            ni, bi, vi = slots[i]
-            nj, bj, vj = slots[j]
-            if abs(vi - vj) <= clustering_tolerance * max(1.0, abs(vi)):
-                coincidences.append(
-                    Coincidence(
-                        first=(ni, bi),
-                        second=(nj, bj),
-                        distance=abs(vi - vj),
-                        cross_mode=(ni != nj),
-                    )
-                )
+    for n, pairs, near, M in zip(ns.tolist(), _mode_pairs(params, batch), batch.near, batch.symbols):
+        if near:
+            modes[n] = _cluster_mode(ModeMatrix(n, params.dim, M, MatrixKind.ADJOINT), pairs, clustering_tolerance)
+        else:
+            clusters = tuple(Cluster(value=p.value, branches=(p.branch,), vectors=(p.vector,), chain=None) for p in pairs)
+            modes[n] = ModeSpectrum(n=n, pairs=pairs, clusters=clusters)
     return SpectrumSlice(
         params=params,
         N=N,
         clustering_tolerance=clustering_tolerance,
         modes=modes,
-        coincidences=coincidences,
+        coincidences=_coincidences(batch, _BRANCHES[params.dim], clustering_tolerance),
     )
 
 
@@ -735,42 +878,16 @@ def build_slice(
 # quadratic closeness to the comparison basis
 
 
-def _comparison_deficit(params: SystemParams, n: int) -> float:
-    """Weighted squared distance of the mode-n eigenvectors to the comparison basis.
-
-    The comparison basis pins the dominating component of each branch
-    (density for hyperbolic, velocity/temperature for parabolic); only the
-    non-pinned components contribute.
-    """
-    two_pi = 2.0 * np.pi
-    pairs = _mode_pairs(params, n, DEFAULT_CLUSTERING_TOL)
+def _comparison_weights(params: SystemParams) -> np.ndarray:
     if isinstance(params, BarotropicParams):
-        weights = np.array([params.b, params.rho_bar])
-        targets = {
-            BranchLabel.HYPERBOLIC: np.array([params.rho_bar, 0.0], dtype=complex),
-            BranchLabel.PARABOLIC: np.array([0.0, 1.0], dtype=complex),
-        }
-    else:
-        weights = np.array(
-            [
-                params.R * params.theta_bar,
-                params.rho_bar**2,
-                params.rho_bar**2 * params.c0 / params.theta_bar,
-            ]
-        )
-        targets = {
-            BranchLabel.HYPERBOLIC: np.array([params.R * params.rho_bar, 0.0, 0.0], dtype=complex),
-            BranchLabel.PARABOLIC_LAMBDA: np.array([0.0, params.R, 0.0], dtype=complex),
-            BranchLabel.PARABOLIC_KAPPA: np.array(
-                [0.0, 0.0, params.R**2 * params.theta_bar**2 / (params.rho_bar * params.c0)],
-                dtype=complex,
-            ),
-        }
-    total = 0.0
-    for p in pairs:
-        diff = p.vector - targets[p.branch]
-        total += float(two_pi * np.sum(weights * np.abs(diff) ** 2))
-    return total
+        return np.array([params.b, params.rho_bar])
+    return np.array(
+        [
+            params.R * params.theta_bar,
+            params.rho_bar**2,
+            params.rho_bar**2 * params.c0 / params.theta_bar,
+        ]
+    )
 
 
 def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarray:
@@ -778,7 +895,10 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
 
     Entry ``k`` holds the sum over ``N_start <= |n| <= N_start + k`` of the
     weighted squared distances between the eigenvectors and the orthogonal
-    comparison basis.  The increments decay like ``1/n**2``, which is the
+    comparison basis.  The comparison basis pins the dominating component
+    of each branch (density for hyperbolic, velocity/temperature for
+    parabolic) at its closed-form value; only the other components
+    contribute.  The increments decay like ``1/n**2``, which is the
     numerical content of the Riesz-basis property.
     """
     threshold = 1
@@ -790,12 +910,14 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
         )
     if N_end < N_start:
         return np.zeros(0)
-    sums = []
-    total = 0.0
-    for n in range(N_start, N_end + 1):
-        total += _comparison_deficit(params, n) + _comparison_deficit(params, -n)
-        sums.append(total)
-    return np.array(sums)
+    ns = np.arange(N_start, N_end + 1)
+    batch = _solve_modes(params, np.concatenate([ns, -ns]), DEFAULT_CLUSTERING_TOL)
+    diff = batch.vectors - np.diag(_pinned_values(params)).astype(complex)
+    per_pair = 2.0 * np.pi * np.sum(_comparison_weights(params) * np.abs(diff) ** 2, axis=-1)
+    deficit = 0.0
+    for column in per_pair.T:  # pair by pair in branch order, as a running sum per mode
+        deficit = deficit + column
+    return np.cumsum(deficit[: ns.size] + deficit[ns.size :])
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,41 @@ class TestRun:
         assert "cannot parse [witness]" in err and "eight" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [("T = 8.0", "T = 8.0\ntirals = 3", "tirals"), ("seed = 7", "seed = 7\nsed = 3", "sed"),
+         ("b = 1.3", "b = 1.3\nkappa0 = 2.0", "kappa0")],
+        ids=["command-section", "run", "params"],
+    )
+    def test_unknown_key_is_a_config_error(self, tmp_path, capsys, old, new, key):
+        text = BASE.format(command="observe", u_bar=0.9, b=1.3) + "\n[observe]\nN = 4\nT = 8.0\n"
+        cfg = _write(tmp_path, text.replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "system,params,needed",
+        [
+            ("barotropic", "rho_bar = 1.0\nu_bar = 0.9\nmu0 = 1.0\nb = 1.3\n", 3),
+            (
+                "nonbarotropic",
+                "rho_bar = 1.0\nu_bar = 1.0\ntheta_bar = 1.0\nlambda0 = 1.0\nkappa0 = 2.0\nR = 1.0\nc0 = 1.0\n",
+                2,
+            ),
+        ],
+        ids=["barotropic", "nonbarotropic"],
+    )
+    def test_ingham_window_too_small_is_a_domain_error(self, tmp_path, capsys, system, params, needed):
+        text = f"[run]\nsystem = {system}\ncommand = ingham\n\n[params]\n{params}\n[ingham]\nN = 1\nT = 8.0\n"
+        cfg = _write(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"needs a window N >= {needed}" in err and "got N = 1" in err
+        assert "Traceback" not in err
+
     def test_synthesize_writes_control_and_verification(self, tmp_path):
         cfg = _write(
             tmp_path,

@@ -11,7 +11,7 @@ from cnslab import counterexamples
 from cnslab.errors import DomainError, DuplicateRate, QuadratureNotConverged, ZeroState
 from cnslab.evolution import ObservationChannel, ObservationSignal, SignalTerm, observation_signal
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
-from cnslab.kernels import poly_exp_integral, poly_exp_integral_mp, signal_energy_exact
+from cnslab.kernels import TAYLOR_RADIUS, exp_recurrence_mp, poly_exp_integral, poly_exp_integral_mp, signal_energy_exact
 from cnslab.model import BarotropicParams
 from cnslab.observability import (
     biorthogonal_gram,
@@ -152,13 +152,23 @@ class TestObservationEnergy:
                 c = [mpmath.mpc(t.coefficient) for t in terms]
                 nu = [mpmath.mpc(t.rate) for t in terms]
                 T = mpmath.mpf(signal.horizon)
+                # one exp(rate*T) per term; a pair's exponential is the product
+                # e^{a T} conj(e^{b T}), away from the Taylor ball around z = 0
+                ezt = [mpmath.exp(r * T) for r in nu]
+                c_conj, nu_conj, ezt_conj = ([mpmath.conj(x) for x in xs] for xs in (c, nu, ezt))
                 exact = mpmath.mpf(0)
                 for a in range(len(terms)):
+                    row = []
                     for b in range(a, len(terms)):
-                        pair = c[a] * mpmath.conj(c[b]) * poly_exp_integral_mp(
-                            terms[a].poly_degree + terms[b].poly_degree, nu[a] + mpmath.conj(nu[b]), T
-                        )
-                        exact += pair.real if a == b else 2 * pair.real
+                        m = terms[a].poly_degree + terms[b].poly_degree
+                        z = nu[a] + nu_conj[b]
+                        if abs(terms[a].rate + terms[b].rate.conjugate()) * signal.horizon < TAYLOR_RADIUS:
+                            integral = poly_exp_integral_mp(m, z, T)
+                        else:
+                            integral = exp_recurrence_mp(m, z, T, ezt[a] * ezt_conj[b])
+                        row.append((c_conj[b], integral))
+                    # sum over b >= a of c_a conj(c_b) I_ab, off-diagonal pairs twice
+                    exact += (c[a] * (2 * mpmath.fdot(row) - row[0][0] * row[0][1])).real
                 exact = float(exact)
             assert abs(value - exact) <= 1e-6 * exact
             assert bound >= abs(value - exact)
