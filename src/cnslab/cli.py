@@ -92,6 +92,26 @@ def _int_list(raw: str) -> list[int]:
     return [int(v) for v in raw.split(",")]
 
 
+def _horizon(raw: str) -> float:
+    """A time horizon: a finite float T > 0."""
+    T = float(raw)
+    if not (np.isfinite(T) and T > 0.0):
+        raise ValueError("the horizon T must be finite and > 0")
+    return T
+
+
+def _count(raw: str) -> int:
+    """A positive integer."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+#: Default horizon of the commands whose [section] T is optional.
+_DEFAULT_T = {"witness-regularity": 2.0, "validate-fdm": 0.4}
+
+
 class _Config:
     """Typed accessors over the parsed INI with key-level diagnostics."""
 
@@ -107,7 +127,7 @@ class _Config:
         try:
             return cast(raw)
         except ValueError as exc:
-            raise ConfigError(f"cannot parse [{section}] {key} = {raw!r}", key=key) from exc
+            raise ConfigError(f"cannot parse [{section}] {key} = {raw!r}: {exc}", key=key) from exc
 
     def channel(self, section: str, default: str) -> ObservationChannel:
         name = self.get(section, "channel", str, default=default)
@@ -204,7 +224,9 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
     params = _load_params(cfg, system)
     cfg.reject_unknown("run", _RUN_KEYS)
     cfg.reject_unknown("params", [f.name for f in dataclasses.fields(params) if f.init])
-    cfg.reject_unknown(*_COMMAND_KEYS[command])
+    section, keys = _COMMAND_KEYS[command]
+    cfg.reject_unknown(section, keys)
+    T = cfg.get(section, "T", _horizon, default=_DEFAULT_T.get(command)) if "T" in keys else None
     out.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(seed)
@@ -230,9 +252,8 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
     elif command == "observe":
         N = cfg.get("observe", "N", int)
-        T = cfg.get("observe", "T", float)
         channel = cfg.channel("observe", default="density")
-        trials = cfg.get("observe", "trials", int, default=1)
+        trials = cfg.get("observe", "trials", _count, default=1)
         slice_ = build_slice(params, N)
 
         reports = []
@@ -250,7 +271,6 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
     elif command == "ingham":
         N = cfg.get("ingham", "N", int)
-        T = cfg.get("ingham", "T", float)
         slice_ = build_slice(params, N)
         audit = ingham_audit(slice_, params, T)
         path = out / "ingham.json"
@@ -262,7 +282,6 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
     elif command == "synthesize":
         N = cfg.get("synthesize", "N", int)
-        T = cfg.get("synthesize", "T", float)
         channel = cfg.channel("synthesize", default="density")
         n_verify = cfg.get("synthesize", "N_verify", int, default=2 * N)
         grid_points = cfg.get("synthesize", "grid", int, default=201)
@@ -278,7 +297,6 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         outputs.extend([cpath, vpath])
 
     elif command == "witness-smalltime":
-        T = cfg.get("witness", "T", float)
         n_list = cfg.get("witness", "N_list", _int_list)
         x_left = cfg.get("witness", "x_left", float)
         x_right = cfg.get("witness", "x_right", float)
@@ -300,7 +318,6 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         channel = cfg.channel("witness", default="velocity")
         s = cfg.get("witness", "s", float)
         n_list = cfg.get("witness", "n_list", _int_list)
-        T = cfg.get("witness", "T", float, default=2.0)
         record = regularity_gap_witness(params, channel, s, n_list, T)
         path = out / "witness_regularity.json"
         _write_json(path, {**record.to_dict(), "params": cfg.section("params"), "seed": seed})
@@ -310,7 +327,6 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         N = cfg.get("fdm", "N", int, default=16)
         M = cfg.get("fdm", "M", int, default=1024)
         dt = cfg.get("fdm", "dt", float, default=1e-4)
-        T = cfg.get("fdm", "T", float, default=0.4)
         decay = cfg.get("fdm", "decay", float, default=0.3)
         export_traj = cfg.get("fdm", "export_trajectory", str, default="no") == "yes"
         c = np.zeros((2 * N + 1, params.dim), dtype=complex)

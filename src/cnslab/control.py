@@ -32,8 +32,8 @@ import mpmath
 import numpy as np
 
 from .errors import DomainError, InfeasibleRow, RankDeficient
-from .evolution import ObservationChannel, boundary_control_weight, channel_dim_ok, observation_value
-from .fields import NormSpec, SpectralField
+from .evolution import ObservationChannel, boundary_control_weight, chain_links, channel_dim_ok, observation_values
+from .fields import NormSpec, SpectralField, _complete_basis
 from .kernels import TAYLOR_RADIUS, KernelTerm, exp_recurrence_mp, pair_integrals, poly_exp_integral_mp
 from .spectrum import SpectrumSlice
 
@@ -94,39 +94,44 @@ def _chain_rows(
 ) -> Iterator[tuple[int, MomentRow]]:
     """Moment row of every basis element of the modes ``1 <= |n| <= N``.
 
-    Yields ``(j, row)`` with ``j`` the element's index in its cluster.  Level
-    ``j`` of a Jordan chain pairs ``(T-t)**k / k!`` with vector ``j - k`` for
-    ``k <= j``; a semisimple cluster gives one single-term row per vector.
-    The target is minus the free terminal pairing
-    ``e^{conj(nu) T} sum_k T**k / k! <U0, Phi_{j-k}>_w``.
+    Yields ``(j, row)`` with ``j`` the element's index in its cluster.  The
+    element in basis column ``c`` pairs ``(T-t)**k / k!`` with column
+    ``c - k`` for the chain levels ``k`` of :func:`chain_links` (``k = 0``
+    alone outside a Jordan chain).  The target is minus the free terminal
+    pairing ``e^{conj(nu) T} sum_k T**k / k! <U0, Phi_{c-k}>_w``.  A mode
+    without a full basis block is refused, as in the expansion.
     """
     params = slice_.params
     w_ch = boundary_control_weight(channel, params)
     norm_spec = NormSpec.weighted_l2(params)
-    for n in sorted(k for k in slice_.modes if abs(k) <= N):
-        for ci, cluster in enumerate(slice_.mode(n).clusters):
-            vectors = cluster.vectors
-            is_chain = cluster.chain is not None
-            inner = _mode_inner_products(U0, vectors, n, norm_spec)
-            obs = [observation_value(channel, v, n, params) for v in vectors]
-            nu_bar = np.conj(cluster.value)
-            phase = np.exp(nu_bar * T)
-            for j in range(len(vectors)):
-                levels = range(j + 1) if is_chain else (0,)
-                kernel = [
-                    KernelTerm(coef=w_ch * np.conj(obs[j - k]) / math.factorial(k), rate=nu_bar, degree=k)
-                    for k in levels
-                ]
-                free = phase * sum((T**k / math.factorial(k)) * inner[j - k] for k in levels)
-                yield j, MomentRow(
-                    n=n,
-                    cluster_index=ci,
-                    level=j if is_chain else 0,
-                    rate=nu_bar,
-                    kernel=kernel,
-                    target=complex(-free),
-                    observation=obs[j],
-                )
+    table = _complete_basis(slice_)
+    rows = np.flatnonzero(np.abs(table.ns) <= N)
+    observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), table.ns[rows, None], params).tolist()
+    for r, obs in zip(rows.tolist(), observed):
+        n = int(table.ns[r])
+        vectors = list(table.basis[r].T)
+        inner = _mode_inner_products(U0, vectors, n, norm_spec)
+        links: list[list[tuple[int, int]]] = [[] for _ in vectors]
+        for c, k, factorial, linked in chain_links(table.levels[r]):
+            if linked:
+                links[c].append((k, factorial))
+        clusters = table.clusters[r].tolist()
+        for c, column_links in enumerate(links):
+            nu_bar = np.conj(table.rates[r, c])
+            kernel = [
+                KernelTerm(coef=w_ch * np.conj(obs[c - k]) / factorial, rate=nu_bar, degree=k)
+                for k, factorial in column_links
+            ]
+            free = np.exp(nu_bar * T) * sum((T**k / factorial) * inner[c - k] for k, factorial in column_links)
+            yield c - clusters.index(clusters[c]), MomentRow(
+                n=n,
+                cluster_index=clusters[c],
+                level=int(table.levels[r, c]),
+                rate=nu_bar,
+                kernel=kernel,
+                target=complex(-free),
+                observation=obs[c],
+            )
 
 
 def build_moment_system(

@@ -28,7 +28,7 @@ import scipy.linalg
 from .errors import DimMismatch, DomainError
 from .fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
 from .model import BarotropicParams, SystemParams
-from .spectrum import MatrixKind, SpectrumSlice, _symbol
+from .spectrum import MatrixKind, SpectrumSlice, _cmul, _symbol
 
 
 class ObservationChannel(Enum):
@@ -57,26 +57,36 @@ def observation_value(
         raise DimMismatch(f"vector has {vector.size} components, system has {params.dim}")
     if not channel_dim_ok(channel, params.dim):
         raise DimMismatch("temperature channel requires the three-field system")
-    inx = 1j * n
-    if isinstance(params, BarotropicParams):
-        p = params
-        if channel is ObservationChannel.DENSITY:
-            return complex(p.u_bar * vector[0] + p.rho_bar * vector[1])
-        return complex(p.b * vector[0] + p.u_bar * vector[1] + p.mu0 * inx * vector[1])
+    return complex(observation_values(channel, vector, n, params))
+
+
+def observation_values(channel: ObservationChannel, vectors: np.ndarray, n, params: SystemParams) -> np.ndarray:
+    """:func:`observation_value` of every vector of ``vectors`` (components on the last axis).
+
+    ``n`` broadcasts against the leading axes.  Each complex product is
+    formed by :func:`spectrum._cmul`, so every entry is the scalar
+    arithmetic of one :func:`observation_value` call bit for bit.
+    """
+    v = [vectors[..., i] for i in range(params.dim)]
+    inx = _cmul(1j, n)
     p = params
+    if isinstance(params, BarotropicParams):
+        if channel is ObservationChannel.DENSITY:
+            return _cmul(p.u_bar, v[0]) + _cmul(p.rho_bar, v[1])
+        return _cmul(p.b, v[0]) + _cmul(p.u_bar, v[1]) + _cmul(_cmul(p.mu0, inx), v[1])
     if channel is ObservationChannel.DENSITY:
-        return complex(p.u_bar * vector[0] + p.rho_bar * vector[1])
+        return _cmul(p.u_bar, v[0]) + _cmul(p.rho_bar, v[1])
     if channel is ObservationChannel.VELOCITY:
-        return complex(
-            p.R * p.theta_bar * vector[0]
-            + p.rho_bar * p.u_bar * vector[1]
-            + p.lambda0 * p.rho_bar * inx * vector[1]
-            + p.R * p.rho_bar * vector[2]
+        return (
+            _cmul(p.R * p.theta_bar, v[0])
+            + _cmul(p.rho_bar * p.u_bar, v[1])
+            + _cmul(_cmul(p.lambda0 * p.rho_bar, inx), v[1])
+            + _cmul(p.R * p.rho_bar, v[2])
         )
-    return complex(
-        p.R * vector[1]
-        + (p.c0 * p.u_bar / p.theta_bar) * vector[2]
-        + (p.c0 * p.kappa0 / p.theta_bar) * inx * vector[2]
+    return (
+        _cmul(p.R, v[1])
+        + _cmul(p.c0 * p.u_bar / p.theta_bar, v[2])
+        + _cmul(_cmul(p.c0 * p.kappa0 / p.theta_bar, inx), v[2])
     )
 
 
@@ -98,23 +108,44 @@ class SignalTerm:
     poly_degree: int
 
 
-@dataclass
 class ObservationSignal:
-    """Closed-form boundary observation y(t) = sum c * (T-t)**j * exp(nu*(T-t))."""
+    """Closed-form boundary observation y(t) = sum c * (T-t)**j * exp(nu*(T-t)).
 
-    terms: list[SignalTerm]
-    horizon: float
+    The summands are held as aligned arrays ``coefficients``, ``rates`` and
+    ``degrees``; ``terms`` lists them as :class:`SignalTerm` objects, and
+    the constructor takes such a list.
+    """
+
+    def __init__(self, terms: list[SignalTerm], horizon: float):
+        terms = list(terms)
+        self.coefficients = np.array([t.coefficient for t in terms], dtype=complex)
+        self.rates = np.array([t.rate for t in terms], dtype=complex)
+        self.degrees = np.array([t.poly_degree for t in terms], dtype=np.int64)
+        self.horizon = horizon
+
+    @classmethod
+    def from_arrays(cls, coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarray, horizon: float):
+        signal = cls.__new__(cls)
+        signal.coefficients, signal.rates, signal.degrees, signal.horizon = coefficients, rates, degrees, horizon
+        return signal
+
+    @property
+    def terms(self) -> list[SignalTerm]:
+        return [
+            SignalTerm(c, r, d)
+            for c, r, d in zip(self.coefficients.tolist(), self.rates.tolist(), self.degrees.tolist())
+        ]
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         s = self.horizon - t
         out = np.zeros(s.shape, dtype=complex)
-        for term in self.terms:
-            out = out + term.coefficient * s**term.poly_degree * np.exp(term.rate * s)
+        for c, r, d in zip(self.coefficients.tolist(), self.rates.tolist(), self.degrees.tolist()):
+            out = out + c * s**d * np.exp(r * s)
         return out
 
     def value_at_terminal(self) -> complex:
-        return complex(sum(t.coefficient for t in self.terms if t.poly_degree == 0))
+        return complex(sum(self.coefficients[self.degrees == 0].tolist()))
 
 
 @dataclass
@@ -124,33 +155,22 @@ class TrajectorySample:
     norms: dict[str, float]
 
 
-def _cluster_blocks(slice_: SpectrumSlice, n: int):
-    """Yield (value, vectors) blocks aligned with the expansion layout."""
-    for cluster in slice_.mode(n).clusters:
-        yield cluster.value, cluster.vectors, cluster.chain is not None
+def chain_links(levels: np.ndarray) -> list[tuple[int, int, int, np.ndarray]]:
+    """The Jordan-chain bookkeeping of basis columns, shared by every closed-form consumer.
 
-
-def _evolve_mode(slice_: SpectrumSlice, n: int, a_n: np.ndarray, s: float) -> np.ndarray:
-    """Coefficient vector of mode n after time s under the adjoint flow.
-
-    Within a chain block the exponential acts lower-triangularly:
-    ``exp(M s) w_j = e^{nu s} sum_k (s**k / k!) w_{j-k}``.
+    Under the adjoint flow a column at Jordan level ``L`` carries
+    ``(T-t)**k / k!`` against the column ``k`` places before it, for
+    ``k = 0..L``; a semisimple column has level 0 and carries only itself:
+    ``exp(M s) w_j = e^{nu s} sum_k (s**k / k!) w_{j-k}``.  Lists
+    ``(c, k, k!, linked)`` for every column ``c`` and ``k <= c`` in that
+    order, ``linked`` marking where column ``c`` reaches level ``k``
+    (``levels[..., c] >= k``).
     """
-    out = np.zeros(slice_.dim, dtype=complex)
-    offset = 0
-    for value, vectors, is_chain in _cluster_blocks(slice_, n):
-        m = len(vectors)
-        block = a_n[offset : offset + m]
-        phase = np.exp(value * s)
-        if not is_chain:
-            for j in range(m):
-                out += phase * block[j] * vectors[j]
-        else:
-            for j in range(m):
-                for k in range(j + 1):
-                    out += phase * block[j] * (s**k / math.factorial(k)) * vectors[j - k]
-        offset += m
-    return out
+    return [
+        (c, k, math.factorial(k), levels[..., c] >= k)
+        for c in range(levels.shape[-1])
+        for k in range(c + 1)
+    ]
 
 
 def adjoint_state(
@@ -160,13 +180,27 @@ def adjoint_state(
     t: float,
     norm_specs: dict[str, NormSpec] | None = None,
 ) -> TrajectorySample:
-    """Adjoint solution at time t with terminal datum given by the expansion."""
+    """Adjoint solution at time t with terminal datum given by the expansion.
+
+    Every mode of the expansion at once: the exponential of each basis
+    column's rate, then one step per (column, chain level) of
+    :func:`chain_links`.
+    """
     if not 0.0 <= t <= T:
         raise DomainError(f"time {t} outside [0, {T}]")
     s = T - t
+    table, ns, rows, coefficients = expansion.stacked(slice_)
+    weights = _cmul(np.exp(_cmul(table.rates[rows], s)), coefficients)
+    chained = table.chained[rows]
+    basis = table.basis[rows]
+    modes = np.zeros(coefficients.shape, dtype=complex)
+    # chain columns take their factor even at k = 0, where "* 1.0" can flip a
+    # signed zero or turn an infinity into NaN, and the other columns none
+    for c, k, factorial, linked in chain_links(table.levels[rows]):
+        weight = np.where(chained[:, c], _cmul(weights[:, c], s**k / factorial), weights[:, c])
+        modes[linked] += weight[linked, None] * basis[linked, :, c - k]
     state = SpectralField.zeros(slice_.dim, slice_.N)
-    for n, a_n in expansion.coefficients.items():
-        state.coeffs[n + slice_.N] = _evolve_mode(slice_, n, a_n, s)
+    state.coeffs[ns + slice_.N] = modes
     norms = {}
     for name, spec in (norm_specs or {}).items():
         norms[name] = sobolev_norm(state, spec)
@@ -222,32 +256,28 @@ def observation_signal(
     channel: ObservationChannel,
     T: float,
 ) -> ObservationSignal:
-    """Boundary observation of the adjoint solution as a closed-form signal."""
+    """Boundary observation of the adjoint solution as a closed-form signal.
+
+    Terms run mode by mode in the expansion's order, then by (column, chain
+    level) of :func:`chain_links`; a zero coefficient contributes none.
+    """
     if not channel_dim_ok(channel, slice_.dim):
         raise DimMismatch("temperature channel requires the three-field system")
-    terms: list[SignalTerm] = []
-    for n, a_n in expansion.coefficients.items():
-        offset = 0
-        for value, vectors, is_chain in _cluster_blocks(slice_, n):
-            m = len(vectors)
-            block = a_n[offset : offset + m]
-            obs = [observation_value(channel, v, n, slice_.params) for v in vectors]
-            if not is_chain:
-                for j in range(m):
-                    if block[j] != 0.0:
-                        terms.append(SignalTerm(coefficient=block[j] * obs[j], rate=value, poly_degree=0))
-            else:
-                for j in range(m):
-                    if block[j] == 0.0:
-                        continue
-                    for k in range(j + 1):
-                        terms.append(
-                            SignalTerm(
-                                coefficient=block[j] * obs[j - k] / math.factorial(k),
-                                rate=value,
-                                poly_degree=k,
-                            )
-                        )
-            offset += m
-    return ObservationSignal(terms=terms, horizon=T)
-
+    table, ns, rows, coefficients = expansion.stacked(slice_)
+    observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), ns[:, None], slice_.params)
+    chained = table.chained[rows]
+    terms, rates, degrees, keep = [], [], [], []
+    # as in adjoint_state, chain columns are divided by k! even at k = 0
+    for c, k, factorial, linked in chain_links(table.levels[rows]):
+        term = _cmul(coefficients[:, c], observed[:, c - k])
+        terms.append(np.where(chained[:, c], term / factorial, term))
+        rates.append(table.rates[rows, c])
+        degrees.append(k)
+        keep.append(linked & (coefficients[:, c] != 0.0))
+    keep = np.stack(keep, axis=1)
+    return ObservationSignal.from_arrays(
+        coefficients=np.stack(terms, axis=1)[keep],
+        rates=np.stack(rates, axis=1)[keep],
+        degrees=np.broadcast_to(np.array(degrees, dtype=np.int64), keep.shape)[keep],
+        horizon=T,
+    )

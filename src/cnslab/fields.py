@@ -7,9 +7,9 @@ norm coincides with the weighted integral norm.  Negative Sobolev orders use
 the same coefficient formula ``(1 + n**2)**s`` on mean-zero fields, which is
 the dual-norm surrogate every estimate downstream actually manipulates.
 
-Expansion in the (generalized) eigenbasis is a per-mode dense solve against
-the basis block of the corresponding mode matrix; condition numbers are
-recorded so near-degeneracies below the clustering tolerance surface as
+Expansion in the (generalized) eigenbasis is one stacked dense solve against
+the basis blocks of all modes (the slice's basis table); condition numbers
+are recorded so near-degeneracies below the clustering tolerance surface as
 errors rather than noise.
 """
 
@@ -22,11 +22,11 @@ import numpy as np
 
 from .errors import DimMismatch, DomainError, IllConditioned, MeanZeroRequired
 from .model import BarotropicParams, SystemParams
-from .spectrum import SpectrumSlice
+from .spectrum import BasisTable, SpectrumSlice
 
 TWO_PI = 2.0 * np.pi
 
-#: Condition-number budget for a per-mode expansion solve.
+#: Condition-number budget for the expansion solve of one mode.
 EXPANSION_COND_LIMIT = 1e12
 
 
@@ -185,7 +185,8 @@ def sobolev_norm(f: SpectralField, norm_spec: NormSpec) -> float:
 class EigenExpansion:
     """Per-mode coefficients against the slice's (generalized) eigenbasis.
 
-    ``coefficients[n]`` aligns with ``slice.mode(n).basis_vectors()``:
+    ``coefficients[n]`` aligns with the columns of mode ``n`` in
+    :attr:`SpectrumSlice.basis` (the order of ``slice.mode(n).basis_vectors()``):
     cluster by cluster, eigenvector first, then chain vectors by level.
     """
 
@@ -193,47 +194,58 @@ class EigenExpansion:
     coefficients: dict[int, np.ndarray]
     condition_numbers: dict[int, float] = field(default_factory=dict)
 
-    def coefficient(self, n: int, index: int) -> complex:
-        if n not in self.coefficients:
-            return 0.0
-        return complex(self.coefficients[n][index])
+    def stacked(self, slice_: SpectrumSlice) -> tuple[BasisTable, np.ndarray, np.ndarray, np.ndarray]:
+        """``(table, modes, rows, coefficients)``: the slice's basis table, the
+        expansion's modes in their stored order, their rows in the table and
+        the coefficient vectors stacked as ``(modes, dim)``.
+        """
+        table = _complete_basis(slice_)
+        ns = np.fromiter(self.coefficients, dtype=np.int64, count=len(self.coefficients))
+        stacked = np.array(list(self.coefficients.values()), dtype=complex).reshape(ns.size, self.dim)
+        return table, ns, table.rows(ns), stacked
+
+
+def _complete_basis(slice_: SpectrumSlice) -> BasisTable:
+    """The slice's basis table, refused when some mode lacks a full basis block."""
+    table = slice_.basis
+    if table.unchained:
+        raise DomainError("slice has an unresolved coincidence without a chain block")
+    return table
 
 
 def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenExpansion:
-    """Solve the per-mode basis systems expressing the field in eigen-coordinates."""
+    """Solve the basis systems of all modes, stacked, for the field's eigen-coordinates.
+
+    A mode whose basis condition number exceeds the budget raises
+    :class:`IllConditioned`, the first such mode in ascending order.
+    """
     if field_.dim != slice_.dim:
         raise DimMismatch("field and slice component counts differ")
     if np.any(field_.coeffs[field_.N] != 0.0):
         raise DomainError("expansion requires a mean-zero field")
     if field_.N > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} but field has cutoff {field_.N}")
-    if slice_.has_unchained_coincidence():
-        raise DomainError("slice has an unresolved coincidence without a chain block")
-    coefficients: dict[int, np.ndarray] = {}
-    conds: dict[int, float] = {}
-    for n in sorted(slice_.modes):
-        if abs(n) > field_.N:
-            c_n = np.zeros(field_.dim, dtype=complex)
-        else:
-            c_n = field_.coeff(n)
-        basis = np.column_stack(slice_.mode(n).basis_vectors())
-        cond = float(np.linalg.cond(basis))
-        if cond > EXPANSION_COND_LIMIT:
-            raise IllConditioned(n, cond)
-        a_n = np.linalg.solve(basis, c_n)
-        coefficients[n] = a_n
-        conds[n] = cond
-    return EigenExpansion(dim=field_.dim, coefficients=coefficients, condition_numbers=conds)
+    table = _complete_basis(slice_)
+    ill = np.flatnonzero(table.conds > EXPANSION_COND_LIMIT)
+    if ill.size:
+        raise IllConditioned(int(table.ns[ill[0]]), float(table.conds[ill[0]]))
+    targets = np.zeros((table.ns.size, field_.dim), dtype=complex)
+    inside = np.abs(table.ns) <= field_.N
+    targets[inside] = field_.coeffs[table.ns[inside] + field_.N]
+    solved = np.linalg.solve(table.basis, targets[..., None])[..., 0]
+    modes = table.ns.tolist()
+    return EigenExpansion(
+        dim=field_.dim,
+        coefficients=dict(zip(modes, solved)),
+        condition_numbers=dict(zip(modes, table.conds.tolist())),
+    )
 
 
 def reconstruct(expansion: EigenExpansion, slice_: SpectrumSlice) -> SpectralField:
     """Exact inverse of :func:`expand_in_eigenbasis` on the truncated space."""
+    table, ns, rows, stacked = expansion.stacked(slice_)
     out = SpectralField.zeros(slice_.dim, slice_.N)
-    for n, a_n in expansion.coefficients.items():
-        if n not in slice_.modes:
-            raise DomainError(f"expansion carries mode {n} outside the slice")
-        basis = np.column_stack(slice_.mode(n).basis_vectors())
-        out.coeffs[n + slice_.N] = basis @ a_n
+    out.coeffs[ns + slice_.N] = np.matmul(table.basis[rows], stacked[..., None])[..., 0]
     return out
 
 

@@ -122,22 +122,19 @@ def pair_integrals(rates: np.ndarray, degrees: np.ndarray, T: float) -> np.ndarr
     return poly_exp_integral(degrees[:, None] + degrees[None, :], rates[:, None] + rates.conj()[None, :], T)
 
 
-def signal_energy(terms, T: float) -> tuple[float, float]:
+def signal_energy(coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarray, T: float) -> tuple[float, float]:
     """Closed-form ``integral_0^T |y(t)|**2 dt`` and a bound on its rounding error.
 
-    ``terms`` iterates objects carrying ``coefficient``, ``rate`` and
-    ``poly_degree`` fields, ``y(t) = sum c * (T-t)**j * exp(nu*(T-t))``.  The
-    energy is the Hermitian form ``sum_ab c_a conj(c_b) K[a, b]`` with
+    ``y(t) = sum c * (T-t)**j * exp(nu*(T-t))`` with the terms' coefficients,
+    rates and polynomial degrees given as aligned arrays.  The energy is the
+    Hermitian form ``sum_ab c_a conj(c_b) K[a, b]`` with
     ``K[a, b] = I_{j_a + j_b}(nu_a + conj(nu_b), T)``, assembled in one
     broadcast call.  The bound ``eps * n_terms * |c|^T |K| |c|`` covers the
     rounding of that sum, so relative to the value it grows with the
     cancellation ``|c|^T |K| |c| / value`` of the signal.
     """
-    term_list = list(terms)
-    c = np.array([t.coefficient for t in term_list], dtype=complex)
-    rates = np.array([t.rate for t in term_list], dtype=complex)
-    degrees = np.array([t.poly_degree for t in term_list], dtype=np.int64)
-    K = pair_integrals(rates, degrees, T)
+    c = np.asarray(coefficients, dtype=complex)
+    K = pair_integrals(np.asarray(rates, dtype=complex), np.asarray(degrees, dtype=np.int64), T)
     value = float((c @ K @ c.conj()).real)
     abs_c = np.abs(c)
     bound = float(np.finfo(float).eps * c.size * (abs_c @ np.abs(K) @ abs_c))
@@ -145,5 +142,14 @@ def signal_energy(terms, T: float) -> tuple[float, float]:
 
 
 def signal_energy_exact(terms, T: float) -> float:
-    """Value of :func:`signal_energy` without its rounding bound."""
-    return signal_energy(terms, T)[0]
+    """Value of :func:`signal_energy` for an iterable of terms.
+
+    ``terms`` carry ``coefficient``, ``rate`` and ``poly_degree`` fields.
+    """
+    term_list = list(terms)
+    return signal_energy(
+        [t.coefficient for t in term_list],
+        [t.rate for t in term_list],
+        [t.poly_degree for t in term_list],
+        T,
+    )[0]

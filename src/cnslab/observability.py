@@ -43,7 +43,7 @@ def observation_energy(signal: ObservationSignal, T: float | None = None) -> tup
         T = signal.horizon
     if abs(T - signal.horizon) > 1e-12 * max(1.0, signal.horizon):
         raise DomainError("integration horizon must match the signal horizon")
-    value, bound = signal_energy(signal.terms, T)
+    value, bound = signal_energy(signal.coefficients, signal.rates, signal.degrees, T)
     if not (math.isfinite(value) and bound <= 1e-3 * value):
         raise QuadratureNotConverged(
             f"energy integral did not certify: value {value:.6e}, rounding bound {bound:.3e}"

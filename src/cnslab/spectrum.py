@@ -33,6 +33,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -252,6 +253,8 @@ class Cluster:
 
 @dataclass(frozen=True)
 class ModeSpectrum:
+    """The eigenpairs of one mode, in branch order, and its clusters."""
+
     n: int
     pairs: tuple[EigenPair, ...]
     clusters: tuple[Cluster, ...]
@@ -270,9 +273,48 @@ class Coincidence:
     cross_mode: bool
 
 
+class BasisTable(NamedTuple):
+    """The (generalized) eigenbasis of a slice as stacked arrays, modes ascending.
+
+    Row ``r`` belongs to mode ``ns[r]``.  ``values`` and ``vectors`` hold the
+    eigenpairs in branch order (``vectors[r, b]`` the eigenvector of branch
+    ``b``).  Column ``j`` of ``basis[r]`` is the mode's j-th basis vector,
+    cluster by cluster as in :meth:`ModeSpectrum.basis_vectors`, with its
+    cluster's eigenvalue in ``rates``, its cluster index in ``clusters``,
+    its Jordan level in ``levels`` (0 outside a chain) and ``chained``
+    marking the columns of a Jordan chain.  ``conds`` are the 2-norm
+    condition numbers of the ``basis`` matrices; ``unchained`` is set when
+    some mode has a repeated value without a full basis block.
+    """
+
+    ns: np.ndarray  # (K,)
+    values: np.ndarray  # (K, dim)
+    vectors: np.ndarray  # (K, dim, dim)
+    basis: np.ndarray  # (K, dim, dim)
+    rates: np.ndarray  # (K, dim)
+    clusters: np.ndarray  # (K, dim)
+    levels: np.ndarray  # (K, dim)
+    chained: np.ndarray  # (K, dim)
+    conds: np.ndarray  # (K,)
+    unchained: bool
+
+    def rows(self, ns) -> np.ndarray:
+        """Row of every mode of ``ns``; a mode outside the slice is a DomainError."""
+        ns = np.asarray(ns, dtype=np.int64)
+        rows = np.minimum(np.searchsorted(self.ns, ns), self.ns.size - 1)
+        outside = self.ns[rows] != ns
+        if outside.any():
+            raise DomainError(f"mode {ns[outside][0]} outside the slice")
+        return rows
+
+
 @dataclass
 class SpectrumSlice:
-    """Eigenstructure of all modes ``1 <= |n| <= N``, with coincidence data."""
+    """Eigenstructure of all modes ``1 <= |n| <= N``, with coincidence data.
+
+    Treated as immutable once built: :attr:`basis` is computed from it on
+    first use and cached.
+    """
 
     params: SystemParams
     N: int
@@ -299,9 +341,10 @@ class SpectrumSlice:
                     out[n] = p.value
         return out
 
-    def has_unchained_coincidence(self) -> bool:
-        """True when some mode carries a repeated eigenvalue without a full basis block."""
-        return any(len(m.basis_vectors()) < self.dim for m in self.modes.values())
+    @cached_property
+    def basis(self) -> BasisTable:
+        """The basis table of the slice, built on first use."""
+        return _basis_table(self)
 
 
 # ---------------------------------------------------------------------------
@@ -871,6 +914,52 @@ def build_slice(
         clustering_tolerance=clustering_tolerance,
         modes=modes,
         coincidences=_coincidences(batch, _BRANCHES[params.dim], clustering_tolerance),
+    )
+
+
+def _basis_table(slice_: SpectrumSlice) -> BasisTable:
+    """Stack the slice's eigenpairs and the basis vectors of its clusters.
+
+    A mode with fewer basis vectors than ``dim`` fills its missing columns
+    with zero vectors of cluster index -1 and sets ``unchained``.
+    """
+    dim = slice_.dim
+    ns = sorted(slice_.modes)
+    values, vectors, columns, rates, clusters, levels, chained = [], [], [], [], [], [], []
+    for n in ns:
+        mode = slice_.modes[n]
+        for p in mode.pairs:
+            values.append(p.value)
+            vectors.append(p.vector)
+        for ci, cluster in enumerate(mode.clusters):
+            is_chain = cluster.chain is not None
+            for level, vector in enumerate(cluster.vectors):
+                columns.append(vector)
+                rates.append(cluster.value)
+                clusters.append(ci)
+                levels.append(level if is_chain else 0)
+                chained.append(is_chain)
+        missing = len(values) - len(columns)
+        if missing:
+            columns += [np.zeros(dim, dtype=complex)] * missing
+            rates += [0j] * missing
+            clusters += [-1] * missing
+            levels += [0] * missing
+            chained += [False] * missing
+    shape = (len(ns), dim)
+    basis = np.array(columns, dtype=complex).reshape(*shape, dim).swapaxes(1, 2)
+    clusters = np.array(clusters, dtype=np.int64).reshape(shape)
+    return BasisTable(
+        ns=np.array(ns, dtype=np.int64),
+        values=np.array(values, dtype=complex).reshape(shape),
+        vectors=np.array(vectors, dtype=complex).reshape(*shape, dim),
+        basis=basis,
+        rates=np.array(rates, dtype=complex).reshape(shape),
+        clusters=clusters,
+        levels=np.array(levels, dtype=np.int64).reshape(shape),
+        chained=np.array(chained, dtype=bool).reshape(shape),
+        conds=np.linalg.cond(basis),
+        unchained=bool((clusters < 0).any()),
     )
 
 

@@ -142,6 +142,39 @@ class TestRun:
         assert f"needs a window N >= {needed}" in err and "got N = 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command,section,T",
+        [
+            ("synthesize", "[synthesize]\nN = 3\n", "inf"),
+            ("synthesize", "[synthesize]\nN = 3\n", "nan"),
+            ("observe", "[observe]\nN = 4\n", "0.0"),
+            ("observe", "[observe]\nN = 4\n", "-1.0"),
+            ("ingham", "[ingham]\nN = 8\n", "-3"),
+            ("witness-smalltime", "[witness]\nN_list = 6,8\nx_left = 3.2\nx_right = 5.8\n", "-inf"),
+            ("witness-regularity", "[witness]\ns = 0.0\nn_list = 4,8\n", "0"),
+            ("validate-fdm", "[fdm]\nN = 4\nM = 128\ndt = 1e-3\n", "-0.1"),
+        ],
+        ids=["synthesize-inf", "synthesize-nan", "observe-zero", "observe-negative", "ingham-negative",
+             "witness-smalltime", "witness-regularity", "validate-fdm"],
+    )
+    def test_bad_horizon_is_a_config_error(self, tmp_path, capsys, command, section, T):
+        cfg = _write(tmp_path, BASE.format(command=command, u_bar=0.9, b=1.3) + "\n" + section + f"T = {T}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot parse [{section[1:section.index(']')]}] T = '{T}'" in err
+        assert "finite and > 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_nonpositive_trials_is_a_config_error(self, tmp_path, capsys, trials):
+        text = BASE.format(command="observe", u_bar=0.9, b=1.3) + f"\n[observe]\nN = 4\nT = 8.0\ntrials = {trials}\n"
+        cfg = _write(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot parse [observe] trials = '{trials}'" in err and ">= 1" in err
+        assert "Traceback" not in err
+
     def test_synthesize_writes_control_and_verification(self, tmp_path):
         cfg = _write(
             tmp_path,
