@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    ArithmeticFailure,
     CnsLabError,
     ConfigError,
     QuadratureNotConverged,
@@ -100,11 +102,11 @@ def _horizon(raw: str) -> float:
     return T
 
 
-def _count(raw: str) -> int:
-    """A positive integer."""
+def _count(raw: str, minimum: int = 1) -> int:
+    """An integer of at least ``minimum``."""
     value = int(raw)
-    if value < 1:
-        raise ValueError("must be >= 1")
+    if value < minimum:
+        raise ValueError(f"must be >= {minimum}")
     return value
 
 
@@ -202,6 +204,52 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
+def _knobs(cfg: _Config, command: str) -> dict:
+    """Every knob of ``command`` other than ``T``, parsed and checked before anything is computed or written."""
+    if command == "spectrum":
+        return {"N": cfg.get("spectrum", "N", int)}
+    if command == "closeness":
+        return {"N_start": cfg.get("closeness", "N_start", int), "N_end": cfg.get("closeness", "N_end", int)}
+    if command == "observe":
+        return {
+            "N": cfg.get("observe", "N", int),
+            "channel": cfg.channel("observe", default="density"),
+            "trials": cfg.get("observe", "trials", _count, default=1),
+        }
+    if command == "ingham":
+        return {"N": cfg.get("ingham", "N", int)}
+    if command == "synthesize":
+        N = cfg.get("synthesize", "N", int)
+        return {
+            "N": N,
+            "channel": cfg.channel("synthesize", default="density"),
+            "N_verify": cfg.get("synthesize", "N_verify", int, default=2 * N),
+            # the grid holds both ends of [0, T]
+            "grid": cfg.get("synthesize", "grid", functools.partial(_count, minimum=2), default=201),
+        }
+    if command == "witness-smalltime":
+        return {
+            "N_list": cfg.get("witness", "N_list", _int_list),
+            "x_left": cfg.get("witness", "x_left", float),
+            "x_right": cfg.get("witness", "x_right", float),
+        }
+    if command == "witness-degenerate":
+        return {"N": cfg.get("witness", "N", int, default=4), "channel": cfg.channel("witness", default="density")}
+    if command == "witness-regularity":
+        return {
+            "channel": cfg.channel("witness", default="velocity"),
+            "s": cfg.get("witness", "s", float),
+            "n_list": cfg.get("witness", "n_list", _int_list),
+        }
+    return {
+        "N": cfg.get("fdm", "N", int, default=16),
+        "M": cfg.get("fdm", "M", int, default=1024),
+        "dt": cfg.get("fdm", "dt", float, default=1e-4),
+        "decay": cfg.get("fdm", "decay", float, default=0.3),
+        "export_trajectory": cfg.get("fdm", "export_trajectory", str, default="no") == "yes",
+    }
+
+
 def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool = False) -> int:
     """Execute the experiment described by the config; return the exit code."""
     config_path = Path(config_path)
@@ -227,22 +275,21 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
     section, keys = _COMMAND_KEYS[command]
     cfg.reject_unknown(section, keys)
     T = cfg.get(section, "T", _horizon, default=_DEFAULT_T.get(command)) if "T" in keys else None
+    knobs = _knobs(cfg, command)
     out.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(seed)
     outputs: list[Path] = []
 
     if command == "spectrum":
-        N = cfg.get("spectrum", "N", int)
-        slice_ = build_slice(params, N)
+        slice_ = build_slice(params, knobs["N"])
         path = out / "spectrum.csv"
         export_spectrum_csv(slice_, path)
         outputs.append(path)
 
     elif command == "closeness":
-        n_start = cfg.get("closeness", "N_start", int)
-        n_end = cfg.get("closeness", "N_end", int)
-        sums = riesz_closeness(params, n_start, n_end)
+        n_start = knobs["N_start"]
+        sums = riesz_closeness(params, n_start, knobs["N_end"])
         path = out / "closeness.csv"
         with open(path, "w", newline="") as fh:
             fh.write("N,partial_sum\n")
@@ -251,15 +298,13 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         outputs.append(path)
 
     elif command == "observe":
-        N = cfg.get("observe", "N", int)
-        channel = cfg.channel("observe", default="density")
-        trials = cfg.get("observe", "trials", _count, default=1)
+        N = knobs["N"]
         slice_ = build_slice(params, N)
 
         reports = []
-        for child in np.random.SeedSequence(seed).spawn(trials):
+        for child in np.random.SeedSequence(seed).spawn(knobs["trials"]):
             field = _random_mean_zero_field(params.dim, N, np.random.default_rng(child), real=False)
-            reports.append(observability_quotient(field, channel, T, None, slice_).to_dict())
+            reports.append(observability_quotient(field, knobs["channel"], T, None, slice_).to_dict())
         payload = {
             "reports": reports,
             "min_quotient": min(r["quotient"] for r in reports),
@@ -270,7 +315,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         outputs.append(path)
 
     elif command == "ingham":
-        N = cfg.get("ingham", "N", int)
+        N = knobs["N"]
         slice_ = build_slice(params, N)
         audit = ingham_audit(slice_, params, T)
         path = out / "ingham.json"
@@ -281,57 +326,43 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         outputs.append(path)
 
     elif command == "synthesize":
-        N = cfg.get("synthesize", "N", int)
-        channel = cfg.channel("synthesize", default="density")
-        n_verify = cfg.get("synthesize", "N_verify", int, default=2 * N)
-        grid_points = cfg.get("synthesize", "grid", int, default=201)
+        N, n_verify = knobs["N"], knobs["N_verify"]
         slice_ = build_slice(params, max(n_verify, N))
         field = _random_mean_zero_field(params.dim, N, rng)
-        system_ = build_moment_system(field, channel, T, slice_, N)
+        system_ = build_moment_system(field, knobs["channel"], T, slice_, N)
         solution = synthesize_control(system_)
         record = verify_terminal(field, solution, system_, slice_, n_verify)
         cpath = out / "control.csv"
-        export_control_csv(solution, np.linspace(0.0, T, grid_points), cpath)
+        export_control_csv(solution, np.linspace(0.0, T, knobs["grid"]), cpath)
         vpath = out / "verification.json"
         _write_json(vpath, {**record.to_dict(), "moment_residual": solution.residual, "seed": seed})
         outputs.extend([cpath, vpath])
 
     elif command == "witness-smalltime":
-        n_list = cfg.get("witness", "N_list", _int_list)
-        x_left = cfg.get("witness", "x_left", float)
-        x_right = cfg.get("witness", "x_right", float)
-        report = small_time_witness(params, T, n_list, BumpSpec(x_left=x_left, x_right=x_right, seed=seed))
+        bump = BumpSpec(x_left=knobs["x_left"], x_right=knobs["x_right"], seed=seed)
+        report = small_time_witness(params, T, knobs["N_list"], bump)
         path = out / "witness_smalltime.json"
         _write_json(path, {**report.to_dict(), "params": cfg.section("params")})
         outputs.append(path)
 
     elif command == "witness-degenerate":
-        N = cfg.get("witness", "N", int, default=4)
-        channel = cfg.channel("witness", default="density")
-        slice_ = build_slice(params, N)
-        record = degenerate_uc_witness(params, channel, slice_)
+        slice_ = build_slice(params, knobs["N"])
+        record = degenerate_uc_witness(params, knobs["channel"], slice_)
         path = out / "witness_degenerate.json"
         _write_json(path, {**record.to_dict(), "params": cfg.section("params"), "seed": seed})
         outputs.append(path)
 
     elif command == "witness-regularity":
-        channel = cfg.channel("witness", default="velocity")
-        s = cfg.get("witness", "s", float)
-        n_list = cfg.get("witness", "n_list", _int_list)
-        record = regularity_gap_witness(params, channel, s, n_list, T)
+        record = regularity_gap_witness(params, knobs["channel"], knobs["s"], knobs["n_list"], T)
         path = out / "witness_regularity.json"
         _write_json(path, {**record.to_dict(), "params": cfg.section("params"), "seed": seed})
         outputs.append(path)
 
     elif command == "validate-fdm":
-        N = cfg.get("fdm", "N", int, default=16)
-        M = cfg.get("fdm", "M", int, default=1024)
-        dt = cfg.get("fdm", "dt", float, default=1e-4)
-        decay = cfg.get("fdm", "decay", float, default=0.3)
-        export_traj = cfg.get("fdm", "export_trajectory", str, default="no") == "yes"
+        N, M, dt = knobs["N"], knobs["M"], knobs["dt"]
         c = np.zeros((2 * N + 1, params.dim), dtype=complex)
         for n in range(1, N + 1):
-            v = (rng.normal(size=params.dim) + 1j * rng.normal(size=params.dim)) * np.exp(-decay * n)
+            v = (rng.normal(size=params.dim) + 1j * rng.normal(size=params.dim)) * np.exp(-knobs["decay"] * n)
             c[n + N] = v
             c[-n + N] = np.conj(v)
         field = SpectralField(dim=params.dim, N=N, coeffs=c)
@@ -347,7 +378,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
             },
         )
         outputs.append(path)
-        if export_traj:
+        if knobs["export_trajectory"]:
             from .oracle import GridState, export_trajectory_csv, fdm_evolve
 
             traj = fdm_evolve(params, GridState.from_field(field, M), T, dt,
@@ -401,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureNotConverged, RankDeficient) as exc:
+    except (ArithmeticFailure, QuadratureNotConverged, RankDeficient) as exc:
         print(f"numerical tolerance failure: {exc}", file=sys.stderr)
         return 3
     except CnsLabError as exc:

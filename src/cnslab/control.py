@@ -12,34 +12,47 @@ turns the constraints into the Hermitian Gram system ``G x = m``.  The Gram
 of an exponential family is exponentially ill conditioned, so the system is
 solved by Cholesky in extended precision, and the parabolic ill-conditioning
 is reported as the discarded singular values of the normalized Gram rather
-than hidden in a black-box solver.  Every extended-precision stage computes
-one exponential ``e^{rate T}`` per kernel term and pairs terms by products.
+than hidden in a black-box solver.  The extended-precision arithmetic runs
+on complex pairs of ``decimal.Decimal``; mpmath supplies one exponential
+``e^{rate T}`` per kernel term, and terms are paired by products.
 
 Verification replays the duality identity mode by mode in closed form,
-inside and beyond the synthesis truncation (terminal spill-over).
+inside and beyond the synthesis truncation (terminal spill-over), reading
+the solve's Gram for the rows it already holds.
 """
 
 from __future__ import annotations
 
 import csv
+import decimal
 import itertools
 import math
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from decimal import Decimal
+from operator import add, mul, sub
 from typing import Any
 
 import mpmath
 import numpy as np
 
-from .errors import DomainError, InfeasibleRow, RankDeficient
+from .errors import ArithmeticFailure, DomainError, InfeasibleRow, RankDeficient
 from .evolution import ObservationChannel, boundary_control_weight, chain_links, channel_dim_ok, observation_values
 from .fields import NormSpec, SpectralField, _complete_basis
-from .kernels import TAYLOR_RADIUS, KernelTerm, exp_recurrence_mp, pair_integrals, poly_exp_integral_mp
+from .kernels import TAYLOR_RADIUS, KernelTerm, pair_integrals, poly_exp_integral_dec
+from .kernels import poly_exp_integral_mp  # noqa: F401  (perfbench/spans.py traces this name)
 from .spectrum import SpectrumSlice
 
 #: working precisions (decimal digits) tried in turn until the moment residual is met
 _DPS_LADDER = (40, 80, 160, 320)
 _RESIDUAL_TOL = 1e-12
+#: decimal signals that end the extended-precision arithmetic with ArithmeticFailure
+_TRAPS = (decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
+#: extra digits of the Gram, its exponentials and the residual that refines the solution
+_GUARD_DIGITS = 10
+_ZERO = Decimal(0)
+_TWO = Decimal(2)
 
 
 @dataclass
@@ -184,21 +197,66 @@ def _rank_deficiency_groups(rows: list[MomentRow]) -> list[tuple[int, int]]:
     ]
 
 
-def _exp_term(coef, rate: complex, degree: int, T) -> tuple:
-    """``(coef, rate, degree, e^{rate T}, rate as complex)`` at working precision."""
-    rate_mp = mpmath.mpc(rate)
-    return coef, rate_mp, degree, mpmath.exp(rate_mp * T), rate
+@contextmanager
+def _working_digits(dps: int) -> Iterator[None]:
+    """mpmath at ``dps`` digits and a decimal context at least as precise.
 
-
-def _pair_integral(m: int, z, z_d: complex, ezt, T):
-    """``I_m(z, T)`` at working precision from ``ezt = e^{zT}``.
-
-    ``z_d`` is ``z`` in double precision and picks the branch; the Taylor
-    branch near z = 0 works from ``z`` alone.
+    The decimal context keeps the fewest digits whose unit roundoff
+    ``10**(1 - digits) / 2`` is at most mpmath's ``2**-prec`` at ``dps``
+    (42 digits at the 40-digit rung), so a rung rounds no coarser than its
+    mpmath exponentials.  Invalid operations, division by zero and overflow
+    trap, and a trapped signal becomes :class:`ArithmeticFailure`.
     """
-    if abs(z_d) * T < TAYLOR_RADIUS:
-        return poly_exp_integral_mp(m, z, T)
-    return exp_recurrence_mp(m, z, T, ezt)
+    digits = math.ceil(1 + (mpmath.libmp.dps_to_prec(dps) - 1) * math.log10(2))
+    try:
+        with decimal.localcontext(decimal.Context(prec=digits, traps=list(_TRAPS))), mpmath.workdps(dps):
+            yield
+    except _TRAPS as exc:
+        raise ArithmeticFailure(f"{type(exc).__name__} in the {dps}-digit moment arithmetic") from exc
+
+
+@contextmanager
+def _guard_digits() -> Iterator[None]:
+    """The active decimal and mpmath precisions raised by :data:`_GUARD_DIGITS` digits."""
+    with decimal.localcontext() as context, mpmath.workdps(mpmath.mp.dps + _GUARD_DIGITS):
+        context.prec += _GUARD_DIGITS
+        yield
+
+
+def _decimal(x) -> Decimal:
+    """An mpmath real as a Decimal of the active context; infinities and NaN map to their Decimal forms."""
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        return Decimal(float(x))
+    value = man * _TWO**exp
+    return -value if sign else value
+
+
+def _pair(z) -> tuple[Decimal, Decimal]:
+    """An mpmath complex as a pair of Decimals."""
+    return _decimal(z.real), _decimal(z.imag)
+
+
+def _mpc(re: Decimal, im: Decimal):
+    """A pair of Decimals as an mpmath complex at the working precision."""
+    return mpmath.mpc(mpmath.mpf(str(re)), mpmath.mpf(str(im)))
+
+
+def _decimal_terms(kernel: list[KernelTerm], T: float) -> list[tuple]:
+    """``(coef, rate, rate as complex, degree, e^{rate T})`` per kernel term.
+
+    Complex values are pairs of Decimals.  Each term costs one mpmath
+    exponential, taken with guard digits like the Gram it enters.
+    """
+    terms = []
+    with _guard_digits():
+        T_mp = mpmath.mpf(T)
+        for t in kernel:
+            coef, rate = complex(t.coef), complex(t.rate)
+            e = _pair(mpmath.exp(mpmath.mpc(rate) * T_mp))
+            pair = (Decimal(coef.real), Decimal(coef.imag)), (Decimal(rate.real), Decimal(rate.imag))
+            terms.append((*pair, rate, t.degree, e))
+    return terms
 
 
 @dataclass
@@ -209,7 +267,11 @@ class ControlSolution:
     exponential family is exponentially ill conditioned (the condensation
     phenomenon), so the minimum-norm representation has large, delicately
     cancelling coefficients even though the control function itself is tame.
-    All closed-form identities downstream consume the extended coefficients.
+    ``coefficients_mp`` is the public view of them, one per row (zero on
+    dropped rows); every closed-form identity downstream reads its current
+    values.  ``gram`` keeps the Hermitian Gram of the kept rows ``keep`` at
+    the solve precision, with the prepared terms ``columns`` of their
+    kernels, so the verification reuses the solve's pair integrals.
     """
 
     system: MomentSystem
@@ -222,28 +284,21 @@ class ControlSolution:
     singular_values: np.ndarray
     below_critical_time: bool
     solve_dps: int
-    _terms_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    keep: list[int] = field(default_factory=list)
+    gram: tuple[list, list] = field(default=((), ()), repr=False, compare=False)
+    columns: list = field(default_factory=list, repr=False, compare=False)
 
-    def _terms(self) -> list[tuple]:
-        """``(x conj(coef), conj(rate), degree, e^{conj(rate) T}, conj(rate) as complex)`` per term.
+    def _kept_coefficients(self) -> tuple[list[Decimal], list[Decimal]]:
+        """Real and imaginary parts of the kept rows' current coefficients.
 
-        One entry per kernel term of every row with a nonzero coefficient,
-        at the working precision.  Cached per precision and coefficient list,
-        so every moment integral and control evaluation reuses the one
-        exponential of each term.
+        The control lies in the span of the kept kernels, so a nonzero
+        coefficient on any other row is refused.
         """
-        prec = mpmath.mp.prec
-        cache = self._terms_cache
-        if cache is None or cache[0] != prec or cache[1] is not self.coefficients_mp:
-            T = mpmath.mpf(self.system.horizon)
-            terms = [
-                _exp_term(x * mpmath.conj(mpmath.mpc(t.coef)), complex(t.rate).conjugate(), t.degree, T)
-                for x, row in zip(self.coefficients_mp, self.system.rows)
-                if x != 0
-                for t in row.kernel
-            ]
-            cache = self._terms_cache = (prec, self.coefficients_mp, terms)
-        return cache[2]
+        kept = set(self.keep)
+        if any(x != 0 for i, x in enumerate(self.coefficients_mp) if i not in kept):
+            raise DomainError("coefficients outside the rows of the solved Gram must be zero")
+        pairs = [_pair(mpmath.mpc(self.coefficients_mp[i])) for i in self.keep]
+        return [re for re, _ in pairs], [im for _, im in pairs]
 
     def __call__(self, t) -> np.ndarray:
         """Evaluate p(t) = sum_j x_j conj(k_j(t)).
@@ -255,41 +310,44 @@ class ControlSolution:
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(t.size, dtype=complex)
-        with mpmath.workdps(self.solve_dps):
-            terms = self._terms()
-            T = mpmath.mpf(self.system.horizon)
-            s_prev = T
-            current = [e for _, _, _, e, _ in terms]
-            step_factors: dict = {}
-            for i, ti in enumerate(t.ravel()):
-                s = T - mpmath.mpf(float(ti))
-                h = s - s_prev
-                if h != 0:
-                    factors = step_factors.get(h)
-                    if factors is None:
-                        factors = step_factors[h] = [mpmath.exp(rate * h) for _, rate, _, _, _ in terms]
-                    current = [c * f for c, f in zip(current, factors)]
-                    s_prev = s
-                out[i] = complex(
-                    mpmath.fdot((w * s**degree if degree else w, c) for (w, _, degree, _, _), c in zip(terms, current))
-                )
+        with _working_digits(self.solve_dps):
+            xr, xi = self._kept_coefficients()
+            # x conj(coef) (T-t)**degree e^{conj(rate) (T-t)} per term of a kept row with x != 0
+            terms = [
+                (a * cr + b * ci, b * cr - a * ci, mpmath.mpc(rate.conjugate()), degree, er, -ei)
+                for a, b, column in zip(xr, xi, self.columns)
+                if a or b
+                for (cr, ci), _, rate, degree, (er, ei) in column
+            ]
+            if terms:
+                wr, wi, rates, degrees, cur_r, cur_i = (list(v) for v in zip(*terms))
+                T = mpmath.mpf(self.system.horizon)
+                s_prev = T
+                steps: dict = {}
+                for i, ti in enumerate(t.ravel()):
+                    s = T - mpmath.mpf(float(ti))
+                    h = s - s_prev
+                    if h != 0:
+                        factors = steps.get(h)
+                        if factors is None:
+                            pairs = [_pair(mpmath.exp(rate * h)) for rate in rates]
+                            factors = steps[h] = ([re for re, _ in pairs], [im for _, im in pairs])
+                        fr, fi = factors
+                        cur_r, cur_i = (
+                            list(map(sub, map(mul, cur_r, fr), map(mul, cur_i, fi))),
+                            list(map(add, map(mul, cur_r, fi), map(mul, cur_i, fr))),
+                        )
+                        s_prev = s
+                    ur, ui = wr, wi
+                    if any(degrees):
+                        sd = _decimal(s)
+                        powers = [sd**d if d else 1 for d in degrees]  # decimal refuses 0 ** 0
+                        ur, ui = list(map(mul, wr, powers)), list(map(mul, wi, powers))
+                    out[i] = complex(
+                        float(sum(map(mul, ur, cur_r)) - sum(map(mul, ui, cur_i))),
+                        float(sum(map(mul, ur, cur_i)) + sum(map(mul, ui, cur_r))),
+                    )
         return out.reshape(t.shape)
-
-    def moment_integral(self, degree: int, rate):
-        """integral_0^T p(t) (T-t)**degree e^{rate (T-t)} dt at solver precision.
-
-        One exponential ``e^{rate T}``, paired with each cached term's own.
-        Returns an mpmath complex; callers combine it with other closed-form
-        quantities before casting down.
-        """
-        T = mpmath.mpf(self.system.horizon)
-        rate_d = complex(rate)
-        rate = mpmath.mpc(rate)
-        e_rate = mpmath.exp(rate * T)
-        return mpmath.fdot(
-            (w, _pair_integral(d + degree, r + rate, r_d + rate_d, e * e_rate, T))
-            for w, r, d, e, r_d in self._terms()
-        )
 
 
 def gram_matrix(system: MomentSystem) -> np.ndarray:
@@ -307,54 +365,115 @@ def gram_matrix(system: MomentSystem) -> np.ndarray:
     return incidence @ ((c[:, None] * c.conj()[None, :]) * K) @ incidence.T
 
 
-def _moment_gram(kernels: list[list[KernelTerm]], T: float) -> list[list]:
-    """Hermitian Gram ``integral k_i conj(k_j)`` at working precision, as a list of lists.
+def _moment_gram(rows: list[list[tuple]], columns: list[list[tuple]], T: float) -> tuple[list[list], list[list]]:
+    """``integral_0^T k_r conj(k_s) dt`` of row kernels against column kernels.
 
-    Each term contributes one exponential ``e^{rate T}``; a pair's
-    ``e^{(a + conj(b)) T}`` is the product ``e^{aT} conj(e^{bT})``.
+    Kernels come as :func:`_decimal_terms`; the entries come back as their
+    real and their imaginary parts, two lists of lists of Decimals.  A term
+    pair's ``e^{(a + conj(b)) T}`` is the product ``e^{aT} conj(e^{bT})``.
+    When ``rows`` is ``columns`` the Gram is Hermitian: only the upper
+    triangle is integrated, and the lower one mirrors it.  Entries are
+    summed with guard digits: the terms of chain rows cancel, and the
+    refinement of the solve needs a Gram more accurate than its arithmetic.
     """
-    T_mp = mpmath.mpf(T)
-    terms = [[_exp_term(mpmath.mpc(t.coef), complex(t.rate), t.degree, T_mp) for t in kernel] for kernel in kernels]
-    m = len(terms)
-    G = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            pairs = []
-            for ca, ra, da, ea, ra_d in terms[i]:
-                for cb, rb, db, eb, rb_d in terms[j]:
-                    I = _pair_integral(da + db, ra + mpmath.conj(rb), ra_d + rb_d.conjugate(), ea * mpmath.conj(eb), T_mp)
-                    pairs.append((ca * mpmath.conj(cb), I))
-            G[i][j] = mpmath.fdot(pairs)
-            G[j][i] = mpmath.conj(G[i][j])
-    return G
+    hermitian = rows is columns
+    T_dec = Decimal(T)
+    re = [[_ZERO] * len(columns) for _ in rows]
+    im = [[_ZERO] * len(columns) for _ in rows]
+    with _guard_digits():
+        for i, row in enumerate(rows):
+            for j in range(i if hermitian else 0, len(columns)):
+                sr = si = _ZERO
+                for (car, cai), (ar, ai), a, da, (ear, eai) in row:
+                    for (cbr, cbi), (br, bi), b, db, (ebr, ebi) in columns[j]:
+                        Ir, Ii = poly_exp_integral_dec(
+                            da + db,
+                            (ar + br, ai - bi),
+                            (ear * ebr + eai * ebi, eai * ebr - ear * ebi),
+                            T_dec,
+                            abs(a + b.conjugate()) * T < TAYLOR_RADIUS,
+                        )
+                        wr, wi = car * cbr + cai * cbi, cai * cbr - car * cbi
+                        sr += wr * Ir - wi * Ii
+                        si += wr * Ii + wi * Ir
+                re[i][j], im[i][j] = sr, si
+                if hermitian and j != i:
+                    re[j][i], im[j][i] = sr, -si
+    return re, im
 
 
-def _cholesky_solve(G: list[list], b: list) -> list | None:
-    """Solve ``G x = b`` for Hermitian positive definite ``G`` at the working precision.
+def _cholesky(Gr: list[list], Gi: list[list]) -> tuple[list, list, list] | None:
+    """``G = L L^H`` for Hermitian positive definite ``G`` in the active decimal context.
 
-    ``G = L L^H`` with ``L`` kept row by row.  Returns None at the first
-    pivot that is not positive: ``G`` is not numerically definite at this
-    precision.
+    ``L`` is kept row by row as the real parts, the imaginary parts and the
+    diagonal, so that every inner product is a C-level ``sum(map(mul, ...))``.
+    Returns None at the first pivot that is not positive: ``G`` is not
+    numerically definite at this precision.
     """
-    m = len(G)
-    L: list[list] = []
-    for i in range(m):
-        Li: list = []
+    Lr: list[list] = []
+    Li: list[list] = []
+    d: list = []
+    for i in range(len(Gr)):
+        ri: list = []
+        ii: list = []
         for j in range(i):
-            Li.append((G[i][j] - mpmath.fdot(Li, L[j][:j], conjugate=True)) / L[j][j])
-        pivot = mpmath.re(G[i][i] - mpmath.fdot(Li, Li, conjugate=True))
+            # G[i][j] - sum_k L[i][k] conj(L[j][k])
+            sr = Gr[i][j] - sum(map(mul, ri, Lr[j])) - sum(map(mul, ii, Li[j]))
+            si = Gi[i][j] - sum(map(mul, ii, Lr[j])) + sum(map(mul, ri, Li[j]))
+            ri.append(sr / d[j])
+            ii.append(si / d[j])
+        pivot = Gr[i][i] - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
         if not pivot > 0:
             return None
-        Li.append(mpmath.sqrt(pivot))
-        L.append(Li)
-    y: list = []
+        d.append(pivot.sqrt())
+        Lr.append(ri)
+        Li.append(ii)
+    return Lr, Li, d
+
+
+def _cholesky_solve(factor: tuple[list, list, list], br: list, bi: list) -> tuple[list, list]:
+    """Real and imaginary parts of ``x`` with ``L L^H x = b`` for the factor of :func:`_cholesky`."""
+    Lr, Li, d = factor
+    m = len(d)
+    # L y = b
+    yr: list = []
+    yi: list = []
     for i in range(m):
-        y.append((b[i] - mpmath.fdot(L[i][:i], y)) / L[i][i])
-    x: list = [None] * m
+        sr = br[i] - sum(map(mul, Lr[i], yr)) + sum(map(mul, Li[i], yi))
+        si = bi[i] - sum(map(mul, Lr[i], yi)) - sum(map(mul, Li[i], yr))
+        yr.append(sr / d[i])
+        yi.append(si / d[i])
+    # L^H x = y
+    xr: list = [_ZERO] * m
+    xi: list = [_ZERO] * m
     for i in reversed(range(m)):
-        column = [L[k][i] for k in range(i + 1, m)]
-        x[i] = (y[i] - mpmath.fdot(x[i + 1 :], column, conjugate=True)) / L[i][i]
-    return x
+        cr = [Lr[k][i] for k in range(i + 1, m)]
+        ci = [Li[k][i] for k in range(i + 1, m)]
+        sr = yr[i] - sum(map(mul, cr, xr[i + 1 :])) - sum(map(mul, ci, xi[i + 1 :]))
+        si = yi[i] - sum(map(mul, cr, xi[i + 1 :])) + sum(map(mul, ci, xr[i + 1 :]))
+        xr[i] = sr / d[i]
+        xi[i] = si / d[i]
+    return xr, xi
+
+
+def _norm(re: list, im: list) -> Decimal:
+    """Euclidean norm of the complex vector with real parts ``re`` and imaginary parts ``im``."""
+    return (sum(map(mul, re, re)) + sum(map(mul, im, im))).sqrt()
+
+
+def _residual(Gr: list[list], Gi: list[list], xr: list, xi: list, br: list, bi: list) -> tuple[list, list]:
+    """Real and imaginary parts of ``b - G x``, formed with guard digits."""
+    with _guard_digits():
+        gx_r, gx_i = _gram_times(Gr, Gi, xr, xi)
+        return list(map(sub, br, gx_r)), list(map(sub, bi, gx_i))
+
+
+def _gram_times(Gr: list[list], Gi: list[list], xr: list, xi: list) -> tuple[list, list]:
+    """Real and imaginary parts of ``G x``, row by row."""
+    return (
+        [sum(map(mul, g, xr)) - sum(map(mul, h, xi)) for g, h in zip(Gr, Gi)],
+        [sum(map(mul, g, xi)) + sum(map(mul, h, xr)) for g, h in zip(Gr, Gi)],
+    )
 
 
 def _duplicate_row_structure(system: MomentSystem) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int, complex]]]:
@@ -382,18 +501,32 @@ def _duplicate_row_structure(system: MomentSystem) -> tuple[list[int], list[tupl
     return keep, inconsistent, dropped
 
 
+def _singular_values(system: MomentSystem, keep: list[int], svd_threshold: float) -> tuple[np.ndarray, int]:
+    """Singular values of the kept rows' normalized double-precision Gram.
+
+    Returned with the number of them at most ``svd_threshold`` of the largest.
+    """
+    G_keep = gram_matrix(system)[np.ix_(keep, keep)]
+    if not np.all(np.isfinite(G_keep)):
+        raise ArithmeticFailure("the double-precision moment Gram is not finite")
+    diag = np.sqrt(np.maximum(np.real(np.diag(G_keep)), 1e-300))
+    svals = np.linalg.svd(G_keep / np.outer(diag, diag), compute_uv=False)
+    return svals, int(np.sum(svals <= svd_threshold * svals[0]))
+
+
 def synthesize_control(system: MomentSystem, svd_threshold: float = 1e-12) -> ControlSolution:
     """Minimum-norm solve of the Gram-projected moment system.
 
     Structurally proportional rows are deduplicated first: contradictory
     targets on a shared kernel direction are exactly the unique-continuation
     obstruction and raise :class:`RankDeficient`.  The remaining Hermitian
-    positive definite system is solved by Cholesky at 40, 80, 160 and then
-    320 digits until the moment residual is at most 1e-12; a non-positive
-    pivot moves to the next precision, and running out of precisions raises
-    :class:`RankDeficient` with the best residual reached.  Singular values
-    below ``svd_threshold`` of the largest are reported, never silently
-    inverted in double precision.
+    positive definite system is solved by Cholesky on complex pairs of
+    Decimals at 40, 80, 160 and then 320 digits (see
+    :func:`_working_digits`) until the moment residual is at most 1e-12; a
+    non-positive pivot moves to the next precision, and running out of
+    precisions raises :class:`RankDeficient` with the best residual reached.
+    Singular values below ``svd_threshold`` of the largest are reported,
+    never silently inverted in double precision.
     """
     if len(system.rows) == 0:
         return ControlSolution(
@@ -416,18 +549,11 @@ def synthesize_control(system: MomentSystem, svd_threshold: float = 1e-12) -> Co
             rows=inconsistent,
         )
 
-    G_keep = gram_matrix(system)[np.ix_(keep, keep)]
-    diag = np.sqrt(np.maximum(np.real(np.diag(G_keep)), 1e-300))
-    svals = np.linalg.svd(G_keep / np.outer(diag, diag), compute_uv=False)
-    n_below = int(np.sum(svals <= svd_threshold * svals[0]))
-
-    m_all = system.targets
-    target_norm = float(np.linalg.norm(m_all))
-    if target_norm == 0.0:
-        x = np.zeros(len(system.rows), dtype=complex)
+    if float(np.linalg.norm(system.targets)) == 0.0:
+        svals, n_below = _singular_values(system, keep, svd_threshold)
         return ControlSolution(
             system=system,
-            coefficients=x,
+            coefficients=np.zeros(len(system.rows), dtype=complex),
             coefficients_mp=[mpmath.mpc(0)] * len(system.rows),
             residual=0.0,
             control_norm=0.0,
@@ -438,22 +564,34 @@ def synthesize_control(system: MomentSystem, svd_threshold: float = 1e-12) -> Co
             solve_dps=15,
         )
 
-    kernels = [system.rows[i].kernel for i in keep]
+    targets = [complex(system.rows[i].target) for i in keep]
+    br = [Decimal(v.real) for v in targets]
+    bi = [Decimal(v.imag) for v in targets]
     best_residual = math.inf
     for dps in _DPS_LADDER:
-        with mpmath.workdps(dps):
-            G = _moment_gram(kernels, system.horizon)
-            rhs = [mpmath.mpc(system.rows[i].target) for i in keep]
-            x_keep_mp = _cholesky_solve(G, rhs)
-            if x_keep_mp is None:
+        with _working_digits(dps):
+            columns = [_decimal_terms(system.rows[i].kernel, system.horizon) for i in keep]
+            Gr, Gi = _moment_gram(columns, columns, system.horizon)
+            factor = _cholesky(Gr, Gi)
+            if factor is None:
                 continue
-            Gx = [mpmath.fdot(row, x_keep_mp) for row in G]
-            r_norm = mpmath.norm([g - v for g, v in zip(Gx, rhs)])
-            rhs_norm = mpmath.norm(rhs)
-            residual = float(r_norm / rhs_norm) if rhs_norm > 0 else float(r_norm)
+            xr, xi = _cholesky_solve(factor, br, bi)
+            rr, ri = _residual(Gr, Gi, xr, xi, br, bi)
+            residual = float(_norm(rr, ri) / _norm(br, bi))
             best_residual = min(best_residual, residual)
             if residual <= _RESIDUAL_TOL:
-                control_norm = float(mpmath.sqrt(abs(mpmath.re(mpmath.fdot(Gx, x_keep_mp, conjugate=True)))))
+                # one step of refinement: the rung's arithmetic leaves an error
+                # of about cond(G) 10**-digits in x, the guard-digit residual
+                # and Gram bring it to about cond(G) 10**-(digits + guard)
+                dr, di = _cholesky_solve(factor, rr, ri)
+                with _guard_digits():
+                    xr, xi = list(map(add, xr, dr)), list(map(add, xi, di))
+                rr, ri = _residual(Gr, Gi, xr, xi, br, bi)
+                residual = float(_norm(rr, ri) / _norm(br, bi))
+                # x^H G x with G x = b - r
+                energy = sum(map(mul, xr, map(sub, br, rr))) + sum(map(mul, xi, map(sub, bi, ri)))
+                control_norm = float(abs(energy).sqrt())
+                x_keep_mp = [_mpc(a, b) for a, b in zip(xr, xi)]
                 break
     else:
         reached = (
@@ -461,20 +599,21 @@ def synthesize_control(system: MomentSystem, svd_threshold: float = 1e-12) -> Co
             if best_residual < math.inf
             else "Gram matrix not positive definite"
         )
+        n_below = _singular_values(system, keep, svd_threshold)[1]
         raise RankDeficient(
             f"Gram system unsolvable at {_DPS_LADDER[-1]} digits: {reached}; {n_below} singular values "
             f"below {svd_threshold:g} of the largest",
             rows=system.rank_deficiency_groups,
         )
 
+    svals, n_below = _singular_values(system, keep, svd_threshold)
     x_mp_full = [mpmath.mpc(0)] * len(system.rows)
     for idx, i in enumerate(keep):
         x_mp_full[i] = x_keep_mp[idx]
     # Redundant rows keep zero coefficients; their constraints are implied.
-    x = np.array([complex(v) for v in x_mp_full])
     return ControlSolution(
         system=system,
-        coefficients=x,
+        coefficients=np.array([complex(v) for v in x_mp_full]),
         coefficients_mp=x_mp_full,
         residual=residual,
         control_norm=control_norm,
@@ -483,6 +622,9 @@ def synthesize_control(system: MomentSystem, svd_threshold: float = 1e-12) -> Co
         singular_values=svals,
         below_critical_time=system.below_critical_time,
         solve_dps=dps,
+        keep=keep,
+        gram=(Gr, Gi),
+        columns=columns,
     )
 
 
@@ -505,6 +647,10 @@ class VerificationRecord:
         }
 
 
+def _row_key(row: MomentRow) -> tuple:
+    return row.n, row.cluster_index, row.level, row.kernel
+
+
 def verify_terminal(
     U0: SpectralField,
     solution: ControlSolution,
@@ -515,23 +661,48 @@ def verify_terminal(
     """Replay the duality identity on a strict superset of the truncation.
 
     For every basis element of every mode ``|n| <= N_verify`` the terminal
-    pairing ``<U(T), Psi>`` is evaluated in closed form; rows inside the
+    pairing ``<U(T), Psi> = -target + sum_s G[r][s] x_s`` is evaluated in
+    closed form from the solution's current coefficients; rows inside the
     truncation contribute to the (relative) in-truncation residual, rows
-    beyond it are reported as spill-over magnitudes.
+    beyond it are reported as spill-over magnitudes.  The cross-Gram rows
+    ``G[r]`` of the kept rows are those of the solve; only the spill-over
+    rows and the dropped duplicate rows are integrated here.  The slice must
+    reproduce the rows of ``system`` inside the truncation.
     """
     if N_verify < system.truncation:
         raise DomainError("verification window must cover the synthesis truncation")
     if N_verify > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} < requested window {N_verify}")
+    if solution.system is not system:
+        raise DomainError("the solution was synthesized for another moment system")
+    rows = list(_chain_rows(U0, system.channel, system.horizon, slice_, N_verify))
+    inside = [abs(row.n) <= system.truncation for _, row in rows]
+    if [_row_key(row) for (_, row), i in zip(rows, inside) if i] != [_row_key(row) for row in system.rows]:
+        raise DomainError("the verification slice does not reproduce the moment rows of the system")
+    # each verification row's row of the solve's Gram: kept rows inside the
+    # truncation have one, spill-over and dropped duplicate rows have None
+    kept_position = {row: k for k, row in enumerate(solution.keep)}
+    system_index = itertools.count()
+    gram_rows = [kept_position.get(next(system_index)) if i else None for i in inside]
+
     per_row: dict[tuple[int, int, int], float] = {}
     spill: dict[int, float] = {}
     in_trunc_sq = 0.0
     target_sq = 0.0
-    with mpmath.workdps(solution.solve_dps):
-        for j, row in _chain_rows(U0, system.channel, system.horizon, slice_, N_verify):
+    with _working_digits(solution.solve_dps):
+        xr, xi = solution._kept_coefficients()
+        fresh = [_decimal_terms(row.kernel, system.horizon) for (_, row), g in zip(rows, gram_rows) if g is None]
+        fresh_r, fresh_i = (iter(part) for part in _moment_gram(fresh, solution.columns, system.horizon))
+        kept_r, kept_i = solution.gram
+        forced_r, forced_i = _gram_times(
+            [next(fresh_r) if g is None else kept_r[g] for g in gram_rows],
+            [next(fresh_i) if g is None else kept_i[g] for g in gram_rows],
+            xr,
+            xi,
+        )
+        for (j, row), fr, fi in zip(rows, forced_r, forced_i):
             free = -row.target
-            forced = mpmath.fsum(mpmath.mpc(t.coef) * solution.moment_integral(t.degree, t.rate) for t in row.kernel)
-            terminal_pairing = complex(mpmath.mpc(free) + forced)
+            terminal_pairing = complex(float(Decimal(free.real) + fr), float(Decimal(free.imag) + fi))
             per_row[(row.n, row.cluster_index, j)] = abs(terminal_pairing)
             if abs(row.n) <= system.truncation:
                 in_trunc_sq += abs(terminal_pairing) ** 2

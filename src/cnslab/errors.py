@@ -63,6 +63,10 @@ class RankDeficient(CnsLabError):
         self.rows = rows or []
 
 
+class ArithmeticFailure(CnsLabError):
+    """Extended-precision arithmetic met an invalid operation, a division by zero or an overflow."""
+
+
 class SupportError(CnsLabError):
     """A bump support violates the geometric constraint of the construction."""
 

@@ -6,14 +6,18 @@ Everything the moment method and the observation energy need reduces to
 
 computed by the stable upward recurrence ``I_m = (T**m e^{zT} - m I_{m-1})/z``
 away from z = 0 and by the Taylor series near it.  Degrees stay tiny (chain
-lengths), so the recurrence is benign.  An arbitrary-precision twin backs the
-moment solver, whose Gram matrices are exponentially ill conditioned.
+lengths), so the recurrence is benign.  The moment solver, whose Gram
+matrices are exponentially ill conditioned, uses the extended-precision
+twin on complex pairs of ``decimal.Decimal``; the mpmath twin is its
+reference.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -106,6 +110,47 @@ def exp_recurrence_mp(m: int, z, T, ezt) -> "mpmath.mpc":
     for k in range(1, m + 1):
         val = (T**k * ezt - k * val) / z
     return val
+
+
+def poly_exp_integral_dec(m: int, z: tuple, ezt: tuple, T: Decimal, near: bool) -> tuple:
+    """``I_m(z, T)`` on complex pairs ``(re, im)`` of Decimals, in the active decimal context.
+
+    ``ezt = e^{zT}`` comes precomputed, so callers pairing many rates form it
+    as a product of per-rate exponentials.  ``near`` selects the Taylor
+    series in ``zT`` (``|z| T < TAYLOR_RADIUS``, decided in double precision
+    by the caller), which works from ``z`` alone.
+    """
+    zr, zi = z
+    if near:
+        return _taylor_dec(m, zr, zi, T)
+    # 1/z, then the upward recurrence as products
+    den = zr * zr + zi * zi
+    ir, ii = zr / den, -zi / den
+    ar, ai = ezt[0] - 1, ezt[1]
+    vr, vi = ar * ir - ai * ii, ar * ii + ai * ir
+    er, ei = ezt
+    Tk = Decimal(1)
+    for k in range(1, m + 1):
+        Tk *= T
+        ar, ai = Tk * er - k * vr, Tk * ei - k * vi
+        vr, vi = ar * ir - ai * ii, ar * ii + ai * ir
+    return vr, vi
+
+
+def _taylor_dec(m: int, zr: Decimal, zi: Decimal, T: Decimal) -> tuple:
+    """Taylor series of ``I_m(z, T)`` in ``zT``, to ``10**-(digits + 5)`` of the sum."""
+    tol_sq = Decimal(10) ** (-2 * (decimal.getcontext().prec + 5))
+    total_r = total_i = Decimal(0)
+    pr, pi = Decimal(1), Decimal(0)  # z**k / k!
+    for k in range(200):
+        p = m + k + 1
+        c = T**p / p
+        total_r += pr * c
+        total_i += pi * c
+        pr, pi = (pr * zr - pi * zi) / (k + 1), (pr * zi + pi * zr) / (k + 1)
+        if (pr * pr + pi * pi) * T ** (2 * p + 2) < tol_sq * (total_r * total_r + total_i * total_i):
+            break
+    return total_r, total_i
 
 
 @dataclass(frozen=True)

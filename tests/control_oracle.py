@@ -1,9 +1,12 @@
 """Independent reference paths for the extended-precision moment pipeline.
 
-Slow implementations that production code no longer uses:
+Slow implementations that production code no longer uses, all in mpmath
+numbers where production works on complex pairs of ``decimal.Decimal``:
 
 * the per-pair Gram, one ``mpmath.exp`` per entry, solved by
   ``mpmath.lu_solve`` on an ``mpmath.matrix``;
+* the precision ladder on that Gram, solved by Cholesky on lists of mpmath
+  numbers (:func:`ladder_solve`), which picks the rung production must pick;
 * the per-pair double-precision Gram built from scalar kernel pairings;
 * moment integrals ``integral_0^T p(t) (T-t)**k e^{rate (T-t)} dt`` with one
   exponential per (solution term, rate) pair;
@@ -18,6 +21,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
+from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _duplicate_row_structure
 from cnslab.kernels import poly_exp_integral, poly_exp_integral_mp
 
 
@@ -48,6 +52,50 @@ def targets_mp(rows) -> "mpmath.matrix":
 def lu_coefficients(rows, T) -> list:
     """Gram coefficients of ``rows`` by LU at the working precision."""
     return [mpmath.mpc(v) for v in mpmath.lu_solve(gram_mp(rows, T), targets_mp(rows))]
+
+
+def cholesky_solve(G, b) -> list | None:
+    """Solve ``G x = b`` by Cholesky ``G = L L^H`` at the working precision; None at a pivot that is not positive."""
+    m = len(b)
+    L: list[list] = []
+    for i in range(m):
+        Li: list = []
+        for j in range(i):
+            Li.append((G[i, j] - mpmath.fdot(Li, L[j][:j], conjugate=True)) / L[j][j])
+        pivot = mpmath.re(G[i, i] - mpmath.fdot(Li, Li, conjugate=True))
+        if not pivot > 0:
+            return None
+        Li.append(mpmath.sqrt(pivot))
+        L.append(Li)
+    y: list = []
+    for i in range(m):
+        y.append((b[i] - mpmath.fdot(L[i][:i], y)) / L[i][i])
+    x: list = [None] * m
+    for i in reversed(range(m)):
+        column = [L[k][i] for k in range(i + 1, m)]
+        x[i] = (y[i] - mpmath.fdot(x[i + 1 :], column, conjugate=True)) / L[i][i]
+    return x
+
+
+def ladder_solve(system) -> tuple[int, list, float]:
+    """Rung, kept-row coefficients and control norm of the precision ladder on the per-pair Gram.
+
+    The rungs and the residual gate are production's; the first rung whose
+    Cholesky solve meets the gate wins.  Raises ValueError when none does.
+    """
+    keep = _duplicate_row_structure(system)[0]
+    rows = [system.rows[i] for i in keep]
+    for dps in _DPS_LADDER:
+        with mpmath.workdps(dps):
+            G = gram_mp(rows, system.horizon)
+            rhs = [mpmath.mpc(row.target) for row in rows]
+            x = cholesky_solve(G, rhs)
+            if x is None:
+                continue
+            Gx = [mpmath.fdot((G[i, j], x[j]) for j in range(len(rows))) for i in range(len(rows))]
+            if mpmath.norm([g - b for g, b in zip(Gx, rhs)]) / mpmath.norm(rhs) <= _RESIDUAL_TOL:
+                return dps, x, float(mpmath.sqrt(abs(mpmath.re(mpmath.fdot(Gx, x, conjugate=True)))))
+    raise ValueError("precision ladder exhausted")
 
 
 def kernel_inner(row_a, row_b, T: float) -> complex:

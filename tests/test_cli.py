@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cnslab import cli
 from cnslab.cli import main, run
 from cnslab.errors import ConfigError
 
@@ -18,6 +19,19 @@ u_bar = {u_bar}
 mu0 = 1.0
 b = {b}
 """
+
+#: per command, a section whose one unparsable knob (besides T) is ``x4``
+BAD_KNOB = {
+    "spectrum": "[spectrum]\nN = x4\n",
+    "closeness": "[closeness]\nN_start = 10\nN_end = x4\n",
+    "observe": "[observe]\nN = x4\nT = 8.0\n",
+    "ingham": "[ingham]\nN = x4\nT = 8.0\n",
+    "synthesize": "[synthesize]\nN = 3\nT = 8.0\nN_verify = x4\n",
+    "witness-smalltime": "[witness]\nT = 3.0\nN_list = 6,8\nx_left = 3.2\nx_right = x4\n",
+    "witness-degenerate": "[witness]\nN = x4\n",
+    "witness-regularity": "[witness]\ns = x4\nn_list = 4,8\n",
+    "validate-fdm": "[fdm]\nN = 4\nM = x4\ndt = 1e-3\nT = 0.1\n",
+}
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -195,3 +209,36 @@ class TestRun:
         assert run(cfg, out_dir=tmp_path / "out") == 0
         payload = json.loads((tmp_path / "out" / "fdm_validation.json").read_text())
         assert payload["energy_monotone"] is True
+
+    def test_bad_knob_table_covers_every_command(self):
+        assert sorted(BAD_KNOB) == sorted(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", list(BAD_KNOB))
+    def test_bad_knob_exits_before_creating_the_output_directory(self, tmp_path, capsys, command):
+        cfg = _write(tmp_path, BASE.format(command=command, u_bar=0.9, b=1.3) + "\n" + BAD_KNOB[command])
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "cannot parse" in err and "'x4'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", ["-1", "0", "1"])
+    def test_grid_below_two_points_is_a_config_error(self, tmp_path, capsys, monkeypatch, grid):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the grid must be checked before any computation")
+
+        monkeypatch.setattr(cli, "build_slice", no_solve)
+        text = BASE.format(command="synthesize", u_bar=0.9, b=1.3) + f"\n[synthesize]\nN = 3\nT = 8.0\ngrid = {grid}\n"
+        cfg = _write(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot parse [synthesize] grid = '{grid}'" in err and ">= 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_two_point_grid_writes_both_ends(self, tmp_path):
+        text = BASE.format(command="synthesize", u_bar=0.9, b=1.3) + "\n[synthesize]\nN = 2\nT = 8.0\ngrid = 2\n"
+        assert run(_write(tmp_path, text), out_dir=tmp_path / "out") == 0
+        with open(tmp_path / "out" / "control.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [float(r[0]) for r in rows[1:]] == [0.0, 8.0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 from control_oracle import gram_mp, targets_mp
 from energy_oracle import quadrature_energy
 
+from cnslab import control
 from cnslab.control import MomentRow, MomentSystem, build_moment_system, gram_matrix, synthesize_control, verify_terminal
 from cnslab.errors import DomainError, RankDeficient
 from cnslab.evolution import ObservationChannel, observation_signal
@@ -186,6 +188,56 @@ class TestVerifyTerminal:
         record = verify_terminal(field, solution, system, slice_, 8)
         assert record.in_truncation_residual >= 1e-2
 
+    @pytest.mark.parametrize(
+        "fixture,field_seed,N,N_verify",
+        # the control-roundtrip benchmark configuration, and a system with
+        # consistent duplicate rows (shared parabolic eigenvalue at modes +-1)
+        [("nondegenerate_barotropic", 3, 8, 12), ("uc_failing_barotropic", None, 2, 4)],
+        ids=["workhorse", "dropped-rows"],
+    )
+    def test_only_rows_outside_the_solved_gram_are_integrated(
+        self, request, monkeypatch, fixture, field_seed, N, N_verify
+    ):
+        params = request.getfixturevalue(fixture)
+        slice_ = build_slice(params, N_verify)
+        if field_seed is None:
+            field = SpectralField.single_mode(2, np.array([0.3, -0.1 + 0.2j]), N_verify)
+        else:
+            field = _random_mean_zero(np.random.default_rng(field_seed), 2, N_verify, content=N)
+        system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, N)
+        solution = synthesize_control(system)
+        assert all(len(row.kernel) == 1 for row in system.rows)
+        if field_seed is None:
+            assert len(solution.keep) < len(system.rows)
+        pairs = []
+        integral = control.poly_exp_integral_dec
+        monkeypatch.setattr(control, "poly_exp_integral_dec", lambda *args: pairs.append(1) or integral(*args))
+        record = verify_terminal(field, solution, system, slice_, N_verify)
+        kept = len(solution.keep)
+        assert len(pairs) == (len(record.per_row_residuals) - kept) * kept
+        assert record.in_truncation_residual <= 1e-6
+
+    def test_coefficient_on_a_dropped_row_is_refused(self, uc_failing_barotropic):
+        slice_ = build_slice(uc_failing_barotropic, 4)
+        field = SpectralField.single_mode(2, np.array([0.3, -0.1 + 0.2j]), 4)
+        system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 2)
+        solution = synthesize_control(system)
+        dropped = next(i for i in range(len(system.rows)) if i not in solution.keep)
+        solution.coefficients_mp[dropped] = mpmath.mpc(1)
+        with pytest.raises(DomainError, match="outside the rows of the solved Gram"):
+            verify_terminal(field, solution, system, slice_, 4)
+
+    def test_slice_must_reproduce_the_system_rows(self, nondegenerate_barotropic, unit_barotropic):
+        slice_ = build_slice(nondegenerate_barotropic, 8)
+        field = _random_mean_zero(np.random.default_rng(6), 2, 8, content=4)
+        system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
+        solution = synthesize_control(system)
+        with pytest.raises(DomainError, match="does not reproduce"):
+            verify_terminal(field, solution, system, build_slice(unit_barotropic, 8), 8)
+        other = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
+        with pytest.raises(DomainError, match="another moment system"):
+            verify_terminal(field, solution, other, slice_, 8)
+
     def test_window_must_cover_truncation(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 8)
         field = SpectralField.single_mode(1, np.array([1.0, 0.0]), 8)
@@ -258,3 +310,44 @@ class TestDualityExactness:
         solution = synthesize_control(system)
         record = verify_terminal(field, solution, system, slice_, 12)
         assert record.in_truncation_residual <= 1e-6
+
+
+def _graded_rule(T: float, nodes: int = 12) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, T]: unit-half panels up to T - 1, then panels halving toward t = T."""
+    edges = np.concatenate([np.arange(0.0, T - 1.0, 0.5), T - 0.5 ** np.arange(31), [T]])
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (b - a) * x + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * w).ravel()
+
+
+def _quadrature_terminal_residual(solution) -> float:
+    """Relative in-truncation residual of the duality identity, by quadrature of the double-precision control.
+
+    For each moment row, ``free + sum coef * integral_0^T p(t) (T-t)**degree
+    e^{rate (T-t)} dt`` with ``free = -target``; no pair integral of the
+    solve enters.
+    """
+    T = solution.system.horizon
+    t, w = _graded_rule(T)
+    wp = w * solution(t)
+    s = T - t
+    residual_sq = free_sq = 0.0
+    for row in solution.system.rows:
+        forced = sum(term.coef * np.sum(wp * s**term.degree * np.exp(term.rate * s)) for term in row.kernel)
+        residual_sq += abs(forced - row.target) ** 2
+        free_sq += abs(row.target) ** 2
+    return math.sqrt(residual_sq / free_sq)
+
+
+class TestIndependentTerminalCheck:
+    def test_quadrature_route_closes_criterion_9(self, nondegenerate_barotropic):
+        # criterion 9's setup, checked without the moment integrals of the solve
+        slice_ = build_slice(nondegenerate_barotropic, 16)
+        field = _random_mean_zero(np.random.default_rng(5), 2, 16, content=8)
+        for channel in (ObservationChannel.DENSITY, ObservationChannel.VELOCITY):
+            system = build_moment_system(field, channel, 8.0, slice_, 8)
+            solution = synthesize_control(system)
+            assert _quadrature_terminal_residual(solution) <= 1e-6
+            if channel is ObservationChannel.DENSITY:
+                scaled = dataclasses.replace(solution, coefficients_mp=[1.1 * x for x in solution.coefficients_mp])
+                assert _quadrature_terminal_residual(scaled) > 1e-6
