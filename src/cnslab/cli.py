@@ -55,34 +55,7 @@ from .counterexamples import (
     regularity_gap_witness,
     small_time_witness,
 )
-from .oracle import compare_spectral_fdm
-
-COMMANDS = (
-    "spectrum",
-    "closeness",
-    "observe",
-    "ingham",
-    "synthesize",
-    "witness-smalltime",
-    "witness-degenerate",
-    "witness-regularity",
-    "validate-fdm",
-)
-
-#: Keys of the [run] section.
-_RUN_KEYS = ("system", "command", "seed", "out")
-#: The section each command reads and its keys; any other key there is a config error.
-_COMMAND_KEYS = {
-    "spectrum": ("spectrum", ("N",)),
-    "closeness": ("closeness", ("N_start", "N_end")),
-    "observe": ("observe", ("N", "T", "channel", "trials")),
-    "ingham": ("ingham", ("N", "T")),
-    "synthesize": ("synthesize", ("N", "T", "channel", "N_verify", "grid")),
-    "witness-smalltime": ("witness", ("T", "N_list", "x_left", "x_right")),
-    "witness-degenerate": ("witness", ("N", "channel")),
-    "witness-regularity": ("witness", ("channel", "s", "n_list", "T")),
-    "validate-fdm": ("fdm", ("N", "M", "dt", "T", "decay", "export_trajectory")),
-}
+from .oracle import check_fdm_inputs, compare_spectral_fdm
 
 
 def _fmt(x: float) -> str:
@@ -110,75 +83,88 @@ def _count(raw: str, minimum: int = 1) -> int:
     return value
 
 
-#: Default horizon of the commands whose [section] T is optional.
-_DEFAULT_T = {"witness-regularity": 2.0, "validate-fdm": 0.4}
+def _channel(raw: str) -> ObservationChannel:
+    try:
+        return ObservationChannel(raw)
+    except ValueError:
+        choices = ", ".join(c.value for c in ObservationChannel)
+        raise ValueError(f"unknown channel {raw!r}, expected one of {choices}") from None
 
 
-class _Config:
-    """Typed accessors over the parsed INI with key-level diagnostics."""
+def _yes_no(raw: str) -> bool:
+    if raw not in ("yes", "no"):
+        raise ValueError("expected 'yes' or 'no'")
+    return raw == "yes"
 
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
 
-    def get(self, section: str, key: str, cast, default=None):
-        if not self.parser.has_option(section, key):
-            if default is not None:
-                return default
-            raise ConfigError(f"missing required entry [{section}] {key}", key=key)
-        raw = self.parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse [{section}] {key} = {raw!r}: {exc}", key=key) from exc
+def _twice_N(knobs: dict) -> str:
+    """Default verification window: twice the synthesis truncation."""
+    return str(2 * knobs["N"])
 
-    def channel(self, section: str, default: str) -> ObservationChannel:
-        name = self.get(section, "channel", str, default=default)
-        try:
-            return ObservationChannel(name)
-        except ValueError:
-            choices = ", ".join(c.value for c in ObservationChannel)
-            raise ConfigError(f"unknown channel {name!r} in [{section}], expected one of {choices}", key="channel") from None
 
-    def reject_unknown(self, section: str, known) -> None:
-        """Raise ConfigError for a key of ``section`` outside ``known``: a typo must not fall back to a default."""
-        if not self.parser.has_section(section):
-            return
-        defaults = self.parser.defaults()
-        unknown = [k for k in self.parser[section] if k not in known and k not in defaults]
+#: Keys of the [run] section as ``key: (parser, default)``; a None default marks a required key.
+RUN_KEYS = {
+    "system": (str, None),
+    "command": (str, None),
+    "seed": (functools.partial(_count, minimum=0), "0"),
+    "out": (str, "out"),
+}
+#: Per command, the section it reads and its keys as ``key: (parser, default)``.  A None default
+#: marks a required key; a callable default is computed from the keys before it.  Defaults are
+#: parsed like config values, and any other key in the section is a config error.
+COMMANDS = {
+    "spectrum": ("spectrum", {"N": (int, None)}),
+    "closeness": ("closeness", {"N_start": (int, None), "N_end": (int, None)}),
+    "observe": ("observe", {"N": (int, None), "T": (_horizon, None), "channel": (_channel, "density"),
+                            "trials": (_count, "1")}),
+    "ingham": ("ingham", {"N": (int, None), "T": (_horizon, None)}),
+    "synthesize": ("synthesize", {"N": (int, None), "T": (_horizon, None), "channel": (_channel, "density"),
+                                  "N_verify": (int, _twice_N),
+                                  # the grid holds both ends of [0, T]
+                                  "grid": (functools.partial(_count, minimum=2), "201")}),
+    "witness-smalltime": ("witness", {"T": (_horizon, None), "N_list": (_int_list, None), "x_left": (float, None),
+                                      "x_right": (float, None)}),
+    "witness-degenerate": ("witness", {"N": (int, "4"), "channel": (_channel, "density")}),
+    "witness-regularity": ("witness", {"channel": (_channel, "velocity"), "s": (float, None),
+                                       "n_list": (_int_list, None), "T": (_horizon, "2.0")}),
+    "validate-fdm": ("fdm", {"N": (int, "16"), "M": (int, "1024"), "dt": (float, "1e-4"), "T": (_horizon, "0.4"),
+                             "decay": (float, "0.3"), "export_trajectory": (_yes_no, "no")}),
+}
+_SYSTEMS = {"barotropic": BarotropicParams, "nonbarotropic": NonBarotropicParams}
+
+
+def _knobs(parser: configparser.ConfigParser, section: str, table: dict) -> dict:
+    """Every key of ``table`` parsed from ``section``, an absent one from its default.
+
+    A key of ``section`` outside ``table`` is a config error: a typo must not
+    fall back to a default.
+    """
+    if parser.has_section(section):
+        unknown = [k for k in parser[section] if k not in table and k not in parser.defaults()]
         if unknown:
             raise ConfigError(
-                f"unknown key {unknown[0]!r} in [{section}], expected one of {', '.join(known)}", key=unknown[0]
+                f"unknown key {unknown[0]!r} in [{section}], expected one of {', '.join(table)}", key=unknown[0]
             )
+    values: dict = {}
+    for key, (parse, default) in table.items():
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+        elif default is None:
+            raise ConfigError(f"missing required entry [{section}] {key}", key=key)
+        else:
+            raw = default(values) if callable(default) else default
+        try:
+            values[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse [{section}] {key} = {raw!r}: {exc}", key=key) from exc
+    return values
 
-    def section(self, name: str) -> dict[str, str]:
-        if not self.parser.has_section(name):
-            return {}
-        return dict(self.parser.items(name))
 
-
-def _load_params(cfg: _Config, system: str):
-    p = cfg.section("params")
-    try:
-        if system == "barotropic":
-            return BarotropicParams(
-                rho_bar=float(p["rho_bar"]),
-                u_bar=float(p["u_bar"]),
-                mu0=float(p["mu0"]),
-                b=float(p["b"]),
-            )
-        if system == "nonbarotropic":
-            return NonBarotropicParams(
-                rho_bar=float(p["rho_bar"]),
-                u_bar=float(p["u_bar"]),
-                theta_bar=float(p["theta_bar"]),
-                lambda0=float(p["lambda0"]),
-                kappa0=float(p["kappa0"]),
-                R=float(p["R"]),
-                c0=float(p["c0"]),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"missing parameter {exc.args[0]} for system {system}", key=exc.args[0]) from exc
-    raise ConfigError(f"unknown system {system!r}", key="system")
+def _load_params(parser: configparser.ConfigParser, system: str):
+    cls = _SYSTEMS.get(system)
+    if cls is None:
+        raise ConfigError(f"unknown system {system!r}", key="system")
+    return cls(**_knobs(parser, "params", {f.name: (float, None) for f in dataclasses.fields(cls) if f.init}))
 
 
 def _random_mean_zero_field(dim: int, N: int, rng: np.random.Generator, real: bool = True) -> SpectralField:
@@ -204,52 +190,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
-def _knobs(cfg: _Config, command: str) -> dict:
-    """Every knob of ``command`` other than ``T``, parsed and checked before anything is computed or written."""
-    if command == "spectrum":
-        return {"N": cfg.get("spectrum", "N", int)}
-    if command == "closeness":
-        return {"N_start": cfg.get("closeness", "N_start", int), "N_end": cfg.get("closeness", "N_end", int)}
-    if command == "observe":
-        return {
-            "N": cfg.get("observe", "N", int),
-            "channel": cfg.channel("observe", default="density"),
-            "trials": cfg.get("observe", "trials", _count, default=1),
-        }
-    if command == "ingham":
-        return {"N": cfg.get("ingham", "N", int)}
-    if command == "synthesize":
-        N = cfg.get("synthesize", "N", int)
-        return {
-            "N": N,
-            "channel": cfg.channel("synthesize", default="density"),
-            "N_verify": cfg.get("synthesize", "N_verify", int, default=2 * N),
-            # the grid holds both ends of [0, T]
-            "grid": cfg.get("synthesize", "grid", functools.partial(_count, minimum=2), default=201),
-        }
-    if command == "witness-smalltime":
-        return {
-            "N_list": cfg.get("witness", "N_list", _int_list),
-            "x_left": cfg.get("witness", "x_left", float),
-            "x_right": cfg.get("witness", "x_right", float),
-        }
-    if command == "witness-degenerate":
-        return {"N": cfg.get("witness", "N", int, default=4), "channel": cfg.channel("witness", default="density")}
-    if command == "witness-regularity":
-        return {
-            "channel": cfg.channel("witness", default="velocity"),
-            "s": cfg.get("witness", "s", float),
-            "n_list": cfg.get("witness", "n_list", _int_list),
-        }
-    return {
-        "N": cfg.get("fdm", "N", int, default=16),
-        "M": cfg.get("fdm", "M", int, default=1024),
-        "dt": cfg.get("fdm", "dt", float, default=1e-4),
-        "decay": cfg.get("fdm", "decay", float, default=0.3),
-        "export_trajectory": cfg.get("fdm", "export_trajectory", str, default="no") == "yes",
-    }
-
-
 def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool = False) -> int:
     """Execute the experiment described by the config; return the exit code."""
     config_path = Path(config_path)
@@ -261,21 +201,15 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"config file not found: {config_path}")
-    cfg = _Config(parser)
 
-    system = cfg.get("run", "system", str)
-    command = cfg.get("run", "command", str)
+    settings = _knobs(parser, "run", RUN_KEYS)
+    system, command, seed = settings["system"], settings["command"], settings["seed"]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}", key="command")
-    seed = cfg.get("run", "seed", int, default=0)
-    out = Path(out_dir) if out_dir is not None else Path(cfg.get("run", "out", str, default="out"))
-    params = _load_params(cfg, system)
-    cfg.reject_unknown("run", _RUN_KEYS)
-    cfg.reject_unknown("params", [f.name for f in dataclasses.fields(params) if f.init])
-    section, keys = _COMMAND_KEYS[command]
-    cfg.reject_unknown(section, keys)
-    T = cfg.get(section, "T", _horizon, default=_DEFAULT_T.get(command)) if "T" in keys else None
-    knobs = _knobs(cfg, command)
+    out = Path(out_dir) if out_dir is not None else Path(settings["out"])
+    params = _load_params(parser, system)
+    knobs = _knobs(parser, *COMMANDS[command])
+    T = knobs.get("T")
     out.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(seed)
@@ -335,31 +269,33 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         cpath = out / "control.csv"
         export_control_csv(solution, np.linspace(0.0, T, knobs["grid"]), cpath)
         vpath = out / "verification.json"
-        _write_json(vpath, {**record.to_dict(), "moment_residual": solution.residual, "seed": seed})
+        _write_json(vpath, {**record.to_dict(), "moment_residual": solution.residual, "seed": seed,
+                            "below_critical_time": system_.below_critical_time})
         outputs.extend([cpath, vpath])
 
     elif command == "witness-smalltime":
         bump = BumpSpec(x_left=knobs["x_left"], x_right=knobs["x_right"], seed=seed)
         report = small_time_witness(params, T, knobs["N_list"], bump)
         path = out / "witness_smalltime.json"
-        _write_json(path, {**report.to_dict(), "params": cfg.section("params")})
+        _write_json(path, {**report.to_dict(), "params": dict(parser.items("params"))})
         outputs.append(path)
 
     elif command == "witness-degenerate":
         slice_ = build_slice(params, knobs["N"])
         record = degenerate_uc_witness(params, knobs["channel"], slice_)
         path = out / "witness_degenerate.json"
-        _write_json(path, {**record.to_dict(), "params": cfg.section("params"), "seed": seed})
+        _write_json(path, {**record.to_dict(), "params": dict(parser.items("params")), "seed": seed})
         outputs.append(path)
 
     elif command == "witness-regularity":
         record = regularity_gap_witness(params, knobs["channel"], knobs["s"], knobs["n_list"], T)
         path = out / "witness_regularity.json"
-        _write_json(path, {**record.to_dict(), "params": cfg.section("params"), "seed": seed})
+        _write_json(path, {**record.to_dict(), "params": dict(parser.items("params")), "seed": seed})
         outputs.append(path)
 
     elif command == "validate-fdm":
         N, M, dt = knobs["N"], knobs["M"], knobs["dt"]
+        check_fdm_inputs(N, M, dt)
         c = np.zeros((2 * N + 1, params.dim), dtype=complex)
         for n in range(1, N + 1):
             v = (rng.normal(size=params.dim) + 1j * rng.normal(size=params.dim)) * np.exp(-knobs["decay"] * n)

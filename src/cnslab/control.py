@@ -47,6 +47,8 @@ from .spectrum import SpectrumSlice
 #: working precisions (decimal digits) tried in turn until the moment residual is met
 _DPS_LADDER = (40, 80, 160, 320)
 _RESIDUAL_TOL = 1e-12
+#: fraction of the largest singular value of the normalized Gram at or below which one counts as discarded
+_SVD_THRESHOLD = 1e-12
 #: decimal signals that end the extended-precision arithmetic with ArithmeticFailure
 _TRAPS = (decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
 #: extra digits of the Gram, its exponentials and the residual that refines the solution
@@ -77,7 +79,6 @@ class MomentSystem:
     horizon: float
     truncation: int
     rows: list[MomentRow]
-    weight: float
     below_critical_time: bool
     rank_deficiency_groups: list[tuple[int, int]] = field(default_factory=list)
 
@@ -182,7 +183,6 @@ def build_moment_system(
         horizon=T,
         truncation=N,
         rows=rows,
-        weight=boundary_control_weight(channel, slice_.params),
         below_critical_time=(T <= 2.0 * np.pi / slice_.params.u_bar),
         rank_deficiency_groups=_rank_deficiency_groups(rows),
     )
@@ -275,14 +275,10 @@ class ControlSolution:
     """
 
     system: MomentSystem
-    coefficients: np.ndarray
     coefficients_mp: list
     residual: float
     control_norm: float
-    svd_threshold: float
     discarded_singular_values: int
-    singular_values: np.ndarray
-    below_critical_time: bool
     solve_dps: int
     keep: list[int] = field(default_factory=list)
     gram: tuple[list, list] = field(default=((), ()), repr=False, compare=False)
@@ -501,20 +497,22 @@ def _duplicate_row_structure(system: MomentSystem) -> tuple[list[int], list[tupl
     return keep, inconsistent, dropped
 
 
-def _singular_values(system: MomentSystem, keep: list[int], svd_threshold: float) -> tuple[np.ndarray, int]:
-    """Singular values of the kept rows' normalized double-precision Gram.
+def _discarded_singular_values(system: MomentSystem, keep: list[int]) -> int:
+    """The number of singular values of the kept rows' normalized double-precision Gram.
 
-    Returned with the number of them at most ``svd_threshold`` of the largest.
+    Counted are those at most :data:`_SVD_THRESHOLD` of the largest.
     """
+    if not keep:
+        return 0
     G_keep = gram_matrix(system)[np.ix_(keep, keep)]
     if not np.all(np.isfinite(G_keep)):
         raise ArithmeticFailure("the double-precision moment Gram is not finite")
     diag = np.sqrt(np.maximum(np.real(np.diag(G_keep)), 1e-300))
     svals = np.linalg.svd(G_keep / np.outer(diag, diag), compute_uv=False)
-    return svals, int(np.sum(svals <= svd_threshold * svals[0]))
+    return int(np.sum(svals <= _SVD_THRESHOLD * svals[0]))
 
 
-def synthesize_control(system: MomentSystem, svd_threshold: float = 1e-12) -> ControlSolution:
+def synthesize_control(system: MomentSystem) -> ControlSolution:
     """Minimum-norm solve of the Gram-projected moment system.
 
     Structurally proportional rows are deduplicated first: contradictory
@@ -525,22 +523,10 @@ def synthesize_control(system: MomentSystem, svd_threshold: float = 1e-12) -> Co
     :func:`_working_digits`) until the moment residual is at most 1e-12; a
     non-positive pivot moves to the next precision, and running out of
     precisions raises :class:`RankDeficient` with the best residual reached.
-    Singular values below ``svd_threshold`` of the largest are reported,
-    never silently inverted in double precision.
+    Singular values below :data:`_SVD_THRESHOLD` of the largest are
+    reported, never silently inverted in double precision.  Zero targets
+    (or no rows) give the zero control without a solve.
     """
-    if len(system.rows) == 0:
-        return ControlSolution(
-            system=system,
-            coefficients=np.zeros(0, dtype=complex),
-            coefficients_mp=[],
-            residual=0.0,
-            control_norm=0.0,
-            svd_threshold=svd_threshold,
-            discarded_singular_values=0,
-            singular_values=np.zeros(0),
-            below_critical_time=system.below_critical_time,
-            solve_dps=15,
-        )
     keep, inconsistent, dropped = _duplicate_row_structure(system)
     if inconsistent:
         raise RankDeficient(
@@ -548,22 +534,33 @@ def synthesize_control(system: MomentSystem, svd_threshold: float = 1e-12) -> Co
             f"(unique continuation obstruction): row pairs {inconsistent}",
             rows=inconsistent,
         )
+    coefficients = [mpmath.mpc(0)] * len(system.rows)
+    solve_dps, residual, control_norm, solved, gram, columns = 15, 0.0, 0.0, [], ((), ()), []
+    if float(np.linalg.norm(system.targets)) != 0.0:
+        solve_dps, residual, control_norm, x_keep, gram, columns = _ladder_solve(system, keep)
+        # redundant rows keep zero coefficients; their constraints are implied
+        for i, x in zip(keep, x_keep):
+            coefficients[i] = x
+        solved = keep
+    return ControlSolution(
+        system=system,
+        coefficients_mp=coefficients,
+        residual=residual,
+        control_norm=control_norm,
+        discarded_singular_values=_discarded_singular_values(system, keep) + len(dropped),
+        solve_dps=solve_dps,
+        keep=solved,
+        gram=gram,
+        columns=columns,
+    )
 
-    if float(np.linalg.norm(system.targets)) == 0.0:
-        svals, n_below = _singular_values(system, keep, svd_threshold)
-        return ControlSolution(
-            system=system,
-            coefficients=np.zeros(len(system.rows), dtype=complex),
-            coefficients_mp=[mpmath.mpc(0)] * len(system.rows),
-            residual=0.0,
-            control_norm=0.0,
-            svd_threshold=svd_threshold,
-            discarded_singular_values=n_below,
-            singular_values=svals,
-            below_critical_time=system.below_critical_time,
-            solve_dps=15,
-        )
 
+def _ladder_solve(system: MomentSystem, keep: list[int]) -> tuple:
+    """``(digits, residual, control norm, coefficients, Gram, columns)`` of the kept rows' Cholesky solve.
+
+    Precisions of :data:`_DPS_LADDER` are tried in turn, as
+    :func:`synthesize_control` describes.
+    """
     targets = [complex(system.rows[i].target) for i in keep]
     br = [Decimal(v.real) for v in targets]
     bi = [Decimal(v.imag) for v in targets]
@@ -590,41 +587,17 @@ def synthesize_control(system: MomentSystem, svd_threshold: float = 1e-12) -> Co
                 residual = float(_norm(rr, ri) / _norm(br, bi))
                 # x^H G x with G x = b - r
                 energy = sum(map(mul, xr, map(sub, br, rr))) + sum(map(mul, xi, map(sub, bi, ri)))
-                control_norm = float(abs(energy).sqrt())
-                x_keep_mp = [_mpc(a, b) for a, b in zip(xr, xi)]
-                break
-    else:
-        reached = (
-            f"best moment residual {best_residual:.3e} > {_RESIDUAL_TOL:g}"
-            if best_residual < math.inf
-            else "Gram matrix not positive definite"
-        )
-        n_below = _singular_values(system, keep, svd_threshold)[1]
-        raise RankDeficient(
-            f"Gram system unsolvable at {_DPS_LADDER[-1]} digits: {reached}; {n_below} singular values "
-            f"below {svd_threshold:g} of the largest",
-            rows=system.rank_deficiency_groups,
-        )
-
-    svals, n_below = _singular_values(system, keep, svd_threshold)
-    x_mp_full = [mpmath.mpc(0)] * len(system.rows)
-    for idx, i in enumerate(keep):
-        x_mp_full[i] = x_keep_mp[idx]
-    # Redundant rows keep zero coefficients; their constraints are implied.
-    return ControlSolution(
-        system=system,
-        coefficients=np.array([complex(v) for v in x_mp_full]),
-        coefficients_mp=x_mp_full,
-        residual=residual,
-        control_norm=control_norm,
-        svd_threshold=svd_threshold,
-        discarded_singular_values=n_below + len(dropped),
-        singular_values=svals,
-        below_critical_time=system.below_critical_time,
-        solve_dps=dps,
-        keep=keep,
-        gram=(Gr, Gi),
-        columns=columns,
+                x_keep = [_mpc(a, b) for a, b in zip(xr, xi)]
+                return dps, residual, float(abs(energy).sqrt()), x_keep, (Gr, Gi), columns
+    reached = (
+        f"best moment residual {best_residual:.3e} > {_RESIDUAL_TOL:g}"
+        if best_residual < math.inf
+        else "Gram matrix not positive definite"
+    )
+    raise RankDeficient(
+        f"Gram system unsolvable at {_DPS_LADDER[-1]} digits: {reached}; "
+        f"{_discarded_singular_values(system, keep)} singular values below {_SVD_THRESHOLD:g} of the largest",
+        rows=system.rank_deficiency_groups,
     )
 
 

@@ -38,6 +38,15 @@ TWO_PI = 2.0 * np.pi
 _HYPERBOLIC = 0
 #: Entries of one block of the witness's time-by-mode exponential tables, 128 kB per complex temporary.
 _TIME_BLOCK = 1 << 13
+#: Small-time witness: the carrier of N sits at mode ``_MODULATION_FACTOR*N``, below the cutoff
+#: ``_CUTOFF_FACTOR*max(N_list)`` plus a spectral margin, and the transport gap is sampled at
+#: ``_TRANSPORT_TIMES`` points of [0, T].
+_CUTOFF_FACTOR = 4
+_MODULATION_FACTOR = 4
+_TRANSPORT_TIMES = 257
+#: Unique-continuation witness: horizon and number of times at which the observation is sampled.
+_UC_HORIZON = 1.0
+_UC_TIMES = 513
 
 
 def pn_value(N: int, x):
@@ -160,22 +169,17 @@ def small_time_witness(
     T: float,
     N_list: list[int],
     bump_spec: BumpSpec,
-    cutoff_factor: int = 4,
-    modulation_factor: int = 4,
-    time_grid: int = 257,
-    weighting: str = "normalized",
 ) -> SmallTimeWitnessReport:
     """Measure the observability-quotient decay of the annihilated bump family.
 
     For each N the terminal density profile is the bump modulated to a
-    carrier at mode ``modulation_factor*N``: modulation preserves the compact
+    carrier at mode ``_MODULATION_FACTOR*N``: modulation preserves the compact
     support exactly (so the transport solution keeps a vanishing seam trace
     after truncation) while placing the annihilated modes ``|n| <= N`` in the
     profile's spectral tail.  The annihilating polynomial is applied
-    literally and its nonzero values divided back out (``normalized``): on a
-    truncated series the raw ``polynomial`` weights grow like ``n**(2N)`` and
-    bury the seam cancellation under the cutoff edge, which the optional
-    ``polynomial`` mode demonstrates side by side.
+    literally and its nonzero values divided back out (the ``normalized``
+    weighting): on a truncated series the raw polynomial weights grow like
+    ``n**(2N)`` and bury the seam cancellation under the cutoff edge.
 
     The observed quotients decay faster than the ``1/N**2`` envelope of the
     truncation-free bound -- the measured family is seam-invisible to
@@ -184,37 +188,29 @@ def small_time_witness(
     """
     if not 0.0 < T < TWO_PI / params.u_bar:
         raise DomainError(f"witness needs 0 < T < {TWO_PI / params.u_bar:.4f}, got {T}")
-    if weighting not in ("normalized", "polynomial"):
-        raise DomainError("weighting must be 'normalized' or 'polynomial'")
     left, right = bump_spec.realized_window()
-    if left <= params.u_bar * T or right >= TWO_PI:
+    # NaN ends and reversed windows fail the chain too
+    if not params.u_bar * T < left < right < TWO_PI:
         raise SupportError(
-            f"bump support ({left:.4f}, {right:.4f}) must sit strictly inside "
+            f"bump support ({left:.4f}, {right:.4f}) must be an interval strictly inside "
             f"({params.u_bar * T:.4f}, {TWO_PI:.4f})"
         )
-    if len(N_list) < 1 or sorted(N_list) != list(N_list):
-        raise DomainError("N_list must be nonempty and increasing")
-    if modulation_factor >= cutoff_factor + 1:
-        raise DomainError("carrier must sit below the cutoff with spectral margin")
+    if len(N_list) < 2 or sorted(N_list) != list(N_list) or N_list[0] < 1:
+        raise DomainError("N_list must be increasing with at least two entries, each >= 1")
     # spectral margin above the carrier: proportional for large windows, with
     # an absolute floor so the bump tail resolves at small N too
     margin = max(2 * max(N_list), 48)
-    cutoff = cutoff_factor * max(N_list) + margin
+    cutoff = _CUTOFF_FACTOR * max(N_list) + margin
     slice_ = build_slice(params, cutoff)
 
     table: dict[int, tuple[float, float, float]] = {}
     profiles: dict[int, np.ndarray] = {}
     tail = 0.0
     for N in N_list:
-        carrier = modulation_factor * N
-        base_coeffs, tail = bump_coefficients(bump_spec, cutoff, carrier=carrier)
+        base_coeffs, tail = bump_coefficients(bump_spec, cutoff, carrier=_MODULATION_FACTOR * N)
         base = SpectralField(dim=1, N=cutoff, coeffs=base_coeffs.reshape(-1, 1))
-        annihilated = pn_filter(base, N).coeffs[:, 0]
-        if weighting == "normalized":
-            filtered = base_coeffs.copy()
-            filtered[annihilated == 0.0] = 0.0
-        else:
-            filtered = annihilated
+        filtered = base_coeffs.copy()
+        filtered[pn_filter(base, N).coeffs[:, 0] == 0.0] = 0.0
         terminal = _hyperbolic_lift(params, filtered, cutoff, slice_)
         expansion = expand_in_eigenbasis(terminal, slice_)
         signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
@@ -227,7 +223,7 @@ def small_time_witness(
     # Transport comparison at the boundary: the pure transport solution
     # with rate i*u_bar*n - omega0 vanishes at the seam by construction.
     # Each block of times takes its two exponential tables once for every N.
-    ts = np.linspace(0.0, T, time_grid)
+    ts = np.linspace(0.0, T, _TRANSPORT_TIMES)
     ns = np.arange(-cutoff, cutoff + 1)
     rates = 1j * params.u_bar * ns - params.omega0
     hyp = np.zeros(ns.size, dtype=complex)
@@ -246,7 +242,7 @@ def small_time_witness(
 
     logN = np.log([float(N) for N in N_list])
     logq = np.log([table[N][0] for N in N_list])
-    slope = float(np.polyfit(logN, logq, 1)[0]) if len(N_list) >= 2 else float("nan")
+    slope = float(np.polyfit(logN, logq, 1)[0])
     return SmallTimeWitnessReport(
         horizon=T,
         support=(left, right),
@@ -257,8 +253,8 @@ def small_time_witness(
         seed=bump_spec.seed,
         metadata={
             "cutoff": cutoff,
-            "modulation_factor": modulation_factor,
-            "weighting": weighting,
+            "modulation_factor": _MODULATION_FACTOR,
+            "weighting": "normalized",
             "params_n0": params.n0,
         },
     )
@@ -293,8 +289,6 @@ def degenerate_uc_witness(
     params: SystemParams,
     channel: ObservationChannel,
     slice_: SpectrumSlice,
-    T: float = 1.0,
-    time_grid: int = 513,
 ) -> DegenerateWitnessRecord:
     """Nonzero adjoint trajectory with vanishing observation at a coincidence.
 
@@ -321,13 +315,13 @@ def degenerate_uc_witness(
     terminal.coeffs[n_a + N] += C * pa.vector
     terminal.coeffs[n_b + N] += D * pb.vector
     expansion = expand_in_eigenbasis(terminal, slice_)
-    signal = observation_signal(expansion, slice_, channel, T)
-    ts = np.linspace(0.0, T, time_grid)
+    signal = observation_signal(expansion, slice_, channel, _UC_HORIZON)
+    ts = np.linspace(0.0, _UC_HORIZON, _UC_TIMES)
     max_obs = float(np.max(np.abs(signal(ts))))
     norm_spec = NormSpec.weighted_l2(params)
     min_norm = min(
-        sobolev_norm(adjoint_state(expansion, slice_, T, float(t)).state, norm_spec)
-        for t in np.linspace(0.0, T, 9)
+        sobolev_norm(adjoint_state(expansion, slice_, _UC_HORIZON, float(t)).state, norm_spec)
+        for t in np.linspace(0.0, _UC_HORIZON, 9)
     )
     scale = (abs(C) + abs(D)) * max(abs(obs_a), abs(obs_b))
     return DegenerateWitnessRecord(
@@ -339,7 +333,7 @@ def degenerate_uc_witness(
         max_observation=max_obs,
         min_state_norm=min_norm,
         observation_scale=scale,
-        horizon=T,
+        horizon=_UC_HORIZON,
     )
 
 
@@ -376,8 +370,8 @@ def regularity_gap_witness(
         raise DomainError("the regularity gap concerns velocity/temperature observations")
     if not 0.0 <= s < 1.0:
         raise DomainError(f"order must satisfy 0 <= s < 1, got {s}")
-    if sorted(n_list) != list(n_list) or len(n_list) < 2:
-        raise DomainError("n_list must be increasing with at least two entries")
+    if len(n_list) < 2 or sorted(n_list) != list(n_list) or n_list[0] < 1:
+        raise DomainError("n_list must be increasing with at least two entries, each >= 1")
     slice_ = build_slice(params, max(n_list))
     norm_spec = NormSpec.dual_order(params, s)
     table: dict[int, float] = {}

@@ -27,6 +27,22 @@ from .fields import SpectralField
 from .model import BarotropicParams, SystemParams
 
 TWO_PI = 2.0 * np.pi
+#: Fewest points of a periodic FDM grid.
+MIN_GRID_POINTS = 64
+
+
+def _check_step(dt: float) -> None:
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"the time step dt must be finite and > 0, got {dt}")
+
+
+def check_fdm_inputs(N: int, M: int, dt: float) -> None:
+    """Raise DomainError unless the field has a mode (``N >= 1``), the grid enough points and ``dt`` is positive."""
+    if N < 1:
+        raise DomainError(f"the field needs N >= 1, got N = {N}")
+    if M < MIN_GRID_POINTS:
+        raise DomainError(f"grid must have at least {MIN_GRID_POINTS} points, got M = {M}")
+    _check_step(dt)
 
 
 @dataclass
@@ -39,8 +55,8 @@ class GridState:
 
     def __post_init__(self):
         self.components = np.asarray(self.components, dtype=float)
-        if self.M < 64:
-            raise DomainError("grid must have at least 64 points")
+        if self.M < MIN_GRID_POINTS:
+            raise DomainError(f"grid must have at least {MIN_GRID_POINTS} points")
         if self.components.shape[1] != self.M:
             raise DomainError("component arrays must match the grid size")
         if not np.all(np.isfinite(self.components)):
@@ -172,6 +188,7 @@ def fdm_evolve(
     and dissipates the weighted energy.  ``store_every`` keeps every k-th
     state (0 stores endpoints only).
     """
+    _check_step(dt)
     if initial.dim != params.dim:
         raise DomainError("state and system component counts differ")
     h = TWO_PI / initial.M
@@ -233,9 +250,11 @@ def compare_spectral_fdm(
 
     Checkpoints at T/4, T/2 and T; also reports the density-mean drift and
     whether the discrete weighted energy was non-increasing along the run.
+    Inputs are checked by :func:`check_fdm_inputs` before any array is built.
     """
     from .evolution import forward_state
 
+    check_fdm_inputs(initial.N, M, dt)
     if not initial.is_real():
         raise DomainError("comparison requires a real-valued initial field")
     grid0 = GridState.from_field(initial, M)

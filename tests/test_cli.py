@@ -1,5 +1,8 @@
+import configparser
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +139,14 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_unparsable_parameter_is_a_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, BASE.format(command="spectrum", u_bar="fast", b=1.3) + "\n[spectrum]\nN = 4\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "cannot parse [params] u_bar = 'fast'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "system,params,needed",
         [
@@ -242,3 +253,120 @@ class TestRun:
         with open(tmp_path / "out" / "control.csv") as fh:
             rows = list(csv.reader(fh))
         assert [float(r[0]) for r in rows[1:]] == [0.0, 8.0]
+
+    @pytest.mark.parametrize(
+        "old,new,entry",
+        [("seed = 7", "seed = -1", "[run] seed = '-1'"),
+         ("[fdm]\n", "[fdm]\nexport_trajectory = true\n", "[fdm] export_trajectory = 'true'")],
+        ids=["seed", "export_trajectory"],
+    )
+    def test_bad_setting_exits_before_creating_the_output_directory(self, tmp_path, capsys, old, new, entry):
+        text = BASE.format(command="validate-fdm", u_bar=0.9, b=1.3) + "\n[fdm]\nN = 4\nM = 128\ndt = 1e-3\nT = 0.1\n"
+        cfg = _write(tmp_path, text.replace(old, new))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot parse {entry}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "knob,value",
+        [("dt", "0"), ("dt", "nan"), ("dt", "-1e-3"), ("M", "0"), ("M", "-5"), ("N", "-2"), ("N", "0")],
+    )
+    def test_bad_fdm_input_is_a_domain_error(self, tmp_path, capsys, knob, value):
+        knobs = {"N": "4", "M": "128", "dt": "1e-3", "T": "0.1", knob: value}
+        section = "[fdm]\n" + "".join(f"{k} = {v}\n" for k, v in knobs.items())
+        cfg = _write(tmp_path, BASE.format(command="validate-fdm", u_bar=0.9, b=1.3) + "\n" + section)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "domain error" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "fdm_validation.json").exists()
+
+    def test_witness_list_entry_below_one_is_a_domain_error(self, tmp_path, capsys):
+        section = "[witness]\nT = 3.0\nN_list = 0\nx_left = 3.2\nx_right = 5.8\n"
+        cfg = _write(tmp_path, BASE.format(command="witness-smalltime", u_bar=0.9, b=1.3) + "\n" + section)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "N_list" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "witness_smalltime.json").exists()
+
+    @pytest.mark.parametrize("T,below", [("3.0", True), ("8.0", False)])
+    def test_synthesize_writes_below_critical_time_watermark(self, tmp_path, T, below):
+        # the workhorse's critical time 2*pi/u_bar is about 6.98
+        text = BASE.format(command="synthesize", u_bar=0.9, b=1.3) + f"\n[synthesize]\nN = 2\nT = {T}\ngrid = 2\n"
+        assert run(_write(tmp_path, text), out_dir=tmp_path / "out") == 0
+        verification = json.loads((tmp_path / "out" / "verification.json").read_text())
+        assert verification["below_critical_time"] is below
+
+
+#: A value for each required key of any command.
+REQUIRED = {"N": "4", "T": "3.0", "N_start": "4", "N_end": "8", "N_list": "6,8", "x_left": "3.2",
+            "x_right": "5.8", "s": "0.5", "n_list": "4,8"}
+
+
+def _parse(text):
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.optionxform = str
+    parser.read_string(text)
+    return parser
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_required_keys_alone_give_every_default(self, command):
+        section, table = cli.COMMANDS[command]
+        required = [k for k, (_, default) in table.items() if default is None]
+        text = f"[{section}]\n" + "".join(f"{k} = {REQUIRED[k]}\n" for k in required)
+        knobs = cli._knobs(_parse(text), section, table)
+        assert list(knobs) == list(table)
+        for key, (parse, default) in table.items():
+            raw = REQUIRED[key] if default is None else default(knobs) if callable(default) else default
+            assert knobs[key] == parse(raw)
+
+    def test_defaults(self):
+        defaults = {
+            command: {k: d for k, (_, d) in table.items() if d is not None}
+            for command, (_, table) in cli.COMMANDS.items()
+        }
+        synthesize = defaults["synthesize"]
+        assert synthesize.pop("N_verify")({"N": 5}) == "10"
+        assert defaults == {
+            "spectrum": {},
+            "closeness": {},
+            "observe": {"channel": "density", "trials": "1"},
+            "ingham": {},
+            "synthesize": {"channel": "density", "grid": "201"},
+            "witness-smalltime": {},
+            "witness-degenerate": {"N": "4", "channel": "density"},
+            "witness-regularity": {"channel": "velocity", "T": "2.0"},
+            "validate-fdm": {"N": "16", "M": "1024", "dt": "1e-4", "T": "0.4", "decay": "0.3",
+                             "export_trajectory": "no"},
+        }
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_key_outside_the_table_exits_1(self, tmp_path, capsys, command):
+        section, table = cli.COMMANDS[command]
+        body = "".join(f"{k} = {REQUIRED[k]}\n" for k, (_, default) in table.items() if default is None)
+        cfg = _write(tmp_path, BASE.format(command=command, u_bar=0.9, b=1.3) + f"\n[{section}]\n{body}bogus = 1\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "unknown key 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_lists_every_key_and_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+        listed: dict = {}
+        current = None
+        for line in readme:
+            heading = re.match(r"^\*\*`([\w-]+)`\*\* reads `\[(\w+)\]`", line)
+            if heading:
+                current = listed.setdefault(heading.group(1), (heading.group(2), {}))[1]
+            elif current is not None and line.startswith("| `"):
+                key, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+                current[key.strip("`")] = default
+            elif line and not line.startswith("|"):
+                current = None
+        shown = {None: "required", cli._twice_N: "2·N"}
+        expected = {"run": ("run", {k: shown.get(d, f"`{d}`") for k, (_, d) in cli.RUN_KEYS.items()})}
+        for command, (section, table) in cli.COMMANDS.items():
+            expected[command] = (section, {k: shown.get(d, f"`{d}`") for k, (_, d) in table.items()})
+        assert listed == expected

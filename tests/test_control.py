@@ -259,7 +259,7 @@ class TestDualityExactness:
         signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
         kernel = [KernelTerm(coef=t.coefficient, rate=t.rate, degree=t.poly_degree) for t in signal.terms]
         row = MomentRow(n=1, cluster_index=0, level=0, rate=0j, kernel=kernel, target=0j, observation=0j)
-        system = MomentSystem(ObservationChannel.DENSITY, T, 4, [row], 1.0, False)
+        system = MomentSystem(ObservationChannel.DENSITY, T, 4, [row], False)
         assert gram_matrix(system)[0, 0].real == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
 
     def test_minimum_norm_property(self, nondegenerate_barotropic):

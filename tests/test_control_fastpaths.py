@@ -103,7 +103,7 @@ def kernel_systems(draw):
         first, factor = rows[0], draw(_COMPLEX)
         kernel = [KernelTerm(factor * first.kernel[0].coef, first.rate, 0)]
         rows.append(MomentRow(-1, 0, 0, first.rate, kernel, factor * first.target, 1.0 + 0j))
-    return MomentSystem(ObservationChannel.DENSITY, T, len(rates), rows, 1.0, False)
+    return MomentSystem(ObservationChannel.DENSITY, T, len(rates), rows, False)
 
 
 #: digits the Gram and coefficient references carry beyond the production rung: at
@@ -187,7 +187,7 @@ class TestSolution:
         for n, rate in enumerate([complex(-0.05, 0.0), complex(-0.05, 1.3), SMALL_RATE], start=1):
             rows.append(MomentRow(n, 0, 0, rate, [KernelTerm(1j, rate, 0)], 1j, 1.0 + 0j))
             rows.append(MomentRow(n, 0, 1, rate, [KernelTerm(1j, rate, 0), KernelTerm(1j, rate, 1)], 1j, 1.0 + 0j))
-        system = MomentSystem(ObservationChannel.DENSITY, 1.0, 3, rows, 1.0, False)
+        system = MomentSystem(ObservationChannel.DENSITY, 1.0, 3, rows, False)
         solution = _solved(system)
         with mpmath.workdps(solution.solve_dps + _REFERENCE_DIGITS):
             want = oracle.lu_coefficients(rows, system.horizon)
@@ -318,14 +318,14 @@ class TestArithmeticSignals:
             MomentRow(1, 0, 0, rate_a, [KernelTerm(1.0 + 0j, rate_a, 0)], target, 1.0 + 0j),
             MomentRow(2, 0, 0, rate_b, [KernelTerm(coef, rate_b, 0)], target, 1.0 + 0j),
         ]
-        system = MomentSystem(ObservationChannel.DENSITY, 8.0, 2, rows, 1.0, False)
+        system = MomentSystem(ObservationChannel.DENSITY, 8.0, 2, rows, False)
         with pytest.raises(ArithmeticFailure):
             synthesize_control(system)
 
     def test_decimal_signal_exits_3(self, tmp_path, monkeypatch, capsys):
         rate = complex(-1.5, 2.0)
         row = MomentRow(1, 0, 0, rate, [KernelTerm(complex(np.nan, 0.0), rate, 0)], 1.0 + 0j, 1.0 + 0j)
-        system = MomentSystem(ObservationChannel.DENSITY, 8.0, 1, [row], 1.0, False)
+        system = MomentSystem(ObservationChannel.DENSITY, 8.0, 1, [row], False)
         monkeypatch.setattr(cli, "build_moment_system", lambda *args: system)
         cfg = tmp_path / "run.ini"
         cfg.write_text(
@@ -344,7 +344,7 @@ class TestProportionalRows:
         rate_a = complex(-1.5, 2.0)
         a = MomentRow(1, 0, 0, rate_a, [KernelTerm(1.0 + 0j, rate_a, 0)], 1.0 + 0j, 1.0 + 0j)
         b = MomentRow(-1, 0, 0, rate_b, [KernelTerm(2.0 + 0j, rate_b, 0)], target_b, 1.0 + 0j)
-        return MomentSystem(ObservationChannel.DENSITY, 8.0, 1, [a, b], 1.0, False)
+        return MomentSystem(ObservationChannel.DENSITY, 8.0, 1, [a, b], False)
 
     def test_nearly_equal_rates_agree_in_both_places(self):
         # rates 1e-14 relative apart: both the rank-deficiency record and

@@ -90,6 +90,16 @@ class TestSmallTimeWitness:
                 nondegenerate_barotropic, 3.0, [4], BumpSpec(x_left=0.5, x_right=2.0)
             )
 
+    @pytest.mark.parametrize("left,right", [(math.nan, 5.8), (3.2, math.nan), (5.0, 4.0)])
+    def test_nan_or_reversed_support_error(self, nondegenerate_barotropic, left, right):
+        with pytest.raises(SupportError):
+            small_time_witness(nondegenerate_barotropic, 3.0, [6, 8], BumpSpec(x_left=left, x_right=right))
+
+    @pytest.mark.parametrize("N_list", [[0], [-4, 8], [0, 8], [8]])
+    def test_N_list_needs_two_entries_of_at_least_one(self, nondegenerate_barotropic, N_list):
+        with pytest.raises(DomainError, match="N_list"):
+            small_time_witness(nondegenerate_barotropic, 3.0, N_list, BumpSpec(x_left=3.2, x_right=5.8))
+
     def test_requires_small_time(self, nondegenerate_barotropic):
         with pytest.raises(DomainError):
             small_time_witness(
@@ -149,6 +159,11 @@ class TestRegularityGap:
     def test_order_one_rejected(self, nondegenerate_barotropic):
         with pytest.raises(DomainError):
             regularity_gap_witness(nondegenerate_barotropic, ObservationChannel.VELOCITY, 1.0, [4, 8])
+
+    @pytest.mark.parametrize("n_list", [[0, 8], [-4, 8]])
+    def test_n_list_entries_at_least_one(self, nondegenerate_barotropic, n_list):
+        with pytest.raises(DomainError, match="n_list"):
+            regularity_gap_witness(nondegenerate_barotropic, ObservationChannel.VELOCITY, 0.0, n_list)
 
     def test_density_channel_rejected(self, nondegenerate_barotropic):
         with pytest.raises(DomainError):

@@ -98,6 +98,12 @@ class TestFdmEvolve:
         with pytest.raises(DomainError):
             GridState(M=32, components=np.zeros((2, 32)), time=0.0)
 
+    @pytest.mark.parametrize("dt", [0.0, math.nan, -1e-3])
+    def test_step_must_be_finite_and_positive(self, nondegenerate_barotropic, dt):
+        state = GridState(M=128, components=np.zeros((2, 128)), time=0.0)
+        with pytest.raises(DomainError, match="dt"):
+            fdm_evolve(nondegenerate_barotropic, state, T=0.1, dt=dt)
+
     def test_seam_jump_changes_solution(self, nondegenerate_barotropic):
         # a nonzero density trace must act on the solution (heuristic branch)
         state = GridState(M=128, components=np.zeros((2, 128)), time=0.0)
@@ -127,6 +133,14 @@ class TestCompare:
         coarse = compare_spectral_fdm(nondegenerate_barotropic, field, T=0.4, M=1024, dt=2e-4)
         fine = compare_spectral_fdm(nondegenerate_barotropic, field, T=0.4, M=2048, dt=1e-4)
         assert coarse.max_error / fine.max_error >= 3.0
+
+    @pytest.mark.parametrize(
+        "N,M,dt", [(4, 128, 0.0), (4, 128, math.nan), (4, 128, -1e-3), (4, 0, 1e-3), (4, -5, 1e-3), (0, 128, 1e-3)]
+    )
+    def test_bad_inputs_are_domain_errors(self, nondegenerate_barotropic, N, M, dt):
+        field = _smooth_real_field(np.random.default_rng(3), 2, N)
+        with pytest.raises(DomainError):
+            compare_spectral_fdm(nondegenerate_barotropic, field, T=0.1, M=M, dt=dt)
 
     def test_zero_field(self, nondegenerate_barotropic):
         record = compare_spectral_fdm(nondegenerate_barotropic, SpectralField.zeros(2, 4), T=0.4, M=128, dt=1e-3)
