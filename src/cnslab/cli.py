@@ -40,6 +40,7 @@ from .errors import (
     ArithmeticFailure,
     CnsLabError,
     ConfigError,
+    DomainError,
     QuadratureNotConverged,
     RankDeficient,
 )
@@ -55,7 +56,6 @@ from .counterexamples import (
     regularity_gap_witness,
     small_time_witness,
 )
-from .oracle import check_fdm_inputs, compare_spectral_fdm
 
 
 def _fmt(x: float) -> str:
@@ -67,12 +67,12 @@ def _int_list(raw: str) -> list[int]:
     return [int(v) for v in raw.split(",")]
 
 
-def _horizon(raw: str) -> float:
-    """A time horizon: a finite float T > 0."""
-    T = float(raw)
-    if not (np.isfinite(T) and T > 0.0):
-        raise ValueError("the horizon T must be finite and > 0")
-    return T
+def _finite(raw: str, zero: bool = False) -> float:
+    """A finite float > 0, such as a horizon T, or >= 0 with ``zero``."""
+    value = float(raw)
+    if not (np.isfinite(value) and (value >= 0.0 if zero else value > 0.0)):
+        raise ValueError(f"must be finite and {'>=' if zero else '>'} 0")
+    return value
 
 
 def _count(raw: str, minimum: int = 1) -> int:
@@ -115,20 +115,21 @@ RUN_KEYS = {
 COMMANDS = {
     "spectrum": ("spectrum", {"N": (int, None)}),
     "closeness": ("closeness", {"N_start": (int, None), "N_end": (int, None)}),
-    "observe": ("observe", {"N": (int, None), "T": (_horizon, None), "channel": (_channel, "density"),
+    "observe": ("observe", {"N": (int, None), "T": (_finite, None), "channel": (_channel, "density"),
                             "trials": (_count, "1")}),
-    "ingham": ("ingham", {"N": (int, None), "T": (_horizon, None)}),
-    "synthesize": ("synthesize", {"N": (int, None), "T": (_horizon, None), "channel": (_channel, "density"),
+    "ingham": ("ingham", {"N": (int, None), "T": (_finite, None)}),
+    "synthesize": ("synthesize", {"N": (int, None), "T": (_finite, None), "channel": (_channel, "density"),
                                   "N_verify": (int, _twice_N),
                                   # the grid holds both ends of [0, T]
                                   "grid": (functools.partial(_count, minimum=2), "201")}),
-    "witness-smalltime": ("witness", {"T": (_horizon, None), "N_list": (_int_list, None), "x_left": (float, None),
+    "witness-smalltime": ("witness", {"T": (_finite, None), "N_list": (_int_list, None), "x_left": (float, None),
                                       "x_right": (float, None)}),
     "witness-degenerate": ("witness", {"N": (int, "4"), "channel": (_channel, "density")}),
     "witness-regularity": ("witness", {"channel": (_channel, "velocity"), "s": (float, None),
-                                       "n_list": (_int_list, None), "T": (_horizon, "2.0")}),
-    "validate-fdm": ("fdm", {"N": (int, "16"), "M": (int, "1024"), "dt": (float, "1e-4"), "T": (_horizon, "0.4"),
-                             "decay": (float, "0.3"), "export_trajectory": (_yes_no, "no")}),
+                                       "n_list": (_int_list, None), "T": (_finite, "2.0")}),
+    "validate-fdm": ("fdm", {"N": (int, "16"), "M": (int, "1024"), "dt": (float, "1e-4"), "T": (_finite, "0.4"),
+                             "decay": (functools.partial(_finite, zero=True), "0.3"),
+                             "export_trajectory": (_yes_no, "no")}),
 }
 _SYSTEMS = {"barotropic": BarotropicParams, "nonbarotropic": NonBarotropicParams}
 
@@ -222,8 +223,10 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         outputs.append(path)
 
     elif command == "closeness":
-        n_start = knobs["N_start"]
-        sums = riesz_closeness(params, n_start, knobs["N_end"])
+        n_start, n_end = knobs["N_start"], knobs["N_end"]
+        if n_end < n_start:
+            raise DomainError(f"the closeness window is empty: N_end = {n_end} < N_start = {n_start}")
+        sums = riesz_closeness(params, n_start, n_end)
         path = out / "closeness.csv"
         with open(path, "w", newline="") as fh:
             fh.write("N,partial_sum\n")
@@ -294,6 +297,9 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         outputs.append(path)
 
     elif command == "validate-fdm":
+        # the FDM oracle needs scipy, which no other command loads
+        from .oracle import GridState, check_fdm_inputs, compare_spectral_fdm, export_trajectory_csv, fdm_evolve
+
         N, M, dt = knobs["N"], knobs["M"], knobs["dt"]
         check_fdm_inputs(N, M, dt)
         c = np.zeros((2 * N + 1, params.dim), dtype=complex)
@@ -315,8 +321,6 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         )
         outputs.append(path)
         if knobs["export_trajectory"]:
-            from .oracle import GridState, export_trajectory_csv, fdm_evolve
-
             traj = fdm_evolve(params, GridState.from_field(field, M), T, dt,
                               store_every=max(1, int(round(T / dt)) // 4))
             tpath = out / "trajectory.csv"

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimMismatch, DomainError
 from .fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
@@ -218,6 +217,8 @@ def forward_state(
     Controlled trajectories are deliberately not evolved here; control
     correctness is asserted through the per-mode duality identity instead.
     """
+    import scipy.linalg  # only the FDM validation evolves forward; keep scipy off every other command's start
+
     if t < 0:
         raise DomainError("forward evolution requires t >= 0")
     if np.any(initial_field.coeffs[initial_field.N] != 0.0):

@@ -282,6 +282,25 @@ class TestRun:
         assert "domain error" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "fdm_validation.json").exists()
 
+    @pytest.mark.parametrize("decay", ["inf", "nan", "-200", "-0.1"])
+    def test_bad_decay_is_a_config_error(self, tmp_path, capsys, decay):
+        section = f"[fdm]\nN = 4\nM = 128\ndt = 1e-3\nT = 0.1\ndecay = {decay}\n"
+        cfg = _write(tmp_path, BASE.format(command="validate-fdm", u_bar=0.9, b=1.3) + "\n" + section)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot parse [fdm] decay = '{decay}'" in err and "finite and >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_reversed_closeness_window_is_a_domain_error(self, tmp_path, capsys):
+        section = "[closeness]\nN_start = 10\nN_end = 9\n"
+        cfg = _write(tmp_path, BASE.format(command="closeness", u_bar=0.9, b=1.3) + "\n" + section)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "domain error" in err and "N_end = 9 < N_start = 10" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "closeness.csv").exists()
+
     def test_witness_list_entry_below_one_is_a_domain_error(self, tmp_path, capsys):
         section = "[witness]\nT = 3.0\nN_list = 0\nx_left = 3.2\nx_right = 5.8\n"
         cfg = _write(tmp_path, BASE.format(command="witness-smalltime", u_bar=0.9, b=1.3) + "\n" + section)
