@@ -169,11 +169,16 @@ def _load_params(parser: configparser.ConfigParser, system: str):
 
 
 def _random_mean_zero_field(dim: int, N: int, rng: np.random.Generator, real: bool = True) -> SpectralField:
+    """Standard normal real and imaginary parts on modes ``0 < |n| <= N``, none on ``n = 0``.
+
+    One draw holds, per mode ``n = 1..N`` in order, the real and imaginary
+    parts of mode ``n`` and, unless ``real`` mirrors mode ``-n`` as its
+    conjugate, those of mode ``-n``.
+    """
+    draws = rng.standard_normal((N, 2 if real else 4, dim))
     c = np.zeros((2 * N + 1, dim), dtype=complex)
-    for n in range(1, N + 1):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        c[n + N] = v
-        c[-n + N] = np.conj(v) if real else rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    c[N + 1:] = draws[:, 0] + 1j * draws[:, 1]
+    c[N - 1::-1] = c[N + 1:].conj() if real else draws[:, 2] + 1j * draws[:, 3]
     return SpectralField(dim=dim, N=N, coeffs=c)
 
 
@@ -264,7 +269,9 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
     elif command == "synthesize":
         N, n_verify = knobs["N"], knobs["N_verify"]
-        slice_ = build_slice(params, max(n_verify, N))
+        if n_verify < N:
+            raise DomainError("verification window must cover the synthesis truncation")
+        slice_ = build_slice(params, n_verify)
         field = _random_mean_zero_field(params.dim, N, rng)
         system_ = build_moment_system(field, knobs["channel"], T, slice_, N)
         solution = synthesize_control(system_)
@@ -302,11 +309,11 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
         N, M, dt = knobs["N"], knobs["M"], knobs["dt"]
         check_fdm_inputs(N, M, dt)
-        c = np.zeros((2 * N + 1, params.dim), dtype=complex)
-        for n in range(1, N + 1):
-            v = (rng.normal(size=params.dim) + 1j * rng.normal(size=params.dim)) * np.exp(-knobs["decay"] * n)
-            c[n + N] = v
-            c[-n + N] = np.conj(v)
+        c = _random_mean_zero_field(params.dim, N, rng).coeffs
+        c[N + 1:] *= np.exp(-knobs["decay"] * np.arange(1, N + 1))[:, None]
+        c[N - 1::-1] = c[N + 1:].conj()
+        if not c.any():
+            raise DomainError(f"decay = {knobs['decay']} underflows every mode of the initial field to zero")
         field = SpectralField(dim=params.dim, N=N, coeffs=c)
         record = compare_spectral_fdm(params, field, T, M, dt)
         path = out / "fdm_validation.json"

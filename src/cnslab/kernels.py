@@ -167,6 +167,10 @@ def pair_integrals(rates: np.ndarray, degrees: np.ndarray, T: float) -> np.ndarr
     return poly_exp_integral(degrees[:, None] + degrees[None, :], rates[:, None] + rates.conj()[None, :], T)
 
 
+#: the last table :func:`signal_energy` built, as ``(key, K)``; one slot, so at most one table is held
+_pair_table: tuple | None = None
+
+
 def signal_energy(coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarray, T: float) -> tuple[float, float]:
     """Closed-form ``integral_0^T |y(t)|**2 dt`` and a bound on its rounding error.
 
@@ -177,9 +181,24 @@ def signal_energy(coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarr
     broadcast call.  The bound ``eps * n_terms * |c|^T |K| |c|`` covers the
     rounding of that sum, so relative to the value it grows with the
     cancellation ``|c|^T |K| |c| / value`` of the signal.
+
+    ``K`` depends on the terms' rates, degrees and ``T`` only, not on the
+    coefficients: a call whose rates, degrees and ``T`` are byte-equal to
+    the last table's reuses it.  The old table is dropped before a new one
+    is built, so two never coexist, and the held table is read-only.
     """
+    global _pair_table
     c = np.asarray(coefficients, dtype=complex)
-    K = pair_integrals(np.asarray(rates, dtype=complex), np.asarray(degrees, dtype=np.int64), T)
+    rates = np.asarray(rates, dtype=complex)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    key = (rates.tobytes(), degrees.tobytes(), float(T))
+    held = _pair_table
+    if held is None or held[0] != key:
+        held = _pair_table = None  # no reference keeps the old table alive while the new one is built
+        K = pair_integrals(rates, degrees, T)
+        K.flags.writeable = False
+        held = _pair_table = (key, K)
+    K = held[1]
     value = float((c @ K @ c.conj()).real)
     abs_c = np.abs(c)
     bound = float(np.finfo(float).eps * c.size * (abs_c @ np.abs(K) @ abs_c))

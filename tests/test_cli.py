@@ -4,9 +4,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnslab import cli
+from cnslab import cli, kernels
 from cnslab.cli import main, run
 from cnslab.errors import ConfigError
 
@@ -35,6 +38,18 @@ BAD_KNOB = {
     "witness-regularity": "[witness]\ns = x4\nn_list = 4,8\n",
     "validate-fdm": "[fdm]\nN = 4\nM = x4\ndt = 1e-3\nT = 0.1\n",
 }
+
+
+def _per_mode_field(dim, N, rng, real=True, decay=None):
+    """Oracle of the random fields: one draw per vector, mode by mode; ``decay`` scales mode n by e^{-decay n}."""
+    c = np.zeros((2 * N + 1, dim), dtype=complex)
+    for n in range(1, N + 1):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        if decay is not None:
+            v = v * np.exp(-decay * n)
+        c[n + N] = v
+        c[-n + N] = np.conj(v) if real else rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return c
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -247,6 +262,20 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_verification_window_below_the_truncation_is_checked_before_any_computation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the verification window must be checked before any computation")
+
+        monkeypatch.setattr(cli, "build_slice", no_solve)
+        text = BASE.format(command="synthesize", u_bar=0.9, b=1.3) + "\n[synthesize]\nN = 8\nT = 8.0\nN_verify = 4\n"
+        assert main(["run", str(_write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "domain error: verification window must cover the synthesis truncation" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "control.csv").exists()
+
     def test_two_point_grid_writes_both_ends(self, tmp_path):
         text = BASE.format(command="synthesize", u_bar=0.9, b=1.3) + "\n[synthesize]\nN = 2\nT = 8.0\ngrid = 2\n"
         assert run(_write(tmp_path, text), out_dir=tmp_path / "out") == 0
@@ -271,7 +300,9 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "knob,value",
-        [("dt", "0"), ("dt", "nan"), ("dt", "-1e-3"), ("M", "0"), ("M", "-5"), ("N", "-2"), ("N", "0")],
+        [("dt", "0"), ("dt", "nan"), ("dt", "-1e-3"), ("M", "0"), ("M", "-5"), ("N", "-2"), ("N", "0"),
+         # e^{-800 n} underflows every mode: nothing would be compared
+         ("decay", "800")],
     )
     def test_bad_fdm_input_is_a_domain_error(self, tmp_path, capsys, knob, value):
         knobs = {"N": "4", "M": "128", "dt": "1e-3", "T": "0.1", knob: value}
@@ -316,6 +347,66 @@ class TestRun:
         assert run(_write(tmp_path, text), out_dir=tmp_path / "out") == 0
         verification = json.loads((tmp_path / "out" / "verification.json").read_text())
         assert verification["below_critical_time"] is below
+
+
+class TestRandomField:
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), N=st.integers(1, 64), real=st.booleans(), seed=st.integers(0, 2**63))
+    def test_one_draw_equals_the_per_mode_draws(self, dim, N, real, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        field = cli._random_mean_zero_field(dim, N, rng, real=real)
+        assert field.coeffs.tobytes() == _per_mode_field(dim, N, oracle_rng, real=real).tobytes()
+        # the stream is left where the per-mode draws leave it
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("decay", ["0", "0.3", "40"])
+    def test_fdm_field_is_the_per_mode_decaying_draw(self, tmp_path, monkeypatch, decay):
+        import cnslab.oracle
+
+        class Compared(Exception):
+            pass
+
+        def capture(params, field, T, M, dt):
+            raise Compared(field.coeffs)
+
+        monkeypatch.setattr(cnslab.oracle, "compare_spectral_fdm", capture)
+        section = f"[fdm]\nN = 24\nM = 128\ndt = 1e-3\nT = 0.1\ndecay = {decay}\n"
+        with pytest.raises(Compared) as compared:
+            run(_write(tmp_path, BASE.format(command="validate-fdm", u_bar=0.9, b=1.3) + "\n" + section),
+                out_dir=tmp_path / "out")
+        # seed 7 of BASE; with decay 40 the top modes underflow to zero
+        expected = _per_mode_field(2, 24, np.random.default_rng(7), decay=float(decay))
+        np.testing.assert_array_equal(compared.value.args[0], expected)
+
+
+class TestPairTableReuse:
+    """The observation energies of one term set share one pair table."""
+
+    @pytest.fixture
+    def pair_integral_calls(self, monkeypatch):
+        calls = []
+        pair_integrals = kernels.pair_integrals
+
+        def counted(*args):
+            calls.append(args)
+            return pair_integrals(*args)
+
+        monkeypatch.setattr(kernels, "_pair_table", None)
+        monkeypatch.setattr(kernels, "pair_integrals", counted)
+        return calls
+
+    def test_observe_trials_build_one_table(self, tmp_path, pair_integral_calls):
+        section = "[observe]\nN = 32\nT = 8.0\nchannel = density\ntrials = 8\n"
+        assert run(_write(tmp_path, BASE.format(command="observe", u_bar=0.9, b=1.3) + section),
+                   out_dir=tmp_path / "out") == 0
+        assert len(json.loads((tmp_path / "out" / "observe.json").read_text())["reports"]) == 8
+        assert len(pair_integral_calls) == 1
+
+    def test_smalltime_witness_builds_one_table_per_signal(self, tmp_path, pair_integral_calls):
+        section = "[witness]\nT = 3.0\nN_list = 6,8,12,16\nx_left = 3.2\nx_right = 5.8\n"
+        assert run(_write(tmp_path, BASE.format(command="witness-smalltime", u_bar=0.9, b=1.3) + section),
+                   out_dir=tmp_path / "out") == 0
+        assert len(pair_integral_calls) == 4
 
 
 #: A value for each required key of any command.

@@ -7,7 +7,7 @@ from energy_oracle import poly_exp_integral_scalar, quadrature_energy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnslab import counterexamples
+from cnslab import counterexamples, kernels
 from cnslab.errors import DomainError, DuplicateRate, QuadratureNotConverged, ZeroState
 from cnslab.evolution import ObservationChannel, ObservationSignal, SignalTerm, observation_signal
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
@@ -172,6 +172,74 @@ class TestObservationEnergy:
                 exact = float(exact)
             assert abs(value - exact) <= 1e-6 * exact
             assert bound >= abs(value - exact)
+
+
+class TestPairTable:
+    """``signal_energy`` keeps its last pair table and reuses it on byte-equal rates, degrees and T."""
+
+    @staticmethod
+    def _terms(seed, n=12):
+        rng = np.random.default_rng(seed)
+        # real parts from -1e-3 to -10, so small-rate pairs fall in the Taylor ball; degrees up to 2
+        rates = (-10.0 ** rng.uniform(-3, 1, n)) + 1j * rng.uniform(-6.0, 6.0, n)
+        degrees = rng.integers(0, 3, n)
+        return rng.normal(size=n) + 1j * rng.normal(size=n), rates, degrees
+
+    @staticmethod
+    def _fresh(monkeypatch, c, rates, degrees, T):
+        monkeypatch.setattr(kernels, "_pair_table", None)
+        return kernels.signal_energy(c, rates, degrees, T)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.floats(0.1, 8.0))
+    def test_repeated_call_equals_a_fresh_evaluation(self, seed, T):
+        c, rates, degrees = self._terms(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            first = self._fresh(mp, c, rates, degrees, T)
+            np.testing.assert_array_equal(kernels._pair_table[1], kernels.pair_integrals(rates, degrees, T))
+            # other coefficients on the same terms hit the table
+            c2 = c[::-1].copy()
+            hit = kernels.signal_energy(c2, rates.copy(), degrees.copy(), T)
+            assert kernels.signal_energy(c, rates, degrees, T) == first
+            assert hit == self._fresh(mp, c2, rates, degrees, T)
+
+    def test_rates_mutated_in_place_are_not_served_a_stale_table(self, monkeypatch):
+        c, rates, degrees = self._terms(1)
+        monkeypatch.setattr(kernels, "_pair_table", None)
+        before = kernels.signal_energy(c, rates, degrees, 2.0)
+        rates[3] += 0.25
+        after = kernels.signal_energy(c, rates, degrees, 2.0)
+        assert after != before
+        assert after == self._fresh(monkeypatch, c, rates, degrees, 2.0)
+
+    def test_another_horizon_misses_and_drops_the_old_table_first(self, monkeypatch):
+        c, rates, degrees = self._terms(2)
+        pair_integrals = kernels.pair_integrals
+        built = []
+
+        def counted(*args):
+            # the slot is empty while a new table is built: two tables never coexist
+            built.append(kernels._pair_table)
+            return pair_integrals(*args)
+
+        monkeypatch.setattr(kernels, "_pair_table", None)
+        monkeypatch.setattr(kernels, "pair_integrals", counted)
+        kernels.signal_energy(c, rates, degrees, 2.0)
+        kernels.signal_energy(c, rates, degrees, 2.0)
+        other = kernels.signal_energy(c, rates, degrees, 2.5)
+        assert built == [None, None]
+        assert kernels._pair_table[0][2] == 2.5
+        monkeypatch.setattr(kernels, "pair_integrals", pair_integrals)
+        assert other == self._fresh(monkeypatch, c, rates, degrees, 2.5)
+
+    def test_held_table_is_read_only(self, monkeypatch):
+        c, rates, degrees = self._terms(3)
+        monkeypatch.setattr(kernels, "_pair_table", None)
+        kernels.signal_energy(c, rates, degrees, 1.0)
+        K = kernels._pair_table[1]
+        assert not K.flags.writeable
+        with pytest.raises(ValueError):
+            K[0, 0] = 0.0
 
 
 class TestObservabilityQuotient:
