@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimMismatch, DomainError
 from .fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
 from .model import BarotropicParams, SystemParams
-from .spectrum import MatrixKind, SpectrumSlice, _cmul, _symbol
+from .spectrum import MatrixKind, SpectrumSlice, _symbol
 
 
 class ObservationChannel(Enum):
@@ -62,31 +62,27 @@ def observation_value(
 def observation_values(channel: ObservationChannel, vectors: np.ndarray, n, params: SystemParams) -> np.ndarray:
     """:func:`observation_value` of every vector of ``vectors`` (components on the last axis).
 
-    ``n`` broadcasts against the leading axes.  Each complex product is
-    formed by :func:`spectrum._cmul`, so every entry is the scalar
-    arithmetic of one :func:`observation_value` call bit for bit.
+    ``n`` broadcasts against the leading axes.  Plain array arithmetic:
+    an entry agrees with the scalar arithmetic of a per-vector evaluation
+    to rounding, not necessarily bit for bit.
     """
     v = [vectors[..., i] for i in range(params.dim)]
-    inx = _cmul(1j, n)
+    inx = 1j * n
     p = params
     if isinstance(params, BarotropicParams):
         if channel is ObservationChannel.DENSITY:
-            return _cmul(p.u_bar, v[0]) + _cmul(p.rho_bar, v[1])
-        return _cmul(p.b, v[0]) + _cmul(p.u_bar, v[1]) + _cmul(_cmul(p.mu0, inx), v[1])
+            return p.u_bar * v[0] + p.rho_bar * v[1]
+        return p.b * v[0] + p.u_bar * v[1] + p.mu0 * inx * v[1]
     if channel is ObservationChannel.DENSITY:
-        return _cmul(p.u_bar, v[0]) + _cmul(p.rho_bar, v[1])
+        return p.u_bar * v[0] + p.rho_bar * v[1]
     if channel is ObservationChannel.VELOCITY:
         return (
-            _cmul(p.R * p.theta_bar, v[0])
-            + _cmul(p.rho_bar * p.u_bar, v[1])
-            + _cmul(_cmul(p.lambda0 * p.rho_bar, inx), v[1])
-            + _cmul(p.R * p.rho_bar, v[2])
+            p.R * p.theta_bar * v[0]
+            + p.rho_bar * p.u_bar * v[1]
+            + p.lambda0 * p.rho_bar * inx * v[1]
+            + p.R * p.rho_bar * v[2]
         )
-    return (
-        _cmul(p.R, v[1])
-        + _cmul(p.c0 * p.u_bar / p.theta_bar, v[2])
-        + _cmul(_cmul(p.c0 * p.kappa0 / p.theta_bar, inx), v[2])
-    )
+    return p.R * v[1] + (p.c0 * p.u_bar / p.theta_bar) * v[2] + (p.c0 * p.kappa0 / p.theta_bar) * inx * v[2]
 
 
 def boundary_control_weight(channel: ObservationChannel, params: SystemParams) -> float:
@@ -189,14 +185,11 @@ def adjoint_state(
         raise DomainError(f"time {t} outside [0, {T}]")
     s = T - t
     table, ns, rows, coefficients = expansion.stacked(slice_)
-    weights = _cmul(np.exp(_cmul(table.rates[rows], s)), coefficients)
-    chained = table.chained[rows]
+    weights = np.exp(table.rates[rows] * s) * coefficients
     basis = table.basis[rows]
     modes = np.zeros(coefficients.shape, dtype=complex)
-    # chain columns take their factor even at k = 0, where "* 1.0" can flip a
-    # signed zero or turn an infinity into NaN, and the other columns none
     for c, k, factorial, linked in chain_links(table.levels[rows]):
-        weight = np.where(chained[:, c], _cmul(weights[:, c], s**k / factorial), weights[:, c])
+        weight = weights[:, c] * (s**k / factorial) if k else weights[:, c]
         modes[linked] += weight[linked, None] * basis[linked, :, c - k]
     state = SpectralField.zeros(slice_.dim, slice_.N)
     state.coeffs[ns + slice_.N] = modes
@@ -266,12 +259,10 @@ def observation_signal(
         raise DimMismatch("temperature channel requires the three-field system")
     table, ns, rows, coefficients = expansion.stacked(slice_)
     observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), ns[:, None], slice_.params)
-    chained = table.chained[rows]
     terms, rates, degrees, keep = [], [], [], []
-    # as in adjoint_state, chain columns are divided by k! even at k = 0
     for c, k, factorial, linked in chain_links(table.levels[rows]):
-        term = _cmul(coefficients[:, c], observed[:, c - k])
-        terms.append(np.where(chained[:, c], term / factorial, term))
+        term = coefficients[:, c] * observed[:, c - k]
+        terms.append(term / factorial if k else term)
         rates.append(table.rates[rows, c])
         degrees.append(k)
         keep.append(linked & (coefficients[:, c] != 0.0))

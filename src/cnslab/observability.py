@@ -199,8 +199,8 @@ def _first_minima(row_keys: list, col_keys: list, tables) -> list[tuple[float, t
 
 
 def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``abs(a_i - b_j)`` for every pair, as for scalar complex values."""
-    return np.hypot(a.real[:, None] - b.real[None, :], a.imag[:, None] - b.imag[None, :])
+    """``abs(a_i - b_j)`` for every pair."""
+    return np.abs(a[:, None] - b[None, :])
 
 
 def _later(lo: int, hi: int, cols: int) -> np.ndarray:

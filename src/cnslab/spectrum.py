@@ -22,8 +22,10 @@ observation identities stay literal downstream.
 All modes of a window are solved in one batched pass over stacked
 ``(modes, dim, dim)`` symbols; only modes whose values come close enough to
 coincide run the per-mode defect logic (multiplet refinement, Jordan
-chains).  The batched arithmetic reproduces the per-mode scalar arithmetic
-bit for bit, see :func:`_cmul`.
+chains).  The batched arithmetic is plain numpy arithmetic: it agrees with a
+per-mode solve to rounding, and so do the discrete outputs (branch labels,
+clusters, Jordan levels, coincidences) wherever the rule that decides them
+is not tied within rounding.
 """
 
 from __future__ import annotations
@@ -89,55 +91,6 @@ class ModeMatrix:
 
 
 # ---------------------------------------------------------------------------
-# scalar-exact array arithmetic
-#
-# numpy's vectorized complex multiply and absolute value may fuse
-# multiply-adds and use their own hypot, so they can differ in the last bit
-# from the same operation on Python or numpy scalars.  The batched solve
-# forms complex products from rounded real products and moduli with
-# np.hypot, and Python-style quotients where Python complex division was
-# used, so every mode gets exactly the values a per-mode solve gives.
-
-
-def _complex(re, im) -> np.ndarray:
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def _cmul(a, b) -> np.ndarray:
-    """``a*b`` with each real product rounded on its own, as a scalar complex product is."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _cabs(z: np.ndarray) -> np.ndarray:
-    """``abs(z)`` as for a scalar complex."""
-    return np.hypot(z.real, z.imag)
-
-
-def _pydiv(a, b) -> np.ndarray:
-    """``a/b`` as Python's complex division (Smith's method, dividing by the denominator)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_real, bi / br, br / bi)
-        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return _complex(re, im)
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """2-norms along the last axis, accumulated as ``np.linalg.norm`` of one vector is."""
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-
-
-# ---------------------------------------------------------------------------
 # stacked symbols and branch anchors
 
 
@@ -147,19 +100,19 @@ def _symbols(params: SystemParams, ns, kind: MatrixKind) -> np.ndarray:
     s = 1.0 if kind is MatrixKind.ADJOINT else -1.0
     nf = np.asarray(ns, dtype=float)
     n2 = nf * nf
-    inx = _cmul(1j, nf)
-    advect = _cmul(s * p.u_bar, inx)
+    inx = 1j * nf
+    advect = s * p.u_bar * inx
     M = np.zeros((nf.size, p.dim, p.dim), dtype=complex)
     M[:, 0, 0] = advect
-    M[:, 0, 1] = _cmul(s * p.rho_bar, inx)
+    M[:, 0, 1] = s * p.rho_bar * inx
     if isinstance(params, BarotropicParams):
-        M[:, 1, 0] = _cmul(s * p.b, inx)
+        M[:, 1, 0] = s * p.b * inx
         M[:, 1, 1] = -p.mu0 * n2 + advect
         return M
-    M[:, 1, 0] = _cmul(s * (p.R * p.theta_bar / p.rho_bar), inx)
+    M[:, 1, 0] = s * (p.R * p.theta_bar / p.rho_bar) * inx
     M[:, 1, 1] = -p.lambda0 * n2 + advect
-    M[:, 1, 2] = _cmul(s * p.R, inx)
-    M[:, 2, 1] = _cmul(s * (p.R * p.theta_bar / p.c0), inx)
+    M[:, 1, 2] = s * p.R * inx
+    M[:, 2, 1] = s * (p.R * p.theta_bar / p.c0) * inx
     M[:, 2, 2] = -p.kappa0 * n2 + advect
     return M
 
@@ -178,7 +131,7 @@ def mode_matrix(params: SystemParams, n: int, kind: MatrixKind = MatrixKind.ADJO
 
 def _anchors(params: SystemParams, nf: np.ndarray) -> np.ndarray:
     """Asymptote anchor of every branch, ``(len(nf), dim)`` in branch order."""
-    iun = _cmul(1j * params.u_bar, nf)
+    iun = 1j * params.u_bar * nf
     if isinstance(params, BarotropicParams):
         return np.stack([iun - params.omega0, -params.mu0 * nf**2 + iun], axis=1)
     return np.stack(
@@ -193,7 +146,7 @@ def classify_branch(params: SystemParams, n: int, value: complex) -> BranchLabel
     Ties resolve toward hyperbolic first, then the momentum-diffusion
     parabolic branch.
     """
-    dists = _cabs(value - _anchors(params, np.array([float(n)]))[0])
+    dists = np.abs(value - _anchors(params, np.array([float(n)]))[0])
     return _BRANCHES[params.dim][int(np.argmin(dists))]
 
 
@@ -280,11 +233,10 @@ class BasisTable(NamedTuple):
     eigenpairs in branch order (``vectors[r, b]`` the eigenvector of branch
     ``b``).  Column ``j`` of ``basis[r]`` is the mode's j-th basis vector,
     cluster by cluster as in :meth:`ModeSpectrum.basis_vectors`, with its
-    cluster's eigenvalue in ``rates``, its cluster index in ``clusters``,
-    its Jordan level in ``levels`` (0 outside a chain) and ``chained``
-    marking the columns of a Jordan chain.  ``conds`` are the 2-norm
-    condition numbers of the ``basis`` matrices; ``unchained`` is set when
-    some mode has a repeated value without a full basis block.
+    cluster's eigenvalue in ``rates``, its cluster index in ``clusters``
+    and its Jordan level in ``levels`` (0 outside a chain).  ``conds`` are
+    the 2-norm condition numbers of the ``basis`` matrices; ``unchained`` is
+    set when some mode has a repeated value without a full basis block.
     """
 
     ns: np.ndarray  # (K,)
@@ -294,7 +246,6 @@ class BasisTable(NamedTuple):
     rates: np.ndarray  # (K, dim)
     clusters: np.ndarray  # (K, dim)
     levels: np.ndarray  # (K, dim)
-    chained: np.ndarray  # (K, dim)
     conds: np.ndarray  # (K,)
     unchained: bool
 
@@ -359,19 +310,16 @@ def _charpoly(M: np.ndarray) -> np.ndarray:
     if M.shape[1] == 2:
         return np.stack([one, -tr, det], axis=1)
     minors = (
-        _cmul(M[:, 1, 1], M[:, 2, 2]) - _cmul(M[:, 1, 2], M[:, 2, 1])
-        + _cmul(M[:, 0, 0], M[:, 2, 2]) - _cmul(M[:, 0, 2], M[:, 2, 0])
-        + _cmul(M[:, 0, 0], M[:, 1, 1]) - _cmul(M[:, 0, 1], M[:, 1, 0])
+        M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1]
+        + M[:, 0, 0] * M[:, 2, 2] - M[:, 0, 2] * M[:, 2, 0]
+        + M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     )
     return np.stack([one, -tr, minors, -det], axis=1)
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``np.polyval`` of each mode's coefficient row at that mode's values.
-
-    Plain array arithmetic: ``np.polyval`` runs its Horner steps through the
-    same vectorized loops, even for a single value.
-    """
+    """``np.polyval`` of each mode's coefficient row at that mode's values
+    (``np.polyval`` takes one coefficient row for all values)."""
     y = np.zeros_like(z)
     for c in coeffs.T:
         y = y * z + c[:, None]
@@ -388,8 +336,8 @@ def _newton_polish(coeffs: np.ndarray, z: np.ndarray, scale: np.ndarray) -> np.n
     dp = _horner(coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1), z)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = p / dp
-    multiple = _cabs(dp) < 1e-8 * np.fmax(1.0, _cabs(p)) / np.maximum(scale, 1e-300)[:, None]
-    take = ~multiple & (_cabs(step) < 0.5 * np.fmax(1.0, _cabs(z)))
+    multiple = np.abs(dp) < 1e-8 * np.fmax(1.0, np.abs(p)) / np.maximum(scale, 1e-300)[:, None]
+    take = ~multiple & (np.abs(step) < 0.5 * np.fmax(1.0, np.abs(z)))
     return np.where(take, z - step, z)
 
 
@@ -413,9 +361,9 @@ def _within_reach(values: np.ndarray, clustering_tolerance: float) -> np.ndarray
     """
     dim = values.shape[1]
     i, j = np.triu_indices(dim, 1)
-    gap = _cabs(values[:, i] - values[:, j]).min(axis=1)
+    gap = np.abs(values[:, i] - values[:, j]).min(axis=1)
     scale = max(clustering_tolerance, _resolution_radius(dim, 0.0))
-    return gap <= 4.0 * scale * np.fmax(1.0, _cabs(values).max(axis=1))
+    return gap <= 4.0 * scale * np.fmax(1.0, np.abs(values).max(axis=1))
 
 
 def _refine_multiplets(coeffs: np.ndarray, values: np.ndarray, clustering_tolerance: float) -> np.ndarray:
@@ -489,25 +437,25 @@ def _barotropic_roots(params: BarotropicParams, nf: np.ndarray, M: np.ndarray, t
     """Closed-form eigenvalues, ``nu_scaled`` and eigenvectors of the two-field symbols."""
     p = params
     n2 = nf * nf
-    disc = np.sqrt(_complex(p.mu0**2 * (n2 * n2) - 4.0 * p.b * p.rho_bar * n2, 0.0))
+    disc = np.sqrt((p.mu0**2 * (n2 * n2) - 4.0 * p.b * p.rho_bar * n2).astype(complex))
     # Principal square root throughout.  Below the threshold (imaginary
     # discriminant) the hyperbolic label follows conjugate symmetry in n, so
     # that the branch identity n -> -n pairs p with p; above the threshold
     # the principal root already realizes that symmetry.
     sign = np.where((disc.imag == 0.0) | (nf > 0), 1.0, -1.0)
-    base = -p.mu0 * n2 + _cmul(2j * p.u_bar, nf)
-    shift = _cmul(sign, disc)
-    values = np.stack([_cmul(0.5, base + shift), _cmul(0.5, base - shift)], axis=1)
+    base = -p.mu0 * n2 + 2j * p.u_bar * nf
+    shift = sign * disc
+    values = np.stack([0.5 * (base + shift), 0.5 * (base - shift)], axis=1)
     near = _within_reach(values, tol)
     if near.any():
         coeffs = _charpoly(M[near])
         values[near] = [_refine_multiplets(c, v, tol) for c, v in zip(coeffs, values[near])]
-    nu_scaled = _pydiv(values, _cmul(1j, nf)[:, None])
+    nu_scaled = values / (1j * nf)[:, None]
     d = nu_scaled - p.u_bar
     vectors = np.empty(M.shape, dtype=complex)
     vectors[:, 0, 0] = p.rho_bar
     vectors[:, 0, 1] = d[:, 0]
-    vectors[:, 1, 0] = _pydiv(p.rho_bar, d[:, 1])
+    vectors[:, 1, 0] = p.rho_bar / d[:, 1]
     vectors[:, 1, 1] = 1.0
     return values, nu_scaled, vectors, near
 
@@ -538,21 +486,21 @@ def _dense_nonbarotropic(params: NonBarotropicParams, ns: np.ndarray, M: np.ndar
     columns = _label_columns(params, nf, values, dense)
     values = np.take_along_axis(values, columns, axis=1)
     dense = np.take_along_axis(dense, columns[:, None, :], axis=2).swapaxes(1, 2)
-    nu_scaled = values / _cmul(1j, nf)[:, None]
+    nu_scaled = values / (1j * nf)[:, None]
 
-    lam = _cmul(p.lambda0 * 1j, nf)[:, None] + p.u_bar - nu_scaled
-    kap = _cmul(p.kappa0 * 1j, nf)[:, None] + p.u_bar - nu_scaled
+    lam = (p.lambda0 * 1j * nf)[:, None] + p.u_bar - nu_scaled
+    kap = (p.kappa0 * 1j * nf)[:, None] + p.u_bar - nu_scaled
     d = p.u_bar - nu_scaled
     h, pl, pk = 0, 1, 2
     vectors = np.empty(M.shape, dtype=complex)
     vectors[:, h, 0] = p.R * p.rho_bar
-    vectors[:, h, 1] = _cmul(-p.R, d[:, h])
-    vectors[:, h, 2] = _cmul(lam[:, h], d[:, h]) - p.R * p.theta_bar
+    vectors[:, h, 1] = -p.R * d[:, h]
+    vectors[:, h, 2] = lam[:, h] * d[:, h] - p.R * p.theta_bar
     vectors[:, pl, 0] = -p.R * p.rho_bar / d[:, pl]
     vectors[:, pl, 1] = p.R
-    vectors[:, pl, 2] = (p.R * p.theta_bar - _cmul(lam[:, pl], d[:, pl])) / d[:, pl]
-    vectors[:, pk, 0] = _cmul(lam[:, pk], kap[:, pk]) - p.R**2 * p.theta_bar / p.c0
-    vectors[:, pk, 1] = _cmul(-(p.R * p.theta_bar / p.rho_bar), kap[:, pk])
+    vectors[:, pl, 2] = (p.R * p.theta_bar - lam[:, pl] * d[:, pl]) / d[:, pl]
+    vectors[:, pk, 0] = lam[:, pk] * kap[:, pk] - p.R**2 * p.theta_bar / p.c0
+    vectors[:, pk, 1] = -(p.R * p.theta_bar / p.rho_bar) * kap[:, pk]
     vectors[:, pk, 2] = p.R**2 * p.theta_bar**2 / (p.rho_bar * p.c0)
     return values, nu_scaled, vectors, near, dense
 
@@ -573,14 +521,14 @@ def _label_columns(params: NonBarotropicParams, nf: np.ndarray, values: np.ndarr
     other two split by dominant eigenvector component (velocity vs
     temperature), which tracks eigenvector continuity in n.
     """
-    dists = _cabs(values[:, :, None] - _anchors(params, nf)[:, None, :])
+    dists = np.abs(values[:, :, None] - _anchors(params, nf)[:, None, :])
     rows = np.arange(values.shape[0])
     if _degenerate_diffusions(params):
         labels = np.empty(values.shape, dtype=int)
         hyp = np.argsort(dists[:, :, 0], axis=1)[:, 0]
         rest = np.array([[1, 2], [0, 2], [0, 1]])[hyp]
-        vel = _cabs(dense[rows[:, None], 1, rest])
-        temp = _cabs(dense[rows[:, None], 2, rest])
+        vel = np.abs(dense[rows[:, None], 1, rest])
+        temp = np.abs(dense[rows[:, None], 2, rest])
         dominant = vel >= temp
         key = -vel / np.fmax(temp, 1e-300)
         first_lambda = np.where(dominant[:, 0] == dominant[:, 1], ~(key[:, 1] < key[:, 0]), dominant[:, 0])
@@ -613,7 +561,7 @@ def _rescale_to_convention(pinned: np.ndarray, component: np.ndarray, vectors: n
     pivot = vectors[np.arange(len(vectors)), component]
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = vectors * (pinned / pivot)[:, None]
-    return np.where((_cabs(pivot) < 1e-300)[:, None], vectors, scaled)
+    return np.where((np.abs(pivot) < 1e-300)[:, None], vectors, scaled)
 
 
 def _residuals(M: np.ndarray, M_norm: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -622,9 +570,9 @@ def _residuals(M: np.ndarray, M_norm: np.ndarray, values: np.ndarray, vectors: n
     ``M`` and its 2-norms ``M_norm`` broadcast against the leading axes of ``values``.
     """
     Mv = np.matmul(M, vectors[..., None])[..., 0]
-    scale = M_norm * _norms(vectors)
+    scale = M_norm * np.linalg.norm(vectors, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = _norms(Mv - values[..., None] * vectors) / scale
+        res = np.linalg.norm(Mv - values[..., None] * vectors, axis=-1) / scale
     return np.where(scale == 0.0, 0.0, res)
 
 
@@ -671,15 +619,8 @@ def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> _Mode
 
 
 def _mode_pairs(params: SystemParams, batch: _ModeBatch) -> list[tuple[EigenPair, ...]]:
-    """The eigenpairs of every mode of the batch, each mode's in branch order.
-
-    Values keep the scalar type of the arithmetic that made them: Python
-    complex for the closed forms, numpy complex for the dense solve.
-    """
-    if isinstance(params, BarotropicParams):
-        values, nu_scaled = batch.values.tolist(), batch.nu_scaled.tolist()
-    else:
-        values, nu_scaled = list(map(list, batch.values)), list(map(list, batch.nu_scaled))
+    """The eigenpairs of every mode of the batch, each mode's in branch order."""
+    values, nu_scaled = batch.values.tolist(), batch.nu_scaled.tolist()
     branches = _BRANCHES[params.dim]
     unclassified = [_degenerate_diffusions(params) and b is not BranchLabel.HYPERBOLIC for b in branches]
     residuals = batch.residuals.tolist()
@@ -853,7 +794,7 @@ def _coincidences(batch: _ModeBatch, branches: tuple[BranchLabel, ...], tol: flo
     """
     order = np.argsort(batch.ns, kind="stable")
     values = batch.values[order].ravel()
-    radius = tol * np.fmax(1.0, _cabs(values))
+    radius = tol * np.fmax(1.0, np.abs(values))
     windows = []
     for coord in (values.real, values.imag):
         by_coord = np.argsort(coord, kind="stable")
@@ -866,7 +807,7 @@ def _coincidences(batch: _ModeBatch, branches: tuple[BranchLabel, ...], tol: flo
     j = by_coord[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)]
     later = j > i
     i, j = i[later], j[later]
-    distance = _cabs(values[i] - values[j])
+    distance = np.abs(values[i] - values[j])
     hit = distance <= radius[i]
     pick = np.lexsort((j[hit], i[hit]))
     i, j, distance = i[hit][pick], j[hit][pick], distance[hit][pick]
@@ -925,7 +866,7 @@ def _basis_table(slice_: SpectrumSlice) -> BasisTable:
     """
     dim = slice_.dim
     ns = sorted(slice_.modes)
-    values, vectors, columns, rates, clusters, levels, chained = [], [], [], [], [], [], []
+    values, vectors, columns, rates, clusters, levels = [], [], [], [], [], []
     for n in ns:
         mode = slice_.modes[n]
         for p in mode.pairs:
@@ -938,14 +879,12 @@ def _basis_table(slice_: SpectrumSlice) -> BasisTable:
                 rates.append(cluster.value)
                 clusters.append(ci)
                 levels.append(level if is_chain else 0)
-                chained.append(is_chain)
         missing = len(values) - len(columns)
         if missing:
             columns += [np.zeros(dim, dtype=complex)] * missing
             rates += [0j] * missing
             clusters += [-1] * missing
             levels += [0] * missing
-            chained += [False] * missing
     shape = (len(ns), dim)
     basis = np.array(columns, dtype=complex).reshape(*shape, dim).swapaxes(1, 2)
     clusters = np.array(clusters, dtype=np.int64).reshape(shape)
@@ -957,7 +896,6 @@ def _basis_table(slice_: SpectrumSlice) -> BasisTable:
         rates=np.array(rates, dtype=complex).reshape(shape),
         clusters=clusters,
         levels=np.array(levels, dtype=np.int64).reshape(shape),
-        chained=np.array(chained, dtype=bool).reshape(shape),
         conds=np.linalg.cond(basis),
         unchained=bool((clusters < 0).any()),
     )
@@ -1003,9 +941,7 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
     batch = _solve_modes(params, np.concatenate([ns, -ns]), DEFAULT_CLUSTERING_TOL)
     diff = batch.vectors - np.diag(_pinned_values(params)).astype(complex)
     per_pair = 2.0 * np.pi * np.sum(_comparison_weights(params) * np.abs(diff) ** 2, axis=-1)
-    deficit = 0.0
-    for column in per_pair.T:  # pair by pair in branch order, as a running sum per mode
-        deficit = deficit + column
+    deficit = per_pair.sum(axis=-1)
     return np.cumsum(deficit[: ns.size] + deficit[ns.size :])
 
 

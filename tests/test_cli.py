@@ -83,13 +83,24 @@ class TestRun:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
-    def test_determinism_byte_identical(self, tmp_path):
-        text = BASE.format(command="observe", u_bar=0.9, b=1.3) + "\n[observe]\nN = 6\nT = 8.0\ntrials = 3\n"
-        cfg = _write(tmp_path, text)
-        run(cfg, out_dir=tmp_path / "a")
-        run(cfg, out_dir=tmp_path / "b")
-        assert (tmp_path / "a" / "observe.json").read_bytes() == (tmp_path / "b" / "observe.json").read_bytes()
-        assert (tmp_path / "a" / "manifest.json").read_bytes() == (tmp_path / "b" / "manifest.json").read_bytes()
+    @pytest.mark.parametrize(
+        "command,section",
+        [
+            ("observe", "[observe]\nN = 6\nT = 8.0\ntrials = 3\n"),
+            ("spectrum", "[spectrum]\nN = 12\n"),
+            ("ingham", "[ingham]\nN = 12\nT = 8.0\n"),
+            ("closeness", "[closeness]\nN_start = 5\nN_end = 20\n"),
+            ("witness-smalltime", "[witness]\nT = 3.0\nN_list = 6,8\nx_left = 3.2\nx_right = 5.8\n"),
+        ],
+        ids=["observe", "spectrum", "ingham", "closeness", "witness-smalltime"],
+    )
+    def test_determinism_byte_identical(self, tmp_path, command, section):
+        cfg = _write(tmp_path, BASE.format(command=command, u_bar=0.9, b=1.3) + "\n" + section)
+        assert run(cfg, out_dir=tmp_path / "a") == 0
+        assert run(cfg, out_dir=tmp_path / "b") == 0
+        first = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+        assert "manifest.json" in first and len(first) > 1
+        assert first == {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
 
     def test_manifest_lists_all_outputs_with_hashes(self, tmp_path):
         cfg = _write(tmp_path, BASE.format(command="spectrum", u_bar=0.9, b=1.3) + "\n[spectrum]\nN = 3\n")
@@ -332,13 +343,22 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "closeness.csv").exists()
 
-    def test_witness_list_entry_below_one_is_a_domain_error(self, tmp_path, capsys):
-        section = "[witness]\nT = 3.0\nN_list = 0\nx_left = 3.2\nx_right = 5.8\n"
-        cfg = _write(tmp_path, BASE.format(command="witness-smalltime", u_bar=0.9, b=1.3) + "\n" + section)
+    @pytest.mark.parametrize(
+        "command,section,key,artifact",
+        [
+            ("witness-smalltime", "T = 3.0\nN_list = 0\nx_left = 3.2\nx_right = 5.8\n", "N_list", "witness_smalltime.json"),
+            # a repeated entry is not increasing: one distinct N leaves nothing to fit a slope to
+            ("witness-smalltime", "T = 3.0\nN_list = 8,8\nx_left = 3.2\nx_right = 5.8\n", "N_list", "witness_smalltime.json"),
+            ("witness-regularity", "s = 0.0\nn_list = 4,4\n", "n_list", "witness_regularity.json"),
+        ],
+        ids=["N_list=0", "N_list=8,8", "n_list=4,4"],
+    )
+    def test_witness_list_entry_below_one_is_a_domain_error(self, tmp_path, capsys, command, section, key, artifact):
+        cfg = _write(tmp_path, BASE.format(command=command, u_bar=0.9, b=1.3) + "\n[witness]\n" + section)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "N_list" in err and "Traceback" not in err
-        assert not (tmp_path / "out" / "witness_smalltime.json").exists()
+        assert key in err and "increasing" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / artifact).exists()
 
     @pytest.mark.parametrize("T,below", [("3.0", True), ("8.0", False)])
     def test_synthesize_writes_below_critical_time_watermark(self, tmp_path, T, below):

@@ -3,16 +3,22 @@
 Production solves all modes of a window in one stacked pass, finds
 coincidences by a sort on real parts and takes the Ingham pair minima by
 broadcasting.  ``spectrum_oracle`` keeps the per-mode solves, the
-all-pairs coincidence scan and the pair loops.  The batched arithmetic is
-meant to reproduce the per-mode arithmetic exactly, so every comparison
-below is bit for bit (signed zeros included) unless it says otherwise.
+all-pairs coincidence scan and the pair loops.  Both run plain floating
+point arithmetic in different orders and kernels (numpy's vectorized complex
+multiply and modulus, Python's complex division), so the numbers agree
+within the bounds below, not bit for bit.  Every discrete output is
+compared exactly: branch labels and ``unclassified_by_paper``, cluster
+membership, chains and Jordan levels, coincidence pairs and the Ingham
+``passed`` flags.  Where the rule behind a label or a witness is tied in
+exact arithmetic, rounding decides it on either side; the tests then
+assert the tie instead (:func:`_label_match`, :func:`_assert_audits_agree`).
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
-import json
 import warnings
 
 import numpy as np
@@ -22,11 +28,11 @@ from hypothesis import strategies as st
 
 import spectrum_oracle as oracle
 from cnslab import spectrum
-from cnslab.cli import _json_default, main
+from cnslab.cli import main
 from cnslab.errors import DegenerateWarning, DomainError
 from cnslab.model import BarotropicParams, NonBarotropicParams
 from cnslab.observability import ingham_audit
-from cnslab.spectrum import MatrixKind, build_slice, export_spectrum_csv, riesz_closeness
+from cnslab.spectrum import BranchLabel, MatrixKind, build_slice, export_spectrum_csv, riesz_closeness
 
 WORKHORSE = BarotropicParams(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3)
 # the coefficient sets of tests/conftest.py
@@ -57,47 +63,166 @@ NONBAROTROPIC = st.builds(
 )
 
 
-def _same(a, b) -> bool:
-    """Equal bit for bit, including the sign of zero."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+#: Bound on the drift between batched and per-mode arithmetic, relative to
+#: the largest magnitude compared; eigen-residuals drift by at most this
+#: much in absolute terms.  On the named sets at N = 16 and 96 the drift is
+#: at most 4.9e-16 (condition numbers), 2.2e-16 for values, vectors and the
+#: basis, and 1.6e-16 for the residuals.
+RTOL = 1e-14
+#: The bound for random coefficient sets, where a closed-form eigenvector can
+#: be poorly conditioned: on 200 random sets with N <= 40 the vectors drifted
+#: by up to 7e-13, the values by 3.6e-14 and the residuals, which themselves
+#: reach 1e-11 there, by 1.1e-11.  The bound is the residual at which the
+#: solver itself stops accepting an eigenpair.
+RANDOM_RTOL = spectrum.EIGEN_RESIDUAL_TOL
 
 
-def _assert_pairs_equal(got, ref):
-    assert len(got) == len(ref)
-    for g, r in zip(got, ref):
-        assert (g.n, g.branch, g.unclassified_by_paper) == (r.n, r.branch, r.unclassified_by_paper)
-        assert type(g.value) is type(r.value) and type(g.nu_scaled) is type(r.nu_scaled)
-        assert _same(g.value, r.value) and _same(g.nu_scaled, r.nu_scaled)
-        assert _same(g.vector, r.vector)
-        assert _same(g.residual, r.residual)
+def _close(got, ref, rtol: float = RTOL, scale: float | None = None) -> bool:
+    """Same shape, non-finite entries in the same places, and every finite
+    entry within ``rtol * scale`` of ``ref``; ``scale`` defaults to the
+    largest finite ``|ref|``.  Zeros of either sign are equal."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    finite = np.isfinite(ref)
+    if got.shape != ref.shape or not np.array_equal(np.isfinite(got), finite):
+        return False
+    if scale is None:
+        scale = float(np.max(np.abs(ref[finite]), initial=0.0))
+    return bool(np.all(np.abs(got[finite] - ref[finite]) <= rtol * scale))
 
 
-def _assert_slices_equal(got, ref):
+def _label_match(params, n: int, got_values, ref_pairs, rtol: float) -> list[int]:
+    """The oracle pair of each production value of mode ``n``, in branch order.
+
+    Labels are the same, so the match is the identity, except at a tie of
+    the labelling rule, where rounding picks the labels: the two parabolic
+    values of a mode can be mirror images across their anchors' line, which
+    gives two assignments the same anchor distance, and with equal
+    diffusions two eigenvectors can have the same velocity/temperature
+    ratio.  There the values may trade labels, and this asserts the tie.
+    """
+    got_values = np.array(got_values)
+    ref_values = np.array([p.value for p in ref_pairs])
+    if _close(got_values, ref_values, rtol):
+        return list(range(len(ref_pairs)))
+    match = [int(np.argmin(np.abs(ref_values - v))) for v in got_values]
+    assert sorted(match) == list(range(len(ref_pairs))) and _close(got_values, ref_values[match], rtol)
+    swapped = [ref_pairs[j] for i, j in enumerate(match) if i != j]
+    if spectrum._degenerate_diffusions(params):
+        assert all(p.unclassified_by_paper for p in swapped)
+        ratios = [abs(p.vector[1]) / abs(p.vector[2]) for p in swapped]
+        assert max(ratios) - min(ratios) <= rtol * max(ratios) or min(abs(r - 1.0) for r in ratios) <= rtol
+    else:
+        # total anchor distance of the oracle's values under either labelling
+        anchors = dict(oracle._anchors(params, n))
+        cost = lambda labels: sum(abs(p.value - anchors[b]) for p, b in zip(ref_pairs, labels))
+        ref_cost = cost([p.branch for p in ref_pairs])
+        assert abs(cost([ref_pairs[i].branch for i in np.argsort(match)]) - ref_cost) <= rtol * max(1.0, ref_cost)
+    return match
+
+
+def _assert_coincidences_agree(got, ref, scale: float, rtol: float = RTOL, relabel: dict | None = None):
+    """The same ``(first, second)`` pairs in the same order, distances within
+    ``rtol * scale``, ``scale`` the values' magnitude.  ``relabel`` maps the
+    production slots that traded labels at a tie to the oracle's; the order
+    is then compared as a set."""
+    relabel = relabel or {}
+    got_pairs = [(relabel.get(c.first, c.first), relabel.get(c.second, c.second), c.cross_mode, c.distance) for c in got]
+    ref_pairs = [(c.first, c.second, c.cross_mode, c.distance) for c in ref]
+    if relabel:
+        got_pairs, ref_pairs = sorted(got_pairs, key=str), sorted(ref_pairs, key=str)
+    assert [p[:3] for p in got_pairs] == [p[:3] for p in ref_pairs]
+    assert _close([p[3] for p in got_pairs], [p[3] for p in ref_pairs], rtol, scale=scale)
+
+
+def _assert_pairs_agree(params, got, ref, rtol: float = RTOL) -> list[int]:
+    """The pairs of one mode; returns the label match of :func:`_label_match`.
+
+    A pair that took a tied label is normalized for that label, so its
+    vector is not compared.
+    """
+    match = _label_match(params, ref[0].n, [p.value for p in got], ref, rtol)
+    for g, j in zip(got, match):
+        r = ref[j]
+        assert (g.n, g.unclassified_by_paper) == (r.n, r.unclassified_by_paper)
+        assert abs(g.residual - r.residual) <= rtol
+        assert g.branch is not r.branch or _close(g.vector, r.vector, rtol)
+    assert _close([g.nu_scaled for g in got], [ref[j].nu_scaled for j in match], rtol)
+    return match
+
+
+def _assert_slices_agree(got, ref, rtol: float = RTOL):
+    """Pairs, clusters and coincidences of two slices of the same window.
+
+    Labels, flags, cluster membership, chains and coincidence pairs are the
+    same, up to the labelling ties of :func:`_label_match`; the numbers agree
+    within ``rtol``.
+    """
     assert list(got.modes) == list(ref.modes)
+    relabel = {}
     for n, mode in ref.modes.items():
         gmode = got.modes[n]
-        _assert_pairs_equal(gmode.pairs, mode.pairs)
+        match = _assert_pairs_agree(ref.params, gmode.pairs, mode.pairs, rtol)
+        tied = {(n, g.branch): (n, mode.pairs[j].branch) for g, j in zip(gmode.pairs, match) if g.branch is not mode.pairs[j].branch}
+        relabel.update(tied)
         assert len(gmode.clusters) == len(mode.clusters)
         for gc, rc in zip(gmode.clusters, mode.clusters):
+            assert len(gc.vectors) == len(rc.vectors) and (gc.chain is None) == (rc.chain is None)
+            if tied:
+                continue
             assert gc.branches == rc.branches
-            assert _same(gc.value, rc.value)
-            assert len(gc.vectors) == len(rc.vectors)
-            assert all(_same(a, b) for a, b in zip(gc.vectors, rc.vectors))
-            assert (gc.chain is None) == (rc.chain is None)
+            assert _close(gc.value, rc.value, rtol, scale=max(1.0, abs(rc.value)))
+            assert all(_close(a, b, rtol) for a, b in zip(gc.vectors, rc.vectors))
             if rc.chain is not None:
                 assert gc.chain.algebraic_multiplicity == rc.chain.algebraic_multiplicity
-                assert all(_same(a, b) for a, b in zip(gc.chain.chain_vectors, rc.chain.chain_vectors))
-    assert got.coincidences == ref.coincidences
+                assert all(_close(a, b, rtol) for a, b in zip(gc.chain.chain_vectors, rc.chain.chain_vectors))
+    scale = max([1.0] + [abs(p.value) for p in ref.pairs()])
+    _assert_coincidences_agree(got.coincidences, ref.coincidences, scale, rtol, relabel)
 
 
-def _audit_json(report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, default=_json_default)
+_PAIR_WITNESSES = {"H1", "P1", "P3", "relaxed"}
 
 
-def _assert_audits_equal(params, N):
+def _witness_value(slice_, name: str, witness):
+    """The quantity a verdict's witness attains, from the slice's values in scalar arithmetic."""
+    hyp = slice_.branch_values(BranchLabel.HYPERBOLIC)
+    par = oracle._merged_parabolic(slice_)
+    if name == "P2":
+        v = par[witness]
+        return -v.real / abs(v.imag) if v.imag != 0.0 else np.inf
+    a, b = witness
+    if name == "P4":
+        return (abs(par[a]) / abs(a) ** 2) / (abs(par[b]) / abs(b) ** 2)
+    if name == "H1":
+        return abs(hyp[a] - hyp[b])
+    if name == "disjoint":
+        return abs(hyp[a] - par[b])
+    gap = abs(par[a] - par[b])
+    if name == "P3":
+        return gap / abs(a**2 - b**2)
+    return gap / abs(a - b) if name == "relaxed" else gap
+
+
+def _assert_audits_agree(params, N):
+    """Flags and window exact, values within ``RTOL``; a witness may be any
+    pair that attains the oracle's extremum within ``RTOL`` (ties between
+    conjugate modes are broken by rounding)."""
     slice_ = build_slice(params, N)
-    assert _audit_json(ingham_audit(slice_, params, 8.0)) == _audit_json(oracle.ingham_audit(slice_, params, 8.0))
+    got = ingham_audit(slice_, params, 8.0).to_dict()
+    ref = oracle.ingham_audit(slice_, params, 8.0).to_dict()
+    assert got.keys() == ref.keys() and got["window"] == ref["window"]
+    if "cross_gaps" in ref:
+        assert got["cross_gaps"].keys() == ref["cross_gaps"].keys()
+        assert all(_close(got["cross_gaps"][k], v) for k, v in ref["cross_gaps"].items())
+    for name in ref.keys() - {"window", "cross_gaps"}:
+        g, r = got[name], ref[name]
+        assert g.keys() == r.keys() and g["passed"] == r["passed"], name
+        assert all(_close(g[k], r[k]) for k in r.keys() - {"passed", "witness"}), name
+        if r["witness"] is None:
+            assert g["witness"] is None
+            continue
+        assert _close(_witness_value(slice_, name, g["witness"]), r["value"]), name
+        if name in _PAIR_WITNESSES:
+            assert g["witness"][0] < g["witness"][1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,7 +235,7 @@ class TestSymbols:
     @settings(max_examples=100, deadline=None)
     def test_stacked_symbols_match_scalar_symbol(self, params, n):
         for kind in MatrixKind:
-            assert _same(spectrum._symbols(params, [n], kind)[0], oracle._symbol(params, n, kind))
+            assert _close(spectrum._symbols(params, [n], kind)[0], oracle._symbol(params, n, kind))
 
     @given(params=st.one_of(BAROTROPIC, NONBAROTROPIC), n=st.integers(-300, 300), value=st.complex_numbers(max_magnitude=1e5))
     @settings(max_examples=100, deadline=None)
@@ -122,16 +247,16 @@ class TestBatchedSolve:
     @given(params=BAROTROPIC, N=st.integers(1, 40))
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_barotropic_slice(self, params, N):
-        _assert_slices_equal(build_slice(params, N), oracle.build_slice(params, N))
+        _assert_slices_agree(build_slice(params, N), oracle.build_slice(params, N), RANDOM_RTOL)
 
     @given(params=NONBAROTROPIC, N=st.integers(1, 40))
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_nonbarotropic_slice(self, params, N):
-        _assert_slices_equal(build_slice(params, N), oracle.build_slice(params, N))
+        _assert_slices_agree(build_slice(params, N), oracle.build_slice(params, N), RANDOM_RTOL)
 
     @pytest.mark.parametrize("name", sorted(NAMED))
     def test_named_sets(self, name):
-        _assert_slices_equal(build_slice(NAMED[name], 24), _oracle_slice(name, 24))
+        _assert_slices_agree(build_slice(NAMED[name], 24), _oracle_slice(name, 24))
 
     def test_named_sets_have_the_degenerate_cases(self):
         # the sets above do exercise the defect logic: a Jordan pair, a
@@ -155,7 +280,7 @@ class TestBatchedSolve:
             with warnings.catch_warnings(record=True) as ref_warnings:
                 warnings.simplefilter("always")
                 ref = reference(params, n)
-            _assert_pairs_equal(got, ref)
+            assert _assert_pairs_agree(params, got, ref) == list(range(params.dim))
             assert [str(w.message) for w in got_warnings] == [str(w.message) for w in ref_warnings]
 
     @pytest.mark.parametrize("residual_tol", [0.0, 2e-16])
@@ -166,13 +291,19 @@ class TestBatchedSolve:
         # fallbacks, some of them both
         for module in (spectrum, oracle):
             monkeypatch.setattr(module, "EIGEN_RESIDUAL_TOL", residual_tol)
-        _assert_slices_equal(build_slice(NAMED[name], 12), oracle.build_slice(NAMED[name], 12))
+        _assert_slices_agree(build_slice(NAMED[name], 12), oracle.build_slice(NAMED[name], 12))
 
     def test_spectrum_csv_bytes(self, tmp_path):
+        # n, branch and alg_mult exact; re, im within RTOL of the slice's
+        # largest value, residual within RTOL
         for name in sorted(NAMED):
             export_spectrum_csv(build_slice(NAMED[name], 24), tmp_path / "new.csv")
             export_spectrum_csv(_oracle_slice(name, 24), tmp_path / "old.csv")
-            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            new, old = (list(csv.reader((tmp_path / f).read_text().splitlines())) for f in ("new.csv", "old.csv"))
+            assert [r[:2] + r[4:5] for r in new] == [r[:2] + r[4:5] for r in old]
+            got, ref = (np.array([[float(x) for x in r[2:4]] for r in rows[1:]]) for rows in (new, old))
+            assert _close(got, ref)
+            assert _close([float(r[5]) for r in new[1:]], [float(r[5]) for r in old[1:]], scale=1.0)
 
     def test_mode_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -193,7 +324,8 @@ class TestCoincidences:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateWarning)
             ref = oracle.build_slice(params, N, clustering_tolerance=tol)
-        assert got.coincidences == ref.coincidences
+        scale = max([1.0] + [abs(p.value) for p in ref.pairs()])
+        _assert_coincidences_agree(got.coincidences, ref.coincidences, scale)
 
     @given(
         values=st.lists(
@@ -216,7 +348,8 @@ class TestCoincidences:
         branches = spectrum._BRANCHES[dim]
         order = np.argsort(ns, kind="stable")
         slots = [(int(ns[k]), branches[b], complex(v[k, b])) for k in order for b in range(dim)]
-        assert spectrum._coincidences(batch, branches, tol) == oracle.coincidence_table(slots, tol)
+        scale = max(1.0, float(np.abs(v).max()))
+        _assert_coincidences_agree(spectrum._coincidences(batch, branches, tol), oracle.coincidence_table(slots, tol), scale)
 
     def test_asymmetric_scale_is_kept(self):
         # |v_i - v_j| <= tol*max(1, |v_i|) with i the earlier slot: 100 and 99
@@ -234,13 +367,13 @@ class TestInghamAudit:
     def test_random_parameters(self, params, N):
         threshold = max(1, int(np.floor(params.n0)) + 1) if params.dim == 2 else 1
         N = max(N, threshold)
-        _assert_audits_equal(params, N)
+        _assert_audits_agree(params, N)
 
     @pytest.mark.parametrize("name", sorted(NAMED))
     def test_named_sets(self, name):
         params = NAMED[name]
         for N in (4, 24, 96):
-            _assert_audits_equal(params, N)
+            _assert_audits_agree(params, N)
 
     def test_pair_blocks_cover_every_pair(self, monkeypatch):
         # blocks of a few rows: witnesses must still be the first minimum
@@ -248,7 +381,7 @@ class TestInghamAudit:
 
         monkeypatch.setattr(observability, "_PAIR_BLOCK", 7)
         for name in ("shared_eigenvalue", "workhorse"):
-            _assert_audits_equal(NAMED[name], 40)
+            _assert_audits_agree(NAMED[name], 40)
 
 
 class TestRieszCloseness:
@@ -260,13 +393,23 @@ class TestRieszCloseness:
         cfg = tmp_path / "closeness.ini"
         cfg.write_text(f"[run]\nsystem = {system}\ncommand = closeness\n\n[params]\n{section}\n\n[closeness]\nN_start = 5\nN_end = 60\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        sums = oracle.riesz_closeness(params, 5, 60)
-        expected = "N,partial_sum\n" + "".join(f"{5 + k},{format(float(s), '.17g')}\n" for k, s in enumerate(sums))
-        assert (tmp_path / "out" / "closeness.csv").read_text() == expected
+        header, *rows = csv.reader((tmp_path / "out" / "closeness.csv").read_text().splitlines())
+        assert header == ["N", "partial_sum"] and [int(r[0]) for r in rows] == list(range(5, 61))
+        assert _close([float(r[1]) for r in rows], oracle.riesz_closeness(params, 5, 60))
 
     @given(params=st.one_of(BAROTROPIC, NONBAROTROPIC), start=st.integers(0, 20), length=st.integers(0, 30))
     @settings(max_examples=40, deadline=None)
     def test_random_windows(self, params, start, length):
         threshold = max(1, int(np.floor(params.n0)) + 1) if params.dim == 2 else 1
         start = max(start, threshold)
-        assert _same(riesz_closeness(params, start, start + length), oracle.riesz_closeness(params, start, start + length))
+        got = np.diff(riesz_closeness(params, start, start + length), prepend=0.0)
+        ref = np.diff(oracle.riesz_closeness(params, start, start + length), prepend=0.0)
+        assert got.shape == ref.shape
+        # increment by increment: a mode whose labelling is a tie (see
+        # _label_match) measures its vectors against other targets
+        tol = spectrum.DEFAULT_CLUSTERING_TOL
+        for k, (g, r) in enumerate(zip(got, ref)):
+            ns = (start + k, -start - k)
+            values = spectrum._solve_modes(params, ns, tol).values
+            matches = [_label_match(params, n, v, oracle._mode_pairs(params, n, tol), RANDOM_RTOL) for n, v in zip(ns, values)]
+            assert matches != [list(range(params.dim))] * 2 or _close(g, r, RANDOM_RTOL)
