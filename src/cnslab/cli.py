@@ -355,12 +355,10 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
 def _invariant_sweep(params) -> dict:
     """Small post-run invariant check: residuals and sign conditions."""
-    slice_ = build_slice(params, 16)
-    worst_residual = max(p.residual for p in slice_.pairs())
-    re_ok = all(p.value.real < 0 for p in slice_.pairs())
+    table = build_slice(params, 16).basis
     return {
-        "max_eigen_residual": worst_residual,
-        "all_re_negative": re_ok,
+        "max_eigen_residual": float(table.residuals.max()),
+        "all_re_negative": bool((table.values.real < 0).all()),
         "modes_checked": 16,
     }
 

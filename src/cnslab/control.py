@@ -23,6 +23,7 @@ the solve's Gram for the rows it already holds.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import decimal
 import itertools
@@ -188,13 +189,26 @@ def build_moment_system(
     )
 
 
+def _proportional_pairs(rows: list[MomentRow]) -> list[tuple[int, int]]:
+    """Every pair ``i < j`` of proportional rows (:func:`_proportional_rows`), in lexicographic order.
+
+    Proportional rates lie within 1e-12 relative of each other, and so do
+    their moduli, so the candidates of a single-term row are the rows after
+    it in a sort by modulus up to twice that radius; the predicate decides.
+    Rates are finite (conjugate eigenvalues of the slice).
+    """
+    single = sorted((abs(row.rate), i) for i, row in enumerate(rows) if len(row.kernel) == 1)
+    moduli = [modulus for modulus, _ in single]
+    pairs = []
+    for a, (modulus, i) in enumerate(single):
+        end = bisect.bisect_right(moduli, modulus + 2e-12 * max(1.0, modulus), lo=a + 1)
+        pairs += [(min(i, j), max(i, j)) for _, j in single[a + 1 : end] if _proportional_rows(rows[i], rows[j])]
+    return sorted(pairs)
+
+
 def _rank_deficiency_groups(rows: list[MomentRow]) -> list[tuple[int, int]]:
     """Pairs of rows from distinct modes with proportional kernels."""
-    return [
-        (i, j)
-        for i, j in itertools.combinations(range(len(rows)), 2)
-        if rows[i].n != rows[j].n and _proportional_rows(rows[i], rows[j])
-    ]
+    return [(i, j) for i, j in _proportional_pairs(rows) if rows[i].n != rows[j].n]
 
 
 @contextmanager
@@ -475,26 +489,26 @@ def _gram_times(Gr: list[list], Gi: list[list], xr: list, xi: list) -> tuple[lis
 def _duplicate_row_structure(system: MomentSystem) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int, complex]]]:
     """Split rows into kept and dropped-by-proportionality, with constants.
 
-    A row proportional to an earlier kept one (:func:`_proportional_rows`) is
-    redundant when its target matches the proportionality constant and
-    contradictory otherwise.
+    A row proportional to an earlier kept one (:func:`_proportional_rows`;
+    the first such row is its base) is redundant when its target matches the
+    proportionality constant and contradictory otherwise.
     """
-    keep: list[int] = []
+    rows = system.rows
+    base: dict[int, int] = {}
+    # by later row, then earlier row: a row's own base is settled before any pair naming it as the earlier one
+    for i, j in sorted(_proportional_pairs(rows), key=lambda pair: pair[::-1]):
+        if i not in base:
+            base.setdefault(j, i)
     inconsistent: list[tuple[int, int]] = []
     dropped: list[tuple[int, int, complex]] = []
-    for j, row in enumerate(system.rows):
-        duplicate_of = next((i for i in keep if _proportional_rows(system.rows[i], row)), None)
-        if duplicate_of is None:
-            keep.append(j)
-            continue
-        base = system.rows[duplicate_of]
-        c = row.kernel[0].coef / base.kernel[0].coef
-        scale = max(abs(row.target), abs(base.target), 1e-300)
-        if abs(row.target - c * base.target) <= 1e-8 * scale:
-            dropped.append((j, duplicate_of, c))
+    for j, i in sorted(base.items()):
+        c = rows[j].kernel[0].coef / rows[i].kernel[0].coef
+        scale = max(abs(rows[j].target), abs(rows[i].target), 1e-300)
+        if abs(rows[j].target - c * rows[i].target) <= 1e-8 * scale:
+            dropped.append((j, i, c))
         else:
-            inconsistent.append((duplicate_of, j))
-    return keep, inconsistent, dropped
+            inconsistent.append((i, j))
+    return [j for j in range(len(rows)) if j not in base], inconsistent, dropped
 
 
 def _discarded_singular_values(system: MomentSystem, keep: list[int]) -> int:

@@ -31,7 +31,7 @@ from .evolution import ObservationChannel, adjoint_state, observation_signal, ob
 from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
 from .model import BarotropicParams, SystemParams
 from .observability import observation_energy
-from .spectrum import BranchLabel, SpectrumSlice, build_slice
+from .spectrum import _BRANCH_ORDER, SpectrumSlice, build_slice
 
 TWO_PI = 2.0 * np.pi
 #: Branch column of the hyperbolic eigenpair in a basis table (first in either system).
@@ -304,16 +304,17 @@ def degenerate_uc_witness(
     if pair is None:
         raise NotDegenerate("no cross-mode eigenvalue coincidence in this slice")
     (n_a, b_a), (n_b, b_b) = pair.first, pair.second
-    pa = next(p for p in slice_.mode(n_a).pairs if p.branch is b_a)
-    pb = next(p for p in slice_.mode(n_b).pairs if p.branch is b_b)
-    obs_a = observation_value(channel, pa.vector, n_a, params)
-    obs_b = observation_value(channel, pb.vector, n_b, params)
+    table = slice_.basis
+    rows, columns = table.rows([n_a, n_b]), [_BRANCH_ORDER[b_a], _BRANCH_ORDER[b_b]]
+    vector_a, vector_b = table.vectors[rows, columns]
+    obs_a = observation_value(channel, vector_a, n_a, params)
+    obs_b = observation_value(channel, vector_b, n_b, params)
     C = -obs_b
     D = obs_a
     N = slice_.N
     terminal = SpectralField.zeros(params.dim, N)
-    terminal.coeffs[n_a + N] += C * pa.vector
-    terminal.coeffs[n_b + N] += D * pb.vector
+    terminal.coeffs[n_a + N] += C * vector_a
+    terminal.coeffs[n_b + N] += D * vector_b
     expansion = expand_in_eigenbasis(terminal, slice_)
     signal = observation_signal(expansion, slice_, channel, _UC_HORIZON)
     ts = np.linspace(0.0, _UC_HORIZON, _UC_TIMES)
@@ -326,7 +327,7 @@ def degenerate_uc_witness(
     scale = (abs(C) + abs(D)) * max(abs(obs_a), abs(obs_b))
     return DegenerateWitnessRecord(
         channel=channel,
-        value=pa.value,
+        value=complex(table.values[rows[0], columns[0]]),
         modes=(n_a, n_b),
         C=C,
         D=D,
@@ -374,10 +375,10 @@ def regularity_gap_witness(
         raise DomainError("n_list must be increasing with at least two entries, each >= 1")
     slice_ = build_slice(params, max(n_list))
     norm_spec = NormSpec.dual_order(params, s)
+    hyperbolic = slice_.basis.vectors[slice_.basis.rows(n_list), _HYPERBOLIC]
     table: dict[int, float] = {}
-    for n in n_list:
-        pair = next(p for p in slice_.mode(n).pairs if p.branch is BranchLabel.HYPERBOLIC)
-        terminal = SpectralField.single_mode(n, pair.vector, max(n_list))
+    for n, vector in zip(n_list, hyperbolic):
+        terminal = SpectralField.single_mode(n, vector, max(n_list))
         expansion = expand_in_eigenbasis(terminal, slice_)
         signal = observation_signal(expansion, slice_, channel, T)
         energy, _ = observation_energy(signal, T)

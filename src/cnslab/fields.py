@@ -186,7 +186,7 @@ class EigenExpansion:
     """Per-mode coefficients against the slice's (generalized) eigenbasis.
 
     ``coefficients[n]`` aligns with the columns of mode ``n`` in
-    :attr:`SpectrumSlice.basis` (the order of ``slice.mode(n).basis_vectors()``):
+    the table :attr:`SpectrumSlice.basis` (its row ``rows([n])[0]``):
     cluster by cluster, eigenvector first, then chain vectors by level.
     """
 

@@ -31,7 +31,7 @@ from .evolution import (
 from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
 from .kernels import poly_exp_integral, signal_energy
 from .model import BarotropicParams, SystemParams
-from .spectrum import BranchLabel, SpectrumSlice
+from .spectrum import SpectrumSlice
 
 def observation_energy(signal: ObservationSignal, T: float | None = None) -> tuple[float, float]:
     """Closed-form value and rounding bound of ``int_0^T |y|**2 dt``.
@@ -219,17 +219,12 @@ def _min_pairwise_gap(values: dict[int, complex]) -> tuple[float, tuple[int, int
     return _first_minima(keys, keys, table)[0]
 
 
-def _merged_parabolic(slice_: SpectrumSlice) -> dict[int, complex]:
-    """Parabolic family with the interleaved index map of the three-field case."""
-    if slice_.dim == 2:
-        return slice_.branch_values(BranchLabel.PARABOLIC)
-    p1 = slice_.branch_values(BranchLabel.PARABOLIC_LAMBDA)
-    p2 = slice_.branch_values(BranchLabel.PARABOLIC_KAPPA)
-    merged = {}
-    for k, v in p1.items():
-        merged[2 * k - 1 if k > 0 else 2 * k + 1] = v
-    for k, v in p2.items():
-        merged[2 * k] = v
+def _merged_parabolic(p1: dict[int, complex], p2: dict[int, complex] | None = None) -> dict[int, complex]:
+    """Parabolic family: the one branch, or the two three-field branches with the interleaved index map."""
+    if p2 is None:
+        return p1
+    merged = {(2 * k - 1 if k > 0 else 2 * k + 1): v for k, v in p1.items()}
+    merged.update((2 * k, v) for k, v in p2.items())
     return merged
 
 
@@ -254,8 +249,11 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
             + (", cross gaps between distinct n**2" if slice_.dim == 3 else "")
             + f"), got N = {slice_.N}"
         )
-    hyp = slice_.branch_values(BranchLabel.HYPERBOLIC)
-    par = _merged_parabolic(slice_)
+    # the values of each branch by mode, in slice order -1, 1, -2, 2, ...
+    table = slice_.basis
+    order = np.argsort(np.abs(table.ns), kind="stable")
+    hyp, *parabolic = (dict(zip(table.ns[order].tolist(), column)) for column in table.values[order].T.tolist())
+    par = _merged_parabolic(*parabolic)
     scale = max(max(abs(v) for v in hyp.values()), 1.0)
 
     h1_gap, h1_wit = _min_pairwise_gap(hyp)
@@ -350,8 +348,7 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
 
     cross_gaps: dict[str, float] = {}
     if slice_.dim == 3:
-        p1v = slice_.branch_values(BranchLabel.PARABOLIC_LAMBDA)
-        p2v = slice_.branch_values(BranchLabel.PARABOLIC_KAPPA)
+        p1v, p2v = parabolic
         cross_gaps["p1_p1_over_n2"] = _min_squared_gap(p1v, p1v, 1.0, 1.0)
         cross_gaps["p2_p2_over_n2"] = _min_squared_gap(p2v, p2v, 1.0, 1.0)
         cross_gaps["p1_p2_over_mixed"] = _min_squared_gap(p1v, p2v, params.lambda0, params.kappa0)

@@ -26,6 +26,10 @@ chains).  The batched arithmetic is plain numpy arithmetic: it agrees with a
 per-mode solve to rounding, and so do the discrete outputs (branch labels,
 clusters, Jordan levels, coincidences) wherever the rule that decides them
 is not tied within rounding.
+
+A slice stores its eigenstructure once, as the stacked arrays of a
+:class:`BasisTable`; the per-mode :class:`ModeSpectrum` objects are views
+built from it on request.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +67,7 @@ class BranchLabel(Enum):
     PARABOLIC_KAPPA = "pk"
 
 
-#: Deterministic branch ordering used for tie-breaks and exports.
+#: Column of each branch in the batched arrays and the basis table; also the order of ties and exports.
 _BRANCH_ORDER = {
     BranchLabel.HYPERBOLIC: 0,
     BranchLabel.PARABOLIC: 1,
@@ -227,21 +231,26 @@ class Coincidence:
 
 
 class BasisTable(NamedTuple):
-    """The (generalized) eigenbasis of a slice as stacked arrays, modes ascending.
+    """The eigenstructure of a slice as stacked arrays, modes ascending.
 
-    Row ``r`` belongs to mode ``ns[r]``.  ``values`` and ``vectors`` hold the
-    eigenpairs in branch order (``vectors[r, b]`` the eigenvector of branch
-    ``b``).  Column ``j`` of ``basis[r]`` is the mode's j-th basis vector,
-    cluster by cluster as in :meth:`ModeSpectrum.basis_vectors`, with its
-    cluster's eigenvalue in ``rates``, its cluster index in ``clusters``
-    and its Jordan level in ``levels`` (0 outside a chain).  ``conds`` are
-    the 2-norm condition numbers of the ``basis`` matrices; ``unchained`` is
-    set when some mode has a repeated value without a full basis block.
+    Row ``r`` belongs to mode ``ns[r]``.  ``values``, ``nu_scaled``,
+    ``vectors`` and ``residuals`` hold the eigenpairs in branch order
+    (``vectors[r, b]`` the eigenvector of branch ``b``, see
+    :class:`EigenPair`).  Column ``j`` of ``basis[r]`` is the mode's j-th
+    basis vector, cluster by cluster as in :meth:`ModeSpectrum.basis_vectors`,
+    with its cluster's eigenvalue in ``rates``, its cluster index in
+    ``clusters`` and its Jordan level in ``levels`` (0 outside a chain).
+    ``conds`` are the 2-norm condition numbers of the ``basis`` matrices.
+    ``unchained`` marks a table in which some mode has a repeated value
+    without a full basis block (cluster index -1 on the missing columns);
+    :func:`build_slice` always completes the block.
     """
 
     ns: np.ndarray  # (K,)
     values: np.ndarray  # (K, dim)
+    nu_scaled: np.ndarray  # (K, dim)
     vectors: np.ndarray  # (K, dim, dim)
+    residuals: np.ndarray  # (K, dim)
     basis: np.ndarray  # (K, dim, dim)
     rates: np.ndarray  # (K, dim)
     clusters: np.ndarray  # (K, dim)
@@ -263,39 +272,37 @@ class BasisTable(NamedTuple):
 class SpectrumSlice:
     """Eigenstructure of all modes ``1 <= |n| <= N``, with coincidence data.
 
-    Treated as immutable once built: :attr:`basis` is computed from it on
-    first use and cached.
+    :attr:`basis` is the one store.  :attr:`modes` holds per-mode
+    :class:`ModeSpectrum` views of it, built on first use and cached.
+    Treated as immutable once built.
     """
 
     params: SystemParams
     N: int
     clustering_tolerance: float
-    modes: dict[int, ModeSpectrum]
+    basis: BasisTable
     coincidences: list[Coincidence]
 
     @property
     def dim(self) -> int:
         return self.params.dim
 
+    @cached_property
+    def modes(self) -> dict[int, ModeSpectrum]:
+        """The modes in slice order ``-1, 1, -2, 2, ...``."""
+        return {view.n: view for view in self._views(np.argsort(np.abs(self.basis.ns), kind="stable"))}
+
     def mode(self, n: int) -> ModeSpectrum:
         return self.modes[n]
 
-    def pairs(self) -> Iterable[EigenPair]:
-        for n in sorted(self.modes):
-            yield from self.modes[n].pairs
-
-    def branch_values(self, branch: BranchLabel) -> dict[int, complex]:
-        out = {}
-        for n, mode in self.modes.items():
-            for p in mode.pairs:
-                if p.branch is branch:
-                    out[n] = p.value
-        return out
-
-    @cached_property
-    def basis(self) -> BasisTable:
-        """The basis table of the slice, built on first use."""
-        return _basis_table(self)
+    def _views(self, rows: np.ndarray) -> list[ModeSpectrum]:
+        """The modes of the table rows ``rows``, each rerunning :func:`_cluster_mode`
+        on its eigenpairs and symbol: the clusters and chains the row was filled from."""
+        symbols = _symbols(self.params, self.basis.ns[rows], MatrixKind.ADJOINT)
+        return [
+            _cluster_mode(ModeMatrix(pairs[0].n, self.dim, M, MatrixKind.ADJOINT), pairs, self.clustering_tolerance)
+            for M, pairs in zip(symbols, _mode_pairs(self.params, self.basis, rows))
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -618,26 +625,26 @@ def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> _Mode
     return _ModeBatch(ns, M, values, nu_scaled, vectors, residuals, near)
 
 
-def _mode_pairs(params: SystemParams, batch: _ModeBatch) -> list[tuple[EigenPair, ...]]:
-    """The eigenpairs of every mode of the batch, each mode's in branch order."""
-    values, nu_scaled = batch.values.tolist(), batch.nu_scaled.tolist()
+def _mode_pairs(params: SystemParams, table, rows) -> list[tuple[EigenPair, ...]]:
+    """The eigenpairs of the given rows of a solve or a basis table, each mode's in branch order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    values, nu_scaled, residuals = (a[rows].tolist() for a in (table.values, table.nu_scaled, table.residuals))
     branches = _BRANCHES[params.dim]
     unclassified = [_degenerate_diffusions(params) and b is not BranchLabel.HYPERBOLIC for b in branches]
-    residuals = batch.residuals.tolist()
     return [
         tuple(
             EigenPair(
                 n=n,
                 branch=branch,
                 value=values[k][b],
-                vector=batch.vectors[k, b],
+                vector=table.vectors[r, b],
                 nu_scaled=nu_scaled[k][b],
                 residual=residuals[k][b],
                 unclassified_by_paper=unclassified[b],
             )
             for b, branch in enumerate(branches)
         )
-        for k, n in enumerate(batch.ns.tolist())
+        for k, (r, n) in enumerate(zip(rows.tolist(), table.ns[rows].tolist()))
     ]
 
 
@@ -651,7 +658,7 @@ def eigen_barotropic(
     Emits :class:`DegenerateWarning` (without failing) when the two values
     coincide within the clustering tolerance.
     """
-    ((h, p),) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance))
+    ((h, p),) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance), [0])
     if abs(h.value - p.value) <= clustering_tolerance * max(1.0, abs(h.value)):
         warnings.warn(
             f"mode {n}: hyperbolic and parabolic eigenvalues coincide ({h.value:.6g})",
@@ -675,7 +682,7 @@ def eigen_nonbarotropic(
     assigned by dominant eigenvector component instead, with the pairs
     flagged ``unclassified_by_paper``.
     """
-    (pairs,) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance))
+    (pairs,) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance), [0])
     vals = [p.value for p in pairs]
     for i, j in itertools.combinations(range(3), 2):
         if abs(vals[i] - vals[j]) <= clustering_tolerance * max(1.0, abs(vals[i])):
@@ -737,35 +744,30 @@ def generalized_chain(
 
 
 def _cluster_mode(M: ModeMatrix, pairs: tuple[EigenPair, ...], tol: float) -> ModeSpectrum:
-    """Group coincident values of one mode and attach chains where defective."""
+    """Group coincident values of one mode and attach chains where defective.
+
+    ``pairs`` are in branch order, so the clusters come out ordered by their
+    first branch, each with its branches in order.
+    """
     unused = list(range(len(pairs)))
-    groups: list[list[int]] = []
+    clusters = []
     while unused:
         k = unused.pop(0)
-        group = [k]
-        for j in list(unused):
-            if abs(pairs[j].value - pairs[k].value) <= tol * max(1.0, abs(pairs[k].value)):
-                group.append(j)
-                unused.remove(j)
-        groups.append(group)
-
-    clusters = []
-    for group in sorted(groups, key=lambda g: min(_BRANCH_ORDER[pairs[k].branch] for k in g)):
-        members = sorted(group, key=lambda k: _BRANCH_ORDER[pairs[k].branch])
-        branches = tuple(pairs[k].branch for k in members)
+        members = [k] + [j for j in unused if abs(pairs[j].value - pairs[k].value) <= tol * max(1.0, abs(pairs[k].value))]
+        unused = [j for j in unused if j not in members]
+        branches = tuple(pairs[j].branch for j in members)
         if len(members) == 1:
-            p = pairs[members[0]]
-            clusters.append(Cluster(value=p.value, branches=branches, vectors=(p.vector,), chain=None))
+            clusters.append(Cluster(value=pairs[k].value, branches=branches, vectors=(pairs[k].vector,), chain=None))
             continue
-        value = np.mean([pairs[k].value for k in members])
-        base = pairs[members[0]].vector
+        value = np.mean([pairs[j].value for j in members])
+        base = pairs[k].vector
         # Geometric multiplicity from the shifted matrix: a full eigenspace
         # (cross-style repeat inside one mode) admits no chain.
         shifted = M.entries - value * np.eye(M.dim)
         svals = np.linalg.svd(shifted, compute_uv=False)
         geo = int(np.sum(svals <= 1e-10 * max(svals[0], 1e-300)))
         if geo >= len(members):
-            vecs = tuple(pairs[k].vector for k in members)
+            vecs = tuple(pairs[j].vector for j in members)
             clusters.append(Cluster(value=value, branches=branches, vectors=vecs, chain=None))
             continue
         chain = generalized_chain(M, value, base, multiplicity=len(members))
@@ -780,7 +782,7 @@ def _cluster_mode(M: ModeMatrix, pairs: tuple[EigenPair, ...], tol: float) -> Mo
     return ModeSpectrum(n=M.n, pairs=pairs, clusters=tuple(clusters))
 
 
-def _coincidences(batch: _ModeBatch, branches: tuple[BranchLabel, ...], tol: float) -> list[Coincidence]:
+def _coincidences(batch: _ModeBatch | BasisTable, branches: tuple[BranchLabel, ...], tol: float) -> list[Coincidence]:
     """Every pair of (mode, branch) slots whose values agree within ``tol``.
 
     Slots run over modes ascending, branches in order; a pair ``i < j`` is
@@ -834,70 +836,49 @@ def build_slice(
 ) -> SpectrumSlice:
     """Eigenstructure over the window ``1 <= |n| <= N`` plus coincidence table.
 
-    Chains are attached only inside a single mode matrix; coincidences across
-    modes (distinct eigenfunctions) are recorded in the table but never
-    chained.
+    A mode outside clustering reach (see :func:`_within_reach`) takes its
+    eigenvectors in branch order as its basis; a mode within reach takes the
+    columns of :func:`_cluster_mode`.  Chains are attached only inside a
+    single mode matrix; coincidences across modes (distinct eigenfunctions)
+    are recorded in the table but never chained.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    ns = np.repeat(np.arange(1, N + 1), 2) * np.tile([-1, 1], N)
-    batch = _solve_modes(params, ns, clustering_tolerance)
-    modes = {}
-    for n, pairs, near, M in zip(ns.tolist(), _mode_pairs(params, batch), batch.near, batch.symbols):
-        if near:
-            modes[n] = _cluster_mode(ModeMatrix(n, params.dim, M, MatrixKind.ADJOINT), pairs, clustering_tolerance)
-        else:
-            clusters = tuple(Cluster(value=p.value, branches=(p.branch,), vectors=(p.vector,), chain=None) for p in pairs)
-            modes[n] = ModeSpectrum(n=n, pairs=pairs, clusters=clusters)
+    batch = _solve_modes(params, np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)]), clustering_tolerance)
+    dim = params.dim
+    columns = batch.vectors.copy()  # columns[r, j]: the j-th basis vector of row r
+    rates = batch.values.copy()
+    clusters = np.tile(np.arange(dim), (batch.ns.size, 1))
+    levels = np.zeros_like(clusters)
+    near = np.flatnonzero(batch.near)
+    for r, pairs in zip(near.tolist(), _mode_pairs(params, batch, near)):
+        M = ModeMatrix(pairs[0].n, dim, batch.symbols[r], MatrixKind.ADJOINT)
+        j = 0
+        for ci, cluster in enumerate(_cluster_mode(M, pairs, clustering_tolerance).clusters):
+            for level, vector in enumerate(cluster.vectors):
+                columns[r, j], rates[r, j], clusters[r, j] = vector, cluster.value, ci
+                levels[r, j] = level if cluster.chain is not None else 0
+                j += 1
+    basis = columns.swapaxes(1, 2)
+    table = BasisTable(
+        ns=batch.ns,
+        values=batch.values,
+        nu_scaled=batch.nu_scaled,
+        vectors=batch.vectors,
+        residuals=batch.residuals,
+        basis=basis,
+        rates=rates,
+        clusters=clusters,
+        levels=levels,
+        conds=np.linalg.cond(basis),
+        unchained=False,
+    )
     return SpectrumSlice(
         params=params,
         N=N,
         clustering_tolerance=clustering_tolerance,
-        modes=modes,
-        coincidences=_coincidences(batch, _BRANCHES[params.dim], clustering_tolerance),
-    )
-
-
-def _basis_table(slice_: SpectrumSlice) -> BasisTable:
-    """Stack the slice's eigenpairs and the basis vectors of its clusters.
-
-    A mode with fewer basis vectors than ``dim`` fills its missing columns
-    with zero vectors of cluster index -1 and sets ``unchained``.
-    """
-    dim = slice_.dim
-    ns = sorted(slice_.modes)
-    values, vectors, columns, rates, clusters, levels = [], [], [], [], [], []
-    for n in ns:
-        mode = slice_.modes[n]
-        for p in mode.pairs:
-            values.append(p.value)
-            vectors.append(p.vector)
-        for ci, cluster in enumerate(mode.clusters):
-            is_chain = cluster.chain is not None
-            for level, vector in enumerate(cluster.vectors):
-                columns.append(vector)
-                rates.append(cluster.value)
-                clusters.append(ci)
-                levels.append(level if is_chain else 0)
-        missing = len(values) - len(columns)
-        if missing:
-            columns += [np.zeros(dim, dtype=complex)] * missing
-            rates += [0j] * missing
-            clusters += [-1] * missing
-            levels += [0] * missing
-    shape = (len(ns), dim)
-    basis = np.array(columns, dtype=complex).reshape(*shape, dim).swapaxes(1, 2)
-    clusters = np.array(clusters, dtype=np.int64).reshape(shape)
-    return BasisTable(
-        ns=np.array(ns, dtype=np.int64),
-        values=np.array(values, dtype=complex).reshape(shape),
-        vectors=np.array(vectors, dtype=complex).reshape(*shape, dim),
-        basis=basis,
-        rates=np.array(rates, dtype=complex).reshape(shape),
-        clusters=clusters,
-        levels=np.array(levels, dtype=np.int64).reshape(shape),
-        conds=np.linalg.cond(basis),
-        unchained=bool((clusters < 0).any()),
+        basis=table,
+        coincidences=_coincidences(table, _BRANCHES[dim], clustering_tolerance),
     )
 
 
@@ -950,24 +931,25 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
 
 
 def export_spectrum_csv(slice_: SpectrumSlice, path) -> None:
-    """Write ``n,branch,re,im,alg_mult,residual`` rows, modes ascending."""
+    """Write ``n,branch,re,im,alg_mult,residual`` rows, modes ascending.
+
+    ``alg_mult`` is the size of the pair's cluster; only the modes with a
+    cluster of several values need their view to say which pairs it holds.
+    """
+    table = slice_.basis
+    branches = _BRANCHES[slice_.dim]
+    mult = np.ones(table.values.shape, dtype=np.int64)
+    merged = np.flatnonzero((table.clusters != np.arange(slice_.dim)).any(axis=1))
+    for r, mode in zip(merged.tolist(), slice_._views(merged)):
+        for c in mode.clusters:
+            mult[r, [branches.index(b) for b in c.branches]] = len(c.branches)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "branch", "re", "im", "alg_mult", "residual"])
-        for n in sorted(slice_.modes):
-            mode = slice_.modes[n]
-            mult = {}
-            for c in mode.clusters:
-                for b in c.branches:
-                    mult[b] = len(c.branches)
-            for p in sorted(mode.pairs, key=lambda q: _BRANCH_ORDER[q.branch]):
+        for n, values, mults, residuals in zip(
+            table.ns.tolist(), table.values.tolist(), mult.tolist(), table.residuals.tolist()
+        ):
+            for branch, value, m, residual in zip(branches, values, mults, residuals):
                 writer.writerow(
-                    [
-                        n,
-                        p.branch.value,
-                        format(p.value.real, ".17g"),
-                        format(p.value.imag, ".17g"),
-                        mult.get(p.branch, 1),
-                        format(p.residual, ".17g"),
-                    ]
+                    [n, branch.value, format(value.real, ".17g"), format(value.imag, ".17g"), m, format(residual, ".17g")]
                 )

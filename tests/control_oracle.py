@@ -10,7 +10,8 @@ numbers where production works on complex pairs of ``decimal.Decimal``:
 * the per-pair double-precision Gram built from scalar kernel pairings;
 * moment integrals ``integral_0^T p(t) (T-t)**k e^{rate (T-t)} dt`` with one
   exponential per (solution term, rate) pair;
-* control evaluation with one exponential per (point, term).
+* control evaluation with one exponential per (point, term);
+* the proportional-row scans over every pair of moment rows.
 
 Each takes the same rows and coefficients as the production path, so a test
 can compare the two entry by entry.
@@ -18,10 +19,12 @@ can compare the two entry by entry.
 
 from __future__ import annotations
 
+import itertools
+
 import mpmath
 import numpy as np
 
-from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _duplicate_row_structure
+from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _duplicate_row_structure, _proportional_rows
 from cnslab.kernels import poly_exp_integral, poly_exp_integral_mp
 
 
@@ -152,3 +155,30 @@ def evaluate_control(solution, t) -> np.ndarray:
                     )
             out[i] = complex(acc)
     return out
+
+
+def rank_deficiency_groups(rows) -> list[tuple[int, int]]:
+    """Pairs of rows from distinct modes with proportional kernels, from every pair of rows."""
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(rows)), 2)
+        if rows[i].n != rows[j].n and _proportional_rows(rows[i], rows[j])
+    ]
+
+
+def duplicate_row_structure(system):
+    """``(keep, inconsistent, dropped)``, each row checked against every kept row before it."""
+    keep, inconsistent, dropped = [], [], []
+    for j, row in enumerate(system.rows):
+        duplicate_of = next((i for i in keep if _proportional_rows(system.rows[i], row)), None)
+        if duplicate_of is None:
+            keep.append(j)
+            continue
+        base = system.rows[duplicate_of]
+        c = row.kernel[0].coef / base.kernel[0].coef
+        scale = max(abs(row.target), abs(base.target), 1e-300)
+        if abs(row.target - c * base.target) <= 1e-8 * scale:
+            dropped.append((j, duplicate_of, c))
+        else:
+            inconsistent.append((duplicate_of, j))
+    return keep, inconsistent, dropped

@@ -7,6 +7,10 @@ The per-mode code that production no longer runs:
   assignment, closed-form eigenvectors and residuals computed per pair;
 * the per-mode clustering and the brute-force coincidence scan over every
   pair of (mode, branch) slots;
+* the spectrum export read from the per-mode objects;
+* a slice stored as its per-mode objects (:class:`ModeSlice`), whose basis
+  table is stacked from them (:func:`table_from_modes`), so that a test can
+  also hand production a hand-built slice;
 * the quadratic-closeness deficits, two per-mode solves per ``n``;
 * the Ingham audit with its loops over every pair of modes.
 
@@ -18,8 +22,12 @@ value by value.  Only the defect logic that production still runs per mode
 from __future__ import annotations
 
 import cmath
+import csv
 import itertools
 import warnings
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from cnslab.spectrum import (
     _BRANCH_ORDER,
     DEFAULT_CLUSTERING_TOL,
     EIGEN_RESIDUAL_TOL,
+    BasisTable,
     BranchLabel,
     Cluster,
     Coincidence,
@@ -484,7 +493,7 @@ def build_slice(
     params: SystemParams,
     N: int,
     clustering_tolerance: float = DEFAULT_CLUSTERING_TOL,
-) -> SpectrumSlice:
+) -> ModeSlice:
     """Eigenstructure over the window ``1 <= |n| <= N`` plus coincidence table.
 
     Chains are attached only inside a single mode matrix; coincidences across
@@ -499,13 +508,121 @@ def build_slice(
         modes[n] = _cluster_mode(params, n, pairs, clustering_tolerance)
 
     slots = [(p.n, p.branch, p.value) for n in sorted(modes) for p in modes[n].pairs]
-    return SpectrumSlice(
+    return ModeSlice(
         params=params,
         N=N,
         clustering_tolerance=clustering_tolerance,
         modes=modes,
         coincidences=coincidence_table(slots, clustering_tolerance),
     )
+
+
+@dataclass
+class ModeSlice:
+    """A slice stored as its per-mode objects, the basis table stacked from them.
+
+    It has the attributes the consumers of :class:`cnslab.spectrum.SpectrumSlice`
+    read, so a test can hand one to production; its ``modes`` may be built
+    by hand.
+    """
+
+    params: SystemParams
+    N: int
+    clustering_tolerance: float
+    modes: dict[int, ModeSpectrum]
+    coincidences: list[Coincidence]
+
+    @property
+    def dim(self) -> int:
+        return self.params.dim
+
+    def mode(self, n: int) -> ModeSpectrum:
+        return self.modes[n]
+
+    def pairs(self) -> Iterable[EigenPair]:
+        for n in sorted(self.modes):
+            yield from self.modes[n].pairs
+
+    @cached_property
+    def basis(self) -> BasisTable:
+        return table_from_modes(self.modes, self.dim)
+
+
+def with_modes(slice_, modes: dict[int, ModeSpectrum]) -> ModeSlice:
+    """The slice with its per-mode objects replaced by ``modes``."""
+    return ModeSlice(slice_.params, slice_.N, slice_.clustering_tolerance, modes, slice_.coincidences)
+
+
+def table_from_modes(modes: dict[int, ModeSpectrum], dim: int) -> BasisTable:
+    """Stack the eigenpairs of the modes and the basis vectors of their clusters.
+
+    A mode with fewer basis vectors than ``dim`` fills its missing columns
+    with zero vectors of cluster index -1 and sets ``unchained``.
+    """
+    ns = sorted(modes)
+    values, nu_scaled, vectors, residuals, columns, rates, clusters, levels = ([] for _ in range(8))
+    for n in ns:
+        mode = modes[n]
+        for p in mode.pairs:
+            values.append(p.value)
+            nu_scaled.append(p.nu_scaled)
+            vectors.append(p.vector)
+            residuals.append(p.residual)
+        for ci, cluster in enumerate(mode.clusters):
+            is_chain = cluster.chain is not None
+            for level, vector in enumerate(cluster.vectors):
+                columns.append(vector)
+                rates.append(cluster.value)
+                clusters.append(ci)
+                levels.append(level if is_chain else 0)
+        missing = len(values) - len(columns)
+        if missing:
+            columns += [np.zeros(dim, dtype=complex)] * missing
+            rates += [0j] * missing
+            clusters += [-1] * missing
+            levels += [0] * missing
+    shape = (len(ns), dim)
+    basis = np.array(columns, dtype=complex).reshape(*shape, dim).swapaxes(1, 2)
+    clusters = np.array(clusters, dtype=np.int64).reshape(shape)
+    return BasisTable(
+        ns=np.array(ns, dtype=np.int64),
+        values=np.array(values, dtype=complex).reshape(shape),
+        nu_scaled=np.array(nu_scaled, dtype=complex).reshape(shape),
+        vectors=np.array(vectors, dtype=complex).reshape(*shape, dim),
+        residuals=np.array(residuals, dtype=float).reshape(shape),
+        basis=basis,
+        rates=np.array(rates, dtype=complex).reshape(shape),
+        clusters=clusters,
+        levels=np.array(levels, dtype=np.int64).reshape(shape),
+        conds=np.linalg.cond(basis),
+        unchained=bool((clusters < 0).any()),
+    )
+
+
+def export_spectrum_csv(slice_, path) -> None:
+    """Write ``n,branch,re,im,alg_mult,residual`` rows from the per-mode objects, modes ascending."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "branch", "re", "im", "alg_mult", "residual"])
+        for n in sorted(slice_.modes):
+            mode = slice_.modes[n]
+            mult = {b: len(c.branches) for c in mode.clusters for b in c.branches}
+            for p in sorted(mode.pairs, key=lambda q: _BRANCH_ORDER[q.branch]):
+                writer.writerow(
+                    [
+                        n,
+                        p.branch.value,
+                        format(p.value.real, ".17g"),
+                        format(p.value.imag, ".17g"),
+                        mult.get(p.branch, 1),
+                        format(p.residual, ".17g"),
+                    ]
+                )
+
+
+def branch_values(slice_, branch: BranchLabel) -> dict[int, complex]:
+    """The values of one branch by mode, in the order of ``slice_.modes``."""
+    return {n: p.value for n, mode in slice_.modes.items() for p in mode.pairs if p.branch is branch}
 
 
 def coincidence_table(slots, clustering_tolerance: float) -> list[Coincidence]:
@@ -606,9 +723,9 @@ def _min_pairwise_gap(values: dict[int, complex]) -> tuple[float, tuple[int, int
 def _merged_parabolic(slice_: SpectrumSlice) -> dict[int, complex]:
     """Parabolic family with the interleaved index map of the three-field case."""
     if slice_.dim == 2:
-        return slice_.branch_values(BranchLabel.PARABOLIC)
-    p1 = slice_.branch_values(BranchLabel.PARABOLIC_LAMBDA)
-    p2 = slice_.branch_values(BranchLabel.PARABOLIC_KAPPA)
+        return branch_values(slice_, BranchLabel.PARABOLIC)
+    p1 = branch_values(slice_, BranchLabel.PARABOLIC_LAMBDA)
+    p2 = branch_values(slice_, BranchLabel.PARABOLIC_KAPPA)
     merged = {}
     for k, v in p1.items():
         merged[2 * k - 1 if k > 0 else 2 * k + 1] = v
@@ -624,7 +741,7 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
     the asymptote ``beta + i*tau*n`` is meaningful.  All verdicts carry the
     extremal witness that produced them.
     """
-    hyp = slice_.branch_values(BranchLabel.HYPERBOLIC)
+    hyp = branch_values(slice_, BranchLabel.HYPERBOLIC)
     par = _merged_parabolic(slice_)
     scale = max(max(abs(v) for v in hyp.values()), 1.0)
 
@@ -725,8 +842,8 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
 
     cross_gaps: dict[str, float] = {}
     if slice_.dim == 3:
-        p1v = slice_.branch_values(BranchLabel.PARABOLIC_LAMBDA)
-        p2v = slice_.branch_values(BranchLabel.PARABOLIC_KAPPA)
+        p1v = branch_values(slice_, BranchLabel.PARABOLIC_LAMBDA)
+        p2v = branch_values(slice_, BranchLabel.PARABOLIC_KAPPA)
         lam = params.lambda0
         kap = params.kappa0
         cross_gaps["p1_p1_over_n2"] = min(

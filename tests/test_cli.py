@@ -26,6 +26,23 @@ mu0 = 1.0
 b = {b}
 """
 
+#: the triple-root set of tests/conftest.py: mode 1 carries a Jordan triple
+THREE_FIELD = """
+[run]
+system = nonbarotropic
+command = {command}
+seed = 7
+
+[params]
+rho_bar = 1.0
+u_bar = 1.0
+theta_bar = 0.5
+lambda0 = 1.0
+kappa0 = 2.0
+R = 1.0
+c0 = 1.0
+"""
+
 #: per command, a section whose one unparsable knob (besides T) is ``x4``
 BAD_KNOB = {
     "spectrum": "[spectrum]\nN = x4\n",
@@ -84,18 +101,28 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize(
-        "command,section",
+        "header,section",
         [
-            ("observe", "[observe]\nN = 6\nT = 8.0\ntrials = 3\n"),
-            ("spectrum", "[spectrum]\nN = 12\n"),
-            ("ingham", "[ingham]\nN = 12\nT = 8.0\n"),
-            ("closeness", "[closeness]\nN_start = 5\nN_end = 20\n"),
-            ("witness-smalltime", "[witness]\nT = 3.0\nN_list = 6,8\nx_left = 3.2\nx_right = 5.8\n"),
+            (BASE.format(command="observe", u_bar=0.9, b=1.3), "[observe]\nN = 6\nT = 8.0\ntrials = 3\n"),
+            (BASE.format(command="spectrum", u_bar=0.9, b=1.3), "[spectrum]\nN = 12\n"),
+            (BASE.format(command="ingham", u_bar=0.9, b=1.3), "[ingham]\nN = 12\nT = 8.0\n"),
+            (BASE.format(command="closeness", u_bar=0.9, b=1.3), "[closeness]\nN_start = 5\nN_end = 20\n"),
+            (
+                BASE.format(command="witness-smalltime", u_bar=0.9, b=1.3),
+                "[witness]\nT = 3.0\nN_list = 6,8\nx_left = 3.2\nx_right = 5.8\n",
+            ),
+            # n1 = 1: modes -1 and 1 share a parabolic eigenvalue
+            (BASE.format(command="witness-degenerate", u_bar=1.0, b=1.25), "[witness]\nN = 4\n"),
+            (BASE.format(command="witness-regularity", u_bar=0.9, b=1.3), "[witness]\ns = 0.25\nn_list = 4,8,16\n"),
+            (THREE_FIELD.format(command="spectrum"), "[spectrum]\nN = 12\n"),
         ],
-        ids=["observe", "spectrum", "ingham", "closeness", "witness-smalltime"],
+        ids=[
+            "observe", "spectrum", "ingham", "closeness", "witness-smalltime", "witness-degenerate",
+            "witness-regularity", "spectrum-three-field",
+        ],
     )
-    def test_determinism_byte_identical(self, tmp_path, command, section):
-        cfg = _write(tmp_path, BASE.format(command=command, u_bar=0.9, b=1.3) + "\n" + section)
+    def test_determinism_byte_identical(self, tmp_path, header, section):
+        cfg = _write(tmp_path, header + "\n" + section)
         assert run(cfg, out_dir=tmp_path / "a") == 0
         assert run(cfg, out_dir=tmp_path / "b") == 0
         first = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}

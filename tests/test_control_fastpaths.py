@@ -339,7 +339,34 @@ class TestArithmeticSignals:
         assert "Traceback" not in err
 
 
+_BASE_RATES = (complex(-1.5, 2.0), complex(-1.5, -2.0), complex(-200.0, 17.0), complex(0.3, -0.1), 0j)
+# relative to max(1, |rate|): equal, inside, on and outside the 1e-12 predicate, along and across the rate
+_SHIFTS = (0.0, 0.5e-12, -0.5e-12, 1e-12, 2e-12, 0.5e-12j, -2e-12j)
+
+
+@st.composite
+def proportional_systems(draw):
+    """Rows on a few shared rates, nearly equal ones among them, of few modes, some with two kernel terms."""
+    rows = []
+    for _ in range(draw(st.integers(0, 24))):
+        base = draw(st.sampled_from(_BASE_RATES))
+        rate = base + draw(st.sampled_from(_SHIFTS)) * max(1.0, abs(base))
+        coef = draw(st.sampled_from([1.0 + 0j, -2.0 + 0j, 0.5j]))
+        kernel = [KernelTerm(coef, rate, 0)]
+        if draw(st.integers(0, 3)) == 0:
+            kernel.append(KernelTerm(1.0 + 0j, rate, 1))
+        target = coef * draw(st.sampled_from([1.0, 2.0, 0.0]))
+        rows.append(MomentRow(draw(st.sampled_from([-2, -1, 1, 2])), 0, 0, rate, kernel, target, 1.0 + 0j))
+    return MomentSystem(ObservationChannel.DENSITY, 8.0, 2, rows, False)
+
+
 class TestProportionalRows:
+    @settings(max_examples=150, deadline=None)
+    @given(system=proportional_systems())
+    def test_search_matches_all_pairs_scans(self, system):
+        assert control._rank_deficiency_groups(system.rows) == oracle.rank_deficiency_groups(system.rows)
+        assert control._duplicate_row_structure(system) == oracle.duplicate_row_structure(system)
+
     def _rows(self, rate_b, target_b):
         rate_a = complex(-1.5, 2.0)
         a = MomentRow(1, 0, 0, rate_a, [KernelTerm(1.0 + 0j, rate_a, 0)], 1.0 + 0j, 1.0 + 0j)

@@ -38,7 +38,7 @@ from cnslab.evolution import (
     observation_value,
 )
 from cnslab.fields import EigenExpansion, SpectralField, expand_in_eigenbasis, reconstruct
-from cnslab.spectrum import Cluster, GeneralizedChain, ModeSpectrum, build_slice
+from cnslab.spectrum import BasisTable, Cluster, GeneralizedChain, ModeSpectrum, build_slice
 from test_spectrum_fastpaths import BAROTROPIC, NAMED, NONBAROTROPIC, _close
 
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -126,8 +126,7 @@ def _semisimple_slice():
         vectors=tuple(p.vector for p in mode.pairs),
         chain=None,
     )
-    modes = {**slice_.modes, 3: ModeSpectrum(n=3, pairs=mode.pairs, clusters=(cluster,))}
-    return dataclasses.replace(slice_, modes=modes)
+    return spectrum_oracle.with_modes(slice_, {**slice_.modes, 3: ModeSpectrum(n=3, pairs=mode.pairs, clusters=(cluster,))})
 
 
 def _real_basis_slice():
@@ -149,14 +148,15 @@ def _real_basis_slice():
     modes[2] = ModeSpectrum(n=2, pairs=slice_.mode(2).pairs, clusters=tuple(
         Cluster(value=p.value, branches=(p.branch,), vectors=(v,), chain=None) for p, v in zip(slice_.mode(2).pairs, e)
     ))
-    return dataclasses.replace(slice_, modes=modes)
+    return spectrum_oracle.with_modes(slice_, modes)
 
 
 class TestBasisTable:
-    def test_build_slice_leaves_the_table_unbuilt(self):
+    def test_build_slice_builds_no_mode_objects(self):
         slice_ = build_slice(NAMED["triple_root"], 8)
-        assert "basis" not in vars(slice_)
-        assert slice_.basis is slice_.basis
+        assert "modes" not in vars(slice_)
+        assert isinstance(slice_.basis, BasisTable) and slice_.basis.ns.size == 16
+        assert slice_.modes is slice_.modes
 
     @pytest.mark.parametrize("name", sorted(NAMED))
     def test_table_matches_the_modes(self, name):
@@ -168,11 +168,14 @@ class TestBasisTable:
             assert _same(table.basis[r], np.column_stack(mode.basis_vectors()).astype(complex))
             assert _same(table.values[r], np.array([p.value for p in mode.pairs], dtype=complex))
             assert _same(table.vectors[r], np.array([p.vector for p in mode.pairs], dtype=complex))
+            assert _same(table.nu_scaled[r], np.array([p.nu_scaled for p in mode.pairs], dtype=complex))
+            assert _same(table.residuals[r], np.array([p.residual for p in mode.pairs], dtype=float))
+            assert _same(table.rates[r], np.array([c.value for c in mode.clusters for _ in c.vectors], dtype=complex))
         # against the table of the per-mode slice: structure exact, numbers per mode within the bound
         ref = spectrum_oracle.build_slice(NAMED[name], 12).basis
         for field in ("ns", "clusters", "levels", "unchained"):
             assert _same(getattr(table, field), getattr(ref, field)), field
-        for field in ("values", "vectors", "basis", "rates"):
+        for field in ("values", "nu_scaled", "vectors", "basis", "rates"):
             assert all(_close(g, r) for g, r in zip(getattr(table, field), getattr(ref, field))), field
         assert _close(table.conds, ref.conds)
 
@@ -252,7 +255,7 @@ class TestExpansion:
         slice_ = build_slice(NAMED["unit_barotropic"], 3)
         mode = slice_.mode(2)
         truncated = dataclasses.replace(mode.clusters[0], vectors=mode.clusters[0].vectors[:1])
-        slice_.modes[2] = dataclasses.replace(mode, clusters=(truncated,))
+        slice_ = spectrum_oracle.with_modes(slice_, {**slice_.modes, 2: dataclasses.replace(mode, clusters=(truncated,))})
         field = _random_field(2, 2, 3)
         with pytest.raises(DomainError, match="unresolved coincidence"):
             oracle.expand_in_eigenbasis(field, slice_)

@@ -184,7 +184,7 @@ _PAIR_WITNESSES = {"H1", "P1", "P3", "relaxed"}
 
 def _witness_value(slice_, name: str, witness):
     """The quantity a verdict's witness attains, from the slice's values in scalar arithmetic."""
-    hyp = slice_.branch_values(BranchLabel.HYPERBOLIC)
+    hyp = oracle.branch_values(slice_, BranchLabel.HYPERBOLIC)
     par = oracle._merged_parabolic(slice_)
     if name == "P2":
         v = par[witness]
@@ -294,16 +294,36 @@ class TestBatchedSolve:
         _assert_slices_agree(build_slice(NAMED[name], 12), oracle.build_slice(NAMED[name], 12))
 
     def test_spectrum_csv_bytes(self, tmp_path):
-        # n, branch and alg_mult exact; re, im within RTOL of the slice's
-        # largest value, residual within RTOL
+        # read from the views of the same slice, the bytes are the same;
+        # against the per-mode slice n, branch and alg_mult are exact, re, im
+        # within RTOL of the slice's largest value, residual within RTOL
         for name in sorted(NAMED):
-            export_spectrum_csv(build_slice(NAMED[name], 24), tmp_path / "new.csv")
-            export_spectrum_csv(_oracle_slice(name, 24), tmp_path / "old.csv")
+            slice_ = build_slice(NAMED[name], 24)
+            export_spectrum_csv(slice_, tmp_path / "new.csv")
+            oracle.export_spectrum_csv(slice_, tmp_path / "views.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "views.csv").read_bytes()
+            oracle.export_spectrum_csv(_oracle_slice(name, 24), tmp_path / "old.csv")
             new, old = (list(csv.reader((tmp_path / f).read_text().splitlines())) for f in ("new.csv", "old.csv"))
             assert [r[:2] + r[4:5] for r in new] == [r[:2] + r[4:5] for r in old]
             got, ref = (np.array([[float(x) for x in r[2:4]] for r in rows[1:]]) for rows in (new, old))
             assert _close(got, ref)
             assert _close([float(r[5]) for r in new[1:]], [float(r[5]) for r in old[1:]], scale=1.0)
+
+    def test_alg_mult_follows_the_pairs(self, tmp_path):
+        # at this tolerance mode 1 clusters h with pk and leaves pl alone, so
+        # the cluster of a pair is not that of the basis column of its index
+        params = NonBarotropicParams(
+            rho_bar=0.9547922439374674, u_bar=1.1802468342209773, theta_bar=0.7010625458707471,
+            lambda0=1.1046694796706937, kappa0=0.8051828610142244, R=0.8934700106627742, c0=1.625547008945079,
+        )
+        slice_ = build_slice(params, 6, clustering_tolerance=0.5)
+        h, pl, pk = spectrum._BRANCHES[3]
+        assert [c.branches for c in slice_.mode(1).clusters] == [(h, pk), (pl,)]
+        export_spectrum_csv(slice_, tmp_path / "new.csv")
+        oracle.export_spectrum_csv(slice_, tmp_path / "views.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "views.csv").read_bytes()
+        rows = {(r[0], r[1]): r[4] for r in csv.reader((tmp_path / "new.csv").read_text().splitlines())}
+        assert [rows[("1", b)] for b in ("h", "pl", "pk")] == ["2", "1", "2"]
 
     def test_mode_zero_rejected(self):
         with pytest.raises(DomainError):
