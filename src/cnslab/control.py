@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ArithmeticFailure, DomainError, InfeasibleRow, RankDeficient
 from .evolution import ObservationChannel, boundary_control_weight, chain_links, channel_dim_ok, observation_values
-from .fields import NormSpec, SpectralField, _complete_basis
+from .fields import NormSpec, SpectralField
 from .kernels import TAYLOR_RADIUS, KernelTerm, pair_integrals, poly_exp_integral_dec
 from .kernels import poly_exp_integral_mp  # noqa: F401  (perfbench/spans.py traces this name)
 from .spectrum import SpectrumSlice
@@ -113,13 +113,12 @@ def _chain_rows(
     element in basis column ``c`` pairs ``(T-t)**k / k!`` with column
     ``c - k`` for the chain levels ``k`` of :func:`chain_links` (``k = 0``
     alone outside a Jordan chain).  The target is minus the free terminal
-    pairing ``e^{conj(nu) T} sum_k T**k / k! <U0, Phi_{c-k}>_w``.  A mode
-    without a full basis block is refused, as in the expansion.
+    pairing ``e^{conj(nu) T} sum_k T**k / k! <U0, Phi_{c-k}>_w``.
     """
     params = slice_.params
     w_ch = boundary_control_weight(channel, params)
     norm_spec = NormSpec.weighted_l2(params)
-    table = _complete_basis(slice_)
+    table = slice_.basis
     rows = np.flatnonzero(np.abs(table.ns) <= N)
     observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), table.ns[rows, None], params).tolist()
     for r, obs in zip(rows.tolist(), observed):

@@ -186,6 +186,8 @@ def small_time_witness(
     spectral accuracy -- so the fitted slope certifies the one-sided blow-up
     statement rather than an exact rate.
     """
+    if not isinstance(params, BarotropicParams):
+        raise DomainError("the small-time witness is built for the barotropic (two-field) system")
     if not 0.0 < T < TWO_PI / params.u_bar:
         raise DomainError(f"witness needs 0 < T < {TWO_PI / params.u_bar:.4f}, got {T}")
     left, right = bump_spec.realized_window()

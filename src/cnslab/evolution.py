@@ -147,7 +147,6 @@ class ObservationSignal:
 class TrajectorySample:
     time: float
     state: SpectralField
-    norms: dict[str, float]
 
 
 def chain_links(levels: np.ndarray) -> list[tuple[int, int, int, np.ndarray]]:
@@ -173,7 +172,6 @@ def adjoint_state(
     slice_: SpectrumSlice,
     T: float,
     t: float,
-    norm_specs: dict[str, NormSpec] | None = None,
 ) -> TrajectorySample:
     """Adjoint solution at time t with terminal datum given by the expansion.
 
@@ -193,17 +191,13 @@ def adjoint_state(
         modes[linked] += weight[linked, None] * basis[linked, :, c - k]
     state = SpectralField.zeros(slice_.dim, slice_.N)
     state.coeffs[ns + slice_.N] = modes
-    norms = {}
-    for name, spec in (norm_specs or {}).items():
-        norms[name] = sobolev_norm(state, spec)
-    return TrajectorySample(time=t, state=state, norms=norms)
+    return TrajectorySample(time=t, state=state)
 
 
 def forward_state(
     initial_field: SpectralField,
     params: SystemParams,
     t: float,
-    norm_specs: dict[str, NormSpec] | None = None,
 ) -> TrajectorySample:
     """Homogeneous forward solution at time t >= 0.
 
@@ -238,10 +232,7 @@ def forward_state(
             RuntimeWarning,
             stacklevel=2,
         )
-    norms = {}
-    for name, spec in (norm_specs or {}).items():
-        norms[name] = sobolev_norm(state, spec)
-    return TrajectorySample(time=t, state=state, norms=norms)
+    return TrajectorySample(time=t, state=state)
 
 
 def observation_signal(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, DomainError, IllConditioned, MeanZeroRequired
-from .model import BarotropicParams, SystemParams
+from .model import SystemParams, component_weights
 from .spectrum import BasisTable, SpectrumSlice
 
 TWO_PI = 2.0 * np.pi
@@ -130,26 +130,16 @@ class NormSpec:
 
     @classmethod
     def weighted_l2(cls, params: SystemParams) -> "NormSpec":
-        return cls(weights=_component_weights(params), orders=(0.0,) * params.dim)
+        return cls(weights=component_weights(params), orders=(0.0,) * params.dim)
 
     @classmethod
     def dual_velocity(cls, params: SystemParams) -> "NormSpec":
         """H^{-1} x L2 (x L2) pairing used by velocity/temperature observability."""
-        return cls(weights=_component_weights(params), orders=(-1.0,) + (0.0,) * (params.dim - 1))
+        return cls(weights=component_weights(params), orders=(-1.0,) + (0.0,) * (params.dim - 1))
 
     @classmethod
     def dual_order(cls, params: SystemParams, s: float) -> "NormSpec":
-        return cls(weights=_component_weights(params), orders=(-s,) + (0.0,) * (params.dim - 1))
-
-
-def _component_weights(params: SystemParams) -> tuple[float, ...]:
-    if isinstance(params, BarotropicParams):
-        return (params.b, params.rho_bar)
-    return (
-        params.R * params.theta_bar,
-        params.rho_bar**2,
-        params.rho_bar**2 * params.c0 / params.theta_bar,
-    )
+        return cls(weights=component_weights(params), orders=(-s,) + (0.0,) * (params.dim - 1))
 
 
 def weighted_inner_product(f: SpectralField, g: SpectralField, norm_spec: NormSpec) -> complex:
@@ -199,18 +189,10 @@ class EigenExpansion:
         expansion's modes in their stored order, their rows in the table and
         the coefficient vectors stacked as ``(modes, dim)``.
         """
-        table = _complete_basis(slice_)
+        table = slice_.basis
         ns = np.fromiter(self.coefficients, dtype=np.int64, count=len(self.coefficients))
         stacked = np.array(list(self.coefficients.values()), dtype=complex).reshape(ns.size, self.dim)
         return table, ns, table.rows(ns), stacked
-
-
-def _complete_basis(slice_: SpectrumSlice) -> BasisTable:
-    """The slice's basis table, refused when some mode lacks a full basis block."""
-    table = slice_.basis
-    if table.unchained:
-        raise DomainError("slice has an unresolved coincidence without a chain block")
-    return table
 
 
 def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenExpansion:
@@ -225,7 +207,7 @@ def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenE
         raise DomainError("expansion requires a mean-zero field")
     if field_.N > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} but field has cutoff {field_.N}")
-    table = _complete_basis(slice_)
+    table = slice_.basis
     ill = np.flatnonzero(table.conds > EXPANSION_COND_LIMIT)
     if ill.size:
         raise IllConditioned(int(table.ns[ill[0]]), float(table.conds[ill[0]]))

@@ -115,6 +115,25 @@ class NonBarotropicParams:
 SystemParams = BarotropicParams | NonBarotropicParams
 
 
+def component_weights(params: SystemParams) -> tuple[float, ...]:
+    """Weight of each component in the physical energy norm."""
+    if isinstance(params, BarotropicParams):
+        return (params.b, params.rho_bar)
+    return (
+        params.R * params.theta_bar,
+        params.rho_bar**2,
+        params.rho_bar**2 * params.c0 / params.theta_bar,
+    )
+
+
+def hyperbolic_fit_threshold(params: SystemParams) -> int:
+    """First mode of the hyperbolic asymptote fit: above the discriminant
+    threshold ``n0`` for the two-field system, 1 for the three-field one."""
+    if isinstance(params, BarotropicParams):
+        return max(1, math.floor(params.n0) + 1)
+    return 1
+
+
 def derive_barotropic(
     rho_bar: float,
     u_bar: float,

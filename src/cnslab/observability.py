@@ -30,7 +30,7 @@ from .evolution import (
 )
 from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
 from .kernels import poly_exp_integral, signal_energy
-from .model import BarotropicParams, SystemParams
+from .model import SystemParams, hyperbolic_fit_threshold
 from .spectrum import SpectrumSlice
 
 def observation_energy(signal: ObservationSignal, T: float | None = None) -> tuple[float, float]:
@@ -239,9 +239,7 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
     the threshold or, for the three-field system, no two modes with
     distinct ``n**2``.
     """
-    threshold = 1
-    if isinstance(params, BarotropicParams):
-        threshold = max(1, int(np.floor(params.n0)) + 1)
+    threshold = hyperbolic_fit_threshold(params)
     needed = max(threshold, 2 if slice_.dim == 3 else 1)
     if slice_.N < needed:
         raise DomainError(

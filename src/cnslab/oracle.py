@@ -24,7 +24,7 @@ import scipy.sparse.linalg
 
 from .errors import CFLViolation, DomainError, SolverSingular
 from .fields import SpectralField
-from .model import BarotropicParams, SystemParams
+from .model import BarotropicParams, SystemParams, component_weights
 
 TWO_PI = 2.0 * np.pi
 #: Fewest points of a periodic FDM grid.
@@ -76,14 +76,7 @@ class GridState:
 
     def weighted_energy(self, params: SystemParams) -> float:
         h = TWO_PI / self.M
-        if isinstance(params, BarotropicParams):
-            w = (params.b, params.rho_bar)
-        else:
-            w = (
-                params.R * params.theta_bar,
-                params.rho_bar**2,
-                params.rho_bar**2 * params.c0 / params.theta_bar,
-            )
+        w = component_weights(params)
         return float(h * sum(wj * np.sum(self.components[j] ** 2) for j, wj in enumerate(w)))
 
     def mean(self, component: int = 0) -> float:

@@ -15,9 +15,12 @@ proximity to their asymptote anchors:
     hyperbolic        ->  i*u_bar*n - omega   (bounded real part)
     parabolic(-like)  -> -d*n**2 + i*u_bar*n  (d the relevant diffusion)
 
-Eigenvector normalization follows fixed closed forms (leading entries
-``rho_bar`` or ``R*rho_bar`` on the hyperbolic branch) so that the boundary
-observation identities stay literal downstream.
+Eigenvectors follow a pinned-component convention: the vector of branch
+``b`` has its component ``b`` at a fixed closed-form value (``rho_bar`` or
+``R*rho_bar`` on the hyperbolic branch), so that the boundary observation
+identities stay literal downstream.  The two-field vectors are closed forms
+with that normalization; the three-field vectors are the dense eigenvectors
+rescaled to it.
 
 All modes of a window are solved in one batched pass over stacked
 ``(modes, dim, dim)`` symbols; only modes whose values come close enough to
@@ -45,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChainError, ConditioningError, DegenerateWarning, DomainError
-from .model import BarotropicParams, NonBarotropicParams, SystemParams
+from .model import BarotropicParams, NonBarotropicParams, SystemParams, component_weights, hyperbolic_fit_threshold
 
 #: Relative clustering tolerance used to declare two eigenvalues coincident.
 DEFAULT_CLUSTERING_TOL = 1e-8
@@ -163,8 +166,8 @@ class EigenPair:
     """One eigenvalue of the mode matrix with its normalized eigenvector.
 
     ``nu_scaled = value/(i*n)`` is the root of the scaled characteristic
-    polynomial; the closed-form eigenvector formulas are written in terms of
-    it.  ``residual`` is ``|(M - value*I) v| / (|M| |v|)``.
+    polynomial; the two-field closed-form eigenvectors are written in terms
+    of it.  ``residual`` is ``|(M - value*I) v| / (|M| |v|)``.
     """
 
     n: int
@@ -241,9 +244,9 @@ class BasisTable(NamedTuple):
     with its cluster's eigenvalue in ``rates``, its cluster index in
     ``clusters`` and its Jordan level in ``levels`` (0 outside a chain).
     ``conds`` are the 2-norm condition numbers of the ``basis`` matrices.
-    ``unchained`` marks a table in which some mode has a repeated value
-    without a full basis block (cluster index -1 on the missing columns);
-    :func:`build_slice` always completes the block.
+    Every basis block is complete: a cluster of ``m`` values contributes
+    ``m`` columns (its eigenvectors, or an eigenvector and its Jordan chain),
+    or :func:`build_slice` raises :class:`ChainError`.
     """
 
     ns: np.ndarray  # (K,)
@@ -256,7 +259,6 @@ class BasisTable(NamedTuple):
     clusters: np.ndarray  # (K, dim)
     levels: np.ndarray  # (K, dim)
     conds: np.ndarray  # (K,)
-    unchained: bool
 
     def rows(self, ns) -> np.ndarray:
         """Row of every mode of ``ns``; a mode outside the slice is a DomainError."""
@@ -290,19 +292,11 @@ class SpectrumSlice:
     @cached_property
     def modes(self) -> dict[int, ModeSpectrum]:
         """The modes in slice order ``-1, 1, -2, 2, ...``."""
-        return {view.n: view for view in self._views(np.argsort(np.abs(self.basis.ns), kind="stable"))}
+        rows = np.argsort(np.abs(self.basis.ns), kind="stable")
+        return {view.n: view for view in _clustered_modes(self.params, self.basis, rows, self.clustering_tolerance)}
 
     def mode(self, n: int) -> ModeSpectrum:
         return self.modes[n]
-
-    def _views(self, rows: np.ndarray) -> list[ModeSpectrum]:
-        """The modes of the table rows ``rows``, each rerunning :func:`_cluster_mode`
-        on its eigenpairs and symbol: the clusters and chains the row was filled from."""
-        symbols = _symbols(self.params, self.basis.ns[rows], MatrixKind.ADJOINT)
-        return [
-            _cluster_mode(ModeMatrix(pairs[0].n, self.dim, M, MatrixKind.ADJOINT), pairs, self.clustering_tolerance)
-            for M, pairs in zip(symbols, _mode_pairs(self.params, self.basis, rows))
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +426,6 @@ class _ModeBatch(NamedTuple):
     """Eigenstructure of a window of modes; column ``b`` holds branch ``_BRANCHES[dim][b]``."""
 
     ns: np.ndarray  # (K,) modes
-    symbols: np.ndarray  # (K, dim, dim) adjoint symbols
     values: np.ndarray  # (K, dim)
     nu_scaled: np.ndarray  # (K, dim), values / (i n)
     vectors: np.ndarray  # (K, dim, dim), vectors[k, b] the eigenvector of branch b
@@ -470,11 +463,9 @@ def _barotropic_roots(params: BarotropicParams, nf: np.ndarray, M: np.ndarray, t
 def _dense_nonbarotropic(params: NonBarotropicParams, ns: np.ndarray, M: np.ndarray, scale: np.ndarray, tol: float):
     """Dense eigenpairs of the three-field symbols, polished, labelled and put in branch order.
 
-    Returns the values, ``nu_scaled``, closed-form eigenvectors, the mask
-    of modes near a multiplet and the dense eigenvectors (the first
-    fallback of a failed closed form).
+    Returns the values, ``nu_scaled``, the dense eigenvectors rescaled to
+    the pinned-component convention and the mask of modes near a multiplet.
     """
-    p = params
     nf = ns.astype(float)
     values, dense = np.linalg.eig(M)
     backward = np.linalg.norm(M @ dense - dense * values[:, None, :], axis=1).max(axis=1)
@@ -493,23 +484,8 @@ def _dense_nonbarotropic(params: NonBarotropicParams, ns: np.ndarray, M: np.ndar
     columns = _label_columns(params, nf, values, dense)
     values = np.take_along_axis(values, columns, axis=1)
     dense = np.take_along_axis(dense, columns[:, None, :], axis=2).swapaxes(1, 2)
-    nu_scaled = values / (1j * nf)[:, None]
-
-    lam = (p.lambda0 * 1j * nf)[:, None] + p.u_bar - nu_scaled
-    kap = (p.kappa0 * 1j * nf)[:, None] + p.u_bar - nu_scaled
-    d = p.u_bar - nu_scaled
-    h, pl, pk = 0, 1, 2
-    vectors = np.empty(M.shape, dtype=complex)
-    vectors[:, h, 0] = p.R * p.rho_bar
-    vectors[:, h, 1] = -p.R * d[:, h]
-    vectors[:, h, 2] = lam[:, h] * d[:, h] - p.R * p.theta_bar
-    vectors[:, pl, 0] = -p.R * p.rho_bar / d[:, pl]
-    vectors[:, pl, 1] = p.R
-    vectors[:, pl, 2] = (p.R * p.theta_bar - lam[:, pl] * d[:, pl]) / d[:, pl]
-    vectors[:, pk, 0] = lam[:, pk] * kap[:, pk] - p.R**2 * p.theta_bar / p.c0
-    vectors[:, pk, 1] = -(p.R * p.theta_bar / p.rho_bar) * kap[:, pk]
-    vectors[:, pk, 2] = p.R**2 * p.theta_bar**2 / (p.rho_bar * p.c0)
-    return values, nu_scaled, vectors, near, dense
+    vectors = _rescale_to_convention(_pinned_values(params), np.arange(3), dense)
+    return values, values / (1j * nf)[:, None], vectors, near
 
 
 def _degenerate_diffusions(params: SystemParams) -> bool:
@@ -564,11 +540,15 @@ def _pinned_values(params: SystemParams) -> np.ndarray:
 
 
 def _rescale_to_convention(pinned: np.ndarray, component: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Scale each vector so that its ``component`` takes the value ``pinned``; a vanishing pivot leaves it as is."""
-    pivot = vectors[np.arange(len(vectors)), component]
+    """Scale each vector so that its ``component`` takes the value ``pinned``; a vanishing pivot leaves it as is.
+
+    ``pinned`` and ``component`` broadcast against the leading axes of ``vectors``.
+    """
+    index = np.broadcast_to(component, vectors.shape[:-1])[..., None]
+    pivot = np.take_along_axis(vectors, index, axis=-1)[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = vectors * (pinned / pivot)[:, None]
-    return np.where((np.abs(pivot) < 1e-300)[:, None], vectors, scaled)
+        scaled = vectors * (pinned / pivot)[..., None]
+    return np.where((np.abs(pivot) < 1e-300)[..., None], vectors, scaled)
 
 
 def _residuals(M: np.ndarray, M_norm: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -592,11 +572,10 @@ def _kernel_vectors(M: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> _ModeBatch:
     """Eigenpairs of the adjoint symbols of all modes ``ns`` in one batched pass.
 
-    Each eigenvector is the closed form when its residual passes; otherwise
-    (three-field only) the rescaled dense eigenvector, and when that fails
-    too, which is the signature of a defective value whose dense eigenvector
-    is only ``eps**(1/m)`` accurate, the rescaled kernel vector of the
-    shifted matrix.
+    Each eigenvector is the closed form (two-field) or the rescaled dense
+    eigenvector (three-field).  One whose residual fails, the signature of a
+    defective value whose eigenvector is only ``eps**(1/m)`` accurate, is
+    replaced by the rescaled kernel vector of the shifted matrix.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if np.any(ns == 0):
@@ -606,23 +585,14 @@ def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> _Mode
     tol = clustering_tolerance
     if isinstance(params, BarotropicParams):
         values, nu_scaled, vectors, near = _barotropic_roots(params, ns.astype(float), M, tol)
-        dense = None
     else:
-        values, nu_scaled, vectors, near, dense = _dense_nonbarotropic(params, ns, M, M_norm, tol)
+        values, nu_scaled, vectors, near = _dense_nonbarotropic(params, ns, M, M_norm, tol)
     residuals = _residuals(M[:, None], M_norm[:, None], values, vectors)
-    pinned = _pinned_values(params)
-
-    def retry(redo: np.ndarray, candidates) -> None:
-        k, b = np.nonzero(redo)
-        if k.size:
-            vectors[k, b] = _rescale_to_convention(pinned[b], b, candidates(k, b))
-            residuals[k, b] = _residuals(M[k], M_norm[k], values[k, b], vectors[k, b])
-
-    if dense is not None:
-        # a non-finite closed form has a NaN residual, which no comparison flags
-        retry(~np.all(np.isfinite(vectors), axis=2) | (residuals > EIGEN_RESIDUAL_TOL), lambda k, b: dense[k, b])
-    retry(residuals > EIGEN_RESIDUAL_TOL, lambda k, b: _kernel_vectors(M[k], values[k, b]))
-    return _ModeBatch(ns, M, values, nu_scaled, vectors, residuals, near)
+    k, b = np.nonzero(residuals > EIGEN_RESIDUAL_TOL)
+    if k.size:
+        vectors[k, b] = _rescale_to_convention(_pinned_values(params)[b], b, _kernel_vectors(M[k], values[k, b]))
+        residuals[k, b] = _residuals(M[k], M_norm[k], values[k, b], vectors[k, b])
+    return _ModeBatch(ns, values, nu_scaled, vectors, residuals, near)
 
 
 def _mode_pairs(params: SystemParams, table, rows) -> list[tuple[EigenPair, ...]]:
@@ -782,6 +752,18 @@ def _cluster_mode(M: ModeMatrix, pairs: tuple[EigenPair, ...], tol: float) -> Mo
     return ModeSpectrum(n=M.n, pairs=pairs, clusters=tuple(clusters))
 
 
+def _clustered_modes(params: SystemParams, table: _ModeBatch | BasisTable, rows, tol: float) -> list[ModeSpectrum]:
+    """The modes of the given rows of a solve or a basis table, each from
+    :func:`_cluster_mode` on its eigenpairs and its symbol (recomputed for
+    these rows only): the clusters and chains a table row is filled from."""
+    rows = np.asarray(rows, dtype=np.int64)
+    symbols = _symbols(params, table.ns[rows], MatrixKind.ADJOINT)
+    return [
+        _cluster_mode(ModeMatrix(pairs[0].n, params.dim, M, MatrixKind.ADJOINT), pairs, tol)
+        for M, pairs in zip(symbols, _mode_pairs(params, table, rows))
+    ]
+
+
 def _coincidences(batch: _ModeBatch | BasisTable, branches: tuple[BranchLabel, ...], tol: float) -> list[Coincidence]:
     """Every pair of (mode, branch) slots whose values agree within ``tol``.
 
@@ -851,10 +833,9 @@ def build_slice(
     clusters = np.tile(np.arange(dim), (batch.ns.size, 1))
     levels = np.zeros_like(clusters)
     near = np.flatnonzero(batch.near)
-    for r, pairs in zip(near.tolist(), _mode_pairs(params, batch, near)):
-        M = ModeMatrix(pairs[0].n, dim, batch.symbols[r], MatrixKind.ADJOINT)
+    for r, mode in zip(near.tolist(), _clustered_modes(params, batch, near, clustering_tolerance)):
         j = 0
-        for ci, cluster in enumerate(_cluster_mode(M, pairs, clustering_tolerance).clusters):
+        for ci, cluster in enumerate(mode.clusters):
             for level, vector in enumerate(cluster.vectors):
                 columns[r, j], rates[r, j], clusters[r, j] = vector, cluster.value, ci
                 levels[r, j] = level if cluster.chain is not None else 0
@@ -871,7 +852,6 @@ def build_slice(
         clusters=clusters,
         levels=levels,
         conds=np.linalg.cond(basis),
-        unchained=False,
     )
     return SpectrumSlice(
         params=params,
@@ -886,18 +866,6 @@ def build_slice(
 # quadratic closeness to the comparison basis
 
 
-def _comparison_weights(params: SystemParams) -> np.ndarray:
-    if isinstance(params, BarotropicParams):
-        return np.array([params.b, params.rho_bar])
-    return np.array(
-        [
-            params.R * params.theta_bar,
-            params.rho_bar**2,
-            params.rho_bar**2 * params.c0 / params.theta_bar,
-        ]
-    )
-
-
 def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarray:
     """Partial sums of the quadratic-closeness series over growing windows.
 
@@ -909,9 +877,7 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
     contribute.  The increments decay like ``1/n**2``, which is the
     numerical content of the Riesz-basis property.
     """
-    threshold = 1
-    if isinstance(params, BarotropicParams):
-        threshold = max(1, int(np.floor(params.n0)) + 1)
+    threshold = hyperbolic_fit_threshold(params)
     if N_start < threshold:
         raise DomainError(
             f"N_start must be >= {threshold} (above the discriminant threshold)"
@@ -921,7 +887,7 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
     ns = np.arange(N_start, N_end + 1)
     batch = _solve_modes(params, np.concatenate([ns, -ns]), DEFAULT_CLUSTERING_TOL)
     diff = batch.vectors - np.diag(_pinned_values(params)).astype(complex)
-    per_pair = 2.0 * np.pi * np.sum(_comparison_weights(params) * np.abs(diff) ** 2, axis=-1)
+    per_pair = 2.0 * np.pi * np.sum(np.array(component_weights(params)) * np.abs(diff) ** 2, axis=-1)
     deficit = per_pair.sum(axis=-1)
     return np.cumsum(deficit[: ns.size] + deficit[ns.size :])
 
@@ -940,7 +906,7 @@ def export_spectrum_csv(slice_: SpectrumSlice, path) -> None:
     branches = _BRANCHES[slice_.dim]
     mult = np.ones(table.values.shape, dtype=np.int64)
     merged = np.flatnonzero((table.clusters != np.arange(slice_.dim)).any(axis=1))
-    for r, mode in zip(merged.tolist(), slice_._views(merged)):
+    for r, mode in zip(merged.tolist(), _clustered_modes(slice_.params, table, merged, slice_.clustering_tolerance)):
         for c in mode.clusters:
             mult[r, [branches.index(b) for b in c.branches]] = len(c.branches)
     with open(path, "w", newline="") as fh:

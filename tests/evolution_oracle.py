@@ -74,8 +74,6 @@ def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenE
         raise DomainError("expansion requires a mean-zero field")
     if field_.N > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} but field has cutoff {field_.N}")
-    if any(len(m.basis_vectors()) < slice_.dim for m in slice_.modes.values()):
-        raise DomainError("slice has an unresolved coincidence without a chain block")
     coefficients: dict[int, np.ndarray] = {}
     conds: dict[int, float] = {}
     for n in sorted(slice_.modes):

@@ -4,13 +4,17 @@ The per-mode code that production no longer runs:
 
 * the scalar symbol, the closed-form barotropic roots and the dense
   three-field eigensolve, one mode at a time, with Newton polish, label
-  assignment, closed-form eigenvectors and residuals computed per pair;
+  assignment, eigenvectors (the two-field closed forms, the rescaled dense
+  three-field eigenvectors) and residuals computed per pair;
+* the three-field closed-form eigenvectors (:func:`_vector_nonbarotropic`),
+  which production does not use: a test checks them against the dense
+  eigenvectors as an independent identity;
 * the per-mode clustering and the brute-force coincidence scan over every
   pair of (mode, branch) slots;
 * the spectrum export read from the per-mode objects;
 * a slice stored as its per-mode objects (:class:`ModeSlice`), whose basis
   table is stacked from them (:func:`table_from_modes`), so that a test can
-  also hand production a hand-built slice;
+  also hand production a hand-built slice with complete basis blocks;
 * the quadratic-closeness deficits, two per-mode solves per ``n``;
 * the Ingham audit with its loops over every pair of modes.
 
@@ -131,6 +135,7 @@ def _vector_barotropic(params: BarotropicParams, n: int, branch: BranchLabel, nu
 
 
 def _vector_nonbarotropic(params: NonBarotropicParams, n: int, branch: BranchLabel, nu: complex) -> np.ndarray:
+    """Closed-form eigenvector of branch ``branch`` at ``nu = value/(i*n)``, in the pinned-component convention."""
     p = params
     lam = p.lambda0 * 1j * n + p.u_bar - nu
     kap = p.kappa0 * 1j * n + p.u_bar - nu
@@ -366,11 +371,8 @@ def eigen_nonbarotropic(
         value = values[k]
         branch = labels[k]
         nu_scaled = value / (1j * n)
-        vec = _vector_nonbarotropic(params, n, branch, nu_scaled)
+        vec = _rescale_to_convention(params, branch, vectors[:, k].copy())
         res = _residual(M, value, vec)
-        if not np.all(np.isfinite(vec)) or res > EIGEN_RESIDUAL_TOL:
-            vec = _rescale_to_convention(params, branch, vectors[:, k].copy())
-            res = _residual(M, value, vec)
         if res > EIGEN_RESIDUAL_TOL:
             # Defective value: the dense eigenvector is only eps**(1/m)
             # accurate, but the kernel of the shifted matrix is well posed.
@@ -554,11 +556,8 @@ def with_modes(slice_, modes: dict[int, ModeSpectrum]) -> ModeSlice:
 
 
 def table_from_modes(modes: dict[int, ModeSpectrum], dim: int) -> BasisTable:
-    """Stack the eigenpairs of the modes and the basis vectors of their clusters.
-
-    A mode with fewer basis vectors than ``dim`` fills its missing columns
-    with zero vectors of cluster index -1 and sets ``unchained``.
-    """
+    """Stack the eigenpairs of the modes and the basis vectors of their clusters;
+    every mode must have ``dim`` basis vectors."""
     ns = sorted(modes)
     values, nu_scaled, vectors, residuals, columns, rates, clusters, levels = ([] for _ in range(8))
     for n in ns:
@@ -575,15 +574,8 @@ def table_from_modes(modes: dict[int, ModeSpectrum], dim: int) -> BasisTable:
                 rates.append(cluster.value)
                 clusters.append(ci)
                 levels.append(level if is_chain else 0)
-        missing = len(values) - len(columns)
-        if missing:
-            columns += [np.zeros(dim, dtype=complex)] * missing
-            rates += [0j] * missing
-            clusters += [-1] * missing
-            levels += [0] * missing
     shape = (len(ns), dim)
     basis = np.array(columns, dtype=complex).reshape(*shape, dim).swapaxes(1, 2)
-    clusters = np.array(clusters, dtype=np.int64).reshape(shape)
     return BasisTable(
         ns=np.array(ns, dtype=np.int64),
         values=np.array(values, dtype=complex).reshape(shape),
@@ -592,10 +584,9 @@ def table_from_modes(modes: dict[int, ModeSpectrum], dim: int) -> BasisTable:
         residuals=np.array(residuals, dtype=float).reshape(shape),
         basis=basis,
         rates=np.array(rates, dtype=complex).reshape(shape),
-        clusters=clusters,
+        clusters=np.array(clusters, dtype=np.int64).reshape(shape),
         levels=np.array(levels, dtype=np.int64).reshape(shape),
         conds=np.linalg.cond(basis),
-        unchained=bool((clusters < 0).any()),
     )
 
 

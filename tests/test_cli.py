@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnslab import cli, kernels
+from cnslab import cli, counterexamples, kernels
 from cnslab.cli import main, run
 from cnslab.errors import ConfigError
 
@@ -371,20 +371,31 @@ class TestRun:
         assert not (tmp_path / "out" / "closeness.csv").exists()
 
     @pytest.mark.parametrize(
-        "command,section,key,artifact",
+        "header,command,section,message,artifact",
         [
-            ("witness-smalltime", "T = 3.0\nN_list = 0\nx_left = 3.2\nx_right = 5.8\n", "N_list", "witness_smalltime.json"),
+            (BASE, "witness-smalltime", "T = 3.0\nN_list = 0\nx_left = 3.2\nx_right = 5.8\n",
+             "N_list must be increasing", "witness_smalltime.json"),
             # a repeated entry is not increasing: one distinct N leaves nothing to fit a slope to
-            ("witness-smalltime", "T = 3.0\nN_list = 8,8\nx_left = 3.2\nx_right = 5.8\n", "N_list", "witness_smalltime.json"),
-            ("witness-regularity", "s = 0.0\nn_list = 4,4\n", "n_list", "witness_regularity.json"),
+            (BASE, "witness-smalltime", "T = 3.0\nN_list = 8,8\nx_left = 3.2\nx_right = 5.8\n",
+             "N_list must be increasing", "witness_smalltime.json"),
+            (BASE, "witness-regularity", "s = 0.0\nn_list = 4,4\n", "n_list must be increasing", "witness_regularity.json"),
+            # the witness is built for the two-field system: refused before any slice is built
+            (THREE_FIELD, "witness-smalltime", "T = 3.0\nN_list = 6,8\nx_left = 3.2\nx_right = 5.8\n",
+             "barotropic (two-field) system", "witness_smalltime.json"),
         ],
-        ids=["N_list=0", "N_list=8,8", "n_list=4,4"],
+        ids=["N_list=0", "N_list=8,8", "n_list=4,4", "three-field-smalltime"],
     )
-    def test_witness_list_entry_below_one_is_a_domain_error(self, tmp_path, capsys, command, section, key, artifact):
-        cfg = _write(tmp_path, BASE.format(command=command, u_bar=0.9, b=1.3) + "\n[witness]\n" + section)
+    def test_witness_list_entry_below_one_is_a_domain_error(
+        self, tmp_path, capsys, monkeypatch, header, command, section, message, artifact
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the witness input must be checked before any slice is built")
+
+        monkeypatch.setattr(counterexamples, "build_slice", no_solve)
+        cfg = _write(tmp_path, header.format(command=command, u_bar=0.9, b=1.3) + "\n[witness]\n" + section)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert key in err and "increasing" in err and "Traceback" not in err
+        assert "domain error" in err and message in err and "Traceback" not in err
         assert not (tmp_path / "out" / artifact).exists()
 
     @pytest.mark.parametrize("T,below", [("3.0", True), ("8.0", False)])

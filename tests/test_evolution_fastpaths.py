@@ -17,7 +17,6 @@ that never went through the batched slice) stay bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -162,7 +161,7 @@ class TestBasisTable:
     def test_table_matches_the_modes(self, name):
         slice_ = _named_slice(name, 12)
         table = slice_.basis
-        assert table.ns.tolist() == sorted(slice_.modes) and not table.unchained
+        assert table.ns.tolist() == sorted(slice_.modes)
         for r, n in enumerate(table.ns.tolist()):
             mode = slice_.mode(n)
             assert _same(table.basis[r], np.column_stack(mode.basis_vectors()).astype(complex))
@@ -173,7 +172,7 @@ class TestBasisTable:
             assert _same(table.rates[r], np.array([c.value for c in mode.clusters for _ in c.vectors], dtype=complex))
         # against the table of the per-mode slice: structure exact, numbers per mode within the bound
         ref = spectrum_oracle.build_slice(NAMED[name], 12).basis
-        for field in ("ns", "clusters", "levels", "unchained"):
+        for field in ("ns", "clusters", "levels"):
             assert _same(getattr(table, field), getattr(ref, field)), field
         for field in ("values", "nu_scaled", "vectors", "basis", "rates"):
             assert all(_close(g, r) for g, r in zip(getattr(table, field), getattr(ref, field))), field
@@ -250,24 +249,6 @@ class TestExpansion:
             oracle.expand_in_eigenbasis(field, slice_)
         assert got.value.n == ref.value.n == first
         assert got.value.cond == ref.value.cond
-
-    def test_unchained_coincidence_is_refused(self):
-        slice_ = build_slice(NAMED["unit_barotropic"], 3)
-        mode = slice_.mode(2)
-        truncated = dataclasses.replace(mode.clusters[0], vectors=mode.clusters[0].vectors[:1])
-        slice_ = spectrum_oracle.with_modes(slice_, {**slice_.modes, 2: dataclasses.replace(mode, clusters=(truncated,))})
-        field = _random_field(2, 2, 3)
-        with pytest.raises(DomainError, match="unresolved coincidence"):
-            oracle.expand_in_eigenbasis(field, slice_)
-        with pytest.raises(DomainError, match="unresolved coincidence"):
-            expand_in_eigenbasis(field, slice_)
-        expansion = EigenExpansion(dim=2, coefficients={1: np.array([1.0, 0.5j])})
-        with pytest.raises(DomainError, match="unresolved coincidence"):
-            observation_signal(expansion, slice_, ObservationChannel.DENSITY, 1.0)
-        with pytest.raises(DomainError, match="unresolved coincidence"):
-            adjoint_state(expansion, slice_, 1.0, 0.5)
-        with pytest.raises(DomainError, match="unresolved coincidence"):
-            list(control._chain_rows(field, ObservationChannel.DENSITY, 1.0, slice_, 3))
 
     def test_mode_outside_the_slice_is_refused(self):
         expansion = EigenExpansion(dim=2, coefficients={9: np.array([1.0, 0.0j])})

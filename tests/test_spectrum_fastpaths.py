@@ -33,6 +33,7 @@ from cnslab.errors import DegenerateWarning, DomainError
 from cnslab.model import BarotropicParams, NonBarotropicParams
 from cnslab.observability import ingham_audit
 from cnslab.spectrum import BranchLabel, MatrixKind, build_slice, export_spectrum_csv, riesz_closeness
+from conftest import random_nonbarotropic
 
 WORKHORSE = BarotropicParams(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3)
 # the coefficient sets of tests/conftest.py
@@ -66,15 +67,26 @@ NONBAROTROPIC = st.builds(
 #: Bound on the drift between batched and per-mode arithmetic, relative to
 #: the largest magnitude compared; eigen-residuals drift by at most this
 #: much in absolute terms.  On the named sets at N = 16 and 96 the drift is
-#: at most 4.9e-16 (condition numbers), 2.2e-16 for values, vectors and the
-#: basis, and 1.6e-16 for the residuals.
+#: at most 4.9e-16 (condition numbers), 1.1e-16 for vectors and the basis,
+#: and 1e-16 for the residuals; the three-field sets, whose vectors both
+#: sides take from the same dense eigensolve, agree bit for bit except for
+#: the residuals (at most 2e-30 apart).
 RTOL = 1e-14
-#: The bound for random coefficient sets, where a closed-form eigenvector can
-#: be poorly conditioned: on 200 random sets with N <= 40 the vectors drifted
-#: by up to 7e-13, the values by 3.6e-14 and the residuals, which themselves
-#: reach 1e-11 there, by 1.1e-11.  The bound is the residual at which the
-#: solver itself stops accepting an eigenpair.
+#: The bound for random coefficient sets: on 200 random sets with N <= 40
+#: the values drifted by up to 1.1e-14 relative, the vectors and the basis
+#: by 3.5e-16 and the residuals by 2.2e-14.  The bound is the residual at
+#: which the solver itself stops accepting an eigenpair.
 RANDOM_RTOL = spectrum.EIGEN_RESIDUAL_TOL
+#: Largest eigen-residual of the three-field slices, whose vectors are the
+#: backward-stable dense eigenvectors: at most 7.3e-15 on the named sets at
+#: N = 96, and 6.6e-14 on the random sample of :func:`_random_three_field`.
+NAMED_RESIDUAL = 1e-14
+RANDOM_RESIDUAL = 1e-13
+#: Relative distance of the three-field closed-form eigenvectors from the
+#: production vectors: at most 1.2e-11 on the named sets at N = 96 and
+#: 2.4e-11 on the random sample, where the closed forms lose digits to
+#: cancellation.
+CLOSED_FORM_RTOL = 1e-10
 
 
 def _close(got, ref, rtol: float = RTOL, scale: float | None = None) -> bool:
@@ -230,6 +242,26 @@ def _oracle_slice(name: str, N: int):
     return oracle.build_slice(NAMED[name], N)
 
 
+@functools.lru_cache(maxsize=None)
+def _random_three_field():
+    """The slices at N = 40 of a fixed sample of 200 random three-field sets."""
+    rng = np.random.default_rng(7)
+    return [build_slice(random_nonbarotropic(rng), 40) for _ in range(200)]
+
+
+def _closed_form_distance(slice_) -> float:
+    """Largest relative distance of the closed-form eigenvectors, at the
+    slice's values, from the slice's eigenvectors."""
+    table = slice_.basis
+    worst = 0.0
+    for r, n in enumerate(table.ns.tolist()):
+        for b, branch in enumerate(spectrum._BRANCHES[3]):
+            closed = oracle._vector_nonbarotropic(slice_.params, n, branch, table.nu_scaled[r, b])
+            vector = table.vectors[r, b]
+            worst = max(worst, float(np.linalg.norm(closed - vector) / np.linalg.norm(vector)))
+    return worst
+
+
 class TestSymbols:
     @given(params=st.one_of(BAROTROPIC, NONBAROTROPIC), n=st.integers(-5000, 5000))
     @settings(max_examples=100, deadline=None)
@@ -286,9 +318,9 @@ class TestBatchedSolve:
     @pytest.mark.parametrize("residual_tol", [0.0, 2e-16])
     @pytest.mark.parametrize("name", sorted(NAMED))
     def test_fallback_vectors(self, monkeypatch, name, residual_tol):
-        # no set above ever fails a closed form; with the tolerance at
-        # round-off the pairs take the dense-eigenvector and kernel-vector
-        # fallbacks, some of them both
+        # at the default tolerance only the Jordan triple (triple_root, modes
+        # +-1) takes the kernel-vector fallback; with the tolerance at
+        # round-off many pairs of every set take it, and at 0 all of them
         for module in (spectrum, oracle):
             monkeypatch.setattr(module, "EIGEN_RESIDUAL_TOL", residual_tol)
         _assert_slices_agree(build_slice(NAMED[name], 12), oracle.build_slice(NAMED[name], 12))
@@ -330,6 +362,25 @@ class TestBatchedSolve:
             spectrum.eigen_nonbarotropic(NAMED["shared_eigenvalue"], 0)
 
 
+class TestThreeFieldVectors:
+    """The three-field eigenvectors are the dense eigenvectors rescaled to the
+    pinned-component convention; the closed forms stay here as an identity."""
+
+    @pytest.mark.parametrize("name", sorted(n for n, p in NAMED.items() if p.dim == 3))
+    def test_named_sets_residual(self, name):
+        assert build_slice(NAMED[name], 96).basis.residuals.max() <= NAMED_RESIDUAL
+
+    def test_random_sets_residual(self):
+        assert max(s.basis.residuals.max() for s in _random_three_field()) <= RANDOM_RESIDUAL
+
+    @pytest.mark.parametrize("name", sorted(n for n, p in NAMED.items() if p.dim == 3))
+    def test_named_sets_match_the_closed_forms(self, name):
+        assert _closed_form_distance(build_slice(NAMED[name], 96)) <= CLOSED_FORM_RTOL
+
+    def test_random_sets_match_the_closed_forms(self):
+        assert max(_closed_form_distance(s) for s in _random_three_field()) <= CLOSED_FORM_RTOL
+
+
 class TestCoincidences:
     @given(
         params=st.sampled_from(sorted(NAMED)).map(NAMED.get),
@@ -364,7 +415,7 @@ class TestCoincidences:
         K = len(values) // dim
         v = np.array([complex(a + e, b) * scale for a, b, e in values[: K * dim]]).reshape(K, dim)
         ns = np.repeat(np.arange(1, K // 2 + 2), 2)[:K] * np.tile([-1, 1], K)[:K]
-        batch = spectrum._ModeBatch(ns, None, v, None, None, None, None)
+        batch = spectrum._ModeBatch(ns, v, None, None, None, None)
         branches = spectrum._BRANCHES[dim]
         order = np.argsort(ns, kind="stable")
         slots = [(int(ns[k]), branches[b], complex(v[k, b])) for k in order for b in range(dim)]
@@ -377,7 +428,7 @@ class TestCoincidences:
         branches = spectrum._BRANCHES[2]
         for first, second, expected in ((100.0, 99.0, 1), (99.0, 100.0, 0)):
             v = np.array([[first, -5.0], [second, 7.0]], dtype=complex)
-            batch = spectrum._ModeBatch(np.array([-1, 1]), None, v, None, None, None, None)
+            batch = spectrum._ModeBatch(np.array([-1, 1]), v, None, None, None, None)
             assert len(spectrum._coincidences(batch, branches, 0.01)) == expected
 
 
