@@ -250,11 +250,6 @@ def _pair(z) -> tuple[Decimal, Decimal]:
     return _decimal(z.real), _decimal(z.imag)
 
 
-def _mpc(re: Decimal, im: Decimal):
-    """A pair of Decimals as an mpmath complex at the working precision."""
-    return mpmath.mpc(mpmath.mpf(str(re)), mpmath.mpf(str(im)))
-
-
 def _decimal_terms(kernel: list[KernelTerm], T: float) -> list[tuple]:
     """``(coef, rate, rate as complex, degree, e^{rate T})`` per kernel term.
 
@@ -280,15 +275,16 @@ class ControlSolution:
     exponential family is exponentially ill conditioned (the condensation
     phenomenon), so the minimum-norm representation has large, delicately
     cancelling coefficients even though the control function itself is tame.
-    ``coefficients_mp`` is the public view of them, one per row (zero on
-    dropped rows); every closed-form identity downstream reads its current
-    values.  ``gram`` keeps the Hermitian Gram of the kept rows ``keep`` at
-    the solve precision, with the prepared terms ``columns`` of their
-    kernels, so the verification reuses the solve's pair integrals.
+    ``x`` holds them as the real and the imaginary parts, two lists of
+    Decimals aligned with the kept rows ``keep`` (the other rows' constraints
+    are implied); every closed-form identity downstream reads its current
+    values.  ``gram`` keeps the Hermitian Gram of the kept rows at the solve
+    precision, with the prepared terms ``columns`` of their kernels, so the
+    verification reuses the solve's pair integrals.
     """
 
     system: MomentSystem
-    coefficients_mp: list
+    x: tuple[list[Decimal], list[Decimal]]
     residual: float
     control_norm: float
     discarded_singular_values: int
@@ -296,18 +292,6 @@ class ControlSolution:
     keep: list[int] = field(default_factory=list)
     gram: tuple[list, list] = field(default=((), ()), repr=False, compare=False)
     columns: list = field(default_factory=list, repr=False, compare=False)
-
-    def _kept_coefficients(self) -> tuple[list[Decimal], list[Decimal]]:
-        """Real and imaginary parts of the kept rows' current coefficients.
-
-        The control lies in the span of the kept kernels, so a nonzero
-        coefficient on any other row is refused.
-        """
-        kept = set(self.keep)
-        if any(x != 0 for i, x in enumerate(self.coefficients_mp) if i not in kept):
-            raise DomainError("coefficients outside the rows of the solved Gram must be zero")
-        pairs = [_pair(mpmath.mpc(self.coefficients_mp[i])) for i in self.keep]
-        return [re for re, _ in pairs], [im for _, im in pairs]
 
     def __call__(self, t) -> np.ndarray:
         """Evaluate p(t) = sum_j x_j conj(k_j(t)).
@@ -319,8 +303,8 @@ class ControlSolution:
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(t.size, dtype=complex)
+        xr, xi = self.x
         with _working_digits(self.solve_dps):
-            xr, xi = self._kept_coefficients()
             # x conj(coef) (T-t)**degree e^{conj(rate) (T-t)} per term of a kept row with x != 0
             terms = [
                 (a * cr + b * ci, b * cr - a * ci, mpmath.mpc(rate.conjugate()), degree, er, -ei)
@@ -547,17 +531,13 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
             f"(unique continuation obstruction): row pairs {inconsistent}",
             rows=inconsistent,
         )
-    coefficients = [mpmath.mpc(0)] * len(system.rows)
-    solve_dps, residual, control_norm, solved, gram, columns = 15, 0.0, 0.0, [], ((), ()), []
+    solve_dps, residual, control_norm, solved, x, gram, columns = 15, 0.0, 0.0, [], ([], []), ((), ()), []
     if float(np.linalg.norm(system.targets)) != 0.0:
-        solve_dps, residual, control_norm, x_keep, gram, columns = _ladder_solve(system, keep)
-        # redundant rows keep zero coefficients; their constraints are implied
-        for i, x in zip(keep, x_keep):
-            coefficients[i] = x
+        solve_dps, residual, control_norm, x, gram, columns = _ladder_solve(system, keep)
         solved = keep
     return ControlSolution(
         system=system,
-        coefficients_mp=coefficients,
+        x=x,
         residual=residual,
         control_norm=control_norm,
         discarded_singular_values=_discarded_singular_values(system, keep) + len(dropped),
@@ -569,7 +549,7 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
 
 
 def _ladder_solve(system: MomentSystem, keep: list[int]) -> tuple:
-    """``(digits, residual, control norm, coefficients, Gram, columns)`` of the kept rows' Cholesky solve.
+    """``(digits, residual, control norm, (re x, im x), Gram, columns)`` of the kept rows' Cholesky solve.
 
     Precisions of :data:`_DPS_LADDER` are tried in turn, as
     :func:`synthesize_control` describes.
@@ -600,8 +580,7 @@ def _ladder_solve(system: MomentSystem, keep: list[int]) -> tuple:
                 residual = float(_norm(rr, ri) / _norm(br, bi))
                 # x^H G x with G x = b - r
                 energy = sum(map(mul, xr, map(sub, br, rr))) + sum(map(mul, xi, map(sub, bi, ri)))
-                x_keep = [_mpc(a, b) for a, b in zip(xr, xi)]
-                return dps, residual, float(abs(energy).sqrt()), x_keep, (Gr, Gi), columns
+                return dps, residual, float(abs(energy).sqrt()), (xr, xi), (Gr, Gi), columns
     reached = (
         f"best moment residual {best_residual:.3e} > {_RESIDUAL_TOL:g}"
         if best_residual < math.inf
@@ -661,6 +640,9 @@ def verify_terminal(
         raise DomainError(f"slice covers |n| <= {slice_.N} < requested window {N_verify}")
     if solution.system is not system:
         raise DomainError("the solution was synthesized for another moment system")
+    xr, xi = solution.x
+    if not len(xr) == len(xi) == len(solution.keep):
+        raise DomainError("the coefficients must align with the kept rows of the solved Gram")
     rows = list(_chain_rows(U0, system.channel, system.horizon, slice_, N_verify))
     inside = [abs(row.n) <= system.truncation for _, row in rows]
     if [_row_key(row) for (_, row), i in zip(rows, inside) if i] != [_row_key(row) for row in system.rows]:
@@ -676,7 +658,6 @@ def verify_terminal(
     in_trunc_sq = 0.0
     target_sq = 0.0
     with _working_digits(solution.solve_dps):
-        xr, xi = solution._kept_coefficients()
         fresh = [_decimal_terms(row.kernel, system.horizon) for (_, row), g in zip(rows, gram_rows) if g is None]
         fresh_r, fresh_i = (iter(part) for part in _moment_gram(fresh, solution.columns, system.horizon))
         kept_r, kept_i = solution.gram

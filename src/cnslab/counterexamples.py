@@ -216,7 +216,7 @@ def small_time_witness(
         terminal = _hyperbolic_lift(params, filtered, cutoff, slice_)
         expansion = expand_in_eigenbasis(terminal, slice_)
         signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
-        energy, _ = observation_energy(signal, T)
+        energy, _ = observation_energy(signal)
         state0 = adjoint_state(expansion, slice_, T, 0.0).state
         norm0 = sobolev_norm(state0, NormSpec.weighted_l2(params))
         table[N] = (energy / norm0**2, energy, norm0)
@@ -383,7 +383,7 @@ def regularity_gap_witness(
         terminal = SpectralField.single_mode(n, vector, max(n_list))
         expansion = expand_in_eigenbasis(terminal, slice_)
         signal = observation_signal(expansion, slice_, channel, T)
-        energy, _ = observation_energy(signal, T)
+        energy, _ = observation_energy(signal)
         state0 = adjoint_state(expansion, slice_, T, 0.0).state
         norm0 = sobolev_norm(state0, norm_spec)
         table[n] = energy / norm0**2

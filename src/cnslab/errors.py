@@ -47,10 +47,6 @@ class ZeroState(CnsLabError):
     """The initial adjoint state norm underflowed; a quotient is undefined."""
 
 
-class DuplicateRate(CnsLabError):
-    """A Gram matrix of exponentials was requested with coincident rates."""
-
-
 class InfeasibleRow(CnsLabError):
     """A moment row has zero observation but a nonzero target."""
 

@@ -1,9 +1,9 @@
 """Finite Fourier fields on (0, 2*pi), weighted norms, and eigen-expansions.
 
 A field with ``dim`` components is stored as a dense table of Fourier
-coefficients ``c_n`` for ``|n| <= N``; all inner products carry the physical
-component weights and the Parseval factor ``2*pi``, so the order-zero Sobolev
-norm coincides with the weighted integral norm.  Negative Sobolev orders use
+coefficients ``c_n`` for ``|n| <= N``; Sobolev norms carry the physical
+component weights and the Parseval factor ``2*pi``, so the order-zero norm
+coincides with the weighted integral norm.  Negative Sobolev orders use
 the same coefficient formula ``(1 + n**2)**s`` on mean-zero fields, which is
 the dual-norm surrogate every estimate downstream actually manipulates.
 
@@ -15,7 +15,6 @@ errors rather than noise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,16 +141,6 @@ class NormSpec:
         return cls(weights=component_weights(params), orders=(-s,) + (0.0,) * (params.dim - 1))
 
 
-def weighted_inner_product(f: SpectralField, g: SpectralField, norm_spec: NormSpec) -> complex:
-    """Weighted L2 pairing, conjugate-linear in the second slot."""
-    if f.dim != g.dim or f.dim != norm_spec.dim:
-        raise DimMismatch("field/spec component counts differ")
-    N = max(f.N, g.N)
-    a, b = f.padded(N), g.padded(N)
-    w = np.asarray(norm_spec.weights)
-    return complex(TWO_PI * np.sum(w * np.sum(a.coeffs * np.conj(b.coeffs), axis=0)))
-
-
 def sobolev_norm(f: SpectralField, norm_spec: NormSpec) -> float:
     """Product Sobolev norm with per-component orders.
 
@@ -229,36 +218,3 @@ def reconstruct(expansion: EigenExpansion, slice_: SpectrumSlice) -> SpectralFie
     out = SpectralField.zeros(slice_.dim, slice_.N)
     out.coeffs[ns + slice_.N] = np.matmul(table.basis[rows], stacked[..., None])[..., 0]
     return out
-
-
-# ---------------------------------------------------------------------------
-# CSV I/O
-
-
-def export_field_csv(field_: SpectralField, path) -> None:
-    """Write ``n,component,re,im`` rows for every stored coefficient."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "component", "re", "im"])
-        for n in range(-field_.N, field_.N + 1):
-            for j in range(field_.dim):
-                c = field_.coeff(n)[j]
-                writer.writerow([n, j, format(c.real, ".17g"), format(c.imag, ".17g")])
-
-
-def read_field_csv(path, dim: int, N: int) -> SpectralField:
-    """Read a field written by :func:`export_field_csv`; missing modes are zero."""
-    out = SpectralField.zeros(dim, N)
-    mean_zero = True
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            n = int(row["n"])
-            j = int(row["component"])
-            if abs(n) > N or j >= dim:
-                raise DomainError(f"entry ({n},{j}) outside declared shape")
-            value = float(row["re"]) + 1j * float(row["im"])
-            out.coeffs[n + N, j] = value
-            if n == 0 and value != 0.0:
-                mean_zero = False
-    return SpectralField(dim=dim, N=N, coeffs=out.coeffs, mean_zero=mean_zero)

@@ -134,65 +134,6 @@ def hyperbolic_fit_threshold(params: SystemParams) -> int:
     return 1
 
 
-def derive_barotropic(
-    rho_bar: float,
-    u_bar: float,
-    a: float,
-    gamma: float,
-    lambda_visc: float,
-    mu_visc: float,
-) -> BarotropicParams:
-    """Build two-field coefficients from the physical constitutive inputs.
-
-    The pressure law is ``p = a*rho**gamma`` and the viscosities must satisfy
-    ``mu_visc > 0`` and ``lambda_visc + mu_visc >= 0``.
-    """
-    _require_positive(rho_bar=rho_bar, u_bar=u_bar, a=a, mu_visc=mu_visc)
-    if gamma < 1.0:
-        raise DomainError(f"gamma must be >= 1, got {gamma!r}")
-    if lambda_visc + mu_visc < 0.0:
-        raise DomainError(
-            f"lambda_visc + mu_visc must be >= 0, got {lambda_visc + mu_visc!r}"
-        )
-    mu0 = (lambda_visc + 2.0 * mu_visc) / rho_bar
-    b = a * gamma * rho_bar ** (gamma - 2.0)
-    return BarotropicParams(rho_bar=rho_bar, u_bar=u_bar, mu0=mu0, b=b)
-
-
-def derive_nonbarotropic(
-    rho_bar: float,
-    u_bar: float,
-    theta_bar: float,
-    R: float,
-    c0: float,
-    lambda_visc: float,
-    mu_visc: float,
-    kappa: float,
-) -> NonBarotropicParams:
-    """Build three-field coefficients from the physical inputs.
-
-    ``lambda0 = (lambda_visc + 2*mu_visc)/rho_bar`` and
-    ``kappa0 = kappa/(rho_bar*c0)``.
-    """
-    _require_positive(
-        rho_bar=rho_bar, u_bar=u_bar, theta_bar=theta_bar, R=R, c0=c0,
-        mu_visc=mu_visc, kappa=kappa,
-    )
-    if lambda_visc + mu_visc < 0.0:
-        raise DomainError(
-            f"lambda_visc + mu_visc must be >= 0, got {lambda_visc + mu_visc!r}"
-        )
-    return NonBarotropicParams(
-        rho_bar=rho_bar,
-        u_bar=u_bar,
-        theta_bar=theta_bar,
-        lambda0=(lambda_visc + 2.0 * mu_visc) / rho_bar,
-        kappa0=kappa / (rho_bar * c0),
-        R=R,
-        c0=c0,
-    )
-
-
 class DegeneracyVerdict(Enum):
     ALL_SIMPLE = "AllSimple"
     MULTIPLE_WITH_CHAIN = "MultipleWithChain"

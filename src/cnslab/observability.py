@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DomainError, DuplicateRate, QuadratureNotConverged, ZeroState
+from .errors import DomainError, QuadratureNotConverged, ZeroState
 from .evolution import (
     ObservationChannel,
     ObservationSignal,
@@ -29,21 +29,17 @@ from .evolution import (
     observation_signal,
 )
 from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
-from .kernels import poly_exp_integral, signal_energy
+from .kernels import signal_energy
 from .model import SystemParams, hyperbolic_fit_threshold
 from .spectrum import SpectrumSlice
 
-def observation_energy(signal: ObservationSignal, T: float | None = None) -> tuple[float, float]:
-    """Closed-form value and rounding bound of ``int_0^T |y|**2 dt``.
+def observation_energy(signal: ObservationSignal) -> tuple[float, float]:
+    """Closed-form value and rounding bound of ``int_0^T |y|**2 dt`` over the signal's horizon ``T``.
 
     Raises :class:`QuadratureNotConverged` when the value is not finite or
     the bound exceeds 1e-3 of it.
     """
-    if T is None:
-        T = signal.horizon
-    if abs(T - signal.horizon) > 1e-12 * max(1.0, signal.horizon):
-        raise DomainError("integration horizon must match the signal horizon")
-    value, bound = signal_energy(signal.coefficients, signal.rates, signal.degrees, T)
+    value, bound = signal_energy(signal.coefficients, signal.rates, signal.degrees, signal.horizon)
     if not (math.isfinite(value) and bound <= 1e-3 * value):
         raise QuadratureNotConverged(
             f"energy integral did not certify: value {value:.6e}, rounding bound {bound:.3e}"
@@ -98,7 +94,7 @@ def observability_quotient(
         nonstandard = norm_spec != standard
     expansion = expand_in_eigenbasis(terminal_field, slice_)
     signal = observation_signal(expansion, slice_, channel, T)
-    energy, err = observation_energy(signal, T)
+    energy, err = observation_energy(signal)
     initial = adjoint_state(expansion, slice_, T, 0.0)
     norm0 = sobolev_norm(initial.state, norm_spec)
     if norm0 < 1e-150:
@@ -370,56 +366,3 @@ def _min_squared_gap(a: dict[int, complex], b: dict[int, complex], wa: float, wb
             return (np.where(denom > 0.0, _gaps(va[lo:hi], vb) / denom, np.inf),)
 
     return _first_minima(ka, kb, table)[0][0]
-
-
-# ---------------------------------------------------------------------------
-# biorthogonal diagnostics
-
-
-@dataclass
-class BiorthogonalDiagnostic:
-    rates: tuple[complex, ...]
-    horizon: float
-    gram: np.ndarray
-    singular_values: np.ndarray
-    numerical_rank: int
-    svd_threshold: float
-    biorthogonal_norms: np.ndarray
-
-    def condition(self) -> float:
-        sv = self.singular_values
-        return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-
-
-def biorthogonal_gram(parabolic_rates, T: float, svd_threshold: float = 1e-12) -> BiorthogonalDiagnostic:
-    """Gram matrix of the exponential family with minimum-norm biorthogonal bounds.
-
-    ``G[n, m] = integral_0^T exp(conj(nu_n)(T-t)) exp(nu_m (T-t)) dt`` in
-    closed form; the reported ``biorthogonal_norms[n]`` is the L2 norm of the
-    minimum-norm functional extracting coefficient n, i.e.
-    ``sqrt(pinv(G)[n, n])``.
-    """
-    rates = [complex(r) for r in parabolic_rates]
-    for r in rates:
-        if r.real >= 0.0:
-            raise DomainError(f"rate {r} must have negative real part")
-    for i in range(len(rates)):
-        for j in range(i + 1, len(rates)):
-            if rates[i] == rates[j]:
-                raise DuplicateRate(f"rates {i} and {j} coincide: {rates[i]}")
-    nu = np.array(rates)
-    G = poly_exp_integral(0, nu.conj()[:, None] + nu[None, :], T)
-    svals = np.linalg.svd(G, compute_uv=False)
-    thresh = svd_threshold * svals[0]
-    rank = int(np.sum(svals > thresh))
-    Ginv = np.linalg.pinv(G, rcond=svd_threshold)
-    norms = np.sqrt(np.abs(np.diag(Ginv).real))
-    return BiorthogonalDiagnostic(
-        rates=tuple(rates),
-        horizon=T,
-        gram=G,
-        singular_values=svals,
-        numerical_rank=rank,
-        svd_threshold=svd_threshold,
-        biorthogonal_norms=norms,
-    )

@@ -14,18 +14,55 @@ numbers where production works on complex pairs of ``decimal.Decimal``:
 * the proportional-row scans over every pair of moment rows.
 
 Each takes the same rows and coefficients as the production path, so a test
-can compare the two entry by entry.
+can compare the two entry by entry.  :func:`coefficients_mp` and
+:func:`with_coefficients` translate between the solution's Decimal
+coefficients and mpmath numbers, one per moment row.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import decimal
 import itertools
+from decimal import Decimal
 
 import mpmath
 import numpy as np
 
-from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _duplicate_row_structure, _proportional_rows
+from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _duplicate_row_structure, _pair, _proportional_rows
 from cnslab.kernels import poly_exp_integral, poly_exp_integral_mp
+
+
+def mp_complex(re: Decimal, im: Decimal):
+    """A pair of Decimals as an mpmath complex at the working precision."""
+    return mpmath.mpc(mpmath.mpf(str(re)), mpmath.mpf(str(im)))
+
+
+def coefficients_mp(solution) -> list:
+    """The solution's coefficients as mpmath complexes at the working precision, one per moment row.
+
+    Rows outside ``solution.keep`` read zero.
+    """
+    out = [mpmath.mpc(0)] * len(solution.system.rows)
+    for i, re, im in zip(solution.keep, *solution.x):
+        out[i] = mp_complex(re, im)
+    return out
+
+
+def with_coefficients(solution, values):
+    """``solution`` with the mpmath ``values``, one per moment row, as its coefficients.
+
+    The control lies in the span of the kept kernels, so values on rows
+    outside ``solution.keep`` must be zero.  Each kept value is taken as it
+    is, not rounded to the working precision, into Decimals of twice the
+    solve's digits.
+    """
+    kept = set(solution.keep)
+    if any(v != 0 for i, v in enumerate(values) if i not in kept):
+        raise ValueError("coefficients outside the kept rows must be zero")
+    with decimal.localcontext(decimal.Context(prec=2 * solution.solve_dps)):
+        pairs = [_pair(mpmath.mpmathify(values[i])) for i in solution.keep]
+    return dataclasses.replace(solution, x=([re for re, _ in pairs], [im for _, im in pairs]))
 
 
 def gram_mp(rows, T) -> "mpmath.matrix":
@@ -127,7 +164,7 @@ def moment_integral(solution, degree: int, rate):
     """integral_0^T p(t) (T-t)**degree e^{rate (T-t)} dt at the working precision, one exp per pair."""
     total = mpmath.mpc(0)
     T = solution.system.horizon
-    for x, row in zip(solution.coefficients_mp, solution.system.rows):
+    for x, row in zip(coefficients_mp(solution), solution.system.rows):
         if x == 0:
             continue
         row_total = mpmath.mpc(0)
@@ -143,10 +180,11 @@ def evaluate_control(solution, t) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros(t.shape, dtype=complex)
     with mpmath.workdps(solution.solve_dps):
+        coefficients = coefficients_mp(solution)
         for i, ti in enumerate(t):
             s = mpmath.mpf(solution.system.horizon) - mpmath.mpf(float(ti))
             acc = mpmath.mpc(0)
-            for x, row in zip(solution.coefficients_mp, solution.system.rows):
+            for x, row in zip(coefficients, solution.system.rows):
                 if x == 0:
                     continue
                 for term in row.kernel:

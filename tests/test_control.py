@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from decimal import Decimal
 
 import mpmath
 import numpy as np
 import pytest
 
-from control_oracle import gram_mp, targets_mp
+from control_oracle import coefficients_mp, gram_mp, targets_mp, with_coefficients
 from energy_oracle import quadrature_energy
 
 from cnslab import control
@@ -91,7 +92,7 @@ class TestSynthesizeControl:
         with mpmath.workdps(solution.solve_dps):
             G = gram_mp(system.rows, system.horizon)
             m = targets_mp(system.rows)
-            x = mpmath.matrix(solution.coefficients_mp)
+            x = mpmath.matrix(coefficients_mp(solution))
             r = G * x - m
             recomputed = float(mpmath.norm(r) / mpmath.norm(m))
         assert abs(recomputed - solution.residual) <= 1e-12 * max(1.0, solution.residual) + 1e-30
@@ -184,7 +185,7 @@ class TestVerifyTerminal:
         field = _random_mean_zero(rng, 2, 8, content=4)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
         solution = synthesize_control(system)
-        solution.coefficients_mp = [1.1 * x for x in solution.coefficients_mp]
+        solution = with_coefficients(solution, [1.1 * x for x in coefficients_mp(solution)])
         record = verify_terminal(field, solution, system, slice_, 8)
         assert record.in_truncation_residual >= 1e-2
 
@@ -217,15 +218,18 @@ class TestVerifyTerminal:
         assert len(pairs) == (len(record.per_row_residuals) - kept) * kept
         assert record.in_truncation_residual <= 1e-6
 
-    def test_coefficient_on_a_dropped_row_is_refused(self, uc_failing_barotropic):
+    def test_coefficients_not_aligned_with_the_kept_rows_are_refused(self, uc_failing_barotropic):
         slice_ = build_slice(uc_failing_barotropic, 4)
         field = SpectralField.single_mode(2, np.array([0.3, -0.1 + 0.2j]), 4)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 2)
         solution = synthesize_control(system)
-        dropped = next(i for i in range(len(system.rows)) if i not in solution.keep)
-        solution.coefficients_mp[dropped] = mpmath.mpc(1)
-        with pytest.raises(DomainError, match="outside the rows of the solved Gram"):
-            verify_terminal(field, solution, system, slice_, 4)
+        assert len(solution.keep) < len(system.rows)
+        xr, xi = solution.x
+        pad = [Decimal(0)] * (len(system.rows) - len(xr))
+        # one coefficient per moment row, the dropped duplicate rows included; parts of unequal lengths
+        for x in ((xr + pad, xi + pad), (xr, xi[:-1])):
+            with pytest.raises(DomainError, match="align with the kept rows"):
+                verify_terminal(field, dataclasses.replace(solution, x=x), system, slice_, 4)
 
     def test_slice_must_reproduce_the_system_rows(self, nondegenerate_barotropic, unit_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 8)
@@ -349,5 +353,5 @@ class TestIndependentTerminalCheck:
             solution = synthesize_control(system)
             assert _quadrature_terminal_residual(solution) <= 1e-6
             if channel is ObservationChannel.DENSITY:
-                scaled = dataclasses.replace(solution, coefficients_mp=[1.1 * x for x in solution.coefficients_mp])
+                scaled = with_coefficients(solution, [1.1 * x for x in coefficients_mp(solution)])
                 assert _quadrature_terminal_residual(scaled) > 1e-6

@@ -10,7 +10,6 @@ Cholesky ladder and per-point evaluation.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import mpmath
@@ -121,7 +120,7 @@ def _solved(system):
 
 def _as_mp(re, im) -> list[list]:
     """Decimal entries as mpmath complexes at the working precision."""
-    return [[control._mpc(a, b) for a, b in zip(r, i)] for r, i in zip(re, im)]
+    return [[oracle.mp_complex(a, b) for a, b in zip(r, i)] for r, i in zip(re, im)]
 
 
 def _gram(rows, T: float, columns=None) -> list[list]:
@@ -175,8 +174,9 @@ class TestSolution:
         with mpmath.workdps(solution.solve_dps + _REFERENCE_DIGITS):
             want = oracle.lu_coefficients([system.rows[i] for i in keep], system.horizon)
             scale = max(abs(v) for v in want)
+            got = oracle.coefficients_mp(solution)
             for i, w in zip(keep, want):
-                assert abs(solution.coefficients_mp[i] - w) <= 1e-25 * scale
+                assert abs(got[i] - w) <= 1e-25 * scale
 
     def test_ill_conditioned_coefficients_match_lu(self):
         # T = 1 with chains at -0.05, -0.05 + 1.3i and a near-zero rate: the
@@ -193,7 +193,7 @@ class TestSolution:
             want = oracle.lu_coefficients(rows, system.horizon)
             scale = max(abs(v) for v in want)
             assert scale > 1e9
-            for got, w in zip(solution.coefficients_mp, want):
+            for got, w in zip(oracle.coefficients_mp(solution), want):
                 assert abs(got - w) <= 1e-25 * scale
 
     @settings(max_examples=30, deadline=None)
@@ -211,13 +211,14 @@ class TestSolution:
         T = system.horizon
         rates = {row.rate for row in system.rows} | {SMALL_RATE, complex(-2.5, 7.0)}
         rows = [MomentRow(1, 0, 0, rate, [KernelTerm(1.0 + 0j, rate, degree)], 0j, 0j) for rate in rates]
-        kept = [solution.coefficients_mp[i] for i in solution.keep]
         with mpmath.workdps(solution.solve_dps):
+            coefficients = oracle.coefficients_mp(solution)
+            kept = [coefficients[i] for i in solution.keep]
             block = _gram(rows, T, columns=solution.columns)
             # |I_k(z, T)| <= T**(k+1) / (k+1) when Re z <= 0
             scale = mpmath.fsum(
                 abs(x * t.coef) * T ** (t.degree + degree + 1)
-                for x, row in zip(solution.coefficients_mp, system.rows)
+                for x, row in zip(coefficients, system.rows)
                 for t in row.kernel
             )
             for row, entries in zip(rows, block):
@@ -232,6 +233,7 @@ class TestSolution:
         record = verify_terminal(field, solution, system, slice_, slice_.N)
         T = system.horizon
         with mpmath.workdps(solution.solve_dps):
+            coefficients = oracle.coefficients_mp(solution)
             for j, row in control._chain_rows(field, system.channel, T, slice_, slice_.N):
                 forced = mpmath.fsum(
                     mpmath.mpc(t.coef) * oracle.moment_integral(solution, t.degree, t.rate) for t in row.kernel
@@ -240,7 +242,7 @@ class TestSolution:
                 scale = mpmath.fsum(
                     abs(t.coef * x * u.coef) * T ** (t.degree + u.degree + 1)
                     for t in row.kernel
-                    for x, kept in zip(solution.coefficients_mp, system.rows)
+                    for x, kept in zip(coefficients, system.rows)
                     for u in kept.kernel
                 )
                 got = record.per_row_residuals[(row.n, row.cluster_index, j)]
@@ -286,7 +288,7 @@ class TestOraclePath:
         x_full = [mpmath.mpc(0)] * len(system.rows)
         for i, x in zip(solution.keep, x_keep):
             x_full[i] = x
-        reference = dataclasses.replace(solution, coefficients_mp=x_full)
+        reference = oracle.with_coefficients(solution, x_full)
 
         grid = np.linspace(0.0, 8.0, 51)
         want = oracle.evaluate_control(reference, grid)

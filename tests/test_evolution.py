@@ -217,7 +217,7 @@ class TestObservationSignal:
         coeffs = {n: (rng.normal(size=2) + 1j * rng.normal(size=2)) / (1 + abs(n)) for n in slice_.modes}
         expansion = EigenExpansion(dim=2, coefficients=coeffs)
         signal = observation_signal(expansion, slice_, ObservationChannel.VELOCITY, 4.0)
-        energy, err = observation_energy(signal, 4.0)
+        energy, err = observation_energy(signal)
         assert np.isfinite(energy)
         assert err <= 1e-3 * energy
         assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnslab import counterexamples, kernels
-from cnslab.errors import DomainError, DuplicateRate, QuadratureNotConverged, ZeroState
+from cnslab.errors import DomainError, QuadratureNotConverged, ZeroState
 from cnslab.evolution import ObservationChannel, ObservationSignal, SignalTerm, observation_signal
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
 from cnslab.kernels import TAYLOR_RADIUS, exp_recurrence_mp, poly_exp_integral, poly_exp_integral_mp, signal_energy_exact
 from cnslab.model import BarotropicParams
 from cnslab.observability import (
-    biorthogonal_gram,
     ingham_audit,
     observability_quotient,
     observation_energy,
@@ -51,21 +50,21 @@ class TestObservationEnergy:
     def test_single_term_closed_form(self):
         c, nu, T = 1.5 - 0.5j, -0.8 + 2.0j, 3.0
         signal = ObservationSignal(terms=[SignalTerm(c, nu, 0)], horizon=T)
-        energy, err = observation_energy(signal, T)
+        energy, err = observation_energy(signal)
         expected = abs(c) ** 2 * (math.exp(2 * nu.real * T) - 1) / (2 * nu.real)
         assert energy == pytest.approx(expected, rel=1e-10)
         assert err <= 1e-3 * energy
 
     def test_zero_signal(self):
         signal = ObservationSignal(terms=[], horizon=1.0)
-        assert observation_energy(signal, 1.0) == (0.0, 0.0)
+        assert observation_energy(signal) == (0.0, 0.0)
 
     def test_two_term_cross_terms(self):
         # rates i*u +- omega content: the closed form matches the quadrature oracle
         T = 2.0
         terms = [SignalTerm(1.0 + 0.3j, -1.0 + 4.0j, 0), SignalTerm(0.4 - 1.1j, -1.0 - 4.0j, 0)]
         signal = ObservationSignal(terms=terms, horizon=T)
-        energy, _ = observation_energy(signal, T)
+        energy, _ = observation_energy(signal)
         assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
 
     def test_many_term_bilinear_oracle(self, nondegenerate_barotropic):
@@ -76,7 +75,7 @@ class TestObservationEnergy:
         for T in (1.0, 7.5):
             signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
             assert len(signal.terms) <= 50
-            energy, _ = observation_energy(signal, T)
+            energy, _ = observation_energy(signal)
             assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
 
     def test_poly_exp_integral_against_quadrature(self):
@@ -102,7 +101,7 @@ class TestObservationEnergy:
     def test_non_finite_energy_raises(self, term, T):
         signal = ObservationSignal(terms=[term, SignalTerm(1.0, -2.0 + 1j, 1)], horizon=T)
         with pytest.raises(QuadratureNotConverged):
-            observation_energy(signal, T)
+            observation_energy(signal)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -127,7 +126,7 @@ class TestObservationEnergy:
     @settings(max_examples=60, deadline=None)
     @given(signal=_chain_signals())
     def test_closed_form_matches_quadrature_on_chain_signals(self, signal):
-        energy, bound = observation_energy(signal, signal.horizon)
+        energy, bound = observation_energy(signal)
         assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
         assert 0.0 <= bound <= 1e-3 * energy
 
@@ -137,16 +136,16 @@ class TestObservationEnergy:
         signals = []
         production = counterexamples.observation_energy
 
-        def recording(signal, T=None):
+        def recording(signal):
             signals.append(signal)
-            return production(signal, T)
+            return production(signal)
 
         monkeypatch.setattr(counterexamples, "observation_energy", recording)
         workhorse = BarotropicParams(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3)
         counterexamples.small_time_witness(workhorse, 3.0, [8, 12, 16, 24], counterexamples.BumpSpec(3.2, 5.8))
         assert len(signals) == 4
         for signal in signals:
-            value, bound = observation_energy(signal, signal.horizon)
+            value, bound = observation_energy(signal)
             terms = signal.terms
             with mpmath.workdps(40):
                 c = [mpmath.mpc(t.coefficient) for t in terms]
@@ -370,33 +369,3 @@ class TestInghamAudit:
             ratios.append(signal_energy_exact(signal.terms, T) / rhs)
         assert min(ratios) > 0.0
         assert max(ratios) / min(ratios) < 1e3
-
-
-class TestBiorthogonalGram:
-    def test_two_real_rates_closed_form(self):
-        diag = biorthogonal_gram([-1.0, -4.0], T=1.0)
-        G = diag.gram
-        assert G[0, 0] == pytest.approx((1 - math.exp(-2)) / 2, rel=1e-12)
-        assert G[1, 1] == pytest.approx((1 - math.exp(-8)) / 8, rel=1e-12)
-        assert G[0, 1] == pytest.approx((1 - math.exp(-5)) / 5, rel=1e-12)
-        assert G[1, 0] == pytest.approx(G[0, 1].conjugate(), rel=1e-12)
-
-    def test_duplicate_rate(self):
-        with pytest.raises(DuplicateRate):
-            biorthogonal_gram([-1.0, -1.0], T=1.0)
-
-    def test_positive_real_part_rejected(self):
-        with pytest.raises(DomainError):
-            biorthogonal_gram([1.0 + 0j], T=1.0)
-
-    def test_parabolic_branch_rank(self, nondegenerate_barotropic):
-        # Condensation in action: the 20-member family loses five directions
-        # below 1e-12 of the top singular value (verified against the SVD of
-        # the closed-form Gram); the conditioning is reported, not hidden.
-        slice_ = build_slice(nondegenerate_barotropic, 10)
-        rates = [slice_.mode(n).pairs[1].value for n in sorted(slice_.modes)]
-        diag = biorthogonal_gram(rates, T=8.0, svd_threshold=1e-12)
-        assert diag.numerical_rank == 15
-        assert diag.gram.shape == (20, 20)
-        assert diag.condition() > 1e12
-        assert np.all(diag.biorthogonal_norms > 0)
