@@ -168,7 +168,7 @@ def _load_params(parser: configparser.ConfigParser, system: str):
     return cls(**_knobs(parser, "params", {f.name: (float, None) for f in dataclasses.fields(cls) if f.init}))
 
 
-def _random_mean_zero_field(dim: int, N: int, rng: np.random.Generator, real: bool = True) -> SpectralField:
+def _random_field(dim: int, N: int, rng: np.random.Generator, real: bool = True) -> SpectralField:
     """Standard normal real and imaginary parts on modes ``0 < |n| <= N``, none on ``n = 0``.
 
     One draw holds, per mode ``n = 1..N`` in order, the real and imaginary
@@ -245,7 +245,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
         reports = []
         for child in np.random.SeedSequence(seed).spawn(knobs["trials"]):
-            field = _random_mean_zero_field(params.dim, N, np.random.default_rng(child), real=False)
+            field = _random_field(params.dim, N, np.random.default_rng(child), real=False)
             reports.append(observability_quotient(field, knobs["channel"], T, None, slice_).to_dict())
         payload = {
             "reports": reports,
@@ -272,7 +272,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         if n_verify < N:
             raise DomainError("verification window must cover the synthesis truncation")
         slice_ = build_slice(params, n_verify)
-        field = _random_mean_zero_field(params.dim, N, rng)
+        field = _random_field(params.dim, N, rng)
         system_ = build_moment_system(field, knobs["channel"], T, slice_, N)
         solution = synthesize_control(system_)
         record = verify_terminal(field, solution, system_, slice_, n_verify)
@@ -309,7 +309,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
         N, M, dt = knobs["N"], knobs["M"], knobs["dt"]
         check_fdm_inputs(N, M, dt)
-        c = _random_mean_zero_field(params.dim, N, rng).coeffs
+        c = _random_field(params.dim, N, rng).coeffs
         c[N + 1:] *= np.exp(-knobs["decay"] * np.arange(1, N + 1))[:, None]
         c[N - 1::-1] = c[N + 1:].conj()
         if not c.any():

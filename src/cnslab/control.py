@@ -39,7 +39,7 @@ import mpmath
 import numpy as np
 
 from .errors import ArithmeticFailure, DomainError, InfeasibleRow, RankDeficient
-from .evolution import ObservationChannel, boundary_control_weight, chain_links, channel_dim_ok, observation_values
+from .evolution import ObservationChannel, boundary_control_weight, chain_links, observation_values
 from .fields import NormSpec, SpectralField
 from .kernels import TAYLOR_RADIUS, KernelTerm, pair_integrals, poly_exp_integral_dec
 from .kernels import poly_exp_integral_mp  # noqa: F401  (perfbench/spans.py traces this name)
@@ -166,10 +166,6 @@ def build_moment_system(
         raise DomainError("horizon must be positive")
     if N > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} < requested truncation {N}")
-    if not channel_dim_ok(channel, slice_.dim):
-        raise DomainError("temperature channel requires the three-field system")
-    if np.any(U0.coeffs[U0.N] != 0.0):
-        raise DomainError("moment targets require a mean-zero initial state")
     rows: list[MomentRow] = []
     for _, row in _chain_rows(U0, channel, T, slice_, N):
         if row.kernel_scale() == 0.0 and abs(row.target) > 0.0:
@@ -280,7 +276,8 @@ class ControlSolution:
     are implied); every closed-form identity downstream reads its current
     values.  ``gram`` keeps the Hermitian Gram of the kept rows at the solve
     precision, with the prepared terms ``columns`` of their kernels, so the
-    verification reuses the solve's pair integrals.
+    verification reuses the solve's pair integrals.  The constructor refuses
+    ``x`` parts or ``columns`` without one entry per kept row.
     """
 
     system: MomentSystem
@@ -292,6 +289,11 @@ class ControlSolution:
     keep: list[int] = field(default_factory=list)
     gram: tuple[list, list] = field(default=((), ()), repr=False, compare=False)
     columns: list = field(default_factory=list, repr=False, compare=False)
+
+    def __post_init__(self):
+        xr, xi = self.x
+        if not len(xr) == len(xi) == len(self.columns) == len(self.keep):
+            raise DomainError("the coefficients and kernel columns must align with the kept rows")
 
     def __call__(self, t) -> np.ndarray:
         """Evaluate p(t) = sum_j x_j conj(k_j(t)).
@@ -641,8 +643,6 @@ def verify_terminal(
     if solution.system is not system:
         raise DomainError("the solution was synthesized for another moment system")
     xr, xi = solution.x
-    if not len(xr) == len(xi) == len(solution.keep):
-        raise DomainError("the coefficients must align with the kept rows of the solved Gram")
     rows = list(_chain_rows(U0, system.channel, system.horizon, slice_, N_verify))
     inside = [abs(row.n) <= system.truncation for _, row in rows]
     if [_row_key(row) for (_, row), i in zip(rows, inside) if i] != [_row_key(row) for row in system.rows]:

@@ -18,10 +18,6 @@ class DimMismatch(CnsLabError):
     """Field/operator component counts are incompatible."""
 
 
-class MeanZeroRequired(CnsLabError):
-    """A negative Sobolev order was requested for a field with nonzero mean."""
-
-
 class IllConditioned(CnsLabError):
     """A per-mode expansion solve exceeded the condition-number budget."""
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DimMismatch, DomainError
 from .fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
+from .kernels import KernelTerm
 from .model import BarotropicParams, SystemParams
 from .spectrum import MatrixKind, SpectrumSlice, _symbol
 
@@ -54,8 +55,6 @@ def observation_value(
     vector = np.asarray(vector, dtype=complex)
     if vector.size != params.dim:
         raise DimMismatch(f"vector has {vector.size} components, system has {params.dim}")
-    if not channel_dim_ok(channel, params.dim):
-        raise DimMismatch("temperature channel requires the three-field system")
     return complex(observation_values(channel, vector, n, params))
 
 
@@ -64,8 +63,12 @@ def observation_values(channel: ObservationChannel, vectors: np.ndarray, n, para
 
     ``n`` broadcasts against the leading axes.  Plain array arithmetic:
     an entry agrees with the scalar arithmetic of a per-vector evaluation
-    to rounding, not necessarily bit for bit.
+    to rounding, not necessarily bit for bit.  This is the one check of the
+    channel against the system: a temperature channel on the two-field
+    system raises :class:`DimMismatch`.
     """
+    if not channel_dim_ok(channel, params.dim):
+        raise DimMismatch("temperature channel requires the three-field system")
     v = [vectors[..., i] for i in range(params.dim)]
     inx = 1j * n
     p = params
@@ -96,38 +99,23 @@ def boundary_control_weight(channel: ObservationChannel, params: SystemParams) -
     return params.rho_bar**2
 
 
-@dataclass(frozen=True)
-class SignalTerm:
-    coefficient: complex
-    rate: complex
-    poly_degree: int
-
-
+@dataclass
 class ObservationSignal:
     """Closed-form boundary observation y(t) = sum c * (T-t)**j * exp(nu*(T-t)).
 
     The summands are held as aligned arrays ``coefficients``, ``rates`` and
-    ``degrees``; ``terms`` lists them as :class:`SignalTerm` objects, and
-    the constructor takes such a list.
+    ``degrees``; ``terms`` lists them as :class:`KernelTerm` records.
     """
 
-    def __init__(self, terms: list[SignalTerm], horizon: float):
-        terms = list(terms)
-        self.coefficients = np.array([t.coefficient for t in terms], dtype=complex)
-        self.rates = np.array([t.rate for t in terms], dtype=complex)
-        self.degrees = np.array([t.poly_degree for t in terms], dtype=np.int64)
-        self.horizon = horizon
-
-    @classmethod
-    def from_arrays(cls, coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarray, horizon: float):
-        signal = cls.__new__(cls)
-        signal.coefficients, signal.rates, signal.degrees, signal.horizon = coefficients, rates, degrees, horizon
-        return signal
+    coefficients: np.ndarray
+    rates: np.ndarray
+    degrees: np.ndarray
+    horizon: float
 
     @property
-    def terms(self) -> list[SignalTerm]:
+    def terms(self) -> list[KernelTerm]:
         return [
-            SignalTerm(c, r, d)
+            KernelTerm(c, r, d)
             for c, r, d in zip(self.coefficients.tolist(), self.rates.tolist(), self.degrees.tolist())
         ]
 
@@ -138,9 +126,6 @@ class ObservationSignal:
         for c, r, d in zip(self.coefficients.tolist(), self.rates.tolist(), self.degrees.tolist()):
             out = out + c * s**d * np.exp(r * s)
         return out
-
-    def value_at_terminal(self) -> complex:
-        return complex(sum(self.coefficients[self.degrees == 0].tolist()))
 
 
 @dataclass
@@ -208,14 +193,10 @@ def forward_state(
 
     if t < 0:
         raise DomainError("forward evolution requires t >= 0")
-    if np.any(initial_field.coeffs[initial_field.N] != 0.0):
-        raise DomainError("forward evolution requires a mean-zero field")
     if initial_field.dim != params.dim:
         raise DimMismatch("field and system component counts differ")
     state = SpectralField.zeros(initial_field.dim, initial_field.N)
     for n in range(-initial_field.N, initial_field.N + 1):
-        if n == 0:
-            continue
         c0 = initial_field.coeff(n)
         if not np.any(c0):
             continue
@@ -246,8 +227,6 @@ def observation_signal(
     Terms run mode by mode in the expansion's order, then by (column, chain
     level) of :func:`chain_links`; a zero coefficient contributes none.
     """
-    if not channel_dim_ok(channel, slice_.dim):
-        raise DimMismatch("temperature channel requires the three-field system")
     table, ns, rows, coefficients = expansion.stacked(slice_)
     observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), ns[:, None], slice_.params)
     terms, rates, degrees, keep = [], [], [], []
@@ -258,7 +237,7 @@ def observation_signal(
         degrees.append(k)
         keep.append(linked & (coefficients[:, c] != 0.0))
     keep = np.stack(keep, axis=1)
-    return ObservationSignal.from_arrays(
+    return ObservationSignal(
         coefficients=np.stack(terms, axis=1)[keep],
         rates=np.stack(rates, axis=1)[keep],
         degrees=np.broadcast_to(np.array(degrees, dtype=np.int64), keep.shape)[keep],

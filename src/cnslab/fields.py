@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, IllConditioned, MeanZeroRequired
+from .errors import DimMismatch, DomainError, IllConditioned
 from .model import SystemParams, component_weights
 from .spectrum import BasisTable, SpectrumSlice
 
@@ -31,24 +31,25 @@ EXPANSION_COND_LIMIT = 1e12
 
 @dataclass
 class SpectralField:
-    """Truncated Fourier representation of a ``dim``-component field.
+    """Truncated Fourier representation of a mean-zero ``dim``-component field.
 
-    ``coeffs[n + N]`` holds the coefficient vector of ``exp(i*n*x)``.
-    Fields are treated as immutable once built; arithmetic returns copies.
+    ``coeffs[n + N]`` holds the coefficient vector of ``exp(i*n*x)``; the
+    ``n = 0`` row is zero, as in the dotted spaces of the theory, and the
+    constructor refuses any other.  Fields are treated as immutable once
+    built; arithmetic returns copies.
     """
 
     dim: int
     N: int
     coeffs: np.ndarray
-    mean_zero: bool = True
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         expected = (2 * self.N + 1, self.dim)
         if self.coeffs.shape != expected:
             raise DimMismatch(f"coefficient table must have shape {expected}, got {self.coeffs.shape}")
-        if self.mean_zero and np.any(self.coeffs[self.N] != 0.0):
-            raise DomainError("mean_zero field has a nonzero n = 0 coefficient")
+        if np.any(self.coeffs[self.N] != 0.0):
+            raise DomainError("a field must have mean zero, but its n = 0 coefficient is nonzero")
 
     @classmethod
     def zeros(cls, dim: int, N: int) -> "SpectralField":
@@ -61,8 +62,7 @@ class SpectralField:
             if abs(n) > N:
                 raise DomainError(f"mode {n} outside cutoff N={N}")
             out[n + N] = np.asarray(c, dtype=complex)
-        mean_zero = not np.any(out[N] != 0.0)
-        return cls(dim=dim, N=N, coeffs=out, mean_zero=mean_zero)
+        return cls(dim=dim, N=N, coeffs=out)
 
     @classmethod
     def single_mode(cls, n: int, vector: np.ndarray, N: int) -> "SpectralField":
@@ -79,7 +79,7 @@ class SpectralField:
             raise DomainError("padding target smaller than current cutoff")
         out = np.zeros((2 * N + 1, self.dim), dtype=complex)
         out[N - self.N : N + self.N + 1] = self.coeffs
-        return SpectralField(dim=self.dim, N=N, coeffs=out, mean_zero=self.mean_zero)
+        return SpectralField(dim=self.dim, N=N, coeffs=out)
 
     def is_real(self, tol: float = 1e-12) -> bool:
         """Whether coefficients satisfy the conjugate symmetry of a real field."""
@@ -99,12 +99,10 @@ class SpectralField:
             raise DimMismatch("component counts differ")
         N = max(self.N, other.N)
         a, b = self.padded(N), other.padded(N)
-        return SpectralField(dim=self.dim, N=N, coeffs=a.coeffs + b.coeffs,
-                             mean_zero=self.mean_zero and other.mean_zero)
+        return SpectralField(dim=self.dim, N=N, coeffs=a.coeffs + b.coeffs)
 
     def __rmul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(dim=self.dim, N=self.N, coeffs=scalar * self.coeffs,
-                             mean_zero=self.mean_zero)
+        return SpectralField(dim=self.dim, N=self.N, coeffs=scalar * self.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         return self + (-1.0) * other
@@ -142,16 +140,9 @@ class NormSpec:
 
 
 def sobolev_norm(f: SpectralField, norm_spec: NormSpec) -> float:
-    """Product Sobolev norm with per-component orders.
-
-    Negative orders require a mean-zero field; the constant mode carries no
-    dual-norm meaning.
-    """
+    """Product Sobolev norm with per-component orders."""
     if f.dim != norm_spec.dim:
         raise DimMismatch("field/spec component counts differ")
-    has_negative = any(s < 0 for s in norm_spec.orders)
-    if has_negative and np.any(f.coeffs[f.N] != 0.0):
-        raise MeanZeroRequired("negative Sobolev order requires a mean-zero field")
     ns = np.arange(-f.N, f.N + 1)
     total = 0.0
     for j, (w, s) in enumerate(zip(norm_spec.weights, norm_spec.orders)):
@@ -192,8 +183,6 @@ def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenE
     """
     if field_.dim != slice_.dim:
         raise DimMismatch("field and slice component counts differ")
-    if np.any(field_.coeffs[field_.N] != 0.0):
-        raise DomainError("expansion requires a mean-zero field")
     if field_.N > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} but field has cutoff {field_.N}")
     table = slice_.basis

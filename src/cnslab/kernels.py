@@ -155,7 +155,7 @@ def _taylor_dec(m: int, zr: Decimal, zi: Decimal, T: Decimal) -> tuple:
 
 @dataclass(frozen=True)
 class KernelTerm:
-    """One summand ``coef * (T-t)**degree * exp(rate*(T-t))`` of a kernel."""
+    """One summand ``coef * (T-t)**degree * exp(rate*(T-t))`` of a moment kernel or an observation signal."""
 
     coef: complex
     rate: complex
@@ -206,14 +206,11 @@ def signal_energy(coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarr
 
 
 def signal_energy_exact(terms, T: float) -> float:
-    """Value of :func:`signal_energy` for an iterable of terms.
-
-    ``terms`` carry ``coefficient``, ``rate`` and ``poly_degree`` fields.
-    """
+    """Value of :func:`signal_energy` for an iterable of :class:`KernelTerm`."""
     term_list = list(terms)
     return signal_energy(
-        [t.coefficient for t in term_list],
+        [t.coef for t in term_list],
         [t.rate for t in term_list],
-        [t.poly_degree for t in term_list],
+        [t.degree for t in term_list],
         T,
     )[0]

@@ -25,7 +25,6 @@ from .evolution import (
     ObservationChannel,
     ObservationSignal,
     adjoint_state,
-    channel_dim_ok,
     observation_signal,
 )
 from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
@@ -84,8 +83,6 @@ def observability_quotient(
     slice_: SpectrumSlice,
 ) -> ObservabilityReport:
     """Observation energy over squared initial-state norm for one terminal datum."""
-    if not channel_dim_ok(channel, slice_.dim):
-        raise DomainError("temperature channel requires the three-field system")
     standard = standard_norm_spec(channel, slice_.params)
     nonstandard = False
     if norm_spec is None:

@@ -5,11 +5,11 @@ The per-mode and per-term code that production no longer runs:
 * the scalar boundary observation of one vector;
 * the eigen-expansion as one condition number and one dense solve per mode;
 * the adjoint state and the observation signal read cluster by cluster
-  from the per-mode ``ModeSpectrum`` objects, one ``SignalTerm`` per term;
+  from the per-mode ``ModeSpectrum`` objects, one ``KernelTerm`` per term;
 * the term-by-term evaluation of a signal;
 * the moment rows of ``control`` built from the clusters;
-* the small-time witness's loops over modes: the annihilating filter, the
-  Fourier gather of the bump and the hyperbolic lift.
+* the small-time witness's loops over modes: the Fourier gather of the bump
+  and the hyperbolic lift.
 
 Each takes the same arguments as production, so a test can compare the two
 value by value.
@@ -24,13 +24,7 @@ import numpy as np
 from cnslab import fields
 from cnslab.control import MomentRow, _mode_inner_products
 from cnslab.errors import DimMismatch, DomainError, IllConditioned
-from cnslab.evolution import (
-    ObservationChannel,
-    ObservationSignal,
-    SignalTerm,
-    boundary_control_weight,
-    channel_dim_ok,
-)
+from cnslab.evolution import ObservationChannel, ObservationSignal, boundary_control_weight, channel_dim_ok
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField
 from cnslab.kernels import KernelTerm
 from cnslab.model import BarotropicParams, SystemParams
@@ -70,8 +64,6 @@ def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenE
     """Solve the per-mode basis systems expressing the field in eigen-coordinates."""
     if field_.dim != slice_.dim:
         raise DimMismatch("field and slice component counts differ")
-    if np.any(field_.coeffs[field_.N] != 0.0):
-        raise DomainError("expansion requires a mean-zero field")
     if field_.N > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} but field has cutoff {field_.N}")
     coefficients: dict[int, np.ndarray] = {}
@@ -131,11 +123,11 @@ def adjoint_state(expansion: EigenExpansion, slice_: SpectrumSlice, T: float, t:
 
 def observation_terms(
     expansion: EigenExpansion, slice_: SpectrumSlice, channel: ObservationChannel
-) -> list[SignalTerm]:
-    """Boundary observation of the adjoint solution, one ``SignalTerm`` per term."""
+) -> list[KernelTerm]:
+    """Boundary observation of the adjoint solution, one ``KernelTerm`` per term."""
     if not channel_dim_ok(channel, slice_.dim):
         raise DimMismatch("temperature channel requires the three-field system")
-    terms: list[SignalTerm] = []
+    terms: list[KernelTerm] = []
     for n, a_n in expansion.coefficients.items():
         offset = 0
         for value, vectors, is_chain in _cluster_blocks(slice_, n):
@@ -145,35 +137,37 @@ def observation_terms(
             if not is_chain:
                 for j in range(m):
                     if block[j] != 0.0:
-                        terms.append(SignalTerm(coefficient=block[j] * obs[j], rate=value, poly_degree=0))
+                        terms.append(KernelTerm(coef=block[j] * obs[j], rate=value, degree=0))
             else:
                 for j in range(m):
                     if block[j] == 0.0:
                         continue
                     for k in range(j + 1):
                         terms.append(
-                            SignalTerm(
-                                coefficient=block[j] * obs[j - k] / math.factorial(k),
-                                rate=value,
-                                poly_degree=k,
-                            )
+                            KernelTerm(coef=block[j] * obs[j - k] / math.factorial(k), rate=value, degree=k)
                         )
             offset += m
     return terms
 
 
-def signal_values(terms: list[SignalTerm], horizon: float, t) -> np.ndarray:
+def signal_from_terms(terms: list[KernelTerm], horizon: float) -> ObservationSignal:
+    """The signal whose aligned term arrays hold ``terms`` in order."""
+    return ObservationSignal(
+        coefficients=np.array([t.coef for t in terms], dtype=complex),
+        rates=np.array([t.rate for t in terms], dtype=complex),
+        degrees=np.array([t.degree for t in terms], dtype=np.int64),
+        horizon=horizon,
+    )
+
+
+def signal_values(terms: list[KernelTerm], horizon: float, t) -> np.ndarray:
     """y(t) = sum c * (T-t)**j * exp(nu*(T-t)), one term at a time."""
     t = np.asarray(t, dtype=float)
     s = horizon - t
     out = np.zeros(s.shape, dtype=complex)
     for term in terms:
-        out = out + term.coefficient * s**term.poly_degree * np.exp(term.rate * s)
+        out = out + term.coef * s**term.degree * np.exp(term.rate * s)
     return out
-
-
-def value_at_terminal(terms: list[SignalTerm]) -> complex:
-    return complex(sum(t.coefficient for t in terms if t.poly_degree == 0))
 
 
 def chain_rows(U0: SpectralField, channel: ObservationChannel, T: float, slice_: SpectrumSlice, N: int):
@@ -205,23 +199,6 @@ def chain_rows(U0: SpectralField, channel: ObservationChannel, T: float, slice_:
                     target=complex(-free),
                     observation=obs[j],
                 )
-
-
-def pn_value(N: int, x: float) -> float:
-    """The annihilating polynomial ``prod_{0<|l|<=N} (x - l)`` at a point."""
-    out = 1.0
-    for l in range(1, N + 1):
-        out *= (x - l) * (x + l)
-    return out
-
-
-def pn_filter(field_: SpectralField, N: int) -> SpectralField:
-    """Coefficient-wise multiply by ``P_N(n)``, one mode at a time."""
-    out = field_.coeffs.copy()
-    for n in range(-field_.N, field_.N + 1):
-        out[n + field_.N] = out[n + field_.N] * pn_value(N, float(n))
-    out[field_.N] = 0.0
-    return SpectralField(dim=field_.dim, N=field_.N, coeffs=out)
 
 
 def bump_coefficients(spec, cutoff: int, samples: int = 8192, carrier: int = 0) -> tuple[np.ndarray, float]:
@@ -267,4 +244,4 @@ def hyperbolic_values(slice_: SpectrumSlice, cutoff: int) -> np.ndarray:
 
 
 def signal(expansion: EigenExpansion, slice_: SpectrumSlice, channel: ObservationChannel, T: float) -> ObservationSignal:
-    return ObservationSignal(terms=observation_terms(expansion, slice_, channel), horizon=T)
+    return signal_from_terms(observation_terms(expansion, slice_, channel), T)

@@ -370,6 +370,16 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "closeness.csv").exists()
 
+    @pytest.mark.parametrize("command", ["observe", "synthesize"])
+    def test_temperature_channel_on_two_fields_exits_2(self, tmp_path, capsys, command):
+        section = f"[{command}]\nN = 4\nT = 8.0\nchannel = temperature\n"
+        cfg = _write(tmp_path, BASE.format(command=command, u_bar=0.9, b=1.3) + "\n" + section)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "domain error: temperature channel requires the three-field system" in err
+        assert "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize(
         "header,command,section,message,artifact",
         [
@@ -412,7 +422,7 @@ class TestRandomField:
     @given(dim=st.sampled_from([2, 3]), N=st.integers(1, 64), real=st.booleans(), seed=st.integers(0, 2**63))
     def test_one_draw_equals_the_per_mode_draws(self, dim, N, real, seed):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        field = cli._random_mean_zero_field(dim, N, rng, real=real)
+        field = cli._random_field(dim, N, rng, real=real)
         assert field.coeffs.tobytes() == _per_mode_field(dim, N, oracle_rng, real=real).tobytes()
         # the stream is left where the per-mode draws leave it
         assert rng.bit_generator.state == oracle_rng.bit_generator.state

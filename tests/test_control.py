@@ -14,7 +14,6 @@ from cnslab.control import MomentRow, MomentSystem, build_moment_system, gram_ma
 from cnslab.errors import DomainError, RankDeficient
 from cnslab.evolution import ObservationChannel, observation_signal
 from cnslab.fields import EigenExpansion, SpectralField
-from cnslab.kernels import KernelTerm
 from cnslab.spectrum import build_slice
 
 
@@ -226,10 +225,18 @@ class TestVerifyTerminal:
         assert len(solution.keep) < len(system.rows)
         xr, xi = solution.x
         pad = [Decimal(0)] * (len(system.rows) - len(xr))
-        # one coefficient per moment row, the dropped duplicate rows included; parts of unequal lengths
-        for x in ((xr + pad, xi + pad), (xr, xi[:-1])):
+        # such a solution cannot be built, so neither its evaluation nor its
+        # verification reads a truncated or padded coefficient list: one
+        # coefficient per moment row (the dropped duplicate rows included),
+        # one too few, parts of unequal lengths, one kernel column too few
+        for changes in (
+            {"x": (xr + pad, xi + pad)},
+            {"x": (xr[:-1], xi[:-1])},
+            {"x": (xr, xi[:-1])},
+            {"columns": solution.columns[:-1]},
+        ):
             with pytest.raises(DomainError, match="align with the kept rows"):
-                verify_terminal(field, dataclasses.replace(solution, x=x), system, slice_, 4)
+                dataclasses.replace(solution, **changes)
 
     def test_slice_must_reproduce_the_system_rows(self, nondegenerate_barotropic, unit_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 8)
@@ -261,8 +268,7 @@ class TestDualityExactness:
         expansion = EigenExpansion(dim=2, coefficients=coeffs)
         T = 5.0
         signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
-        kernel = [KernelTerm(coef=t.coefficient, rate=t.rate, degree=t.poly_degree) for t in signal.terms]
-        row = MomentRow(n=1, cluster_index=0, level=0, rate=0j, kernel=kernel, target=0j, observation=0j)
+        row = MomentRow(n=1, cluster_index=0, level=0, rate=0j, kernel=signal.terms, target=0j, observation=0j)
         system = MomentSystem(ObservationChannel.DENSITY, T, 4, [row], False)
         assert gram_matrix(system)[0, 0].real == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
 

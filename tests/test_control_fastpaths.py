@@ -278,7 +278,7 @@ class TestOraclePath:
         # 51 grid points; the control, its norm and the spill-over agree with
         # the all-mpmath path within 1e-12 relative
         slice_ = _slice(WORKHORSE, 12)
-        field = cli._random_mean_zero_field(2, 8, np.random.default_rng(seed))
+        field = cli._random_field(2, 8, np.random.default_rng(seed))
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 8)
         solution = synthesize_control(system)
         record = verify_terminal(field, solution, system, slice_, 12)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from cnslab import counterexamples
 from cnslab.counterexamples import (
     BumpSpec,
     bump_coefficients,
     degenerate_uc_witness,
-    pn_filter,
-    pn_value,
     regularity_gap_witness,
     small_time_witness,
 )
@@ -21,28 +20,27 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestPnFilter:
-    def test_small_values(self):
-        assert pn_value(1, 2.0) == 3.0
-        assert pn_value(1, -2.0) == 3.0
-        assert pn_value(2, 3.0) == 40.0
+    def test_annihilation_exact(self, nondegenerate_barotropic, monkeypatch):
+        # the witness lifts each bump with its modes |n| <= N zeroed (the
+        # zeros of P_N and the removed mean), every other coefficient as drawn
+        captured = []
+        lift = counterexamples._hyperbolic_lift
 
-    def test_annihilation_exact(self):
-        rng = np.random.default_rng(0)
-        c = rng.normal(size=(17, 1)) + 1j * rng.normal(size=(17, 1))
-        c[8] = 0.0
-        field = SpectralField(dim=1, N=8, coeffs=c)
-        out = pn_filter(field, 3)
-        for n in range(-3, 4):
-            assert np.all(out.coeff(n) == 0.0)
-        for n in (4, -5, 7):
-            assert np.all(out.coeff(n) == c[n + 8] * pn_value(3, float(n)))
+        def recording(params, filtered, cutoff, slice_):
+            captured.append(filtered.copy())
+            return lift(params, filtered, cutoff, slice_)
 
-    def test_requires_mean_zero(self):
-        c = np.zeros((5, 1), dtype=complex)
-        c[2] = 1.0
-        field = SpectralField(dim=1, N=2, coeffs=c, mean_zero=False)
-        with pytest.raises(DomainError):
-            pn_filter(field, 1)
+        monkeypatch.setattr(counterexamples, "_hyperbolic_lift", recording)
+        spec = BumpSpec(x_left=3.2, x_right=5.8)
+        cutoff = small_time_witness(nondegenerate_barotropic, 3.0, [6, 8], spec).metadata["cutoff"]
+        ns = np.arange(-cutoff, cutoff + 1)
+        assert len(captured) == 2
+        for N, filtered in zip([6, 8], captured):
+            bump, _ = bump_coefficients(spec, cutoff, carrier=counterexamples._MODULATION_FACTOR * N)
+            inside = np.abs(ns) <= N
+            assert np.all(bump[inside & (ns != 0)] != 0.0)
+            assert np.all(filtered[inside] == 0.0)
+            assert np.array_equal(filtered[~inside], bump[~inside])
 
 
 class TestBump:

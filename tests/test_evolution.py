@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from energy_oracle import quadrature_energy
 
+from cnslab.control import build_moment_system
 from cnslab.errors import DimMismatch
 from cnslab.evolution import (
     ObservationChannel,
@@ -14,7 +15,7 @@ from cnslab.evolution import (
     observation_value,
 )
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
-from cnslab.observability import observation_energy
+from cnslab.observability import observability_quotient, observation_energy
 from cnslab.spectrum import BranchLabel, build_slice, eigen_barotropic, mode_matrix
 
 
@@ -64,8 +65,19 @@ class TestObservationValue:
                 )
 
     def test_temperature_needs_three_fields(self, nondegenerate_barotropic):
-        with pytest.raises(DimMismatch):
-            observation_value(ObservationChannel.TEMPERATURE, np.zeros(2), 1, nondegenerate_barotropic)
+        # refused where the channel meets the system, whichever entry reaches it
+        slice_ = build_slice(nondegenerate_barotropic, 2)
+        field = SpectralField.from_modes(2, 2, {1: np.array([1.0, 0.5])})
+        expansion = expand_in_eigenbasis(field, slice_)
+        temperature = ObservationChannel.TEMPERATURE
+        for call in (
+            lambda: observation_value(temperature, np.zeros(2), 1, nondegenerate_barotropic),
+            lambda: observation_signal(expansion, slice_, temperature, 1.0),
+            lambda: observability_quotient(field, temperature, 1.0, None, slice_),
+            lambda: build_moment_system(field, temperature, 1.0, slice_, 2),
+        ):
+            with pytest.raises(DimMismatch, match="temperature channel requires the three-field system"):
+                call()
 
 
 class TestAdjointState:
@@ -184,9 +196,9 @@ class TestObservationSignal:
         signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
         assert len(signal.terms) == 1
         term = signal.terms[0]
-        assert term.coefficient == pytest.approx(1 + 1j, rel=1e-12)
+        assert term.coef == pytest.approx(1 + 1j, rel=1e-12)
         assert term.rate == pytest.approx(-2 + 2j, rel=1e-12)
-        assert signal.value_at_terminal() == pytest.approx(1 + 1j, rel=1e-12)
+        assert term.degree == 0
 
     def test_zero_expansion(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cnslab.errors import DomainError, MeanZeroRequired
+from cnslab.errors import DomainError
 from cnslab.fields import (
     NormSpec,
     SpectralField,
@@ -34,10 +34,14 @@ class TestSobolevNorm:
         assert sobolev_norm(f, spec) == pytest.approx(math.sqrt(TWO_PI / 10.0))
 
     def test_mean_zero_required(self):
-        f = SpectralField.from_modes(2, 2, {0: np.array([1.0, 0.0])})
-        spec = NormSpec(weights=(1.0, 1.0), orders=(-1.0, 0.0))
-        with pytest.raises(MeanZeroRequired):
-            sobolev_norm(f, spec)
+        # no field with a mean can be built, so no norm of one is taken: the
+        # constructor refuses any nonzero n = 0 row, a NaN or a bare imaginary part too
+        for mean in ([1.0, 0.0], [0.0, 1e-300j], [np.nan, 0.0]):
+            coeffs = np.zeros((5, 2), dtype=complex)
+            coeffs[2] = mean
+            with pytest.raises(DomainError, match="mean zero"):
+                SpectralField(dim=2, N=2, coeffs=coeffs)
+        assert SpectralField(dim=2, N=2, coeffs=np.zeros((5, 2))).coeff(0).tolist() == [0j, 0j]
 
     def test_parseval_consistency(self, nondegenerate_barotropic):
         rng = np.random.default_rng(1)
@@ -78,13 +82,15 @@ class TestExpansion:
         expected = np.linalg.solve(V, np.array([1.0, 0.0]))
         assert np.allclose(expansion.coefficients[1], expected, rtol=1e-12)
 
-    def test_constant_field_rejected(self, nondegenerate_barotropic):
-        slice_ = build_slice(nondegenerate_barotropic, 2)
-        coeffs = np.zeros((5, 2), dtype=complex)
-        coeffs[2] = [1.0, 0.0]  # nonzero mean
-        f = SpectralField(dim=2, N=2, coeffs=coeffs, mean_zero=False)
-        with pytest.raises(DomainError):
-            expand_in_eigenbasis(f, slice_)
+    def test_constant_field_rejected(self):
+        # a constant is never expanded: from_modes and single_mode refuse n = 0 content
+        with pytest.raises(DomainError, match="mean zero"):
+            SpectralField.from_modes(2, 2, {1: np.array([0.5, 1.0]), 0: np.array([1.0, 0.0])})
+        with pytest.raises(DomainError, match="mean zero"):
+            SpectralField.single_mode(0, np.array([1.0, 0.0]), 2)
+        # a zero n = 0 entry is no mean
+        f = SpectralField.from_modes(2, 2, {0: np.zeros(2), 1: np.array([0.5, 1.0])})
+        assert np.all(f.coeff(0) == 0.0) and f.coeff(1).tolist() == [0.5, 1.0]
 
     def test_round_trip_random_field(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 16)

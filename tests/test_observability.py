@@ -4,14 +4,22 @@ import mpmath
 import numpy as np
 import pytest
 from energy_oracle import poly_exp_integral_scalar, quadrature_energy
+from evolution_oracle import signal_from_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnslab import counterexamples, kernels
 from cnslab.errors import DomainError, QuadratureNotConverged, ZeroState
-from cnslab.evolution import ObservationChannel, ObservationSignal, SignalTerm, observation_signal
+from cnslab.evolution import ObservationChannel, observation_signal
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
-from cnslab.kernels import TAYLOR_RADIUS, exp_recurrence_mp, poly_exp_integral, poly_exp_integral_mp, signal_energy_exact
+from cnslab.kernels import (
+    TAYLOR_RADIUS,
+    KernelTerm,
+    exp_recurrence_mp,
+    poly_exp_integral,
+    poly_exp_integral_mp,
+    signal_energy_exact,
+)
 from cnslab.model import BarotropicParams
 from cnslab.observability import (
     ingham_audit,
@@ -42,28 +50,28 @@ def _chain_signals(draw):
     for i, (a, b) in enumerate(cells):
         rate = complex(-0.05 - 0.6 * a + draw(st.floats(0.0, 0.2)), 1.5 * b + draw(st.floats(0.0, 0.5)))
         chain = draw(st.integers(2 if i == 0 else 1, 3))
-        terms += [SignalTerm(draw(coefficient), rate, j) for j in range(chain)]
-    return ObservationSignal(terms=terms, horizon=T)
+        terms += [KernelTerm(draw(coefficient), rate, j) for j in range(chain)]
+    return signal_from_terms(terms, T)
 
 
 class TestObservationEnergy:
     def test_single_term_closed_form(self):
         c, nu, T = 1.5 - 0.5j, -0.8 + 2.0j, 3.0
-        signal = ObservationSignal(terms=[SignalTerm(c, nu, 0)], horizon=T)
+        signal = signal_from_terms([KernelTerm(c, nu, 0)], T)
         energy, err = observation_energy(signal)
         expected = abs(c) ** 2 * (math.exp(2 * nu.real * T) - 1) / (2 * nu.real)
         assert energy == pytest.approx(expected, rel=1e-10)
         assert err <= 1e-3 * energy
 
     def test_zero_signal(self):
-        signal = ObservationSignal(terms=[], horizon=1.0)
+        signal = signal_from_terms([], 1.0)
         assert observation_energy(signal) == (0.0, 0.0)
 
     def test_two_term_cross_terms(self):
         # rates i*u +- omega content: the closed form matches the quadrature oracle
         T = 2.0
-        terms = [SignalTerm(1.0 + 0.3j, -1.0 + 4.0j, 0), SignalTerm(0.4 - 1.1j, -1.0 - 4.0j, 0)]
-        signal = ObservationSignal(terms=terms, horizon=T)
+        terms = [KernelTerm(1.0 + 0.3j, -1.0 + 4.0j, 0), KernelTerm(0.4 - 1.1j, -1.0 - 4.0j, 0)]
+        signal = signal_from_terms(terms, T)
         energy, _ = observation_energy(signal)
         assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
 
@@ -88,18 +96,18 @@ class TestObservationEnergy:
             assert got == pytest.approx(re + 1j * im, rel=1e-9, abs=1e-12)
 
     def test_panel_floor_validation(self):
-        signal = ObservationSignal(terms=[SignalTerm(1.0, -1.0, 0)], horizon=1.0)
+        signal = signal_from_terms([KernelTerm(1.0, -1.0, 0)], 1.0)
         with pytest.raises(DomainError):
             quadrature_energy(signal, panels_per_period=2)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
         "term,T",
-        [(SignalTerm(complex("nan+0j"), -1.0, 0), 1.0), (SignalTerm(1.0, 800.0 + 0j, 0), 1.0)],
+        [(KernelTerm(complex("nan+0j"), -1.0, 0), 1.0), (KernelTerm(1.0, 800.0 + 0j, 0), 1.0)],
         ids=["nan-coefficient", "overflowing-rate"],
     )
     def test_non_finite_energy_raises(self, term, T):
-        signal = ObservationSignal(terms=[term, SignalTerm(1.0, -2.0 + 1j, 1)], horizon=T)
+        signal = signal_from_terms([term, KernelTerm(1.0, -2.0 + 1j, 1)], T)
         with pytest.raises(QuadratureNotConverged):
             observation_energy(signal)
 
@@ -148,7 +156,7 @@ class TestObservationEnergy:
             value, bound = observation_energy(signal)
             terms = signal.terms
             with mpmath.workdps(40):
-                c = [mpmath.mpc(t.coefficient) for t in terms]
+                c = [mpmath.mpc(t.coef) for t in terms]
                 nu = [mpmath.mpc(t.rate) for t in terms]
                 T = mpmath.mpf(signal.horizon)
                 # one exp(rate*T) per term; a pair's exponential is the product
@@ -159,7 +167,7 @@ class TestObservationEnergy:
                 for a in range(len(terms)):
                     row = []
                     for b in range(a, len(terms)):
-                        m = terms[a].poly_degree + terms[b].poly_degree
+                        m = terms[a].degree + terms[b].degree
                         z = nu[a] + nu_conj[b]
                         if abs(terms[a].rate + terms[b].rate.conjugate()) * signal.horizon < TAYLOR_RADIUS:
                             integral = poly_exp_integral_mp(m, z, T)
