@@ -56,6 +56,8 @@ _TRAPS = (decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
 _GUARD_DIGITS = 10
 _ZERO = Decimal(0)
 _TWO = Decimal(2)
+#: largest ``max|rate| * |h - h0|`` at which the control evaluation derives a step's factors from step ``h0``'s
+_STEP_SERIES_RADIUS = 1e-6
 
 
 @dataclass
@@ -300,8 +302,13 @@ class ControlSolution:
 
         With ``s = T - t``, each term's ``e^{rate s}`` is carried from point to
         point by the step factor ``e^{rate h}``, computed once per distinct
-        step ``h``: a uniform grid has a handful of distinct steps, and any
-        other set of points goes through the same recurrence.
+        step ``h``.  The steps of a uniform float grid differ only in their
+        last bits, so one exponential per term is taken, at the first step
+        ``h0``, and a step within :data:`_STEP_SERIES_RADIUS` of it gets its
+        factors as ``e^{rate h0}`` times the short Taylor series of
+        ``e^{rate (h - h0)}``.  Any other step takes its own exponentials and
+        becomes the new ``h0``, so scattered points go through the same
+        recurrence.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(t.size, dtype=complex)
@@ -309,24 +316,32 @@ class ControlSolution:
         with _working_digits(self.solve_dps):
             # x conj(coef) (T-t)**degree e^{conj(rate) (T-t)} per term of a kept row with x != 0
             terms = [
-                (a * cr + b * ci, b * cr - a * ci, mpmath.mpc(rate.conjugate()), degree, er, -ei)
+                (a * cr + b * ci, b * cr - a * ci, rate.conjugate(), (rr, -ri), degree, er, -ei)
                 for a, b, column in zip(xr, xi, self.columns)
                 if a or b
-                for (cr, ci), _, rate, degree, (er, ei) in column
+                for (cr, ci), (rr, ri), rate, degree, (er, ei) in column
             ]
             if terms:
-                wr, wi, rates, degrees, cur_r, cur_i = (list(v) for v in zip(*terms))
+                wr, wi, rates, rate_pairs, degrees, cur_r, cur_i = (list(v) for v in zip(*terms))
+                rate_max = max(map(abs, rates))
+                rates = [mpmath.mpc(rate) for rate in rates]
                 T = mpmath.mpf(self.system.horizon)
                 s_prev = T
                 steps: dict = {}
+                base = None  # (h0, factors of h0) of the last step that took exponentials
                 for i, ti in enumerate(t.ravel()):
                     s = T - mpmath.mpf(float(ti))
                     h = s - s_prev
                     if h != 0:
                         factors = steps.get(h)
                         if factors is None:
-                            pairs = [_pair(mpmath.exp(rate * h)) for rate in rates]
-                            factors = steps[h] = ([re for re, _ in pairs], [im for _, im in pairs])
+                            if base is not None and rate_max * abs(float(h - base[0])) <= _STEP_SERIES_RADIUS:
+                                factors = _shifted_factors(base[1], rate_pairs, _decimal(h - base[0]))
+                            else:
+                                pairs = [_pair(mpmath.exp(rate * h)) for rate in rates]
+                                factors = ([re for re, _ in pairs], [im for _, im in pairs])
+                                base = (h, factors)
+                            steps[h] = factors
                         fr, fi = factors
                         cur_r, cur_i = (
                             list(map(sub, map(mul, cur_r, fr), map(mul, cur_i, fi))),
@@ -345,11 +360,36 @@ class ControlSolution:
         return out.reshape(t.shape)
 
 
+def _shifted_factors(factors: tuple[list, list], rates: list[tuple], d: Decimal) -> tuple[list, list]:
+    """``f * e^{rate d}`` per rate, for the factors ``f`` of a step and a small shift ``d`` of it.
+
+    ``e^{rate d}`` is its Taylor series, summed until a term falls below the
+    active decimal precision; with ``|rate d|`` at most
+    :data:`_STEP_SERIES_RADIUS` every term is smaller than the last and the
+    sum is near 1, so a few terms suffice and nothing cancels.
+    """
+    tol = Decimal(10) ** -(decimal.getcontext().prec + 1)
+    out_r, out_i = [], []
+    for fr, fi, (rr, ri) in zip(*factors, rates):
+        wr, wi = rr * d, ri * d
+        sr, si = Decimal(1), _ZERO
+        tr, ti = Decimal(1), _ZERO  # (rate d)**k / k!
+        k = 0
+        while abs(tr) + abs(ti) > tol:
+            k += 1
+            tr, ti = (tr * wr - ti * wi) / k, (tr * wi + ti * wr) / k
+            sr += tr
+            si += ti
+        out_r.append(fr * sr - fi * si)
+        out_i.append(fr * si + fi * sr)
+    return out_r, out_i
+
+
 def gram_matrix(system: MomentSystem) -> np.ndarray:
     """Double-precision Gram of the moment kernels (diagnostic view).
 
-    All term pairings ``c_a conj(c_b) K[a, b]`` come from one broadcast call
-    and are summed into their rows by a 0/1 incidence matrix.
+    All term pairings ``c_a conj(c_b) K[a, b]`` come from one
+    :func:`~cnslab.kernels.pair_integrals` table and are summed into their rows by a 0/1 incidence matrix.
     """
     terms = [t for row in system.rows for t in row.kernel]
     c = np.array([t.coef for t in terms], dtype=complex)

@@ -6,10 +6,15 @@ Everything the moment method and the observation energy need reduces to
 
 computed by the stable upward recurrence ``I_m = (T**m e^{zT} - m I_{m-1})/z``
 away from z = 0 and by the Taylor series near it.  Degrees stay tiny (chain
-lengths), so the recurrence is benign.  The moment solver, whose Gram
-matrices are exponentially ill conditioned, uses the extended-precision
-twin on complex pairs of ``decimal.Decimal``; the mpmath twin is its
-reference.
+lengths), so the recurrence is benign.  The integrals come in pairs of
+terms, ``z = nu_a + conj(nu_b)``, so both production paths take one
+exponential per term and form a pair's ``e^{zT}`` as the product
+``e^{nu_a T} conj(e^{nu_b T})``: :func:`pair_integrals` as an outer product in
+double precision, and the moment solver, whose Gram matrices are
+exponentially ill conditioned, on complex pairs of ``decimal.Decimal``
+(:func:`poly_exp_integral_dec`).  The mpmath twin is the extended-precision
+reference; the one-exponential-per-pair double-precision path is the oracle
+in ``tests/energy_oracle.py``.
 """
 
 from __future__ import annotations
@@ -24,40 +29,6 @@ import numpy as np
 
 #: below this ``|z| T`` the integrals use the Taylor series in ``zT``
 TAYLOR_RADIUS = 0.25
-
-
-def poly_exp_integral(m, z, T: float):
-    """integral_0^T s**m exp(z*s) ds for integer m >= 0.
-
-    ``m`` and ``z`` broadcast against each other: scalar arguments give a
-    Python complex, array arguments a complex array of the broadcast shape.
-    """
-    scalar = np.ndim(m) == 0 and np.ndim(z) == 0
-    m, z = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(m, dtype=np.int64)), np.atleast_1d(np.asarray(z, dtype=complex))
-    )
-    if np.any(m < 0):
-        raise ValueError("polynomial degree must be nonnegative")
-    near = np.abs(z) * T < TAYLOR_RADIUS
-    if near.any():
-        out = np.empty(z.shape, dtype=complex)
-        out[~near] = _recurrence(m[~near], z[~near], T)
-        out[near] = _taylor(m[near], z[near], T)
-    else:
-        out = _recurrence(m, z, T)
-    return complex(out[0]) if scalar else out
-
-
-def _recurrence(m: np.ndarray, z: np.ndarray, T: float) -> np.ndarray:
-    """Upward recurrence away from z = 0, run only up to the largest degree present."""
-    ezt = np.multiply(z, T)
-    np.exp(ezt, out=ezt)
-    val = ezt - 1.0
-    val /= z
-    for k in range(1, int(m.max(initial=0)) + 1):
-        up = m >= k
-        val[up] = (T**k * ezt[up] - k * val[up]) / z[up]
-    return val
 
 
 def _taylor(m: np.ndarray, z: np.ndarray, T: float) -> np.ndarray:
@@ -163,8 +134,67 @@ class KernelTerm:
 
 
 def pair_integrals(rates: np.ndarray, degrees: np.ndarray, T: float) -> np.ndarray:
-    """``K[a, b] = I_{j_a + j_b}(nu_a + conj(nu_b), T)`` for every pair of terms, in one broadcast call."""
-    return poly_exp_integral(degrees[:, None] + degrees[None, :], rates[:, None] + rates.conj()[None, :], T)
+    """``K[a, b] = I_{j_a + j_b}(nu_a + conj(nu_b), T)`` for every pair of terms.
+
+    One exponential per term: a pair's ``e^{zT}`` is the outer product
+    ``e^{nu_a T} conj(e^{nu_b T})``, and ``(e^{zT} - 1) / z`` is formed in place.
+    The upward recurrence runs only on the pairs of positive degree, and the
+    Taylor series only on the pairs inside ``|z| T < TAYLOR_RADIUS``, so on
+    terms of degree 0 ``z`` and ``K`` are the only ``(n, n)`` complex arrays.
+    The factors come from :func:`_term_exponentials`, which restores the
+    rounding of ``nu T``; without it the product would lose about
+    ``eps |Im nu| T`` against ``|e^{zT} - 1|``, largest on near-diagonal
+    pairs (2e-10 relative on degree-4 pairs with ``|Im nu| T`` near 70).  A
+    term whose exponential underflows contributes an exact zero product.
+    """
+    e = _term_exponentials(rates, T)
+    z = np.add.outer(rates, rates.conj())
+    K = np.multiply.outer(e, e.conj())
+    K -= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 lies in the Taylor ball, overwritten below
+        K /= z
+    zT = np.abs(z)
+    zT *= T
+    near = zT < TAYLOR_RADIUS
+    if degrees.any():
+        m = np.add.outer(degrees, degrees)
+        a, b = np.nonzero((m > 0) & ~near)
+        m, zab, ezt, val = m[a, b], z[a, b], e[a] * e[b].conj(), K[a, b]
+        for k in range(1, int(m.max(initial=0)) + 1):
+            up = m >= k
+            val[up] = (T**k * ezt[up] - k * val[up]) / zab[up]
+        K[a, b] = val
+    if near.any():
+        a, b = np.nonzero(near)
+        K[a, b] = _taylor(degrees[a] + degrees[b], z[a, b], T)
+    return K
+
+
+def _term_exponentials(rates: np.ndarray, T: float) -> np.ndarray:
+    """``e^{nu T}`` per rate, with the rounding of ``nu * T`` put back.
+
+    ``nu T`` is rounded to ``eps |nu T|``, a phase error that a pair's
+    product ``e^{nu_a T} conj(e^{nu_b T})`` would keep even where ``z T`` is
+    small.  Each part's rounding error ``r`` is exact (Dekker's product), so
+    ``e^{nu T} = e^{fl(nu T)} e^{r}`` to the accuracy of ``exp``.
+    """
+    re, im = rates.real * T, rates.imag * T
+    r = _product_error(rates.real, T, re) + 1j * _product_error(rates.imag, T, im)
+    return np.exp(re + 1j * im) * np.exp(r)
+
+
+def _product_error(a, b, p):
+    """``a * b - p`` exactly for ``p = fl(a * b)`` (Dekker), for finite ``|a|, |b|`` below ~1e300."""
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _split(x):
+    """``x = hi + lo`` with each half of at most 26 significant bits (Veltkamp)."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
 
 
 #: the last table :func:`signal_energy` built, as ``(key, K)``; one slot, so at most one table is held
@@ -177,8 +207,8 @@ def signal_energy(coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarr
     ``y(t) = sum c * (T-t)**j * exp(nu*(T-t))`` with the terms' coefficients,
     rates and polynomial degrees given as aligned arrays.  The energy is the
     Hermitian form ``sum_ab c_a conj(c_b) K[a, b]`` with
-    ``K[a, b] = I_{j_a + j_b}(nu_a + conj(nu_b), T)``, assembled in one
-    broadcast call.  The bound ``eps * n_terms * |c|^T |K| |c|`` covers the
+    ``K[a, b] = I_{j_a + j_b}(nu_a + conj(nu_b), T)`` from
+    :func:`pair_integrals`.  The bound ``eps * n_terms * |c|^T |K| |c|`` covers the
     rounding of that sum, so relative to the value it grows with the
     cancellation ``|c|^T |K| |c| / value`` of the signal.
 

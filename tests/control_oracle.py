@@ -28,9 +28,10 @@ from decimal import Decimal
 
 import mpmath
 import numpy as np
+from energy_oracle import poly_exp_integral
 
 from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _duplicate_row_structure, _pair, _proportional_rows
-from cnslab.kernels import poly_exp_integral, poly_exp_integral_mp
+from cnslab.kernels import poly_exp_integral_mp
 
 
 def mp_complex(re: Decimal, im: Decimal):

@@ -1,13 +1,16 @@
 """Independent reference paths for the closed-form observation energy.
 
-Two slow implementations that production code no longer uses:
+Slow implementations that production code no longer uses:
 
 * composite Gauss-Legendre quadrature of ``integral_0^T |y(t)|**2 dt`` with
   panels capped by the fastest oscillation and graded geometrically toward
   the terminal time where parabolic terms spike; a Richardson comparison
   against the doubled resolution estimates its error;
+* the per-pair broadcast :func:`poly_exp_integral`, one exponential per
+  pair of terms, which :func:`cnslab.kernels.pair_integrals` replaced with
+  one exponential per term;
 * the scalar loop for ``integral_0^T s**m exp(z*s) ds`` that the broadcast
-  :func:`cnslab.kernels.poly_exp_integral` replaced.
+  path replaced in turn.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import numpy as np
 
 from cnslab.errors import DomainError, QuadratureNotConverged
+from cnslab.kernels import TAYLOR_RADIUS, _taylor
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -98,3 +102,37 @@ def poly_exp_integral_scalar(m: int, z: complex, T: float) -> complex:
     for k in range(1, m + 1):
         val = (T**k * ezt - k * val) / z
     return complex(val)
+
+
+def poly_exp_integral(m, z, T: float):
+    """integral_0^T s**m exp(z*s) ds for integer m >= 0, one exponential per entry.
+
+    ``m`` and ``z`` broadcast against each other: scalar arguments give a
+    Python complex, array arguments a complex array of the broadcast shape.
+    """
+    scalar = np.ndim(m) == 0 and np.ndim(z) == 0
+    m, z = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(m, dtype=np.int64)), np.atleast_1d(np.asarray(z, dtype=complex))
+    )
+    if np.any(m < 0):
+        raise ValueError("polynomial degree must be nonnegative")
+    near = np.abs(z) * T < TAYLOR_RADIUS
+    if near.any():
+        out = np.empty(z.shape, dtype=complex)
+        out[~near] = _recurrence(m[~near], z[~near], T)
+        out[near] = _taylor(m[near], z[near], T)
+    else:
+        out = _recurrence(m, z, T)
+    return complex(out[0]) if scalar else out
+
+
+def _recurrence(m: np.ndarray, z: np.ndarray, T: float) -> np.ndarray:
+    """Upward recurrence away from z = 0, run only up to the largest degree present."""
+    ezt = np.multiply(z, T)
+    np.exp(ezt, out=ezt)
+    val = ezt - 1.0
+    val /= z
+    for k in range(1, int(m.max(initial=0)) + 1):
+        up = m >= k
+        val[up] = (T**k * ezt[up] - k * val[up]) / z[up]
+    return val

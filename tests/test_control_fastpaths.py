@@ -270,6 +270,36 @@ class TestSolution:
         assert solution(2.0).shape == (1,)
         assert solution(grid)[1, 1] == solution(grid[1, 1])[0]
 
+    def test_uniform_grid_takes_one_exponential_per_term(self, monkeypatch):
+        # the control-roundtrip configuration at seed 0: the steps of the float
+        # grid differ in their last bits, and only the first takes exponentials
+        field = cli._random_field(2, 8, np.random.default_rng(0))
+        solution = synthesize_control(build_moment_system(field, ObservationChannel.DENSITY, 8.0, _slice(WORKHORSE, 12), 8))
+        terms = sum(len(column) for column, a, b in zip(solution.columns, *solution.x) if a or b)
+        calls = []
+        exp = mpmath.exp
+        monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
+        solution(np.linspace(0.0, 8.0, 51))
+        assert terms == len(calls) == 32
+
+    @pytest.mark.parametrize("ulps", [1, -3, 40])
+    def test_shifted_step_factors_equal_the_step_exponentials(self, ulps):
+        # a step a few ulps from h0 gets e^{rate h0} times a series; it must be
+        # e^{rate (h0 + d)} to the working precision, far below the step's own size
+        rates = [complex(-1.5, 2.0), complex(-200.0, 17.0), complex(0.3, -0.1), 0j]
+        with control._working_digits(40):
+            h0 = mpmath.mpf(-0.16)
+            d = mpmath.mpf(ulps) * 2.0**-55
+            base = [control._pair(mpmath.exp(mpmath.mpc(r) * h0)) for r in rates]
+            got = control._shifted_factors(
+                ([re for re, _ in base], [im for _, im in base]),
+                [control._pair(mpmath.mpc(r)) for r in rates],
+                control._decimal(d),
+            )
+            for r, re, im in zip(rates, *got):
+                want = mpmath.exp(mpmath.mpc(r) * (h0 + d))
+                assert abs(oracle.mp_complex(re, im) - want) <= mpmath.mpf(10) ** -39 * abs(want)
+
 
 class TestOraclePath:
     @pytest.mark.parametrize("seed", [0, 5])

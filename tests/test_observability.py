@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from energy_oracle import poly_exp_integral_scalar, quadrature_energy
+from energy_oracle import poly_exp_integral, poly_exp_integral_scalar, quadrature_energy
 from evolution_oracle import signal_from_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +16,6 @@ from cnslab.kernels import (
     TAYLOR_RADIUS,
     KernelTerm,
     exp_recurrence_mp,
-    poly_exp_integral,
     poly_exp_integral_mp,
     signal_energy_exact,
 )
@@ -247,6 +246,66 @@ class TestPairTable:
         assert not K.flags.writeable
         with pytest.raises(ValueError):
             K[0, 0] = 0.0
+
+
+class TestPairIntegrals:
+    """``pair_integrals`` (one exponential per term) against the per-pair oracle and 40 digits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), T=st.floats(0.1, 8.0))
+    def test_every_entry_within_1e_10_of_40_digits(self, seed, n, T):
+        rng = np.random.default_rng(seed)
+        # real parts from -1e-3 to about -300, the first one small enough to put its
+        # diagonal pair in the Taylor ball, and three parabolic rates whose
+        # e^{nu T} underflows to zero
+        real = -(10.0 ** rng.uniform(-3, 2.5, n))
+        real[0] = -(10.0 ** rng.uniform(-3, -2))
+        rates = np.concatenate([real, -rng.uniform(750, 2000, 3) / T])
+        rates = rates + 1j * rng.uniform(-40.0, 40.0, rates.size)
+        assert not np.exp(rates[-3:] * T).any()
+        degrees = rng.integers(0, 3, rates.size)
+        got = kernels.pair_integrals(rates, degrees, T)
+        m = degrees[:, None] + degrees[None, :]
+        z = rates[:, None] + rates.conj()[None, :]
+        oracle = poly_exp_integral(m, z, T)
+        with mpmath.workdps(40):
+            nu = [mpmath.mpc(r) for r in rates]
+            exact = np.array(
+                [[complex(poly_exp_integral_mp(int(m[a, b]), nu[a] + mpmath.conj(nu[b]), T)) for b in range(rates.size)] for a in range(rates.size)]
+            )
+        near = np.abs(z) * T < TAYLOR_RADIUS
+        assert near.any()
+        # both paths take the same series in the ball
+        np.testing.assert_array_equal(got[near], oracle[near])
+        assert np.all(np.abs(got - exact) <= 1e-10 * np.abs(exact))
+        assert np.all(np.abs(oracle - exact) <= 1e-10 * np.abs(exact))
+
+    def test_near_diagonal_pair_with_a_large_phase(self):
+        # |z| T = 0.34 and |Im nu| T = 70: the rounding of each nu*T, if kept
+        # in the factors, costs 2.3e-10 on the degree-4 entry
+        rates = np.array([-0.0069536008473846935 + 39.49982206593579j, -0.0013324866774667014 + 39.68830160363352j])
+        T = 1.7850042840569629
+        got = kernels.pair_integrals(rates, np.array([2, 2]), T)[0, 1]
+        with mpmath.workdps(40):
+            exact = complex(poly_exp_integral_mp(4, mpmath.mpc(rates[0]) + mpmath.conj(mpmath.mpc(rates[1])), T))
+        assert abs(got - exact) <= 2e-11 * abs(exact)
+
+    def test_terms_of_degree_zero_hold_two_complex_tables(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        n = 200
+        rates = -(10.0 ** rng.uniform(-3, 2, n)) + 1j * rng.uniform(-40.0, 40.0, n)
+        degrees = np.zeros(n, dtype=np.int64)
+        kernels.pair_integrals(rates, degrees, 3.0)
+        tracemalloc.start()
+        try:
+            K = kernels.pair_integrals(rates, degrees, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # z and K, plus one real table of |z| T and the mask: less than a third complex table
+        assert K.nbytes * 2 < peak < K.nbytes * 3
 
 
 class TestObservabilityQuotient:
