@@ -23,6 +23,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -41,7 +42,8 @@ def _taylor(m: np.ndarray, z: np.ndarray, T: float) -> np.ndarray:
             break
         p = m[live] + k + 1
         total[live] += term_pow[live] * T**p / (math.factorial(k) * p.astype(float))
-        term_pow[live] *= z[live]
+        # not in place: numpy rounds an in-place product on one element otherwise than on several
+        term_pow[live] = term_pow[live] * z[live]
         done = np.abs(term_pow[live]) * T ** (p + 1) / math.factorial(k + 1) < 1e-18 * np.maximum(
             np.abs(total[live]), 1e-300
         )
@@ -149,7 +151,8 @@ def pair_integrals(rates: np.ndarray, degrees: np.ndarray, T: float) -> np.ndarr
     """
     e = _term_exponentials(rates, T)
     z = np.add.outer(rates, rates.conj())
-    K = np.multiply.outer(e, e.conj())
+    # numpy rounds a lone 1 x 1 product otherwise than the same product inside a row
+    K = (e * e.conj())[:, None] if e.size == 1 else e[:, None] * e.conj()
     K -= 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 lies in the Taylor ball, overwritten below
         K /= z
@@ -197,8 +200,17 @@ def _split(x):
     return hi, x - hi
 
 
-#: the last table :func:`signal_energy` built, as ``(key, K)``; one slot, so at most one table is held
-_pair_table: tuple | None = None
+class _PairTable(NamedTuple):
+    """A pair table with its key, ``|K|`` and the row of each of its terms."""
+
+    key: tuple
+    K: np.ndarray
+    abs_K: np.ndarray
+    rows: dict
+
+
+#: the last table :func:`signal_energy` built; one slot, so at most one table is held
+_pair_table: _PairTable | None = None
 
 
 def signal_energy(coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarray, T: float) -> tuple[float, float]:
@@ -213,26 +225,51 @@ def signal_energy(coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarr
     cancellation ``|c|^T |K| |c| / value`` of the signal.
 
     ``K`` depends on the terms' rates, degrees and ``T`` only, not on the
-    coefficients: a call whose rates, degrees and ``T`` are byte-equal to
-    the last table's reuses it.  The old table is dropped before a new one
-    is built, so two never coexist, and the held table is read-only.
+    coefficients, and each entry on its own pair of terms only.  So the last
+    table is held with ``|K|`` in one slot: a call whose rates, degrees and
+    ``T`` are byte-equal to it reads both as they are, and a call at the same
+    ``T`` whose every (rate, degree) is one of the table's gathers its rows
+    and columns from both and leaves the larger table in the slot.  Any other
+    call drops the old table before it builds its own, so two never coexist.
+    The held tables are read-only.
     """
     global _pair_table
     c = np.asarray(coefficients, dtype=complex)
-    rates = np.asarray(rates, dtype=complex)
-    degrees = np.asarray(degrees, dtype=np.int64)
+    rates = np.ascontiguousarray(rates, dtype=complex)
+    degrees = np.ascontiguousarray(degrees, dtype=np.int64)
     key = (rates.tobytes(), degrees.tobytes(), float(T))
     held = _pair_table
-    if held is None or held[0] != key:
+    # the rows and columns of the held tables this call reads; ``...`` reads them whole, as views
+    rows = ... if held is not None and held.key == key else _held_rows(held, rates, degrees, key[2])
+    if rows is None:
         held = _pair_table = None  # no reference keeps the old table alive while the new one is built
         K = pair_integrals(rates, degrees, T)
-        K.flags.writeable = False
-        held = _pair_table = (key, K)
-    K = held[1]
-    value = float((c @ K @ c.conj()).real)
+        abs_K = np.abs(K)
+        K.flags.writeable = abs_K.flags.writeable = False
+        held = _pair_table = _PairTable(key, K, abs_K, dict(zip(_term_keys(rates, degrees), range(rates.size))))
+        rows = ...
+    # a subset gathers from one of the two tables at a time
+    value = float((c @ held.K[rows] @ c.conj()).real)
     abs_c = np.abs(c)
-    bound = float(np.finfo(float).eps * c.size * (abs_c @ np.abs(K) @ abs_c))
+    bound = float(np.finfo(float).eps * c.size * (abs_c @ held.abs_K[rows] @ abs_c))
     return value, bound
+
+
+def _held_rows(held: _PairTable | None, rates: np.ndarray, degrees: np.ndarray, T: float):
+    """``np.ix_`` of the held table's rows for these terms.
+
+    None if no table is held, its ``T`` differs or one of the terms is not in it.
+    """
+    if held is None or held.key[2] != T:
+        return None
+    rows = [held.rows.get(term) for term in _term_keys(rates, degrees)]
+    return None if None in rows else np.ix_(rows, rows)
+
+
+def _term_keys(rates: np.ndarray, degrees: np.ndarray) -> list[bytes]:
+    """One key per term: the bytes of its rate and its degree."""
+    packed = np.column_stack((rates.view(np.int64).reshape(-1, 2), degrees))
+    return packed.view(np.dtype((np.void, packed.itemsize * 3))).ravel().tolist()
 
 
 def signal_energy_exact(terms, T: float) -> float:

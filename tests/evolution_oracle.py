@@ -224,6 +224,24 @@ def bump_coefficients(spec, cutoff: int, samples: int = 8192, carrier: int = 0) 
     return coeffs, tail
 
 
+def transport_gaps(params: BarotropicParams, slice_: SpectrumSlice, profiles: dict, T: float, cutoff: int,
+                   times: int = 257) -> dict:
+    """``|sum amp (e^{hyp s} - e^{rate s})|`` at ``times`` points, one exponential per (time, mode).
+
+    ``rate = i*u_bar*n - omega0`` is the pure transport rate; the two sums are
+    taken separately and subtracted, as the witness did before its
+    product-form tables.
+    """
+    ns = np.arange(-cutoff, cutoff + 1)
+    s = T - np.linspace(0.0, T, times)[:, None]
+    full_exp = np.exp(hyperbolic_values(slice_, cutoff)[None, :] * s)
+    transport_exp = np.exp((1j * params.u_bar * ns - params.omega0)[None, :] * s)
+    return {
+        N: np.abs((amp[None, :] * full_exp).sum(axis=1) - (amp[None, :] * transport_exp).sum(axis=1))
+        for N, amp in profiles.items()
+    }
+
+
 def hyperbolic_pair(slice_: SpectrumSlice, n: int):
     return next(p for p in slice_.mode(n).pairs if p.branch is BranchLabel.HYPERBOLIC)
 

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cnslab import counterexamples
+from cnslab import counterexamples, kernels
 from cnslab.counterexamples import (
     BumpSpec,
     bump_coefficients,
@@ -103,6 +104,34 @@ class TestSmallTimeWitness:
             small_time_witness(
                 nondegenerate_barotropic, 8.0, [4], BumpSpec(x_left=3.2, x_right=5.8)
             )
+
+    def test_tails_per_N(self, nondegenerate_barotropic):
+        spec = BumpSpec(x_left=3.2, x_right=5.8)
+        report = small_time_witness(nondegenerate_barotropic, 3.0, [6, 8, 12], spec)
+        cutoff = report.metadata["cutoff"]
+        assert report.truncation_tails == {
+            N: bump_coefficients(spec, cutoff, carrier=counterexamples._MODULATION_FACTOR * N)[1] for N in (6, 8, 12)
+        }
+        assert report.truncation_tail == report.truncation_tails[12]
+        assert report.to_dict()["truncation_tails"] == {str(N): t for N, t in report.truncation_tails.items()}
+
+    def test_heap_peak_at_the_benchmark_config(self, nondegenerate_barotropic, monkeypatch):
+        # Measured at T = 3, N_list = 6,8,12,16 from an empty pair-table slot:
+        # a 2.11 MB peak (2.00 MB while every signal built its own table), and
+        # 29 kB kept beyond the slot's K and |K|.  A kept bump spectrum of
+        # 8192 samples would add 131 kB; the warm-up uses another window, so
+        # a spectrum kept across calls is made inside the traced call.
+        small_time_witness(nondegenerate_barotropic, 3.0, [6, 8, 12, 16], BumpSpec(x_left=3.3, x_right=5.7))
+        monkeypatch.setattr(kernels, "_pair_table", None)
+        tracemalloc.start()
+        try:
+            small_time_witness(nondegenerate_barotropic, 3.0, [6, 8, 12, 16], BumpSpec(x_left=3.2, x_right=5.8))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = kernels._pair_table
+        assert peak < 2.3e6
+        assert kept - held.K.nbytes - held.abs_K.nbytes < 64e3
 
     def test_slope_stable_across_seeds(self, nondegenerate_barotropic):
         slopes = []

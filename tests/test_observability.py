@@ -242,10 +242,57 @@ class TestPairTable:
         c, rates, degrees = self._terms(3)
         monkeypatch.setattr(kernels, "_pair_table", None)
         kernels.signal_energy(c, rates, degrees, 1.0)
-        K = kernels._pair_table[1]
-        assert not K.flags.writeable
-        with pytest.raises(ValueError):
-            K[0, 0] = 0.0
+        held = kernels._pair_table
+        np.testing.assert_array_equal(held.abs_K, np.abs(held.K))
+        for table in (held.K, held.abs_K):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    def test_one_term_table_is_the_diagonal_entry(self):
+        # numpy's lone 1 x 1 product rounds otherwise than a row's; a one-term
+        # subset is gathered from a row, so its fresh table must agree
+        _, rates, degrees = self._terms(452615)
+        K = kernels.pair_integrals(rates, degrees, 7.0)
+        for i in range(rates.size):
+            one = kernels.pair_integrals(rates[i : i + 1], degrees[i : i + 1], 7.0)
+            assert one.shape == (1, 1) and one[0, 0].tobytes() == K[i, i].tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.floats(0.1, 8.0), data=st.data())
+    def test_subsets_of_the_held_terms_equal_fresh_evaluations(self, seed, T, data):
+        c, rates, degrees = self._terms(seed)
+        # the held set repeats two of its (rate, degree) terms
+        twice = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 7])
+        c, rates, degrees = c[twice], rates[twice], degrees[twice]
+        rng = np.random.default_rng(seed)
+        pair_integrals = kernels.pair_integrals
+        built = []
+
+        def counted(*args):
+            built.append(kernels._pair_table)
+            return pair_integrals(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_pair_table", None)
+            mp.setattr(kernels, "pair_integrals", counted)
+            kernels.signal_energy(c, rates, degrees, T)
+            held = kernels._pair_table
+            calls = []
+            for _ in range(3):
+                # a subsequence, with repeats
+                rows = sorted(data.draw(st.lists(st.integers(0, rates.size - 1), min_size=1, max_size=rates.size + 4)))
+                sub = (rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows)), rates[rows], degrees[rows])
+                calls.append((sub, kernels.signal_energy(*sub, T)))
+                assert kernels._pair_table is held
+            assert built == [None]
+            # another horizon misses, and so does a term the table does not hold
+            kernels.signal_energy(*calls[0][0], T + 0.5)
+            kernels.signal_energy(np.append(c, 1.0), np.append(rates, -1.0 + 0.5j), np.append(degrees, 0), T)
+            assert built == [None, None, None]
+            mp.setattr(kernels, "pair_integrals", pair_integrals)
+            for sub, got in calls:
+                assert got == self._fresh(mp, *sub, T)
 
 
 class TestPairIntegrals:
