@@ -216,6 +216,8 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
     params = _load_params(parser, system)
     knobs = _knobs(parser, *COMMANDS[command])
     T = knobs.get("T")
+    if knobs.get("N", 1) < 1:
+        raise DomainError(f"N must be >= 1, got {knobs['N']}")
     out.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(seed)

@@ -12,9 +12,19 @@ turns the constraints into the Hermitian Gram system ``G x = m``.  The Gram
 of an exponential family is exponentially ill conditioned, so the system is
 solved by Cholesky in extended precision, and the parabolic ill-conditioning
 is reported as the discarded singular values of the normalized Gram rather
-than hidden in a black-box solver.  The extended-precision arithmetic runs
-on complex pairs of ``decimal.Decimal``; mpmath supplies one exponential
-``e^{rate T}`` per kernel term, and terms are paired by products.
+than hidden in a black-box solver.
+
+The extended-precision arithmetic runs on Python integers that carry an
+explicit power-of-two scale: a number is ``n * 2**e``, in fixed point at
+``bits`` fraction bits within one kernel, Gram or vector.  A rung of
+``dps`` digits works at mpmath's ``dps_to_prec(dps)`` bits, and the Gram,
+its exponentials and the residual carry :data:`_GUARD_BITS` more.  Every
+inner product is one C-level ``sum(map(mul, ...))`` of integers, exact, and
+shifted once.  The Gram's rows and columns are scaled by powers of two to a
+unit diagonal; the shifts are exact, and Cholesky's rounding error depends
+only on that diagonally scaled matrix (van der Sluis).  mpmath supplies one
+exponential ``e^{rate T}`` per kernel term, and terms are paired by
+products.
 
 Verification replays the duality identity mode by mode in closed form,
 inside and beyond the synthesis truncation (terminal spill-over), reading
@@ -25,15 +35,13 @@ from __future__ import annotations
 
 import bisect
 import csv
-import decimal
 import itertools
 import math
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from decimal import Decimal
-from operator import add, mul, sub
-from typing import Any
+from itertools import repeat
+from operator import add, floordiv, lshift, mul, neg, rshift, sub
+from typing import Any, NamedTuple
 
 import mpmath
 import numpy as np
@@ -41,21 +49,17 @@ import numpy as np
 from .errors import ArithmeticFailure, DomainError, InfeasibleRow, RankDeficient
 from .evolution import ObservationChannel, boundary_control_weight, chain_links, observation_values
 from .fields import NormSpec, SpectralField
-from .kernels import TAYLOR_RADIUS, KernelTerm, pair_integrals, poly_exp_integral_dec
+from .kernels import TAYLOR_RADIUS, KernelTerm, pair_integrals
 from .kernels import poly_exp_integral_mp  # noqa: F401  (perfbench/spans.py traces this name)
 from .spectrum import SpectrumSlice
 
-#: working precisions (decimal digits) tried in turn until the moment residual is met
+#: working precisions (significant digits) tried in turn until the moment residual is met
 _DPS_LADDER = (40, 80, 160, 320)
 _RESIDUAL_TOL = 1e-12
 #: fraction of the largest singular value of the normalized Gram at or below which one counts as discarded
 _SVD_THRESHOLD = 1e-12
-#: decimal signals that end the extended-precision arithmetic with ArithmeticFailure
-_TRAPS = (decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow)
-#: extra digits of the Gram, its exponentials and the residual that refines the solution
-_GUARD_DIGITS = 10
-_ZERO = Decimal(0)
-_TWO = Decimal(2)
+#: extra bits (ten digits) of the Gram, its exponentials and the residual that refines the solution
+_GUARD_BITS = 34
 #: largest ``max|rate| * |h - h0|`` at which the control evaluation derives a step's factors from step ``h0``'s
 _STEP_SERIES_RADIUS = 1e-6
 
@@ -208,61 +212,116 @@ def _rank_deficiency_groups(rows: list[MomentRow]) -> list[tuple[int, int]]:
     return [(i, j) for i, j in _proportional_pairs(rows) if rows[i].n != rows[j].n]
 
 
-@contextmanager
-def _working_digits(dps: int) -> Iterator[None]:
-    """mpmath at ``dps`` digits and a decimal context at least as precise.
+class ScaledVector(NamedTuple):
+    """Complex numbers ``(re[k] + 1j * im[k]) * 2**exp`` on Python ints, with one power-of-two scale."""
 
-    The decimal context keeps the fewest digits whose unit roundoff
-    ``10**(1 - digits) / 2`` is at most mpmath's ``2**-prec`` at ``dps``
-    (42 digits at the 40-digit rung), so a rung rounds no coarser than its
-    mpmath exponentials.  Invalid operations, division by zero and overflow
-    trap, and a trapped signal becomes :class:`ArithmeticFailure`.
+    re: list[int]
+    im: list[int]
+    exp: int
+
+
+class _Kernel(NamedTuple):
+    """A moment kernel on integers at ``bits`` fraction bits.
+
+    Each term is ``(cr, ci, ar, ai, rate, degree, er, ei)``: the coefficient
+    ``(cr + 1j * ci) * 2**(exp - bits)``, the rate ``(ar + 1j * ai) * 2**-bits``
+    (also kept as the complex ``rate``), the degree, and ``e^{rate T}`` as
+    ``(er + 1j * ei) * 2**-bits``.  ``exp`` brings the row's coefficients
+    below 1 in modulus.
     """
-    digits = math.ceil(1 + (mpmath.libmp.dps_to_prec(dps) - 1) * math.log10(2))
-    try:
-        with decimal.localcontext(decimal.Context(prec=digits, traps=list(_TRAPS))), mpmath.workdps(dps):
-            yield
-    except _TRAPS as exc:
-        raise ArithmeticFailure(f"{type(exc).__name__} in the {dps}-digit moment arithmetic") from exc
+
+    exp: int
+    bits: int
+    terms: list[tuple]
 
 
-@contextmanager
-def _guard_digits() -> Iterator[None]:
-    """The active decimal and mpmath precisions raised by :data:`_GUARD_DIGITS` digits."""
-    with decimal.localcontext() as context, mpmath.workdps(mpmath.mp.dps + _GUARD_DIGITS):
-        context.prec += _GUARD_DIGITS
-        yield
+class _Gram(NamedTuple):
+    """A Hermitian Gram with its rows and columns scaled by powers of two.
+
+    ``G[i][j] = (re + 1j * im)[i][j] * 2**(exps[i] + exps[j] - bits)``, and
+    ``re[i][i] * 2**-bits`` lies in ``[1, 4)``: the scaled matrix has a unit
+    diagonal up to a factor below 4.
+    """
+
+    re: list[list[int]]
+    im: list[list[int]]
+    exps: list[int]
+    bits: int
 
 
-def _decimal(x) -> Decimal:
-    """An mpmath real as a Decimal of the active context; infinities and NaN map to their Decimal forms."""
+def _shift(n: int, k: int) -> int:
+    """``n * 2**k``, rounded down when ``k < 0``."""
+    return n << k if k >= 0 else n >> -k
+
+
+def _fixed(x: float, bits: int) -> int:
+    """``floor(x * 2**bits)`` for a finite float ``x``."""
+    n, d = x.as_integer_ratio()
+    return _shift(n, bits) // d
+
+
+def _mpf_fixed(x, bits: int) -> int:
+    """An mpmath real times ``2**bits``, its mantissa shifted and rounded toward zero."""
     sign, man, exp, _ = x._mpf_
-    if not man:
-        return Decimal(float(x))
-    value = man * _TWO**exp
-    return -value if sign else value
+    n = _shift(man, exp + bits)
+    return -n if sign else n
 
 
-def _pair(z) -> tuple[Decimal, Decimal]:
-    """An mpmath complex as a pair of Decimals."""
-    return _decimal(z.real), _decimal(z.imag)
+def _float(n: int, exp: int) -> float:
+    """``n * 2**exp`` correctly rounded to a float."""
+    return n / (1 << -exp) if exp < 0 else float(n << exp)
 
 
-def _decimal_terms(kernel: list[KernelTerm], T: float) -> list[tuple]:
-    """``(coef, rate, rate as complex, degree, e^{rate T})`` per kernel term.
+def _require_finite(label: str, what: str, values) -> None:
+    """Refuse non-finite complex ``values`` with :class:`ArithmeticFailure` naming the row and the input."""
+    for v in values:
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ArithmeticFailure(f"{label}: non-finite {what} {v!r}")
 
-    Complex values are pairs of Decimals.  Each term costs one mpmath
-    exponential, taken with guard digits like the Gram it enters.
+
+def _range_bits(rows: list[MomentRow], T: float) -> int:
+    """Bits by which the smallest ``integral_0^T |(T-t)**j e^{rate (T-t)}|**2 dt`` of the rows' terms falls below 1.
+
+    That integral is ``I_{2j}(2 Re rate, T)``, about ``T**(2j+1) / (2j+1)``
+    and, for a decaying rate, at most ``(2j)! / |2 Re rate|**(2j+1)``; the
+    smaller of the two is taken.  Pair integrals carry these bits on top of
+    the working ones, so rescaling the Gram to a unit diagonal keeps every
+    working bit.  Non-finite rates are skipped here and refused by
+    :func:`_kernel`.
     """
+    smallest = 0.0
+    for row in rows:
+        for t in row.kernel:
+            m = 2 * t.degree
+            size = (m + 1) * math.log2(T) - math.log2(m + 1)
+            decay = -2.0 * complex(t.rate).real
+            if 0.0 < decay < math.inf:
+                size = min(size, math.log2(math.factorial(m)) - (m + 1) * math.log2(decay))
+            smallest = min(smallest, size)
+    return math.ceil(-smallest)
+
+
+def _kernel(label: str, kernel: list[KernelTerm], T: float, bits: int) -> _Kernel:
+    """The terms of one kernel as integers at ``bits`` fraction bits (see :class:`_Kernel`).
+
+    Each term costs one mpmath exponential at ``bits`` bits of precision.
+    Non-finite coefficients and rates are refused here, where they would
+    enter the integer arithmetic.
+    """
+    coefs = [complex(t.coef) for t in kernel]
+    rates = [complex(t.rate) for t in kernel]
+    _require_finite(label, "kernel coefficient", coefs)
+    _require_finite(label, "kernel rate", rates)
+    exp = max((math.frexp(v)[1] for c in coefs for v in (c.real, c.imag)), default=0)
     terms = []
-    with _guard_digits():
+    with mpmath.workprec(bits):
         T_mp = mpmath.mpf(T)
-        for t in kernel:
-            coef, rate = complex(t.coef), complex(t.rate)
-            e = _pair(mpmath.exp(mpmath.mpc(rate) * T_mp))
-            pair = (Decimal(coef.real), Decimal(coef.imag)), (Decimal(rate.real), Decimal(rate.imag))
-            terms.append((*pair, rate, t.degree, e))
-    return terms
+        for t, c, rate in zip(kernel, coefs, rates):
+            e = mpmath.exp(mpmath.mpc(rate) * T_mp)
+            coef = _fixed(c.real, bits - exp), _fixed(c.imag, bits - exp)
+            terms.append((*coef, _fixed(rate.real, bits), _fixed(rate.imag, bits), rate, t.degree,
+                          _mpf_fixed(e.real, bits), _mpf_fixed(e.imag, bits)))
+    return _Kernel(exp, bits, terms)
 
 
 @dataclass
@@ -273,116 +332,138 @@ class ControlSolution:
     exponential family is exponentially ill conditioned (the condensation
     phenomenon), so the minimum-norm representation has large, delicately
     cancelling coefficients even though the control function itself is tame.
-    ``x`` holds them as the real and the imaginary parts, two lists of
-    Decimals aligned with the kept rows ``keep`` (the other rows' constraints
-    are implied); every closed-form identity downstream reads its current
-    values.  ``gram`` keeps the Hermitian Gram of the kept rows at the solve
-    precision, with the prepared terms ``columns`` of their kernels, so the
-    verification reuses the solve's pair integrals.  The constructor refuses
-    ``x`` parts or ``columns`` without one entry per kept row.
+    ``x`` holds them exactly, one per kept row ``keep``, as a
+    :class:`ScaledVector` (the other rows' constraints are implied); every
+    closed-form identity downstream reads its current values.  ``gram`` keeps
+    the scaled Hermitian Gram of the kept rows (:class:`_Gram`), with the
+    kernels ``columns`` on the integers of the solve, so the verification
+    reuses the solve's pair integrals.  The constructor refuses ``x`` parts
+    or ``columns`` without one entry per kept row.
     """
 
     system: MomentSystem
-    x: tuple[list[Decimal], list[Decimal]]
+    x: ScaledVector
     residual: float
     control_norm: float
     discarded_singular_values: int
     solve_dps: int
     keep: list[int] = field(default_factory=list)
-    gram: tuple[list, list] = field(default=((), ()), repr=False, compare=False)
-    columns: list = field(default_factory=list, repr=False, compare=False)
+    gram: _Gram | None = field(default=None, repr=False, compare=False)
+    columns: list[_Kernel] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
-        xr, xi = self.x
-        if not len(xr) == len(xi) == len(self.columns) == len(self.keep):
+        if not len(self.x.re) == len(self.x.im) == len(self.columns) == len(self.keep):
             raise DomainError("the coefficients and kernel columns must align with the kept rows")
 
     def __call__(self, t) -> np.ndarray:
         """Evaluate p(t) = sum_j x_j conj(k_j(t)).
 
-        With ``s = T - t``, each term's ``e^{rate s}`` is carried from point to
-        point by the step factor ``e^{rate h}``, computed once per distinct
-        step ``h``.  The steps of a uniform float grid differ only in their
-        last bits, so one exponential per term is taken, at the first step
-        ``h0``, and a step within :data:`_STEP_SERIES_RADIUS` of it gets its
-        factors as ``e^{rate h0}`` times the short Taylor series of
-        ``e^{rate (h - h0)}``.  Any other step takes its own exponentials and
-        becomes the new ``h0``, so scattered points go through the same
-        recurrence.
+        Each term ``x conj(coef) (T-t)**degree e^{conj(rate) (T-t)}`` takes its
+        exponential from :func:`_exponential_walk`; the products
+        ``x conj(coef)`` are exact integers at one scale, and each point's sum
+        is exact and rounded once.  Times must be finite.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.isfinite(t).all():
+            raise DomainError("control evaluation times must be finite")
         out = np.zeros(t.size, dtype=complex)
-        xr, xi = self.x
-        with _working_digits(self.solve_dps):
-            # x conj(coef) (T-t)**degree e^{conj(rate) (T-t)} per term of a kept row with x != 0
+        x = self.x
+        live = [(a, b, column) for a, b, column in zip(x.re, x.im, self.columns) if a or b]
+        if live:
+            bits = live[0][2].bits
+            low = min(column.exp for _, _, column in live)
             terms = [
-                (a * cr + b * ci, b * cr - a * ci, rate.conjugate(), (rr, -ri), degree, er, -ei)
-                for a, b, column in zip(xr, xi, self.columns)
-                if a or b
-                for (cr, ci), (rr, ri), rate, degree, (er, ei) in column
+                (a * cr + b * ci << k, b * cr - a * ci << k, rate.conjugate(), ar, -ai, degree)
+                for a, b, column in live
+                for k in (column.exp - low,)
+                for cr, ci, ar, ai, rate, degree, _, _ in column.terms
             ]
-            if terms:
-                wr, wi, rates, rate_pairs, degrees, cur_r, cur_i = (list(v) for v in zip(*terms))
-                rate_max = max(map(abs, rates))
-                rates = [mpmath.mpc(rate) for rate in rates]
-                T = mpmath.mpf(self.system.horizon)
-                s_prev = T
-                steps: dict = {}
-                base = None  # (h0, factors of h0) of the last step that took exponentials
-                for i, ti in enumerate(t.ravel()):
-                    s = T - mpmath.mpf(float(ti))
-                    h = s - s_prev
-                    if h != 0:
-                        factors = steps.get(h)
-                        if factors is None:
-                            if base is not None and rate_max * abs(float(h - base[0])) <= _STEP_SERIES_RADIUS:
-                                factors = _shifted_factors(base[1], rate_pairs, _decimal(h - base[0]))
-                            else:
-                                pairs = [_pair(mpmath.exp(rate * h)) for rate in rates]
-                                factors = ([re for re, _ in pairs], [im for _, im in pairs])
-                                base = (h, factors)
-                            steps[h] = factors
-                        fr, fi = factors
-                        cur_r, cur_i = (
-                            list(map(sub, map(mul, cur_r, fr), map(mul, cur_i, fi))),
-                            list(map(add, map(mul, cur_r, fi), map(mul, cur_i, fr))),
-                        )
-                        s_prev = s
-                    ur, ui = wr, wi
-                    if any(degrees):
-                        sd = _decimal(s)
-                        powers = [sd**d if d else 1 for d in degrees]  # decimal refuses 0 ** 0
-                        ur, ui = list(map(mul, wr, powers)), list(map(mul, wi, powers))
-                    out[i] = complex(
-                        float(sum(map(mul, ur, cur_r)) - sum(map(mul, ui, cur_i))),
-                        float(sum(map(mul, ur, cur_i)) + sum(map(mul, ui, cur_r))),
-                    )
+            wr, wi, rates, rate_re, rate_im, degrees = (list(v) for v in zip(*terms))
+            w_exp = x.exp + low - 2 * bits  # of a product w * e^{conj(rate) s}
+            T = _fixed(self.system.horizon, bits)
+            s_all = [T - _fixed(ti, bits) for ti in t.ravel().tolist()]
+            for i, cur_r, cur_i in _exponential_walk(rates, (rate_re, rate_im), s_all, bits):
+                ur, ui, exp = wr, wi, w_exp
+                if any(degrees):
+                    powers = [_shift(s_all[i] ** d, (1 - d) * bits) for d in degrees]  # s**d at bits fraction bits
+                    ur, ui, exp = list(map(mul, wr, powers)), list(map(mul, wi, powers)), w_exp - bits
+                out[i] = complex(
+                    _float(sum(map(mul, ur, cur_r)) - sum(map(mul, ui, cur_i)), exp),
+                    _float(sum(map(mul, ur, cur_i)) + sum(map(mul, ui, cur_r)), exp),
+                )
         return out.reshape(t.shape)
 
 
-def _shifted_factors(factors: tuple[list, list], rates: list[tuple], d: Decimal) -> tuple[list, list]:
+def _exponential_walk(rates: list[complex], rate_ints: tuple[list, list], s_all: list[int], bits: int) -> Iterator:
+    """``(i, re, im)`` of ``e^{rate s_all[i]}`` per rate, for every ``i`` in increasing ``s_all[i]``.
+
+    Rates come as complexes and as integers ``rate_ints`` (real parts,
+    imaginary parts), ``s_all`` and the exponentials at ``bits`` fraction
+    bits.  The walk starts at ``s = 0`` and carries the exponentials from
+    point to point by the step factors ``e^{rate h}``, computed once per
+    distinct step ``h``.  The steps of a uniform float grid differ only in
+    their last bits, so one exponential per rate is taken, at the first step
+    ``h0``, and a step within :data:`_STEP_SERIES_RADIUS` of it gets its
+    factors as ``e^{rate h0}`` times the short Taylor series of
+    ``e^{rate (h - h0)}``.  Any other step takes its own exponentials and
+    becomes the new ``h0``, so scattered points go through the same
+    recurrence.  Stepping toward larger ``s`` multiplies by factors of
+    modulus at most 1 for decaying rates, so the fixed-point rounding of each
+    step is never amplified.
+    """
+    rate_max = max(map(abs, rates))
+    cur_r, cur_i = [1 << bits] * len(rates), [0] * len(rates)
+    s_prev = 0
+    steps: dict = {}
+    base = None  # (h0, factors of h0) of the last step that took exponentials
+    with mpmath.workprec(bits):
+        rates = [mpmath.mpc(rate) for rate in rates]
+        for i in sorted(range(len(s_all)), key=s_all.__getitem__):
+            h = s_all[i] - s_prev
+            if h:
+                factors = steps.get(h)
+                if factors is None:
+                    if base is not None and rate_max * abs(_float(h - base[0], -bits)) <= _STEP_SERIES_RADIUS:
+                        factors = _shifted_factors(base[1], rate_ints, h - base[0], bits)
+                    else:
+                        h_mp = mpmath.mpf((h, -bits))
+                        exps = [mpmath.exp(rate * h_mp) for rate in rates]
+                        factors = [_mpf_fixed(e.real, bits) for e in exps], [_mpf_fixed(e.imag, bits) for e in exps]
+                        base = (h, factors)
+                    steps[h] = factors
+                cur_r, cur_i = _complex_products(cur_r, cur_i, *factors, bits)
+                s_prev = s_all[i]
+            yield i, cur_r, cur_i
+
+
+def _shifted_factors(factors: tuple[list, list], rates: tuple[list, list], d: int, bits: int) -> tuple[list, list]:
     """``f * e^{rate d}`` per rate, for the factors ``f`` of a step and a small shift ``d`` of it.
 
-    ``e^{rate d}`` is its Taylor series, summed until a term falls below the
-    active decimal precision; with ``|rate d|`` at most
-    :data:`_STEP_SERIES_RADIUS` every term is smaller than the last and the
-    sum is near 1, so a few terms suffice and nothing cancels.
+    Factors, the real and imaginary parts of the rates and ``d`` are integers
+    at ``bits`` fraction bits.  ``e^{rate d}`` is its Taylor series, summed for
+    all rates at once until every term falls to one unit of ``2**-bits``; with
+    ``|rate d|`` at most :data:`_STEP_SERIES_RADIUS` every term is smaller
+    than the last and the sum is near 1, so a few terms suffice and nothing
+    cancels.
     """
-    tol = Decimal(10) ** -(decimal.getcontext().prec + 1)
-    out_r, out_i = [], []
-    for fr, fi, (rr, ri) in zip(*factors, rates):
-        wr, wi = rr * d, ri * d
-        sr, si = Decimal(1), _ZERO
-        tr, ti = Decimal(1), _ZERO  # (rate d)**k / k!
-        k = 0
-        while abs(tr) + abs(ti) > tol:
-            k += 1
-            tr, ti = (tr * wr - ti * wi) / k, (tr * wi + ti * wr) / k
-            sr += tr
-            si += ti
-        out_r.append(fr * sr - fi * si)
-        out_i.append(fr * si + fi * sr)
-    return out_r, out_i
+    fr, fi = factors
+    wr, wi = (list(map(rshift, map(mul, part, repeat(d)), repeat(bits))) for part in rates)
+    sr, si = [1 << bits] * len(fr), [0] * len(fr)
+    tr, ti = sr, si  # (rate d)**k / k!
+    k = 0
+    while max(map(abs, tr + ti)) > 1:
+        k += 1
+        tr, ti = (list(map(floordiv, part, repeat(k))) for part in _complex_products(tr, ti, wr, wi, bits))
+        sr, si = list(map(add, sr, tr)), list(map(add, si, ti))
+    return _complex_products(fr, fi, sr, si, bits)
+
+
+def _complex_products(ar: list, ai: list, br: list, bi: list, bits: int) -> tuple[list, list]:
+    """Real and imaginary parts of ``a[k] * b[k]`` for integers at ``bits`` fraction bits, at ``bits`` again."""
+    return (
+        list(map(rshift, map(sub, map(mul, ar, br), map(mul, ai, bi)), repeat(bits))),
+        list(map(rshift, map(add, map(mul, ar, bi), map(mul, ai, br)), repeat(bits))),
+    )
 
 
 def gram_matrix(system: MomentSystem) -> np.ndarray:
@@ -400,115 +481,230 @@ def gram_matrix(system: MomentSystem) -> np.ndarray:
     return incidence @ ((c[:, None] * c.conj()[None, :]) * K) @ incidence.T
 
 
-def _moment_gram(rows: list[list[tuple]], columns: list[list[tuple]], T: float) -> tuple[list[list], list[list]]:
+def _pair_integral(m: int, zr: int, zi: int, ezt: tuple[int, int], T: int, bits: int, near: bool) -> tuple[int, int]:
+    """``I_m(z, T)`` (see :mod:`~cnslab.kernels`) on integers at ``bits`` fraction bits.
+
+    ``z``, ``ezt = e^{zT}`` and ``T`` come at ``bits`` fraction bits, so
+    callers pairing many rates form ``ezt`` as a product of per-rate
+    exponentials.  ``near`` selects the Taylor series in ``zT``
+    (``|z| T < TAYLOR_RADIUS``, decided in double precision by the caller),
+    which works from ``z`` alone; away from it ``1/z`` enters as
+    ``conj(z) / |z|**2``, one division per part and step.
+    """
+    if near:
+        return _taylor(m, zr, zi, T, bits)
+    den = zr * zr + zi * zi
+    er, ei = ezt
+    ar, ai = er - (1 << bits), ei
+    vr, vi = ((ar * zr + ai * zi) << bits) // den, ((ai * zr - ar * zi) << bits) // den
+    Tk = 1 << bits
+    for k in range(1, m + 1):
+        Tk = (Tk * T) >> bits
+        ar, ai = ((Tk * er) >> bits) - k * vr, ((Tk * ei) >> bits) - k * vi
+        vr, vi = ((ar * zr + ai * zi) << bits) // den, ((ai * zr - ar * zi) << bits) // den
+    return vr, vi
+
+
+def _taylor(m: int, zr: int, zi: int, T: int, bits: int) -> tuple[int, int]:
+    """Taylor series of ``I_m(z, T)`` in ``zT`` at ``bits`` fraction bits, summed until a term is below ``2**-bits``."""
+    total_r = total_i = 0
+    pr, pi = 1 << bits, 0  # z**k / k!
+    Tp = _shift(T ** (m + 1), -m * bits)  # T**(m + k + 1)
+    k = 0
+    while True:
+        c = Tp // (m + k + 1)
+        tr, ti = pr * c, pi * c
+        total_r += tr
+        total_i += ti
+        if abs(tr) + abs(ti) < 1 << bits:
+            return total_r >> bits, total_i >> bits
+        k += 1
+        pr, pi = ((pr * zr - pi * zi) >> bits) // k, ((pr * zi + pi * zr) >> bits) // k
+        Tp = (Tp * T) >> bits
+
+
+def _moment_gram(rows: list[_Kernel], columns: list[_Kernel], T: float, bits: int) -> tuple[list[list], list[list]]:
     """``integral_0^T k_r conj(k_s) dt`` of row kernels against column kernels.
 
-    Kernels come as :func:`_decimal_terms`; the entries come back as their
-    real and their imaginary parts, two lists of lists of Decimals.  A term
-    pair's ``e^{(a + conj(b)) T}`` is the product ``e^{aT} conj(e^{bT})``.
-    When ``rows`` is ``columns`` the Gram is Hermitian: only the upper
-    triangle is integrated, and the lower one mirrors it.  Entries are
-    summed with guard digits: the terms of chain rows cancel, and the
-    refinement of the solve needs a Gram more accurate than its arithmetic.
+    Kernels come as :func:`_kernel` made them at ``bits`` fraction bits; the
+    entries come back as their real and their imaginary parts, two lists of
+    lists of integers: entry ``[r][s]`` is ``(re + 1j * im)[r][s] *
+    2**(rows[r].exp + columns[s].exp - bits)``.  A term pair's
+    ``e^{(a + conj(b)) T}`` is the product ``e^{aT} conj(e^{bT})``.  The
+    products of an entry are summed exactly and shifted once.  When ``rows``
+    is ``columns`` the Gram is Hermitian: only the upper triangle is
+    integrated, and the lower one mirrors it.
     """
     hermitian = rows is columns
-    T_dec = Decimal(T)
-    re = [[_ZERO] * len(columns) for _ in rows]
-    im = [[_ZERO] * len(columns) for _ in rows]
-    with _guard_digits():
-        for i, row in enumerate(rows):
-            for j in range(i if hermitian else 0, len(columns)):
-                sr = si = _ZERO
-                for (car, cai), (ar, ai), a, da, (ear, eai) in row:
-                    for (cbr, cbi), (br, bi), b, db, (ebr, ebi) in columns[j]:
-                        Ir, Ii = poly_exp_integral_dec(
-                            da + db,
-                            (ar + br, ai - bi),
-                            (ear * ebr + eai * ebi, eai * ebr - ear * ebi),
-                            T_dec,
-                            abs(a + b.conjugate()) * T < TAYLOR_RADIUS,
-                        )
-                        wr, wi = car * cbr + cai * cbi, cai * cbr - car * cbi
-                        sr += wr * Ir - wi * Ii
-                        si += wr * Ii + wi * Ir
-                re[i][j], im[i][j] = sr, si
-                if hermitian and j != i:
-                    re[j][i], im[j][i] = sr, -si
+    T_int = _fixed(T, bits)
+    re = [[0] * len(columns) for _ in rows]
+    im = [[0] * len(columns) for _ in rows]
+    for i, row in enumerate(rows):
+        for j in range(i if hermitian else 0, len(columns)):
+            sr = si = 0
+            for car, cai, ar, ai, a, da, ear, eai in row.terms:
+                for cbr, cbi, br, bi, b, db, ebr, ebi in columns[j].terms:
+                    Ir, Ii = _pair_integral(
+                        da + db,
+                        ar + br,
+                        ai - bi,
+                        ((ear * ebr + eai * ebi) >> bits, (eai * ebr - ear * ebi) >> bits),
+                        T_int,
+                        bits,
+                        abs(a + b.conjugate()) * T < TAYLOR_RADIUS,
+                    )
+                    wr, wi = car * cbr + cai * cbi, cai * cbr - car * cbi
+                    sr += wr * Ir - wi * Ii
+                    si += wr * Ii + wi * Ir
+            re[i][j], im[i][j] = sr >> 2 * bits, si >> 2 * bits
+            if hermitian and j != i:
+                re[j][i], im[j][i] = re[i][j], -im[i][j]
     return re, im
 
 
-def _cholesky(Gr: list[list], Gi: list[list]) -> tuple[list, list, list] | None:
-    """``G = L L^H`` for Hermitian positive definite ``G`` in the active decimal context.
+def _unit_diagonal(re: list[list], im: list[list], exps: list[int], bits: int) -> _Gram:
+    """The Hermitian Gram of :func:`_moment_gram` with rows and columns scaled to a unit diagonal (:class:`_Gram`).
+
+    Row and column ``i`` are multiplied by the power of two ``2**s[i]`` that
+    brings the diagonal entry into ``[1, 4)``, an exact shift that leaves
+    Cholesky's rounding errors as they were relative to the diagonal.  The
+    entries gain ``-2 * min(s)`` fraction bits, so every shift is to the left.
+    """
+    s = [(bits + 2 - re[i][i].bit_length()) // 2 if re[i][i] > 0 else 0 for i in range(len(re))]
+    low = min(s, default=0)
+    u = [v - low for v in s]
+    return _Gram(
+        [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(re, u)],
+        [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(im, u)],
+        [e - v for e, v in zip(exps, s)],
+        bits - 2 * low,
+    )
+
+
+def _shift_all(values: list[int], k: int) -> list[int]:
+    """:func:`_shift` of every value by ``k``."""
+    return list(map(lshift, values, repeat(k))) if k >= 0 else list(map(rshift, values, repeat(-k)))
+
+
+def _cholesky(gram: _Gram, bits: int) -> tuple[list, list, list] | None:
+    """``H = L L^H`` for the scaled Hermitian positive definite ``H`` of ``gram``, at ``bits`` fraction bits.
 
     ``L`` is kept row by row as the real parts, the imaginary parts and the
-    diagonal, so that every inner product is a C-level ``sum(map(mul, ...))``.
-    Returns None at the first pivot that is not positive: ``G`` is not
-    numerically definite at this precision.
+    diagonal.  Each entry's inner product with an earlier row is one C-level
+    ``sum(map(mul, ...))`` of integers per part, exact, over the row's real
+    and imaginary parts side by side, and the entry is rounded once, by its
+    division.  Returns None at the first pivot that is not positive: ``H`` is
+    not numerically definite at this precision.
     """
     Lr: list[list] = []
     Li: list[list] = []
     d: list = []
-    for i in range(len(Gr)):
+    # earlier rows j as [re, im] and [-im, re]: the real and the imaginary part of L[i] . conj(L[j])
+    rows_re: list[list] = []
+    rows_im: list[list] = []
+    scale = 2 * bits - gram.bits  # the entries of H at 2 * bits fraction bits, like the products of L
+    for i in range(len(gram.re)):
+        gr = _shift_all(gram.re[i][: i + 1], scale)
+        gi = _shift_all(gram.im[i][:i], scale)
         ri: list = []
         ii: list = []
         for j in range(i):
-            # G[i][j] - sum_k L[i][k] conj(L[j][k])
-            sr = Gr[i][j] - sum(map(mul, ri, Lr[j])) - sum(map(mul, ii, Li[j]))
-            si = Gi[i][j] - sum(map(mul, ii, Lr[j])) + sum(map(mul, ri, Li[j]))
-            ri.append(sr / d[j])
-            ii.append(si / d[j])
-        pivot = Gr[i][i] - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
-        if not pivot > 0:
+            row = ri + ii
+            ri.append((gr[j] - sum(map(mul, row, rows_re[j]))) // d[j])
+            ii.append((gi[j] - sum(map(mul, row, rows_im[j]))) // d[j])
+        pivot = gr[i] - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
+        if pivot <= 0:
             return None
-        d.append(pivot.sqrt())
+        d.append(math.isqrt(pivot))
         Lr.append(ri)
         Li.append(ii)
+        rows_re.append(ri + ii)
+        rows_im.append(list(map(neg, ii)) + ri)
     return Lr, Li, d
 
 
-def _cholesky_solve(factor: tuple[list, list, list], br: list, bi: list) -> tuple[list, list]:
-    """Real and imaginary parts of ``x`` with ``L L^H x = b`` for the factor of :func:`_cholesky`."""
+def _cholesky_solve(factor: tuple[list, list, list], b: ScaledVector, bits: int) -> ScaledVector:
+    """``x`` with ``L L^H x = b`` for the factor of :func:`_cholesky` at ``bits`` fraction bits.
+
+    ``b`` is first shifted so that its largest part lies just below 1, so
+    both substitutions work at ``bits`` bits relative to ``b``.
+    """
     Lr, Li, d = factor
     m = len(d)
-    # L y = b
+    shift = bits - max(v.bit_length() for v in b.re + b.im)
+    yr, yi = _substitute(Lr, Li, d, _shift_all(b.re, shift + bits), _shift_all(b.im, shift + bits))
+    # L^H x = y from the last row up: row i of L^H holds conj(L[k][i]) for k > i
+    rows = range(m - 1, -1, -1)
+    xr, xi = _substitute(
+        [[Lr[k][i] for k in range(m - 1, i, -1)] for i in rows],
+        [[-Li[k][i] for k in range(m - 1, i, -1)] for i in rows],
+        d[::-1],
+        _shift_all(yr[::-1], bits),
+        _shift_all(yi[::-1], bits),
+    )
+    return ScaledVector(xr[::-1], xi[::-1], b.exp - shift)
+
+
+def _substitute(Lr: list[list], Li: list[list], d: list, br: list, bi: list) -> tuple[list, list]:
+    """Forward substitution ``L y = b`` on integers: row ``i`` of ``L`` is ``Lr[i] + 1j * Li[i]`` left of ``d[i]``.
+
+    ``L`` and ``y`` share one count of fraction bits, and ``b`` has twice it.
+    """
     yr: list = []
     yi: list = []
-    for i in range(m):
-        sr = br[i] - sum(map(mul, Lr[i], yr)) + sum(map(mul, Li[i], yi))
-        si = bi[i] - sum(map(mul, Lr[i], yi)) - sum(map(mul, Li[i], yr))
-        yr.append(sr / d[i])
-        yi.append(si / d[i])
-    # L^H x = y
-    xr: list = [_ZERO] * m
-    xi: list = [_ZERO] * m
-    for i in reversed(range(m)):
-        cr = [Lr[k][i] for k in range(i + 1, m)]
-        ci = [Li[k][i] for k in range(i + 1, m)]
-        sr = yr[i] - sum(map(mul, cr, xr[i + 1 :])) - sum(map(mul, ci, xi[i + 1 :]))
-        si = yi[i] - sum(map(mul, cr, xi[i + 1 :])) + sum(map(mul, ci, xr[i + 1 :]))
-        xr[i] = sr / d[i]
-        xi[i] = si / d[i]
-    return xr, xi
+    for lr, li, di, vr, vi in zip(Lr, Li, d, br, bi):
+        sr = vr - sum(map(mul, lr, yr)) + sum(map(mul, li, yi))
+        si = vi - sum(map(mul, lr, yi)) - sum(map(mul, li, yr))
+        yr.append(sr // di)
+        yi.append(si // di)
+    return yr, yi
 
 
-def _norm(re: list, im: list) -> Decimal:
-    """Euclidean norm of the complex vector with real parts ``re`` and imaginary parts ``im``."""
-    return (sum(map(mul, re, re)) + sum(map(mul, im, im))).sqrt()
+def _combine(op, a: ScaledVector, b: ScaledVector) -> ScaledVector:
+    """``a + b`` (``op`` is ``add``) or ``a - b`` (``sub``), exactly, at the smaller of their two scales."""
+    exp = min(a.exp, b.exp)
+    parts = ((a.re, b.re), (a.im, b.im))
+    return ScaledVector(*(list(map(op, _shift_all(p, a.exp - exp), _shift_all(q, b.exp - exp))) for p, q in parts), exp)
 
 
-def _residual(Gr: list[list], Gi: list[list], xr: list, xi: list, br: list, bi: list) -> tuple[list, list]:
-    """Real and imaginary parts of ``b - G x``, formed with guard digits."""
-    with _guard_digits():
-        gx_r, gx_i = _gram_times(Gr, Gi, xr, xi)
-        return list(map(sub, br, gx_r)), list(map(sub, bi, gx_i))
-
-
-def _gram_times(Gr: list[list], Gi: list[list], xr: list, xi: list) -> tuple[list, list]:
-    """Real and imaginary parts of ``G x``, row by row."""
+def _gram_times(re: list[list], im: list[list], xr: list, xi: list) -> tuple[list, list]:
+    """Real and imaginary parts of ``G x`` on integers, row by row, exactly."""
     return (
-        [sum(map(mul, g, xr)) - sum(map(mul, h, xi)) for g, h in zip(Gr, Gi)],
-        [sum(map(mul, g, xi)) + sum(map(mul, h, xr)) for g, h in zip(Gr, Gi)],
+        [sum(map(mul, g, xr)) - sum(map(mul, h, xi)) for g, h in zip(re, im)],
+        [sum(map(mul, g, xi)) + sum(map(mul, h, xr)) for g, h in zip(re, im)],
     )
+
+
+def _residual(gram: _Gram, y: ScaledVector, b: ScaledVector) -> ScaledVector:
+    """``b - H y`` for the scaled Gram ``H`` of ``gram``, exactly."""
+    return _combine(sub, b, ScaledVector(*_gram_times(gram.re, gram.im, y.re, y.im), y.exp - gram.bits))
+
+
+def _rescaled(v: ScaledVector, exps: list[int]) -> ScaledVector:
+    """``v[k] * 2**exps[k]`` per entry, exactly, at one scale."""
+    low = min(exps)
+    shifts = [e - low for e in exps]
+    return ScaledVector(list(map(lshift, v.re, shifts)), list(map(lshift, v.im, shifts)), v.exp + low)
+
+
+def _norm(v: ScaledVector) -> float:
+    """Euclidean norm of ``v`` as a float."""
+    return math.hypot(*(_float(p, v.exp) for p in v.re + v.im))
+
+
+def _scaled_targets(targets: list[complex], exps: list[int], bits: int) -> ScaledVector:
+    """The finite targets times ``2**-exps[k]``, each to ``bits`` bits below the largest of them."""
+    top = max((math.frexp(p)[1] - e for v, e in zip(targets, exps) for p in (v.real, v.imag) if p), default=0)
+    exp = top - bits
+    re = [_fixed(v.real, -exp - e) for v, e in zip(targets, exps)]
+    return ScaledVector(re, [_fixed(v.imag, -exp - e) for v, e in zip(targets, exps)], exp)
+
+
+def _sqrt_float(n: int, exp: int) -> float:
+    """``sqrt(n * 2**exp)`` for ``n >= 0``, rounded to a float from an integer square root of at least 64 bits."""
+    k = max(0, 130 - n.bit_length())
+    k += (exp - k) % 2
+    return _float(math.isqrt(n << k), (exp - k) // 2)
 
 
 def _duplicate_row_structure(system: MomentSystem) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int, complex]]]:
@@ -557,15 +753,19 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
     Structurally proportional rows are deduplicated first: contradictory
     targets on a shared kernel direction are exactly the unique-continuation
     obstruction and raise :class:`RankDeficient`.  The remaining Hermitian
-    positive definite system is solved by Cholesky on complex pairs of
-    Decimals at 40, 80, 160 and then 320 digits (see
-    :func:`_working_digits`) until the moment residual is at most 1e-12; a
-    non-positive pivot moves to the next precision, and running out of
-    precisions raises :class:`RankDeficient` with the best residual reached.
+    positive definite system is solved by Cholesky on scaled integers at
+    40, 80, 160 and then 320 digits (see :func:`_ladder_solve`) until the
+    moment residual is at most 1e-12; a non-positive pivot moves to the next
+    precision, and running out of precisions raises :class:`RankDeficient`
+    with the best residual reached.  A non-finite target, kernel coefficient
+    or rate raises :class:`ArithmeticFailure` naming its row; targets are
+    checked first, those of duplicate rows included.
     Singular values below :data:`_SVD_THRESHOLD` of the largest are
     reported, never silently inverted in double precision.  Zero targets
     (or no rows) give the zero control without a solve.
     """
+    for i, row in enumerate(system.rows):
+        _require_finite(f"moment row {i} (mode {row.n})", "target", [row.target])
     keep, inconsistent, dropped = _duplicate_row_structure(system)
     if inconsistent:
         raise RankDeficient(
@@ -573,7 +773,7 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
             f"(unique continuation obstruction): row pairs {inconsistent}",
             rows=inconsistent,
         )
-    solve_dps, residual, control_norm, solved, x, gram, columns = 15, 0.0, 0.0, [], ([], []), ((), ()), []
+    solve_dps, residual, control_norm, solved, x, gram, columns = 15, 0.0, 0.0, [], ScaledVector([], [], 0), None, []
     if float(np.linalg.norm(system.targets)) != 0.0:
         solve_dps, residual, control_norm, x, gram, columns = _ladder_solve(system, keep)
         solved = keep
@@ -591,38 +791,47 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
 
 
 def _ladder_solve(system: MomentSystem, keep: list[int]) -> tuple:
-    """``(digits, residual, control norm, (re x, im x), Gram, columns)`` of the kept rows' Cholesky solve.
+    """``(digits, residual, control norm, x, Gram, columns)`` of the kept rows' Cholesky solve.
 
     Precisions of :data:`_DPS_LADDER` are tried in turn, as
-    :func:`synthesize_control` describes.
+    :func:`synthesize_control` describes.  At a rung of ``dps`` digits the
+    factorization and the substitutions work at mpmath's
+    ``dps_to_prec(dps)`` bits; the Gram, its exponentials and the residual
+    carry :data:`_GUARD_BITS` more, and :func:`_range_bits` more again.  The
+    scaled system ``H y = D b`` with ``H = D G D`` (``D`` the powers of two
+    of :func:`_unit_diagonal`) is solved, and ``x = D y``.
     """
-    targets = [complex(system.rows[i].target) for i in keep]
-    br = [Decimal(v.real) for v in targets]
-    bi = [Decimal(v.imag) for v in targets]
+    rows = [system.rows[i] for i in keep]
+    targets = [complex(row.target) for row in rows]
+    b_norm = math.hypot(*(p for v in targets for p in (v.real, v.imag)))
+    extra = _GUARD_BITS + _range_bits(rows, system.horizon)
     best_residual = math.inf
     for dps in _DPS_LADDER:
-        with _working_digits(dps):
-            columns = [_decimal_terms(system.rows[i].kernel, system.horizon) for i in keep]
-            Gr, Gi = _moment_gram(columns, columns, system.horizon)
-            factor = _cholesky(Gr, Gi)
-            if factor is None:
-                continue
-            xr, xi = _cholesky_solve(factor, br, bi)
-            rr, ri = _residual(Gr, Gi, xr, xi, br, bi)
-            residual = float(_norm(rr, ri) / _norm(br, bi))
-            best_residual = min(best_residual, residual)
-            if residual <= _RESIDUAL_TOL:
-                # one step of refinement: the rung's arithmetic leaves an error
-                # of about cond(G) 10**-digits in x, the guard-digit residual
-                # and Gram bring it to about cond(G) 10**-(digits + guard)
-                dr, di = _cholesky_solve(factor, rr, ri)
-                with _guard_digits():
-                    xr, xi = list(map(add, xr, dr)), list(map(add, xi, di))
-                rr, ri = _residual(Gr, Gi, xr, xi, br, bi)
-                residual = float(_norm(rr, ri) / _norm(br, bi))
-                # x^H G x with G x = b - r
-                energy = sum(map(mul, xr, map(sub, br, rr))) + sum(map(mul, xi, map(sub, bi, ri)))
-                return dps, residual, float(abs(energy).sqrt()), (xr, xi), (Gr, Gi), columns
+        prec = mpmath.libmp.dps_to_prec(dps)
+        bits = prec + extra
+        columns = [_kernel(f"moment row {i} (mode {r.n})", r.kernel, system.horizon, bits) for i, r in zip(keep, rows)]
+        gram = _unit_diagonal(*_moment_gram(columns, columns, system.horizon, bits), [c.exp for c in columns], bits)
+        b = _scaled_targets(targets, gram.exps, bits)
+        factor = _cholesky(gram, prec)
+        if factor is None:
+            continue
+        y = _cholesky_solve(factor, b, prec)
+        r = _residual(gram, y, b)
+        # b - G x = D^-1 (D b - H y)
+        residual = _norm(_rescaled(r, gram.exps)) / b_norm
+        best_residual = min(best_residual, residual)
+        if residual <= _RESIDUAL_TOL:
+            # one step of refinement: the rung's arithmetic leaves an error of
+            # about cond(H) 2**-prec in y, the guard-bit residual and Gram
+            # bring it to about cond(H) 2**-(prec + guard)
+            y = _combine(add, y, _cholesky_solve(factor, r, prec))
+            r = _residual(gram, y, b)
+            residual = _norm(_rescaled(r, gram.exps)) / b_norm
+            # x^H G x = y^H H y with H y = D b - r
+            hy = _combine(sub, b, r)
+            energy = sum(map(mul, y.re, hy.re)) + sum(map(mul, y.im, hy.im))
+            x = _rescaled(y, [-e for e in gram.exps])
+            return dps, residual, _sqrt_float(abs(energy), y.exp + hy.exp), x, gram, columns
     reached = (
         f"best moment residual {best_residual:.3e} > {_RESIDUAL_TOL:g}"
         if best_residual < math.inf
@@ -682,7 +891,6 @@ def verify_terminal(
         raise DomainError(f"slice covers |n| <= {slice_.N} < requested window {N_verify}")
     if solution.system is not system:
         raise DomainError("the solution was synthesized for another moment system")
-    xr, xi = solution.x
     rows = list(_chain_rows(U0, system.channel, system.horizon, slice_, N_verify))
     inside = [abs(row.n) <= system.truncation for _, row in rows]
     if [_row_key(row) for (_, row), i in zip(rows, inside) if i] != [_row_key(row) for row in system.rows]:
@@ -697,25 +905,18 @@ def verify_terminal(
     spill: dict[int, float] = {}
     in_trunc_sq = 0.0
     target_sq = 0.0
-    with _working_digits(solution.solve_dps):
-        fresh = [_decimal_terms(row.kernel, system.horizon) for (_, row), g in zip(rows, gram_rows) if g is None]
-        fresh_r, fresh_i = (iter(part) for part in _moment_gram(fresh, solution.columns, system.horizon))
-        kept_r, kept_i = solution.gram
-        forced_r, forced_i = _gram_times(
-            [next(fresh_r) if g is None else kept_r[g] for g in gram_rows],
-            [next(fresh_i) if g is None else kept_i[g] for g in gram_rows],
-            xr,
-            xi,
-        )
-        for (j, row), fr, fi in zip(rows, forced_r, forced_i):
-            free = -row.target
-            terminal_pairing = complex(float(Decimal(free.real) + fr), float(Decimal(free.imag) + fi))
-            per_row[(row.n, row.cluster_index, j)] = abs(terminal_pairing)
-            if abs(row.n) <= system.truncation:
-                in_trunc_sq += abs(terminal_pairing) ** 2
-                target_sq += abs(free) ** 2
-            else:
-                spill[row.n] = max(spill.get(row.n, 0.0), abs(terminal_pairing))
+    forced = _forced_pairings(solution, [row for _, row in rows], gram_rows)
+    for (j, row), (fr, fi, exp) in zip(rows, forced):
+        free = -complex(row.target)
+        _require_finite(f"verification row, mode {row.n}", "target", [free])
+        # free + G[r] x, summed exactly and rounded once
+        terminal_pairing = complex(_float(_fixed(free.real, -exp) + fr, exp), _float(_fixed(free.imag, -exp) + fi, exp))
+        per_row[(row.n, row.cluster_index, j)] = abs(terminal_pairing)
+        if abs(row.n) <= system.truncation:
+            in_trunc_sq += abs(terminal_pairing) ** 2
+            target_sq += abs(free) ** 2
+        else:
+            spill[row.n] = max(spill.get(row.n, 0.0), abs(terminal_pairing))
 
     scale = math.sqrt(target_sq) if target_sq > 0 else 1.0
     return VerificationRecord(
@@ -726,6 +927,32 @@ def verify_terminal(
         rank=len(system.rows) - solution.discarded_singular_values,
         discarded_singular_values=solution.discarded_singular_values,
     )
+
+
+def _forced_pairings(solution: ControlSolution, rows: list[MomentRow], gram_rows: list[int | None]) -> list[tuple]:
+    """``G[r] x`` per row as ``(re, im, exp)``, the pairing ``(re + 1j * im) * 2**exp`` exact.
+
+    A row with a row ``g`` of the solve's Gram reads it; a row with None
+    (spill-over and dropped duplicate rows) is integrated against the kept
+    columns here.
+    """
+    gram = solution.gram
+    if gram is None:
+        return [(0, 0, -1074)] * len(rows)  # no kept rows: the zero control; 2**-1074 holds every float exactly
+    T, bits = solution.system.horizon, solution.columns[0].bits
+    fresh = [_kernel(f"verification row, mode {r.n}", r.kernel, T, bits) for r, g in zip(rows, gram_rows) if g is None]
+    # x times the column scales of the solve's Gram and of the cross rows integrated here
+    kept_x = _rescaled(solution.x, gram.exps)
+    fresh_x = _rescaled(solution.x, [column.exp for column in solution.columns])
+    kept_re, kept_im = _gram_times(gram.re, gram.im, kept_x.re, kept_x.im)
+    fresh_rows = zip(
+        *_gram_times(*_moment_gram(fresh, solution.columns, T, bits), fresh_x.re, fresh_x.im),
+        [kernel.exp - bits + fresh_x.exp for kernel in fresh],
+    )
+    return [
+        next(fresh_rows) if g is None else (kept_re[g], kept_im[g], gram.exps[g] - gram.bits + kept_x.exp)
+        for g in gram_rows
+    ]
 
 
 def export_control_csv(solution: ControlSolution, grid: np.ndarray, path) -> None:

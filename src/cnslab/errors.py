@@ -56,7 +56,7 @@ class RankDeficient(CnsLabError):
 
 
 class ArithmeticFailure(CnsLabError):
-    """Extended-precision arithmetic met an invalid operation, a division by zero or an overflow."""
+    """A moment computation met a non-finite input or a non-finite double-precision Gram."""
 
 
 class SupportError(CnsLabError):

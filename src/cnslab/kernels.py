@@ -7,28 +7,26 @@ Everything the moment method and the observation energy need reduces to
 computed by the stable upward recurrence ``I_m = (T**m e^{zT} - m I_{m-1})/z``
 away from z = 0 and by the Taylor series near it.  Degrees stay tiny (chain
 lengths), so the recurrence is benign.  The integrals come in pairs of
-terms, ``z = nu_a + conj(nu_b)``, so both production paths take one
+terms, ``z = nu_a + conj(nu_b)``, so the production paths take one
 exponential per term and form a pair's ``e^{zT}`` as the product
-``e^{nu_a T} conj(e^{nu_b T})``: :func:`pair_integrals` as an outer product in
-double precision, and the moment solver, whose Gram matrices are
-exponentially ill conditioned, on complex pairs of ``decimal.Decimal``
-(:func:`poly_exp_integral_dec`).  The mpmath twin is the extended-precision
-reference; the one-exponential-per-pair double-precision path is the oracle
-in ``tests/energy_oracle.py``.
+``e^{nu_a T} conj(e^{nu_b T})``.  Here that is :func:`pair_integrals`, an
+outer product in double precision.  The moment solver, whose Gram matrices
+are exponentially ill conditioned, does the same on scaled Python integers
+in ``control.py``.  The mpmath twin is the extended-precision reference; the
+one-exponential-per-pair double-precision path is the oracle in
+``tests/energy_oracle.py``.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
-#: below this ``|z| T`` the integrals use the Taylor series in ``zT``
+#: below this ``|z| T`` the integrals use the Taylor series in ``zT`` (times ``1 + m`` in :func:`pair_integrals`)
 TAYLOR_RADIUS = 0.25
 
 
@@ -85,47 +83,6 @@ def exp_recurrence_mp(m: int, z, T, ezt) -> "mpmath.mpc":
     return val
 
 
-def poly_exp_integral_dec(m: int, z: tuple, ezt: tuple, T: Decimal, near: bool) -> tuple:
-    """``I_m(z, T)`` on complex pairs ``(re, im)`` of Decimals, in the active decimal context.
-
-    ``ezt = e^{zT}`` comes precomputed, so callers pairing many rates form it
-    as a product of per-rate exponentials.  ``near`` selects the Taylor
-    series in ``zT`` (``|z| T < TAYLOR_RADIUS``, decided in double precision
-    by the caller), which works from ``z`` alone.
-    """
-    zr, zi = z
-    if near:
-        return _taylor_dec(m, zr, zi, T)
-    # 1/z, then the upward recurrence as products
-    den = zr * zr + zi * zi
-    ir, ii = zr / den, -zi / den
-    ar, ai = ezt[0] - 1, ezt[1]
-    vr, vi = ar * ir - ai * ii, ar * ii + ai * ir
-    er, ei = ezt
-    Tk = Decimal(1)
-    for k in range(1, m + 1):
-        Tk *= T
-        ar, ai = Tk * er - k * vr, Tk * ei - k * vi
-        vr, vi = ar * ir - ai * ii, ar * ii + ai * ir
-    return vr, vi
-
-
-def _taylor_dec(m: int, zr: Decimal, zi: Decimal, T: Decimal) -> tuple:
-    """Taylor series of ``I_m(z, T)`` in ``zT``, to ``10**-(digits + 5)`` of the sum."""
-    tol_sq = Decimal(10) ** (-2 * (decimal.getcontext().prec + 5))
-    total_r = total_i = Decimal(0)
-    pr, pi = Decimal(1), Decimal(0)  # z**k / k!
-    for k in range(200):
-        p = m + k + 1
-        c = T**p / p
-        total_r += pr * c
-        total_i += pi * c
-        pr, pi = (pr * zr - pi * zi) / (k + 1), (pr * zi + pi * zr) / (k + 1)
-        if (pr * pr + pi * pi) * T ** (2 * p + 2) < tol_sq * (total_r * total_r + total_i * total_i):
-            break
-    return total_r, total_i
-
-
 @dataclass(frozen=True)
 class KernelTerm:
     """One summand ``coef * (T-t)**degree * exp(rate*(T-t))`` of a moment kernel or an observation signal."""
@@ -141,8 +98,11 @@ def pair_integrals(rates: np.ndarray, degrees: np.ndarray, T: float) -> np.ndarr
     One exponential per term: a pair's ``e^{zT}`` is the outer product
     ``e^{nu_a T} conj(e^{nu_b T})``, and ``(e^{zT} - 1) / z`` is formed in place.
     The upward recurrence runs only on the pairs of positive degree, and the
-    Taylor series only on the pairs inside ``|z| T < TAYLOR_RADIUS``, so on
-    terms of degree 0 ``z`` and ``K`` are the only ``(n, n)`` complex arrays.
+    Taylor series only on the pairs inside ``|z| T < TAYLOR_RADIUS * (1 + m)``,
+    so on terms of degree 0 ``z`` and ``K`` are the only ``(n, n)`` complex
+    arrays.  The ball grows with the degree ``m`` because each recurrence step
+    multiplies the error by about ``k / |zT|``: at ``|zT| = 0.29`` that cost a
+    degree-2 entry 4e-14 relative.
     The factors come from :func:`_term_exponentials`, which restores the
     rounding of ``nu T``; without it the product would lose about
     ``eps |Im nu| T`` against ``|e^{zT} - 1|``, largest on near-diagonal
@@ -158,9 +118,9 @@ def pair_integrals(rates: np.ndarray, degrees: np.ndarray, T: float) -> np.ndarr
         K /= z
     zT = np.abs(z)
     zT *= T
-    near = zT < TAYLOR_RADIUS
+    m = np.add.outer(degrees, degrees) if degrees.any() else 0
+    near = zT < TAYLOR_RADIUS * (1 + m)
     if degrees.any():
-        m = np.add.outer(degrees, degrees)
         a, b = np.nonzero((m > 0) & ~near)
         m, zab, ezt, val = m[a, b], z[a, b], e[a] * e[b].conj(), K[a, b]
         for k in range(1, int(m.max(initial=0)) + 1):

@@ -1,7 +1,7 @@
 """Independent reference paths for the extended-precision moment pipeline.
 
 Slow implementations that production code no longer uses, all in mpmath
-numbers where production works on complex pairs of ``decimal.Decimal``:
+numbers where production works on Python integers with power-of-two scales:
 
 * the per-pair Gram, one ``mpmath.exp`` per entry, solved by
   ``mpmath.lu_solve`` on an ``mpmath.matrix``;
@@ -15,38 +15,38 @@ numbers where production works on complex pairs of ``decimal.Decimal``:
 
 Each takes the same rows and coefficients as the production path, so a test
 can compare the two entry by entry.  :func:`coefficients_mp` and
-:func:`with_coefficients` translate between the solution's Decimal
-coefficients and mpmath numbers, one per moment row.
+:func:`with_coefficients` translate, exactly, between the solution's
+coefficients (a ``ScaledVector`` of integers ``(re + 1j * im) * 2**exp``)
+and mpmath numbers, one per moment row.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import decimal
 import itertools
-from decimal import Decimal
 
 import mpmath
 import numpy as np
 from energy_oracle import poly_exp_integral
 
-from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _duplicate_row_structure, _pair, _proportional_rows
+from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, ScaledVector, _duplicate_row_structure, _proportional_rows
 from cnslab.kernels import poly_exp_integral_mp
 
 
-def mp_complex(re: Decimal, im: Decimal):
-    """A pair of Decimals as an mpmath complex at the working precision."""
-    return mpmath.mpc(mpmath.mpf(str(re)), mpmath.mpf(str(im)))
+def mp_complex(re: int, im: int, exp: int):
+    """``(re + 1j * im) * 2**exp`` as an mpmath complex, exactly."""
+    with mpmath.workprec(max(re.bit_length(), im.bit_length(), 1)):
+        return mpmath.mpc(mpmath.ldexp(re, exp), mpmath.ldexp(im, exp))
 
 
 def coefficients_mp(solution) -> list:
-    """The solution's coefficients as mpmath complexes at the working precision, one per moment row.
+    """The solution's coefficients as exact mpmath complexes, one per moment row.
 
     Rows outside ``solution.keep`` read zero.
     """
     out = [mpmath.mpc(0)] * len(solution.system.rows)
-    for i, re, im in zip(solution.keep, *solution.x):
-        out[i] = mp_complex(re, im)
+    for i, re, im in zip(solution.keep, solution.x.re, solution.x.im):
+        out[i] = mp_complex(re, im, solution.x.exp)
     return out
 
 
@@ -54,16 +54,18 @@ def with_coefficients(solution, values):
     """``solution`` with the mpmath ``values``, one per moment row, as its coefficients.
 
     The control lies in the span of the kept kernels, so values on rows
-    outside ``solution.keep`` must be zero.  Each kept value is taken as it
-    is, not rounded to the working precision, into Decimals of twice the
-    solve's digits.
+    outside ``solution.keep`` must be zero.  Each kept value is taken exactly
+    as it is, not rounded to the working precision: its parts' mantissas are
+    shifted to the smallest of their exponents.
     """
     kept = set(solution.keep)
     if any(v != 0 for i, v in enumerate(values) if i not in kept):
         raise ValueError("coefficients outside the kept rows must be zero")
-    with decimal.localcontext(decimal.Context(prec=2 * solution.solve_dps)):
-        pairs = [_pair(mpmath.mpmathify(values[i])) for i in solution.keep]
-    return dataclasses.replace(solution, x=([re for re, _ in pairs], [im for _, im in pairs]))
+    kept_values = [mpmath.mpmathify(values[i]) for i in solution.keep]
+    parts = [p._mpf_ for v in kept_values for p in (v.real, v.imag)]
+    exp = min((e for _, man, e, _ in parts if man), default=0)
+    ints = [(-man if sign else man) << (e - exp) if man else 0 for sign, man, e, _ in parts]
+    return dataclasses.replace(solution, x=ScaledVector(ints[0::2], ints[1::2], exp))
 
 
 def gram_mp(rows, T) -> "mpmath.matrix":

@@ -314,6 +314,20 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "control.csv").exists()
 
+    @pytest.mark.parametrize("N", [-2, 0])
+    def test_truncation_below_one_is_a_domain_error(self, tmp_path, capsys, monkeypatch, N):
+        # an explicit verification window used to let these reach the field draw
+        def no_solve(*args, **kwargs):
+            raise AssertionError("N must be checked before any computation")
+
+        monkeypatch.setattr(cli, "build_slice", no_solve)
+        text = BASE.format(command="synthesize", u_bar=0.9, b=1.3) + f"\n[synthesize]\nN = {N}\nT = 8.0\nN_verify = 4\n"
+        assert main(["run", str(_write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"domain error: N must be >= 1, got {N}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_two_point_grid_writes_both_ends(self, tmp_path):
         text = BASE.format(command="synthesize", u_bar=0.9, b=1.3) + "\n[synthesize]\nN = 2\nT = 8.0\ngrid = 2\n"
         assert run(_write(tmp_path, text), out_dir=tmp_path / "out") == 0

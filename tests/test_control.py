@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -10,7 +9,15 @@ from control_oracle import coefficients_mp, gram_mp, targets_mp, with_coefficien
 from energy_oracle import quadrature_energy
 
 from cnslab import control
-from cnslab.control import MomentRow, MomentSystem, build_moment_system, gram_matrix, synthesize_control, verify_terminal
+from cnslab.control import (
+    MomentRow,
+    MomentSystem,
+    ScaledVector,
+    build_moment_system,
+    gram_matrix,
+    synthesize_control,
+    verify_terminal,
+)
 from cnslab.errors import DomainError, RankDeficient
 from cnslab.evolution import ObservationChannel, observation_signal
 from cnslab.fields import EigenExpansion, SpectralField
@@ -210,8 +217,8 @@ class TestVerifyTerminal:
         if field_seed is None:
             assert len(solution.keep) < len(system.rows)
         pairs = []
-        integral = control.poly_exp_integral_dec
-        monkeypatch.setattr(control, "poly_exp_integral_dec", lambda *args: pairs.append(1) or integral(*args))
+        integral = control._pair_integral
+        monkeypatch.setattr(control, "_pair_integral", lambda *args: pairs.append(1) or integral(*args))
         record = verify_terminal(field, solution, system, slice_, N_verify)
         kept = len(solution.keep)
         assert len(pairs) == (len(record.per_row_residuals) - kept) * kept
@@ -223,16 +230,16 @@ class TestVerifyTerminal:
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 2)
         solution = synthesize_control(system)
         assert len(solution.keep) < len(system.rows)
-        xr, xi = solution.x
-        pad = [Decimal(0)] * (len(system.rows) - len(xr))
+        xr, xi, exp = solution.x
+        pad = [0] * (len(system.rows) - len(xr))
         # such a solution cannot be built, so neither its evaluation nor its
         # verification reads a truncated or padded coefficient list: one
         # coefficient per moment row (the dropped duplicate rows included),
         # one too few, parts of unequal lengths, one kernel column too few
         for changes in (
-            {"x": (xr + pad, xi + pad)},
-            {"x": (xr[:-1], xi[:-1])},
-            {"x": (xr, xi[:-1])},
+            {"x": ScaledVector(xr + pad, xi + pad, exp)},
+            {"x": ScaledVector(xr[:-1], xi[:-1], exp)},
+            {"x": ScaledVector(xr, xi[:-1], exp)},
             {"columns": solution.columns[:-1]},
         ):
             with pytest.raises(DomainError, match="align with the kept rows"):

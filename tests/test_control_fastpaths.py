@@ -1,11 +1,12 @@
 """The extended-precision moment pipeline against the per-pair mpmath oracle.
 
-Production works on complex pairs of ``decimal.Decimal``: it assembles the
-Gram from one exponential per kernel term, solves it by Cholesky on lists,
-keeps the Gram for the verification, which integrates only the rows outside
-it, and steps the control from point to point.  ``control_oracle`` keeps
-mpmath numbers, per-pair exponentials, ``mpmath.lu_solve``, an mpmath
-Cholesky ladder and per-point evaluation.
+Production works on Python integers with power-of-two scales: it assembles
+the Gram from one exponential per kernel term at the rung's bits plus guard
+and range bits, scales its rows and columns to a unit diagonal, solves it by
+Cholesky on lists of integers, keeps the Gram for the verification, which
+integrates only the rows outside it, and steps the control from point to
+point.  ``control_oracle`` keeps mpmath numbers, per-pair exponentials,
+``mpmath.lu_solve``, an mpmath Cholesky ladder and per-point evaluation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import control_oracle as oracle
@@ -29,7 +30,7 @@ from cnslab.control import (
     synthesize_control,
     verify_terminal,
 )
-from cnslab.errors import ArithmeticFailure, RankDeficient
+from cnslab.errors import ArithmeticFailure, DomainError, RankDeficient
 from cnslab.evolution import ObservationChannel
 from cnslab.fields import SpectralField
 from cnslab.kernels import TAYLOR_RADIUS, KernelTerm
@@ -118,16 +119,31 @@ def _solved(system):
     return solution
 
 
-def _as_mp(re, im) -> list[list]:
-    """Decimal entries as mpmath complexes at the working precision."""
-    return [[oracle.mp_complex(a, b) for a, b in zip(r, i)] for r, i in zip(re, im)]
+def _gram(rows, T: float, columns=None, bits=None) -> list[list]:
+    """Production cross-Gram of ``rows`` against ``columns`` as exact mpmath complexes.
+
+    ``columns`` defaults to the rows themselves (the Hermitian Gram) and
+    ``bits`` to the 40-digit rung's fraction bits for ``rows``; the columns
+    of a solution need the solution's bits.
+    """
+    if bits is None:
+        bits = mpmath.libmp.dps_to_prec(40) + control._GUARD_BITS + control._range_bits(rows, T)
+    kernels = [control._kernel("row", r.kernel, T, bits) for r in rows]
+    columns = kernels if columns is None else columns
+    re, im = control._moment_gram(kernels, columns, T, bits)
+    return [
+        [oracle.mp_complex(a, b, kernel.exp + column.exp - bits) for a, b, column in zip(ra, ia, columns)]
+        for ra, ia, kernel in zip(re, im, kernels)
+    ]
 
 
-def _gram(rows, T: float, columns=None) -> list[list]:
-    """Production cross-Gram of ``rows`` against ``columns`` (default: the Hermitian Gram of ``rows``) at 40 digits."""
-    with control._working_digits(40):
-        terms = [control._decimal_terms(r.kernel, T) for r in rows]
-        return _as_mp(*control._moment_gram(terms, terms if columns is None else columns, T))
+def _chain_system(T: float, rate: complex) -> MomentSystem:
+    """A chain pair at one rate: ``i e^{rate s}`` and ``-i e^{rate s} + i s e^{rate s}``."""
+    rows = [
+        MomentRow(1, 0, 0, rate, [KernelTerm(1j, rate, 0)], 1j, 1.0 + 0j),
+        MomentRow(1, 0, 1, rate, [KernelTerm(-1j, rate, 0), KernelTerm(1j, rate, 1)], 1j, 1.0 + 0j),
+    ]
+    return MomentSystem(ObservationChannel.DENSITY, T, 1, rows, False)
 
 
 class TestGram:
@@ -158,6 +174,8 @@ class TestGram:
 
     @settings(max_examples=40, deadline=None)
     @given(system=st.one_of(kernel_systems(), physical_systems()))
+    # a degree-2 chain pair at |z| T = 0.25, just outside the degree-0 Taylor ball
+    @example(system=_chain_system(2.5, complex(-0.05, 0.0)))
     def test_double_gram_matches_pairwise_loop(self, system):
         got = gram_matrix(system)
         want = oracle.gram_matrix_pairs(system.rows, system.horizon)
@@ -196,6 +214,21 @@ class TestSolution:
             for got, w in zip(oracle.coefficients_mp(solution), want):
                 assert abs(got - w) <= 1e-25 * scale
 
+    @pytest.mark.parametrize("params", [WORKHORSE, UNIT], ids=["workhorse", "jordan-chain"])
+    def test_second_rung_coefficients_match_lu(self, params):
+        # 24 rows at T = 0.5, far below the critical time: a pivot of the
+        # 40-digit Cholesky is not positive, and the ladder solves at 80 digits
+        system = build_moment_system(_field(1, 6), ObservationChannel.DENSITY, 0.5, _slice(params, 6), 6)
+        solution = synthesize_control(system)
+        assert solution.solve_dps == oracle.ladder_solve(system)[0] == 80
+        keep = control._duplicate_row_structure(system)[0]
+        with mpmath.workdps(solution.solve_dps + _REFERENCE_DIGITS):
+            want = oracle.lu_coefficients([system.rows[i] for i in keep], system.horizon)
+            scale = max(abs(v) for v in want)
+            got = oracle.coefficients_mp(solution)
+            for i, w in zip(keep, want):
+                assert abs(got[i] - w) <= 1e-25 * scale
+
     @settings(max_examples=30, deadline=None)
     @given(system=st.one_of(kernel_systems(), physical_systems()))
     def test_solve_dps_matches_oracle_ladder(self, system):
@@ -214,7 +247,7 @@ class TestSolution:
         with mpmath.workdps(solution.solve_dps):
             coefficients = oracle.coefficients_mp(solution)
             kept = [coefficients[i] for i in solution.keep]
-            block = _gram(rows, T, columns=solution.columns)
+            block = _gram(rows, T, columns=solution.columns, bits=solution.columns[0].bits)
             # |I_k(z, T)| <= T**(k+1) / (k+1) when Re z <= 0
             scale = mpmath.fsum(
                 abs(x * t.coef) * T ** (t.degree + degree + 1)
@@ -270,12 +303,17 @@ class TestSolution:
         assert solution(2.0).shape == (1,)
         assert solution(grid)[1, 1] == solution(grid[1, 1])[0]
 
+    def test_non_finite_times_are_refused(self):
+        solution = _solved(build_moment_system(_field(3, 2), ObservationChannel.DENSITY, 8.0, _slice(WORKHORSE, 2), 2))
+        with pytest.raises(DomainError, match="times must be finite"):
+            solution(np.array([0.0, np.nan]))
+
     def test_uniform_grid_takes_one_exponential_per_term(self, monkeypatch):
         # the control-roundtrip configuration at seed 0: the steps of the float
         # grid differ in their last bits, and only the first takes exponentials
         field = cli._random_field(2, 8, np.random.default_rng(0))
         solution = synthesize_control(build_moment_system(field, ObservationChannel.DENSITY, 8.0, _slice(WORKHORSE, 12), 8))
-        terms = sum(len(column) for column, a, b in zip(solution.columns, *solution.x) if a or b)
+        terms = sum(len(column.terms) for column, a, b in zip(solution.columns, solution.x.re, solution.x.im) if a or b)
         calls = []
         exp = mpmath.exp
         monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
@@ -287,18 +325,20 @@ class TestSolution:
         # a step a few ulps from h0 gets e^{rate h0} times a series; it must be
         # e^{rate (h0 + d)} to the working precision, far below the step's own size
         rates = [complex(-1.5, 2.0), complex(-200.0, 17.0), complex(0.3, -0.1), 0j]
-        with control._working_digits(40):
+        bits = mpmath.libmp.dps_to_prec(40) + control._GUARD_BITS
+        with mpmath.workprec(bits):
             h0 = mpmath.mpf(-0.16)
             d = mpmath.mpf(ulps) * 2.0**-55
-            base = [control._pair(mpmath.exp(mpmath.mpc(r) * h0)) for r in rates]
+            base = [mpmath.exp(mpmath.mpc(r) * h0) for r in rates]
             got = control._shifted_factors(
-                ([re for re, _ in base], [im for _, im in base]),
-                [control._pair(mpmath.mpc(r)) for r in rates],
-                control._decimal(d),
+                ([control._mpf_fixed(e.real, bits) for e in base], [control._mpf_fixed(e.imag, bits) for e in base]),
+                ([control._fixed(r.real, bits) for r in rates], [control._fixed(r.imag, bits) for r in rates]),
+                control._mpf_fixed(d, bits),
+                bits,
             )
             for r, re, im in zip(rates, *got):
                 want = mpmath.exp(mpmath.mpc(r) * (h0 + d))
-                assert abs(oracle.mp_complex(re, im) - want) <= mpmath.mpf(10) ** -39 * abs(want)
+                assert abs(oracle.mp_complex(re, im, -bits) - want) <= mpmath.mpf(10) ** -39 * abs(want)
 
 
 class TestOraclePath:
@@ -340,21 +380,34 @@ class TestOraclePath:
 class TestArithmeticSignals:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize(
-        "coef,target",
-        [(complex(np.nan, 0.0), 1.0 + 0j), (complex(np.inf, 1.0), 1.0 + 0j), (complex(np.inf, 0.0), 0j)],
-        ids=["nan", "inf", "inf-zero-targets"],
+        "coef,rate,targets,message",
+        [
+            (complex(np.nan, 0.0), None, (1.0, 1.0), r"moment row 1 \(mode 2\): non-finite kernel coefficient"),
+            (complex(np.inf, 1.0), None, (1.0, 1.0), r"moment row 1 \(mode 2\): non-finite kernel coefficient"),
+            (complex(np.inf, 0.0), None, (0.0, 0.0), "double-precision moment Gram is not finite"),
+            (1.0 + 0j, None, (1.0, complex(np.nan, 0.0)), r"moment row 1 \(mode 2\): non-finite target"),
+            (1.0 + 0j, None, (1.0, complex(0.0, -np.inf)), r"moment row 1 \(mode 2\): non-finite target"),
+            # a proportional duplicate of row 0, whose target the deduplication reads
+            (2.0 + 0j, complex(-1.5, 2.0), (1.0, complex(np.nan, 0.0)), r"moment row 1 \(mode 2\): non-finite target"),
+            (1.0 + 0j, complex(np.nan, -1.0), (1.0, 1.0), r"moment row 1 \(mode 2\): non-finite kernel rate"),
+            (1.0 + 0j, complex(-np.inf, -1.0), (1.0, 1.0), r"moment row 1 \(mode 2\): non-finite kernel rate"),
+        ],
+        ids=[
+            "nan", "inf", "inf-zero-targets", "nan-target", "inf-target", "nan-target-duplicate", "nan-rate", "inf-rate"
+        ],
     )
-    def test_non_finite_kernel_coefficient_is_a_typed_error(self, coef, target):
-        rate_a, rate_b = complex(-1.5, 2.0), complex(-0.7, -1.0)
+    def test_non_finite_kernel_coefficient_is_a_typed_error(self, coef, rate, targets, message):
+        rate_a, rate_b = complex(-1.5, 2.0), complex(-0.7, -1.0) if rate is None else rate
+        target_a, target_b = map(complex, targets)
         rows = [
-            MomentRow(1, 0, 0, rate_a, [KernelTerm(1.0 + 0j, rate_a, 0)], target, 1.0 + 0j),
-            MomentRow(2, 0, 0, rate_b, [KernelTerm(coef, rate_b, 0)], target, 1.0 + 0j),
+            MomentRow(1, 0, 0, rate_a, [KernelTerm(1.0 + 0j, rate_a, 0)], target_a, 1.0 + 0j),
+            MomentRow(2, 0, 0, rate_b, [KernelTerm(coef, rate_b, 0)], target_b, 1.0 + 0j),
         ]
         system = MomentSystem(ObservationChannel.DENSITY, 8.0, 2, rows, False)
-        with pytest.raises(ArithmeticFailure):
+        with pytest.raises(ArithmeticFailure, match=message):
             synthesize_control(system)
 
-    def test_decimal_signal_exits_3(self, tmp_path, monkeypatch, capsys):
+    def test_non_finite_kernel_coefficient_exits_3(self, tmp_path, monkeypatch, capsys):
         rate = complex(-1.5, 2.0)
         row = MomentRow(1, 0, 0, rate, [KernelTerm(complex(np.nan, 0.0), rate, 0)], 1.0 + 0j, 1.0 + 0j)
         system = MomentSystem(ObservationChannel.DENSITY, 8.0, 1, [row], False)
@@ -367,7 +420,8 @@ class TestArithmeticSignals:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert "numerical tolerance failure" in err and "InvalidOperation" in err
+        assert "numerical tolerance failure" in err
+        assert "moment row 0 (mode 1): non-finite kernel coefficient" in err
         assert "Traceback" not in err
 
 
@@ -436,7 +490,9 @@ class TestExhaustedLadder:
             synthesize_control(system)
 
     def test_no_positive_pivot_raises(self, monkeypatch):
-        monkeypatch.setattr(control, "_DPS_LADDER", (10,))
+        # 8 digits (30 bits) leave a pivot of this system's unit-diagonal Gram
+        # non-positive; the exact integer sums keep them positive at 10 digits
+        monkeypatch.setattr(control, "_DPS_LADDER", (8,))
         system = build_moment_system(_field(1, 8), ObservationChannel.DENSITY, 8.0, _slice(WORKHORSE, 8), 8)
         with pytest.raises(RankDeficient, match="not positive definite"):
             synthesize_control(system)
