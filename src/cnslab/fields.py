@@ -185,10 +185,10 @@ def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenE
         raise DimMismatch("field and slice component counts differ")
     if field_.N > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} but field has cutoff {field_.N}")
-    table = slice_.basis
-    ill = np.flatnonzero(table.conds > EXPANSION_COND_LIMIT)
+    table, conds = slice_.basis, slice_.conds
+    ill = np.flatnonzero(conds > EXPANSION_COND_LIMIT)
     if ill.size:
-        raise IllConditioned(int(table.ns[ill[0]]), float(table.conds[ill[0]]))
+        raise IllConditioned(int(table.ns[ill[0]]), float(conds[ill[0]]))
     targets = np.zeros((table.ns.size, field_.dim), dtype=complex)
     inside = np.abs(table.ns) <= field_.N
     targets[inside] = field_.coeffs[table.ns[inside] + field_.N]
@@ -197,7 +197,7 @@ def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenE
     return EigenExpansion(
         dim=field_.dim,
         coefficients=dict(zip(modes, solved)),
-        condition_numbers=dict(zip(modes, table.conds.tolist())),
+        condition_numbers=dict(zip(modes, conds.tolist())),
     )
 
 

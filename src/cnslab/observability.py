@@ -162,32 +162,43 @@ class InghamHypothesisReport:
         return out
 
 
-#: Entries of one row block of a pair table, 32 kB per float64 temporary:
+#: Entries of one block of a pair table, 32 kB per float64 temporary:
 #: 256 kB blocks raised the peak RSS of an N=96 audit by 1.6 MB and saved
-#: no measurable time.
+#: no measurable time.  A block holds at least one row, so a row wider than
+#: this is one block.
 _PAIR_BLOCK = 1 << 12
 
 
-def _first_minima(row_keys: list, col_keys: list, tables) -> list[tuple[float, tuple | None]]:
+def _first_minima(row_keys: list, col_keys: list, tables, triangle: bool = False) -> list[tuple[float, tuple | None]]:
     """Minimum of each of a family of pair tables, with the keys of its first position in row-major order.
 
-    ``tables(lo, hi)`` returns rows ``lo:hi`` of every table, one column per
-    column key and excluded pairs set to inf; the tables are formed in row
-    blocks of at most about ``_PAIR_BLOCK`` entries.  A table whose pairs are
-    all excluded gives ``(inf, None)``.
+    ``tables(lo, hi, c0)`` returns rows ``lo:hi`` of every table on columns
+    ``c0:``, one column per column key and excluded pairs set to inf.  A
+    rectangle takes every column.  A ``triangle`` compares a key set with
+    itself and counts only pairs ``j > i``: rows ``lo:hi`` are formed on
+    columns ``lo + 1:`` alone, because the columns left of those are all
+    excluded.  Each block takes as many rows as fit ``_PAIR_BLOCK`` entries
+    at its own width, so triangle blocks grow as the rows narrow.  NaN
+    entries never count, so the blocks do not change the result.  A table
+    with no entry below inf gives ``(inf, None)``.
     """
     best: list[tuple[float, tuple | None]] = []
-    cols = len(col_keys)
-    step = max(1, _PAIR_BLOCK // max(cols, 1))
-    for lo in range(0, len(row_keys), step):
-        for t, block in enumerate(tables(lo, min(len(row_keys), lo + step))):
+    lo = 0
+    while lo < len(row_keys):
+        c0 = lo + 1 if triangle else 0
+        width = len(col_keys) - c0
+        hi = min(len(row_keys), lo + max(1, _PAIR_BLOCK // max(width, 1)))
+        for t, block in enumerate(tables(lo, hi, c0)):
             if t == len(best):
                 best.append((np.inf, None))
             if block.size == 0:
                 continue
             k = int(np.argmin(block))
+            if np.isnan(block.flat[k]):  # argmin stops at the first NaN
+                k = int(np.argmin(np.where(np.isnan(block), np.inf, block)))
             if block.flat[k] < best[t][0]:
-                best[t] = (float(block.flat[k]), (row_keys[lo + k // cols], col_keys[k % cols]))
+                best[t] = (float(block.flat[k]), (row_keys[lo + k // width], col_keys[c0 + k % width]))
+        lo = hi
     return best
 
 
@@ -196,9 +207,9 @@ def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a[:, None] - b[None, :])
 
 
-def _later(lo: int, hi: int, cols: int) -> np.ndarray:
-    """Mask of the pairs ``j > i`` in rows ``lo:hi``."""
-    return np.arange(cols)[None, :] > np.arange(lo, hi)[:, None]
+def _later(lo: int, hi: int, c0: int, cols: int) -> np.ndarray:
+    """Mask of the pairs ``j > i`` in rows ``lo:hi`` and columns ``c0:cols``."""
+    return np.arange(c0, cols)[None, :] > np.arange(lo, hi)[:, None]
 
 
 def _min_pairwise_gap(values: dict[int, complex]) -> tuple[float, tuple[int, int] | None]:
@@ -206,10 +217,32 @@ def _min_pairwise_gap(values: dict[int, complex]) -> tuple[float, tuple[int, int
     keys = sorted(values)
     v = np.array([values[k] for k in keys], dtype=complex)
 
-    def table(lo, hi):
-        return (np.where(_later(lo, hi, v.size), _gaps(v[lo:hi], v), np.inf),)
+    def table(lo, hi, c0):
+        return (np.where(_later(lo, hi, c0, v.size), _gaps(v[lo:hi], v[c0:]), np.inf),)
 
-    return _first_minima(keys, keys, table)[0]
+    return _first_minima(keys, keys, table, triangle=True)[0]
+
+
+def _parabolic_minima(par: dict[int, complex], r: float) -> list[tuple[float, tuple[int, int] | None]]:
+    """The P1 gaps ``|v_n - v_l|``, the P3 quotients by ``||n|**r - |l|**r|`` and the
+    relaxed ones by ``|n - l|``, each minimized over pairs ``n < l``."""
+    keys = sorted(par)
+    n = np.array(keys, dtype=float)
+    v = np.array([par[k] for k in keys], dtype=complex)
+    powers = np.abs(n) ** r
+
+    def tables(lo, hi, c0):
+        gaps = _gaps(v[lo:hi], v[c0:])
+        later = _later(lo, hi, c0, n.size)
+        denom = np.abs(powers[lo:hi, None] - powers[None, c0:])
+        return (
+            np.where(later, gaps, np.inf),
+            np.where(later & (denom != 0.0), gaps / denom, np.inf),
+            np.where(later, gaps / np.abs(n[lo:hi, None] - n[None, c0:]), np.inf),
+        )
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _first_minima(keys, keys, tables, triangle=True)
 
 
 def _merged_parabolic(p1: dict[int, complex], p2: dict[int, complex] | None = None) -> dict[int, complex]:
@@ -228,9 +261,18 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
     the asymptote ``beta + i*tau*n`` is meaningful.  All verdicts carry the
     extremal witness that produced them; a witness is the first extremal
     pair in the order of the modes (sorted, or slice order for the disjoint
-    gap).  Raises :class:`DomainError` when the window holds no mode above
-    the threshold or, for the three-field system, no two modes with
-    distinct ``n**2``.
+    gap).  For the three-field system the parabolic family is both branches
+    under the interleaved keys of :func:`_merged_parabolic`: branch 1 at
+    mode ``k`` is ``2k - 1`` for ``k > 0`` and ``2k + 1`` for ``k < 0``,
+    branch 2 at mode ``k`` is ``2k``.  The P1, P2, P3, P4 and relaxed
+    witnesses and the second entry of the disjoint witness are these merged
+    keys, not mode numbers, and the P3 and relaxed denominators
+    ``||n|**r - |l|**r|`` and ``|n - l|`` are taken of them; the
+    shared-eigenvalue set at ``N = 3`` reports the P3 witness ``(4, 5)``,
+    branch 2 at mode 2 and branch 1 at mode 3.  ``T`` enters no verdict:
+    the audit never reads it.  Raises :class:`DomainError` when the window
+    holds no mode above the threshold or, for the three-field system, no
+    two modes with distinct ``n**2``.
     """
     threshold = hyperbolic_fit_threshold(params)
     needed = max(threshold, 2 if slice_.dim == 3 else 1)
@@ -281,26 +323,7 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
     )
 
     r = 2.0
-    par_keys = sorted(par)
-    par_n = np.array(par_keys, dtype=float)
-    par_v = np.array([par[n] for n in par_keys], dtype=complex)
-
-    def parabolic_tables(lo, hi):
-        """The P1 gaps, the P3 quotients by ``||n|**r - |l|**r|`` and the relaxed ones by ``|n - l|``."""
-        gaps = _gaps(par_v[lo:hi], par_v)
-        later = _later(lo, hi, par_n.size)
-        n, l = par_n[lo:hi, None], par_n[None, :]
-        denom = np.abs(np.abs(n) ** r - np.abs(l) ** r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (
-                np.where(later, gaps, np.inf),
-                np.where(later & (denom != 0.0), gaps / denom, np.inf),
-                np.where(later, gaps / np.abs(n - l), np.inf),
-            )
-
-    (p1_gap, p1_wit), (p3_best, p3_wit), (relaxed_gap, relaxed_wit) = _first_minima(
-        par_keys, par_keys, parabolic_tables
-    )
+    (p1_gap, p1_wit), (p3_best, p3_wit), (relaxed_gap, relaxed_wit) = _parabolic_minima(par, r)
     p1 = Verdict(passed=p1_gap > 1e-10 * scale, value=p1_gap, witness=p1_wit)
 
     ratios = {}
@@ -323,7 +346,7 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
     hyp_v = np.array(list(hyp.values()), dtype=complex)
     par_unsorted_v = np.array(list(par.values()), dtype=complex)
     ((cross_best, cross_wit),) = _first_minima(
-        list(hyp), list(par), lambda lo, hi: (_gaps(hyp_v[lo:hi], par_unsorted_v),)
+        list(hyp), list(par), lambda lo, hi, c0: (_gaps(hyp_v[lo:hi], par_unsorted_v),)
     )
     disjoint = Verdict(passed=cross_best > 1e-10 * scale, value=float(cross_best), witness=cross_wit)
 
@@ -352,14 +375,19 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
 
 
 def _min_squared_gap(a: dict[int, complex], b: dict[int, complex], wa: float, wb: float) -> float:
-    """Smallest ``|a_n - b_l| / |wa*n**2 - wb*l**2|`` over pairs with a nonzero denominator."""
+    """Smallest ``|a_n - b_l| / |wa*n**2 - wb*l**2|`` over pairs with a nonzero denominator.
+
+    A family against itself with equal weights is a symmetric table with a
+    zero diagonal denominator, so its minimum is taken over the triangle.
+    """
     ka, kb = list(a), list(b)
-    na, va = np.array(ka, dtype=float), np.array(list(a.values()), dtype=complex)
-    nb, vb = np.array(kb, dtype=float), np.array(list(b.values()), dtype=complex)
+    sa = wa * np.array(ka, dtype=float) ** 2
+    sb = wb * np.array(kb, dtype=float) ** 2
+    va, vb = np.array(list(a.values()), dtype=complex), np.array(list(b.values()), dtype=complex)
 
-    def table(lo, hi):
-        denom = np.abs(wa * na[lo:hi, None] ** 2 - wb * nb[None, :] ** 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.where(denom > 0.0, _gaps(va[lo:hi], vb) / denom, np.inf),)
+    def table(lo, hi, c0):
+        denom = np.abs(sa[lo:hi, None] - sb[None, c0:])
+        return (np.where(denom > 0.0, _gaps(va[lo:hi], vb[c0:]) / denom, np.inf),)
 
-    return _first_minima(ka, kb, table)[0][0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _first_minima(ka, kb, table, triangle=a is b and wa == wb)[0][0]

@@ -243,7 +243,8 @@ class BasisTable(NamedTuple):
     basis vector, cluster by cluster as in :meth:`ModeSpectrum.basis_vectors`,
     with its cluster's eigenvalue in ``rates``, its cluster index in
     ``clusters`` and its Jordan level in ``levels`` (0 outside a chain).
-    ``conds`` are the 2-norm condition numbers of the ``basis`` matrices.
+    The condition numbers of the ``basis`` matrices are not part of the
+    table: :attr:`SpectrumSlice.conds` computes them on first read.
     Every basis block is complete: a cluster of ``m`` values contributes
     ``m`` columns (its eigenvectors, or an eigenvector and its Jordan chain),
     or :func:`build_slice` raises :class:`ChainError`.
@@ -258,7 +259,6 @@ class BasisTable(NamedTuple):
     rates: np.ndarray  # (K, dim)
     clusters: np.ndarray  # (K, dim)
     levels: np.ndarray  # (K, dim)
-    conds: np.ndarray  # (K,)
 
     def rows(self, ns) -> np.ndarray:
         """Row of every mode of ``ns``; a mode outside the slice is a DomainError."""
@@ -275,7 +275,8 @@ class SpectrumSlice:
     """Eigenstructure of all modes ``1 <= |n| <= N``, with coincidence data.
 
     :attr:`basis` is the one store.  :attr:`modes` holds per-mode
-    :class:`ModeSpectrum` views of it, built on first use and cached.
+    :class:`ModeSpectrum` views of it and :attr:`conds` the condition
+    numbers of its basis matrices, each built on first use and cached.
     Treated as immutable once built.
     """
 
@@ -294,6 +295,11 @@ class SpectrumSlice:
         """The modes in slice order ``-1, 1, -2, 2, ...``."""
         rows = np.argsort(np.abs(self.basis.ns), kind="stable")
         return {view.n: view for view in _clustered_modes(self.params, self.basis, rows, self.clustering_tolerance)}
+
+    @cached_property
+    def conds(self) -> np.ndarray:
+        """The 2-norm condition numbers of the ``basis.basis`` matrices, from one stacked call."""
+        return np.linalg.cond(self.basis.basis)
 
     def mode(self, n: int) -> ModeSpectrum:
         return self.modes[n]
@@ -851,7 +857,6 @@ def build_slice(
         rates=rates,
         clusters=clusters,
         levels=levels,
-        conds=np.linalg.cond(basis),
     )
     return SpectrumSlice(
         params=params,

@@ -16,7 +16,9 @@ The per-mode code that production no longer runs:
   table is stacked from them (:func:`table_from_modes`), so that a test can
   also hand production a hand-built slice with complete basis blocks;
 * the quadratic-closeness deficits, two per-mode solves per ``n``;
-* the Ingham audit with its loops over every pair of modes.
+* the Ingham audit with its loops over every pair of modes;
+* the full-table pair scan (:func:`first_minima`) that production's
+  triangular row blocks replace.
 
 Each takes the same parameters as production, so a test can compare the two
 value by value.  Only the defect logic that production still runs per mode
@@ -549,6 +551,10 @@ class ModeSlice:
     def basis(self) -> BasisTable:
         return table_from_modes(self.modes, self.dim)
 
+    @cached_property
+    def conds(self) -> np.ndarray:
+        return np.linalg.cond(self.basis.basis)
+
 
 def with_modes(slice_, modes: dict[int, ModeSpectrum]) -> ModeSlice:
     """The slice with its per-mode objects replaced by ``modes``."""
@@ -586,7 +592,6 @@ def table_from_modes(modes: dict[int, ModeSpectrum], dim: int) -> BasisTable:
         rates=np.array(rates, dtype=complex).reshape(shape),
         clusters=np.array(clusters, dtype=np.int64).reshape(shape),
         levels=np.array(levels, dtype=np.int64).reshape(shape),
-        conds=np.linalg.cond(basis),
     )
 
 
@@ -696,6 +701,21 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
         total += _comparison_deficit(params, n) + _comparison_deficit(params, -n)
         sums.append(total)
     return np.array(sums)
+
+
+def first_minima(row_keys: list, col_keys: list, tables, triangle: bool = False) -> list[tuple[float, tuple | None]]:
+    """:func:`cnslab.observability._first_minima` on whole tables: every table
+    formed on all rows and columns, triangle or not, NaN entries skipped, the
+    first minimum in row-major order kept."""
+    best = []
+    for table in tables(0, len(row_keys), 0):
+        table = np.where(np.isnan(table), np.inf, table)
+        k = int(np.argmin(table)) if table.size else 0
+        if table.size and table.flat[k] < np.inf:
+            best.append((float(table.flat[k]), (row_keys[k // len(col_keys)], col_keys[k % len(col_keys)])))
+        else:
+            best.append((np.inf, None))
+    return best
 
 
 def _min_pairwise_gap(values: dict[int, complex]) -> tuple[float, tuple[int, int] | None]:

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 import evolution_oracle as oracle
 import spectrum_oracle
 from cnslab import control, counterexamples, evolution, fields
+from cnslab.cli import run
 from cnslab.errors import DomainError, IllConditioned
 from cnslab.evolution import (
     ObservationChannel,
@@ -202,12 +203,34 @@ class TestBasisTable:
             assert _same(table.residuals[r], np.array([p.residual for p in mode.pairs], dtype=float))
             assert _same(table.rates[r], np.array([c.value for c in mode.clusters for _ in c.vectors], dtype=complex))
         # against the table of the per-mode slice: structure exact, numbers per mode within the bound
-        ref = spectrum_oracle.build_slice(NAMED[name], 12).basis
+        ref_slice = spectrum_oracle.build_slice(NAMED[name], 12)
+        ref = ref_slice.basis
         for field in ("ns", "clusters", "levels"):
             assert _same(getattr(table, field), getattr(ref, field)), field
         for field in ("values", "nu_scaled", "vectors", "basis", "rates"):
             assert all(_close(g, r) for g, r in zip(getattr(table, field), getattr(ref, field))), field
-        assert _close(table.conds, ref.conds)
+        assert _close(slice_.conds, ref_slice.conds)
+
+    def test_condition_numbers_on_first_read(self, tmp_path, monkeypatch):
+        slice_ = build_slice(NAMED["workhorse"], 8)
+        assert "conds" not in vars(slice_)
+        assert slice_.conds is slice_.conds and _same(slice_.conds, np.linalg.cond(slice_.basis.basis))
+        # through the CLI: spectrum and ingham never read them, observe takes
+        # one batch for all its trials
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *args: calls.append(args) or cond(*args))
+        head = "[run]\nsystem = barotropic\ncommand = {}\nseed = 7\n\n[params]\nrho_bar = 1.0\nu_bar = 0.9\nmu0 = 1.0\nb = 1.3\n\n"
+        for command, section, expected in (
+            ("spectrum", "[spectrum]\nN = 8\n", 0),
+            ("ingham", "[ingham]\nN = 8\nT = 8.0\n", 0),
+            ("observe", "[observe]\nN = 8\nT = 8.0\ntrials = 8\n", 1),
+        ):
+            cfg = tmp_path / f"{command}.ini"
+            cfg.write_text(head.format(command) + section)
+            calls.clear()
+            assert run(cfg, tmp_path / command) == 0
+            assert len(calls) == expected, command
 
     def test_columns_follow_the_clusters(self):
         table = _named_slice("triple_root", 4).basis
@@ -275,7 +298,7 @@ class TestExpansion:
 
     def test_ill_conditioned_names_the_first_mode(self, monkeypatch):
         slice_ = _named_slice("workhorse", 8)
-        conds = slice_.basis.conds
+        conds = slice_.conds
         limit = float(np.median(conds))
         monkeypatch.setattr(fields, "EXPANSION_COND_LIMIT", limit)
         first = int(slice_.basis.ns[np.flatnonzero(conds > limit)[0]])

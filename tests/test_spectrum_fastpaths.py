@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spectrum_oracle as oracle
-from cnslab import spectrum
+from cnslab import observability, spectrum
 from cnslab.cli import main
 from cnslab.errors import DegenerateWarning, DomainError
 from cnslab.model import BarotropicParams, NonBarotropicParams
@@ -217,9 +217,14 @@ def _witness_value(slice_, name: str, witness):
 def _assert_audits_agree(params, N):
     """Flags and window exact, values within ``RTOL``; a witness may be any
     pair that attains the oracle's extremum within ``RTOL`` (ties between
-    conjugate modes are broken by rounding)."""
+    conjugate modes are broken by rounding).  Against the same audit on
+    whole pair tables (:func:`spectrum_oracle.first_minima`), whose
+    arithmetic per entry is the same, the report is equal."""
     slice_ = build_slice(params, N)
     got = ingham_audit(slice_, params, 8.0).to_dict()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(observability, "_first_minima", oracle.first_minima)
+        assert ingham_audit(slice_, params, 8.0).to_dict() == got
     ref = oracle.ingham_audit(slice_, params, 8.0).to_dict()
     assert got.keys() == ref.keys() and got["window"] == ref["window"]
     if "cross_gaps" in ref:
@@ -448,11 +453,60 @@ class TestInghamAudit:
 
     def test_pair_blocks_cover_every_pair(self, monkeypatch):
         # blocks of a few rows: witnesses must still be the first minimum
-        from cnslab import observability
-
         monkeypatch.setattr(observability, "_PAIR_BLOCK", 7)
         for name in ("shared_eigenvalue", "workhorse"):
             _assert_audits_agree(NAMED[name], 40)
+
+
+def _bits(minima) -> list:
+    """Each ``(value, witness)`` with the value as its IEEE bytes."""
+    return [(np.float64(value).tobytes(), witness) for value, witness in minima]
+
+
+#: values with ties, infinities and NaN, so that the tables hold equal,
+#: infinite and NaN entries
+_PAIR_VALUES = st.one_of(
+    st.sampled_from([0j, 1 + 1j, -2 + 0.5j, complex(np.inf, 0.0), complex(-np.inf, 1.0), complex(np.nan, 0.0)]),
+    st.complex_numbers(max_magnitude=1e3),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestTriangularMinima:
+    """The triangular row blocks against the whole tables of the oracle, bit for bit."""
+
+    @given(
+        values=st.lists(_PAIR_VALUES, min_size=1, max_size=60),
+        data=st.data(),
+        block=st.sampled_from([1, 5, 64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pair_tables(self, values, data, block):
+        # keys of equal |n| give zero P3 denominators; block 1 and 5 split
+        # the triangle into many blocks and end on a row of width 0
+        keys = data.draw(st.lists(st.integers(-40, 40).filter(bool), min_size=len(values), max_size=len(values), unique=True))
+        family = dict(zip(keys, values))
+        other = dict(zip(reversed(keys), values))
+
+        def minima():
+            return (
+                _bits([observability._min_pairwise_gap(family)]),
+                _bits(observability._parabolic_minima(family, 2.0)),
+                np.float64(observability._min_squared_gap(family, family, 1.0, 1.0)).tobytes(),
+                np.float64(observability._min_squared_gap(family, family, 1.0, 2.0)).tobytes(),
+                np.float64(observability._min_squared_gap(family, other, 1.0, 2.0)).tobytes(),
+            )
+
+        shapes = []
+        gaps = observability._gaps
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(observability, "_PAIR_BLOCK", block)
+            mp.setattr(observability, "_gaps", lambda a, b: shapes.append((a.size, b.size)) or gaps(a, b))
+            got = minima()
+            # a block holds at most _PAIR_BLOCK entries, or one row
+            assert all(rows * width <= block or rows == 1 for rows, width in shapes)
+            mp.setattr(observability, "_first_minima", oracle.first_minima)
+            assert got == minima()
 
 
 class TestRieszCloseness:
