@@ -56,7 +56,7 @@ class RankDeficient(CnsLabError):
 
 
 class ArithmeticFailure(CnsLabError):
-    """A moment computation met a non-finite input or a non-finite double-precision Gram."""
+    """A moment computation met a non-finite input."""
 
 
 class SupportError(CnsLabError):

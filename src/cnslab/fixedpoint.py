@@ -1,0 +1,551 @@
+"""Scaled-integer arithmetic of the moment method: Gram, Cholesky, pairings and control evaluation.
+
+A number is a Python integer with an explicit power-of-two scale,
+``n * 2**e``, in fixed point at ``bits`` fraction bits within one kernel,
+Gram or vector, with real and imaginary parts in separate lists, so that
+every inner product is one exact C-level ``sum(map(mul, ...))`` of
+integers, shifted once.  mpmath supplies the bits of a rung of digits
+(``dps_to_prec``) and the exponentials: one ``e^{rate T}`` per kernel term,
+paired by products, and the step factors of the control evaluation.
+Kernels come in as lists of :class:`~cnslab.kernels.KernelTerm`.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Iterator
+from itertools import chain, repeat
+from operator import add, floordiv, lshift, mul, neg, rshift, sub
+from typing import NamedTuple
+
+import mpmath
+import numpy as np
+
+from .errors import ArithmeticFailure
+from .kernels import TAYLOR_RADIUS, KernelTerm
+
+#: extra bits (ten digits) of the Gram, its exponentials and the residual that refines the solution
+_GUARD_BITS = 34
+#: largest ``max|rate| * |h - h0|`` at which the control evaluation derives a step's factors from step ``h0``'s
+_STEP_SERIES_RADIUS = 1e-6
+
+
+class ScaledVector(NamedTuple):
+    """Complex numbers ``(re[k] + 1j * im[k]) * 2**exp`` on Python ints, with one power-of-two scale."""
+
+    re: list[int]
+    im: list[int]
+    exp: int
+
+
+class Kernel(NamedTuple):
+    """A moment kernel on integers at ``bits`` fraction bits.
+
+    Each term is ``(cr, ci, ar, ai, rate, degree, er, ei)``: the coefficient
+    ``(cr + 1j * ci) * 2**(exp - bits)``, the rate ``(ar + 1j * ai) * 2**-bits``
+    (also kept as the complex ``rate``), the degree, and ``e^{rate T}`` as
+    ``(er + 1j * ei) * 2**-bits``.  ``exp`` brings the row's coefficients
+    below 1 in modulus.
+    """
+
+    exp: int
+    bits: int
+    terms: list[tuple]
+
+
+class Gram(NamedTuple):
+    """A Hermitian Gram with its rows and columns scaled by powers of two.
+
+    ``G[i][j] = (re + 1j * im)[i][j] * 2**(exps[i] + exps[j] - bits)``, and
+    ``re[i][i] * 2**-bits`` lies in ``[1, 4)``: the scaled matrix has a unit
+    diagonal up to a factor below 4.
+    """
+
+    re: list[list[int]]
+    im: list[list[int]]
+    exps: list[int]
+    bits: int
+
+
+def _shift(n: int, k: int) -> int:
+    """``n * 2**k``, rounded down when ``k < 0``."""
+    return n << k if k >= 0 else n >> -k
+
+
+def _shift_all(values: list[int], k: int) -> list[int]:
+    """:func:`_shift` of every value by ``k``."""
+    return list(map(lshift, values, repeat(k))) if k >= 0 else list(map(rshift, values, repeat(-k)))
+
+
+def _fixed(x: float, bits: int) -> int:
+    """``floor(x * 2**bits)`` for a finite float ``x``."""
+    n, d = x.as_integer_ratio()
+    return _shift(n, bits) // d
+
+
+def _mpf_fixed(x, bits: int) -> int:
+    """An mpmath real times ``2**bits``, its mantissa shifted and rounded toward zero."""
+    sign, man, exp, _ = x._mpf_
+    n = _shift(man, exp + bits)
+    return -n if sign else n
+
+
+def _float(n: int, exp: int) -> float:
+    """``n * 2**exp`` correctly rounded to a float."""
+    return n / (1 << -exp) if exp < 0 else float(n << exp)
+
+
+def _sqrt_float(n: int, exp: int) -> float:
+    """``sqrt(n * 2**exp)`` for ``n >= 0``, rounded to a float from an integer square root of at least 64 bits."""
+    k = max(0, 130 - n.bit_length())
+    k += (exp - k) % 2
+    return _float(math.isqrt(n << k), (exp - k) // 2)
+
+
+def require_finite(label: str, what: str, values) -> None:
+    """Refuse non-finite complex ``values`` with :class:`ArithmeticFailure` naming the row and the input."""
+    for v in values:
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ArithmeticFailure(f"{label}: non-finite {what} {v!r}")
+
+
+def _range_bits(kernels: list[list[KernelTerm]], T: float) -> int:
+    """Bits by which the smallest ``integral_0^T |(T-t)**j e^{rate (T-t)}|**2 dt`` of the kernels' terms falls below 1.
+
+    That integral is ``I_{2j}(2 Re rate, T)``, about ``T**(2j+1) / (2j+1)``
+    and, for a decaying rate, at most ``(2j)! / |2 Re rate|**(2j+1)``; the
+    smaller of the two is taken.  Pair integrals carry these bits on top of
+    the working ones, so rescaling the Gram to a unit diagonal keeps every
+    working bit.  Non-finite rates are skipped here and refused by
+    :func:`_kernel`.
+    """
+    smallest = 0.0
+    for kernel in kernels:
+        for t in kernel:
+            m = 2 * t.degree
+            size = (m + 1) * math.log2(T) - math.log2(m + 1)
+            decay = -2.0 * complex(t.rate).real
+            if 0.0 < decay < math.inf:
+                size = min(size, math.log2(math.factorial(m)) - (m + 1) * math.log2(decay))
+            smallest = min(smallest, size)
+    return math.ceil(-smallest)
+
+
+def _kernel(label: str, kernel: list[KernelTerm], T: float, bits: int) -> Kernel:
+    """The terms of one kernel as integers at ``bits`` fraction bits (see :class:`Kernel`).
+
+    Each term costs one mpmath exponential at ``bits`` bits of precision.
+    Non-finite coefficients and rates are refused here, where they would
+    enter the integer arithmetic.
+    """
+    coefs = [complex(t.coef) for t in kernel]
+    rates = [complex(t.rate) for t in kernel]
+    require_finite(label, "kernel coefficient", coefs)
+    require_finite(label, "kernel rate", rates)
+    exp = max((math.frexp(v)[1] for c in coefs for v in (c.real, c.imag)), default=0)
+    terms = []
+    with mpmath.workprec(bits):
+        T_mp = mpmath.mpf(T)
+        for t, c, rate in zip(kernel, coefs, rates):
+            e = mpmath.exp(mpmath.mpc(rate) * T_mp)
+            coef = _fixed(c.real, bits - exp), _fixed(c.imag, bits - exp)
+            terms.append((*coef, _fixed(rate.real, bits), _fixed(rate.imag, bits), rate, t.degree,
+                          _mpf_fixed(e.real, bits), _mpf_fixed(e.imag, bits)))
+    return Kernel(exp, bits, terms)
+
+
+def _pair_integral(m: int, zr: int, zi: int, ezt: tuple[int, int], T: int, bits: int, near: bool) -> tuple[int, int]:
+    """``I_m(z, T)`` (see :mod:`~cnslab.kernels`) on integers at ``bits`` fraction bits.
+
+    ``z``, ``ezt = e^{zT}`` and ``T`` come at ``bits`` fraction bits, so
+    callers pairing many rates form ``ezt`` as a product of per-rate
+    exponentials.  ``near`` selects the Taylor series in ``zT``
+    (``|z| T < TAYLOR_RADIUS``, decided in double precision by the caller),
+    which works from ``z`` alone; away from it ``1/z`` enters as
+    ``conj(z) / |z|**2``, one division per part and step.
+    """
+    if near:
+        return _taylor(m, zr, zi, T, bits)
+    den = zr * zr + zi * zi
+    er, ei = ezt
+    ar, ai = er - (1 << bits), ei
+    vr, vi = ((ar * zr + ai * zi) << bits) // den, ((ai * zr - ar * zi) << bits) // den
+    Tk = 1 << bits
+    for k in range(1, m + 1):
+        Tk = (Tk * T) >> bits
+        ar, ai = ((Tk * er) >> bits) - k * vr, ((Tk * ei) >> bits) - k * vi
+        vr, vi = ((ar * zr + ai * zi) << bits) // den, ((ai * zr - ar * zi) << bits) // den
+    return vr, vi
+
+
+def _taylor(m: int, zr: int, zi: int, T: int, bits: int) -> tuple[int, int]:
+    """Taylor series of ``I_m(z, T)`` in ``zT`` at ``bits`` fraction bits, summed until a term is below ``2**-bits``."""
+    total_r = total_i = 0
+    pr, pi = 1 << bits, 0  # z**k / k!
+    Tp = _shift(T ** (m + 1), -m * bits)  # T**(m + k + 1)
+    k = 0
+    while True:
+        c = Tp // (m + k + 1)
+        tr, ti = pr * c, pi * c
+        total_r += tr
+        total_i += ti
+        if abs(tr) + abs(ti) < 1 << bits:
+            return total_r >> bits, total_i >> bits
+        k += 1
+        pr, pi = ((pr * zr - pi * zi) >> bits) // k, ((pr * zi + pi * zr) >> bits) // k
+        Tp = (Tp * T) >> bits
+
+
+def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int) -> tuple[list[list], list[list]]:
+    """``integral_0^T k_r conj(k_s) dt`` of row kernels against column kernels.
+
+    Kernels come as :func:`_kernel` made them at ``bits`` fraction bits; the
+    entries come back as their real and their imaginary parts, two lists of
+    lists of integers: entry ``[r][s]`` is ``(re + 1j * im)[r][s] *
+    2**(rows[r].exp + columns[s].exp - bits)``.  A term pair's
+    ``e^{(a + conj(b)) T}`` is the product ``e^{aT} conj(e^{bT})``.  The
+    products of an entry are summed exactly and shifted once.  When ``rows``
+    is ``columns`` the Gram is Hermitian: only the upper triangle is
+    integrated, and the lower one mirrors it.
+    """
+    hermitian = rows is columns
+    T_int = _fixed(T, bits)
+    re = [[0] * len(columns) for _ in rows]
+    im = [[0] * len(columns) for _ in rows]
+    for i, row in enumerate(rows):
+        for j in range(i if hermitian else 0, len(columns)):
+            sr = si = 0
+            for car, cai, ar, ai, a, da, ear, eai in row.terms:
+                for cbr, cbi, br, bi, b, db, ebr, ebi in columns[j].terms:
+                    Ir, Ii = _pair_integral(
+                        da + db,
+                        ar + br,
+                        ai - bi,
+                        ((ear * ebr + eai * ebi) >> bits, (eai * ebr - ear * ebi) >> bits),
+                        T_int,
+                        bits,
+                        abs(a + b.conjugate()) * T < TAYLOR_RADIUS,
+                    )
+                    wr, wi = car * cbr + cai * cbi, cai * cbr - car * cbi
+                    sr += wr * Ir - wi * Ii
+                    si += wr * Ii + wi * Ir
+            re[i][j], im[i][j] = sr >> 2 * bits, si >> 2 * bits
+            if hermitian and j != i:
+                re[j][i], im[j][i] = re[i][j], -im[i][j]
+    return re, im
+
+
+def unit_gram(labels: list[str], kernels: list[list[KernelTerm]], T: float, dps: int) -> tuple[Gram, list[Kernel]]:
+    """The Hermitian :class:`Gram` of ``kernels`` at a rung of ``dps`` digits, at a unit diagonal, and its columns.
+
+    The columns carry :data:`_GUARD_BITS` and :func:`_range_bits` on top of
+    ``dps_to_prec(dps)`` bits; ``labels`` name them in errors.  Row and
+    column ``i`` are multiplied by the power of two ``2**s[i]`` that brings
+    the diagonal entry into ``[1, 4)``, an exact shift that leaves
+    Cholesky's rounding errors as they were relative to the diagonal.  The
+    entries gain ``-2 * min(s)`` fraction bits, so every shift is to the left.
+    """
+    bits = mpmath.libmp.dps_to_prec(dps) + _GUARD_BITS + _range_bits(kernels, T)
+    columns = [_kernel(label, kernel, T, bits) for label, kernel in zip(labels, kernels)]
+    re, im = _moment_gram(columns, columns, T, bits)
+    s = [(bits + 2 - re[i][i].bit_length()) // 2 if re[i][i] > 0 else 0 for i in range(len(re))]
+    low = min(s, default=0)
+    u = [v - low for v in s]
+    gram = Gram(
+        [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(re, u)],
+        [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(im, u)],
+        [c.exp - v for c, v in zip(columns, s)],
+        bits - 2 * low,
+    )
+    return gram, columns
+
+
+def float_gram(gram: Gram) -> np.ndarray:
+    """The scaled Gram ``H`` in doubles: its entries lie below 4, so at 60 fraction bits they fit int64."""
+    m = len(gram.re)
+    re, im = (np.array(_shift_all(list(chain.from_iterable(part)), 60 - gram.bits), dtype=np.int64).reshape(m, m)
+              for part in (gram.re, gram.im))
+    return (re + 1j * im) * 2.0**-60
+
+
+def _cholesky(gram: Gram, bits: int) -> tuple[list, list, list] | None:
+    """``H = L L^H`` for the scaled Hermitian positive definite ``H`` of ``gram``, at ``bits`` fraction bits.
+
+    ``L`` is kept row by row as the real parts, the imaginary parts and the
+    diagonal.  Each entry's inner product with an earlier row is one C-level
+    ``sum(map(mul, ...))`` of integers per part, exact, over the row's real
+    and imaginary parts side by side, and the entry is rounded once, by its
+    division.  Returns None at the first pivot that is not positive: ``H`` is
+    not numerically definite at this precision.
+    """
+    Lr: list[list] = []
+    Li: list[list] = []
+    d: list = []
+    # earlier rows j as [re, im] and [-im, re]: the real and the imaginary part of L[i] . conj(L[j])
+    rows_re: list[list] = []
+    rows_im: list[list] = []
+    scale = 2 * bits - gram.bits  # the entries of H at 2 * bits fraction bits, like the products of L
+    for i in range(len(gram.re)):
+        gr = _shift_all(gram.re[i][: i + 1], scale)
+        gi = _shift_all(gram.im[i][:i], scale)
+        ri: list = []
+        ii: list = []
+        for j in range(i):
+            row = ri + ii
+            ri.append((gr[j] - sum(map(mul, row, rows_re[j]))) // d[j])
+            ii.append((gi[j] - sum(map(mul, row, rows_im[j]))) // d[j])
+        pivot = gr[i] - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
+        if pivot <= 0:
+            return None
+        d.append(math.isqrt(pivot))
+        Lr.append(ri)
+        Li.append(ii)
+        rows_re.append(ri + ii)
+        rows_im.append(list(map(neg, ii)) + ri)
+    return Lr, Li, d
+
+
+def _cholesky_solve(factor: tuple[list, list, list], b: ScaledVector, bits: int) -> ScaledVector:
+    """``x`` with ``L L^H x = b`` for the factor of :func:`_cholesky` at ``bits`` fraction bits.
+
+    ``b`` is first shifted so that its largest part lies just below 1, so
+    both substitutions work at ``bits`` bits relative to ``b``.
+    """
+    Lr, Li, d = factor
+    m = len(d)
+    shift = bits - max(v.bit_length() for v in b.re + b.im)
+    yr, yi = _substitute(Lr, Li, d, _shift_all(b.re, shift + bits), _shift_all(b.im, shift + bits))
+    # L^H x = y from the last row up: row i of L^H holds conj(L[k][i]) for k > i
+    rows = range(m - 1, -1, -1)
+    xr, xi = _substitute(
+        [[Lr[k][i] for k in range(m - 1, i, -1)] for i in rows],
+        [[-Li[k][i] for k in range(m - 1, i, -1)] for i in rows],
+        d[::-1],
+        _shift_all(yr[::-1], bits),
+        _shift_all(yi[::-1], bits),
+    )
+    return ScaledVector(xr[::-1], xi[::-1], b.exp - shift)
+
+
+def _substitute(Lr: list[list], Li: list[list], d: list, br: list, bi: list) -> tuple[list, list]:
+    """Forward substitution ``L y = b`` on integers: row ``i`` of ``L`` is ``Lr[i] + 1j * Li[i]`` left of ``d[i]``.
+
+    ``L`` and ``y`` share one count of fraction bits, and ``b`` has twice it.
+    """
+    yr: list = []
+    yi: list = []
+    for lr, li, di, vr, vi in zip(Lr, Li, d, br, bi):
+        sr = vr - sum(map(mul, lr, yr)) + sum(map(mul, li, yi))
+        si = vi - sum(map(mul, lr, yi)) - sum(map(mul, li, yr))
+        yr.append(sr // di)
+        yi.append(si // di)
+    return yr, yi
+
+
+def _combine(op, a: ScaledVector, b: ScaledVector) -> ScaledVector:
+    """``a + b`` (``op`` is ``add``) or ``a - b`` (``sub``), exactly, at the smaller of their two scales."""
+    exp = min(a.exp, b.exp)
+    parts = ((a.re, b.re), (a.im, b.im))
+    return ScaledVector(*(list(map(op, _shift_all(p, a.exp - exp), _shift_all(q, b.exp - exp))) for p, q in parts), exp)
+
+
+def _gram_times(re: list[list], im: list[list], xr: list, xi: list) -> tuple[list, list]:
+    """Real and imaginary parts of ``G x`` on integers, row by row, exactly."""
+    return (
+        [sum(map(mul, g, xr)) - sum(map(mul, h, xi)) for g, h in zip(re, im)],
+        [sum(map(mul, g, xi)) + sum(map(mul, h, xr)) for g, h in zip(re, im)],
+    )
+
+
+def _residual(gram: Gram, y: ScaledVector, b: ScaledVector) -> ScaledVector:
+    """``b - H y`` for the scaled Gram ``H`` of ``gram``, exactly."""
+    return _combine(sub, b, ScaledVector(*_gram_times(gram.re, gram.im, y.re, y.im), y.exp - gram.bits))
+
+
+def _rescaled(v: ScaledVector, exps: list[int]) -> ScaledVector:
+    """``v[k] * 2**exps[k]`` per entry, exactly, at one scale."""
+    low = min(exps)
+    shifts = [e - low for e in exps]
+    return ScaledVector(list(map(lshift, v.re, shifts)), list(map(lshift, v.im, shifts)), v.exp + low)
+
+
+def _norm(v: ScaledVector) -> float:
+    """Euclidean norm of ``v`` as a float."""
+    return math.hypot(*(_float(p, v.exp) for p in v.re + v.im))
+
+
+def _scaled_targets(targets: list[complex], exps: list[int], bits: int) -> ScaledVector:
+    """The finite targets times ``2**-exps[k]``, each to ``bits`` bits below the largest of them."""
+    top = max((math.frexp(p)[1] - e for v, e in zip(targets, exps) for p in (v.real, v.imag) if p), default=0)
+    exp = top - bits
+    re = [_fixed(v.real, -exp - e) for v, e in zip(targets, exps)]
+    return ScaledVector(re, [_fixed(v.imag, -exp - e) for v, e in zip(targets, exps)], exp)
+
+
+def solve(gram: Gram, columns: list[Kernel], targets: list[complex], dps: int, tol: float) -> tuple | None:
+    """``(residual, x, sqrt(x^H G x))`` of the Cholesky solve of ``G x = targets`` at a rung of ``dps`` digits.
+
+    ``gram`` and ``columns`` come from :func:`unit_gram` at that rung.
+    ``H y = D b`` (``H = D G D``) is factorized and substituted at
+    ``dps_to_prec(dps)`` bits, and ``x = D y``.  Returns None when a pivot
+    is not positive, and ``(residual, None, 0.0)`` when the relative moment
+    residual exceeds ``tol``; otherwise ``x`` is refined once.
+    """
+    prec = mpmath.libmp.dps_to_prec(dps)
+    factor = _cholesky(gram, prec)
+    if factor is None:
+        return None
+    b = _scaled_targets(targets, gram.exps, columns[0].bits)
+    b_norm = math.hypot(*(p for v in targets for p in (v.real, v.imag)))
+    y = _cholesky_solve(factor, b, prec)
+    r = _residual(gram, y, b)
+    # b - G x = D^-1 (D b - H y)
+    residual = _norm(_rescaled(r, gram.exps)) / b_norm
+    if residual > tol:
+        return residual, None, 0.0
+    # one step of refinement: the rung's arithmetic leaves an error of about
+    # cond(H) 2**-prec in y, the guard-bit residual and Gram bring it to
+    # about cond(H) 2**-(prec + guard)
+    y = _combine(add, y, _cholesky_solve(factor, r, prec))
+    r = _residual(gram, y, b)
+    # x^H G x = y^H H y with H y = D b - r
+    hy = _combine(sub, b, r)
+    energy = sum(map(mul, y.re, hy.re)) + sum(map(mul, y.im, hy.im))
+    x = _rescaled(y, [-e for e in gram.exps])
+    return _norm(_rescaled(r, gram.exps)) / b_norm, x, _sqrt_float(abs(energy), y.exp + hy.exp)
+
+
+def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels: list[tuple[str, list[KernelTerm]]],
+                      T: float, gram: Gram | None, columns: list[Kernel], x: ScaledVector) -> list[complex]:
+    """``free[k] + G[r] x`` per row, each summed exactly and rounded once.
+
+    A row with a row ``g`` of the solve's Gram reads it; a row with None
+    integrates the next ``(label, kernel)`` of ``kernels`` against the kept
+    ``columns``.  With no Gram (no kept rows, the zero control) the pairings
+    are ``free``.
+    """
+    if gram is None:
+        return list(free)
+    bits = columns[0].bits
+    fresh = [_kernel(label, kernel, T, bits) for label, kernel in kernels]
+    # x times the column scales of the solve's Gram and of the cross rows integrated here
+    kept_x = _rescaled(x, gram.exps)
+    fresh_x = _rescaled(x, [column.exp for column in columns])
+    kept_re, kept_im = _gram_times(gram.re, gram.im, kept_x.re, kept_x.im)
+    fresh_rows = zip(
+        *_gram_times(*_moment_gram(fresh, columns, T, bits), fresh_x.re, fresh_x.im),
+        [kernel.exp - bits + fresh_x.exp for kernel in fresh],
+    )
+    out = []
+    for f, g in zip(free, gram_rows):
+        fr, fi, exp = next(fresh_rows) if g is None else (kept_re[g], kept_im[g], gram.exps[g] - gram.bits + kept_x.exp)
+        out.append(complex(_float(_fixed(f.real, -exp) + fr, exp), _float(_fixed(f.imag, -exp) + fi, exp)))
+    return out
+
+
+def evaluate(x: ScaledVector, columns: list[Kernel], T: float, times: list[float]) -> list[complex]:
+    """``p(t) = sum_j x_j conj(k_j(t))`` at finite ``times``.
+
+    Each term ``x conj(coef) (T-t)**degree e^{conj(rate) (T-t)}`` takes its
+    exponential from :func:`_exponential_walk`; the products
+    ``x conj(coef)`` are exact integers at one scale, and each point's sum
+    is exact and rounded once.
+    """
+    out = [0j] * len(times)
+    live = [(a, b, column) for a, b, column in zip(x.re, x.im, columns) if a or b]
+    if not live:
+        return out
+    bits = live[0][2].bits
+    low = min(column.exp for _, _, column in live)
+    terms = [
+        (a * cr + b * ci << k, b * cr - a * ci << k, rate.conjugate(), ar, -ai, degree)
+        for a, b, column in live
+        for k in (column.exp - low,)
+        for cr, ci, ar, ai, rate, degree, _, _ in column.terms
+    ]
+    wr, wi, rates, rate_re, rate_im, degrees = (list(v) for v in zip(*terms))
+    w_exp = x.exp + low - 2 * bits  # of a product w * e^{conj(rate) s}
+    T_int = _fixed(T, bits)
+    s_all = [T_int - _fixed(ti, bits) for ti in times]
+    for i, cur_r, cur_i in _exponential_walk(rates, (rate_re, rate_im), s_all, bits):
+        ur, ui, exp = wr, wi, w_exp
+        if any(degrees):
+            powers = [_shift(s_all[i] ** d, (1 - d) * bits) for d in degrees]  # s**d at bits fraction bits
+            ur, ui, exp = list(map(mul, wr, powers)), list(map(mul, wi, powers)), w_exp - bits
+        out[i] = complex(
+            _float(sum(map(mul, ur, cur_r)) - sum(map(mul, ui, cur_i)), exp),
+            _float(sum(map(mul, ur, cur_i)) + sum(map(mul, ui, cur_r)), exp),
+        )
+    return out
+
+
+def _exponential_walk(rates: list[complex], rate_ints: tuple[list, list], s_all: list[int], bits: int) -> Iterator:
+    """``(i, re, im)`` of ``e^{rate s_all[i]}`` per rate, for every ``i`` in increasing ``s_all[i]``.
+
+    Rates come as complexes and as integers ``rate_ints`` (real parts,
+    imaginary parts), ``s_all`` and the exponentials at ``bits`` fraction
+    bits.  The walk starts at ``s = 0`` and carries the exponentials from
+    point to point by the step factors ``e^{rate h}``, computed once per
+    distinct step ``h``.  The steps of a uniform float grid differ only in
+    their last bits, so one exponential per rate is taken, at the first step
+    ``h0``, and a step within :data:`_STEP_SERIES_RADIUS` of it gets its
+    factors as ``e^{rate h0}`` times the short Taylor series of
+    ``e^{rate (h - h0)}``.  Any other step takes its own exponentials and
+    becomes the new ``h0``, so scattered points go through the same
+    recurrence.  Stepping toward larger ``s`` multiplies by factors of
+    modulus at most 1 for decaying rates, so the fixed-point rounding of each
+    step is never amplified.
+    """
+    rate_max = max(map(abs, rates))
+    cur_r, cur_i = [1 << bits] * len(rates), [0] * len(rates)
+    s_prev = 0
+    steps: dict = {}
+    base = None  # (h0, factors of h0) of the last step that took exponentials
+    with mpmath.workprec(bits):
+        rates = [mpmath.mpc(rate) for rate in rates]
+        for i in sorted(range(len(s_all)), key=s_all.__getitem__):
+            h = s_all[i] - s_prev
+            if h:
+                factors = steps.get(h)
+                if factors is None:
+                    if base is not None and rate_max * abs(_float(h - base[0], -bits)) <= _STEP_SERIES_RADIUS:
+                        factors = _shifted_factors(base[1], rate_ints, h - base[0], bits)
+                    else:
+                        h_mp = mpmath.mpf((h, -bits))
+                        exps = [mpmath.exp(rate * h_mp) for rate in rates]
+                        factors = [_mpf_fixed(e.real, bits) for e in exps], [_mpf_fixed(e.imag, bits) for e in exps]
+                        base = (h, factors)
+                    steps[h] = factors
+                cur_r, cur_i = _complex_products(cur_r, cur_i, *factors, bits)
+                s_prev = s_all[i]
+            yield i, cur_r, cur_i
+
+
+def _shifted_factors(factors: tuple[list, list], rates: tuple[list, list], d: int, bits: int) -> tuple[list, list]:
+    """``f * e^{rate d}`` per rate, for the factors ``f`` of a step and a small shift ``d`` of it.
+
+    Factors, the real and imaginary parts of the rates and ``d`` are integers
+    at ``bits`` fraction bits.  ``e^{rate d}`` is its Taylor series, summed for
+    all rates at once until every term falls to one unit of ``2**-bits``; with
+    ``|rate d|`` at most :data:`_STEP_SERIES_RADIUS` every term is smaller
+    than the last and the sum is near 1, so a few terms suffice and nothing
+    cancels.
+    """
+    fr, fi = factors
+    wr, wi = (list(map(rshift, map(mul, part, repeat(d)), repeat(bits))) for part in rates)
+    sr, si = [1 << bits] * len(fr), [0] * len(fr)
+    tr, ti = sr, si  # (rate d)**k / k!
+    k = 0
+    while max(map(abs, tr + ti)) > 1:
+        k += 1
+        tr, ti = (list(map(floordiv, part, repeat(k))) for part in _complex_products(tr, ti, wr, wi, bits))
+        sr, si = list(map(add, sr, tr)), list(map(add, si, ti))
+    return _complex_products(fr, fi, sr, si, bits)
+
+
+def _complex_products(ar: list, ai: list, br: list, bi: list, bits: int) -> tuple[list, list]:
+    """Real and imaginary parts of ``a[k] * b[k]`` for integers at ``bits`` fraction bits, at ``bits`` again."""
+    return (
+        list(map(rshift, map(sub, map(mul, ar, br), map(mul, ai, bi)), repeat(bits))),
+        list(map(rshift, map(add, map(mul, ar, bi), map(mul, ai, br)), repeat(bits))),
+    )

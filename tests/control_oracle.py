@@ -7,7 +7,10 @@ numbers where production works on Python integers with power-of-two scales:
   ``mpmath.lu_solve`` on an ``mpmath.matrix``;
 * the precision ladder on that Gram, solved by Cholesky on lists of mpmath
   numbers (:func:`ladder_solve`), which picks the rung production must pick;
-* the per-pair double-precision Gram built from scalar kernel pairings;
+* the per-pair double-precision Gram built from scalar kernel pairings, and
+  the double-precision Gram from one pair-integral table
+  (:func:`gram_matrix`), the reference of the discarded-singular-value
+  count;
 * moment integrals ``integral_0^T p(t) (T-t)**k e^{rate (T-t)} dt`` with one
   exponential per (solution term, rate) pair;
 * control evaluation with one exponential per (point, term);
@@ -29,8 +32,9 @@ import mpmath
 import numpy as np
 from energy_oracle import poly_exp_integral
 
-from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, ScaledVector, _duplicate_row_structure, _proportional_rows
-from cnslab.kernels import poly_exp_integral_mp
+from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _SVD_THRESHOLD, _duplicate_row_structure, _proportional_rows
+from cnslab.fixedpoint import ScaledVector
+from cnslab.kernels import pair_integrals, poly_exp_integral_mp
 
 
 def mp_complex(re: int, im: int, exp: int):
@@ -161,6 +165,35 @@ def gram_matrix_pairs(rows, T: float) -> np.ndarray:
             if j != i:
                 G[j, i] = np.conj(G[i, j])
     return G
+
+
+def gram_matrix(system) -> np.ndarray:
+    """Double-precision Gram of the moment kernels.
+
+    All term pairings ``c_a conj(c_b) K[a, b]`` come from one
+    :func:`~cnslab.kernels.pair_integrals` table and are summed into their rows by a 0/1 incidence matrix.
+    """
+    terms = [t for row in system.rows for t in row.kernel]
+    c = np.array([t.coef for t in terms], dtype=complex)
+    rates = np.array([t.rate for t in terms], dtype=complex)
+    K = pair_integrals(rates, np.array([t.degree for t in terms], dtype=np.int64), system.horizon)
+    incidence = np.zeros((len(system.rows), len(terms)))
+    incidence[np.repeat(np.arange(len(system.rows)), [len(r.kernel) for r in system.rows]), np.arange(len(terms))] = 1.0
+    return incidence @ ((c[:, None] * c.conj()[None, :]) * K) @ incidence.T
+
+
+def discarded_singular_values(system) -> int:
+    """Singular values of the kept rows' normalized :func:`gram_matrix` at most the production threshold of the largest.
+
+    Dropped duplicate rows count as discarded, as in production.
+    """
+    keep, _, dropped = _duplicate_row_structure(system)
+    if not keep:
+        return len(dropped)
+    G = gram_matrix(system)[np.ix_(keep, keep)]
+    diag = np.sqrt(np.maximum(np.real(np.diag(G)), 1e-300))
+    svals = np.linalg.svd(G / np.outer(diag, diag), compute_uv=False)
+    return int(np.sum(svals <= _SVD_THRESHOLD * svals[0])) + len(dropped)
 
 
 def moment_integral(solution, degree: int, rate):

@@ -5,22 +5,16 @@ import mpmath
 import numpy as np
 import pytest
 
+import control_oracle
 from control_oracle import coefficients_mp, gram_mp, targets_mp, with_coefficients
 from energy_oracle import quadrature_energy
 
-from cnslab import control
-from cnslab.control import (
-    MomentRow,
-    MomentSystem,
-    ScaledVector,
-    build_moment_system,
-    gram_matrix,
-    synthesize_control,
-    verify_terminal,
-)
+from cnslab import control, fixedpoint
+from cnslab.control import build_moment_system, synthesize_control, verify_terminal
 from cnslab.errors import DomainError, RankDeficient
 from cnslab.evolution import ObservationChannel, observation_signal
 from cnslab.fields import EigenExpansion, SpectralField
+from cnslab.fixedpoint import ScaledVector
 from cnslab.spectrum import build_slice
 
 
@@ -150,6 +144,34 @@ class TestSynthesizeControl:
         assert ratio_large >= 10.0 * ratio_small
 
 
+class TestDiscardedSingularValues:
+    @pytest.mark.parametrize(
+        "N,T,count", [(8, 8.0, 2), (12, 12.0, 8), (16, 12.0, 15), (8, 5.0, 6), (16, 8.0, 16), (24, 12.0, 30)]
+    )
+    def test_zero_target_count_matches_the_double_precision_gram(self, nondegenerate_barotropic, N, T, count):
+        # zero targets: the count is taken without a solve, from the first
+        # rung's integer Gram
+        system = build_moment_system(
+            SpectralField.zeros(2, N), ObservationChannel.DENSITY, T, build_slice(nondegenerate_barotropic, N), N
+        )
+        solution = synthesize_control(system)
+        assert solution.solve_dps == 15 and not solution.keep
+        assert solution.discarded_singular_values == control_oracle.discarded_singular_values(system) == count
+
+    @pytest.mark.parametrize("N", [2, 4, 8])
+    def test_deduplicated_count_matches_the_double_precision_gram(self, uc_failing_barotropic, N):
+        # a shared parabolic eigenvalue at modes +-1: one row of the pair is
+        # dropped and counts as discarded on top of the kept rows' count
+        slice_ = build_slice(uc_failing_barotropic, N)
+        field = SpectralField.single_mode(2, np.array([0.3, -0.1 + 0.2j]), N)
+        system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, N)
+        solution = synthesize_control(system)
+        assert len(solution.keep) < len(system.rows)
+        assert solution.discarded_singular_values == control_oracle.discarded_singular_values(system)
+        record = verify_terminal(field, solution, system, slice_, N)
+        assert record.rank == len(system.rows) - solution.discarded_singular_values
+
+
 class TestVerifyTerminal:
     def test_zero_everything(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 4)
@@ -217,11 +239,33 @@ class TestVerifyTerminal:
         if field_seed is None:
             assert len(solution.keep) < len(system.rows)
         pairs = []
-        integral = control._pair_integral
-        monkeypatch.setattr(control, "_pair_integral", lambda *args: pairs.append(1) or integral(*args))
+        integral = fixedpoint._pair_integral
+        monkeypatch.setattr(fixedpoint, "_pair_integral", lambda *args: pairs.append(1) or integral(*args))
         record = verify_terminal(field, solution, system, slice_, N_verify)
         kept = len(solution.keep)
         assert len(pairs) == (len(record.per_row_residuals) - kept) * kept
+        assert record.in_truncation_residual <= 1e-6
+
+    def test_rows_inside_the_truncation_are_not_rebuilt(self, nondegenerate_barotropic, monkeypatch):
+        # the control-roundtrip configuration: N = 8, N_verify = 12; the
+        # rows with |n| <= 8 come from the system, only the spill-over rows
+        # are built
+        slice_ = build_slice(nondegenerate_barotropic, 12)
+        field = _random_mean_zero(np.random.default_rng(3), 2, 12, content=8)
+        system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 8)
+        solution = synthesize_control(system)
+        built = []
+        chain_rows = control._chain_rows
+
+        def spy(*args, **kwargs):
+            for j, row in chain_rows(*args, **kwargs):
+                built.append(row.n)
+                yield j, row
+
+        monkeypatch.setattr(control, "_chain_rows", spy)
+        record = verify_terminal(field, solution, system, slice_, 12)
+        assert sorted(set(map(abs, built))) == [9, 10, 11, 12]
+        assert len(built) == 16 and len(record.per_row_residuals) == 48
         assert record.in_truncation_residual <= 1e-6
 
     def test_coefficients_not_aligned_with_the_kept_rows_are_refused(self, uc_failing_barotropic):
@@ -256,6 +300,21 @@ class TestVerifyTerminal:
         with pytest.raises(DomainError, match="another moment system"):
             verify_terminal(field, solution, other, slice_, 8)
 
+    def test_datum_must_be_the_systems_inside_the_truncation(self, nondegenerate_barotropic):
+        # the rows inside the truncation, targets included, come from the
+        # system; a datum that differs there is refused, one that differs
+        # only beyond it is verified
+        slice_ = build_slice(nondegenerate_barotropic, 8)
+        field = _random_mean_zero(np.random.default_rng(6), 2, 8, content=4)
+        system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
+        solution = synthesize_control(system)
+        with pytest.raises(DomainError, match="datum differs"):
+            verify_terminal(SpectralField(2, 8, 2.0 * field.coeffs), solution, system, slice_, 8)
+        beyond = field.coeffs.copy()
+        beyond[8 + 6] = 1.0
+        record = verify_terminal(SpectralField(2, 8, beyond), solution, system, slice_, 8)
+        assert record.spillover[6] > 1e-3 and record.in_truncation_residual <= 1e-6
+
     def test_window_must_cover_truncation(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 8)
         field = SpectralField.single_mode(1, np.array([1.0, 0.0]), 8)
@@ -275,9 +334,11 @@ class TestDualityExactness:
         expansion = EigenExpansion(dim=2, coefficients=coeffs)
         T = 5.0
         signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
-        row = MomentRow(n=1, cluster_index=0, level=0, rate=0j, kernel=signal.terms, target=0j, observation=0j)
-        system = MomentSystem(ObservationChannel.DENSITY, T, 4, [row], False)
-        assert gram_matrix(system)[0, 0].real == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
+        # the diagonal entry of the production Gram, the integer one the
+        # singular-value count reads in double precision: G = D H D
+        gram, _ = fixedpoint.unit_gram(["signal"], [signal.terms], T, 40)
+        energy = fixedpoint.float_gram(gram)[0, 0].real * 2.0 ** (2 * gram.exps[0])
+        assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
 
     def test_minimum_norm_property(self, nondegenerate_barotropic):
         # grid oracle: any constraint-preserving perturbation (orthogonal to
