@@ -12,7 +12,7 @@ exponential per term and form a pair's ``e^{zT}`` as the product
 ``e^{nu_a T} conj(e^{nu_b T})``.  Here that is :func:`pair_integrals`, an
 outer product in double precision.  The moment solver, whose Gram matrices
 are exponentially ill conditioned, does the same on scaled Python integers
-in ``control.py``.  The mpmath twin is the extended-precision reference; the
+in ``fixedpoint.py``.  The mpmath twin is the extended-precision reference; the
 one-exponential-per-pair double-precision path is the oracle in
 ``tests/energy_oracle.py``.
 """

@@ -243,8 +243,10 @@ class BasisTable(NamedTuple):
     basis vector, cluster by cluster as in :meth:`ModeSpectrum.basis_vectors`,
     with its cluster's eigenvalue in ``rates``, its cluster index in
     ``clusters`` and its Jordan level in ``levels`` (0 outside a chain).
-    The condition numbers of the ``basis`` matrices are not part of the
-    table: :attr:`SpectrumSlice.conds` computes them on first read.
+    ``mult[r, b]`` is the size of the cluster that holds the eigenpair of
+    branch ``b``.  The condition numbers of the ``basis`` matrices are not
+    part of the table: :attr:`SpectrumSlice.conds` computes them on first
+    read.
     Every basis block is complete: a cluster of ``m`` values contributes
     ``m`` columns (its eigenvectors, or an eigenvector and its Jordan chain),
     or :func:`build_slice` raises :class:`ChainError`.
@@ -259,6 +261,7 @@ class BasisTable(NamedTuple):
     rates: np.ndarray  # (K, dim)
     clusters: np.ndarray  # (K, dim)
     levels: np.ndarray  # (K, dim)
+    mult: np.ndarray  # (K, dim)
 
     def rows(self, ns) -> np.ndarray:
         """Row of every mode of ``ns``; a mode outside the slice is a DomainError."""
@@ -277,7 +280,7 @@ class SpectrumSlice:
     :attr:`basis` is the one store.  :attr:`modes` holds per-mode
     :class:`ModeSpectrum` views of it and :attr:`conds` the condition
     numbers of its basis matrices, each built on first use and cached.
-    Treated as immutable once built.
+    Treated as immutable once built; the arrays of :attr:`basis` are read-only.
     """
 
     params: SystemParams
@@ -428,17 +431,6 @@ def _refine_multiplets(coeffs: np.ndarray, values: np.ndarray, clustering_tolera
 # batched eigensolve
 
 
-class _ModeBatch(NamedTuple):
-    """Eigenstructure of a window of modes; column ``b`` holds branch ``_BRANCHES[dim][b]``."""
-
-    ns: np.ndarray  # (K,) modes
-    values: np.ndarray  # (K, dim)
-    nu_scaled: np.ndarray  # (K, dim), values / (i n)
-    vectors: np.ndarray  # (K, dim, dim), vectors[k, b] the eigenvector of branch b
-    residuals: np.ndarray  # (K, dim)
-    near: np.ndarray  # (K,) modes for the per-mode defect logic (see _within_reach)
-
-
 def _barotropic_roots(params: BarotropicParams, nf: np.ndarray, M: np.ndarray, tol: float):
     """Closed-form eigenvalues, ``nu_scaled`` and eigenvectors of the two-field symbols."""
     p = params
@@ -575,13 +567,16 @@ def _kernel_vectors(M: np.ndarray, values: np.ndarray) -> np.ndarray:
     return vh[:, -1].conj()
 
 
-def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> _ModeBatch:
+def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> tuple[BasisTable, np.ndarray]:
     """Eigenpairs of the adjoint symbols of all modes ``ns`` in one batched pass.
 
     Each eigenvector is the closed form (two-field) or the rescaled dense
     eigenvector (three-field).  One whose residual fails, the signature of a
     defective value whose eigenvector is only ``eps**(1/m)`` accurate, is
-    replaced by the rescaled kernel vector of the shifted matrix.
+    replaced by the rescaled kernel vector of the shifted matrix.  Returns
+    the table with every eigenpair its own cluster (the eigenvectors as basis
+    columns in branch order, level 0) and the mask of the modes within
+    clustering reach (see :func:`_within_reach`).
     """
     ns = np.asarray(ns, dtype=np.int64)
     if np.any(ns == 0):
@@ -598,11 +593,16 @@ def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> _Mode
     if k.size:
         vectors[k, b] = _rescale_to_convention(_pinned_values(params)[b], b, _kernel_vectors(M[k], values[k, b]))
         residuals[k, b] = _residuals(M[k], M_norm[k], values[k, b], vectors[k, b])
-    return _ModeBatch(ns, values, nu_scaled, vectors, residuals, near)
+    clusters = np.tile(np.arange(params.dim), (ns.size, 1))
+    table = BasisTable(
+        ns, values, nu_scaled, vectors, residuals, basis=vectors.copy().swapaxes(1, 2), rates=values.copy(),
+        clusters=clusters, levels=np.zeros_like(clusters), mult=np.ones_like(clusters),
+    )
+    return table, near
 
 
-def _mode_pairs(params: SystemParams, table, rows) -> list[tuple[EigenPair, ...]]:
-    """The eigenpairs of the given rows of a solve or a basis table, each mode's in branch order."""
+def _mode_pairs(params: SystemParams, table: BasisTable, rows) -> list[tuple[EigenPair, ...]]:
+    """The eigenpairs of the given rows of a basis table, each mode's in branch order."""
     rows = np.asarray(rows, dtype=np.int64)
     values, nu_scaled, residuals = (a[rows].tolist() for a in (table.values, table.nu_scaled, table.residuals))
     branches = _BRANCHES[params.dim]
@@ -634,7 +634,7 @@ def eigen_barotropic(
     Emits :class:`DegenerateWarning` (without failing) when the two values
     coincide within the clustering tolerance.
     """
-    ((h, p),) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance), [0])
+    ((h, p),) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance)[0], [0])
     if abs(h.value - p.value) <= clustering_tolerance * max(1.0, abs(h.value)):
         warnings.warn(
             f"mode {n}: hyperbolic and parabolic eigenvalues coincide ({h.value:.6g})",
@@ -658,7 +658,7 @@ def eigen_nonbarotropic(
     assigned by dominant eigenvector component instead, with the pairs
     flagged ``unclassified_by_paper``.
     """
-    (pairs,) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance), [0])
+    (pairs,) = _mode_pairs(params, _solve_modes(params, [n], clustering_tolerance)[0], [0])
     vals = [p.value for p in pairs]
     for i, j in itertools.combinations(range(3), 2):
         if abs(vals[i] - vals[j]) <= clustering_tolerance * max(1.0, abs(vals[i])):
@@ -758,8 +758,8 @@ def _cluster_mode(M: ModeMatrix, pairs: tuple[EigenPair, ...], tol: float) -> Mo
     return ModeSpectrum(n=M.n, pairs=pairs, clusters=tuple(clusters))
 
 
-def _clustered_modes(params: SystemParams, table: _ModeBatch | BasisTable, rows, tol: float) -> list[ModeSpectrum]:
-    """The modes of the given rows of a solve or a basis table, each from
+def _clustered_modes(params: SystemParams, table: BasisTable, rows, tol: float) -> list[ModeSpectrum]:
+    """The modes of the given rows of a basis table, each from
     :func:`_cluster_mode` on its eigenpairs and its symbol (recomputed for
     these rows only): the clusters and chains a table row is filled from."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -770,7 +770,7 @@ def _clustered_modes(params: SystemParams, table: _ModeBatch | BasisTable, rows,
     ]
 
 
-def _coincidences(batch: _ModeBatch | BasisTable, branches: tuple[BranchLabel, ...], tol: float) -> list[Coincidence]:
+def _coincidences(table: BasisTable, branches: tuple[BranchLabel, ...], tol: float) -> list[Coincidence]:
     """Every pair of (mode, branch) slots whose values agree within ``tol``.
 
     Slots run over modes ascending, branches in order; a pair ``i < j`` is
@@ -782,8 +782,8 @@ def _coincidences(batch: _ModeBatch | BasisTable, branches: tuple[BranchLabel, .
     would make every pair of its slots a candidate at large N.  The windows
     are widened by a few rounding units so that no match is lost.
     """
-    order = np.argsort(batch.ns, kind="stable")
-    values = batch.values[order].ravel()
+    order = np.argsort(table.ns, kind="stable")
+    values = table.values[order].ravel()
     radius = tol * np.fmax(1.0, np.abs(values))
     windows = []
     for coord in (values.real, values.imag):
@@ -802,7 +802,7 @@ def _coincidences(batch: _ModeBatch | BasisTable, branches: tuple[BranchLabel, .
     pick = np.lexsort((j[hit], i[hit]))
     i, j, distance = i[hit][pick], j[hit][pick], distance[hit][pick]
     dim = len(branches)
-    modes = batch.ns[order].tolist()
+    modes = table.ns[order].tolist()
     out = []
     for a, b, dist in zip(i.tolist(), j.tolist(), distance.tolist()):
         na, nb = modes[a // dim], modes[b // dim]
@@ -824,46 +824,33 @@ def build_slice(
 ) -> SpectrumSlice:
     """Eigenstructure over the window ``1 <= |n| <= N`` plus coincidence table.
 
-    A mode outside clustering reach (see :func:`_within_reach`) takes its
-    eigenvectors in branch order as its basis; a mode within reach takes the
-    columns of :func:`_cluster_mode`.  Chains are attached only inside a
+    A mode outside clustering reach (see :func:`_within_reach`) keeps the
+    eigenvectors in branch order as its basis; the row of a mode within reach
+    is overwritten with the columns of :func:`_cluster_mode`.  Every array of
+    the table is read-only once filled.  Chains are attached only inside a
     single mode matrix; coincidences across modes (distinct eigenfunctions)
     are recorded in the table but never chained.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    batch = _solve_modes(params, np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)]), clustering_tolerance)
-    dim = params.dim
-    columns = batch.vectors.copy()  # columns[r, j]: the j-th basis vector of row r
-    rates = batch.values.copy()
-    clusters = np.tile(np.arange(dim), (batch.ns.size, 1))
-    levels = np.zeros_like(clusters)
-    near = np.flatnonzero(batch.near)
-    for r, mode in zip(near.tolist(), _clustered_modes(params, batch, near, clustering_tolerance)):
+    table, near = _solve_modes(params, np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)]), clustering_tolerance)
+    near = np.flatnonzero(near)
+    for r, mode in zip(near.tolist(), _clustered_modes(params, table, near, clustering_tolerance)):
         j = 0
         for ci, cluster in enumerate(mode.clusters):
+            table.mult[r, [_BRANCH_ORDER[b] for b in cluster.branches]] = len(cluster.branches)
             for level, vector in enumerate(cluster.vectors):
-                columns[r, j], rates[r, j], clusters[r, j] = vector, cluster.value, ci
-                levels[r, j] = level if cluster.chain is not None else 0
+                table.basis[r, :, j], table.rates[r, j], table.clusters[r, j] = vector, cluster.value, ci
+                table.levels[r, j] = level if cluster.chain is not None else 0
                 j += 1
-    basis = columns.swapaxes(1, 2)
-    table = BasisTable(
-        ns=batch.ns,
-        values=batch.values,
-        nu_scaled=batch.nu_scaled,
-        vectors=batch.vectors,
-        residuals=batch.residuals,
-        basis=basis,
-        rates=rates,
-        clusters=clusters,
-        levels=levels,
-    )
+    for array in table:
+        array.flags.writeable = False
     return SpectrumSlice(
         params=params,
         N=N,
         clustering_tolerance=clustering_tolerance,
         basis=table,
-        coincidences=_coincidences(table, _BRANCHES[dim], clustering_tolerance),
+        coincidences=_coincidences(table, _BRANCHES[params.dim], clustering_tolerance),
     )
 
 
@@ -890,8 +877,8 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
     if N_end < N_start:
         return np.zeros(0)
     ns = np.arange(N_start, N_end + 1)
-    batch = _solve_modes(params, np.concatenate([ns, -ns]), DEFAULT_CLUSTERING_TOL)
-    diff = batch.vectors - np.diag(_pinned_values(params)).astype(complex)
+    table, _ = _solve_modes(params, np.concatenate([ns, -ns]), DEFAULT_CLUSTERING_TOL)
+    diff = table.vectors - np.diag(_pinned_values(params)).astype(complex)
     per_pair = 2.0 * np.pi * np.sum(np.array(component_weights(params)) * np.abs(diff) ** 2, axis=-1)
     deficit = per_pair.sum(axis=-1)
     return np.cumsum(deficit[: ns.size] + deficit[ns.size :])
@@ -902,23 +889,15 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
 
 
 def export_spectrum_csv(slice_: SpectrumSlice, path) -> None:
-    """Write ``n,branch,re,im,alg_mult,residual`` rows, modes ascending.
-
-    ``alg_mult`` is the size of the pair's cluster; only the modes with a
-    cluster of several values need their view to say which pairs it holds.
-    """
+    """Write ``n,branch,re,im,alg_mult,residual`` rows, modes ascending;
+    ``alg_mult`` is the size of the pair's cluster."""
     table = slice_.basis
     branches = _BRANCHES[slice_.dim]
-    mult = np.ones(table.values.shape, dtype=np.int64)
-    merged = np.flatnonzero((table.clusters != np.arange(slice_.dim)).any(axis=1))
-    for r, mode in zip(merged.tolist(), _clustered_modes(slice_.params, table, merged, slice_.clustering_tolerance)):
-        for c in mode.clusters:
-            mult[r, [branches.index(b) for b in c.branches]] = len(c.branches)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "branch", "re", "im", "alg_mult", "residual"])
         for n, values, mults, residuals in zip(
-            table.ns.tolist(), table.values.tolist(), mult.tolist(), table.residuals.tolist()
+            table.ns.tolist(), table.values.tolist(), table.mult.tolist(), table.residuals.tolist()
         ):
             for branch, value, m, residual in zip(branches, values, mults, residuals):
                 writer.writerow(

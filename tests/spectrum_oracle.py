@@ -562,17 +562,20 @@ def with_modes(slice_, modes: dict[int, ModeSpectrum]) -> ModeSlice:
 
 
 def table_from_modes(modes: dict[int, ModeSpectrum], dim: int) -> BasisTable:
-    """Stack the eigenpairs of the modes and the basis vectors of their clusters;
-    every mode must have ``dim`` basis vectors."""
+    """Stack the eigenpairs of the modes with the size of each pair's cluster,
+    and the basis vectors of their clusters; every mode must have ``dim``
+    basis vectors."""
     ns = sorted(modes)
-    values, nu_scaled, vectors, residuals, columns, rates, clusters, levels = ([] for _ in range(8))
+    values, nu_scaled, vectors, residuals, columns, rates, clusters, levels, mult = ([] for _ in range(9))
     for n in ns:
         mode = modes[n]
+        sizes = {b: len(c.branches) for c in mode.clusters for b in c.branches}
         for p in mode.pairs:
             values.append(p.value)
             nu_scaled.append(p.nu_scaled)
             vectors.append(p.vector)
             residuals.append(p.residual)
+            mult.append(sizes.get(p.branch, 1))
         for ci, cluster in enumerate(mode.clusters):
             is_chain = cluster.chain is not None
             for level, vector in enumerate(cluster.vectors):
@@ -592,6 +595,7 @@ def table_from_modes(modes: dict[int, ModeSpectrum], dim: int) -> BasisTable:
         rates=np.array(rates, dtype=complex).reshape(shape),
         clusters=np.array(clusters, dtype=np.int64).reshape(shape),
         levels=np.array(levels, dtype=np.int64).reshape(shape),
+        mult=np.array(mult, dtype=np.int64).reshape(shape),
     )
 
 

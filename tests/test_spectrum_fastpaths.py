@@ -165,9 +165,9 @@ def _assert_pairs_agree(params, got, ref, rtol: float = RTOL) -> list[int]:
 def _assert_slices_agree(got, ref, rtol: float = RTOL):
     """Pairs, clusters and coincidences of two slices of the same window.
 
-    Labels, flags, cluster membership, chains and coincidence pairs are the
-    same, up to the labelling ties of :func:`_label_match`; the numbers agree
-    within ``rtol``.
+    Labels, flags, cluster membership, the cluster size of each pair
+    (``basis.mult``), chains and coincidence pairs are the same, up to the
+    labelling ties of :func:`_label_match`; the numbers agree within ``rtol``.
     """
     assert list(got.modes) == list(ref.modes)
     relabel = {}
@@ -176,6 +176,8 @@ def _assert_slices_agree(got, ref, rtol: float = RTOL):
         match = _assert_pairs_agree(ref.params, gmode.pairs, mode.pairs, rtol)
         tied = {(n, g.branch): (n, mode.pairs[j].branch) for g, j in zip(gmode.pairs, match) if g.branch is not mode.pairs[j].branch}
         relabel.update(tied)
+        sizes = {b: len(c.branches) for c in mode.clusters for b in c.branches}
+        assert got.basis.mult[got.basis.rows([n])[0]].tolist() == [sizes[mode.pairs[j].branch] for j in match]
         assert len(gmode.clusters) == len(mode.clusters)
         for gc, rc in zip(gmode.clusters, mode.clusters):
             assert len(gc.vectors) == len(rc.vectors) and (gc.chain is None) == (rc.chain is None)
@@ -240,6 +242,11 @@ def _assert_audits_agree(params, N):
         assert _close(_witness_value(slice_, name, g["witness"]), r["value"]), name
         if name in _PAIR_WITNESSES:
             assert g["witness"][0] < g["witness"][1]
+
+
+def _values_table(ns, values) -> spectrum.BasisTable:
+    """A table of modes and values only, all that the coincidence scan reads."""
+    return spectrum.BasisTable(ns, values, *[None] * (len(spectrum.BasisTable._fields) - 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -367,6 +374,38 @@ class TestBatchedSolve:
             spectrum.eigen_nonbarotropic(NAMED["shared_eigenvalue"], 0)
 
 
+class TestOneTable:
+    """``build_slice`` fills one table; the export reads it and nothing else."""
+
+    def test_mult_holds_the_jordan_blocks(self):
+        # the oracle comparison of _assert_slices_agree checks mult on every
+        # slice; here the values themselves, on the Jordan pair and triple
+        unit = build_slice(NAMED["unit_barotropic"], 24).basis
+        triple = build_slice(NAMED["triple_root"], 24).basis
+        assert unit.mult[unit.rows([-2, 2])].tolist() == [[2, 2], [2, 2]]
+        assert triple.mult[triple.rows([-1, 1])].tolist() == [[3, 3, 3], [3, 3, 3]]
+        assert (np.delete(unit.mult, unit.rows([-2, 2]), axis=0) == 1).all()
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_table_is_read_only(self, name):
+        table = build_slice(NAMED[name], 4).basis
+        for array in table:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+
+    def test_export_does_not_recluster(self, tmp_path, monkeypatch):
+        slice_ = build_slice(NAMED["unit_barotropic"], 24)
+        calls = []
+        clustered = spectrum._clustered_modes
+        monkeypatch.setattr(spectrum, "_clustered_modes", lambda *args: calls.append(args) or clustered(*args))
+        export_spectrum_csv(slice_, tmp_path / "spectrum.csv")
+        assert calls == []
+        rows = {(r[0], r[1]): r[4] for r in csv.reader((tmp_path / "spectrum.csv").read_text().splitlines())}
+        assert [rows[(n, b)] for n in ("-2", "2") for b in ("h", "p")] == ["2"] * 4
+        slice_.mode(2)  # the views do cluster, so the spy is live
+        assert len(calls) == 1
+
+
 class TestThreeFieldVectors:
     """The three-field eigenvectors are the dense eigenvectors rescaled to the
     pinned-component convention; the closed forms stay here as an identity."""
@@ -420,12 +459,11 @@ class TestCoincidences:
         K = len(values) // dim
         v = np.array([complex(a + e, b) * scale for a, b, e in values[: K * dim]]).reshape(K, dim)
         ns = np.repeat(np.arange(1, K // 2 + 2), 2)[:K] * np.tile([-1, 1], K)[:K]
-        batch = spectrum._ModeBatch(ns, v, None, None, None, None)
         branches = spectrum._BRANCHES[dim]
         order = np.argsort(ns, kind="stable")
         slots = [(int(ns[k]), branches[b], complex(v[k, b])) for k in order for b in range(dim)]
         scale = max(1.0, float(np.abs(v).max()))
-        _assert_coincidences_agree(spectrum._coincidences(batch, branches, tol), oracle.coincidence_table(slots, tol), scale)
+        _assert_coincidences_agree(spectrum._coincidences(_values_table(ns, v), branches, tol), oracle.coincidence_table(slots, tol), scale)
 
     def test_asymmetric_scale_is_kept(self):
         # |v_i - v_j| <= tol*max(1, |v_i|) with i the earlier slot: 100 and 99
@@ -433,8 +471,7 @@ class TestCoincidences:
         branches = spectrum._BRANCHES[2]
         for first, second, expected in ((100.0, 99.0, 1), (99.0, 100.0, 0)):
             v = np.array([[first, -5.0], [second, 7.0]], dtype=complex)
-            batch = spectrum._ModeBatch(np.array([-1, 1]), v, None, None, None, None)
-            assert len(spectrum._coincidences(batch, branches, 0.01)) == expected
+            assert len(spectrum._coincidences(_values_table(np.array([-1, 1]), v), branches, 0.01)) == expected
 
 
 class TestInghamAudit:
@@ -451,11 +488,53 @@ class TestInghamAudit:
         for N in (4, 24, 96):
             _assert_audits_agree(params, N)
 
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_family_reductions_match_scalar_loops_bit_for_bit(self, name):
+        # the oracle comparison above is within RTOL, so it would not see a
+        # change in rounding; ingham.json must not see one either
+        for N in (4, 24, 96):
+            slice_ = build_slice(NAMED[name], N)
+            got = ingham_audit(slice_, slice_.params, 8.0).to_dict()
+            ref = _scalar_family_reductions(slice_)
+            assert (got["P2"]["value"].hex(), got["P2"]["witness"]) == (ref["P2"][0].hex(), ref["P2"][1])
+            assert (got["P4"]["B0"].hex(), got["P4"]["witness"], got["P4"]["value"].hex()) == (
+                ref["P4"][0].hex(), ref["P4"][1], ref["P4"][2].hex()
+            )
+            assert got["relaxed"]["c_hat"].hex() == ref["c_hat"].hex()
+            assert got["relaxed"]["inv_abs_partial_sum"].hex() == ref["inv_abs_partial_sum"].hex()
+
     def test_pair_blocks_cover_every_pair(self, monkeypatch):
         # blocks of a few rows: witnesses must still be the first minimum
         monkeypatch.setattr(observability, "_PAIR_BLOCK", 7)
         for name in ("shared_eigenvalue", "workhorse"):
             _assert_audits_agree(NAMED[name], 40)
+
+
+def _scalar_family_reductions(slice_) -> dict:
+    """P2, P4, ``c_hat`` and ``inv_abs_partial_sum`` by scalar loops over the
+    parabolic family as a dict in the audit's order: branch 1 in slice order,
+    then branch 2, under the interleaved keys of the three-field system."""
+    table = slice_.basis
+    order = np.argsort(np.abs(table.ns), kind="stable")
+    ns = table.ns[order].tolist()
+    par = {}
+    for b in range(1, slice_.dim):
+        for n, v in zip(ns, table.values[order, b].tolist()):
+            par[n if slice_.dim == 2 else 2 * n if b == 2 else 2 * n - 1 if n > 0 else 2 * n + 1] = v
+    ratios = {n: (-v.real / abs(v.imag)) if v.imag != 0.0 else np.inf for n, v in par.items()}
+    c_hat_n = min(ratios, key=ratios.get)
+    mags = {n: abs(v) / abs(n) ** 2.0 for n, v in par.items()}
+    b0 = max(mags.values())
+    witness = (min(mags, key=mags.get), max(mags, key=mags.get))
+    total = 0.0
+    for v in par.values():  # not sum(): from Python 3.12 on it compensates
+        total += 1.0 / abs(v)
+    return {
+        "P2": (float(ratios[c_hat_n]), c_hat_n),
+        "P4": (b0, witness, min(mags.values()) / b0),
+        "c_hat": min(-v.real / abs(v) for v in par.values()),
+        "inv_abs_partial_sum": total,
+    }
 
 
 def _bits(minima) -> list:
@@ -484,17 +563,18 @@ class TestTriangularMinima:
     def test_pair_tables(self, values, data, block):
         # keys of equal |n| give zero P3 denominators; block 1 and 5 split
         # the triangle into many blocks and end on a row of width 0
-        keys = data.draw(st.lists(st.integers(-40, 40).filter(bool), min_size=len(values), max_size=len(values), unique=True))
-        family = dict(zip(keys, values))
-        other = dict(zip(reversed(keys), values))
+        keys = np.array(
+            data.draw(st.lists(st.integers(-40, 40).filter(bool), min_size=len(values), max_size=len(values), unique=True))
+        )
+        v = np.array(values, dtype=complex)
 
         def minima():
             return (
-                _bits([observability._min_pairwise_gap(family)]),
-                _bits(observability._parabolic_minima(family, 2.0)),
-                np.float64(observability._min_squared_gap(family, family, 1.0, 1.0)).tobytes(),
-                np.float64(observability._min_squared_gap(family, family, 1.0, 2.0)).tobytes(),
-                np.float64(observability._min_squared_gap(family, other, 1.0, 2.0)).tobytes(),
+                _bits([observability._min_pairwise_gap(keys, v)]),
+                _bits(observability._parabolic_minima(keys, v, 2.0)),
+                np.float64(observability._min_squared_gap(keys, v, keys, v, 1.0, 1.0)).tobytes(),
+                np.float64(observability._min_squared_gap(keys, v, keys, v, 1.0, 2.0)).tobytes(),
+                np.float64(observability._min_squared_gap(keys, v, keys[::-1], v, 1.0, 2.0)).tobytes(),
             )
 
         shapes = []
@@ -535,6 +615,6 @@ class TestRieszCloseness:
         tol = spectrum.DEFAULT_CLUSTERING_TOL
         for k, (g, r) in enumerate(zip(got, ref)):
             ns = (start + k, -start - k)
-            values = spectrum._solve_modes(params, ns, tol).values
+            values = spectrum._solve_modes(params, ns, tol)[0].values
             matches = [_label_match(params, n, v, oracle._mode_pairs(params, n, tol), RANDOM_RTOL) for n, v in zip(ns, values)]
             assert matches != [list(range(params.dim))] * 2 or _close(g, r, RANDOM_RTOL)
