@@ -314,8 +314,11 @@ def degenerate_uc_witness(
 
     Requires a cross-mode coincidence (two modes sharing one eigenvalue with
     independent eigenfunctions); the terminal datum ``C*Phi_+ + D*Phi_-``
-    with the swapped observations kills the signal identically.
+    with the swapped observations kills the signal identically.  Raises
+    :class:`DomainError` when ``params`` are not the slice's own.
     """
+    if params != slice_.params:
+        raise DomainError("the degenerate witness needs the parameters its slice was built from")
     pair = None
     for c in slice_.coincidences:
         if c.cross_mode:

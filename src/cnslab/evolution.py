@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimMismatch, DomainError
 from .fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
 from .kernels import KernelTerm
-from .model import BarotropicParams, SystemParams
+from .model import SystemParams
 from .spectrum import MatrixKind, SpectrumSlice, _symbol
 
 
@@ -37,8 +37,14 @@ class ObservationChannel(Enum):
     TEMPERATURE = "temperature"
 
 
-def channel_dim_ok(channel: ObservationChannel, dim: int) -> bool:
-    return not (channel is ObservationChannel.TEMPERATURE and dim == 2)
+def channel_component(channel: ObservationChannel, params: SystemParams) -> int:
+    """The component that ``channel`` observes and controls; channels are listed in component order.
+
+    The one check of the channel against the system: temperature on two fields raises :class:`DimMismatch`."""
+    component = list(ObservationChannel).index(channel)
+    if component >= params.dim:
+        raise DimMismatch("temperature channel requires the three-field system")
+    return component
 
 
 def observation_value(
@@ -63,40 +69,24 @@ def observation_values(channel: ObservationChannel, vectors: np.ndarray, n, para
 
     ``n`` broadcasts against the leading axes.  Plain array arithmetic:
     an entry agrees with the scalar arithmetic of a per-vector evaluation
-    to rounding, not necessarily bit for bit.  This is the one check of the
-    channel against the system: a temperature channel on the two-field
-    system raises :class:`DimMismatch`.
+    to rounding, not necessarily bit for bit.  The terms of the channel's
+    observed flux are summed left to right over the components, the
+    diffusive term ``d*i*n*v_c`` right after the channel's own component.
     """
-    if not channel_dim_ok(channel, params.dim):
-        raise DimMismatch("temperature channel requires the three-field system")
-    v = [vectors[..., i] for i in range(params.dim)]
-    inx = 1j * n
-    p = params
-    if isinstance(params, BarotropicParams):
-        if channel is ObservationChannel.DENSITY:
-            return p.u_bar * v[0] + p.rho_bar * v[1]
-        return p.b * v[0] + p.u_bar * v[1] + p.mu0 * inx * v[1]
-    if channel is ObservationChannel.DENSITY:
-        return p.u_bar * v[0] + p.rho_bar * v[1]
-    if channel is ObservationChannel.VELOCITY:
-        return (
-            p.R * p.theta_bar * v[0]
-            + p.rho_bar * p.u_bar * v[1]
-            + p.lambda0 * p.rho_bar * inx * v[1]
-            + p.R * p.rho_bar * v[2]
-        )
-    return p.R * v[1] + (p.c0 * p.u_bar / p.theta_bar) * v[2] + (p.c0 * p.kappa0 / p.theta_bar) * inx * v[2]
+    c = channel_component(channel, params)
+    row, d = params.coefficients.observed[c]
+    terms = []
+    for j, a in enumerate(row):
+        if a:
+            terms.append(a * vectors[..., j])
+        if j == c and d:
+            terms.append(d * (1j * n) * vectors[..., j])
+    return sum(terms[1:], terms[0])
 
 
 def boundary_control_weight(channel: ObservationChannel, params: SystemParams) -> float:
     """Weight multiplying the boundary pairing in the duality identity."""
-    if isinstance(params, BarotropicParams):
-        return params.b if channel is ObservationChannel.DENSITY else params.rho_bar
-    if channel is ObservationChannel.DENSITY:
-        return params.R * params.theta_bar
-    if channel is ObservationChannel.VELOCITY:
-        return params.rho_bar
-    return params.rho_bar**2
+    return params.coefficients.control[channel_component(channel, params)]
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, DomainError, IllConditioned
-from .model import SystemParams, component_weights
+from .model import SystemParams
 from .spectrum import BasisTable, SpectrumSlice
 
 TWO_PI = 2.0 * np.pi
@@ -127,16 +127,12 @@ class NormSpec:
 
     @classmethod
     def weighted_l2(cls, params: SystemParams) -> "NormSpec":
-        return cls(weights=component_weights(params), orders=(0.0,) * params.dim)
-
-    @classmethod
-    def dual_velocity(cls, params: SystemParams) -> "NormSpec":
-        """H^{-1} x L2 (x L2) pairing used by velocity/temperature observability."""
-        return cls(weights=component_weights(params), orders=(-1.0,) + (0.0,) * (params.dim - 1))
+        return cls(weights=params.coefficients.weights, orders=(0.0,) * params.dim)
 
     @classmethod
     def dual_order(cls, params: SystemParams, s: float) -> "NormSpec":
-        return cls(weights=component_weights(params), orders=(-s,) + (0.0,) * (params.dim - 1))
+        """H^{-s} on the density, L2 on the rest; ``s = 1`` is the velocity/temperature observability pairing."""
+        return cls(weights=params.coefficients.weights, orders=(-s,) + (0.0,) * (params.dim - 1))
 
 
 def sobolev_norm(f: SpectralField, norm_spec: NormSpec) -> float:

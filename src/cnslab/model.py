@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -39,6 +40,24 @@ def _require_positive(**values: float) -> None:
             raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
+class Coefficients(NamedTuple):
+    """Every coefficient of one system by component: density 0, velocity 1, temperature 2.
+
+    ``U_t + A U_x = D U_xx`` with ``A = advection``, ``D = diag(diffusion)``, energy-norm
+    ``weights`` and hyperbolic rate ``omega``.  Channel ``c`` observes the boundary flux
+    ``sum_j row[j]*v_j + d*v_c'`` of ``(row, d) = observed[c]`` with control weight ``control[c]``;
+    ``pinned[b]`` is component ``b`` of the branch-``b`` eigenvector.  Consumers skip zero entries.
+    """
+
+    advection: tuple[tuple[float, ...], ...]
+    diffusion: tuple[float, ...]
+    weights: tuple[float, ...]
+    observed: tuple[tuple[tuple[float, ...], float], ...]
+    control: tuple[float, ...]
+    omega: float
+    pinned: tuple[float, ...]
+
+
 @dataclass(frozen=True)
 class BarotropicParams:
     """Coefficients of the two-field system.
@@ -46,7 +65,7 @@ class BarotropicParams:
     ``mu0`` is the effective diffusion ``(lambda_visc + 2*mu_visc)/rho_bar``
     and ``b`` the pressure coefficient ``a*gamma*rho_bar**(gamma-2)``; the
     hyperbolic accumulation rate ``omega0 = b*rho_bar/mu0`` is derived and
-    stored for convenience.
+    stored for convenience, and so is the :class:`Coefficients` table.
     """
 
     rho_bar: float
@@ -54,10 +73,21 @@ class BarotropicParams:
     mu0: float
     b: float
     omega0: float = field(init=False)
+    coefficients: Coefficients = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_positive(rho_bar=self.rho_bar, u_bar=self.u_bar, mu0=self.mu0, b=self.b)
-        object.__setattr__(self, "omega0", self.b * self.rho_bar / self.mu0)
+        rho, u, b = self.rho_bar, self.u_bar, self.b
+        object.__setattr__(self, "omega0", b * rho / self.mu0)
+        object.__setattr__(self, "coefficients", Coefficients(
+            advection=((u, rho), (b, u)),
+            diffusion=(0.0, self.mu0),
+            weights=(b, rho),
+            observed=(((u, rho), 0.0), ((b, u), self.mu0)),
+            control=(b, rho),
+            omega=self.omega0,
+            pinned=(rho, 1.0),
+        ))
 
     @property
     def dim(self) -> int:
@@ -83,7 +113,7 @@ class NonBarotropicParams:
 
     ``lambda0`` and ``kappa0`` are the momentum and thermal diffusions,
     ``R`` the gas constant and ``c0`` the specific heat; the hyperbolic
-    accumulation rate is ``omega_bar = R*theta_bar/lambda0``.
+    accumulation rate ``omega_bar = R*theta_bar/lambda0`` and the table are derived.
     """
 
     rho_bar: float
@@ -94,6 +124,7 @@ class NonBarotropicParams:
     R: float
     c0: float
     omega_bar: float = field(init=False)
+    coefficients: Coefficients = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_positive(
@@ -105,7 +136,21 @@ class NonBarotropicParams:
             R=self.R,
             c0=self.c0,
         )
-        object.__setattr__(self, "omega_bar", self.R * self.theta_bar / self.lambda0)
+        rho, u, theta, R, c0 = self.rho_bar, self.u_bar, self.theta_bar, self.R, self.c0
+        object.__setattr__(self, "omega_bar", R * theta / self.lambda0)
+        object.__setattr__(self, "coefficients", Coefficients(
+            advection=((u, rho, 0.0), (R * theta / rho, u, R), (0.0, R * theta / c0, u)),
+            diffusion=(0.0, self.lambda0, self.kappa0),
+            weights=(R * theta, rho**2, rho**2 * c0 / theta),
+            observed=(
+                ((u, rho, 0.0), 0.0),
+                ((R * theta, rho * u, R * rho), self.lambda0 * rho),
+                ((0.0, R, c0 * u / theta), c0 * self.kappa0 / theta),
+            ),
+            control=(R * theta, rho, rho**2),
+            omega=self.omega_bar,
+            pinned=(R * rho, R, R**2 * theta**2 / (rho * c0)),
+        ))
 
     @property
     def dim(self) -> int:
@@ -113,17 +158,6 @@ class NonBarotropicParams:
 
 
 SystemParams = BarotropicParams | NonBarotropicParams
-
-
-def component_weights(params: SystemParams) -> tuple[float, ...]:
-    """Weight of each component in the physical energy norm."""
-    if isinstance(params, BarotropicParams):
-        return (params.b, params.rho_bar)
-    return (
-        params.R * params.theta_bar,
-        params.rho_bar**2,
-        params.rho_bar**2 * params.c0 / params.theta_bar,
-    )
 
 
 def hyperbolic_fit_threshold(params: SystemParams) -> int:

@@ -72,7 +72,7 @@ def standard_norm_spec(channel: ObservationChannel, params: SystemParams) -> Nor
     """The norm pairing in which each channel's observability is posed."""
     if channel is ObservationChannel.DENSITY:
         return NormSpec.weighted_l2(params)
-    return NormSpec.dual_velocity(params)
+    return NormSpec.dual_order(params, 1.0)
 
 
 def observability_quotient(
@@ -274,8 +274,11 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
     branch 2 at mode 2 and branch 1 at mode 3.  ``T`` enters no verdict:
     the audit never reads it.  Raises :class:`DomainError` when the window
     holds no mode above the threshold or, for the three-field system, no
-    two modes with distinct ``n**2``.
+    two modes with distinct ``n**2``, and when ``params`` are not the
+    slice's own.
     """
+    if params != slice_.params:
+        raise DomainError("the Ingham audit needs the parameters its slice was built from")
     threshold = hyperbolic_fit_threshold(params)
     needed = max(threshold, 2 if slice_.dim == 3 else 1)
     if slice_.N < needed:

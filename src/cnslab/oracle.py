@@ -1,7 +1,10 @@
 """Finite-difference validator for the spectral evolution.
 
 A deliberately independent discretization: second-order central differences
-on the periodic grid and implicit-midpoint (trapezoidal) time stepping.  The
+on the periodic grid and implicit-midpoint (trapezoidal) time stepping.  It
+reads the coefficient table the spectral code reads, so its independence lies
+in the discretization; a test checks the grid operator against the test
+oracle's per-system symbol.  The
 advection stencil is exactly skew-symmetric and the diffusion stencil
 symmetric negative, so the weighted discrete energy is non-increasing and
 the density mean is conserved to roundoff -- the discrete shadows of the
@@ -24,7 +27,7 @@ import scipy.sparse.linalg
 
 from .errors import CFLViolation, DomainError, SolverSingular
 from .fields import SpectralField
-from .model import BarotropicParams, SystemParams, component_weights
+from .model import SystemParams
 
 TWO_PI = 2.0 * np.pi
 #: Fewest points of a periodic FDM grid.
@@ -76,7 +79,7 @@ class GridState:
 
     def weighted_energy(self, params: SystemParams) -> float:
         h = TWO_PI / self.M
-        w = component_weights(params)
+        w = params.coefficients.weights
         return float(h * sum(wj * np.sum(self.components[j] ** 2) for j, wj in enumerate(w)))
 
     def mean(self, component: int = 0) -> float:
@@ -96,21 +99,13 @@ def _difference_operators(M: int) -> tuple[scipy.sparse.spmatrix, scipy.sparse.s
 
 
 def _forward_operator(params: SystemParams, M: int) -> scipy.sparse.spmatrix:
+    """``-A D1 + D D2`` block by block, a zero coefficient an empty block."""
     D1, D2 = _difference_operators(M)
-    Z = scipy.sparse.csr_matrix((M, M))
-    if isinstance(params, BarotropicParams):
-        p = params
-        rows = [
-            [-p.u_bar * D1, -p.rho_bar * D1],
-            [-p.b * D1, p.mu0 * D2 - p.u_bar * D1],
-        ]
-    else:
-        p = params
-        rows = [
-            [-p.u_bar * D1, -p.rho_bar * D1, Z],
-            [-(p.R * p.theta_bar / p.rho_bar) * D1, p.lambda0 * D2 - p.u_bar * D1, -p.R * D1],
-            [Z, -(p.R * p.theta_bar / p.c0) * D1, p.kappa0 * D2 - p.u_bar * D1],
-        ]
+    coefficients = params.coefficients
+    rows = [[-a * D1 if a else scipy.sparse.csr_matrix((M, M)) for a in row] for row in coefficients.advection]
+    for i, d in enumerate(coefficients.diffusion):
+        if d:
+            rows[i][i] = d * D2 - coefficients.advection[i][i] * D1
     return scipy.sparse.bmat(rows, format="csc")
 
 
@@ -124,19 +119,7 @@ def _seam_jump_source(params: SystemParams, M: int, jumps: np.ndarray) -> np.nda
     h = TWO_PI / M
     dim = params.dim
     correction = np.zeros(dim * M)
-    if isinstance(params, BarotropicParams):
-        adv = np.array([[params.u_bar, params.rho_bar], [params.b, params.u_bar]])
-        diff = np.array([0.0, params.mu0])
-    else:
-        p = params
-        adv = np.array(
-            [
-                [p.u_bar, p.rho_bar, 0.0],
-                [p.R * p.theta_bar / p.rho_bar, p.u_bar, p.R],
-                [0.0, p.R * p.theta_bar / p.c0, p.u_bar],
-            ]
-        )
-        diff = np.array([0.0, p.lambda0, p.kappa0])
+    adv, diff = np.array(params.coefficients.advection), params.coefficients.diffusion
     for c in range(dim):
         J = jumps[c]
         if J == 0.0:

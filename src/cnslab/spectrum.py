@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChainError, ConditioningError, DegenerateWarning, DomainError
-from .model import BarotropicParams, NonBarotropicParams, SystemParams, component_weights, hyperbolic_fit_threshold
+from .model import BarotropicParams, NonBarotropicParams, SystemParams, hyperbolic_fit_threshold
 
 #: Relative clustering tolerance used to declare two eigenvalues coincident.
 DEFAULT_CLUSTERING_TOL = 1e-8
@@ -102,25 +102,23 @@ class ModeMatrix:
 
 
 def _symbols(params: SystemParams, ns, kind: MatrixKind) -> np.ndarray:
-    """Symbol matrices of the modes ``ns`` stacked as ``(len(ns), dim, dim)``; any integer mode, zero included."""
-    p = params
+    """Symbol matrices of the modes ``ns`` stacked as ``(len(ns), dim, dim)``; any integer mode, zero included.
+
+    Entry ``(i, j)`` is ``s*A[i, j]*i*n - D[i]*n**2*[i == j]``, ``s = 1`` adjoint, ``-1`` forward.
+    """
     s = 1.0 if kind is MatrixKind.ADJOINT else -1.0
     nf = np.asarray(ns, dtype=float)
     n2 = nf * nf
     inx = 1j * nf
-    advect = s * p.u_bar * inx
-    M = np.zeros((nf.size, p.dim, p.dim), dtype=complex)
-    M[:, 0, 0] = advect
-    M[:, 0, 1] = s * p.rho_bar * inx
-    if isinstance(params, BarotropicParams):
-        M[:, 1, 0] = s * p.b * inx
-        M[:, 1, 1] = -p.mu0 * n2 + advect
-        return M
-    M[:, 1, 0] = s * (p.R * p.theta_bar / p.rho_bar) * inx
-    M[:, 1, 1] = -p.lambda0 * n2 + advect
-    M[:, 1, 2] = s * p.R * inx
-    M[:, 2, 1] = s * (p.R * p.theta_bar / p.c0) * inx
-    M[:, 2, 2] = -p.kappa0 * n2 + advect
+    coefficients = params.coefficients
+    M = np.zeros((nf.size, params.dim, params.dim), dtype=complex)
+    for i, row in enumerate(coefficients.advection):
+        for j, a in enumerate(row):
+            if a:
+                M[:, i, j] = s * a * inx
+    for i, d in enumerate(coefficients.diffusion):
+        if d:
+            M[:, i, i] = -d * n2 + M[:, i, i]
     return M
 
 
@@ -139,12 +137,8 @@ def mode_matrix(params: SystemParams, n: int, kind: MatrixKind = MatrixKind.ADJO
 def _anchors(params: SystemParams, nf: np.ndarray) -> np.ndarray:
     """Asymptote anchor of every branch, ``(len(nf), dim)`` in branch order."""
     iun = 1j * params.u_bar * nf
-    if isinstance(params, BarotropicParams):
-        return np.stack([iun - params.omega0, -params.mu0 * nf**2 + iun], axis=1)
-    return np.stack(
-        [iun - params.omega_bar, -params.lambda0 * nf**2 + iun, -params.kappa0 * nf**2 + iun],
-        axis=1,
-    )
+    coefficients = params.coefficients
+    return np.stack([iun - coefficients.omega] + [-d * nf**2 + iun for d in coefficients.diffusion[1:]], axis=1)
 
 
 def classify_branch(params: SystemParams, n: int, value: complex) -> BranchLabel:
@@ -482,7 +476,7 @@ def _dense_nonbarotropic(params: NonBarotropicParams, ns: np.ndarray, M: np.ndar
     columns = _label_columns(params, nf, values, dense)
     values = np.take_along_axis(values, columns, axis=1)
     dense = np.take_along_axis(dense, columns[:, None, :], axis=2).swapaxes(1, 2)
-    vectors = _rescale_to_convention(_pinned_values(params), np.arange(3), dense)
+    vectors = _rescale_to_convention(np.array(params.coefficients.pinned), np.arange(3), dense)
     return values, values / (1j * nf)[:, None], vectors, near
 
 
@@ -527,14 +521,6 @@ def _label_columns(params: NonBarotropicParams, nf: np.ndarray, values: np.ndarr
             best_cost = np.where(better, costs[:, q], best_cost)
         labels = P[best]
     return np.argsort(labels, axis=1)
-
-
-def _pinned_values(params: SystemParams) -> np.ndarray:
-    """Closed-form value of the pinned component of each branch; branch ``b`` pins component ``b``."""
-    p = params
-    if isinstance(p, BarotropicParams):
-        return np.array([p.rho_bar, 1.0])
-    return np.array([p.R * p.rho_bar, p.R, p.R**2 * p.theta_bar**2 / (p.rho_bar * p.c0)])
 
 
 def _rescale_to_convention(pinned: np.ndarray, component: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -591,7 +577,7 @@ def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> tuple
     residuals = _residuals(M[:, None], M_norm[:, None], values, vectors)
     k, b = np.nonzero(residuals > EIGEN_RESIDUAL_TOL)
     if k.size:
-        vectors[k, b] = _rescale_to_convention(_pinned_values(params)[b], b, _kernel_vectors(M[k], values[k, b]))
+        vectors[k, b] = _rescale_to_convention(np.array(params.coefficients.pinned)[b], b, _kernel_vectors(M[k], values[k, b]))
         residuals[k, b] = _residuals(M[k], M_norm[k], values[k, b], vectors[k, b])
     clusters = np.tile(np.arange(params.dim), (ns.size, 1))
     table = BasisTable(
@@ -878,8 +864,9 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
         return np.zeros(0)
     ns = np.arange(N_start, N_end + 1)
     table, _ = _solve_modes(params, np.concatenate([ns, -ns]), DEFAULT_CLUSTERING_TOL)
-    diff = table.vectors - np.diag(_pinned_values(params)).astype(complex)
-    per_pair = 2.0 * np.pi * np.sum(np.array(component_weights(params)) * np.abs(diff) ** 2, axis=-1)
+    coefficients = params.coefficients
+    diff = table.vectors - np.diag(coefficients.pinned).astype(complex)
+    per_pair = 2.0 * np.pi * np.sum(np.array(coefficients.weights) * np.abs(diff) ** 2, axis=-1)
     deficit = per_pair.sum(axis=-1)
     return np.cumsum(deficit[: ns.size] + deficit[ns.size :])
 

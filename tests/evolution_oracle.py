@@ -2,7 +2,10 @@
 
 The per-mode and per-term code that production no longer runs:
 
-* the scalar boundary observation of one vector;
+* the per-system boundary observation, written out system by system where
+  production reads one coefficient table: in scalar arithmetic for one
+  vector and in array arithmetic for stacked vectors, with the channel
+  check and the boundary control weight;
 * the eigen-expansion as one condition number and one dense solve per mode;
 * the adjoint state and the observation signal read cluster by cluster
   from the per-mode ``ModeSpectrum`` objects, one ``KernelTerm`` per term;
@@ -24,11 +27,51 @@ import numpy as np
 from cnslab import fields
 from cnslab.control import MomentRow, _mode_inner_products
 from cnslab.errors import DimMismatch, DomainError, IllConditioned
-from cnslab.evolution import ObservationChannel, ObservationSignal, boundary_control_weight, channel_dim_ok
+from cnslab.evolution import ObservationChannel, ObservationSignal
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField
 from cnslab.kernels import KernelTerm
 from cnslab.model import BarotropicParams, SystemParams
 from cnslab.spectrum import BranchLabel, SpectrumSlice
+
+
+def channel_dim_ok(channel: ObservationChannel, dim: int) -> bool:
+    return not (channel is ObservationChannel.TEMPERATURE and dim == 2)
+
+
+def boundary_control_weight(channel: ObservationChannel, params: SystemParams) -> float:
+    """Weight multiplying the boundary pairing in the duality identity."""
+    if not channel_dim_ok(channel, params.dim):
+        raise DimMismatch("temperature channel requires the three-field system")
+    if isinstance(params, BarotropicParams):
+        return params.b if channel is ObservationChannel.DENSITY else params.rho_bar
+    if channel is ObservationChannel.DENSITY:
+        return params.R * params.theta_bar
+    if channel is ObservationChannel.VELOCITY:
+        return params.rho_bar
+    return params.rho_bar**2
+
+
+def observation_values(channel: ObservationChannel, vectors: np.ndarray, n, params: SystemParams) -> np.ndarray:
+    """:func:`observation_value` of every vector of ``vectors`` (components on the last axis), in array arithmetic."""
+    if not channel_dim_ok(channel, params.dim):
+        raise DimMismatch("temperature channel requires the three-field system")
+    v = [vectors[..., i] for i in range(params.dim)]
+    inx = 1j * n
+    p = params
+    if isinstance(params, BarotropicParams):
+        if channel is ObservationChannel.DENSITY:
+            return p.u_bar * v[0] + p.rho_bar * v[1]
+        return p.b * v[0] + p.u_bar * v[1] + p.mu0 * inx * v[1]
+    if channel is ObservationChannel.DENSITY:
+        return p.u_bar * v[0] + p.rho_bar * v[1]
+    if channel is ObservationChannel.VELOCITY:
+        return (
+            p.R * p.theta_bar * v[0]
+            + p.rho_bar * p.u_bar * v[1]
+            + p.lambda0 * p.rho_bar * inx * v[1]
+            + p.R * p.rho_bar * v[2]
+        )
+    return p.R * v[1] + (p.c0 * p.u_bar / p.theta_bar) * v[2] + (p.c0 * p.kappa0 / p.theta_bar) * inx * v[2]
 
 
 def observation_value(channel: ObservationChannel, vector: np.ndarray, n: int, params: SystemParams) -> complex:

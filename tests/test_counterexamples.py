@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -157,6 +158,12 @@ class TestDegenerateWitness:
         assert record.value == pytest.approx(-1.0, abs=1e-10)
         assert record.max_observation <= 1e-9 * record.observation_scale
         assert record.min_state_norm > 0.0
+
+    def test_params_must_be_the_slice_s_own(self, shared_eigenvalue_nonbarotropic):
+        slice_ = build_slice(shared_eigenvalue_nonbarotropic, 2)
+        other = dataclasses.replace(shared_eigenvalue_nonbarotropic, rho_bar=3.0)
+        with pytest.raises(DomainError, match="parameters its slice was built from"):
+            degenerate_uc_witness(other, ObservationChannel.DENSITY, slice_)
 
     def test_not_degenerate(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 6)

@@ -10,6 +10,7 @@ from cnslab.errors import DimMismatch
 from cnslab.evolution import (
     ObservationChannel,
     adjoint_state,
+    boundary_control_weight,
     forward_state,
     observation_signal,
     observation_value,
@@ -75,6 +76,7 @@ class TestObservationValue:
             lambda: observation_signal(expansion, slice_, temperature, 1.0),
             lambda: observability_quotient(field, temperature, 1.0, None, slice_),
             lambda: build_moment_system(field, temperature, 1.0, slice_, 2),
+            lambda: boundary_control_weight(temperature, nondegenerate_barotropic),
         ):
             with pytest.raises(DimMismatch, match="temperature channel requires the three-field system"):
                 call()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -428,6 +429,13 @@ class TestInghamAudit:
         assert not audit.p1.passed
         assert set(audit.p1.witness) == {-1, 1}
         assert not audit.all_pass
+
+    def test_params_must_be_the_slice_s_own(self, nondegenerate_barotropic):
+        # a smaller mu0 moves the hyperbolic fit threshold from 3 to 5
+        slice_ = build_slice(nondegenerate_barotropic, 16)
+        other = dataclasses.replace(nondegenerate_barotropic, mu0=0.5)
+        with pytest.raises(DomainError, match="parameters its slice was built from"):
+            ingham_audit(slice_, other, T=8.0)
 
     def test_nonbarotropic_merged_family(self, generic_nonbarotropic):
         slice_ = build_slice(generic_nonbarotropic, 30)

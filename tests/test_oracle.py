@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import spectrum_oracle
+from cnslab import oracle
 from cnslab.errors import CFLViolation, DomainError
 from cnslab.fields import SpectralField
 from cnslab.oracle import GridState, compare_spectral_fdm, fdm_evolve
@@ -18,6 +20,28 @@ def _smooth_real_field(rng, dim, N, decay=0.3):
         c[n + N] = v
         c[-n + N] = np.conj(v)
     return SpectralField(dim=dim, N=N, coeffs=c)
+
+
+class TestForwardOperator:
+    @pytest.mark.parametrize("name", ["nondegenerate_barotropic", "generic_nonbarotropic"])
+    def test_sampled_modes_see_the_symbol_at_modified_wavenumbers(self, name, request):
+        # the per-system symbol of the test oracle is i*n*X - n**2*Y; central
+        # differences turn i*n into i*sin(n*h)/h and -n**2 into -4*sin(n*h/2)**2/h**2
+        params = request.getfixturevalue(name)
+        M = 64
+        h = TWO_PI / M
+        x = h * np.arange(M)
+        plus, minus = (spectrum_oracle._symbol(params, k, MatrixKind.FORWARD) for k in (1, -1))
+        X, Y = (plus - minus) / 2j, -(plus + minus) / 2
+        L = oracle._forward_operator(params, M)
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, -5, 31, 32):
+            c = rng.normal(size=params.dim) + 1j * rng.normal(size=params.dim)
+            symbol = (1j * math.sin(n * h) / h) * X + (-4.0 * math.sin(n * h / 2) ** 2 / h**2) * Y
+            wave = np.exp(1j * n * x)
+            got = L @ np.concatenate([cj * wave for cj in c])
+            want = np.concatenate([sj * wave for sj in symbol @ c])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestFdmEvolve:
