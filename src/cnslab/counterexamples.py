@@ -30,7 +30,10 @@ from .errors import DomainError, NotDegenerate, SupportError
 from .evolution import ObservationChannel, adjoint_state, observation_signal, observation_value
 from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
 from .model import BarotropicParams, SystemParams
-from .observability import observation_energy
+from .observability import (
+    observability_quotients,
+    observation_energy,  # noqa: F401  (perfbench/spans.py traces this name)
+)
 from .spectrum import _BRANCH_ORDER, SpectrumSlice, build_slice
 
 TWO_PI = 2.0 * np.pi
@@ -182,9 +185,10 @@ def small_time_witness(
     statement rather than an exact rate.
 
     What does not depend on N is done once per call: one FFT of the bump,
-    from which every carrier's coefficients are gathered; one pair table,
-    since N_list increases and each signal's terms are among the first's;
-    and one set of transport exponentials for every N.
+    from which every carrier's coefficients are gathered; one stacked pass of
+    :func:`observability_quotients` over the lifts of every N; one pair
+    table, since N_list increases and each signal's terms are among the
+    first's; and one set of transport exponentials for every N.
     """
     if not isinstance(params, BarotropicParams):
         raise DomainError("the small-time witness is built for the barotropic (two-field) system")
@@ -205,7 +209,6 @@ def small_time_witness(
     cutoff = _CUTOFF_FACTOR * max(N_list) + margin
     slice_ = build_slice(params, cutoff)
 
-    table: dict[int, tuple[float, float, float]] = {}
     profiles: dict[int, np.ndarray] = {}
     ns = np.arange(-cutoff, cutoff + 1)
     # one FFT for every carrier; each signal after the first gathers its
@@ -213,14 +216,12 @@ def small_time_witness(
     bumps, tails = bump_coefficients(bump_spec, cutoff, carrier=_MODULATION_FACTOR * np.asarray(N_list))
     for N, filtered in zip(N_list, bumps):
         filtered[np.abs(ns) <= N] = 0.0  # the zeros of P_N and the removed mean
-        terminal = _hyperbolic_lift(params, filtered, cutoff, slice_)
-        expansion = expand_in_eigenbasis(terminal, slice_)
-        signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, T)
-        energy, _ = observation_energy(signal)
-        state0 = adjoint_state(expansion, slice_, T, 0.0).state
-        norm0 = sobolev_norm(state0, NormSpec.weighted_l2(params))
-        table[N] = (energy / norm0**2, energy, norm0)
         profiles[N] = filtered
+    reports = observability_quotients(
+        [_hyperbolic_lift(params, filtered, cutoff, slice_) for filtered in profiles.values()],
+        ObservationChannel.DENSITY, T, NormSpec.weighted_l2(params), slice_,
+    )
+    table = {N: (r.quotient, r.energy, r.initial_norm) for N, r in zip(N_list, reports)}
 
     # Transport comparison at the boundary: the pure transport solution
     # with rate i*u_bar*n - omega0 vanishes at the seam by construction.
@@ -397,17 +398,12 @@ def regularity_gap_witness(
     if len(n_list) < 2 or n_list[0] < 1 or any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise DomainError("n_list must be increasing with at least two entries, each >= 1")
     slice_ = build_slice(params, max(n_list))
-    norm_spec = NormSpec.dual_order(params, s)
     hyperbolic = slice_.basis.vectors[slice_.basis.rows(n_list), _HYPERBOLIC]
-    table: dict[int, float] = {}
-    for n, vector in zip(n_list, hyperbolic):
-        terminal = SpectralField.single_mode(n, vector, max(n_list))
-        expansion = expand_in_eigenbasis(terminal, slice_)
-        signal = observation_signal(expansion, slice_, channel, T)
-        energy, _ = observation_energy(signal)
-        state0 = adjoint_state(expansion, slice_, T, 0.0).state
-        norm0 = sobolev_norm(state0, norm_spec)
-        table[n] = energy / norm0**2
+    reports = observability_quotients(
+        [SpectralField.single_mode(n, vector, max(n_list)) for n, vector in zip(n_list, hyperbolic)],
+        channel, T, NormSpec.dual_order(params, s), slice_,
+    )
+    table = {n: r.quotient for n, r in zip(n_list, reports)}
     logn = np.log([float(n) for n in n_list])
     logq = np.log([table[n] for n in n_list])
     slope = float(np.polyfit(logn, logq, 1)[0])

@@ -142,31 +142,44 @@ def chain_links(levels: np.ndarray) -> list[tuple[int, int, int, np.ndarray]]:
     ]
 
 
+def adjoint_states(coefficients: np.ndarray, ns: np.ndarray, slice_: SpectrumSlice, T: float, t: float) -> np.ndarray:
+    """Adjoint solutions at time t of ``k`` terminal data, as coefficient tables ``(k, 2N + 1, dim)``.
+
+    The data are eigen-coordinates stacked as ``(k, modes, dim)`` on the
+    modes ``ns`` of the slice, in any order.  Every mode of every datum at
+    once: the exponential of each basis column's rate, then one step per
+    (column, chain level) of :func:`chain_links`.  Each datum's table equals
+    that of a stack of it alone, bit for bit.
+    """
+    if not 0.0 <= t <= T:
+        raise DomainError(f"time {t} outside [0, {T}]")
+    s = T - t
+    table = slice_.basis
+    rows = table.rows(ns)
+    weights = np.exp(table.rates[rows] * s) * coefficients
+    basis = table.basis[rows]
+    modes = np.zeros(coefficients.shape, dtype=complex)
+    for c, k, factorial, linked in chain_links(table.levels[rows]):
+        weight = weights[..., c] * (s**k / factorial) if k else weights[..., c]
+        if linked.all():  # the same sums as through the mask, without its copies
+            modes += weight[..., None] * basis[:, :, c - k]
+        elif linked.any():
+            modes[:, linked] += weight[:, linked, None] * basis[linked, :, c - k]
+    states = np.zeros((coefficients.shape[0], 2 * slice_.N + 1, slice_.dim), dtype=complex)
+    states[:, ns + slice_.N] = modes
+    return states
+
+
 def adjoint_state(
     expansion: EigenExpansion,
     slice_: SpectrumSlice,
     T: float,
     t: float,
 ) -> TrajectorySample:
-    """Adjoint solution at time t with terminal datum given by the expansion.
-
-    Every mode of the expansion at once: the exponential of each basis
-    column's rate, then one step per (column, chain level) of
-    :func:`chain_links`.
-    """
-    if not 0.0 <= t <= T:
-        raise DomainError(f"time {t} outside [0, {T}]")
-    s = T - t
-    table, ns, rows, coefficients = expansion.stacked(slice_)
-    weights = np.exp(table.rates[rows] * s) * coefficients
-    basis = table.basis[rows]
-    modes = np.zeros(coefficients.shape, dtype=complex)
-    for c, k, factorial, linked in chain_links(table.levels[rows]):
-        weight = weights[:, c] * (s**k / factorial) if k else weights[:, c]
-        modes[linked] += weight[linked, None] * basis[linked, :, c - k]
-    state = SpectralField.zeros(slice_.dim, slice_.N)
-    state.coeffs[ns + slice_.N] = modes
-    return TrajectorySample(time=t, state=state)
+    """Adjoint solution at time t with terminal datum given by the expansion (:func:`adjoint_states` of one)."""
+    ns, coefficients = expansion.stacked()
+    state = adjoint_states(coefficients[None], ns, slice_, T, t)[0]
+    return TrajectorySample(time=t, state=SpectralField(dim=slice_.dim, N=slice_.N, coeffs=state))
 
 
 def forward_state(
@@ -206,30 +219,49 @@ def forward_state(
     return TrajectorySample(time=t, state=state)
 
 
+def observation_signals(
+    coefficients: np.ndarray,
+    ns: np.ndarray,
+    slice_: SpectrumSlice,
+    channel: ObservationChannel,
+    T: float,
+) -> list[ObservationSignal]:
+    """Boundary observation of the adjoint solution of each of ``k`` terminal data, as closed-form signals.
+
+    The data are eigen-coordinates stacked as ``(k, modes, dim)`` on the
+    modes ``ns`` of the slice.  The observed basis vectors and every datum's
+    terms are formed at once; only the choice of terms is made per datum.
+    Terms run mode by mode in the order of ``ns``, then by (column, chain
+    level) of :func:`chain_links`; a zero coefficient contributes none.
+    Each datum's signal equals that of a stack of it alone, bit for bit.
+    """
+    table = slice_.basis
+    rows = table.rows(ns)
+    observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), ns[:, None], slice_.params)
+    terms, rates, degrees, keep = [], [], [], []
+    for c, k, factorial, linked in chain_links(table.levels[rows]):
+        term = coefficients[..., c] * observed[:, c - k]
+        terms.append(term / factorial if k else term)
+        rates.append(table.rates[rows, c])
+        degrees.append(k)
+        keep.append(linked & (coefficients[..., c] != 0.0))
+    terms, rates, keep = np.stack(terms, axis=-1), np.stack(rates, axis=-1), np.stack(keep, axis=-1)
+    degrees = np.broadcast_to(np.array(degrees, dtype=np.int64), rates.shape)
+    return [
+        ObservationSignal(coefficients=terms_i[keep_i], rates=rates[keep_i], degrees=degrees[keep_i], horizon=T)
+        for terms_i, keep_i in zip(terms, keep)
+    ]
+
+
 def observation_signal(
     expansion: EigenExpansion,
     slice_: SpectrumSlice,
     channel: ObservationChannel,
     T: float,
 ) -> ObservationSignal:
-    """Boundary observation of the adjoint solution as a closed-form signal.
+    """Boundary observation of the adjoint solution as a closed-form signal (:func:`observation_signals` of one).
 
-    Terms run mode by mode in the expansion's order, then by (column, chain
-    level) of :func:`chain_links`; a zero coefficient contributes none.
+    Terms run mode by mode in the expansion's order.
     """
-    table, ns, rows, coefficients = expansion.stacked(slice_)
-    observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), ns[:, None], slice_.params)
-    terms, rates, degrees, keep = [], [], [], []
-    for c, k, factorial, linked in chain_links(table.levels[rows]):
-        term = coefficients[:, c] * observed[:, c - k]
-        terms.append(term / factorial if k else term)
-        rates.append(table.rates[rows, c])
-        degrees.append(k)
-        keep.append(linked & (coefficients[:, c] != 0.0))
-    keep = np.stack(keep, axis=1)
-    return ObservationSignal(
-        coefficients=np.stack(terms, axis=1)[keep],
-        rates=np.stack(rates, axis=1)[keep],
-        degrees=np.broadcast_to(np.array(degrees, dtype=np.int64), keep.shape)[keep],
-        horizon=T,
-    )
+    ns, coefficients = expansion.stacked()
+    return observation_signals(coefficients[None], ns, slice_, channel, T)[0]

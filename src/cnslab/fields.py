@@ -8,20 +8,21 @@ the same coefficient formula ``(1 + n**2)**s`` on mean-zero fields, which is
 the dual-norm surrogate every estimate downstream actually manipulates.
 
 Expansion in the (generalized) eigenbasis is one stacked dense solve against
-the basis blocks of all modes (the slice's basis table); condition numbers
-are recorded so near-degeneracies below the clustering tolerance surface as
-errors rather than noise.
+the basis blocks of all modes (the slice's basis table), for one field or a
+stack of them; condition numbers are recorded so near-degeneracies below
+the clustering tolerance surface as errors rather than noise.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, IllConditioned
+from .errors import CnsLabError, DimMismatch, DomainError, IllConditioned
 from .model import SystemParams
-from .spectrum import BasisTable, SpectrumSlice
+from .spectrum import SpectrumSlice
 
 TWO_PI = 2.0 * np.pi
 
@@ -137,14 +138,24 @@ class NormSpec:
 
 def sobolev_norm(f: SpectralField, norm_spec: NormSpec) -> float:
     """Product Sobolev norm with per-component orders."""
-    if f.dim != norm_spec.dim:
+    return float(sobolev_norms(f.coeffs, norm_spec))
+
+
+def sobolev_norms(coeffs: np.ndarray, norm_spec: NormSpec) -> np.ndarray:
+    """:func:`sobolev_norm` of each coefficient table of a stack ``(..., 2N + 1, dim)``.
+
+    Each table is reduced on its own, in the order of a single field, so an
+    entry equals the norm of its field bit for bit.
+    """
+    if coeffs.shape[-1] != norm_spec.dim:
         raise DimMismatch("field/spec component counts differ")
-    ns = np.arange(-f.N, f.N + 1)
-    total = 0.0
+    N = coeffs.shape[-2] // 2
+    ns = np.arange(-N, N + 1)
+    total = np.zeros(coeffs.shape[:-2])
     for j, (w, s) in enumerate(zip(norm_spec.weights, norm_spec.orders)):
         factors = (1.0 + ns.astype(float) ** 2) ** s
-        total += w * TWO_PI * float(np.sum(factors * np.abs(f.coeffs[:, j]) ** 2))
-    return float(np.sqrt(total))
+        total += w * TWO_PI * np.sum(factors * np.abs(coeffs[..., j]) ** 2, axis=-1)
+    return np.sqrt(total)
 
 
 @dataclass
@@ -160,46 +171,65 @@ class EigenExpansion:
     coefficients: dict[int, np.ndarray]
     condition_numbers: dict[int, float] = field(default_factory=dict)
 
-    def stacked(self, slice_: SpectrumSlice) -> tuple[BasisTable, np.ndarray, np.ndarray, np.ndarray]:
-        """``(table, modes, rows, coefficients)``: the slice's basis table, the
-        expansion's modes in their stored order, their rows in the table and
-        the coefficient vectors stacked as ``(modes, dim)``.
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(modes, coefficients)``: the expansion's modes in their stored
+        order and their coefficient vectors stacked as ``(modes, dim)``.
         """
-        table = slice_.basis
         ns = np.fromiter(self.coefficients, dtype=np.int64, count=len(self.coefficients))
-        stacked = np.array(list(self.coefficients.values()), dtype=complex).reshape(ns.size, self.dim)
-        return table, ns, table.rows(ns), stacked
+        return ns, np.array(list(self.coefficients.values()), dtype=complex).reshape(ns.size, self.dim)
 
 
-def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenExpansion:
-    """Solve the basis systems of all modes, stacked, for the field's eigen-coordinates.
-
-    A mode whose basis condition number exceeds the budget raises
-    :class:`IllConditioned`, the first such mode in ascending order.
-    """
+def field_misfit(field_: SpectralField, slice_: SpectrumSlice) -> CnsLabError | None:
+    """The error :func:`eigen_coordinates` raises for a field the slice cannot expand, else None:
+    :class:`DimMismatch` for another component count, :class:`DomainError`
+    for a cutoff above the slice's."""
     if field_.dim != slice_.dim:
-        raise DimMismatch("field and slice component counts differ")
+        return DimMismatch("field and slice component counts differ")
     if field_.N > slice_.N:
-        raise DomainError(f"slice covers |n| <= {slice_.N} but field has cutoff {field_.N}")
+        return DomainError(f"slice covers |n| <= {slice_.N} but field has cutoff {field_.N}")
+    return None
+
+
+def eigen_coordinates(fields: Sequence[SpectralField], slice_: SpectrumSlice) -> np.ndarray:
+    """The eigen-coordinates of ``k`` fields, stacked as ``(k, modes, dim)`` in the rows of the slice's basis table.
+
+    The fields are checked in order (:func:`field_misfit`), then the
+    condition budget once: a mode whose basis condition number exceeds it
+    raises :class:`IllConditioned`, the first such mode in ascending order.
+    The fields' targets are solved in one broadcast call against the basis
+    blocks of all modes, one right-hand side per matrix, so each field's
+    coordinates are those of a solve of that field alone.  The fields may
+    have different cutoffs.
+    """
+    for field_ in fields:
+        error = field_misfit(field_, slice_)
+        if error is not None:
+            raise error
     table, conds = slice_.basis, slice_.conds
     ill = np.flatnonzero(conds > EXPANSION_COND_LIMIT)
     if ill.size:
         raise IllConditioned(int(table.ns[ill[0]]), float(conds[ill[0]]))
-    targets = np.zeros((table.ns.size, field_.dim), dtype=complex)
-    inside = np.abs(table.ns) <= field_.N
-    targets[inside] = field_.coeffs[table.ns[inside] + field_.N]
-    solved = np.linalg.solve(table.basis, targets[..., None])[..., 0]
-    modes = table.ns.tolist()
+    targets = np.zeros((len(fields), table.ns.size, slice_.dim), dtype=complex)
+    for target, field_ in zip(targets, fields):
+        inside = np.abs(table.ns) <= field_.N
+        target[inside] = field_.coeffs[table.ns[inside] + field_.N]
+    return np.linalg.solve(table.basis, targets[..., None])[..., 0]
+
+
+def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenExpansion:
+    """The eigen-coordinates of one field (:func:`eigen_coordinates`) by mode, with the condition numbers."""
+    solved = eigen_coordinates([field_], slice_)[0]
+    modes = slice_.basis.ns.tolist()
     return EigenExpansion(
         dim=field_.dim,
         coefficients=dict(zip(modes, solved)),
-        condition_numbers=dict(zip(modes, conds.tolist())),
+        condition_numbers=dict(zip(modes, slice_.conds.tolist())),
     )
 
 
 def reconstruct(expansion: EigenExpansion, slice_: SpectrumSlice) -> SpectralField:
     """Exact inverse of :func:`expand_in_eigenbasis` on the truncated space."""
-    table, ns, rows, stacked = expansion.stacked(slice_)
+    ns, stacked = expansion.stacked()
     out = SpectralField.zeros(slice_.dim, slice_.N)
-    out.coeffs[ns + slice_.N] = np.matmul(table.basis[rows], stacked[..., None])[..., 0]
+    out.coeffs[ns + slice_.N] = np.matmul(slice_.basis.basis[slice_.basis.rows(ns)], stacked[..., None])[..., 0]
     return out

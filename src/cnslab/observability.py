@@ -14,7 +14,9 @@ values and hypothesis measurements.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -24,10 +26,19 @@ from .errors import DomainError, QuadratureNotConverged, ZeroState
 from .evolution import (
     ObservationChannel,
     ObservationSignal,
-    adjoint_state,
-    observation_signal,
+    adjoint_state,  # noqa: F401  (perfbench/spans.py traces this name)
+    adjoint_states,
+    observation_signal,  # noqa: F401  (perfbench/spans.py traces this name)
+    observation_signals,
 )
-from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
+from .fields import (
+    NormSpec,
+    SpectralField,
+    eigen_coordinates,
+    expand_in_eigenbasis,  # noqa: F401  (perfbench/spans.py traces this name)
+    field_misfit,
+    sobolev_norms,
+)
 from .kernels import signal_energy
 from .model import SystemParams, hyperbolic_fit_threshold
 from .spectrum import SpectrumSlice
@@ -75,6 +86,70 @@ def standard_norm_spec(channel: ObservationChannel, params: SystemParams) -> Nor
     return NormSpec.dual_order(params, 1.0)
 
 
+#: Fields per stacked pass of :func:`observability_quotients`.  A block's
+#: largest arrays hold ``block * modes * dim`` complex entries (the
+#: coordinates, the adjoint states) or that times the chain links (the signal
+#: terms): under 50 kB each on the 64 modes of an N = 32 two-field slice.
+_TRIAL_BLOCK = 16
+
+
+def observability_quotients(
+    fields: Iterable[SpectralField],
+    channel: ObservationChannel,
+    T: float,
+    norm_spec: NormSpec | None,
+    slice_: SpectrumSlice,
+) -> list[ObservabilityReport]:
+    """:func:`observability_quotient` of every terminal datum of ``fields``, in stacked passes.
+
+    The fields are taken ``_TRIAL_BLOCK`` at a time, so memory does not grow
+    with their number.  Per block, one pass expands every field
+    (:func:`eigen_coordinates`), forms every signal's terms
+    (:func:`observation_signals`) and every adjoint state at t = 0
+    (:func:`adjoint_states`) and its norm; only the choice of terms, the
+    energy and the zero-state check are made per field.  Each report equals
+    that of the field alone, bit for bit, and the call fails as a loop of
+    single calls does: at the first failing field, with its error.  The
+    adjoint states and their norms are formed after the first field's
+    energy, where a single call forms them, and the checks they make do not
+    depend on the field.
+    """
+    standard = standard_norm_spec(channel, slice_.params)
+    metadata = {"N": slice_.N, "clustering_tolerance": slice_.clustering_tolerance}
+    if norm_spec is None:
+        norm_spec = standard
+    elif norm_spec != standard:
+        metadata["watermark"] = "nonstandard-norm"
+    reports = []
+    fields = iter(fields)
+    while block := list(itertools.islice(fields, _TRIAL_BLOCK)):
+        fit = next((i for i, f in enumerate(block) if field_misfit(f, slice_)), len(block))
+        if fit:
+            coordinates = eigen_coordinates(block[:fit], slice_)
+            signals = observation_signals(coordinates, slice_.basis.ns, slice_, channel, T)
+            norms = None
+            for i, signal in enumerate(signals):
+                energy, err = observation_energy(signal)
+                if norms is None:
+                    states = adjoint_states(coordinates, slice_.basis.ns, slice_, T, 0.0)
+                    norms = sobolev_norms(states, norm_spec)
+                norm0 = float(norms[i])
+                if norm0 < 1e-150:
+                    raise ZeroState("initial adjoint state norm underflowed")
+                reports.append(ObservabilityReport(
+                    channel=channel,
+                    horizon=T,
+                    energy=energy,
+                    energy_error=err,
+                    initial_norm=norm0,
+                    quotient=energy / norm0**2,
+                    metadata=dict(metadata),
+                ))
+        if fit < len(block):
+            raise field_misfit(block[fit], slice_)
+    return reports
+
+
 def observability_quotient(
     terminal_field: SpectralField,
     channel: ObservationChannel,
@@ -82,35 +157,11 @@ def observability_quotient(
     norm_spec: NormSpec | None,
     slice_: SpectrumSlice,
 ) -> ObservabilityReport:
-    """Observation energy over squared initial-state norm for one terminal datum."""
-    standard = standard_norm_spec(channel, slice_.params)
-    nonstandard = False
-    if norm_spec is None:
-        norm_spec = standard
-    else:
-        nonstandard = norm_spec != standard
-    expansion = expand_in_eigenbasis(terminal_field, slice_)
-    signal = observation_signal(expansion, slice_, channel, T)
-    energy, err = observation_energy(signal)
-    initial = adjoint_state(expansion, slice_, T, 0.0)
-    norm0 = sobolev_norm(initial.state, norm_spec)
-    if norm0 < 1e-150:
-        raise ZeroState("initial adjoint state norm underflowed")
-    metadata = {
-        "N": slice_.N,
-        "clustering_tolerance": slice_.clustering_tolerance,
-    }
-    if nonstandard:
-        metadata["watermark"] = "nonstandard-norm"
-    return ObservabilityReport(
-        channel=channel,
-        horizon=T,
-        energy=energy,
-        energy_error=err,
-        initial_norm=norm0,
-        quotient=energy / norm0**2,
-        metadata=metadata,
-    )
+    """Observation energy over squared initial-state norm for one terminal datum.
+
+    :func:`observability_quotients` of one field.
+    """
+    return observability_quotients([terminal_field], channel, T, norm_spec, slice_)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ The per-mode and per-term code that production no longer runs:
 * the term-by-term evaluation of a signal;
 * the moment rows of ``control`` built from the clusters;
 * the small-time witness's loops over modes: the Fourier gather of the bump
-  and the hyperbolic lift.
+  and the hyperbolic lift;
+* one observability quotient in unstacked array arithmetic, the per-field
+  path that the stacked passes of ``observability_quotients`` replaced, as
+  their bit-for-bit reference.
 
 Each takes the same arguments as production, so a test can compare the two
 value by value.
@@ -24,12 +27,12 @@ import math
 
 import numpy as np
 
-from cnslab import fields
+from cnslab import evolution, fields
 from cnslab.control import MomentRow, _mode_inner_products
 from cnslab.errors import DimMismatch, DomainError, IllConditioned
 from cnslab.evolution import ObservationChannel, ObservationSignal
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField
-from cnslab.kernels import KernelTerm
+from cnslab.kernels import KernelTerm, signal_energy
 from cnslab.model import BarotropicParams, SystemParams
 from cnslab.spectrum import BranchLabel, SpectrumSlice
 
@@ -306,3 +309,46 @@ def hyperbolic_values(slice_: SpectrumSlice, cutoff: int) -> np.ndarray:
 
 def signal(expansion: EigenExpansion, slice_: SpectrumSlice, channel: ObservationChannel, T: float) -> ObservationSignal:
     return signal_from_terms(observation_terms(expansion, slice_, channel), T)
+
+
+def quotient_alone(
+    field_: SpectralField, channel: ObservationChannel, T: float, norm_spec: NormSpec, slice_: SpectrumSlice
+) -> tuple[float, float, float, float]:
+    """``(energy, energy bound, initial norm, quotient)`` of one terminal datum, on arrays of that datum alone.
+
+    The expansion, the signal terms, the adjoint state at t = 0 and the norm
+    as production formed them one field at a time: the same expressions on
+    ``(modes, dim)`` arrays and the norm summed in Python floats.  Numpy
+    rounds some operations by the shape of their operands, so a stacked
+    pass that equals this bit for bit rounds each field as it would alone.
+    No check is made: the caller passes a field and slice that fit.
+    """
+    table = slice_.basis
+    targets = np.zeros((table.ns.size, field_.dim), dtype=complex)
+    inside = np.abs(table.ns) <= field_.N
+    targets[inside] = field_.coeffs[table.ns[inside] + field_.N]
+    coefficients = np.linalg.solve(table.basis, targets[..., None])[..., 0]
+    observed = evolution.observation_values(channel, table.basis.swapaxes(1, 2), table.ns[:, None], slice_.params)
+    weights = np.exp(table.rates * T) * coefficients
+    modes = np.zeros(coefficients.shape, dtype=complex)
+    terms, rates, degrees, keep = [], [], [], []
+    for c, k, factorial, linked in evolution.chain_links(table.levels):
+        term = coefficients[:, c] * observed[:, c - k]
+        terms.append(term / factorial if k else term)
+        rates.append(table.rates[:, c])
+        degrees.append(k)
+        keep.append(linked & (coefficients[:, c] != 0.0))
+        weight = weights[:, c] * (T**k / factorial) if k else weights[:, c]
+        modes[linked] += weight[linked, None] * table.basis[linked, :, c - k]
+    keep = np.stack(keep, axis=1)
+    degrees = np.broadcast_to(np.array(degrees, dtype=np.int64), keep.shape)
+    energy, bound = signal_energy(np.stack(terms, axis=1)[keep], np.stack(rates, axis=1)[keep], degrees[keep], T)
+    state = np.zeros((2 * slice_.N + 1, slice_.dim), dtype=complex)
+    state[table.ns + slice_.N] = modes
+    ns = np.arange(-slice_.N, slice_.N + 1)
+    total = 0.0
+    for j, (w, s) in enumerate(zip(norm_spec.weights, norm_spec.orders)):
+        factors = (1.0 + ns.astype(float) ** 2) ** s
+        total += w * fields.TWO_PI * float(np.sum(factors * np.abs(state[:, j]) ** 2))
+    norm0 = float(np.sqrt(total))
+    return energy, bound, norm0, energy / norm0**2

@@ -9,7 +9,7 @@ from evolution_oracle import signal_from_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnslab import counterexamples, kernels
+from cnslab import counterexamples, kernels, observability
 from cnslab.errors import DomainError, QuadratureNotConverged, ZeroState
 from cnslab.evolution import ObservationChannel, observation_signal
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
@@ -140,15 +140,16 @@ class TestObservationEnergy:
 
     def test_criterion7_witness_signals_against_40_digits(self, monkeypatch):
         # the small-time witness signals cancel to ~1e-9 of sum |c|**2, the
-        # hardest case for the double-precision Hermitian form
+        # hardest case for the double-precision Hermitian form; the witness
+        # takes its energies through observability_quotients
         signals = []
-        production = counterexamples.observation_energy
+        production = observability.observation_energy
 
         def recording(signal):
             signals.append(signal)
             return production(signal)
 
-        monkeypatch.setattr(counterexamples, "observation_energy", recording)
+        monkeypatch.setattr(observability, "observation_energy", recording)
         workhorse = BarotropicParams(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3)
         counterexamples.small_time_witness(workhorse, 3.0, [8, 12, 16, 24], counterexamples.BumpSpec(3.2, 5.8))
         assert len(signals) == 4

@@ -5,7 +5,8 @@
 Runs each config of the four workloads of ``CHECKOUT/perfbench/workloads.py``
 over its pool seeds, and each config of :data:`EXTRA` (commands and channels
 that no workload runs: ``closeness``, ``observe`` and ``synthesize`` on every
-valid channel of both systems, ``validate-fdm`` with a trajectory export,
+valid channel of both systems, ``observe`` with more trials than one
+stacked pass takes, ``validate-fdm`` with a trajectory export,
 ``witness-regularity``, ``witness-degenerate`` on velocity and temperature
 and one ``--verify`` run), each in a fresh temporary directory, with the
 ``cnslab`` of ``CHECKOUT/src``, and prints one line per artifact:
@@ -46,6 +47,11 @@ EXTRA = {
                                  ("nonbarotropic", ("density", "velocity", "temperature")))
         for channel in channels
     },
+    # more trials than one stacked pass of observability_quotients takes (16): the digests cover the block seam
+    "observe-nonbarotropic-temperature-blocks": (
+        "nonbarotropic", "generic", "observe",
+        "[observe]\nN = 6\nT = 8.0\nchannel = temperature\ntrials = 19\n", False,
+    ),
     **{
         f"validate-fdm-{system}": (
             system, key, "validate-fdm", "[fdm]\nN = 6\nM = 128\ndt = 1e-3\nT = 0.1\nexport_trajectory = yes\n", False,
