@@ -4,21 +4,24 @@ A number is a Python integer with an explicit power-of-two scale,
 ``n * 2**e``, in fixed point at ``bits`` fraction bits within one kernel,
 Gram or vector, with real and imaginary parts in separate lists, so that
 every inner product is one exact C-level ``sum(map(mul, ...))`` of
-integers, shifted once.  mpmath supplies the bits of a rung of digits
-(``dps_to_prec``) and the exponentials: one ``e^{rate T}`` per kernel term,
-paired by products, and the step factors of the control evaluation.
-Kernels come in as lists of :class:`~cnslab.kernels.KernelTerm`.
+integers, shifted once.  The exponentials are integers too (:func:`_exp`):
+one ``e^{rate T}`` per kernel term, paired by products, and the step
+factors of the control evaluation.  Its argument is formed exactly from the
+double rate and the float horizon or integer step, reduced by ln 2 and
+pi/2, and summed as two short real series; ln 2 and pi/2 come from integer
+series once per precision.  Kernels come in as lists of
+:class:`~cnslab.kernels.KernelTerm`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain, count, repeat
 from operator import add, floordiv, lshift, mul, neg, rshift, sub
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .errors import ArithmeticFailure
@@ -28,6 +31,9 @@ from .kernels import TAYLOR_RADIUS, KernelTerm
 _GUARD_BITS = 34
 #: largest ``max|rate| * |h - h0|`` at which the control evaluation derives a step's factors from step ``h0``'s
 _STEP_SERIES_RADIUS = 1e-6
+#: extra bits of the series inside the integer exponential :func:`_exp`
+_EXP_GUARD = 12
+_LN2 = math.log(2.0)
 
 
 class ScaledVector(NamedTuple):
@@ -83,11 +89,15 @@ def _fixed(x: float, bits: int) -> int:
     return _shift(n, bits) // d
 
 
-def _mpf_fixed(x, bits: int) -> int:
-    """An mpmath real times ``2**bits``, its mantissa shifted and rounded toward zero."""
-    sign, man, exp, _ = x._mpf_
-    n = _shift(man, exp + bits)
-    return -n if sign else n
+def _ratio(x: float) -> tuple[int, int]:
+    """``(n, e)`` with ``x = n * 2**e`` exactly, for a finite float ``x``."""
+    m, e = math.frexp(x)
+    return int(m * 2.0**53), e - 53
+
+
+def _dps_bits(dps: int) -> int:
+    """The bits of a rung of ``dps`` decimal digits, as mpmath's ``dps_to_prec`` counts them."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
 
 
 def _float(n: int, exp: int) -> float:
@@ -134,24 +144,90 @@ def _range_bits(kernels: list[list[KernelTerm]], T: float) -> int:
 def _kernel(label: str, kernel: list[KernelTerm], T: float, bits: int) -> Kernel:
     """The terms of one kernel as integers at ``bits`` fraction bits (see :class:`Kernel`).
 
-    Each term costs one mpmath exponential at ``bits`` bits of precision.
-    Non-finite coefficients and rates are refused here, where they would
-    enter the integer arithmetic.
+    Each term costs one integer exponential :func:`_exp` of ``rate T``, formed
+    exactly from the double rate and the float ``T``.  Non-finite
+    coefficients and rates are refused here, where they would enter the
+    integer arithmetic.
     """
     coefs = [complex(t.coef) for t in kernel]
     rates = [complex(t.rate) for t in kernel]
     require_finite(label, "kernel coefficient", coefs)
     require_finite(label, "kernel rate", rates)
     exp = max((math.frexp(v)[1] for c in coefs for v in (c.real, c.imag)), default=0)
+    Tn, Te = _ratio(T)
     terms = []
-    with mpmath.workprec(bits):
-        T_mp = mpmath.mpf(T)
-        for t, c, rate in zip(kernel, coefs, rates):
-            e = mpmath.exp(mpmath.mpc(rate) * T_mp)
-            coef = _fixed(c.real, bits - exp), _fixed(c.imag, bits - exp)
-            terms.append((*coef, _fixed(rate.real, bits), _fixed(rate.imag, bits), rate, t.degree,
-                          _mpf_fixed(e.real, bits), _mpf_fixed(e.imag, bits)))
+    for t, c, rate in zip(kernel, coefs, rates):
+        coef = _fixed(c.real, bits - exp), _fixed(c.imag, bits - exp)
+        terms.append((*coef, _fixed(rate.real, bits), _fixed(rate.imag, bits), rate, t.degree,
+                      *_exp(rate, Tn, Te, bits)))
     return Kernel(exp, bits, terms)
+
+
+def _exp(rate: complex, n: int, e: int, bits: int) -> tuple[int, int]:
+    """Real and imaginary parts of ``e^z`` at ``bits`` fraction bits, for ``z = rate * n * 2**e`` and a finite ``rate``.
+
+    ``z`` is a product of dyadic rationals, so it is formed exactly and
+    floored once, at the bits of the ln 2 and pi/2 that reduce it:
+    ``z = k ln 2 + i q pi/2 + r + i s`` with ``|r| <= ln(2)/2`` and
+    ``|s| <= pi/4``.  Those constants carry the bits of ``k`` and ``q`` on
+    top of the working ones.  ``e^{|r|}`` is ``sinh + sqrt(1 + sinh**2)``
+    and ``e^{i|s|}`` is ``sqrt(1 - sin**2) + i sin``, each from one odd
+    Taylor series at :data:`_EXP_GUARD` bits above ``bits``; the product is
+    shifted by ``k`` and turned by ``i**q``.  Below ``Re z = -(bits + 2) ln 2``
+    the result is 0.  The error stays within about one unit of ``2**-bits``.
+    """
+    (ar, er), (ai, ei) = _ratio(rate.real), _ratio(rate.imag)
+    low = min(er, ei)
+    zr, zi, exp = (ar << er - low) * n, (ai << ei - low) * n, low + e
+    x = _float(zr, exp)
+    if x < -(bits + 2) * _LN2:
+        return 0, 0
+    k, q = round(x / _LN2), round(_float(zi, exp) / (math.pi / 2))
+    w = bits + _EXP_GUARD + max(k, 0)
+    # the constants' bits: those of k and q above w, rounded up to a multiple of 64 so that few precisions are cached
+    c = -(-(w + max(abs(k), abs(q), 1).bit_length() + 2) // 64) * 64
+    ln2, half_pi = _ln2_half_pi(c)
+    r = _shift(_shift(zr, exp + c) - k * ln2, w - c)
+    s = _shift(_shift(zi, exp + c) - q * half_pi, w - c)
+    one = 1 << 2 * w
+    sinh = sum(_odd_terms(abs(r), w))
+    modulus = sinh + math.isqrt(one + sinh * sinh)
+    if r < 0:
+        modulus = one // modulus
+    terms = _odd_terms(abs(s), w)
+    sin = sum(terms[::2]) - sum(terms[1::2])
+    re, im = modulus * math.isqrt(one - sin * sin), modulus * sin if s >= 0 else -modulus * sin
+    for _ in range(q % 4):
+        re, im = -im, re
+    return _shift(re, k + bits - 2 * w), _shift(im, k + bits - 2 * w)
+
+
+def _odd_terms(x: int, w: int) -> list[int]:
+    """``x**(2j+1) / (2j+1)!`` for ``0 <= x < 1`` at ``w`` fraction bits, each rounded down, up to the last nonzero one."""
+    x2 = x * x >> w
+    terms = [x]
+    for j in count(2, 2):
+        t = (terms[-1] * x2 >> w) // (j * (j + 1))
+        if not t:
+            return terms
+        terms.append(t)
+
+
+@lru_cache
+def _ln2_half_pi(bits: int) -> tuple[int, int]:
+    """ln 2 and pi/2 at ``bits`` fraction bits within one unit, as ``2 atanh(1/3)`` and ``8 atan(1/5) - 2 atan(1/239)``."""
+    g = bits + 16
+    return 2 * _arc(3, 1, g) >> 16, 8 * _arc(5, -1, g) - 2 * _arc(239, -1, g) >> 16
+
+
+def _arc(m: int, sign: int, bits: int) -> int:
+    """``atanh(1/m)`` (``sign`` 1) or ``atan(1/m)`` (``sign`` -1) at ``bits`` fraction bits, within one unit per term."""
+    total, p, j = 0, (1 << bits) // m, 1  # p = m**-j
+    while p:
+        total += p // j if j % 4 == 1 or sign > 0 else -(p // j)
+        p //= m * m
+        j += 2
+    return total
 
 
 def _pair_integral(m: int, zr: int, zi: int, ezt: tuple[int, int], T: int, bits: int, near: bool) -> tuple[int, int]:
@@ -239,13 +315,13 @@ def unit_gram(labels: list[str], kernels: list[list[KernelTerm]], T: float, dps:
     """The Hermitian :class:`Gram` of ``kernels`` at a rung of ``dps`` digits, at a unit diagonal, and its columns.
 
     The columns carry :data:`_GUARD_BITS` and :func:`_range_bits` on top of
-    ``dps_to_prec(dps)`` bits; ``labels`` name them in errors.  Row and
+    :func:`_dps_bits` of ``dps``; ``labels`` name them in errors.  Row and
     column ``i`` are multiplied by the power of two ``2**s[i]`` that brings
     the diagonal entry into ``[1, 4)``, an exact shift that leaves
     Cholesky's rounding errors as they were relative to the diagonal.  The
     entries gain ``-2 * min(s)`` fraction bits, so every shift is to the left.
     """
-    bits = mpmath.libmp.dps_to_prec(dps) + _GUARD_BITS + _range_bits(kernels, T)
+    bits = _dps_bits(dps) + _GUARD_BITS + _range_bits(kernels, T)
     columns = [_kernel(label, kernel, T, bits) for label, kernel in zip(labels, kernels)]
     re, im = _moment_gram(columns, columns, T, bits)
     s = [(bits + 2 - re[i][i].bit_length()) // 2 if re[i][i] > 0 else 0 for i in range(len(re))]
@@ -261,10 +337,20 @@ def unit_gram(labels: list[str], kernels: list[list[KernelTerm]], T: float, dps:
 
 
 def float_gram(gram: Gram) -> np.ndarray:
-    """The scaled Gram ``H`` in doubles: its entries lie below 4, so at 60 fraction bits they fit int64."""
+    """The scaled Gram ``H`` in doubles: its entries lie below 4, so at 60 fraction bits they fit int64.
+
+    Each part is rounded down to 60 bits.  The real parts are converted on
+    the upper triangle only, and the lower one mirrors them; the imaginary
+    parts are converted in full, because rounding down does not commute with
+    their negation.
+    """
     m = len(gram.re)
-    re, im = (np.array(_shift_all(list(chain.from_iterable(part)), 60 - gram.bits), dtype=np.int64).reshape(m, m)
-              for part in (gram.re, gram.im))
+    k = 60 - gram.bits
+    upper = np.array(_shift_all(list(chain.from_iterable(row[i:] for i, row in enumerate(gram.re))), k), dtype=np.int64)
+    im = np.array(_shift_all(list(chain.from_iterable(gram.im)), k), dtype=np.int64).reshape(m, m)
+    rows, cols = np.triu_indices(m)
+    re = np.empty((m, m))
+    re[rows, cols] = re[cols, rows] = upper
     return (re + 1j * im) * 2.0**-60
 
 
@@ -387,11 +473,11 @@ def solve(gram: Gram, columns: list[Kernel], targets: list[complex], dps: int, t
 
     ``gram`` and ``columns`` come from :func:`unit_gram` at that rung.
     ``H y = D b`` (``H = D G D``) is factorized and substituted at
-    ``dps_to_prec(dps)`` bits, and ``x = D y``.  Returns None when a pivot
+    :func:`_dps_bits` of ``dps``, and ``x = D y``.  Returns None when a pivot
     is not positive, and ``(residual, None, 0.0)`` when the relative moment
     residual exceeds ``tol``; otherwise ``x`` is refined once.
     """
-    prec = mpmath.libmp.dps_to_prec(dps)
+    prec = _dps_bits(dps)
     factor = _cholesky(gram, prec)
     if factor is None:
         return None
@@ -501,24 +587,21 @@ def _exponential_walk(rates: list[complex], rate_ints: tuple[list, list], s_all:
     s_prev = 0
     steps: dict = {}
     base = None  # (h0, factors of h0) of the last step that took exponentials
-    with mpmath.workprec(bits):
-        rates = [mpmath.mpc(rate) for rate in rates]
-        for i in sorted(range(len(s_all)), key=s_all.__getitem__):
-            h = s_all[i] - s_prev
-            if h:
-                factors = steps.get(h)
-                if factors is None:
-                    if base is not None and rate_max * abs(_float(h - base[0], -bits)) <= _STEP_SERIES_RADIUS:
-                        factors = _shifted_factors(base[1], rate_ints, h - base[0], bits)
-                    else:
-                        h_mp = mpmath.mpf((h, -bits))
-                        exps = [mpmath.exp(rate * h_mp) for rate in rates]
-                        factors = [_mpf_fixed(e.real, bits) for e in exps], [_mpf_fixed(e.imag, bits) for e in exps]
-                        base = (h, factors)
-                    steps[h] = factors
-                cur_r, cur_i = _complex_products(cur_r, cur_i, *factors, bits)
-                s_prev = s_all[i]
-            yield i, cur_r, cur_i
+    for i in sorted(range(len(s_all)), key=s_all.__getitem__):
+        h = s_all[i] - s_prev
+        if h:
+            factors = steps.get(h)
+            if factors is None:
+                if base is not None and rate_max * abs(_float(h - base[0], -bits)) <= _STEP_SERIES_RADIUS:
+                    factors = _shifted_factors(base[1], rate_ints, h - base[0], bits)
+                else:
+                    exps = [_exp(rate, h, -bits, bits) for rate in rates]
+                    factors = [e[0] for e in exps], [e[1] for e in exps]
+                    base = (h, factors)
+                steps[h] = factors
+            cur_r, cur_i = _complex_products(cur_r, cur_i, *factors, bits)
+            s_prev = s_all[i]
+        yield i, cur_r, cur_i
 
 
 def _shifted_factors(factors: tuple[list, list], rates: tuple[list, list], d: int, bits: int) -> tuple[list, list]:

@@ -12,7 +12,8 @@ exponential per term and form a pair's ``e^{zT}`` as the product
 ``e^{nu_a T} conj(e^{nu_b T})``.  Here that is :func:`pair_integrals`, an
 outer product in double precision.  The moment solver, whose Gram matrices
 are exponentially ill conditioned, does the same on scaled Python integers
-in ``fixedpoint.py``.  The mpmath twin is the extended-precision reference; the
+in ``fixedpoint.py``.  The mpmath twins are the tests' extended-precision
+reference and import mpmath only when called, so no command loads it; the
 one-exponential-per-pair double-precision path is the oracle in
 ``tests/energy_oracle.py``.
 """
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 #: below this ``|z| T`` the integrals use the Taylor series in ``zT`` (times ``1 + m`` in :func:`pair_integrals`)
@@ -53,8 +53,11 @@ def poly_exp_integral_mp(m: int, z, T) -> "mpmath.mpc":
     """Arbitrary-precision twin of :func:`poly_exp_integral`.
 
     Operates at the caller's working precision; ``z`` and ``T`` are converted
-    to the active mpmath context.
+    to the active mpmath context.  Only tests call it, so mpmath is imported
+    here and no command loads it.
     """
+    import mpmath
+
     z = mpmath.mpc(z)
     T = mpmath.mpf(T)
     if abs(z) * T < TAYLOR_RADIUS:

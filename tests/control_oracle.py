@@ -43,6 +43,11 @@ def mp_complex(re: int, im: int, exp: int):
         return mpmath.mpc(mpmath.ldexp(re, exp), mpmath.ldexp(im, exp))
 
 
+def mpf_fixed(x, bits: int) -> int:
+    """An mpmath real times ``2**bits`` as an integer, rounded toward zero."""
+    return int(mpmath.ldexp(x, bits))
+
+
 def coefficients_mp(solution) -> list:
     """The solution's coefficients as exact mpmath complexes, one per moment row.
 

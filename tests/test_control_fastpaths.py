@@ -315,8 +315,8 @@ class TestSolution:
         solution = synthesize_control(build_moment_system(field, ObservationChannel.DENSITY, 8.0, _slice(WORKHORSE, 12), 8))
         terms = sum(len(column.terms) for column, a, b in zip(solution.columns, solution.x.re, solution.x.im) if a or b)
         calls = []
-        exp = mpmath.exp
-        monkeypatch.setattr(mpmath, "exp", lambda z: calls.append(z) or exp(z))
+        exp = fixedpoint._exp
+        monkeypatch.setattr(fixedpoint, "_exp", lambda *args: calls.append(args) or exp(*args))
         solution(np.linspace(0.0, 8.0, 51))
         assert terms == len(calls) == 32
 
@@ -331,10 +331,9 @@ class TestSolution:
             d = mpmath.mpf(ulps) * 2.0**-55
             base = [mpmath.exp(mpmath.mpc(r) * h0) for r in rates]
             got = fixedpoint._shifted_factors(
-                ([fixedpoint._mpf_fixed(e.real, bits) for e in base],
-                 [fixedpoint._mpf_fixed(e.imag, bits) for e in base]),
+                ([oracle.mpf_fixed(e.real, bits) for e in base], [oracle.mpf_fixed(e.imag, bits) for e in base]),
                 ([fixedpoint._fixed(r.real, bits) for r in rates], [fixedpoint._fixed(r.imag, bits) for r in rates]),
-                fixedpoint._mpf_fixed(d, bits),
+                oracle.mpf_fixed(d, bits),
                 bits,
             )
             for r, re, im in zip(rates, *got):

@@ -1,10 +1,12 @@
-"""scipy stays off the start-up path of every command except ``validate-fdm``.
+"""scipy stays off the start-up path of every command except ``validate-fdm``, and mpmath off every one.
 
 Importing scipy's linear algebra roughly doubles the time a fresh ``cnslab
-run`` process spends importing, and only the FDM oracle uses it.  The test
-modules themselves load scipy, so what a command loads is observed in a
-fresh interpreter; the AST lint keeps a module-level scipy import from
-coming back where no command runs.
+run`` process spends importing, and only the FDM oracle uses it.  mpmath is
+the tests' extended-precision oracle; production computes its exponentials
+on integers.  The test modules themselves load both, so what a command
+loads is observed in a fresh interpreter; the AST lints keep a module-level
+scipy import from coming back where no command runs, and a module-level
+mpmath import from coming back anywhere in ``src/cnslab``.
 """
 
 import ast
@@ -33,12 +35,13 @@ b = 1.3
 """
 
 #: Runs each config path given on the command line in one interpreter and
-#: prints the exit codes and the scipy modules loaded by then.
+#: prints the exit codes and the scipy and mpmath modules loaded by then.
 PROBE = """
 import json, sys
 from cnslab import cli
 codes = [cli.run(path, out_dir=path + ".out") for path in sys.argv[1:]]
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+loaded = {top: sorted(m for m in sys.modules if m.split(".")[0] == top) for top in ("scipy", "mpmath")}
+print(json.dumps({"codes": codes, **loaded}))
 """
 
 
@@ -56,8 +59,8 @@ def _config(tmp_path: Path, command: str, section: str) -> Path:
     return path
 
 
-def test_importing_the_cli_loads_no_scipy():
-    assert _probe() == {"codes": [], "scipy": []}
+def test_importing_the_cli_loads_neither_scipy_nor_mpmath():
+    assert _probe() == {"codes": [], "scipy": [], "mpmath": []}
 
 
 #: The commands the benchmark times, with small configs.
@@ -70,9 +73,9 @@ BENCHMARKED = {
 
 
 @pytest.mark.parametrize("runs", list(BENCHMARKED.values()), ids=list(BENCHMARKED))
-def test_benchmarked_commands_load_no_scipy(tmp_path, runs):
+def test_benchmarked_commands_load_neither_scipy_nor_mpmath(tmp_path, runs):
     configs = [_config(tmp_path, command, section) for command, section in runs]
-    assert _probe(*configs) == {"codes": [0] * len(configs), "scipy": []}
+    assert _probe(*configs) == {"codes": [0] * len(configs), "scipy": [], "mpmath": []}
 
 
 def test_validate_fdm_loads_scipy_when_it_runs(tmp_path):
@@ -123,3 +126,9 @@ def test_no_module_level_scipy_import_outside_the_oracle():
     assert scipy_at_import in ([], ["oracle.py"])
     oracle_at_import = sorted(name for name, imports in modules.items() if imports & {".oracle", "cnslab.oracle"})
     assert oracle_at_import == []
+
+
+def test_no_module_level_mpmath_import_in_src():
+    modules = {path.name: module_level_imports(ast.parse(path.read_text())) for path in (SRC / "cnslab").glob("*.py")}
+    assert "fixedpoint.py" in modules and "kernels.py" in modules
+    assert sorted(name for name, imports in modules.items() if any(m.split(".")[0] == "mpmath" for m in imports)) == []

@@ -6,7 +6,8 @@ Runs each config of the four workloads of ``CHECKOUT/perfbench/workloads.py``
 over its pool seeds, and each config of :data:`EXTRA` (commands and channels
 that no workload runs: ``closeness``, ``observe`` and ``synthesize`` on every
 valid channel of both systems, ``observe`` with more trials than one
-stacked pass takes, ``validate-fdm`` with a trajectory export,
+stacked pass takes, ``synthesize`` on 100 moment rows, which solves at 80
+digits, ``validate-fdm`` with a trajectory export,
 ``witness-regularity``, ``witness-degenerate`` on velocity and temperature
 and one ``--verify`` run), each in a fresh temporary directory, with the
 ``cnslab`` of ``CHECKOUT/src``, and prints one line per artifact:
@@ -51,6 +52,12 @@ EXTRA = {
     "observe-nonbarotropic-temperature-blocks": (
         "nonbarotropic", "generic", "observe",
         "[observe]\nN = 6\nT = 8.0\nchannel = temperature\ntrials = 19\n", False,
+    ),
+    # 100 moment rows at T = 12, the fewest at which the solve climbs to its second rung (80 digits): the
+    # digests cover that precision's exponentials
+    "synthesize-barotropic-density-rung80": (
+        "barotropic", "workhorse", "synthesize",
+        "[synthesize]\nN = 25\nT = 12.0\nchannel = density\nN_verify = 26\ngrid = 21\n", False,
     ),
     **{
         f"validate-fdm-{system}": (
