@@ -318,7 +318,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         from .oracle import GridState, check_fdm_inputs, compare_spectral_fdm, export_trajectory_csv, fdm_evolve
 
         N, M, dt = knobs["N"], knobs["M"], knobs["dt"]
-        check_fdm_inputs(N, M, dt)
+        check_fdm_inputs(N, M, dt, T)
         c = _random_field(params.dim, N, rng).coeffs
         c[N + 1:] *= np.exp(-knobs["decay"] * np.arange(1, N + 1))[:, None]
         c[N - 1::-1] = c[N + 1:].conj()

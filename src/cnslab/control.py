@@ -24,7 +24,6 @@ from the solve, and builds and integrates only the rows beyond it.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -429,17 +428,15 @@ def verify_terminal(
 
 
 def export_control_csv(solution: ControlSolution, grid: np.ndarray, path) -> None:
-    """Write ``t,p`` on a uniform grid; complex controls carry both parts."""
+    """Write ``t,p`` on a uniform grid in one write; complex controls carry
+    both parts.  The bytes are those of ``csv.writer``, lines ending in ``\\r\\n``."""
     values = solution(grid)
     imag_scale = float(np.max(np.abs(values.imag))) if len(grid) else 0.0
     real_scale = max(float(np.max(np.abs(values.real))) if len(grid) else 0.0, 1e-300)
+    times, re, im = np.asarray(grid, dtype=float).tolist(), values.real.tolist(), values.imag.tolist()
+    if imag_scale <= 1e-12 * real_scale:
+        text = "t,p\r\n" + "".join(f"{t:.17g},{x:.17g}\r\n" for t, x in zip(times, re))
+    else:
+        text = "t,re_p,im_p\r\n" + "".join(f"{t:.17g},{x:.17g},{y:.17g}\r\n" for t, x, y in zip(times, re, im))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if imag_scale <= 1e-12 * real_scale:
-            writer.writerow(["t", "p"])
-            for t, v in zip(grid, values):
-                writer.writerow([format(float(t), ".17g"), format(v.real, ".17g")])
-        else:
-            writer.writerow(["t", "re_p", "im_p"])
-            for t, v in zip(grid, values):
-                writer.writerow([format(float(t), ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")])
+        fh.write(text)

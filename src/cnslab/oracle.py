@@ -32,6 +32,9 @@ from .model import SystemParams
 TWO_PI = 2.0 * np.pi
 #: Fewest points of a periodic FDM grid.
 MIN_GRID_POINTS = 64
+#: Most time steps ``round(T/dt)`` that a checked run may ask for: 20 times
+#: the longest run of the test suite, about 45 s at the default M = 1024.
+MAX_FDM_STEPS = 100_000
 
 
 def _check_step(dt: float) -> None:
@@ -39,13 +42,18 @@ def _check_step(dt: float) -> None:
         raise DomainError(f"the time step dt must be finite and > 0, got {dt}")
 
 
-def check_fdm_inputs(N: int, M: int, dt: float) -> None:
-    """Raise DomainError unless the field has a mode (``N >= 1``), the grid enough points and ``dt`` is positive."""
+def check_fdm_inputs(N: int, M: int, dt: float, T: float) -> None:
+    """Raise DomainError unless the field has a mode (``N >= 1``), the grid
+    enough points, ``dt`` is positive and ``round(T/dt)`` is at most
+    :data:`MAX_FDM_STEPS`."""
     if N < 1:
         raise DomainError(f"the field needs N >= 1, got N = {N}")
     if M < MIN_GRID_POINTS:
         raise DomainError(f"grid must have at least {MIN_GRID_POINTS} points, got M = {M}")
     _check_step(dt)
+    steps = T / dt
+    if not (np.isfinite(steps) and round(steps) <= MAX_FDM_STEPS):
+        raise DomainError(f"T = {T:g} with dt = {dt:g} asks for {steps:.0f} time steps, more than {MAX_FDM_STEPS}")
 
 
 @dataclass
@@ -230,7 +238,7 @@ def compare_spectral_fdm(
     """
     from .evolution import forward_state
 
-    check_fdm_inputs(initial.N, M, dt)
+    check_fdm_inputs(initial.N, M, dt, T)
     if not initial.is_real():
         raise DomainError("comparison requires a real-valued initial field")
     grid0 = GridState.from_field(initial, M)

@@ -37,7 +37,6 @@ built from it on request.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -85,6 +84,8 @@ _BRANCHES = {
 }
 
 _PERMUTATIONS_3 = np.array(list(itertools.permutations(range(3))))
+#: Row pairs ``(i, j)``, ``i < j``, of a 2x2 and a 3x3 block.
+_UPPER = {2: ([0], [1]), 3: ([0, 0, 1], [1, 2, 2])}
 
 
 @dataclass(frozen=True)
@@ -295,7 +296,12 @@ class SpectrumSlice:
 
     @cached_property
     def conds(self) -> np.ndarray:
-        """The 2-norm condition numbers of the ``basis.basis`` matrices, from one stacked call."""
+        """The 2-norm condition numbers of the ``basis.basis`` matrices: closed
+        forms for 2x2 blocks (:func:`_closed_form_svd`), ``np.linalg.cond``
+        for 3x3 blocks, whose smallest singular value the cubic gives
+        without relative accuracy."""
+        if self.dim == 2:
+            return _closed_form_svd(self.basis.basis, condition=True)
         return np.linalg.cond(self.basis.basis)
 
     def mode(self, n: int) -> ModeSpectrum:
@@ -538,13 +544,80 @@ def _rescale_to_convention(pinned: np.ndarray, component: np.ndarray, vectors: n
 def _residuals(M: np.ndarray, M_norm: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``|(M - value I) v| / (|M|_2 |v|)`` per eigenpair, 0 where the scale vanishes.
 
-    ``M`` and its 2-norms ``M_norm`` broadcast against the leading axes of ``values``.
+    ``M`` and its 2-norms ``M_norm`` (from :func:`_closed_form_svd`)
+    broadcast against the leading axes of ``values``.
     """
     Mv = np.matmul(M, vectors[..., None])[..., 0]
     scale = M_norm * np.linalg.norm(vectors, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         res = np.linalg.norm(Mv - values[..., None] * vectors, axis=-1) / scale
     return np.where(scale == 0.0, 0.0, res)
+
+
+def _closed_form_svd(M: np.ndarray, condition: bool = False) -> np.ndarray:
+    """The largest singular value of each block of a stack of 2x2 or 3x3
+    matrices; with ``condition``, the 2-norm condition number of each 2x2
+    block instead (inf where the determinant vanishes).
+
+    Each block is first scaled by the power of two of its largest entry.
+    That is exact: the result has the bits of an unscaled evaluation
+    wherever that neither overflows nor underflows.  ``sigma_max**2`` is the
+    largest eigenvalue of the Hermitian ``H = M M^H``.  For a 2x2 block it is
+    ``(h11 + h22 + hypot(h11 - h22, 2|h12|))/2``, a sum of nonnegative
+    terms, and ``cond = sigma_max**2/|det M|``.  For a 3x3 block it is the
+    trigonometric root ``q + 2p cos(arccos(r)/3)`` of the characteristic
+    cubic (Smith, CACM 4(4), 1961), which loses half the digits as the two
+    largest roots meet (``r -> -1``).  Where ``r < -1/2`` the smallest root
+    lies at least ``2p`` below the other two, and the 2x2 formula takes the
+    largest from ``H`` restricted to the complement of that root's
+    eigenvector, a cross product of two rows of ``H - lambda_3 I`` (unless
+    ``p < eps q``, where the cubic's root is exact anyway).
+    """
+    k, dim = M.shape[:2]
+    E = np.ascontiguousarray(M.reshape(k, dim * dim).T)  # E[dim*r + c] = M[:, r, c]
+    e = np.maximum(np.frexp(np.abs(E).max(axis=0))[1], -1021)  # 2**-e stays finite on subnormal blocks
+    S = (E * np.ldexp(1.0, -e)).reshape(dim, dim, k)
+    h = (S.real**2 + S.imag**2).sum(axis=1)  # h[r] = H[r, r]
+    i, j = _UPPER[dim]
+    off = (S[i] * S[j].conj()).sum(axis=1)  # off[m] = H[i[m], j[m]]
+    if dim == 2:
+        lam = 0.5 * (h[0] + h[1] + np.hypot(h[0] - h[1], 2.0 * np.abs(off[0])))
+        if condition:
+            det = np.abs(S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(det == 0.0, np.inf, lam / det)
+        return np.ldexp(np.sqrt(lam), e)
+    q = h.sum(axis=0) / 3.0
+    dev = h - q
+    off2 = off.real**2 + off.imag**2
+    p = np.sqrt(((dev**2).sum(axis=0) + 2.0 * off2.sum(axis=0)) / 6.0)
+    det = dev[0] * dev[1] * dev[2] + 2.0 * (off[0] * off[2] * off[1].conj()).real - (dev * off2[::-1]).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.minimum(np.maximum(np.where(p > 0.0, 0.5 * det / p / p / p, 0.0), -1.0), 1.0)
+    phi = np.arccos(r) / 3.0
+    lam = q + 2.0 * p * np.cos(phi)
+    far = np.flatnonzero((r < -0.5) & (p > np.finfo(float).eps * q))
+    if far.size:
+        # v: the unit eigenvector of lambda_3, the largest cross product of two rows of R = H - lambda_3 I
+        diag = [0, 1, 2]
+        H = np.empty((3, 3, far.size), dtype=complex)
+        H[i, j], H[j, i], H[diag, diag] = off[:, far], off[:, far].conj(), h[:, far]
+        R = H.copy()
+        R[diag, diag] -= q[far] + 2.0 * p[far] * np.cos(phi[far] + 2.0 * np.pi / 3.0)
+        a, b = R[i], R[j]
+        cross = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+        size = (cross.real**2 + cross.imag**2).sum(axis=1)
+        best = size.argmax(axis=0)[None]
+        v = np.take_along_axis(cross, best[None], axis=0)[0] / np.sqrt(np.take_along_axis(size, best, axis=0))
+        # H on the complement of v, P H P with P = I - v v^H, has the roots half +- |D|_F/sqrt(2), where
+        # D = P H P - half P is its traceless part: a sum of squares, no cancellation as the roots meet
+        w = (H * v).sum(axis=1)
+        rho = (v.conj() * w).sum(axis=0).real
+        half = 0.5 * (3.0 * q[far] - rho)
+        D = H - w[:, None] * v.conj() - v[:, None] * w.conj() + (rho + half) * v[:, None] * v.conj()
+        D[diag, diag] -= half
+        lam[far] = half + np.sqrt(0.5 * (D.real**2 + D.imag**2).sum(axis=(0, 1)))
+    return np.ldexp(np.sqrt(lam), e)
 
 
 def _kernel_vectors(M: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -559,7 +632,9 @@ def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> tuple
     Each eigenvector is the closed form (two-field) or the rescaled dense
     eigenvector (three-field).  One whose residual fails, the signature of a
     defective value whose eigenvector is only ``eps**(1/m)`` accurate, is
-    replaced by the rescaled kernel vector of the shifted matrix.  Returns
+    replaced by the rescaled kernel vector of the shifted matrix.  The
+    residual scales are the symbols' 2-norms in closed form
+    (:func:`_closed_form_svd`).  Returns
     the table with every eigenpair its own cluster (the eigenvectors as basis
     columns in branch order, level 0) and the mask of the modes within
     clustering reach (see :func:`_within_reach`).
@@ -568,7 +643,7 @@ def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> tuple
     if np.any(ns == 0):
         raise DomainError("mode n = 0 is excluded")
     M = _symbols(params, ns, MatrixKind.ADJOINT)
-    M_norm = np.linalg.norm(M, 2, axis=(1, 2))
+    M_norm = _closed_form_svd(M)
     tol = clustering_tolerance
     if isinstance(params, BarotropicParams):
         values, nu_scaled, vectors, near = _barotropic_roots(params, ns.astype(float), M, tol)
@@ -876,17 +951,17 @@ def riesz_closeness(params: SystemParams, N_start: int, N_end: int) -> np.ndarra
 
 
 def export_spectrum_csv(slice_: SpectrumSlice, path) -> None:
-    """Write ``n,branch,re,im,alg_mult,residual`` rows, modes ascending;
-    ``alg_mult`` is the size of the pair's cluster."""
+    """Write ``n,branch,re,im,alg_mult,residual`` rows, modes ascending, in
+    one write; ``alg_mult`` is the size of the pair's cluster.  The bytes are
+    those of ``csv.writer``: no field needs quoting, lines end in ``\\r\\n``."""
     table = slice_.basis
-    branches = _BRANCHES[slice_.dim]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "branch", "re", "im", "alg_mult", "residual"])
+    labels = [branch.value for branch in _BRANCHES[slice_.dim]]
+    rows = [
+        f"{n},{label},{value.real:.17g},{value.imag:.17g},{m},{residual:.17g}\r\n"
         for n, values, mults, residuals in zip(
             table.ns.tolist(), table.values.tolist(), table.mult.tolist(), table.residuals.tolist()
-        ):
-            for branch, value, m, residual in zip(branches, values, mults, residuals):
-                writer.writerow(
-                    [n, branch.value, format(value.real, ".17g"), format(value.imag, ".17g"), m, format(residual, ".17g")]
-                )
+        )
+        for label, value, m, residual in zip(labels, values, mults, residuals)
+    ]
+    with open(path, "w", newline="") as fh:
+        fh.write("n,branch,re,im,alg_mult,residual\r\n" + "".join(rows))

@@ -14,7 +14,8 @@ numbers where production works on Python integers with power-of-two scales:
 * moment integrals ``integral_0^T p(t) (T-t)**k e^{rate (T-t)} dt`` with one
   exponential per (solution term, rate) pair;
 * control evaluation with one exponential per (point, term);
-* the proportional-row scans over every pair of moment rows.
+* the proportional-row scans over every pair of moment rows;
+* the control export written row by row through ``csv.writer``.
 
 Each takes the same rows and coefficients as the production path, so a test
 can compare the two entry by entry.  :func:`coefficients_mp` and
@@ -25,6 +26,7 @@ and mpmath numbers, one per moment row.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
 
@@ -234,6 +236,23 @@ def evaluate_control(solution, t) -> np.ndarray:
                     )
             out[i] = complex(acc)
     return out
+
+
+def export_control_csv(solution, grid, path) -> None:
+    """``t,p`` rows (``t,re_p,im_p`` for a complex control) through ``csv.writer``."""
+    values = solution(grid)
+    imag_scale = float(np.max(np.abs(values.imag))) if len(grid) else 0.0
+    real_scale = max(float(np.max(np.abs(values.real))) if len(grid) else 0.0, 1e-300)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if imag_scale <= 1e-12 * real_scale:
+            writer.writerow(["t", "p"])
+            for t, v in zip(grid, values):
+                writer.writerow([format(float(t), ".17g"), format(v.real, ".17g")])
+        else:
+            writer.writerow(["t", "re_p", "im_p"])
+            for t, v in zip(grid, values):
+                writer.writerow([format(float(t), ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")])
 
 
 def rank_deficiency_groups(rows) -> list[tuple[int, int]]:

@@ -18,7 +18,9 @@ The per-mode code that production no longer runs:
 * the quadratic-closeness deficits, two per-mode solves per ``n``;
 * the Ingham audit with its loops over every pair of modes;
 * the full-table pair scan (:func:`first_minima`) that production's
-  triangular row blocks replace.
+  triangular row blocks replace;
+* the singular values of small blocks at 40 digits (:func:`singular_values`,
+  :func:`condition_numbers`), the reference of production's closed forms.
 
 Each takes the same parameters as production, so a test can compare the two
 value by value.  Only the defect logic that production still runs per mode
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+import mpmath
 import numpy as np
 
 from cnslab.errors import ConditioningError, DegenerateWarning, DomainError
@@ -554,6 +557,28 @@ class ModeSlice:
     @cached_property
     def conds(self) -> np.ndarray:
         return np.linalg.cond(self.basis.basis)
+
+
+def singular_values(block) -> tuple[float, float]:
+    """The largest and smallest singular value of one block, from
+    ``mpmath.svd_c`` at 40 digits, each rounded once to double."""
+    with mpmath.workdps(40):
+        s = mpmath.svd_c(mpmath.matrix(np.asarray(block, dtype=complex).tolist()), compute_uv=False)
+        return float(max(s)), float(min(s))
+
+
+def condition_numbers(blocks) -> np.ndarray:
+    """The 2-norm condition number of every block of a stack of 2x2 blocks:
+    ``sigma_max**2/|det|`` at 40 digits (``sigma_max`` from ``mpmath.svd_c``,
+    the determinant of the double entries exact to 40 digits), rounded once
+    to double; inf where the determinant is 0."""
+    out = []
+    with mpmath.workdps(40):
+        for block in np.asarray(blocks, dtype=complex):
+            m = mpmath.matrix(block.tolist())
+            det = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+            out.append(float(max(mpmath.svd_c(m, compute_uv=False)) ** 2 / det) if det else np.inf)
+    return np.array(out)
 
 
 def with_modes(slice_, modes: dict[int, ModeSpectrum]) -> ModeSlice:

@@ -2,6 +2,7 @@ import configparser
 import csv
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +365,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert "domain error" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "fdm_validation.json").exists()
+
+    def test_fdm_step_budget_is_a_domain_error(self, tmp_path, capsys):
+        # T = 1e3 at the default dt = 1e-4 asks for 10**7 steps: refused before the first one
+        cfg = _write(tmp_path, BASE.format(command="validate-fdm", u_bar=0.9, b=1.3) + "\n[fdm]\nN = 4\nT = 1e3\n")
+        start = time.perf_counter()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "domain error: T = 1000 with dt = 0.0001 asks for 10000000 time steps, more than 100000" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("decay", ["inf", "nan", "-200", "-0.1"])
     def test_bad_decay_is_a_config_error(self, tmp_path, capsys, decay):

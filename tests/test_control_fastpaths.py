@@ -341,6 +341,20 @@ class TestSolution:
                 assert abs(oracle.mp_complex(re, im, -bits) - want) <= mpmath.mpf(10) ** -39 * abs(want)
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_control_csv_bytes(tmp_path, real):
+    # one buffered write, byte for byte the rows of csv.writer, for a real and a complex control
+    field = cli._random_field(2, 6, np.random.default_rng(0)) if real else _field(3, 6)
+    solution = synthesize_control(build_moment_system(field, ObservationChannel.DENSITY, 8.0, _slice(WORKHORSE, 8), 6))
+    headers = []
+    for grid in (np.linspace(0.0, 8.0, 201), np.array([0.0, 8.0]), np.zeros(0)):
+        control.export_control_csv(solution, grid, tmp_path / "new.csv")
+        oracle.export_control_csv(solution, grid, tmp_path / "rows.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        headers.append((tmp_path / "new.csv").read_bytes().split(b"\r\n")[0])
+    assert headers == [b"t,p" if real else b"t,re_p,im_p"] * 2 + [b"t,p"]
+
+
 class TestOraclePath:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_benchmark_outputs_match_the_mpmath_path(self, seed):

@@ -166,6 +166,15 @@ class TestCompare:
         with pytest.raises(DomainError):
             compare_spectral_fdm(nondegenerate_barotropic, field, T=0.1, M=M, dt=dt)
 
+    def test_step_budget(self):
+        # the budget counts round(T/dt) and sits above every run of the suite (5000 steps at most)
+        assert oracle.MAX_FDM_STEPS >= 20 * 5000
+        oracle.check_fdm_inputs(4, 128, 1e-3, oracle.MAX_FDM_STEPS * 1e-3)
+        with pytest.raises(DomainError, match=f"asks for {oracle.MAX_FDM_STEPS + 1} time steps"):
+            oracle.check_fdm_inputs(4, 128, 1e-3, (oracle.MAX_FDM_STEPS + 1) * 1e-3)
+        with pytest.raises(DomainError, match="asks for inf time steps"):
+            oracle.check_fdm_inputs(4, 128, 1e-300, 1e300)
+
     def test_zero_field(self, nondegenerate_barotropic):
         record = compare_spectral_fdm(nondegenerate_barotropic, SpectralField.zeros(2, 4), T=0.4, M=128, dt=1e-3)
         assert record.max_error == 0.0

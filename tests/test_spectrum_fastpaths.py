@@ -337,15 +337,18 @@ class TestBatchedSolve:
             monkeypatch.setattr(module, "EIGEN_RESIDUAL_TOL", residual_tol)
         _assert_slices_agree(build_slice(NAMED[name], 12), oracle.build_slice(NAMED[name], 12))
 
-    def test_spectrum_csv_bytes(self, tmp_path):
-        # read from the views of the same slice, the bytes are the same;
-        # against the per-mode slice n, branch and alg_mult are exact, re, im
-        # within RTOL of the slice's largest value, residual within RTOL
+    @pytest.mark.parametrize("N", [4, 24, 96])
+    def test_spectrum_csv_bytes(self, tmp_path, N):
+        # one buffered write, byte for byte the csv.writer rows of the views of
+        # the same slice; against the per-mode slice n, branch and alg_mult are
+        # exact, re, im within RTOL of the slice's largest value, residual within RTOL
         for name in sorted(NAMED):
-            slice_ = build_slice(NAMED[name], 24)
+            slice_ = build_slice(NAMED[name], N)
             export_spectrum_csv(slice_, tmp_path / "new.csv")
             oracle.export_spectrum_csv(slice_, tmp_path / "views.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "views.csv").read_bytes()
+            if N != 24:
+                continue
             oracle.export_spectrum_csv(_oracle_slice(name, 24), tmp_path / "old.csv")
             new, old = (list(csv.reader((tmp_path / f).read_text().splitlines())) for f in ("new.csv", "old.csv"))
             assert [r[:2] + r[4:5] for r in new] == [r[:2] + r[4:5] for r in old]
