@@ -269,7 +269,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
     elif command == "ingham":
         N = knobs["N"]
         slice_ = build_slice(params, N)
-        audit = ingham_audit(slice_, params, T)
+        audit = ingham_audit(slice_)
         path = out / "ingham.json"
         _write_json(
             path,
@@ -285,7 +285,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         field = _random_field(params.dim, N, rng)
         system_ = build_moment_system(field, knobs["channel"], T, slice_, N)
         solution = synthesize_control(system_)
-        record = verify_terminal(field, solution, system_, slice_, n_verify)
+        record = verify_terminal(solution, n_verify)
         cpath = out / "control.csv"
         export_control_csv(solution, np.linspace(0.0, T, knobs["grid"]), cpath)
         vpath = out / "verification.json"
@@ -302,7 +302,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
     elif command == "witness-degenerate":
         slice_ = build_slice(params, knobs["N"])
-        record = degenerate_uc_witness(params, knobs["channel"], slice_)
+        record = degenerate_uc_witness(knobs["channel"], slice_)
         path = out / "witness_degenerate.json"
         _write_json(path, {**record.to_dict(), "params": dict(parser.items("params")), "seed": seed})
         outputs.append(path)
@@ -315,17 +315,16 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
 
     elif command == "validate-fdm":
         # the FDM oracle needs scipy, which no other command loads
-        from .oracle import GridState, check_fdm_inputs, compare_spectral_fdm, export_trajectory_csv, fdm_evolve
+        from .oracle import compare_spectral_fdm, export_trajectory_csv
 
-        N, M, dt = knobs["N"], knobs["M"], knobs["dt"]
-        check_fdm_inputs(N, M, dt, T)
+        N = knobs["N"]
         c = _random_field(params.dim, N, rng).coeffs
         c[N + 1:] *= np.exp(-knobs["decay"] * np.arange(1, N + 1))[:, None]
         c[N - 1::-1] = c[N + 1:].conj()
         if not c.any():
             raise DomainError(f"decay = {knobs['decay']} underflows every mode of the initial field to zero")
         field = SpectralField(dim=params.dim, N=N, coeffs=c)
-        record = compare_spectral_fdm(params, field, T, M, dt)
+        record = compare_spectral_fdm(params, field, T, knobs["M"], knobs["dt"])
         path = out / "fdm_validation.json"
         _write_json(
             path,
@@ -338,10 +337,8 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
         )
         outputs.append(path)
         if knobs["export_trajectory"]:
-            traj = fdm_evolve(params, GridState.from_field(field, M), T, dt,
-                              store_every=max(1, int(round(T / dt)) // 4))
             tpath = out / "trajectory.csv"
-            export_trajectory_csv(traj, tpath)
+            export_trajectory_csv(record.trajectory, tpath)
             outputs.append(tpath)
 
     if verify:

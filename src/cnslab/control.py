@@ -58,6 +58,7 @@ class MomentRow:
     kernel: list[KernelTerm]
     target: complex
     observation: complex  # B* applied to the level's vector
+    position: int = 0  # index of the row's basis element in its cluster
 
     def kernel_scale(self) -> float:
         return max(abs(t.coef) for t in self.kernel) if self.kernel else 0.0
@@ -72,6 +73,7 @@ class MomentSystem:
     below_critical_time: bool
     rank_deficiency_groups: list[tuple[int, int]] = field(default_factory=list)
     datum: SpectralField | None = field(default=None, repr=False, compare=False)  # the U0 of the targets
+    slice_: SpectrumSlice | None = field(default=None, repr=False, compare=False)  # the slice of the rows
 
     @property
     def targets(self) -> np.ndarray:
@@ -96,11 +98,10 @@ def _mode_inner_products(U0: SpectralField, vectors, n: int, norm_spec: NormSpec
 
 def _chain_rows(
     U0: SpectralField, channel: ObservationChannel, T: float, slice_: SpectrumSlice, N: int, above: int = 0
-) -> Iterator[tuple[int, MomentRow]]:
+) -> Iterator[MomentRow]:
     """Moment row of every basis element of the modes ``above < |n| <= N``.
 
-    Yields ``(j, row)`` with ``j`` the element's index in its cluster.  The
-    element in basis column ``c`` pairs ``(T-t)**k / k!`` with column
+    The element in basis column ``c`` pairs ``(T-t)**k / k!`` with column
     ``c - k`` for the chain levels ``k`` of :func:`chain_links` (``k = 0``
     alone outside a Jordan chain).  The target is minus the free terminal
     pairing ``e^{conj(nu) T} sum_k T**k / k! <U0, Phi_{c-k}>_w``.
@@ -128,7 +129,7 @@ def _chain_rows(
                 for k, factorial in column_links
             ]
             free = np.exp(nu_bar * T) * sum((T**k / factorial) * inner[c - k] for k, factorial in column_links)
-            yield c - clusters.index(clusters[c]), MomentRow(
+            yield MomentRow(
                 n=n,
                 cluster_index=clusters[c],
                 level=int(table.levels[r, c]),
@@ -136,6 +137,7 @@ def _chain_rows(
                 kernel=kernel,
                 target=complex(-free),
                 observation=obs[c],
+                position=c - clusters.index(clusters[c]),
             )
 
 
@@ -158,7 +160,7 @@ def build_moment_system(
     if N > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} < requested truncation {N}")
     rows: list[MomentRow] = []
-    for _, row in _chain_rows(U0, channel, T, slice_, N):
+    for row in _chain_rows(U0, channel, T, slice_, N):
         if row.kernel_scale() == 0.0 and abs(row.target) > 0.0:
             raise InfeasibleRow(
                 f"mode {row.n}: zero observation with nonzero target "
@@ -173,6 +175,7 @@ def build_moment_system(
         below_critical_time=(T <= 2.0 * np.pi / slice_.params.u_bar),
         rank_deficiency_groups=_rank_deficiency_groups(rows),
         datum=U0,
+        slice_=slice_,
     )
 
 
@@ -344,31 +347,7 @@ class VerificationRecord:
         }
 
 
-def _cluster_positions(system: MomentSystem, slice_: SpectrumSlice) -> list[int]:
-    """Each row's index in its cluster, read off ``slice_`` without building the rows.
-
-    The slice must reproduce every row's mode, cluster, level, rate and
-    observation, or :class:`DomainError` is raised.
-    """
-    table = slice_.basis
-    rows = np.flatnonzero(np.abs(table.ns) <= system.truncation)
-    clusters = table.clusters[rows]
-    observed = observation_values(system.channel, table.basis[rows].swapaxes(1, 2), table.ns[rows, None], slice_.params)
-    keys = zip(np.repeat(table.ns[rows], clusters.shape[1]).tolist(), clusters.ravel().tolist(),
-               table.levels[rows].ravel().tolist(), np.conj(table.rates[rows]).ravel().tolist(),
-               observed.ravel().tolist())
-    if list(keys) != [(row.n, row.cluster_index, row.level, row.rate, row.observation) for row in system.rows]:
-        raise DomainError("the verification slice does not reproduce the moment rows of the system")
-    return [c - mode.index(k) for mode in clusters.tolist() for c, k in enumerate(mode)]
-
-
-def verify_terminal(
-    U0: SpectralField,
-    solution: ControlSolution,
-    system: MomentSystem,
-    slice_: SpectrumSlice,
-    N_verify: int,
-) -> VerificationRecord:
+def verify_terminal(solution: ControlSolution, N_verify: int) -> VerificationRecord:
     """Replay the duality identity on a strict superset of the truncation.
 
     For every basis element of every mode ``|n| <= N_verify`` the terminal
@@ -376,40 +355,40 @@ def verify_terminal(
     closed form from the solution's current coefficients; rows inside the
     truncation contribute to the (relative) in-truncation residual, rows
     beyond it are reported as spill-over magnitudes.  The rows inside the
-    truncation, targets included, are those of ``system``, so ``U0`` must
-    agree with the system's datum there; only the spill-over rows read it.  The
+    truncation, targets included, are those of the solution's moment system;
+    the spill-over rows are built from the system's datum and slice.  The
     cross-Gram rows ``G[r]`` of the kept rows are those of the solve; the
-    spill-over rows and the dropped duplicate rows are integrated here.  The
-    slice must reproduce the rows of ``system`` (:func:`_cluster_positions`).
+    spill-over rows and the dropped duplicate rows are integrated here.  A
+    system without a datum or slice (not built by :func:`build_moment_system`)
+    raises :class:`DomainError`.
     """
+    system = solution.system
+    U0, slice_ = system.datum, system.slice_
+    if U0 is None or slice_ is None:
+        raise DomainError("verification needs the datum and slice that build_moment_system records on the system")
     if N_verify < system.truncation:
         raise DomainError("verification window must cover the synthesis truncation")
     if N_verify > slice_.N:
         raise DomainError(f"slice covers |n| <= {slice_.N} < requested window {N_verify}")
-    if solution.system is not system:
-        raise DomainError("the solution was synthesized for another moment system")
-    modes = [n for n in range(-system.truncation, system.truncation + 1) if n]
-    if system.datum is not None and not all(np.array_equal(U0.coeff(n), system.datum.coeff(n)) for n in modes):
-        raise DomainError("the verification datum differs from the moment system's inside the truncation")
-    # (j, row, row of the solve's Gram): kept rows inside the truncation have
+    # (row, row of the solve's Gram): kept rows inside the truncation have
     # one, dropped duplicate rows and spill-over rows have None
     kept = {row: k for k, row in enumerate(solution.keep)}
-    rows = [(j, row, kept.get(i)) for i, (j, row) in enumerate(zip(_cluster_positions(system, slice_), system.rows))]
+    rows = [(row, kept.get(i)) for i, row in enumerate(system.rows)]
     spill_rows = _chain_rows(U0, system.channel, system.horizon, slice_, N_verify, system.truncation)
-    rows += [(j, row, None) for j, row in spill_rows]
-    free = [-complex(row.target) for _, row, _ in rows]
-    for (_, row, _), f in zip(rows, free):
+    rows += [(row, None) for row in spill_rows]
+    free = [-complex(row.target) for row, _ in rows]
+    for (row, _), f in zip(rows, free):
         require_finite(f"verification row, mode {row.n}", "target", [f])
-    fresh = [(f"verification row, mode {row.n}", row.kernel) for _, row, g in rows if g is None]
-    pairings = fixedpoint.terminal_pairings(free, [g for _, _, g in rows], fresh, system.horizon,
+    fresh = [(f"verification row, mode {row.n}", row.kernel) for row, g in rows if g is None]
+    pairings = fixedpoint.terminal_pairings(free, [g for _, g in rows], fresh, system.horizon,
                                             solution.gram, solution.columns, solution.x)
 
     per_row: dict[tuple[int, int, int], float] = {}
     spill: dict[int, float] = {}
     in_trunc_sq = 0.0
     target_sq = 0.0
-    for (j, row, _), f, terminal_pairing in zip(rows, free, pairings):
-        per_row[(row.n, row.cluster_index, j)] = abs(terminal_pairing)
+    for (row, _), f, terminal_pairing in zip(rows, free, pairings):
+        per_row[(row.n, row.cluster_index, row.position)] = abs(terminal_pairing)
         if abs(row.n) <= system.truncation:
             in_trunc_sq += abs(terminal_pairing) ** 2
             target_sq += abs(f) ** 2

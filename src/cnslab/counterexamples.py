@@ -306,20 +306,14 @@ class DegenerateWitnessRecord:
         }
 
 
-def degenerate_uc_witness(
-    params: SystemParams,
-    channel: ObservationChannel,
-    slice_: SpectrumSlice,
-) -> DegenerateWitnessRecord:
-    """Nonzero adjoint trajectory with vanishing observation at a coincidence.
+def degenerate_uc_witness(channel: ObservationChannel, slice_: SpectrumSlice) -> DegenerateWitnessRecord:
+    """Nonzero adjoint trajectory with vanishing observation at a coincidence of the slice.
 
     Requires a cross-mode coincidence (two modes sharing one eigenvalue with
     independent eigenfunctions); the terminal datum ``C*Phi_+ + D*Phi_-``
-    with the swapped observations kills the signal identically.  Raises
-    :class:`DomainError` when ``params`` are not the slice's own.
+    with the swapped observations kills the signal identically.
     """
-    if params != slice_.params:
-        raise DomainError("the degenerate witness needs the parameters its slice was built from")
+    params = slice_.params
     pair = None
     for c in slice_.coincidences:
         if c.cross_mode:

@@ -307,8 +307,8 @@ def _parabolic_minima(keys: np.ndarray, values: np.ndarray, r: float) -> list[tu
         return _first_minima(keys, keys, tables, triangle=True)
 
 
-def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> InghamHypothesisReport:
-    """Numeric audit of every hypothesis of the combined inequality.
+def ingham_audit(slice_: SpectrumSlice) -> InghamHypothesisReport:
+    """Numeric audit of every hypothesis of the combined inequality on the slice's parameters.
 
     The hyperbolic fit window starts above the discriminant threshold where
     the asymptote ``beta + i*tau*n`` is meaningful.  All verdicts carry the
@@ -322,14 +322,12 @@ def ingham_audit(slice_: SpectrumSlice, params: SystemParams, T: float) -> Ingha
     these keys, not mode numbers, and the P3 and relaxed denominators
     ``||n|**r - |l|**r|`` and ``|n - l|`` are taken of them; the
     shared-eigenvalue set at ``N = 3`` reports the P3 witness ``(4, 5)``,
-    branch 2 at mode 2 and branch 1 at mode 3.  ``T`` enters no verdict:
-    the audit never reads it.  Raises :class:`DomainError` when the window
-    holds no mode above the threshold or, for the three-field system, no
-    two modes with distinct ``n**2``, and when ``params`` are not the
-    slice's own.
+    branch 2 at mode 2 and branch 1 at mode 3.  No verdict depends on a
+    horizon.  Raises :class:`DomainError` when the window holds no mode
+    above the threshold or, for the three-field system, no two modes with
+    distinct ``n**2``.
     """
-    if params != slice_.params:
-        raise DomainError("the Ingham audit needs the parameters its slice was built from")
+    params = slice_.params
     threshold = hyperbolic_fit_threshold(params)
     needed = max(threshold, 2 if slice_.dim == 3 else 1)
     if slice_.N < needed:

@@ -18,7 +18,7 @@ heuristic; the homogeneous runs are the oracle of record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -217,6 +217,7 @@ class ComparisonRecord:
     checkpoints: dict[float, float]  # t -> relative L2 error
     mean_drift: float
     energy_monotone: bool
+    trajectory: FdmTrajectory = field(repr=False, compare=False)  # the states compared
 
     @property
     def max_error(self) -> float:
@@ -233,8 +234,9 @@ def compare_spectral_fdm(
     """Relative nodal L2 error between spectral and FDM homogeneous evolution.
 
     Checkpoints at T/4, T/2 and T; also reports the density-mean drift and
-    whether the discrete weighted energy was non-increasing along the run.
-    Inputs are checked by :func:`check_fdm_inputs` before any array is built.
+    whether the discrete weighted energy was non-increasing along the run,
+    and keeps the FDM trajectory it compared.  Inputs are checked by
+    :func:`check_fdm_inputs` before any array is built.
     """
     from .evolution import forward_state
 
@@ -242,8 +244,6 @@ def compare_spectral_fdm(
     if not initial.is_real():
         raise DomainError("comparison requires a real-valued initial field")
     grid0 = GridState.from_field(initial, M)
-    if not np.any(initial.coeffs):
-        return ComparisonRecord(checkpoints={0.25 * T: 0.0, 0.5 * T: 0.0, T: 0.0}, mean_drift=0.0, energy_monotone=True)
     steps = int(round(T / dt))
     quarter = max(1, steps // 4)
     traj = fdm_evolve(params, grid0, T, dt, store_every=quarter)
@@ -258,7 +258,7 @@ def compare_spectral_fdm(
     drift = max(abs(m - means[0]) for m in means)
     energies = [s.weighted_energy(params) for s in traj.states]
     monotone = all(e2 <= e1 * (1 + 1e-10) + 1e-12 for e1, e2 in zip(energies, energies[1:]))
-    return ComparisonRecord(checkpoints=checkpoints, mean_drift=float(drift), energy_monotone=monotone)
+    return ComparisonRecord(checkpoints=checkpoints, mean_drift=float(drift), energy_monotone=monotone, trajectory=traj)
 
 
 def export_trajectory_csv(traj: FdmTrajectory, path) -> None:

@@ -77,7 +77,7 @@ def test_criterion_2_shared_eigenvalue_and_uc_witness():
         and min(abs(v + 1.0) for v in vals_neg) <= 1e-10
     )
     slice_ = build_slice(params, 2)
-    witness = degenerate_uc_witness(params, ObservationChannel.DENSITY, slice_)
+    witness = degenerate_uc_witness(ObservationChannel.DENSITY, slice_)
     ok = (
         shared
         and witness.max_observation <= 1e-9 * witness.observation_scale
@@ -178,7 +178,7 @@ def test_criterion_4_asymptotics():
 def test_criterion_5_ingham_audit():
     start = time.time()
     slice_ = build_slice(WORKHORSE, 100)
-    audit = ingham_audit(slice_, WORKHORSE, T=8.0)
+    audit = ingham_audit(slice_)
     elapsed = time.time() - start
     ok = (
         audit.p3.value >= 0.5
@@ -269,7 +269,7 @@ def test_criterion_9_control_round_trip():
     for channel in (ObservationChannel.DENSITY, ObservationChannel.VELOCITY):
         system = build_moment_system(field, channel, 8.0, slice_, 8)
         solution = synthesize_control(system)
-        record = verify_terminal(field, solution, system, slice_, 16)
+        record = verify_terminal(solution, 16)
         results[channel.value] = (solution.residual, record.in_truncation_residual)
     elapsed = time.time() - start
     ok = all(r <= 1e-8 and v <= 1e-6 for r, v in results.values()) and elapsed < 60.0

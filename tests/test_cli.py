@@ -275,6 +275,28 @@ class TestRun:
         payload = json.loads((tmp_path / "out" / "fdm_validation.json").read_text())
         assert payload["energy_monotone"] is True
 
+    def test_validate_fdm_export_evolves_once(self, tmp_path, monkeypatch):
+        # the exported trajectory is the one the comparison evolved
+        import cnslab.oracle
+
+        calls = []
+        fdm_evolve = cnslab.oracle.fdm_evolve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fdm_evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cnslab.oracle, "fdm_evolve", counted)
+        cfg = _write(
+            tmp_path,
+            BASE.format(command="validate-fdm", u_bar=0.9, b=1.3)
+            + "\n[fdm]\nN = 4\nM = 128\ndt = 1e-3\nT = 0.1\nexport_trajectory = yes\n",
+        )
+        assert run(cfg, out_dir=tmp_path / "out") == 0
+        assert len(calls) == 1
+        # the header and five stored states (t = 0 and the four quarters) of two components on 128 points
+        assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 1 + 5 * 2 * 128
+
     def test_bad_knob_table_covers_every_command(self):
         assert sorted(BAD_KNOB) == sorted(cli.COMMANDS)
 

@@ -10,11 +10,12 @@ from control_oracle import coefficients_mp, gram_mp, targets_mp, with_coefficien
 from energy_oracle import quadrature_energy
 
 from cnslab import control, fixedpoint
-from cnslab.control import build_moment_system, synthesize_control, verify_terminal
+from cnslab.control import MomentRow, MomentSystem, build_moment_system, synthesize_control, verify_terminal
 from cnslab.errors import DomainError, RankDeficient
 from cnslab.evolution import ObservationChannel, observation_signal
 from cnslab.fields import EigenExpansion, SpectralField
 from cnslab.fixedpoint import ScaledVector
+from cnslab.kernels import KernelTerm
 from cnslab.spectrum import build_slice
 
 
@@ -125,7 +126,7 @@ class TestSynthesizeControl:
         assert len(chain_rows) == 2
         assert all([t.degree for t in r.kernel] == [0, 1] for r in chain_rows)
         solution = synthesize_control(system)
-        record = verify_terminal(field, solution, system, slice_, 8)
+        record = verify_terminal(solution, 8)
         assert solution.residual <= 1e-8
         assert record.in_truncation_residual <= 1e-6
 
@@ -168,7 +169,7 @@ class TestDiscardedSingularValues:
         solution = synthesize_control(system)
         assert len(solution.keep) < len(system.rows)
         assert solution.discarded_singular_values == control_oracle.discarded_singular_values(system)
-        record = verify_terminal(field, solution, system, slice_, N)
+        record = verify_terminal(solution, N)
         assert record.rank == len(system.rows) - solution.discarded_singular_values
 
 
@@ -178,7 +179,7 @@ class TestVerifyTerminal:
         field = SpectralField.zeros(2, 4)
         system = build_moment_system(field, ObservationChannel.DENSITY, 2.0, slice_, 2)
         solution = synthesize_control(system)
-        record = verify_terminal(field, solution, system, slice_, 4)
+        record = verify_terminal(solution, 4)
         assert record.in_truncation_residual == 0.0
         assert all(v == 0.0 for v in record.spillover.values())
 
@@ -189,7 +190,7 @@ class TestVerifyTerminal:
         for channel in (ObservationChannel.DENSITY, ObservationChannel.VELOCITY):
             system = build_moment_system(field, channel, 8.0, slice_, 8)
             solution = synthesize_control(system)
-            record = verify_terminal(field, solution, system, slice_, 16)
+            record = verify_terminal(solution, 16)
             assert solution.residual <= 1e-8
             assert record.in_truncation_residual <= 1e-6
 
@@ -202,7 +203,7 @@ class TestVerifyTerminal:
         field = _random_mean_zero(rng, 2, 40, content=8)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 8)
         solution = synthesize_control(system)
-        record = verify_terminal(field, solution, system, slice_, 40)
+        record = verify_terminal(solution, 40)
         parabolic = {n: record.per_row_residuals[(n, 1, 0)] for n in (28, 32, 36, 40)}
         assert parabolic[40] < parabolic[32] < parabolic[28]
         assert all(np.isfinite(v) for v in record.spillover.values())
@@ -214,7 +215,7 @@ class TestVerifyTerminal:
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
         solution = synthesize_control(system)
         solution = with_coefficients(solution, [1.1 * x for x in coefficients_mp(solution)])
-        record = verify_terminal(field, solution, system, slice_, 8)
+        record = verify_terminal(solution, 8)
         assert record.in_truncation_residual >= 1e-2
 
     @pytest.mark.parametrize(
@@ -241,7 +242,7 @@ class TestVerifyTerminal:
         pairs = []
         integral = fixedpoint._pair_integral
         monkeypatch.setattr(fixedpoint, "_pair_integral", lambda *args: pairs.append(1) or integral(*args))
-        record = verify_terminal(field, solution, system, slice_, N_verify)
+        record = verify_terminal(solution, N_verify)
         kept = len(solution.keep)
         assert len(pairs) == (len(record.per_row_residuals) - kept) * kept
         assert record.in_truncation_residual <= 1e-6
@@ -258,12 +259,12 @@ class TestVerifyTerminal:
         chain_rows = control._chain_rows
 
         def spy(*args, **kwargs):
-            for j, row in chain_rows(*args, **kwargs):
+            for row in chain_rows(*args, **kwargs):
                 built.append(row.n)
-                yield j, row
+                yield row
 
         monkeypatch.setattr(control, "_chain_rows", spy)
-        record = verify_terminal(field, solution, system, slice_, 12)
+        record = verify_terminal(solution, 12)
         assert sorted(set(map(abs, built))) == [9, 10, 11, 12]
         assert len(built) == 16 and len(record.per_row_residuals) == 48
         assert record.in_truncation_residual <= 1e-6
@@ -289,31 +290,38 @@ class TestVerifyTerminal:
             with pytest.raises(DomainError, match="align with the kept rows"):
                 dataclasses.replace(solution, **changes)
 
-    def test_slice_must_reproduce_the_system_rows(self, nondegenerate_barotropic, unit_barotropic):
+    def test_slice_must_reproduce_the_system_rows(self, nondegenerate_barotropic):
+        # the system records the datum and slice it was built from; the rows
+        # rebuilt from them are the system's own, and verification keys its
+        # in-truncation rows by them
         slice_ = build_slice(nondegenerate_barotropic, 8)
         field = _random_mean_zero(np.random.default_rng(6), 2, 8, content=4)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
-        solution = synthesize_control(system)
-        with pytest.raises(DomainError, match="does not reproduce"):
-            verify_terminal(field, solution, system, build_slice(unit_barotropic, 8), 8)
-        other = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
-        with pytest.raises(DomainError, match="another moment system"):
-            verify_terminal(field, solution, other, slice_, 8)
+        assert system.slice_ is slice_ and system.datum is field
+        rebuilt = list(control._chain_rows(system.datum, system.channel, system.horizon, system.slice_, 4))
+        assert rebuilt == system.rows
+        record = verify_terminal(synthesize_control(system), 8)
+        inside = {key for key in record.per_row_residuals if abs(key[0]) <= 4}
+        assert inside == {(row.n, row.cluster_index, row.position) for row in system.rows}
 
     def test_datum_must_be_the_systems_inside_the_truncation(self, nondegenerate_barotropic):
-        # the rows inside the truncation, targets included, come from the
-        # system; a datum that differs there is refused, one that differs
-        # only beyond it is verified
+        # the datum has content at mode 6, beyond the truncation N = 4: the
+        # rows inside it close, mode 6 is left as spill-over
         slice_ = build_slice(nondegenerate_barotropic, 8)
         field = _random_mean_zero(np.random.default_rng(6), 2, 8, content=4)
-        system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
-        solution = synthesize_control(system)
-        with pytest.raises(DomainError, match="datum differs"):
-            verify_terminal(SpectralField(2, 8, 2.0 * field.coeffs), solution, system, slice_, 8)
         beyond = field.coeffs.copy()
         beyond[8 + 6] = 1.0
-        record = verify_terminal(SpectralField(2, 8, beyond), solution, system, slice_, 8)
+        system = build_moment_system(SpectralField(2, 8, beyond), ObservationChannel.DENSITY, 8.0, slice_, 4)
+        record = verify_terminal(synthesize_control(system), 8)
         assert record.spillover[6] > 1e-3 and record.in_truncation_residual <= 1e-6
+
+    def test_hand_built_system_is_refused(self):
+        # a system not built by build_moment_system carries no datum or slice to verify against
+        rate = complex(-1.0, 2.0)
+        rows = [MomentRow(1, 0, 0, rate, [KernelTerm(1.0 + 0j, rate, 0)], 1.0 + 0j, 1.0 + 0j)]
+        solution = synthesize_control(MomentSystem(ObservationChannel.DENSITY, 8.0, 1, rows, False))
+        with pytest.raises(DomainError, match="datum and slice"):
+            verify_terminal(solution, 2)
 
     def test_window_must_cover_truncation(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 8)
@@ -321,7 +329,7 @@ class TestVerifyTerminal:
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
         solution = synthesize_control(system)
         with pytest.raises(DomainError):
-            verify_terminal(field, solution, system, slice_, 2)
+            verify_terminal(solution, 2)
 
 
 class TestDualityExactness:
@@ -386,7 +394,7 @@ class TestDualityExactness:
         field = _random_mean_zero(rng, 2, 12, content=6)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 6)
         solution = synthesize_control(system)
-        record = verify_terminal(field, solution, system, slice_, 12)
+        record = verify_terminal(solution, 12)
         assert record.in_truncation_residual <= 1e-6
 
 

@@ -263,11 +263,11 @@ class TestSolution:
     def test_verify_residuals_match_per_pair_moment_integrals(self, case):
         field, slice_, system = case
         solution = _solved(system)
-        record = verify_terminal(field, solution, system, slice_, slice_.N)
+        record = verify_terminal(solution, slice_.N)
         T = system.horizon
         with mpmath.workdps(solution.solve_dps):
             coefficients = oracle.coefficients_mp(solution)
-            for j, row in control._chain_rows(field, system.channel, T, slice_, slice_.N):
+            for row in control._chain_rows(field, system.channel, T, slice_, slice_.N):
                 forced = mpmath.fsum(
                     mpmath.mpc(t.coef) * oracle.moment_integral(solution, t.degree, t.rate) for t in row.kernel
                 )
@@ -278,7 +278,7 @@ class TestSolution:
                     for x, kept in zip(coefficients, system.rows)
                     for u in kept.kernel
                 )
-                got = record.per_row_residuals[(row.n, row.cluster_index, j)]
+                got = record.per_row_residuals[(row.n, row.cluster_index, row.position)]
                 assert abs(got - want) <= 1e-25 * scale + 1e-15 * want
 
     @settings(max_examples=30, deadline=None)
@@ -365,7 +365,7 @@ class TestOraclePath:
         field = cli._random_field(2, 8, np.random.default_rng(seed))
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 8)
         solution = synthesize_control(system)
-        record = verify_terminal(field, solution, system, slice_, 12)
+        record = verify_terminal(solution, 12)
 
         dps, x_keep, control_norm = oracle.ladder_solve(system)
         assert solution.solve_dps == dps
@@ -380,7 +380,7 @@ class TestOraclePath:
         assert abs(solution.control_norm - control_norm) <= 1e-12 * control_norm
         spill: dict[int, float] = {}
         with mpmath.workdps(dps):
-            for _, row in control._chain_rows(field, system.channel, 8.0, slice_, 12):
+            for row in control._chain_rows(field, system.channel, 8.0, slice_, 12):
                 if abs(row.n) > 8:
                     forced = mpmath.fsum(
                         mpmath.mpc(t.coef) * oracle.moment_integral(reference, t.degree, t.rate) for t in row.kernel

@@ -147,28 +147,32 @@ class TestSmallTimeWitness:
 class TestDegenerateWitness:
     def test_barotropic_coincidence(self, uc_failing_barotropic):
         slice_ = build_slice(uc_failing_barotropic, 3)
-        record = degenerate_uc_witness(uc_failing_barotropic, ObservationChannel.DENSITY, slice_)
+        record = degenerate_uc_witness(ObservationChannel.DENSITY, slice_)
         assert record.max_observation <= 1e-10 * record.observation_scale
         assert record.min_state_norm > 1e-3 * (abs(record.C) + abs(record.D))
 
     def test_nonbarotropic_shared_eigenvalue(self, shared_eigenvalue_nonbarotropic):
         slice_ = build_slice(shared_eigenvalue_nonbarotropic, 2)
-        record = degenerate_uc_witness(shared_eigenvalue_nonbarotropic, ObservationChannel.DENSITY, slice_)
+        record = degenerate_uc_witness(ObservationChannel.DENSITY, slice_)
         assert set(record.modes) == {-1, 1}
         assert record.value == pytest.approx(-1.0, abs=1e-10)
         assert record.max_observation <= 1e-9 * record.observation_scale
         assert record.min_state_norm > 0.0
 
     def test_params_must_be_the_slice_s_own(self, shared_eigenvalue_nonbarotropic):
-        slice_ = build_slice(shared_eigenvalue_nonbarotropic, 2)
+        # the witness reads its parameters from the slice: with rho_bar = 3 the
+        # density observation of mode -1 triples and the signal still vanishes
+        base = degenerate_uc_witness(ObservationChannel.DENSITY, build_slice(shared_eigenvalue_nonbarotropic, 2))
         other = dataclasses.replace(shared_eigenvalue_nonbarotropic, rho_bar=3.0)
-        with pytest.raises(DomainError, match="parameters its slice was built from"):
-            degenerate_uc_witness(other, ObservationChannel.DENSITY, slice_)
+        record = degenerate_uc_witness(ObservationChannel.DENSITY, build_slice(other, 2))
+        assert record.modes == base.modes
+        assert record.D == pytest.approx(3.0 * base.D, abs=1e-10)
+        assert record.max_observation <= 1e-9 * record.observation_scale
 
     def test_not_degenerate(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 6)
         with pytest.raises(NotDegenerate):
-            degenerate_uc_witness(nondegenerate_barotropic, ObservationChannel.DENSITY, slice_)
+            degenerate_uc_witness(ObservationChannel.DENSITY, slice_)
 
 
 class TestRegularityGap:

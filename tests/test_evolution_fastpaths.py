@@ -461,8 +461,8 @@ class TestControlRows:
         for channel in _channels(slice_.params):
             got = list(control._chain_rows(U0, channel, 2.5, slice_, N))
             ref = list(oracle.chain_rows(U0, channel, 2.5, slice_, N))
-            assert [j for j, _ in got] == [j for j, _ in ref]
-            for (_, g), (_, r) in zip(got, ref):
+            assert [g.position for g in got] == [j for j, _ in ref]
+            for g, (_, r) in zip(got, ref):
                 assert (g.n, g.cluster_index, g.level) == (r.n, r.cluster_index, r.level)
                 assert type(g.rate) is type(r.rate) and _same(g.rate, r.rate)
                 assert _close(g.target, r.target) and _close(g.observation, r.observation)

@@ -415,7 +415,7 @@ class TestObservabilityQuotient:
 class TestInghamAudit:
     def test_barotropic_reference_constants(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 100)
-        audit = ingham_audit(slice_, nondegenerate_barotropic, T=8.0)
+        audit = ingham_audit(slice_)
         assert audit.p3.extra["r"] == 2.0
         assert audit.p3.value >= 0.5  # delta = mu0/2
         assert audit.h2.extra["tau"] == pytest.approx(0.9, abs=1e-2)
@@ -426,21 +426,23 @@ class TestInghamAudit:
 
     def test_degenerate_p1_fails_with_witness(self, uc_failing_barotropic):
         slice_ = build_slice(uc_failing_barotropic, 10)
-        audit = ingham_audit(slice_, uc_failing_barotropic, T=8.0)
+        audit = ingham_audit(slice_)
         assert not audit.p1.passed
         assert set(audit.p1.witness) == {-1, 1}
         assert not audit.all_pass
 
     def test_params_must_be_the_slice_s_own(self, nondegenerate_barotropic):
-        # a smaller mu0 moves the hyperbolic fit threshold from 3 to 5
-        slice_ = build_slice(nondegenerate_barotropic, 16)
+        # the audit reads its parameters from the slice: a smaller mu0 moves
+        # the hyperbolic fit threshold from 3 to 5
         other = dataclasses.replace(nondegenerate_barotropic, mu0=0.5)
-        with pytest.raises(DomainError, match="parameters its slice was built from"):
-            ingham_audit(slice_, other, T=8.0)
+        assert ingham_audit(build_slice(nondegenerate_barotropic, 4)).h2.extra["tau"] > 0.0
+        with pytest.raises(DomainError, match=r"N >= 5 \(hyperbolic fit from \|n\| >= 5\)"):
+            ingham_audit(build_slice(other, 4))
+        assert ingham_audit(build_slice(other, 16)).h2.extra["tau"] > 0.0
 
     def test_nonbarotropic_merged_family(self, generic_nonbarotropic):
         slice_ = build_slice(generic_nonbarotropic, 30)
-        audit = ingham_audit(slice_, generic_nonbarotropic, T=8.0)
+        audit = ingham_audit(slice_)
         # the merged-index P3 ratio collapses across branches while the
         # relaxed |n - m| gap and the cross-branch constants stay positive
         assert audit.p3.value < 0.1

@@ -176,8 +176,10 @@ class TestCompare:
             oracle.check_fdm_inputs(4, 128, 1e-300, 1e300)
 
     def test_zero_field(self, nondegenerate_barotropic):
+        # the zero field evolves like any other: every checkpoint, the drift and the energy stay exactly zero
         record = compare_spectral_fdm(nondegenerate_barotropic, SpectralField.zeros(2, 4), T=0.4, M=128, dt=1e-3)
-        assert record.max_error == 0.0
+        assert record.checkpoints == {0.25 * 0.4: 0.0, 0.5 * 0.4: 0.0, 0.4: 0.0}
+        assert record.mean_drift == 0.0 and record.energy_monotone
 
     def test_three_field_comparison(self, generic_nonbarotropic):
         rng = np.random.default_rng(4)

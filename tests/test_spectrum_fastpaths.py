@@ -223,10 +223,10 @@ def _assert_audits_agree(params, N):
     whole pair tables (:func:`spectrum_oracle.first_minima`), whose
     arithmetic per entry is the same, the report is equal."""
     slice_ = build_slice(params, N)
-    got = ingham_audit(slice_, params, 8.0).to_dict()
+    got = ingham_audit(slice_).to_dict()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(observability, "_first_minima", oracle.first_minima)
-        assert ingham_audit(slice_, params, 8.0).to_dict() == got
+        assert ingham_audit(slice_).to_dict() == got
     ref = oracle.ingham_audit(slice_, params, 8.0).to_dict()
     assert got.keys() == ref.keys() and got["window"] == ref["window"]
     if "cross_gaps" in ref:
@@ -497,7 +497,7 @@ class TestInghamAudit:
         # change in rounding; ingham.json must not see one either
         for N in (4, 24, 96):
             slice_ = build_slice(NAMED[name], N)
-            got = ingham_audit(slice_, slice_.params, 8.0).to_dict()
+            got = ingham_audit(slice_).to_dict()
             ref = _scalar_family_reductions(slice_)
             assert (got["P2"]["value"].hex(), got["P2"]["witness"]) == (ref["P2"][0].hex(), ref["P2"][1])
             assert (got["P4"]["B0"].hex(), got["P4"]["witness"], got["P4"]["value"].hex()) == (

@@ -8,8 +8,10 @@ that no workload runs: ``closeness``, ``observe`` and ``synthesize`` on every
 valid channel of both systems, ``observe`` with more trials than one
 stacked pass takes, ``synthesize`` on 100 moment rows, which solves at 80
 digits, ``validate-fdm`` with a trajectory export,
-``witness-regularity``, ``witness-degenerate`` on velocity and temperature
-and one ``--verify`` run), each in a fresh temporary directory, with the
+``ingham`` on the barotropic workhorse, ``witness-regularity``,
+``witness-degenerate`` on velocity and temperature of the three-field set
+and on density of the barotropic set with a cross-mode coincidence, and
+one ``--verify`` run), each in a fresh temporary directory, with the
 ``cnslab`` of ``CHECKOUT/src``, and prints one line per artifact:
 
     workload/seed/run/file sha256
@@ -31,6 +33,9 @@ from pathlib import Path
 
 #: A three-field set without coincidences (the workloads' three-field set shares an eigenvalue).
 GENERIC_THREE_FIELD = {"rho_bar": 1.0, "u_bar": 0.9, "theta_bar": 1.0, "lambda0": 1.0, "kappa0": 2.0, "R": 1.0, "c0": 1.0}
+
+#: A barotropic set whose parabolic eigenvalues at n = 1 and n = -1 coincide: a cross-mode coincidence.
+DEGENERATE_BAROTROPIC = {"rho_bar": 1.0, "u_bar": 1.0, "mu0": 1.0, "b": 1.25}
 
 #: name -> (system, params set, command, section text, verify); the sets are named in :func:`digests`.
 EXTRA = {
@@ -65,12 +70,15 @@ EXTRA = {
         )
         for system, key in (("barotropic", "workhorse"), ("nonbarotropic", "generic"))
     },
+    "ingham-barotropic": ("barotropic", "workhorse", "ingham", "[ingham]\nN = 24\nT = 8.0\n", False),
     "witness-regularity": ("barotropic", "workhorse", "witness-regularity", "[witness]\ns = 0.5\nn_list = 4,8,16\n", False),
     **{
         f"witness-degenerate-{channel}": ("nonbarotropic", "shared", "witness-degenerate",
                                           f"[witness]\nN = 4\nchannel = {channel}\n", False)
         for channel in ("velocity", "temperature")
     },
+    "witness-degenerate-barotropic-density": ("barotropic", "degenerate", "witness-degenerate",
+                                              "[witness]\nN = 4\nchannel = density\n", False),
     "spectrum-verify": ("nonbarotropic", "generic", "spectrum", "[spectrum]\nN = 12\n", True),
 }
 
@@ -101,7 +109,8 @@ def digests(wl) -> list[str]:
         for seed in wl.POOL_SEEDS:
             for run, text in enumerate(workload.configs(seed)):
                 lines += _run(wl, f"{name}/{seed}/{run}", text)
-    params = {"workhorse": wl.WORKHORSE, "shared": wl.SHARED_EIGENVALUE, "generic": GENERIC_THREE_FIELD}
+    params = {"workhorse": wl.WORKHORSE, "shared": wl.SHARED_EIGENVALUE, "generic": GENERIC_THREE_FIELD,
+              "degenerate": DEGENERATE_BAROTROPIC}
     for name, (system, key, command, section, verify) in EXTRA.items():
         text = "\n".join(
             ["[run]", f"system = {system}", f"command = {command}", "seed = 0", "", "[params]"]
