@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, NotDegenerate, SupportError
 from .evolution import ObservationChannel, adjoint_state, observation_signal, observation_value
 from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
-from .model import BarotropicParams, SystemParams
+from .model import SystemParams
 from .observability import (
     observability_quotients,
     observation_energy,  # noqa: F401  (perfbench/spans.py traces this name)
@@ -145,29 +145,29 @@ class SmallTimeWitnessReport:
         }
 
 
-def _hyperbolic_lift(params: BarotropicParams, filtered: np.ndarray, cutoff: int, slice_: SpectrumSlice) -> SpectralField:
+def _hyperbolic_lift(params: SystemParams, filtered: np.ndarray, cutoff: int, slice_: SpectrumSlice) -> SpectralField:
     """Terminal datum with hyperbolic-branch content matching a density profile.
 
-    The hyperbolic eigenvector has density component ``rho_bar``, so scaling
-    its coefficient by ``a_n P_N(n)/rho_bar`` reproduces the filtered profile
-    in the density slot.
+    The hyperbolic eigenvector's density component is the table's ``pinned[0]``
+    (``rho_bar`` on two fields), so scaling its coefficient by ``a_n P_N(n)/pinned[0]``
+    reproduces the filtered profile in the density slot.
     """
     table = slice_.basis
     ns = np.arange(-cutoff, cutoff + 1)
     live = (ns != 0) & (filtered != 0.0)
     hyperbolic = table.vectors[table.rows(ns[live]), _HYPERBOLIC]
-    out = SpectralField.zeros(2, cutoff)
-    out.coeffs[live] += (filtered[live] / params.rho_bar)[:, None] * hyperbolic
+    out = SpectralField.zeros(params.dim, cutoff)
+    out.coeffs[live] += (filtered[live] / params.coefficients.pinned[0])[:, None] * hyperbolic
     return out
 
 
 def small_time_witness(
-    params: BarotropicParams,
+    params: SystemParams,
     T: float,
     N_list: list[int],
     bump_spec: BumpSpec,
 ) -> SmallTimeWitnessReport:
-    """Measure the observability-quotient decay of the annihilated bump family.
+    """Measure the observability-quotient decay of the annihilated bump family on either system.
 
     For each N the terminal density profile is the bump modulated to a
     carrier at mode ``_MODULATION_FACTOR*N``: modulation preserves the compact
@@ -190,8 +190,6 @@ def small_time_witness(
     table, since N_list increases and each signal's terms are among the
     first's; and one set of transport exponentials for every N.
     """
-    if not isinstance(params, BarotropicParams):
-        raise DomainError("the small-time witness is built for the barotropic (two-field) system")
     if not 0.0 < T < TWO_PI / params.u_bar:
         raise DomainError(f"witness needs 0 < T < {TWO_PI / params.u_bar:.4f}, got {T}")
     left, right = bump_spec.realized_window()
@@ -224,10 +222,10 @@ def small_time_witness(
     table = {N: (r.quotient, r.energy, r.initial_norm) for N, r in zip(N_list, reports)}
 
     # Transport comparison at the boundary: the pure transport solution
-    # with rate i*u_bar*n - omega0 vanishes at the seam by construction.
+    # with rate i*u_bar*n - omega vanishes at the seam by construction.
     hyp = np.zeros(ns.size, dtype=complex)
     hyp[ns != 0] = slice_.basis.values[slice_.basis.rows(ns[ns != 0]), _HYPERBOLIC]
-    gaps = _transport_gaps(profiles, hyp, 1j * params.u_bar * ns - params.omega0, T)
+    gaps = _transport_gaps(profiles, hyp, 1j * params.u_bar * ns - params.coefficients.omega, T)
 
     logN = np.log([float(N) for N in N_list])
     logq = np.log([table[N][0] for N in N_list])
@@ -245,7 +243,6 @@ def small_time_witness(
             "cutoff": cutoff,
             "modulation_factor": _MODULATION_FACTOR,
             "weighting": "normalized",
-            "params_n0": params.n0,
         },
     )
 

@@ -418,7 +418,7 @@ def ingham_audit(slice_: SpectrumSlice) -> InghamHypothesisReport:
         p1v, p2v = values[:, 1], values[:, 2]
         cross_gaps["p1_p1_over_n2"] = _min_squared_gap(ns, p1v, ns, p1v, 1.0, 1.0)
         cross_gaps["p2_p2_over_n2"] = _min_squared_gap(ns, p2v, ns, p2v, 1.0, 1.0)
-        cross_gaps["p1_p2_over_mixed"] = _min_squared_gap(ns, p1v, ns, p2v, params.lambda0, params.kappa0)
+        cross_gaps["p1_p2_over_mixed"] = _min_squared_gap(ns, p1v, ns, p2v, *params.coefficients.diffusion[1:])
 
     return InghamHypothesisReport(
         h1=h1, h2=h2, p1=p1, p2=p2, p3=p3, p4=p4,

@@ -487,9 +487,8 @@ def _dense_nonbarotropic(params: NonBarotropicParams, ns: np.ndarray, M: np.ndar
 
 
 def _degenerate_diffusions(params: SystemParams) -> bool:
-    return isinstance(params, NonBarotropicParams) and (
-        abs(params.lambda0 - params.kappa0) <= 1e-12 * max(params.lambda0, params.kappa0)
-    )
+    d = params.coefficients.diffusion[1:]
+    return len(d) == 2 and abs(d[0] - d[1]) <= 1e-12 * max(d)
 
 
 def _label_columns(params: NonBarotropicParams, nf: np.ndarray, values: np.ndarray, dense: np.ndarray) -> np.ndarray:

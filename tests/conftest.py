@@ -39,7 +39,8 @@ def shared_eigenvalue_nonbarotropic():
 
 @pytest.fixture
 def generic_nonbarotropic():
-    return NonBarotropicParams(rho_bar=1.0, u_bar=1.0, theta_bar=1.0, lambda0=1.0, kappa0=2.0, R=1.0, c0=1.0)
+    """A three-field set without eigenvalue coincidences (``u_bar = 0.9``; the shared-eigenvalue set has 1)."""
+    return NonBarotropicParams(rho_bar=1.0, u_bar=0.9, theta_bar=1.0, lambda0=1.0, kappa0=2.0, R=1.0, c0=1.0)
 
 
 def random_barotropic(rng: np.random.Generator) -> BarotropicParams:

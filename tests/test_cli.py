@@ -44,6 +44,23 @@ R = 1.0
 c0 = 1.0
 """
 
+#: the coincidence-free three-field set of tests/conftest.py (``generic_nonbarotropic``)
+GENERIC_THREE_FIELD = """
+[run]
+system = nonbarotropic
+command = {command}
+seed = 7
+
+[params]
+rho_bar = 1.0
+u_bar = 0.9
+theta_bar = 1.0
+lambda0 = 1.0
+kappa0 = 2.0
+R = 1.0
+c0 = 1.0
+"""
+
 #: per command, a section whose one unparsable knob (besides T) is ``x4``
 BAD_KNOB = {
     "spectrum": "[spectrum]\nN = x4\n",
@@ -436,9 +453,9 @@ class TestRun:
             (BASE, "witness-smalltime", "T = 3.0\nN_list = 8,8\nx_left = 3.2\nx_right = 5.8\n",
              "N_list must be increasing", "witness_smalltime.json"),
             (BASE, "witness-regularity", "s = 0.0\nn_list = 4,4\n", "n_list must be increasing", "witness_regularity.json"),
-            # the witness is built for the two-field system: refused before any slice is built
-            (THREE_FIELD, "witness-smalltime", "T = 3.0\nN_list = 6,8\nx_left = 3.2\nx_right = 5.8\n",
-             "barotropic (two-field) system", "witness_smalltime.json"),
+            # the three-field witness checks its list the same way, before any slice is built
+            (THREE_FIELD, "witness-smalltime", "T = 3.0\nN_list = 8,8\nx_left = 3.2\nx_right = 5.8\n",
+             "N_list must be increasing", "witness_smalltime.json"),
         ],
         ids=["N_list=0", "N_list=8,8", "n_list=4,4", "three-field-smalltime"],
     )
@@ -454,6 +471,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert "domain error" in err and message in err and "Traceback" not in err
         assert not (tmp_path / "out" / artifact).exists()
+
+    @pytest.mark.parametrize("T", ["1.0", "3.0"])
+    def test_three_field_smalltime_witness_runs(self, tmp_path, T):
+        section = f"[witness]\nT = {T}\nN_list = 8,12,16,24\nx_left = 3.2\nx_right = 5.8\n"
+        cfg = _write(tmp_path, GENERIC_THREE_FIELD.format(command="witness-smalltime") + "\n" + section)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "witness_smalltime.json").read_text())
+        assert report["slope"] <= -1.7
 
     @pytest.mark.parametrize("T,below", [("3.0", True), ("8.0", False)])
     def test_synthesize_writes_below_critical_time_watermark(self, tmp_path, T, below):

@@ -16,6 +16,7 @@ from cnslab.counterexamples import (
 from cnslab.errors import DomainError, NotDegenerate, SupportError
 from cnslab.evolution import ObservationChannel
 from cnslab.fields import SpectralField
+from cnslab.model import NonBarotropicParams
 from cnslab.spectrum import build_slice
 
 TWO_PI = 2.0 * math.pi
@@ -69,20 +70,45 @@ class TestBump:
         assert l1 != l0
 
 
+#: the workhorse and the coincidence-free three-field set: the witness runs on both systems
+BOTH_SYSTEMS = pytest.mark.parametrize("system", ["nondegenerate_barotropic", "generic_nonbarotropic"])
+
+
 class TestSmallTimeWitness:
-    def test_quotient_decay_slope(self, nondegenerate_barotropic):
+    @BOTH_SYSTEMS
+    def test_quotient_decay_slope(self, request, system):
         report = small_time_witness(
-            nondegenerate_barotropic, 3.0, [8, 12, 16, 24], BumpSpec(x_left=3.2, x_right=5.8)
+            request.getfixturevalue(system), 3.0, [8, 12, 16, 24], BumpSpec(x_left=3.2, x_right=5.8)
         )
         assert report.slope <= -1.7
         quotients = [report.table[N][0] for N in (8, 12, 16, 24)]
         assert quotients[-1] < quotients[0]
 
-    def test_transport_gap_shrinks(self, nondegenerate_barotropic):
+    @BOTH_SYSTEMS
+    def test_transport_gap_shrinks(self, request, system):
         report = small_time_witness(
-            nondegenerate_barotropic, 3.0, [8, 16], BumpSpec(x_left=3.2, x_right=5.8)
+            request.getfixturevalue(system), 3.0, [8, 16], BumpSpec(x_left=3.2, x_right=5.8)
         )
         assert report.transport_gap[16] < report.transport_gap[8]
+        # the rate carries omega: at N = 16 the gap reads about 9e-9 (two
+        # fields) and 3e-9 (three), and 8e-6 on both when omega is left out
+        assert report.transport_gap[16] < 1e-7
+
+    @pytest.mark.parametrize("system", [
+        "nondegenerate_barotropic",
+        "generic_nonbarotropic",
+        # R*rho_bar = 3 is the pinned density component, not rho_bar
+        NonBarotropicParams(rho_bar=1.5, u_bar=0.9, theta_bar=0.8, lambda0=1.0, kappa0=2.0, R=2.0, c0=1.2),
+    ], ids=["barotropic", "three-field", "three-field-R=2"])
+    def test_lift_reproduces_the_density_profile(self, request, system):
+        params = request.getfixturevalue(system) if isinstance(system, str) else system
+        cutoff, N = 80, 8
+        filtered, _ = bump_coefficients(BumpSpec(x_left=3.2, x_right=5.8), cutoff,
+                                        carrier=counterexamples._MODULATION_FACTOR * N)
+        filtered[np.abs(np.arange(-cutoff, cutoff + 1)) <= N] = 0.0
+        lift = counterexamples._hyperbolic_lift(params, filtered, cutoff, build_slice(params, cutoff))
+        assert lift.coeffs.shape == (2 * cutoff + 1, params.dim)
+        np.testing.assert_allclose(lift.coeffs[:, 0], filtered, rtol=1e-13, atol=0.0)
 
     def test_support_error(self, nondegenerate_barotropic):
         with pytest.raises(SupportError):

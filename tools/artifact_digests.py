@@ -9,6 +9,7 @@ valid channel of both systems, ``observe`` with more trials than one
 stacked pass takes, ``synthesize`` on 100 moment rows, which solves at 80
 digits, ``validate-fdm`` with a trajectory export,
 ``ingham`` on the barotropic workhorse, ``witness-regularity``,
+``witness-smalltime`` on the coincidence-free three-field set,
 ``witness-degenerate`` on velocity and temperature of the three-field set
 and on density of the barotropic set with a cross-mode coincidence, and
 one ``--verify`` run), each in a fresh temporary directory, with the
@@ -72,6 +73,8 @@ EXTRA = {
     },
     "ingham-barotropic": ("barotropic", "workhorse", "ingham", "[ingham]\nN = 24\nT = 8.0\n", False),
     "witness-regularity": ("barotropic", "workhorse", "witness-regularity", "[witness]\ns = 0.5\nn_list = 4,8,16\n", False),
+    "witness-smalltime-nonbarotropic": ("nonbarotropic", "generic", "witness-smalltime",
+                                        "[witness]\nT = 3.0\nN_list = 8,12,16,24\nx_left = 3.2\nx_right = 5.8\n", False),
     **{
         f"witness-degenerate-{channel}": ("nonbarotropic", "shared", "witness-degenerate",
                                           f"[witness]\nN = 4\nchannel = {channel}\n", False)
