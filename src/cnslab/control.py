@@ -211,10 +211,11 @@ class ControlSolution:
     cancelling coefficients even though the control function itself is tame.
     ``x`` holds them exactly, one per kept row ``keep`` (the other rows'
     constraints are implied); every closed-form identity downstream reads
-    its current values.  ``gram`` and ``columns`` keep the solve's scaled
-    Gram and kernels, so the verification reuses its pair integrals.  The
-    constructor refuses ``x`` parts or ``columns`` without one entry per
-    kept row.
+    its current values.  ``gram``, ``columns`` and ``hy`` keep the solve's
+    scaled Gram, kernels and product ``H y`` of that Gram with ``x``, which
+    the verification reuses; only the solve sets ``hy``, so a solution
+    replaced with other coefficients has none.  The constructor refuses
+    ``x`` parts or ``columns`` without one entry per kept row.
     """
 
     system: MomentSystem
@@ -226,6 +227,7 @@ class ControlSolution:
     keep: list[int] = field(default_factory=list)
     gram: Gram | None = field(default=None, repr=False, compare=False)
     columns: list[Kernel] = field(default_factory=list, repr=False, compare=False)
+    hy: ScaledVector | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not len(self.x.re) == len(self.x.im) == len(self.columns) == len(self.keep):
@@ -314,10 +316,12 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
         solved = fixedpoint.solve(gram, columns, targets, dps, _RESIDUAL_TOL)
         if solved is None:
             continue
-        residual, x, control_norm = solved
+        residual, x, control_norm, hy = solved
         if x is not None:
             discarded += len(dropped)
-            return ControlSolution(system, x, residual, control_norm, discarded, dps, keep, gram, columns)
+            solution = ControlSolution(system, x, residual, control_norm, discarded, dps, keep, gram, columns)
+            solution.hy = hy
+            return solution
         best_residual = min(best_residual, residual)
     reached = (f"best moment residual {best_residual:.3e} > {_RESIDUAL_TOL:g}" if best_residual < math.inf
                else "Gram matrix not positive definite")
@@ -357,7 +361,8 @@ def verify_terminal(solution: ControlSolution, N_verify: int) -> VerificationRec
     beyond it are reported as spill-over magnitudes.  The rows inside the
     truncation, targets included, are those of the solution's moment system;
     the spill-over rows are built from the system's datum and slice.  The
-    cross-Gram rows ``G[r]`` of the kept rows are those of the solve; the
+    cross-Gram rows ``G[r]`` of the kept rows are those of the solve, and so
+    are their products ``G[r] x`` when the solution carries them; the
     spill-over rows and the dropped duplicate rows are integrated here.  A
     system without a datum or slice (not built by :func:`build_moment_system`)
     raises :class:`DomainError`.
@@ -381,7 +386,7 @@ def verify_terminal(solution: ControlSolution, N_verify: int) -> VerificationRec
         require_finite(f"verification row, mode {row.n}", "target", [f])
     fresh = [(f"verification row, mode {row.n}", row.kernel) for row, g in rows if g is None]
     pairings = fixedpoint.terminal_pairings(free, [g for _, g in rows], fresh, system.horizon,
-                                            solution.gram, solution.columns, solution.x)
+                                            solution.gram, solution.columns, solution.x, solution.hy)
 
     per_row: dict[tuple[int, int, int], float] = {}
     spill: dict[int, float] = {}

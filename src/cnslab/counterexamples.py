@@ -187,8 +187,9 @@ def small_time_witness(
     What does not depend on N is done once per call: one FFT of the bump,
     from which every carrier's coefficients are gathered; one stacked pass of
     :func:`observability_quotients` over the lifts of every N; one pair
-    table, since N_list increases and each signal's terms are among the
-    first's; and one set of transport exponentials for every N.
+    table, since N_list increases and each signal's terms, which run from
+    the outermost mode inward, are a prefix of the first's; and one set of
+    transport exponentials for every N.
     """
     if not 0.0 < T < TWO_PI / params.u_bar:
         raise DomainError(f"witness needs 0 < T < {TWO_PI / params.u_bar:.4f}, got {T}")
@@ -209,8 +210,8 @@ def small_time_witness(
 
     profiles: dict[int, np.ndarray] = {}
     ns = np.arange(-cutoff, cutoff + 1)
-    # one FFT for every carrier; each signal after the first gathers its
-    # energy's pair table from the first one's
+    # one FFT for every carrier; each signal after the first reads its
+    # energy's pair table as the leading block of the first one's
     bumps, tails = bump_coefficients(bump_spec, cutoff, carrier=_MODULATION_FACTOR * np.asarray(N_list))
     for N, filtered in zip(N_list, bumps):
         filtered[np.abs(ns) <= N] = 0.0  # the zeros of P_N and the removed mean

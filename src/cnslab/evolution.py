@@ -231,20 +231,27 @@ def observation_signals(
     The data are eigen-coordinates stacked as ``(k, modes, dim)`` on the
     modes ``ns`` of the slice.  The observed basis vectors and every datum's
     terms are formed at once; only the choice of terms is made per datum.
-    Terms run mode by mode in the order of ``ns``, then by (column, chain
-    level) of :func:`chain_links`; a zero coefficient contributes none.
-    Each datum's signal equals that of a stack of it alone, bit for bit.
+    Terms run mode by mode from the largest ``|n|`` inward, modes of equal
+    ``|n|`` in the order of ``ns``, then by (column, chain level) of
+    :func:`chain_links`; a zero coefficient contributes none.  So a datum
+    whose low modes vanish has a signal whose terms lead another's that
+    keeps them, and :func:`~cnslab.kernels.signal_energy` reads its pair
+    table from the other's.  Each datum's signal equals that of a stack of
+    it alone, bit for bit.
     """
     table = slice_.basis
-    rows = table.rows(ns)
-    observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), ns[:, None], slice_.params)
+    outward = np.argsort(-np.abs(ns), kind="stable")
+    rows = table.rows(ns)[outward]
+    observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), ns[outward, None], slice_.params)
     terms, rates, degrees, keep = [], [], [], []
     for c, k, factorial, linked in chain_links(table.levels[rows]):
-        term = coefficients[..., c] * observed[:, c - k]
+        coefficient = coefficients[:, outward, c]  # one column at a time: the block itself is not copied
+        term = coefficient * observed[:, c - k]
         terms.append(term / factorial if k else term)
         rates.append(table.rates[rows, c])
         degrees.append(k)
-        keep.append(linked & (coefficients[..., c] != 0.0))
+        keep.append(linked & (coefficient != 0.0))
+    del coefficient, term  # neither is held while the lists are stacked
     terms, rates, keep = np.stack(terms, axis=-1), np.stack(rates, axis=-1), np.stack(keep, axis=-1)
     degrees = np.broadcast_to(np.array(degrees, dtype=np.int64), rates.shape)
     return [
@@ -261,7 +268,7 @@ def observation_signal(
 ) -> ObservationSignal:
     """Boundary observation of the adjoint solution as a closed-form signal (:func:`observation_signals` of one).
 
-    Terms run mode by mode in the expansion's order.
+    Terms run mode by mode from the largest ``|n|`` inward.
     """
     ns, coefficients = expansion.stacked()
     return observation_signals(coefficients[None], ns, slice_, channel, T)[0]

@@ -469,13 +469,14 @@ def _scaled_targets(targets: list[complex], exps: list[int], bits: int) -> Scale
 
 
 def solve(gram: Gram, columns: list[Kernel], targets: list[complex], dps: int, tol: float) -> tuple | None:
-    """``(residual, x, sqrt(x^H G x))`` of the Cholesky solve of ``G x = targets`` at a rung of ``dps`` digits.
+    """``(residual, x, sqrt(x^H G x), H y)`` of the Cholesky solve of ``G x = targets`` at a rung of ``dps`` digits.
 
     ``gram`` and ``columns`` come from :func:`unit_gram` at that rung.
     ``H y = D b`` (``H = D G D``) is factorized and substituted at
     :func:`_dps_bits` of ``dps``, and ``x = D y``.  Returns None when a pivot
-    is not positive, and ``(residual, None, 0.0)`` when the relative moment
-    residual exceeds ``tol``; otherwise ``x`` is refined once.
+    is not positive, and ``(residual, None, 0.0, None)`` when the relative
+    moment residual exceeds ``tol``; otherwise ``x`` is refined once and
+    ``H y``, exact, is that of the refined ``y``.
     """
     prec = _dps_bits(dps)
     factor = _cholesky(gram, prec)
@@ -488,43 +489,49 @@ def solve(gram: Gram, columns: list[Kernel], targets: list[complex], dps: int, t
     # b - G x = D^-1 (D b - H y)
     residual = _norm(_rescaled(r, gram.exps)) / b_norm
     if residual > tol:
-        return residual, None, 0.0
+        return residual, None, 0.0, None
     # one step of refinement: the rung's arithmetic leaves an error of about
     # cond(H) 2**-prec in y, the guard-bit residual and Gram bring it to
     # about cond(H) 2**-(prec + guard)
-    y = _combine(add, y, _cholesky_solve(factor, r, prec))
-    r = _residual(gram, y, b)
+    dy = _cholesky_solve(factor, r, prec)
+    y = _combine(add, y, dy)
+    # b - H (y + dy), at the same scale, from the short integers of dy
+    r = _residual(gram, dy, r)
     # x^H G x = y^H H y with H y = D b - r
     hy = _combine(sub, b, r)
     energy = sum(map(mul, y.re, hy.re)) + sum(map(mul, y.im, hy.im))
     x = _rescaled(y, [-e for e in gram.exps])
-    return _norm(_rescaled(r, gram.exps)) / b_norm, x, _sqrt_float(abs(energy), y.exp + hy.exp)
+    return _norm(_rescaled(r, gram.exps)) / b_norm, x, _sqrt_float(abs(energy), y.exp + hy.exp), hy
 
 
 def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels: list[tuple[str, list[KernelTerm]]],
-                      T: float, gram: Gram | None, columns: list[Kernel], x: ScaledVector) -> list[complex]:
+                      T: float, gram: Gram | None, columns: list[Kernel], x: ScaledVector,
+                      hy: ScaledVector | None = None) -> list[complex]:
     """``free[k] + G[r] x`` per row, each summed exactly and rounded once.
 
-    A row with a row ``g`` of the solve's Gram reads it; a row with None
-    integrates the next ``(label, kernel)`` of ``kernels`` against the kept
-    ``columns``.  With no Gram (no kept rows, the zero control) the pairings
-    are ``free``.
+    A row with a row ``g`` of the solve's Gram reads row ``g`` of ``G x``:
+    ``hy`` (``H y`` of :func:`solve`, whose ``x`` this must be) scaled by
+    ``2**exps[g]``, or, with None, the product formed here.  A row with
+    None integrates the next ``(label, kernel)`` of ``kernels`` against the
+    kept ``columns``.  With no Gram (no kept rows, the zero control) the
+    pairings are ``free``.
     """
     if gram is None:
         return list(free)
     bits = columns[0].bits
     fresh = [_kernel(label, kernel, T, bits) for label, kernel in kernels]
-    # x times the column scales of the solve's Gram and of the cross rows integrated here
-    kept_x = _rescaled(x, gram.exps)
+    if hy is None:
+        y = _rescaled(x, gram.exps)
+        hy = ScaledVector(*_gram_times(gram.re, gram.im, y.re, y.im), y.exp - gram.bits)
+    # x times the column scales of the cross rows integrated here
     fresh_x = _rescaled(x, [column.exp for column in columns])
-    kept_re, kept_im = _gram_times(gram.re, gram.im, kept_x.re, kept_x.im)
     fresh_rows = zip(
         *_gram_times(*_moment_gram(fresh, columns, T, bits), fresh_x.re, fresh_x.im),
         [kernel.exp - bits + fresh_x.exp for kernel in fresh],
     )
     out = []
     for f, g in zip(free, gram_rows):
-        fr, fi, exp = next(fresh_rows) if g is None else (kept_re[g], kept_im[g], gram.exps[g] - gram.bits + kept_x.exp)
+        fr, fi, exp = next(fresh_rows) if g is None else (hy.re[g], hy.im[g], gram.exps[g] + hy.exp)
         out.append(complex(_float(_fixed(f.real, -exp) + fr, exp), _float(_fixed(f.imag, -exp) + fi, exp)))
     return out
 

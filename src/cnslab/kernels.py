@@ -164,12 +164,11 @@ def _split(x):
 
 
 class _PairTable(NamedTuple):
-    """A pair table with its key, ``|K|`` and the row of each of its terms."""
+    """A pair table with its key and ``|K|``."""
 
     key: tuple
     K: np.ndarray
     abs_K: np.ndarray
-    rows: dict
 
 
 #: the last table :func:`signal_energy` built; one slot, so at most one table is held
@@ -189,12 +188,12 @@ def signal_energy(coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarr
 
     ``K`` depends on the terms' rates, degrees and ``T`` only, not on the
     coefficients, and each entry on its own pair of terms only.  So the last
-    table is held with ``|K|`` in one slot: a call whose rates, degrees and
-    ``T`` are byte-equal to it reads both as they are, and a call at the same
-    ``T`` whose every (rate, degree) is one of the table's gathers its rows
-    and columns from both and leaves the larger table in the slot.  Any other
-    call drops the old table before it builds its own, so two never coexist.
-    The held tables are read-only.
+    table is held with ``|K|`` in one slot.  A call at the same ``T`` whose
+    ``k`` rates and degrees are, byte for byte, the first ``k`` of the held
+    table's reads the leading ``(k, k)`` blocks of both as views and leaves
+    the table in the slot; a byte-equal call is the case of all of them.
+    Any other call drops the old table before it builds its own, so two
+    never coexist.  The held tables are read-only.
     """
     global _pair_table
     c = np.asarray(coefficients, dtype=complex)
@@ -202,37 +201,18 @@ def signal_energy(coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarr
     degrees = np.ascontiguousarray(degrees, dtype=np.int64)
     key = (rates.tobytes(), degrees.tobytes(), float(T))
     held = _pair_table
-    # the rows and columns of the held tables this call reads; ``...`` reads them whole, as views
-    rows = ... if held is not None and held.key == key else _held_rows(held, rates, degrees, key[2])
-    if rows is None:
+    # the held table serves every call at its T whose rates and degrees lead its own
+    if held is None or held.key[2] != key[2] or not all(map(bytes.startswith, held.key[:2], key[:2])):
         held = _pair_table = None  # no reference keeps the old table alive while the new one is built
         K = pair_integrals(rates, degrees, T)
         abs_K = np.abs(K)
         K.flags.writeable = abs_K.flags.writeable = False
-        held = _pair_table = _PairTable(key, K, abs_K, dict(zip(_term_keys(rates, degrees), range(rates.size))))
-        rows = ...
-    # a subset gathers from one of the two tables at a time
-    value = float((c @ held.K[rows] @ c.conj()).real)
+        held = _pair_table = _PairTable(key, K, abs_K)
+    lead = slice(rates.size)
+    value = float((c @ held.K[lead, lead] @ c.conj()).real)
     abs_c = np.abs(c)
-    bound = float(np.finfo(float).eps * c.size * (abs_c @ held.abs_K[rows] @ abs_c))
+    bound = float(np.finfo(float).eps * c.size * (abs_c @ held.abs_K[lead, lead] @ abs_c))
     return value, bound
-
-
-def _held_rows(held: _PairTable | None, rates: np.ndarray, degrees: np.ndarray, T: float):
-    """``np.ix_`` of the held table's rows for these terms.
-
-    None if no table is held, its ``T`` differs or one of the terms is not in it.
-    """
-    if held is None or held.key[2] != T:
-        return None
-    rows = [held.rows.get(term) for term in _term_keys(rates, degrees)]
-    return None if None in rows else np.ix_(rows, rows)
-
-
-def _term_keys(rates: np.ndarray, degrees: np.ndarray) -> list[bytes]:
-    """One key per term: the bytes of its rate and its degree."""
-    packed = np.column_stack((rates.view(np.int64).reshape(-1, 2), degrees))
-    return packed.view(np.dtype((np.void, packed.itemsize * 3))).ravel().tolist()
 
 
 def signal_energy_exact(terms, T: float) -> float:

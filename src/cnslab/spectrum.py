@@ -273,8 +273,9 @@ class SpectrumSlice:
     """Eigenstructure of all modes ``1 <= |n| <= N``, with coincidence data.
 
     :attr:`basis` is the one store.  :attr:`modes` holds per-mode
-    :class:`ModeSpectrum` views of it and :attr:`conds` the condition
-    numbers of its basis matrices, each built on first use and cached.
+    :class:`ModeSpectrum` views of it, :attr:`conds` the condition numbers
+    of its basis matrices and :attr:`coincidences` its shared eigenvalues,
+    each built on first use and cached.
     Treated as immutable once built; the arrays of :attr:`basis` are read-only.
     """
 
@@ -282,7 +283,6 @@ class SpectrumSlice:
     N: int
     clustering_tolerance: float
     basis: BasisTable
-    coincidences: list[Coincidence]
 
     @property
     def dim(self) -> int:
@@ -303,6 +303,11 @@ class SpectrumSlice:
         if self.dim == 2:
             return _closed_form_svd(self.basis.basis, condition=True)
         return np.linalg.cond(self.basis.basis)
+
+    @cached_property
+    def coincidences(self) -> list[Coincidence]:
+        """Every pair of (mode, branch) slots whose values agree within the clustering tolerance."""
+        return _coincidences(self.basis, _BRANCHES[self.dim], self.clustering_tolerance)
 
     def mode(self, n: int) -> ModeSpectrum:
         return self.modes[n]
@@ -882,14 +887,14 @@ def build_slice(
     N: int,
     clustering_tolerance: float = DEFAULT_CLUSTERING_TOL,
 ) -> SpectrumSlice:
-    """Eigenstructure over the window ``1 <= |n| <= N`` plus coincidence table.
+    """Eigenstructure over the window ``1 <= |n| <= N``; the coincidence table is built on first read.
 
     A mode outside clustering reach (see :func:`_within_reach`) keeps the
     eigenvectors in branch order as its basis; the row of a mode within reach
     is overwritten with the columns of :func:`_cluster_mode`.  Every array of
     the table is read-only once filled.  Chains are attached only inside a
     single mode matrix; coincidences across modes (distinct eigenfunctions)
-    are recorded in the table but never chained.
+    are recorded in :attr:`SpectrumSlice.coincidences` but never chained.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -910,7 +915,6 @@ def build_slice(
         N=N,
         clustering_tolerance=clustering_tolerance,
         basis=table,
-        coincidences=_coincidences(table, _BRANCHES[params.dim], clustering_tolerance),
     )
 
 

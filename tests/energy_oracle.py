@@ -10,7 +10,9 @@ Slow implementations that production code no longer uses:
   pair of terms, which :func:`cnslab.kernels.pair_integrals` replaced with
   one exponential per term;
 * the scalar loop for ``integral_0^T s**m exp(z*s) ds`` that the broadcast
-  path replaced in turn.
+  path replaced in turn;
+* the Hermitian form at extended precision, :func:`energy_mp`, for the
+  long cancelling signals where the double-precision form loses digits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from cnslab.errors import DomainError, QuadratureNotConverged
-from cnslab.kernels import TAYLOR_RADIUS, _taylor
+from cnslab.kernels import TAYLOR_RADIUS, _taylor, exp_recurrence_mp, poly_exp_integral_mp
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -136,3 +138,35 @@ def _recurrence(m: np.ndarray, z: np.ndarray, T: float) -> np.ndarray:
         up = m >= k
         val[up] = (T**k * ezt[up] - k * val[up]) / z[up]
     return val
+
+
+def energy_mp(signal, dps: int = 40) -> float:
+    """``sum_ab c_a conj(c_b) I_ab`` of the signal's terms at ``dps`` digits, rounded to a float.
+
+    One ``exp(rate*T)`` per term: a pair's exponential is the product
+    ``e^{a T} conj(e^{b T})``, away from the Taylor ball around ``z = 0``.
+    The order of the terms does not matter at this precision.
+    """
+    import mpmath
+
+    terms = signal.terms
+    with mpmath.workdps(dps):
+        c = [mpmath.mpc(t.coef) for t in terms]
+        nu = [mpmath.mpc(t.rate) for t in terms]
+        T = mpmath.mpf(signal.horizon)
+        ezt = [mpmath.exp(r * T) for r in nu]
+        c_conj, nu_conj, ezt_conj = ([mpmath.conj(x) for x in xs] for xs in (c, nu, ezt))
+        exact = mpmath.mpf(0)
+        for a in range(len(terms)):
+            row = []
+            for b in range(a, len(terms)):
+                m = terms[a].degree + terms[b].degree
+                z = nu[a] + nu_conj[b]
+                if abs(terms[a].rate + terms[b].rate.conjugate()) * signal.horizon < TAYLOR_RADIUS:
+                    integral = poly_exp_integral_mp(m, z, T)
+                else:
+                    integral = exp_recurrence_mp(m, z, T, ezt[a] * ezt_conj[b])
+                row.append((c_conj[b], integral))
+            # sum over b >= a of c_a conj(c_b) I_ab, off-diagonal pairs twice
+            exact += (c[a] * (2 * mpmath.fdot(row) - row[0][0] * row[0][1])).real
+        return float(exact)

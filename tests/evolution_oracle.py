@@ -170,11 +170,15 @@ def adjoint_state(expansion: EigenExpansion, slice_: SpectrumSlice, T: float, t:
 def observation_terms(
     expansion: EigenExpansion, slice_: SpectrumSlice, channel: ObservationChannel
 ) -> list[KernelTerm]:
-    """Boundary observation of the adjoint solution, one ``KernelTerm`` per term."""
+    """Boundary observation of the adjoint solution, one ``KernelTerm`` per term.
+
+    Modes run from the largest ``|n|`` inward, modes of equal ``|n|`` in the
+    expansion's order, as production lists them.
+    """
     if not channel_dim_ok(channel, slice_.dim):
         raise DimMismatch("temperature channel requires the three-field system")
     terms: list[KernelTerm] = []
-    for n, a_n in expansion.coefficients.items():
+    for n, a_n in sorted(expansion.coefficients.items(), key=lambda item: -abs(item[0])):
         offset = 0
         for value, vectors, is_chain in _cluster_blocks(slice_, n):
             m = len(vectors)
@@ -321,6 +325,8 @@ def quotient_alone(
     ``(modes, dim)`` arrays and the norm summed in Python floats.  Numpy
     rounds some operations by the shape of their operands, so a stacked
     pass that equals this bit for bit rounds each field as it would alone.
+    The signal's terms take production's order: modes from the largest
+    ``|n|`` inward, ``-n`` before ``n``.
     No check is made: the caller passes a field and slice that fit.
     """
     table = slice_.basis
@@ -340,9 +346,12 @@ def quotient_alone(
         keep.append(linked & (coefficients[:, c] != 0.0))
         weight = weights[:, c] * (T**k / factorial) if k else weights[:, c]
         modes[linked] += weight[linked, None] * table.basis[linked, :, c - k]
-    keep = np.stack(keep, axis=1)
+    outward = np.argsort(-np.abs(table.ns), kind="stable")
+    keep = np.stack(keep, axis=1)[outward]
     degrees = np.broadcast_to(np.array(degrees, dtype=np.int64), keep.shape)
-    energy, bound = signal_energy(np.stack(terms, axis=1)[keep], np.stack(rates, axis=1)[keep], degrees[keep], T)
+    energy, bound = signal_energy(
+        np.stack(terms, axis=1)[outward][keep], np.stack(rates, axis=1)[outward][keep], degrees[keep], T
+    )
     state = np.zeros((2 * slice_.N + 1, slice_.dim), dtype=complex)
     state[table.ns + slice_.N] = modes
     ns = np.arange(-slice_.N, slice_.N + 1)

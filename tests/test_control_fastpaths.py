@@ -11,7 +11,9 @@ point.  ``control_oracle`` keeps mpmath numbers, per-pair exponentials,
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import operator
 
 import mpmath
 import numpy as np
@@ -280,6 +282,33 @@ class TestSolution:
                 )
                 got = record.per_row_residuals[(row.n, row.cluster_index, row.position)]
                 assert abs(got - want) <= 1e-25 * scale + 1e-15 * want
+
+    @staticmethod
+    def _assert_solve_products_reused(solution, N_verify: int):
+        """The solve's ``H y`` is its Gram times the solution, exactly, and a
+        verification that forms the product anew gives the same record."""
+        gram = solution.gram
+        y = fixedpoint._rescaled(solution.x, gram.exps)
+        fresh = fixedpoint.ScaledVector(*fixedpoint._gram_times(gram.re, gram.im, y.re, y.im), y.exp - gram.bits)
+        difference = fixedpoint._combine(operator.sub, solution.hy, fresh)
+        assert not any(difference.re) and not any(difference.im)
+        # a solution replaced, even with the same coefficients, carries no product
+        replaced = dataclasses.replace(solution)
+        assert replaced.hy is None
+        assert verify_terminal(replaced, N_verify) == verify_terminal(solution, N_verify)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=physical_cases())
+    def test_verification_reads_the_solve_products(self, case):
+        _, slice_, system = case
+        self._assert_solve_products_reused(_solved(system), slice_.N)
+
+    @pytest.mark.parametrize("params", [WORKHORSE, UNIT], ids=["workhorse", "jordan-chain"])
+    def test_verification_reads_the_second_rung_products(self, params):
+        system = build_moment_system(_field(1, 6), ObservationChannel.DENSITY, 0.5, _slice(params, 8), 6)
+        solution = synthesize_control(system)
+        assert solution.solve_dps == 80
+        self._assert_solve_products_reused(solution, 8)
 
     @settings(max_examples=30, deadline=None)
     @given(

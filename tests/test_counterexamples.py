@@ -160,6 +160,22 @@ class TestSmallTimeWitness:
         assert peak < 2.3e6
         assert kept - held.K.nbytes - held.abs_K.nbytes < 64e3
 
+    @pytest.mark.parametrize("N_list", [[6, 8, 12, 16], [8, 12, 16, 24]])
+    def test_one_pair_table_per_call(self, nondegenerate_barotropic, monkeypatch, N_list):
+        # each later signal's terms lead the first one's (outermost mode
+        # first), so its energy reads the first table and none is built again
+        pair_integrals = kernels.pair_integrals
+        sizes = []
+
+        def counted(rates, degrees, T):
+            sizes.append(rates.size)
+            return pair_integrals(rates, degrees, T)
+
+        monkeypatch.setattr(kernels, "_pair_table", None)
+        monkeypatch.setattr(kernels, "pair_integrals", counted)
+        small_time_witness(nondegenerate_barotropic, 3.0, N_list, BumpSpec(x_left=3.2, x_right=5.8))
+        assert len(sizes) == 1 and kernels._pair_table.K.shape == (sizes[0], sizes[0])
+
     def test_slope_stable_across_seeds(self, nondegenerate_barotropic):
         slopes = []
         for seed in (1, 2, 3):

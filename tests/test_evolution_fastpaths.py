@@ -349,11 +349,12 @@ class TestHandBuiltExpansions:
         # level-0 terms are the plain products in chain and other columns
         # alike, with no factor 0! = 1, so their -0 survives (the oracle's
         # division by 0! turns those of the chain columns into +0); only the
-        # level-1 term is divided, by 1! = 1, which gives +0
+        # level-1 term is divided, by 1! = 1, which gives +0; mode 2's terms
+        # come first (outermost mode first), then mode 1's chain
         expansion = EigenExpansion(dim=2, coefficients={1: np.array([negative, negative]), 2: np.array([negative, negative])})
         signal = observation_signal(expansion, slice_, ObservationChannel.DENSITY, 1.5)
-        assert signal.degrees.tolist() == [0, 0, 1, 0, 0]
-        assert np.signbit(signal.coefficients.imag).tolist() == [True, True, False, True, True]
+        assert signal.degrees.tolist() == [0, 0, 0, 0, 1]
+        assert np.signbit(signal.coefficients.imag).tolist() == [True, True, True, True, False]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from energy_oracle import poly_exp_integral, poly_exp_integral_scalar, quadrature_energy
+from energy_oracle import energy_mp, poly_exp_integral, poly_exp_integral_scalar, quadrature_energy
 from evolution_oracle import signal_from_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +16,10 @@ from cnslab.fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
 from cnslab.kernels import (
     TAYLOR_RADIUS,
     KernelTerm,
-    exp_recurrence_mp,
     poly_exp_integral_mp,
     signal_energy_exact,
 )
-from cnslab.model import BarotropicParams
+from cnslab.model import BarotropicParams, NonBarotropicParams
 from cnslab.observability import (
     ingham_audit,
     observability_quotient,
@@ -138,7 +137,19 @@ class TestObservationEnergy:
         assert energy == pytest.approx(quadrature_energy(signal)[0], rel=1e-10)
         assert 0.0 <= bound <= 1e-3 * energy
 
-    def test_criterion7_witness_signals_against_40_digits(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "params,N_list",
+        [
+            (BarotropicParams(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3), [8, 12, 16, 24]),
+            # the smalltime-witness benchmark's configuration
+            (BarotropicParams(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3), [6, 8, 12, 16]),
+            # generic_nonbarotropic: three fields, no coincidences
+            (NonBarotropicParams(rho_bar=1.0, u_bar=0.9, theta_bar=1.0, lambda0=1.0, kappa0=2.0, R=1.0, c0=1.0),
+             [6, 8, 12, 16]),
+        ],
+        ids=["workhorse", "benchmark", "three-field"],
+    )
+    def test_criterion7_witness_signals_against_40_digits(self, monkeypatch, params, N_list):
         # the small-time witness signals cancel to ~1e-9 of sum |c|**2, the
         # hardest case for the double-precision Hermitian form; the witness
         # takes its energies through observability_quotients
@@ -150,40 +161,17 @@ class TestObservationEnergy:
             return production(signal)
 
         monkeypatch.setattr(observability, "observation_energy", recording)
-        workhorse = BarotropicParams(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3)
-        counterexamples.small_time_witness(workhorse, 3.0, [8, 12, 16, 24], counterexamples.BumpSpec(3.2, 5.8))
+        counterexamples.small_time_witness(params, 3.0, N_list, counterexamples.BumpSpec(3.2, 5.8))
         assert len(signals) == 4
         for signal in signals:
             value, bound = observation_energy(signal)
-            terms = signal.terms
-            with mpmath.workdps(40):
-                c = [mpmath.mpc(t.coef) for t in terms]
-                nu = [mpmath.mpc(t.rate) for t in terms]
-                T = mpmath.mpf(signal.horizon)
-                # one exp(rate*T) per term; a pair's exponential is the product
-                # e^{a T} conj(e^{b T}), away from the Taylor ball around z = 0
-                ezt = [mpmath.exp(r * T) for r in nu]
-                c_conj, nu_conj, ezt_conj = ([mpmath.conj(x) for x in xs] for xs in (c, nu, ezt))
-                exact = mpmath.mpf(0)
-                for a in range(len(terms)):
-                    row = []
-                    for b in range(a, len(terms)):
-                        m = terms[a].degree + terms[b].degree
-                        z = nu[a] + nu_conj[b]
-                        if abs(terms[a].rate + terms[b].rate.conjugate()) * signal.horizon < TAYLOR_RADIUS:
-                            integral = poly_exp_integral_mp(m, z, T)
-                        else:
-                            integral = exp_recurrence_mp(m, z, T, ezt[a] * ezt_conj[b])
-                        row.append((c_conj[b], integral))
-                    # sum over b >= a of c_a conj(c_b) I_ab, off-diagonal pairs twice
-                    exact += (c[a] * (2 * mpmath.fdot(row) - row[0][0] * row[0][1])).real
-                exact = float(exact)
+            exact = energy_mp(signal)
             assert abs(value - exact) <= 1e-6 * exact
             assert bound >= abs(value - exact)
 
 
 class TestPairTable:
-    """``signal_energy`` keeps its last pair table and reuses it on byte-equal rates, degrees and T."""
+    """``signal_energy`` keeps its last pair table and reads its leading block for every byte prefix of its terms at its T."""
 
     @staticmethod
     def _terms(seed, n=12):
@@ -253,21 +241,16 @@ class TestPairTable:
 
     def test_one_term_table_is_the_diagonal_entry(self):
         # numpy's lone 1 x 1 product rounds otherwise than a row's; a one-term
-        # subset is gathered from a row, so its fresh table must agree
+        # prefix reads the first entry of a larger table, so its fresh table must agree
         _, rates, degrees = self._terms(452615)
         K = kernels.pair_integrals(rates, degrees, 7.0)
         for i in range(rates.size):
             one = kernels.pair_integrals(rates[i : i + 1], degrees[i : i + 1], 7.0)
             assert one.shape == (1, 1) and one[0, 0].tobytes() == K[i, i].tobytes()
 
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), T=st.floats(0.1, 8.0), data=st.data())
-    def test_subsets_of_the_held_terms_equal_fresh_evaluations(self, seed, T, data):
-        c, rates, degrees = self._terms(seed)
-        # the held set repeats two of its (rate, degree) terms
-        twice = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 7])
-        c, rates, degrees = c[twice], rates[twice], degrees[twice]
-        rng = np.random.default_rng(seed)
+    @staticmethod
+    def _counting(mp):
+        """Patch ``pair_integrals`` to record the slot's content at each build; returns the record."""
         pair_integrals = kernels.pair_integrals
         built = []
 
@@ -275,26 +258,65 @@ class TestPairTable:
             built.append(kernels._pair_table)
             return pair_integrals(*args)
 
+        mp.setattr(kernels, "pair_integrals", counted)
+        return built
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.floats(0.1, 8.0), n=st.integers(1, 14))
+    def test_every_prefix_reads_the_leading_block(self, seed, T, n):
+        # every prefix length, 1 and n included, reads the held table's
+        # leading block as views, and its value and bound equal those of a
+        # call from an empty slot bit for bit
+        c, rates, degrees = self._terms(seed, n)
+        rng = np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_pair_table", None)
-            mp.setattr(kernels, "pair_integrals", counted)
+            built = self._counting(mp)
             kernels.signal_energy(c, rates, degrees, T)
             held = kernels._pair_table
+            K, abs_K = held.K.copy(), held.abs_K.copy()
             calls = []
-            for _ in range(3):
-                # a subsequence, with repeats
-                rows = sorted(data.draw(st.lists(st.integers(0, rates.size - 1), min_size=1, max_size=rates.size + 4)))
-                sub = (rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows)), rates[rows], degrees[rows])
-                calls.append((sub, kernels.signal_energy(*sub, T)))
+            for k in range(1, n + 1):
+                prefix = (rng.normal(size=k) + 1j * rng.normal(size=k), rates[:k].copy(), degrees[:k].copy())
+                calls.append((prefix, kernels.signal_energy(*prefix, T)))
                 assert kernels._pair_table is held
             assert built == [None]
-            # another horizon misses, and so does a term the table does not hold
-            kernels.signal_energy(*calls[0][0], T + 0.5)
+            np.testing.assert_array_equal(held.K, K)
+            np.testing.assert_array_equal(held.abs_K, abs_K)
+            mp.undo()
+            for prefix, got in calls:
+                assert [x.hex() for x in got] == [x.hex() for x in self._fresh(mp, *prefix, T)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.floats(0.1, 8.0), data=st.data())
+    def test_subsets_of_the_held_terms_equal_fresh_evaluations(self, seed, T, data):
+        # a subset that is not a prefix (a later start, a gap, a repeat, another
+        # order) drops the held table and builds its own, equal to a cold call;
+        # so do a prefix at another horizon and a call that extends the table
+        c, rates, degrees = self._terms(seed)
+        rng = np.random.default_rng(seed)
+        not_prefix = st.lists(st.integers(0, rates.size - 1), min_size=1, max_size=rates.size + 4).filter(
+            lambda rows: rows != list(range(len(rows)))
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_pair_table", None)
+            built = self._counting(mp)
+            calls = []
+            for _ in range(3):
+                rows = data.draw(not_prefix)
+                sub = (rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows)), rates[rows], degrees[rows])
+                kernels.signal_energy(c, rates, degrees, T)
+                held = kernels._pair_table
+                calls.append((sub, kernels.signal_energy(*sub, T)))
+                assert kernels._pair_table is not held and kernels._pair_table.key[0] == sub[1].tobytes()
+            kernels.signal_energy(c, rates, degrees, T)
+            kernels.signal_energy(c[:4], rates[:4], degrees[:4], T + 0.5)
             kernels.signal_energy(np.append(c, 1.0), np.append(rates, -1.0 + 0.5j), np.append(degrees, 0), T)
-            assert built == [None, None, None]
-            mp.setattr(kernels, "pair_integrals", pair_integrals)
+            # every call built a table, each in an empty slot
+            assert built == [None] * 9
+            mp.undo()
             for sub, got in calls:
-                assert got == self._fresh(mp, *sub, T)
+                assert [x.hex() for x in got] == [x.hex() for x in self._fresh(mp, *sub, T)]
 
 
 class TestPairIntegrals:

@@ -21,13 +21,29 @@ one ``--verify`` run), each in a fresh temporary directory, with the
 sorted, so that two checkouts whose artifacts are byte-identical print the
 same text and ``diff`` of the two outputs is empty.  Nothing is written into
 the checkout: ``workloads.py`` is imported by path with bytecode caching off.
+
+    python3 tools/artifact_digests.py CHECKOUT --against OTHER
+
+runs both checkouts, each in its own process, and prints for every artifact
+whose bytes differ one line per JSON key or CSV column that differs:
+
+    label/file key largest-relative-difference
+
+The relative difference of two numbers is ``|a - b| / max(|a|, |b|)``.  A
+JSON key names its path, ``.``-joined; list items that are objects or lists
+share one ``[]`` key, scalar items keep their ``[i]``.  A non-numeric value
+that differs prints ``differs``, a key or file only one side has ``missing``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.util
+import json
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -95,23 +111,25 @@ def load_workloads(checkout: Path):
     return module
 
 
-def _run(wl, label: str, text: str, verify: bool = False) -> list[str]:
-    """``label/file sha256`` of every artifact of one config run in a fresh directory."""
+def _run(wl, label: str, text: str, verify: bool = False, keep: Path | None = None) -> list[str]:
+    """``label/file sha256`` of every artifact of one config run in a fresh directory, copied to ``keep/label``."""
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "run.ini", Path(tmp) / "out"
         config.write_text(text)
         code = wl.cli.run(config, out, verify=verify)
         if code != 0:
             raise SystemExit(f"{label}: exit code {code}")
+        if keep is not None:
+            shutil.copytree(out, keep / label)
         return [f"{label}/{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}" for path in sorted(out.iterdir())]
 
 
-def digests(wl) -> list[str]:
+def digests(wl, keep: Path | None = None) -> list[str]:
     lines = []
     for name, workload in wl.WORKLOADS.items():
         for seed in wl.POOL_SEEDS:
             for run, text in enumerate(workload.configs(seed)):
-                lines += _run(wl, f"{name}/{seed}/{run}", text)
+                lines += _run(wl, f"{name}/{seed}/{run}", text, keep=keep)
     params = {"workhorse": wl.WORKHORSE, "shared": wl.SHARED_EIGENVALUE, "generic": GENERIC_THREE_FIELD,
               "degenerate": DEGENERATE_BAROTROPIC}
     for name, (system, key, command, section, verify) in EXTRA.items():
@@ -119,15 +137,102 @@ def digests(wl) -> list[str]:
             ["[run]", f"system = {system}", f"command = {command}", "seed = 0", "", "[params]"]
             + [f"{k} = {v!r}" for k, v in params[key].items()]
         )
-        lines += _run(wl, f"extra/{name}", text + "\n\n" + section, verify)
+        lines += _run(wl, f"extra/{name}", text + "\n\n" + section, verify, keep)
     return sorted(lines)
+
+
+def _relative(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def _flatten(value, key: str, out: dict[str, list]) -> None:
+    """Every scalar of a JSON value under its key path, appended to ``out[path]``."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _flatten(v, f"{key}.{k}" if key else str(k), out)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _flatten(v, f"{key}[]" if isinstance(v, (dict, list)) else f"{key}[{i}]", out)
+    else:
+        out.setdefault(key, []).append(value)
+
+
+def _columns(path: Path) -> dict[str, list]:
+    """A CSV file's columns by header name, values as read."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+
+def _number(x):
+    """``x`` as a float if it is a number (a JSON number or a CSV field that parses), else None."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def _key_differences(a: dict[str, list], b: dict[str, list]) -> list[tuple[str, str]]:
+    """``(key, difference)`` of every key whose values differ: the largest relative difference, ``differs`` or ``missing``."""
+    out = []
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b or len(a[key]) != len(b[key]):
+            out.append((key, "missing"))
+            continue
+        if a[key] == b[key]:
+            continue
+        numbers = [(_number(x), _number(y)) for x, y in zip(a[key], b[key])]
+        if any(x is None or y is None for x, y in numbers):
+            out.append((key, "differs"))
+        else:
+            out.append((key, f"{max(_relative(x, y) for x, y in numbers):.2e}"))
+    return out
+
+
+def compare(left: Path, right: Path) -> list[str]:
+    """``label/file key difference`` for every artifact of two kept trees whose bytes differ."""
+    names = sorted({p.relative_to(root) for root in (left, right) for p in root.rglob("*") if p.is_file()})
+    lines = []
+    for name in names:
+        a, b = left / name, right / name
+        if not (a.exists() and b.exists()):
+            lines.append(f"{name} (file) missing")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        if name.suffix == ".json":
+            flat = []
+            for path in (a, b):
+                flat.append({})
+                _flatten(json.loads(path.read_text()), "", flat[-1])
+        elif name.suffix == ".csv":
+            flat = [_columns(a), _columns(b)]
+        else:
+            lines.append(f"{name} (bytes) differs")
+            continue
+        lines += [f"{name} {key} {difference}" for key, difference in _key_differences(*flat)]
+    return lines
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path, help="root of a cnslab checkout (holds src/ and perfbench/)")
+    parser.add_argument("--against", type=Path, metavar="OTHER",
+                        help="another checkout: print the keys and columns whose values differ, not digests")
+    parser.add_argument("--keep", type=Path, metavar="DIR", help="also copy every artifact to DIR/label/file")
     args = parser.parse_args(argv)
-    print("\n".join(digests(load_workloads(args.checkout.resolve()))))
+    if args.against is None:
+        print("\n".join(digests(load_workloads(args.checkout.resolve()), args.keep)))
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = [Path(tmp) / "checkout", Path(tmp) / "against"]
+        for checkout, tree in zip((args.checkout, args.against), trees):
+            # one process per checkout: each imports its own cnslab
+            subprocess.run([sys.executable, __file__, str(checkout.resolve()), "--keep", str(tree)],
+                           check=True, stdout=subprocess.DEVNULL)
+        print("\n".join(compare(*trees)))
     return 0
 
 
