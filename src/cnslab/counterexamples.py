@@ -31,10 +31,10 @@ from .evolution import ObservationChannel, adjoint_state, observation_signal, ob
 from .fields import NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
 from .model import SystemParams
 from .observability import (
-    observability_quotients,
+    coordinate_quotients,
     observation_energy,  # noqa: F401  (perfbench/spans.py traces this name)
 )
-from .spectrum import _BRANCH_ORDER, SpectrumSlice, build_slice
+from .spectrum import _BRANCH_ORDER, SpectrumSlice, _anchors, build_slice
 
 TWO_PI = 2.0 * np.pi
 #: Branch column of the hyperbolic eigenpair in a basis table (first in either system).
@@ -145,22 +145,6 @@ class SmallTimeWitnessReport:
         }
 
 
-def _hyperbolic_lift(params: SystemParams, filtered: np.ndarray, cutoff: int, slice_: SpectrumSlice) -> SpectralField:
-    """Terminal datum with hyperbolic-branch content matching a density profile.
-
-    The hyperbolic eigenvector's density component is the table's ``pinned[0]``
-    (``rho_bar`` on two fields), so scaling its coefficient by ``a_n P_N(n)/pinned[0]``
-    reproduces the filtered profile in the density slot.
-    """
-    table = slice_.basis
-    ns = np.arange(-cutoff, cutoff + 1)
-    live = (ns != 0) & (filtered != 0.0)
-    hyperbolic = table.vectors[table.rows(ns[live]), _HYPERBOLIC]
-    out = SpectralField.zeros(params.dim, cutoff)
-    out.coeffs[live] += (filtered[live] / params.coefficients.pinned[0])[:, None] * hyperbolic
-    return out
-
-
 def small_time_witness(
     params: SystemParams,
     T: float,
@@ -184,11 +168,17 @@ def small_time_witness(
     spectral accuracy -- so the fitted slope certifies the one-sided blow-up
     statement rather than an exact rate.
 
+    Each terminal datum is written as eigen-coordinates, without a field or
+    a basis solve: ``a_n/pinned[0]`` on the hyperbolic column reproduces
+    the filtered profile ``a_n`` in the density slot (the hyperbolic
+    eigenvector's density component is ``pinned[0]``, ``rho_bar`` on two
+    fields, ``R*rho_bar`` on three), and every other coordinate is zero.
+
     What does not depend on N is done once per call: one FFT of the bump,
     from which every carrier's coefficients are gathered; one stacked pass of
-    :func:`observability_quotients` over the lifts of every N; one pair
-    table, since N_list increases and each signal's terms, which run from
-    the outermost mode inward, are a prefix of the first's; and one set of
+    :func:`coordinate_quotients` over the data of every N; one pair table,
+    since N_list increases and each signal's terms, which run from the
+    outermost mode inward, are a prefix of the first's; and one set of
     transport exponentials for every N.
     """
     if not 0.0 < T < TWO_PI / params.u_bar:
@@ -207,26 +197,22 @@ def small_time_witness(
     margin = max(2 * max(N_list), 48)
     cutoff = _CUTOFF_FACTOR * max(N_list) + margin
     slice_ = build_slice(params, cutoff)
-
-    profiles: dict[int, np.ndarray] = {}
-    ns = np.arange(-cutoff, cutoff + 1)
+    modes, ns = slice_.basis.ns, np.arange(-cutoff, cutoff + 1)
     # one FFT for every carrier; each signal after the first reads its
     # energy's pair table as the leading block of the first one's
     bumps, tails = bump_coefficients(bump_spec, cutoff, carrier=_MODULATION_FACTOR * np.asarray(N_list))
-    for N, filtered in zip(N_list, bumps):
-        filtered[np.abs(ns) <= N] = 0.0  # the zeros of P_N and the removed mean
-        profiles[N] = filtered
-    reports = observability_quotients(
-        [_hyperbolic_lift(params, filtered, cutoff, slice_) for filtered in profiles.values()],
-        ObservationChannel.DENSITY, T, NormSpec.weighted_l2(params), slice_,
+    bumps[np.abs(ns) <= np.asarray(N_list)[:, None]] = 0.0  # the zeros of P_N and the removed mean
+    coordinates = np.zeros((len(N_list), modes.size, params.dim), dtype=complex)
+    coordinates[..., _HYPERBOLIC] = bumps[:, modes + cutoff] / params.coefficients.pinned[0]
+    reports = coordinate_quotients(
+        coordinates, modes, ObservationChannel.DENSITY, T, NormSpec.weighted_l2(params), slice_
     )
     table = {N: (r.quotient, r.energy, r.initial_norm) for N, r in zip(N_list, reports)}
 
     # Transport comparison at the boundary: the pure transport solution
-    # with rate i*u_bar*n - omega vanishes at the seam by construction.
-    hyp = np.zeros(ns.size, dtype=complex)
-    hyp[ns != 0] = slice_.basis.values[slice_.basis.rows(ns[ns != 0]), _HYPERBOLIC]
-    gaps = _transport_gaps(profiles, hyp, 1j * params.u_bar * ns - params.coefficients.omega, T)
+    # at the hyperbolic anchor i*u_bar*n - omega vanishes at the seam by construction.
+    hyp = np.insert(slice_.basis.values[:, _HYPERBOLIC], cutoff, 0.0)
+    gaps = _transport_gaps(dict(zip(N_list, bumps)), hyp, _anchors(params, ns)[:, _HYPERBOLIC], T)
 
     logN = np.log([float(N) for N in N_list])
     logq = np.log([table[N][0] for N in N_list])
@@ -382,7 +368,10 @@ def regularity_gap_witness(
     n_list: list[int],
     T: float = 2.0,
 ) -> RegularityGapRecord:
-    """Quotient decay of hyperbolic eigenfunctions in the dual norm of order s."""
+    """Quotient decay of hyperbolic eigenfunctions in the dual norm of order s.
+
+    Mode ``n``'s eigenfunction is the eigen-coordinate 1 on its hyperbolic column, zeros elsewhere.
+    """
     if channel is ObservationChannel.DENSITY:
         raise DomainError("the regularity gap concerns velocity/temperature observations")
     if not 0.0 <= s < 1.0:
@@ -390,11 +379,10 @@ def regularity_gap_witness(
     if len(n_list) < 2 or n_list[0] < 1 or any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise DomainError("n_list must be increasing with at least two entries, each >= 1")
     slice_ = build_slice(params, max(n_list))
-    hyperbolic = slice_.basis.vectors[slice_.basis.rows(n_list), _HYPERBOLIC]
-    reports = observability_quotients(
-        [SpectralField.single_mode(n, vector, max(n_list)) for n, vector in zip(n_list, hyperbolic)],
-        channel, T, NormSpec.dual_order(params, s), slice_,
-    )
+    modes = slice_.basis.ns
+    coordinates = np.zeros((len(n_list), modes.size, params.dim), dtype=complex)
+    coordinates[np.arange(len(n_list)), slice_.basis.rows(n_list), _HYPERBOLIC] = 1.0
+    reports = coordinate_quotients(coordinates, modes, channel, T, NormSpec.dual_order(params, s), slice_)
     table = {n: r.quotient for n, r in zip(n_list, reports)}
     logn = np.log([float(n) for n in n_list])
     logq = np.log([table[n] for n in n_list])

@@ -93,6 +93,43 @@ def standard_norm_spec(channel: ObservationChannel, params: SystemParams) -> Nor
 _TRIAL_BLOCK = 16
 
 
+def coordinate_quotients(
+    coordinates: np.ndarray, ns: np.ndarray, channel: ObservationChannel, T: float, norm_spec: NormSpec | None,
+    slice_: SpectrumSlice,
+) -> list[ObservabilityReport]:
+    """:func:`observability_quotient` of each of ``k`` terminal data, given as eigen-coordinates
+    stacked ``(k, modes, dim)`` on the modes ``ns`` of the slice.
+
+    One pass forms every signal's terms (:func:`observation_signals`) and
+    every adjoint state at t = 0 (:func:`adjoint_states`) and its norm;
+    only the choice of terms, the energy and the zero-state check are made
+    per datum.  Each report equals that of a stack of its datum alone, bit
+    for bit, and the call fails at the first failing datum, with its error.
+    The states and norms are formed after the first energy, where a single
+    call forms them, and the checks they make do not depend on the datum.
+    """
+    standard = standard_norm_spec(channel, slice_.params)
+    metadata = {"N": slice_.N, "clustering_tolerance": slice_.clustering_tolerance}
+    if norm_spec is None:
+        norm_spec = standard
+    elif norm_spec != standard:
+        metadata["watermark"] = "nonstandard-norm"
+    reports = []
+    norms = None
+    for i, signal in enumerate(observation_signals(coordinates, ns, slice_, channel, T)):
+        energy, err = observation_energy(signal)
+        if norms is None:
+            norms = sobolev_norms(adjoint_states(coordinates, ns, slice_, T, 0.0), norm_spec)
+        norm0 = float(norms[i])
+        if norm0 < 1e-150:
+            raise ZeroState("initial adjoint state norm underflowed")
+        reports.append(ObservabilityReport(
+            channel=channel, horizon=T, energy=energy, energy_error=err,
+            initial_norm=norm0, quotient=energy / norm0**2, metadata=dict(metadata),
+        ))
+    return reports
+
+
 def observability_quotients(
     fields: Iterable[SpectralField],
     channel: ObservationChannel,
@@ -103,48 +140,19 @@ def observability_quotients(
     """:func:`observability_quotient` of every terminal datum of ``fields``, in stacked passes.
 
     The fields are taken ``_TRIAL_BLOCK`` at a time, so memory does not grow
-    with their number.  Per block, one pass expands every field
-    (:func:`eigen_coordinates`), forms every signal's terms
-    (:func:`observation_signals`) and every adjoint state at t = 0
-    (:func:`adjoint_states`) and its norm; only the choice of terms, the
-    energy and the zero-state check are made per field.  Each report equals
-    that of the field alone, bit for bit, and the call fails as a loop of
-    single calls does: at the first failing field, with its error.  The
-    adjoint states and their norms are formed after the first field's
-    energy, where a single call forms them, and the checks they make do not
-    depend on the field.
+    with their number; per block, one solve expands every field
+    (:func:`eigen_coordinates`) for one :func:`coordinate_quotients` pass.
+    Each report equals that of the field alone, bit for bit, and the call
+    fails as a loop of single calls does: at the first failing field, with
+    its error.
     """
-    standard = standard_norm_spec(channel, slice_.params)
-    metadata = {"N": slice_.N, "clustering_tolerance": slice_.clustering_tolerance}
-    if norm_spec is None:
-        norm_spec = standard
-    elif norm_spec != standard:
-        metadata["watermark"] = "nonstandard-norm"
     reports = []
     fields = iter(fields)
     while block := list(itertools.islice(fields, _TRIAL_BLOCK)):
         fit = next((i for i, f in enumerate(block) if field_misfit(f, slice_)), len(block))
         if fit:
             coordinates = eigen_coordinates(block[:fit], slice_)
-            signals = observation_signals(coordinates, slice_.basis.ns, slice_, channel, T)
-            norms = None
-            for i, signal in enumerate(signals):
-                energy, err = observation_energy(signal)
-                if norms is None:
-                    states = adjoint_states(coordinates, slice_.basis.ns, slice_, T, 0.0)
-                    norms = sobolev_norms(states, norm_spec)
-                norm0 = float(norms[i])
-                if norm0 < 1e-150:
-                    raise ZeroState("initial adjoint state norm underflowed")
-                reports.append(ObservabilityReport(
-                    channel=channel,
-                    horizon=T,
-                    energy=energy,
-                    energy_error=err,
-                    initial_norm=norm0,
-                    quotient=energy / norm0**2,
-                    metadata=dict(metadata),
-                ))
+            reports += coordinate_quotients(coordinates, slice_.basis.ns, channel, T, norm_spec, slice_)
         if fit < len(block):
             raise field_misfit(block[fit], slice_)
     return reports

@@ -296,13 +296,18 @@ def hyperbolic_pair(slice_: SpectrumSlice, n: int):
     return next(p for p in slice_.mode(n).pairs if p.branch is BranchLabel.HYPERBOLIC)
 
 
-def hyperbolic_lift(params: BarotropicParams, filtered: np.ndarray, cutoff: int, slice_: SpectrumSlice) -> SpectralField:
-    """Terminal datum with the filtered profile on the hyperbolic branch, mode by mode."""
-    out = SpectralField.zeros(2, cutoff)
+def hyperbolic_lift(params: SystemParams, filtered: np.ndarray, cutoff: int, slice_: SpectrumSlice) -> SpectralField:
+    """Terminal datum with the filtered profile in the density slot, on the hyperbolic branch, mode by mode.
+
+    Each mode's hyperbolic eigenvector is scaled by the profile over its own
+    density component.
+    """
+    out = SpectralField.zeros(params.dim, cutoff)
     for n in range(-cutoff, cutoff + 1):
         if n == 0 or filtered[n + cutoff] == 0.0:
             continue
-        out.coeffs[n + cutoff] += (filtered[n + cutoff] / params.rho_bar) * hyperbolic_pair(slice_, n).vector
+        vector = hyperbolic_pair(slice_, n).vector
+        out.coeffs[n + cutoff] += (filtered[n + cutoff] / vector[0]) * vector
     return out
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import evolution_oracle
 from cnslab import counterexamples, kernels
 from cnslab.counterexamples import (
     BumpSpec,
@@ -15,9 +16,12 @@ from cnslab.counterexamples import (
 )
 from cnslab.errors import DomainError, NotDegenerate, SupportError
 from cnslab.evolution import ObservationChannel
-from cnslab.fields import SpectralField
+from cnslab.fields import NormSpec, SpectralField
 from cnslab.model import NonBarotropicParams
+from cnslab.observability import observability_quotients
 from cnslab.spectrum import build_slice
+from test_evolution_fastpaths import _witness_lift, record_witness_stages
+from test_observability_stacked import _bits
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,19 +30,13 @@ class TestPnFilter:
     def test_annihilation_exact(self, nondegenerate_barotropic, monkeypatch):
         # the witness lifts each bump with its modes |n| <= N zeroed (the
         # zeros of P_N and the removed mean), every other coefficient as drawn
-        captured = []
-        lift = counterexamples._hyperbolic_lift
-
-        def recording(params, filtered, cutoff, slice_):
-            captured.append(filtered.copy())
-            return lift(params, filtered, cutoff, slice_)
-
-        monkeypatch.setattr(counterexamples, "_hyperbolic_lift", recording)
+        seen = record_witness_stages(monkeypatch)
         spec = BumpSpec(x_left=3.2, x_right=5.8)
         cutoff = small_time_witness(nondegenerate_barotropic, 3.0, [6, 8], spec).metadata["cutoff"]
         ns = np.arange(-cutoff, cutoff + 1)
-        assert len(captured) == 2
-        for N, filtered in zip([6, 8], captured):
+        captured = seen["profiles"]
+        assert list(captured) == [6, 8]
+        for N, filtered in captured.items():
             bump, _ = bump_coefficients(spec, cutoff, carrier=counterexamples._MODULATION_FACTOR * N)
             inside = np.abs(ns) <= N
             assert np.all(bump[inside & (ns != 0)] != 0.0)
@@ -100,15 +98,19 @@ class TestSmallTimeWitness:
         # R*rho_bar = 3 is the pinned density component, not rho_bar
         NonBarotropicParams(rho_bar=1.5, u_bar=0.9, theta_bar=0.8, lambda0=1.0, kappa0=2.0, R=2.0, c0=1.2),
     ], ids=["barotropic", "three-field", "three-field-R=2"])
-    def test_lift_reproduces_the_density_profile(self, request, system):
+    def test_lift_reproduces_the_density_profile(self, request, monkeypatch, system):
+        # the witness's eigen-coordinates, reconstructed, are the oracle's lift
+        # within a few ulps and carry the filtered profile in the density slot
         params = request.getfixturevalue(system) if isinstance(system, str) else system
-        cutoff, N = 80, 8
-        filtered, _ = bump_coefficients(BumpSpec(x_left=3.2, x_right=5.8), cutoff,
-                                        carrier=counterexamples._MODULATION_FACTOR * N)
-        filtered[np.abs(np.arange(-cutoff, cutoff + 1)) <= N] = 0.0
-        lift = counterexamples._hyperbolic_lift(params, filtered, cutoff, build_slice(params, cutoff))
-        assert lift.coeffs.shape == (2 * cutoff + 1, params.dim)
-        np.testing.assert_allclose(lift.coeffs[:, 0], filtered, rtol=1e-13, atol=0.0)
+        seen = record_witness_stages(monkeypatch)
+        report = small_time_witness(params, 3.0, [8, 12], BumpSpec(x_left=3.2, x_right=5.8))
+        cutoff, slice_ = report.metadata["cutoff"], seen["slice"]
+        lifts = _witness_lift(seen, params)
+        assert lifts.shape == (2, 2 * cutoff + 1, params.dim)
+        for filtered, lift in zip(seen["profiles"].values(), lifts):
+            ref = evolution_oracle.hyperbolic_lift(params, filtered, cutoff, slice_).coeffs
+            assert np.all(np.abs(lift - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+            np.testing.assert_allclose(lift[:, 0], filtered, rtol=1e-13, atol=0.0)
 
     def test_support_error(self, nondegenerate_barotropic):
         with pytest.raises(SupportError):
@@ -160,10 +162,12 @@ class TestSmallTimeWitness:
         assert peak < 2.3e6
         assert kept - held.K.nbytes - held.abs_K.nbytes < 64e3
 
+    @BOTH_SYSTEMS
     @pytest.mark.parametrize("N_list", [[6, 8, 12, 16], [8, 12, 16, 24]])
-    def test_one_pair_table_per_call(self, nondegenerate_barotropic, monkeypatch, N_list):
+    def test_one_pair_table_per_call(self, request, monkeypatch, system, N_list):
         # each later signal's terms lead the first one's (outermost mode
-        # first), so its energy reads the first table and none is built again
+        # first), so its energy reads the first table and none is built again;
+        # on three fields too, since the parabolic coordinates are exact zeros
         pair_integrals = kernels.pair_integrals
         sizes = []
 
@@ -173,7 +177,7 @@ class TestSmallTimeWitness:
 
         monkeypatch.setattr(kernels, "_pair_table", None)
         monkeypatch.setattr(kernels, "pair_integrals", counted)
-        small_time_witness(nondegenerate_barotropic, 3.0, N_list, BumpSpec(x_left=3.2, x_right=5.8))
+        small_time_witness(request.getfixturevalue(system), 3.0, N_list, BumpSpec(x_left=3.2, x_right=5.8))
         assert len(sizes) == 1 and kernels._pair_table.K.shape == (sizes[0], sizes[0])
 
     def test_slope_stable_across_seeds(self, nondegenerate_barotropic):
@@ -235,6 +239,24 @@ class TestRegularityGap:
             generic_nonbarotropic, ObservationChannel.TEMPERATURE, 0.0, [4, 8, 16, 32]
         )
         assert abs(record.slope + 4.0) <= 0.4
+
+    @pytest.mark.parametrize("system,channel", [
+        ("nondegenerate_barotropic", ObservationChannel.VELOCITY),
+        ("generic_nonbarotropic", ObservationChannel.VELOCITY),
+        ("generic_nonbarotropic", ObservationChannel.TEMPERATURE),
+    ])
+    def test_reports_equal_those_of_the_eigenfunction_fields(self, request, monkeypatch, system, channel):
+        # a 1 on the hyperbolic column reports, bit for bit, what the solved
+        # single-mode field of the hyperbolic eigenvector reports
+        params = request.getfixturevalue(system)
+        seen = record_witness_stages(monkeypatch)
+        n_list = [4, 8, 16]
+        regularity_gap_witness(params, channel, 0.5, n_list)
+        slice_ = seen["slice"]
+        hyperbolic = slice_.basis.vectors[slice_.basis.rows(n_list), counterexamples._HYPERBOLIC]
+        fields_ = [SpectralField.single_mode(n, vector, max(n_list)) for n, vector in zip(n_list, hyperbolic)]
+        ref = observability_quotients(fields_, channel, 2.0, NormSpec.dual_order(params, 0.5), slice_)
+        assert [_bits(r) for r in seen["reports"]] == [_bits(r) for r in ref]
 
     def test_order_one_rejected(self, nondegenerate_barotropic):
         with pytest.raises(DomainError):

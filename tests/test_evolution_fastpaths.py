@@ -41,7 +41,7 @@ from cnslab.evolution import (
     observation_value,
 )
 from cnslab.fields import EigenExpansion, SpectralField, expand_in_eigenbasis, reconstruct
-from cnslab.model import BarotropicParams
+from cnslab.model import BarotropicParams, NonBarotropicParams
 from cnslab.spectrum import BasisTable, Cluster, GeneralizedChain, ModeSpectrum, build_slice
 from test_spectrum_fastpaths import BAROTROPIC, NAMED, NONBAROTROPIC, _close
 
@@ -471,6 +471,50 @@ class TestControlRows:
                 assert all(_close(a.coef, b.coef) for a, b in zip(g.kernel, r.kernel))
 
 
+def record_witness_stages(monkeypatch) -> dict:
+    """Spies on the stages of the witnesses of ``counterexamples``; the dict they fill is returned.
+
+    ``slice``: the slice built.  ``coordinates``, ``ns`` and ``reports``:
+    the eigen-coordinates and modes :func:`coordinate_quotients` receives and
+    the reports it returns.  ``profiles``, ``hyp``, ``rates`` and ``gaps``:
+    the filtered profiles by N, the hyperbolic values and transport rates
+    ``_transport_gaps`` receives, and the gaps it returns.  Everything
+    received is copied.
+    """
+    seen = {}
+    build, quotients = counterexamples.build_slice, counterexamples.coordinate_quotients
+    transport_gaps = counterexamples._transport_gaps
+
+    def recording_build(params, N):
+        seen["slice"] = build(params, N)
+        return seen["slice"]
+
+    def recording_quotients(coordinates, ns, *args):
+        seen["coordinates"], seen["ns"] = coordinates.copy(), ns.copy()
+        seen["reports"] = quotients(coordinates, ns, *args)
+        return seen["reports"]
+
+    def recording_gaps(profiles, hyp, rates, T):
+        seen["profiles"] = {N: amp.copy() for N, amp in profiles.items()}
+        seen["hyp"], seen["rates"] = hyp.copy(), rates.copy()
+        seen["gaps"] = transport_gaps(profiles, hyp, rates, T)
+        return seen["gaps"]
+
+    monkeypatch.setattr(counterexamples, "build_slice", recording_build)
+    monkeypatch.setattr(counterexamples, "coordinate_quotients", recording_quotients)
+    monkeypatch.setattr(counterexamples, "_transport_gaps", recording_gaps)
+    return seen
+
+
+def _witness_lift(seen, params) -> np.ndarray:
+    """The terminal data of the recorded coordinates as coefficient tables ``(k, 2N + 1, dim)``, through :func:`reconstruct`."""
+    slice_ = seen["slice"]
+    return np.stack([
+        reconstruct(EigenExpansion(params.dim, dict(zip(seen["ns"].tolist(), coordinates))), slice_).coeffs
+        for coordinates in seen["coordinates"]
+    ])
+
+
 class TestWitnessLoops:
     @given(cutoff=st.integers(1, 300), carrier=st.integers(0, 80), seed=st.one_of(st.none(), st.integers(0, 100)))
     @settings(max_examples=20, **_SETTINGS)
@@ -511,45 +555,54 @@ class TestWitnessLoops:
         # and subtracts two sums of size sum|amp|.  Measured on 19 signals
         # (five parameter sets, T 1 to 6, N 3 to 24): at most
         # 1.11*eps*sum|amp| at any of the 257 times, 0.23 on the maxima.
-        lifted, slices = [], []
-        lift, build = counterexamples._hyperbolic_lift, counterexamples.build_slice
-
-        def recording_lift(params, filtered, cutoff, slice_):
-            lifted.append(filtered.copy())
-            return lift(params, filtered, cutoff, slice_)
-
-        def recording_build(params, N):
-            slices.append(build(params, N))
-            return slices[-1]
-
-        gaps = {}
-        transport_gaps = counterexamples._transport_gaps
-
-        def recording_gaps(*args):
-            gaps.update(transport_gaps(*args))
-            return gaps
-
-        monkeypatch.setattr(counterexamples, "_hyperbolic_lift", recording_lift)
-        monkeypatch.setattr(counterexamples, "build_slice", recording_build)
-        monkeypatch.setattr(counterexamples, "_transport_gaps", recording_gaps)
+        seen = record_witness_stages(monkeypatch)
         report = counterexamples.small_time_witness(params, T, N_list, counterexamples.BumpSpec(*window))
-        ref = oracle.transport_gaps(params, slices[0], dict(zip(N_list, lifted)), T, report.metadata["cutoff"])
-        for N, amp in zip(N_list, lifted):
+        lifted, gaps = seen["profiles"], seen["gaps"]
+        assert list(lifted) == N_list
+        ref = oracle.transport_gaps(params, seen["slice"], lifted, T, report.metadata["cutoff"])
+        for N, amp in lifted.items():
             assert report.transport_gap[N] == gaps[N].max()
             assert np.max(np.abs(gaps[N] - ref[N])) <= 4 * np.finfo(float).eps * np.sum(np.abs(amp))
 
-    @given(params=st.one_of(st.sampled_from(["workhorse", "unit_barotropic", "uc_failing"]).map(NAMED.get), BAROTROPIC), seed=st.integers(0, 2**32 - 1))
+    @given(params=st.one_of(st.sampled_from(["workhorse", "unit_barotropic", "uc_failing"]).map(NAMED.get), BAROTROPIC))
     @settings(max_examples=20, **_SETTINGS)
-    def test_hyperbolic_lift_and_values(self, params, seed):
-        slice_ = build_slice(params, 20)
-        rng = np.random.default_rng(seed)
-        filtered = rng.normal(size=41) + 1j * rng.normal(size=41)
-        filtered[rng.random(41) < 0.3] = 0.0
-        got = counterexamples._hyperbolic_lift(params, filtered, 20, slice_)
-        assert _same(got.coeffs, oracle.hyperbolic_lift(params, filtered, 20, slice_).coeffs)
-        hyp = np.zeros(41, dtype=complex)
-        hyp[np.arange(-20, 21) != 0] = slice_.basis.values[:, counterexamples._HYPERBOLIC]
-        assert _same(hyp, oracle.hyperbolic_values(slice_, 20))
+    def test_hyperbolic_lift_and_values(self, params):
+        # The witness writes each datum's eigen-coordinates: profile over
+        # pinned density on the hyperbolic column, exact zeros elsewhere.
+        # Reconstructed, they are the oracle's lift within a few ulps (the
+        # two round the scaling in another order); the hyperbolic values the
+        # transport comparison reads are the oracle's bit for bit.
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = record_witness_stages(monkeypatch)
+            counterexamples.small_time_witness(params, 2.0, [2, 3], counterexamples.BumpSpec(x_left=3.2, x_right=5.8))
+        slice_ = seen["slice"]
+        assert _same(seen["ns"], slice_.basis.ns)
+        assert np.all(seen["coordinates"][..., 1:] == 0.0)
+        for amp, got in zip(seen["profiles"].values(), _witness_lift(seen, params)):
+            ref = oracle.hyperbolic_lift(params, amp, slice_.N, slice_).coeffs
+            assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+        assert _same(seen["hyp"], oracle.hyperbolic_values(slice_, slice_.N))
+
+    @pytest.mark.parametrize("params", [
+        NAMED["workhorse"],
+        NonBarotropicParams(rho_bar=1.0, u_bar=0.9, theta_bar=1.0, lambda0=1.0, kappa0=2.0, R=1.0, c0=1.0),
+        BarotropicParams(rho_bar=2.0, u_bar=1.3, mu0=0.7, b=0.8),
+    ], ids=["workhorse", "generic-three-field", "barotropic-2.0-1.3-0.7-0.8"])
+    def test_transport_rate_is_the_hyperbolic_anchor(self, monkeypatch, params):
+        # the rate the transport comparison reads is spectrum._anchors' hyperbolic
+        # column, the same bits as i*u_bar*n - omega, signed zeros included
+        seen = record_witness_stages(monkeypatch)
+        counterexamples.small_time_witness(params, 2.0, [5, 7], counterexamples.BumpSpec(x_left=2.8, x_right=6.0))
+        ns = np.arange(-seen["slice"].N, seen["slice"].N + 1)
+        assert _same(seen["rates"], 1j * params.u_bar * ns - params.coefficients.omega)
+
+    @pytest.mark.parametrize("N", [4, 24, 96])
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_first_basis_column_is_the_hyperbolic_eigenvector(self, name, N):
+        # the invariant the witnesses' coordinates rest on: a 1 on column 0
+        # is the hyperbolic eigenfunction, Jordan pairs and triples included
+        table = _named_slice(name, N).basis
+        assert _same(table.basis[:, :, 0], table.vectors[:, counterexamples._HYPERBOLIC])
 
     def test_transport_blocks(self, monkeypatch):
         params = NAMED["workhorse"]

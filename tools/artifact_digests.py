@@ -8,7 +8,8 @@ that no workload runs: ``closeness``, ``observe`` and ``synthesize`` on every
 valid channel of both systems, ``observe`` with more trials than one
 stacked pass takes, ``synthesize`` on 100 moment rows, which solves at 80
 digits, ``validate-fdm`` with a trajectory export,
-``ingham`` on the barotropic workhorse, ``witness-regularity``,
+``ingham`` on the barotropic workhorse, ``witness-regularity`` on the
+workhorse and on velocity and temperature of the three-field set,
 ``witness-smalltime`` on the coincidence-free three-field set,
 ``witness-degenerate`` on velocity and temperature of the three-field set
 and on density of the barotropic set with a cross-mode coincidence, and
@@ -89,6 +90,13 @@ EXTRA = {
     },
     "ingham-barotropic": ("barotropic", "workhorse", "ingham", "[ingham]\nN = 24\nT = 8.0\n", False),
     "witness-regularity": ("barotropic", "workhorse", "witness-regularity", "[witness]\ns = 0.5\nn_list = 4,8,16\n", False),
+    **{
+        f"witness-regularity-nonbarotropic-{channel}": (
+            "nonbarotropic", "generic", "witness-regularity",
+            f"[witness]\nchannel = {channel}\ns = 0.5\nn_list = 4,8,16\n", False,
+        )
+        for channel in ("velocity", "temperature")
+    },
     "witness-smalltime-nonbarotropic": ("nonbarotropic", "generic", "witness-smalltime",
                                         "[witness]\nT = 3.0\nN_list = 8,12,16,24\nx_left = 3.2\nx_right = 5.8\n", False),
     **{
