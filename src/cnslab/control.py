@@ -75,10 +75,6 @@ class MomentSystem:
     datum: SpectralField | None = field(default=None, repr=False, compare=False)  # the U0 of the targets
     slice_: SpectrumSlice | None = field(default=None, repr=False, compare=False)  # the slice of the rows
 
-    @property
-    def targets(self) -> np.ndarray:
-        return np.array([r.target for r in self.rows])
-
 
 def _proportional_rows(a: MomentRow, b: MomentRow) -> bool:
     """Whether two rows have proportional kernels: single terms with rates equal to 1e-12 relative."""
@@ -282,17 +278,18 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
 
     Structurally proportional rows are deduplicated first: contradictory
     targets on a shared kernel direction are exactly the unique-continuation
-    obstruction and raise :class:`RankDeficient`.  The rest is solved by
-    Cholesky on scaled integers at each precision of :data:`_DPS_LADDER` in
-    turn until the unrefined moment residual is at most
-    :data:`_RESIDUAL_TOL` (:func:`~cnslab.fixedpoint.solve`); running out of
+    obstruction and raise :class:`RankDeficient`.  Each precision of
+    :data:`_DPS_LADDER` in turn builds its Gram and factors it
+    (:func:`~cnslab.fixedpoint.factor`; a pivot that is not positive moves
+    on) until the unrefined moment residual of :func:`~cnslab.fixedpoint.solve`
+    is at most :data:`_RESIDUAL_TOL`; running out of
     precisions raises :class:`RankDeficient` with the best residual reached.
     A non-finite target, kernel coefficient or rate raises
     :class:`ArithmeticFailure` naming its row; targets are checked first,
     those of duplicate rows included.  The first rung's Gram is built even
     for zero targets: its singular values at most :data:`_SVD_THRESHOLD` of
     the largest are reported, never silently inverted in double precision.
-    Zero targets (or no rows) give the zero control without a solve.
+    Exactly zero kept targets (or no rows) give the zero control unfactored.
     """
     for i, row in enumerate(system.rows):
         require_finite(f"moment row {i} (mode {row.n})", "target", [row.target])
@@ -305,18 +302,18 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
         )
     labels = [f"moment row {i} (mode {system.rows[i].n})" for i in keep]
     kernels = [system.rows[i].kernel for i in keep]
-    first = fixedpoint.unit_gram(labels, kernels, system.horizon, _DPS_LADDER[0])
-    discarded = _discarded_singular_values(first[0])
-    if float(np.linalg.norm(system.targets)) == 0.0:
-        return ControlSolution(system, ScaledVector([], [], 0), 0.0, 0.0, discarded + len(dropped), 15)
     targets = [complex(system.rows[i].target) for i in keep]
     best_residual = math.inf
-    for rung, dps in enumerate(_DPS_LADDER):
-        gram, columns = fixedpoint.unit_gram(labels, kernels, system.horizon, dps) if rung else first
-        solved = fixedpoint.solve(gram, columns, targets, dps, _RESIDUAL_TOL)
-        if solved is None:
+    for dps in _DPS_LADDER:
+        gram, columns = fixedpoint.unit_gram(labels, kernels, system.horizon, dps)
+        if dps == _DPS_LADDER[0]:
+            discarded = _discarded_singular_values(gram)
+            if not any(targets):
+                return ControlSolution(system, ScaledVector([], [], 0), 0.0, 0.0, discarded + len(dropped), 15)
+        factor = fixedpoint.factor(gram, dps)
+        if factor is None:
             continue
-        residual, x, control_norm, hy = solved
+        residual, x, control_norm, hy = fixedpoint.solve(gram, factor, columns, targets, _RESIDUAL_TOL)
         if x is not None:
             discarded += len(dropped)
             solution = ControlSolution(system, x, residual, control_norm, discarded, dps, keep, gram, columns)
@@ -390,19 +387,18 @@ def verify_terminal(solution: ControlSolution, N_verify: int) -> VerificationRec
 
     per_row: dict[tuple[int, int, int], float] = {}
     spill: dict[int, float] = {}
-    in_trunc_sq = 0.0
-    target_sq = 0.0
+    in_trunc: list[float] = []
+    target_sizes: list[float] = []
     for (row, _), f, terminal_pairing in zip(rows, free, pairings):
         per_row[(row.n, row.cluster_index, row.position)] = abs(terminal_pairing)
         if abs(row.n) <= system.truncation:
-            in_trunc_sq += abs(terminal_pairing) ** 2
-            target_sq += abs(f) ** 2
+            in_trunc.append(abs(terminal_pairing))
+            target_sizes.append(abs(f))
         else:
             spill[row.n] = max(spill.get(row.n, 0.0), abs(terminal_pairing))
 
-    scale = math.sqrt(target_sq) if target_sq > 0 else 1.0
     return VerificationRecord(
-        in_truncation_residual=math.sqrt(in_trunc_sq) / scale,
+        in_truncation_residual=math.hypot(*in_trunc) / (math.hypot(*target_sizes) or 1.0),
         spillover=spill,
         per_row_residuals=per_row,
         control_norm=solution.control_norm,

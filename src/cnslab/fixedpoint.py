@@ -354,16 +354,18 @@ def float_gram(gram: Gram) -> np.ndarray:
     return (re + 1j * im) * 2.0**-60
 
 
-def _cholesky(gram: Gram, bits: int) -> tuple[list, list, list] | None:
-    """``H = L L^H`` for the scaled Hermitian positive definite ``H`` of ``gram``, at ``bits`` fraction bits.
+def factor(gram: Gram, dps: int) -> tuple | None:
+    """``(bits, Lr, Li, d, Ur, Ui)``: ``H = L L^H`` for the scaled ``H`` of ``gram`` at a rung of ``dps`` digits.
 
-    ``L`` is kept row by row as the real parts, the imaginary parts and the
-    diagonal.  Each entry's inner product with an earlier row is one C-level
-    ``sum(map(mul, ...))`` of integers per part, exact, over the row's real
-    and imaginary parts side by side, and the entry is rounded once, by its
-    division.  Returns None at the first pivot that is not positive: ``H`` is
-    not numerically definite at this precision.
+    ``L`` is at the ``bits`` of :func:`_dps_bits`, row by row as the real
+    parts, the imaginary parts and the diagonal; ``Ur`` and ``Ui`` are the
+    rows of ``L^H`` that the back substitution reads, the last first.  Each
+    entry's inner product with an earlier row is one exact C-level
+    ``sum(map(mul, ...))`` of integers per part, and the entry is rounded
+    once, by its division.  Returns None at the first pivot that is not
+    positive: ``H`` is not numerically definite at this precision.
     """
+    bits = _dps_bits(dps)
     Lr: list[list] = []
     Li: list[list] = []
     d: list = []
@@ -388,29 +390,30 @@ def _cholesky(gram: Gram, bits: int) -> tuple[list, list, list] | None:
         Li.append(ii)
         rows_re.append(ri + ii)
         rows_im.append(list(map(neg, ii)) + ri)
-    return Lr, Li, d
+    # row i of L^H holds conj(L[k][i]) for k from the last row down to i + 1
+    Ur = [[row[i] for row in Lr[:i:-1]] for i in reversed(range(len(d)))]
+    Ui = [[-row[i] for row in Li[:i:-1]] for i in reversed(range(len(d)))]
+    return bits, Lr, Li, d, Ur, Ui
 
 
-def _cholesky_solve(factor: tuple[list, list, list], b: ScaledVector, bits: int) -> ScaledVector:
-    """``x`` with ``L L^H x = b`` for the factor of :func:`_cholesky` at ``bits`` fraction bits.
+def forward(factor: tuple, b: ScaledVector) -> ScaledVector:
+    """``y`` with ``L y = b`` for a :func:`factor`, each row exact to one unit of ``y``'s last place.
 
-    ``b`` is first shifted so that its largest part lies just below 1, so
-    both substitutions work at ``bits`` bits relative to ``b``.
+    ``b`` is first shifted ``shift`` bits, so that its largest part lies just
+    below 1 and ``y`` carries the factor's bits relative to ``b``, at ``y.exp = b.exp - shift``.
     """
-    Lr, Li, d = factor
-    m = len(d)
+    bits, Lr, Li, d = factor[:4]
     shift = bits - max(v.bit_length() for v in b.re + b.im)
     yr, yi = _substitute(Lr, Li, d, _shift_all(b.re, shift + bits), _shift_all(b.im, shift + bits))
-    # L^H x = y from the last row up: row i of L^H holds conj(L[k][i]) for k > i
-    rows = range(m - 1, -1, -1)
-    xr, xi = _substitute(
-        [[Lr[k][i] for k in range(m - 1, i, -1)] for i in rows],
-        [[-Li[k][i] for k in range(m - 1, i, -1)] for i in rows],
-        d[::-1],
-        _shift_all(yr[::-1], bits),
-        _shift_all(yi[::-1], bits),
-    )
-    return ScaledVector(xr[::-1], xi[::-1], b.exp - shift)
+    return ScaledVector(yr, yi, b.exp - shift)
+
+
+def _cholesky_solve(factor: tuple, b: ScaledVector) -> ScaledVector:
+    """``x`` with ``L L^H x = b`` for a :func:`factor`: :func:`forward`, then ``L^H x = y`` from the last row up."""
+    bits, _, _, d, Ur, Ui = factor
+    y = forward(factor, b)
+    xr, xi = _substitute(Ur, Ui, d[::-1], _shift_all(y.re[::-1], bits), _shift_all(y.im[::-1], bits))
+    return ScaledVector(xr[::-1], xi[::-1], y.exp)
 
 
 def _substitute(Lr: list[list], Li: list[list], d: list, br: list, bi: list) -> tuple[list, list]:
@@ -468,32 +471,26 @@ def _scaled_targets(targets: list[complex], exps: list[int], bits: int) -> Scale
     return ScaledVector(re, [_fixed(v.imag, -exp - e) for v, e in zip(targets, exps)], exp)
 
 
-def solve(gram: Gram, columns: list[Kernel], targets: list[complex], dps: int, tol: float) -> tuple | None:
-    """``(residual, x, sqrt(x^H G x), H y)`` of the Cholesky solve of ``G x = targets`` at a rung of ``dps`` digits.
+def solve(gram: Gram, factor: tuple, columns: list[Kernel], targets: list[complex], tol: float) -> tuple:
+    """``(residual, x, sqrt(x^H G x), H y)`` of the Cholesky solve of ``G x = targets`` on a :func:`factor` of ``gram``.
 
-    ``gram`` and ``columns`` come from :func:`unit_gram` at that rung.
-    ``H y = D b`` (``H = D G D``) is factorized and substituted at
-    :func:`_dps_bits` of ``dps``, and ``x = D y``.  Returns None when a pivot
-    is not positive, and ``(residual, None, 0.0, None)`` when the relative
-    moment residual exceeds ``tol``; otherwise ``x`` is refined once and
-    ``H y``, exact, is that of the refined ``y``.
+    ``gram`` and ``columns`` come from :func:`unit_gram` at one rung.  ``H y = D b``
+    (``H = D G D``) is substituted on the factor, and ``x = D y``.  Returns
+    ``(residual, None, 0.0, None)`` when the relative moment residual exceeds
+    ``tol``; otherwise ``x`` is refined once and ``H y``, exact, is that of the refined ``y``.
     """
-    prec = _dps_bits(dps)
-    factor = _cholesky(gram, prec)
-    if factor is None:
-        return None
     b = _scaled_targets(targets, gram.exps, columns[0].bits)
     b_norm = math.hypot(*(p for v in targets for p in (v.real, v.imag)))
-    y = _cholesky_solve(factor, b, prec)
+    y = _cholesky_solve(factor, b)
     r = _residual(gram, y, b)
     # b - G x = D^-1 (D b - H y)
     residual = _norm(_rescaled(r, gram.exps)) / b_norm
     if residual > tol:
         return residual, None, 0.0, None
     # one step of refinement: the rung's arithmetic leaves an error of about
-    # cond(H) 2**-prec in y, the guard-bit residual and Gram bring it to
-    # about cond(H) 2**-(prec + guard)
-    dy = _cholesky_solve(factor, r, prec)
+    # cond(H) 2**-bits in y at the factor's bits, the guard-bit residual and
+    # Gram bring it to about cond(H) 2**-(bits + guard)
+    dy = _cholesky_solve(factor, r)
     y = _combine(add, y, dy)
     # b - H (y + dy), at the same scale, from the short integers of dy
     r = _residual(gram, dy, r)

@@ -50,7 +50,7 @@ def _taylor(m: np.ndarray, z: np.ndarray, T: float) -> np.ndarray:
 
 
 def poly_exp_integral_mp(m: int, z, T) -> "mpmath.mpc":
-    """Arbitrary-precision twin of :func:`poly_exp_integral`.
+    """Arbitrary-precision twin of ``poly_exp_integral`` in ``tests/energy_oracle.py``.
 
     Operates at the caller's working precision; ``z`` and ``T`` are converted
     to the active mpmath context.  Only tests call it, so mpmath is imported

@@ -282,6 +282,18 @@ class TestRun:
         assert verification["moment_residual"] <= 1e-8
         assert verification["in_trunc_residual"] <= 1e-6
 
+    def test_synthesize_resolves_a_160_digit_residual(self, tmp_path):
+        # N = 8 at T = 0.5 solves at 160 digits with a moment residual of
+        # about 2e-186, whose square underflows in doubles
+        cfg = _write(
+            tmp_path,
+            BASE.format(command="synthesize", u_bar=0.9, b=1.3).replace("seed = 7", "seed = 0")
+            + "\n[synthesize]\nN = 8\nT = 0.5\nN_verify = 12\ngrid = 21\n",
+        )
+        assert run(cfg, out_dir=tmp_path / "out") == 0
+        verification = json.loads((tmp_path / "out" / "verification.json").read_text())
+        assert 0.0 < verification["in_trunc_residual"] <= 1e-6
+
     def test_validate_fdm_smoke(self, tmp_path):
         cfg = _write(
             tmp_path,

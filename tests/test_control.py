@@ -28,11 +28,18 @@ def _random_mean_zero(rng, dim, N, content=None):
     return SpectralField(dim=dim, N=N, coeffs=c)
 
 
+def _modes_one_system(slice_, scale: float) -> MomentSystem:
+    """The density moment system at N = 4, T = 8 of a datum with ``[1, 0.5] * scale`` at the modes +-1."""
+    c = np.zeros((9, 2), dtype=complex)
+    c[3] = c[5] = np.array([1.0, 0.5]) * scale
+    return build_moment_system(SpectralField(dim=2, N=4, coeffs=c), ObservationChannel.DENSITY, 8.0, slice_, 4)
+
+
 class TestBuildMomentSystem:
     def test_zero_initial_state(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 4)
         system = build_moment_system(SpectralField.zeros(2, 4), ObservationChannel.DENSITY, 2.0, slice_, 2)
-        assert np.all(system.targets == 0.0)
+        assert all(row.target == 0.0 for row in system.rows)
 
     def test_row_count_two_per_mode(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 2)
@@ -68,6 +75,15 @@ class TestSynthesizeControl:
         assert solution.control_norm == 0.0
         assert solution.residual == 0.0
         assert np.all(solution(np.linspace(0, 2, 7)) == 0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-170, 1e-300])
+    def test_tiny_data_get_the_scaled_control(self, nondegenerate_barotropic, scale):
+        # the targets' sum of squares underflows below about 1e-154; a test
+        # for exact zeros does not, and the solve is scale-free
+        slice_ = build_slice(nondegenerate_barotropic, 4)
+        unit, tiny = (synthesize_control(_modes_one_system(slice_, s)) for s in (1.0, scale))
+        assert tiny.solve_dps == unit.solve_dps == 40
+        assert tiny.control_norm / scale == pytest.approx(unit.control_norm, rel=1e-12)
 
     def test_single_eigenfunction_density(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 16)
@@ -182,6 +198,12 @@ class TestVerifyTerminal:
         record = verify_terminal(solution, 4)
         assert record.in_truncation_residual == 0.0
         assert all(v == 0.0 for v in record.spillover.values())
+
+    def test_residual_of_a_tiny_datum_does_not_underflow(self, nondegenerate_barotropic):
+        # pairings of about 1e-172 and targets of about 1e-100 square to
+        # nothing or next to nothing in doubles; their hypot keeps them
+        solution = synthesize_control(_modes_one_system(build_slice(nondegenerate_barotropic, 4), 1e-100))
+        assert 0.0 < verify_terminal(solution, 4).in_truncation_residual <= 1e-6
 
     def test_round_trip_density_and_velocity(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 16)

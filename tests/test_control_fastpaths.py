@@ -14,11 +14,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import operator
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import control_oracle as oracle
@@ -216,13 +217,16 @@ class TestSolution:
             for got, w in zip(oracle.coefficients_mp(solution), want):
                 assert abs(got - w) <= 1e-25 * scale
 
+    @pytest.mark.parametrize("N,dps", [(6, 80), (8, 160)], ids=["rung80", "rung160"])
     @pytest.mark.parametrize("params", [WORKHORSE, UNIT], ids=["workhorse", "jordan-chain"])
-    def test_second_rung_coefficients_match_lu(self, params):
-        # 24 rows at T = 0.5, far below the critical time: a pivot of the
-        # 40-digit Cholesky is not positive, and the ladder solves at 80 digits
-        system = build_moment_system(_field(1, 6), ObservationChannel.DENSITY, 0.5, _slice(params, 6), 6)
+    def test_second_rung_coefficients_match_lu(self, params, N, dps):
+        # 4N rows at T = 0.5, far below the critical time: a pivot of the
+        # 40-digit Cholesky is not positive, and the ladder solves at 80
+        # digits; at N = 8 the 80-digit residual misses the gate too, and the
+        # ladder solves at 160
+        system = build_moment_system(_field(1, N), ObservationChannel.DENSITY, 0.5, _slice(params, N), N)
         solution = synthesize_control(system)
-        assert solution.solve_dps == oracle.ladder_solve(system)[0] == 80
+        assert solution.solve_dps == oracle.ladder_solve(system)[0] == dps
         keep = control._duplicate_row_structure(system)[0]
         with mpmath.workdps(solution.solve_dps + _REFERENCE_DIGITS):
             want = oracle.lu_coefficients([system.rows[i] for i in keep], system.horizon)
@@ -368,6 +372,57 @@ class TestSolution:
             for r, re, im in zip(rates, *got):
                 want = mpmath.exp(mpmath.mpc(r) * (h0 + d))
                 assert abs(oracle.mp_complex(re, im, -bits) - want) <= mpmath.mpf(10) ** -39 * abs(want)
+
+
+class TestLadder:
+    @pytest.mark.parametrize(
+        "field,T,N,dps,grams,factors",
+        [
+            (cli._random_field(2, 8, np.random.default_rng(0)), 8.0, 8, 40, 1, 1),
+            (_field(1, 6), 0.5, 6, 80, 2, 2),
+            (_field(1, 8), 0.5, 8, 160, 3, 3),
+            (SpectralField.zeros(2, 8), 8.0, 8, 15, 1, 0),
+        ],
+        ids=["rung40", "rung80", "rung160", "zero-targets"],
+    )
+    def test_one_gram_and_one_factor_per_rung_tried(self, monkeypatch, field, T, N, dps, grams, factors):
+        # zero targets take the first rung's Gram for the singular-value count and factor nothing
+        calls = []
+
+        def spy(name):
+            original = getattr(fixedpoint, name)
+            return lambda *args: calls.append(name) or original(*args)
+
+        for name in ("unit_gram", "factor"):
+            monkeypatch.setattr(fixedpoint, name, spy(name))
+        system = build_moment_system(field, ObservationChannel.DENSITY, T, _slice(WORKHORSE, N), N)
+        assert synthesize_control(system).solve_dps == dps
+        assert (calls.count("unit_gram"), calls.count("factor")) == (grams, factors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(system=st.one_of(kernel_systems(), physical_systems()), data=st.data())
+    def test_forward_solves_the_lower_triangle(self, system, data):
+        # y read at y.exp: each row of L y = b leaves a remainder of at least
+        # 0 and below one unit of y's last place times the row's pivot, in
+        # both parts, for right-hand sides of fewer bits than twice the factor's
+        keep = control._duplicate_row_structure(system)[0]
+        gram, _ = fixedpoint.unit_gram(["row"] * len(keep), [system.rows[i].kernel for i in keep], system.horizon, 40)
+        factor = fixedpoint.factor(gram, 40)
+        assume(factor is not None)
+        bits, Lr, Li, d = factor[:4]
+        part = st.lists(st.integers(-(1 << 256), 1 << 256), min_size=len(d), max_size=len(d))
+        b = fixedpoint.ScaledVector(data.draw(part), data.draw(part), data.draw(st.integers(-1100, 1100)))
+        assume(any(b.re + b.im))
+        y = fixedpoint.forward(factor, b)
+        two = Fraction(2)
+        ys = [(Fraction(a) * two**y.exp, Fraction(c) * two**y.exp) for a, c in zip(y.re, y.im)]
+        for i in range(len(d)):
+            rr, ri = Fraction(b.re[i]) * two**b.exp, Fraction(b.im[i]) * two**b.exp
+            for lr, li, (a, c) in zip(Lr[i] + [d[i]], Li[i] + [0], ys):
+                rr -= (lr * a - li * c) * two**-bits
+                ri -= (lr * c + li * a) * two**-bits
+            unit = d[i] * two ** (y.exp - bits)
+            assert 0 <= rr < unit and 0 <= ri < unit
 
 
 @pytest.mark.parametrize("real", [True, False])

@@ -7,6 +7,7 @@ over its pool seeds, and each config of :data:`EXTRA` (commands and channels
 that no workload runs: ``closeness``, ``observe`` and ``synthesize`` on every
 valid channel of both systems, ``observe`` with more trials than one
 stacked pass takes, ``synthesize`` on 100 moment rows, which solves at 80
+digits, ``synthesize`` on 32 moment rows at T = 0.5, which solves at 160
 digits, ``validate-fdm`` with a trajectory export,
 ``ingham`` on the barotropic workhorse, ``witness-regularity`` on the
 workhorse and on velocity and temperature of the three-field set,
@@ -81,6 +82,12 @@ EXTRA = {
     "synthesize-barotropic-density-rung80": (
         "barotropic", "workhorse", "synthesize",
         "[synthesize]\nN = 25\nT = 12.0\nchannel = density\nN_verify = 26\ngrid = 21\n", False,
+    ),
+    # 32 moment rows at T = 0.5: a pivot fails at 40 digits and the residual gate at 80, so the solve climbs to
+    # its third rung (160 digits)
+    "synthesize-barotropic-density-rung160": (
+        "barotropic", "workhorse", "synthesize",
+        "[synthesize]\nN = 8\nT = 0.5\nchannel = density\nN_verify = 12\ngrid = 21\n", False,
     ),
     **{
         f"validate-fdm-{system}": (
