@@ -57,7 +57,6 @@ class MomentRow:
     rate: complex  # conj of the eigenvalue
     kernel: list[KernelTerm]
     target: complex
-    observation: complex  # B* applied to the level's vector
     position: int = 0  # index of the row's basis element in its cluster
 
     def kernel_scale(self) -> float:
@@ -132,7 +131,6 @@ def _chain_rows(
                 rate=nu_bar,
                 kernel=kernel,
                 target=complex(-free),
-                observation=obs[c],
                 position=c - clusters.index(clusters[c]),
             )
 
@@ -382,20 +380,23 @@ def verify_terminal(solution: ControlSolution, N_verify: int) -> VerificationRec
     for (row, _), f in zip(rows, free):
         require_finite(f"verification row, mode {row.n}", "target", [f])
     fresh = [(f"verification row, mode {row.n}", row.kernel) for row, g in rows if g is None]
+    # pairings and targets at the targets' scale: a tiny datum's relative residual does not underflow
+    shift = -fixedpoint.top_exponent(free)
     pairings = fixedpoint.terminal_pairings(free, [g for _, g in rows], fresh, system.horizon,
-                                            solution.gram, solution.columns, solution.x, solution.hy)
+                                            solution.gram, solution.columns, solution.x, solution.hy, shift)
 
     per_row: dict[tuple[int, int, int], float] = {}
     spill: dict[int, float] = {}
     in_trunc: list[float] = []
     target_sizes: list[float] = []
     for (row, _), f, terminal_pairing in zip(rows, free, pairings):
-        per_row[(row.n, row.cluster_index, row.position)] = abs(terminal_pairing)
+        size = math.ldexp(abs(terminal_pairing), -shift)
+        per_row[(row.n, row.cluster_index, row.position)] = size
         if abs(row.n) <= system.truncation:
             in_trunc.append(abs(terminal_pairing))
-            target_sizes.append(abs(f))
+            target_sizes.append(math.ldexp(abs(f), shift))
         else:
-            spill[row.n] = max(spill.get(row.n, 0.0), abs(terminal_pairing))
+            spill[row.n] = max(spill.get(row.n, 0.0), size)
 
     return VerificationRecord(
         in_truncation_residual=math.hypot(*in_trunc) / (math.hypot(*target_sizes) or 1.0),

@@ -9,10 +9,11 @@ exponential on the chain block.  Observation signals collect the boundary
 functionals of those terms into a closed-form list of
 ``coefficient * (T-t)**j * exp(nu*(T-t))`` summands.
 
-Forward trajectories are propagated by dense matrix exponentials of the
-forward symbols, mode by mode; the weighted norm of a homogeneous forward
-trajectory never increases (the generator is dissipative), which is checked
-by the test suite rather than enforced here.
+The symbols have real coefficients, so the forward symbol at mode ``n`` is
+the adjoint symbol at ``-n``: a forward trajectory is the adjoint flow of
+the mode-reversed field through the same eigenbasis, reversed back.  The
+weighted norm of a homogeneous forward trajectory never increases (the
+generator is dissipative); a forward solve that grows it warns.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimMismatch, DomainError
-from .fields import EigenExpansion, NormSpec, SpectralField, sobolev_norm
+from .fields import EigenExpansion, NormSpec, SpectralField, eigen_coordinates, sobolev_norm
 from .kernels import KernelTerm
 from .model import SystemParams
-from .spectrum import MatrixKind, SpectrumSlice, _symbol
+from .spectrum import SpectrumSlice, build_slice
 
 
 class ObservationChannel(Enum):
@@ -182,31 +183,23 @@ def adjoint_state(
     return TrajectorySample(time=t, state=SpectralField(dim=slice_.dim, N=slice_.N, coeffs=state))
 
 
-def forward_state(
-    initial_field: SpectralField,
-    params: SystemParams,
-    t: float,
-) -> TrajectorySample:
-    """Homogeneous forward solution at time t >= 0.
+def forward_state(initial_field: SpectralField, params: SystemParams, t: float) -> TrajectorySample:
+    """Homogeneous forward solution at t >= 0: the mode-reversed field's adjoint flow over ``s = t``, reversed.
 
-    Controlled trajectories are deliberately not evolved here; control
-    correctness is asserted through the per-mode duality identity instead.
+    The flow runs through ``build_slice(params, initial_field.N)``, whose
+    condition budget :func:`eigen_coordinates` checks.  Controlled trajectories
+    are not evolved here; the per-mode duality identity checks controls.
     """
-    import scipy.linalg  # only the FDM validation evolves forward; keep scipy off every other command's start
-
     if t < 0:
         raise DomainError("forward evolution requires t >= 0")
     if initial_field.dim != params.dim:
         raise DimMismatch("field and system component counts differ")
-    state = SpectralField.zeros(initial_field.dim, initial_field.N)
-    for n in range(-initial_field.N, initial_field.N + 1):
-        c0 = initial_field.coeff(n)
-        if not np.any(c0):
-            continue
-        M = _symbol(params, n, MatrixKind.FORWARD)
-        state.coeffs[n + initial_field.N] = scipy.linalg.expm(M * t) @ c0
+    slice_ = build_slice(params, initial_field.N)
+    reversed_ = SpectralField(initial_field.dim, initial_field.N, initial_field.coeffs[::-1])
+    flowed = adjoint_states(eigen_coordinates([reversed_], slice_), slice_.basis.ns, slice_, T=t, t=0.0)[0]
+    state = SpectralField(initial_field.dim, initial_field.N, flowed[::-1])
     # contraction post-check: the homogeneous semigroup never grows the
-    # weighted norm; a violation signals a broken symbol
+    # weighted norm; a violation signals a broken eigenbasis
     weighted = NormSpec.weighted_l2(params)
     n0 = sobolev_norm(initial_field, weighted)
     nt = sobolev_norm(state, weighted)

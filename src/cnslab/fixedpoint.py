@@ -458,9 +458,14 @@ def _rescaled(v: ScaledVector, exps: list[int]) -> ScaledVector:
     return ScaledVector(list(map(lshift, v.re, shifts)), list(map(lshift, v.im, shifts)), v.exp + low)
 
 
-def _norm(v: ScaledVector) -> float:
-    """Euclidean norm of ``v`` as a float."""
-    return math.hypot(*(_float(p, v.exp) for p in v.re + v.im))
+def _norm(v: ScaledVector, shift: int) -> float:
+    """Euclidean norm of ``v * 2**shift`` as a float."""
+    return math.hypot(*(_float(p, v.exp + shift) for p in v.re + v.im))
+
+
+def top_exponent(values: list[complex]) -> int:
+    """The ``frexp`` exponent ``e`` of the largest part of ``values`` (0 for zeros); times ``2**-e`` none underflows."""
+    return max((math.frexp(p)[1] for v in values for p in (v.real, v.imag) if p), default=0)
 
 
 def _scaled_targets(targets: list[complex], exps: list[int], bits: int) -> ScaledVector:
@@ -480,11 +485,13 @@ def solve(gram: Gram, factor: tuple, columns: list[Kernel], targets: list[comple
     ``tol``; otherwise ``x`` is refined once and ``H y``, exact, is that of the refined ``y``.
     """
     b = _scaled_targets(targets, gram.exps, columns[0].bits)
-    b_norm = math.hypot(*(p for v in targets for p in (v.real, v.imag)))
+    # the relative residual is formed at the targets' scale, where a tiny datum's residual does not underflow
+    shift = -top_exponent(targets)
+    b_norm = math.hypot(*(math.ldexp(p, shift) for v in targets for p in (v.real, v.imag)))
     y = _cholesky_solve(factor, b)
     r = _residual(gram, y, b)
     # b - G x = D^-1 (D b - H y)
-    residual = _norm(_rescaled(r, gram.exps)) / b_norm
+    residual = _norm(_rescaled(r, gram.exps), shift) / b_norm
     if residual > tol:
         return residual, None, 0.0, None
     # one step of refinement: the rung's arithmetic leaves an error of about
@@ -498,23 +505,23 @@ def solve(gram: Gram, factor: tuple, columns: list[Kernel], targets: list[comple
     hy = _combine(sub, b, r)
     energy = sum(map(mul, y.re, hy.re)) + sum(map(mul, y.im, hy.im))
     x = _rescaled(y, [-e for e in gram.exps])
-    return _norm(_rescaled(r, gram.exps)) / b_norm, x, _sqrt_float(abs(energy), y.exp + hy.exp), hy
+    return _norm(_rescaled(r, gram.exps), shift) / b_norm, x, _sqrt_float(abs(energy), y.exp + hy.exp), hy
 
 
 def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels: list[tuple[str, list[KernelTerm]]],
                       T: float, gram: Gram | None, columns: list[Kernel], x: ScaledVector,
-                      hy: ScaledVector | None = None) -> list[complex]:
-    """``free[k] + G[r] x`` per row, each summed exactly and rounded once.
+                      hy: ScaledVector | None = None, shift: int = 0) -> list[complex]:
+    """``(free[k] + G[r] x) * 2**shift`` per row, each summed exactly and rounded once.
 
     A row with a row ``g`` of the solve's Gram reads row ``g`` of ``G x``:
     ``hy`` (``H y`` of :func:`solve`, whose ``x`` this must be) scaled by
     ``2**exps[g]``, or, with None, the product formed here.  A row with
     None integrates the next ``(label, kernel)`` of ``kernels`` against the
     kept ``columns``.  With no Gram (no kept rows, the zero control) the
-    pairings are ``free``.
+    pairings are ``free``.  A ``shift`` set by the targets keeps tiny pairings from underflowing.
     """
     if gram is None:
-        return list(free)
+        return [complex(math.ldexp(f.real, shift), math.ldexp(f.imag, shift)) for f in free]
     bits = columns[0].bits
     fresh = [_kernel(label, kernel, T, bits) for label, kernel in kernels]
     if hy is None:
@@ -529,7 +536,8 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
     out = []
     for f, g in zip(free, gram_rows):
         fr, fi, exp = next(fresh_rows) if g is None else (hy.re[g], hy.im[g], gram.exps[g] + hy.exp)
-        out.append(complex(_float(_fixed(f.real, -exp) + fr, exp), _float(_fixed(f.imag, -exp) + fi, exp)))
+        re, im = _fixed(f.real, -exp) + fr, _fixed(f.imag, -exp) + fi
+        out.append(complex(_float(re, exp + shift), _float(im, exp + shift)))
     return out
 
 

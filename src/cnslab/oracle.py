@@ -4,11 +4,12 @@ A deliberately independent discretization: second-order central differences
 on the periodic grid and implicit-midpoint (trapezoidal) time stepping.  It
 reads the coefficient table the spectral code reads, so its independence lies
 in the discretization; a test checks the grid operator against the test
-oracle's per-system symbol.  The
-advection stencil is exactly skew-symmetric and the diffusion stencil
-symmetric negative, so the weighted discrete energy is non-increasing and
-the density mean is conserved to roundoff -- the discrete shadows of the
-contraction property of the continuous generator.
+oracle's per-system symbol.  It is compared with the slice's eigen-flow
+(eigenpairs, Jordan chains, expansion), on which every spectral result
+rests.  The advection stencil is exactly skew-symmetric and the diffusion
+stencil symmetric negative, so the weighted discrete energy is
+non-increasing and the density mean is conserved to roundoff -- the
+discrete shadows of the contraction property of the continuous generator.
 
 Boundary-jump traces enter through the periodic wrap: a fetch across the
 seam adds the supplied jump to the wrapped value, realizing the control as
@@ -231,12 +232,13 @@ def compare_spectral_fdm(
     M: int,
     dt: float,
 ) -> ComparisonRecord:
-    """Relative nodal L2 error between spectral and FDM homogeneous evolution.
+    """Relative nodal L2 error between the slice's eigen-flow and FDM homogeneous evolution.
 
     Checkpoints at T/4, T/2 and T; also reports the density-mean drift and
     whether the discrete weighted energy was non-increasing along the run,
     and keeps the FDM trajectory it compared.  Inputs are checked by
-    :func:`check_fdm_inputs` before any array is built.
+    :func:`check_fdm_inputs` before any array is built.  A set past the basis
+    condition budget raises IllConditioned: its eigen-flow cannot be trusted.
     """
     from .evolution import forward_state
 

@@ -1,4 +1,4 @@
-"""Mode-by-mode eigenstructure of the adjoint and forward generators.
+"""Mode-by-mode eigenstructure of the adjoint generator, and so of the forward one at ``-n``.
 
 Both systems diagonalize over the Fourier modes ``exp(i*n*x)``: the action of
 the generator on mode ``n`` is a small dense matrix (2x2 or 3x3).  For the
@@ -57,11 +57,6 @@ EIGEN_RESIDUAL_TOL = 1e-10
 CHAIN_RESIDUAL_TOL = 1e-9
 
 
-class MatrixKind(Enum):
-    ADJOINT = "adjoint"
-    FORWARD = "forward"
-
-
 class BranchLabel(Enum):
     HYPERBOLIC = "h"
     PARABOLIC = "p"
@@ -90,24 +85,22 @@ _UPPER = {2: ([0], [1]), 3: ([0, 0, 1], [1, 2, 2])}
 
 @dataclass(frozen=True)
 class ModeMatrix:
-    """Fourier symbol of the generator at one mode."""
+    """Fourier symbol of the adjoint generator at one mode."""
 
     n: int
     dim: int
     entries: np.ndarray
-    kind: MatrixKind
 
 
 # ---------------------------------------------------------------------------
 # stacked symbols and branch anchors
 
 
-def _symbols(params: SystemParams, ns, kind: MatrixKind) -> np.ndarray:
-    """Symbol matrices of the modes ``ns`` stacked as ``(len(ns), dim, dim)``; any integer mode, zero included.
+def _symbols(params: SystemParams, ns) -> np.ndarray:
+    """Adjoint symbol matrices of the modes ``ns`` stacked as ``(len(ns), dim, dim)``; any integer mode, zero included.
 
-    Entry ``(i, j)`` is ``s*A[i, j]*i*n - D[i]*n**2*[i == j]``, ``s = 1`` adjoint, ``-1`` forward.
+    Entry ``(i, j)`` is ``A[i, j]*i*n - D[i]*n**2*[i == j]``; ``A``, ``D`` are real: the forward one is at ``-n``.
     """
-    s = 1.0 if kind is MatrixKind.ADJOINT else -1.0
     nf = np.asarray(ns, dtype=float)
     n2 = nf * nf
     inx = 1j * nf
@@ -116,23 +109,23 @@ def _symbols(params: SystemParams, ns, kind: MatrixKind) -> np.ndarray:
     for i, row in enumerate(coefficients.advection):
         for j, a in enumerate(row):
             if a:
-                M[:, i, j] = s * a * inx
+                M[:, i, j] = a * inx
     for i, d in enumerate(coefficients.diffusion):
         if d:
             M[:, i, i] = -d * n2 + M[:, i, i]
     return M
 
 
-def _symbol(params: SystemParams, n: int, kind: MatrixKind) -> np.ndarray:
-    """Raw symbol matrix, valid for any integer mode including zero."""
-    return _symbols(params, [n], kind)[0]
+def _symbol(params: SystemParams, n: int) -> np.ndarray:
+    """Raw adjoint symbol matrix, valid for any integer mode including zero."""
+    return _symbols(params, [n])[0]
 
 
-def mode_matrix(params: SystemParams, n: int, kind: MatrixKind = MatrixKind.ADJOINT) -> ModeMatrix:
-    """Symbol matrix of the adjoint or forward generator at mode ``n != 0``."""
+def mode_matrix(params: SystemParams, n: int) -> ModeMatrix:
+    """Symbol matrix of the adjoint generator at mode ``n != 0``."""
     if n == 0:
         raise DomainError("mode n = 0 is excluded (constant kernel)")
-    return ModeMatrix(n=n, dim=params.dim, entries=_symbol(params, n, kind), kind=kind)
+    return ModeMatrix(n=n, dim=params.dim, entries=_symbol(params, n))
 
 
 def _anchors(params: SystemParams, nf: np.ndarray) -> np.ndarray:
@@ -646,7 +639,7 @@ def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> tuple
     ns = np.asarray(ns, dtype=np.int64)
     if np.any(ns == 0):
         raise DomainError("mode n = 0 is excluded")
-    M = _symbols(params, ns, MatrixKind.ADJOINT)
+    M = _symbols(params, ns)
     M_norm = _closed_form_svd(M)
     tol = clustering_tolerance
     if isinstance(params, BarotropicParams):
@@ -828,9 +821,9 @@ def _clustered_modes(params: SystemParams, table: BasisTable, rows, tol: float) 
     :func:`_cluster_mode` on its eigenpairs and its symbol (recomputed for
     these rows only): the clusters and chains a table row is filled from."""
     rows = np.asarray(rows, dtype=np.int64)
-    symbols = _symbols(params, table.ns[rows], MatrixKind.ADJOINT)
+    symbols = _symbols(params, table.ns[rows])
     return [
-        _cluster_mode(ModeMatrix(pairs[0].n, params.dim, M, MatrixKind.ADJOINT), pairs, tol)
+        _cluster_mode(ModeMatrix(pairs[0].n, params.dim, M), pairs, tol)
         for M, pairs in zip(symbols, _mode_pairs(params, table, rows))
     ]
 

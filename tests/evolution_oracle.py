@@ -9,6 +9,8 @@ The per-mode and per-term code that production no longer runs:
 * the eigen-expansion as one condition number and one dense solve per mode;
 * the adjoint state and the observation signal read cluster by cluster
   from the per-mode ``ModeSpectrum`` objects, one ``KernelTerm`` per term;
+* the forward state as one matrix exponential per mode of the written-out
+  forward symbol, which touches no eigenpair, chain or expansion;
 * the term-by-term evaluation of a signal;
 * the moment rows of ``control`` built from the clusters;
 * the small-time witness's loops over modes: the Fourier gather of the bump
@@ -26,6 +28,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
+import spectrum_oracle
 
 from cnslab import evolution, fields
 from cnslab.control import MomentRow, _mode_inner_products
@@ -167,6 +171,21 @@ def adjoint_state(expansion: EigenExpansion, slice_: SpectrumSlice, T: float, t:
     return state
 
 
+def forward_state(initial_field: SpectralField, params: SystemParams, t: float) -> SpectralField:
+    """Homogeneous forward solution at time t >= 0, ``expm(F_n t) c_n`` mode by mode.
+
+    ``F_n`` is :func:`spectrum_oracle._symbol` with its first-order terms
+    negated, written out per system rather than read at ``-n``.
+    """
+    state = SpectralField.zeros(initial_field.dim, initial_field.N)
+    for n in range(-initial_field.N, initial_field.N + 1):
+        c0 = initial_field.coeff(n)
+        if np.any(c0):
+            F = spectrum_oracle._symbol(params, n, forward=True)
+            state.coeffs[n + initial_field.N] = scipy.linalg.expm(F * t) @ c0
+    return state
+
+
 def observation_terms(
     expansion: EigenExpansion, slice_: SpectrumSlice, channel: ObservationChannel
 ) -> list[KernelTerm]:
@@ -247,7 +266,6 @@ def chain_rows(U0: SpectralField, channel: ObservationChannel, T: float, slice_:
                     rate=nu_bar,
                     kernel=kernel,
                     target=complex(-free),
-                    observation=obs[j],
                 )
 
 

@@ -52,16 +52,15 @@ from cnslab.spectrum import (
     Cluster,
     Coincidence,
     EigenPair,
-    MatrixKind,
     ModeMatrix,
     ModeSpectrum,
     SpectrumSlice,
     generalized_chain,
 )
 
-def _symbol(params: SystemParams, n: int, kind: MatrixKind) -> np.ndarray:
-    """Raw symbol matrix, valid for any integer mode including zero."""
-    s = 1.0 if kind is MatrixKind.ADJOINT else -1.0
+def _symbol(params: SystemParams, n: int, forward: bool = False) -> np.ndarray:
+    """Raw adjoint symbol matrix, or with ``forward`` the forward one (first-order terms negated); any integer mode."""
+    s = -1.0 if forward else 1.0
     inx = 1j * n
     if isinstance(params, BarotropicParams):
         p = params
@@ -215,7 +214,7 @@ def eigen_barotropic(
     """
     if n == 0:
         raise DomainError("mode n = 0 is excluded")
-    M = _symbol(params, n, MatrixKind.ADJOINT)
+    M = _symbol(params, n)
     mu0, b, rho, u = params.mu0, params.b, params.rho_bar, params.u_bar
     disc = cmath.sqrt(complex(mu0**2 * n**4 - 4.0 * b * rho * n**2))
     # Principal square root throughout.  Below the threshold (imaginary
@@ -348,7 +347,7 @@ def eigen_nonbarotropic(
     """
     if n == 0:
         raise DomainError("mode n = 0 is excluded")
-    M = _symbol(params, n, MatrixKind.ADJOINT)
+    M = _symbol(params, n)
     values, vectors = np.linalg.eig(M)
     scale = float(np.linalg.norm(M, 2))
 
@@ -453,7 +452,7 @@ def _mode_pairs(params: SystemParams, n: int, tol: float) -> tuple[EigenPair, ..
 
 def _cluster_mode(params: SystemParams, n: int, pairs: tuple[EigenPair, ...], tol: float) -> ModeSpectrum:
     """Group coincident values of one mode and attach chains where defective."""
-    M = ModeMatrix(n=n, dim=params.dim, entries=_symbol(params, n, MatrixKind.ADJOINT), kind=MatrixKind.ADJOINT)
+    M = ModeMatrix(n=n, dim=params.dim, entries=_symbol(params, n))
     unused = list(range(len(pairs)))
     groups: list[list[int]] = []
     while unused:

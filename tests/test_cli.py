@@ -304,6 +304,21 @@ class TestRun:
         payload = json.loads((tmp_path / "out" / "fdm_validation.json").read_text())
         assert payload["energy_monotone"] is True
 
+    def test_validate_fdm_refuses_an_ill_conditioned_eigenbasis(self, tmp_path, monkeypatch, capsys):
+        # the spectral side is the eigen-flow, which a basis past the
+        # condition budget cannot carry: a domain error, not a comparison
+        from cnslab import fields
+
+        monkeypatch.setattr(fields, "EXPANSION_COND_LIMIT", 1.0)
+        cfg = _write(
+            tmp_path,
+            BASE.format(command="validate-fdm", u_bar=0.9, b=1.3)
+            + "\n[fdm]\nN = 4\nM = 128\ndt = 1e-3\nT = 0.1\n",
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "condition number" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fdm_validation.json").exists()
+
     def test_validate_fdm_export_evolves_once(self, tmp_path, monkeypatch):
         # the exported trajectory is the one the comparison evolved
         import cnslab.oracle

@@ -125,7 +125,7 @@ class TestNorms:
         for params in NAMED.values():
             for N in (96, 1024):
                 ns = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
-                M = spectrum._symbols(params, ns, spectrum.MatrixKind.ADJOINT)
+                M = spectrum._symbols(params, ns)
                 assert _near(_closed_form_svd(M), _lapack_norms(M), NORM_RTOL_LAPACK)
 
 

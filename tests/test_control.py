@@ -79,18 +79,24 @@ class TestSynthesizeControl:
     @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-170, 1e-300])
     def test_tiny_data_get_the_scaled_control(self, nondegenerate_barotropic, scale):
         # the targets' sum of squares underflows below about 1e-154; a test
-        # for exact zeros does not, and the solve is scale-free
+        # for exact zeros does not, and the solve is scale-free.  Both relative
+        # residuals are formed at the targets' scale, so neither underflows
+        # (about 4.5e-72 here, parts of about 1e-372 at scale 1e-300).
         slice_ = build_slice(nondegenerate_barotropic, 4)
         unit, tiny = (synthesize_control(_modes_one_system(slice_, s)) for s in (1.0, scale))
         assert tiny.solve_dps == unit.solve_dps == 40
         assert tiny.control_norm / scale == pytest.approx(unit.control_norm, rel=1e-12)
+        assert 0.5 * unit.residual <= tiny.residual <= 2.0 * unit.residual
+        unit_in, tiny_in = (verify_terminal(s, 4).in_truncation_residual for s in (unit, tiny))
+        assert 0.5 * unit_in <= tiny_in <= 2.0 * unit_in
+        assert unit.residual > 0.0 and unit_in > 0.0
 
     def test_single_eigenfunction_density(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 16)
-        from cnslab.spectrum import MatrixKind, _symbol
+        from cnslab.spectrum import _symbol
 
-        # forward eigenfunction of mode 2
-        M = _symbol(nondegenerate_barotropic, 2, MatrixKind.FORWARD)
+        # forward eigenfunction of mode 2: the forward symbol at n is the adjoint one at -n
+        M = _symbol(nondegenerate_barotropic, -2)
         vals, vecs = np.linalg.eig(M)
         field = SpectralField.single_mode(2, vecs[:, 0], 16)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 8)
@@ -340,7 +346,7 @@ class TestVerifyTerminal:
     def test_hand_built_system_is_refused(self):
         # a system not built by build_moment_system carries no datum or slice to verify against
         rate = complex(-1.0, 2.0)
-        rows = [MomentRow(1, 0, 0, rate, [KernelTerm(1.0 + 0j, rate, 0)], 1.0 + 0j, 1.0 + 0j)]
+        rows = [MomentRow(1, 0, 0, rate, [KernelTerm(1.0 + 0j, rate, 0)], 1.0 + 0j)]
         solution = synthesize_control(MomentSystem(ObservationChannel.DENSITY, 8.0, 1, rows, False))
         with pytest.raises(DomainError, match="datum and slice"):
             verify_terminal(solution, 2)

@@ -99,12 +99,12 @@ def kernel_systems(draw):
         if draw(st.booleans()):
             kernels.append([KernelTerm(c1, rate, 0), KernelTerm(c0, rate, 1)])
         for level, kernel in enumerate(kernels):
-            rows.append(MomentRow(n, 0, level, rate, kernel, draw(_COMPLEX), 1.0 + 0j))
+            rows.append(MomentRow(n, 0, level, rate, kernel, draw(_COMPLEX)))
     if draw(st.booleans()):
         # a consistent multiple of the first row, from another mode: dropped before the solve
         first, factor = rows[0], draw(_COMPLEX)
         kernel = [KernelTerm(factor * first.kernel[0].coef, first.rate, 0)]
-        rows.append(MomentRow(-1, 0, 0, first.rate, kernel, factor * first.target, 1.0 + 0j))
+        rows.append(MomentRow(-1, 0, 0, first.rate, kernel, factor * first.target))
     return MomentSystem(ObservationChannel.DENSITY, T, len(rates), rows, False)
 
 
@@ -143,8 +143,8 @@ def _gram(rows, T: float, columns=None, bits=None) -> list[list]:
 def _chain_system(T: float, rate: complex) -> MomentSystem:
     """A chain pair at one rate: ``i e^{rate s}`` and ``-i e^{rate s} + i s e^{rate s}``."""
     rows = [
-        MomentRow(1, 0, 0, rate, [KernelTerm(1j, rate, 0)], 1j, 1.0 + 0j),
-        MomentRow(1, 0, 1, rate, [KernelTerm(-1j, rate, 0), KernelTerm(1j, rate, 1)], 1j, 1.0 + 0j),
+        MomentRow(1, 0, 0, rate, [KernelTerm(1j, rate, 0)], 1j),
+        MomentRow(1, 0, 1, rate, [KernelTerm(-1j, rate, 0), KernelTerm(1j, rate, 1)], 1j),
     ]
     return MomentSystem(ObservationChannel.DENSITY, T, 1, rows, False)
 
@@ -161,7 +161,7 @@ class TestGram:
                     assert abs(got[i][j] - want[i, j]) <= 1e-30 * abs(want[i, j])
 
     def test_taylor_branch_is_exercised(self):
-        row = MomentRow(1, 0, 0, SMALL_RATE, [KernelTerm(1.0 + 0j, SMALL_RATE, 0)], 1.0 + 0j, 1.0 + 0j)
+        row = MomentRow(1, 0, 0, SMALL_RATE, [KernelTerm(1.0 + 0j, SMALL_RATE, 0)], 1.0 + 0j)
         assert abs(2 * SMALL_RATE.real) * 8.0 < TAYLOR_RADIUS
         got = _gram([row], 8.0)[0][0]
         with mpmath.workdps(40 + _REFERENCE_DIGITS):
@@ -170,7 +170,7 @@ class TestGram:
     @pytest.mark.parametrize("rate", [complex(-3e-30, 2e-30), complex(-1e-18, 0.0), complex(0.0, 4e-20)])
     def test_taylor_branch_at_rates_the_recurrence_cannot_resolve(self, rate):
         # e^{zT} - 1 cancels every digit the recurrence carries at these rates
-        rows = [MomentRow(1, 0, 0, rate, [KernelTerm(1.0 + 0j, rate, d) for d in (0, 1)], 1.0 + 0j, 1.0 + 0j)]
+        rows = [MomentRow(1, 0, 0, rate, [KernelTerm(1.0 + 0j, rate, d) for d in (0, 1)], 1.0 + 0j)]
         got = _gram(rows, 8.0)[0][0]
         with mpmath.workdps(40 + _REFERENCE_DIGITS):
             assert abs(got - oracle.gram_mp(rows, 8.0)[0, 0]) <= 1e-30 * abs(got)
@@ -206,8 +206,8 @@ class TestSolution:
         # refinement step brings them to the bound
         rows = []
         for n, rate in enumerate([complex(-0.05, 0.0), complex(-0.05, 1.3), SMALL_RATE], start=1):
-            rows.append(MomentRow(n, 0, 0, rate, [KernelTerm(1j, rate, 0)], 1j, 1.0 + 0j))
-            rows.append(MomentRow(n, 0, 1, rate, [KernelTerm(1j, rate, 0), KernelTerm(1j, rate, 1)], 1j, 1.0 + 0j))
+            rows.append(MomentRow(n, 0, 0, rate, [KernelTerm(1j, rate, 0)], 1j))
+            rows.append(MomentRow(n, 0, 1, rate, [KernelTerm(1j, rate, 0), KernelTerm(1j, rate, 1)], 1j))
         system = MomentSystem(ObservationChannel.DENSITY, 1.0, 3, rows, False)
         solution = _solved(system)
         with mpmath.workdps(solution.solve_dps + _REFERENCE_DIGITS):
@@ -249,7 +249,7 @@ class TestSolution:
         solution = _solved(system)
         T = system.horizon
         rates = {row.rate for row in system.rows} | {SMALL_RATE, complex(-2.5, 7.0)}
-        rows = [MomentRow(1, 0, 0, rate, [KernelTerm(1.0 + 0j, rate, degree)], 0j, 0j) for rate in rates]
+        rows = [MomentRow(1, 0, 0, rate, [KernelTerm(1.0 + 0j, rate, degree)], 0j) for rate in rates]
         with mpmath.workdps(solution.solve_dps):
             coefficients = oracle.coefficients_mp(solution)
             kept = [coefficients[i] for i in solution.keep]
@@ -498,8 +498,8 @@ class TestArithmeticSignals:
         rate_a, rate_b = complex(-1.5, 2.0), complex(-0.7, -1.0) if rate is None else rate
         target_a, target_b = map(complex, targets)
         rows = [
-            MomentRow(1, 0, 0, rate_a, [KernelTerm(1.0 + 0j, rate_a, 0)], target_a, 1.0 + 0j),
-            MomentRow(2, 0, 0, rate_b, [KernelTerm(coef, rate_b, 0)], target_b, 1.0 + 0j),
+            MomentRow(1, 0, 0, rate_a, [KernelTerm(1.0 + 0j, rate_a, 0)], target_a),
+            MomentRow(2, 0, 0, rate_b, [KernelTerm(coef, rate_b, 0)], target_b),
         ]
         system = MomentSystem(ObservationChannel.DENSITY, 8.0, 2, rows, False)
         with pytest.raises(ArithmeticFailure, match=message):
@@ -507,7 +507,7 @@ class TestArithmeticSignals:
 
     def test_non_finite_kernel_coefficient_exits_3(self, tmp_path, monkeypatch, capsys):
         rate = complex(-1.5, 2.0)
-        row = MomentRow(1, 0, 0, rate, [KernelTerm(complex(np.nan, 0.0), rate, 0)], 1.0 + 0j, 1.0 + 0j)
+        row = MomentRow(1, 0, 0, rate, [KernelTerm(complex(np.nan, 0.0), rate, 0)], 1.0 + 0j)
         system = MomentSystem(ObservationChannel.DENSITY, 8.0, 1, [row], False)
         monkeypatch.setattr(cli, "build_moment_system", lambda *args: system)
         cfg = tmp_path / "run.ini"
@@ -540,7 +540,7 @@ def proportional_systems(draw):
         if draw(st.integers(0, 3)) == 0:
             kernel.append(KernelTerm(1.0 + 0j, rate, 1))
         target = coef * draw(st.sampled_from([1.0, 2.0, 0.0]))
-        rows.append(MomentRow(draw(st.sampled_from([-2, -1, 1, 2])), 0, 0, rate, kernel, target, 1.0 + 0j))
+        rows.append(MomentRow(draw(st.sampled_from([-2, -1, 1, 2])), 0, 0, rate, kernel, target))
     return MomentSystem(ObservationChannel.DENSITY, 8.0, 2, rows, False)
 
 
@@ -553,8 +553,8 @@ class TestProportionalRows:
 
     def _rows(self, rate_b, target_b):
         rate_a = complex(-1.5, 2.0)
-        a = MomentRow(1, 0, 0, rate_a, [KernelTerm(1.0 + 0j, rate_a, 0)], 1.0 + 0j, 1.0 + 0j)
-        b = MomentRow(-1, 0, 0, rate_b, [KernelTerm(2.0 + 0j, rate_b, 0)], target_b, 1.0 + 0j)
+        a = MomentRow(1, 0, 0, rate_a, [KernelTerm(1.0 + 0j, rate_a, 0)], 1.0 + 0j)
+        b = MomentRow(-1, 0, 0, rate_b, [KernelTerm(2.0 + 0j, rate_b, 0)], target_b)
         return MomentSystem(ObservationChannel.DENSITY, 8.0, 1, [a, b], False)
 
     def test_nearly_equal_rates_agree_in_both_places(self):

@@ -1,12 +1,16 @@
 import math
 
+import evolution_oracle
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import random_barotropic, random_nonbarotropic
 from energy_oracle import quadrature_energy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cnslab.control import build_moment_system
-from cnslab.errors import DimMismatch
+from cnslab.errors import DimMismatch, IllConditioned
 from cnslab.evolution import (
     ObservationChannel,
     adjoint_state,
@@ -16,8 +20,14 @@ from cnslab.evolution import (
     observation_value,
 )
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField, expand_in_eigenbasis, sobolev_norm
+from cnslab.model import BarotropicParams, NonBarotropicParams
 from cnslab.observability import observability_quotient, observation_energy
 from cnslab.spectrum import BranchLabel, build_slice, eigen_barotropic, mode_matrix
+
+
+#: the named sets of tests/conftest.py whose slices carry a Jordan pair (n = 2) and a Jordan triple (n = 1)
+JORDAN_PAIR = BarotropicParams(rho_bar=1.0, u_bar=1.0, mu0=1.0, b=1.0)
+TRIPLE_ROOT = NonBarotropicParams(rho_bar=1.0, u_bar=1.0, theta_bar=0.5, lambda0=1.0, kappa0=2.0, R=1.0, c0=1.0)
 
 
 def _random_mean_zero(rng, dim, N):
@@ -186,6 +196,30 @@ class TestForwardState:
         ]
         assert norms[2] <= norms[1] * (1 + 1e-12)
         assert norms[1] <= norms[0] * (1 + 1e-12)
+
+    @given(
+        params=st.one_of(
+            st.integers(0, 2**32 - 1).map(lambda seed: random_barotropic(np.random.default_rng(seed))),
+            st.integers(0, 2**32 - 1).map(lambda seed: random_nonbarotropic(np.random.default_rng(seed))),
+            st.just(JORDAN_PAIR),
+            st.just(TRIPLE_ROOT),
+        ),
+        N=st.integers(1, 6),
+        t=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_against_the_matrix_exponential(self, params, N, t, seed):
+        # the eigen-flow's error is the expansion solve's, cond * eps relative
+        # to the datum; the flow and the oracle's expm add a few eps each
+        bound = 64 * np.finfo(float).eps * float(build_slice(params, N).conds.max())
+        f = _random_mean_zero(np.random.default_rng(seed), params.dim, N)
+        try:
+            got = forward_state(f, params, t).state.coeffs
+        except IllConditioned:
+            assume(False)
+        want = evolution_oracle.forward_state(f, params, t).coeffs
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(f.coeffs)
 
 
 class TestObservationSignal:

@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import spectrum_oracle
-from cnslab import oracle
+from cnslab import evolution, oracle
 from cnslab.errors import CFLViolation, DomainError
 from cnslab.fields import SpectralField
 from cnslab.oracle import GridState, compare_spectral_fdm, fdm_evolve
-from cnslab.spectrum import MatrixKind, _symbol
+from cnslab.spectrum import _symbol
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,7 +32,7 @@ class TestForwardOperator:
         M = 64
         h = TWO_PI / M
         x = h * np.arange(M)
-        plus, minus = (spectrum_oracle._symbol(params, k, MatrixKind.FORWARD) for k in (1, -1))
+        plus, minus = (spectrum_oracle._symbol(params, k, forward=True) for k in (1, -1))
         X, Y = (plus - minus) / 2j, -(plus + minus) / 2
         L = oracle._forward_operator(params, M)
         rng = np.random.default_rng(3)
@@ -82,7 +83,7 @@ class TestFdmEvolve:
         # manufactured solution: real part of a forward parabolic mode; the
         # h^2 eigenvector mismatch seeds ~1e-5 of the slow branch, which caps
         # the achievable agreement once the main mode has decayed strongly
-        M = _symbol(nondegenerate_barotropic, 4, MatrixKind.FORWARD)
+        M = _symbol(nondegenerate_barotropic, -4)
         vals, vecs = np.linalg.eig(M)
         k = int(np.argmin(vals.real))  # parabolic branch decays fastest
         nu, vec = vals[k], vecs[:, k]
@@ -96,7 +97,7 @@ class TestFdmEvolve:
         assert ratio == pytest.approx(abs(np.exp(nu * 0.5)), rel=1e-2)
 
     def test_spatial_order_of_accuracy(self, nondegenerate_barotropic):
-        M_op = _symbol(nondegenerate_barotropic, 4, MatrixKind.FORWARD)
+        M_op = _symbol(nondegenerate_barotropic, -4)
         vals, vecs = np.linalg.eig(M_op)
         k = int(np.argmin(vals.real))
         field = SpectralField.from_modes(2, 4, {4: vecs[:, k], -4: np.conj(vecs[:, k])})
@@ -150,6 +151,32 @@ class TestCompare:
         assert record.max_error <= 1e-3
         assert record.mean_drift <= 1e-12
         assert record.energy_monotone
+
+    def test_comparison_reads_the_eigenbasis(self, nondegenerate_barotropic, monkeypatch):
+        # the spectral side is the slice's eigen-flow: a basis entry off by 1%
+        # takes the comparison past criterion 10's bound.  Scaling a whole
+        # column would not: the expansion divides by what the flow multiplies.
+        rng = np.random.default_rng(3)
+        field = _smooth_real_field(rng, 2, 16)
+        build_slice = evolution.build_slice
+
+        def perturbed(components):
+            # build_slice with these components of every mode's hyperbolic column scaled by 1.01
+            def build(params, N):
+                slice_ = build_slice(params, N)
+                basis = slice_.basis.basis.copy()
+                basis[:, components, 0] *= 1.01
+                return dataclasses.replace(slice_, basis=slice_.basis._replace(basis=basis))
+
+            return build
+
+        exact = evolution.forward_state(field, nondegenerate_barotropic, 0.4).state.coeffs
+        monkeypatch.setattr(evolution, "build_slice", perturbed(slice(None)))
+        scaled = evolution.forward_state(field, nondegenerate_barotropic, 0.4).state.coeffs
+        assert np.linalg.norm(scaled - exact) <= 1e-13 * np.linalg.norm(exact)
+        monkeypatch.setattr(evolution, "build_slice", perturbed(0))
+        record = compare_spectral_fdm(nondegenerate_barotropic, field, T=0.4, M=1024, dt=1e-4)
+        assert record.max_error > 1e-3
 
     def test_second_order_trend(self, nondegenerate_barotropic):
         rng = np.random.default_rng(3)

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import spectrum_oracle
 from conftest import random_barotropic, random_nonbarotropic
 from cnslab.errors import ChainError, DomainError
 from cnslab.model import BarotropicParams, NonBarotropicParams
 from cnslab.spectrum import (
     BranchLabel,
-    MatrixKind,
     _symbol,
     build_slice,
     classify_branch,
@@ -24,7 +24,7 @@ from cnslab.spectrum import (
 
 class TestModeMatrix:
     def test_barotropic_adjoint_entries(self, unit_barotropic):
-        M = mode_matrix(unit_barotropic, 1, MatrixKind.ADJOINT)
+        M = mode_matrix(unit_barotropic, 1)
         expected = np.array([[1j, 1j], [1j, -1 + 1j]])
         assert np.allclose(M.entries, expected, atol=1e-15)
 
@@ -34,21 +34,23 @@ class TestModeMatrix:
 
     def test_nonbarotropic_trace_matches_cubic_coefficient(self, triple_root_nonbarotropic):
         # trace(i*R_1) = i*(3*u + (lambda0+kappa0)*i) = -3 + 3i
-        M = mode_matrix(triple_root_nonbarotropic, 1, MatrixKind.ADJOINT)
+        M = mode_matrix(triple_root_nonbarotropic, 1)
         assert np.trace(M.entries) == pytest.approx(-3 + 3j, rel=1e-14)
 
-    def test_forward_flips_first_order_terms(self, nondegenerate_barotropic):
-        n = 3
-        adj = mode_matrix(nondegenerate_barotropic, n, MatrixKind.ADJOINT).entries
-        fwd = mode_matrix(nondegenerate_barotropic, n, MatrixKind.FORWARD).entries
-        # diffusion entries (real parts) equal, advection entries negated
-        assert np.allclose(fwd.real, adj.real)
-        assert np.allclose(fwd.imag, -adj.imag)
+    def test_forward_flips_first_order_terms(self, nondegenerate_barotropic, generic_nonbarotropic):
+        # the forward symbol at n is the adjoint one at -n: the coefficients are
+        # real, so diffusion entries (real parts) agree and advection entries flip
+        for params in (nondegenerate_barotropic, generic_nonbarotropic):
+            for n in (-7, -1, 0, 1, 3):
+                adj = _symbol(params, n)
+                fwd = spectrum_oracle._symbol(params, n, forward=True)
+                assert np.array_equal(_symbol(params, -n), fwd)
+                assert np.array_equal(fwd.real, adj.real)
+                assert np.array_equal(fwd.imag, -adj.imag)
 
     def test_mode_zero_symbol_is_zero(self, nondegenerate_barotropic, generic_nonbarotropic):
         for params in (nondegenerate_barotropic, generic_nonbarotropic):
-            assert np.all(_symbol(params, 0, MatrixKind.ADJOINT) == 0.0)
-            assert np.all(_symbol(params, 0, MatrixKind.FORWARD) == 0.0)
+            assert np.all(_symbol(params, 0) == 0.0)
 
     def test_trace_matches_char_poly_coefficient(self):
         rng = np.random.default_rng(42)

@@ -32,7 +32,7 @@ from cnslab.cli import main
 from cnslab.errors import DegenerateWarning, DomainError
 from cnslab.model import BarotropicParams, NonBarotropicParams
 from cnslab.observability import ingham_audit
-from cnslab.spectrum import BranchLabel, MatrixKind, build_slice, export_spectrum_csv, riesz_closeness
+from cnslab.spectrum import BranchLabel, build_slice, export_spectrum_csv, riesz_closeness
 from conftest import random_nonbarotropic
 
 WORKHORSE = BarotropicParams(rho_bar=1.0, u_bar=0.9, mu0=1.0, b=1.3)
@@ -278,8 +278,7 @@ class TestSymbols:
     @given(params=st.one_of(BAROTROPIC, NONBAROTROPIC), n=st.integers(-5000, 5000))
     @settings(max_examples=100, deadline=None)
     def test_stacked_symbols_match_scalar_symbol(self, params, n):
-        for kind in MatrixKind:
-            assert _close(spectrum._symbols(params, [n], kind)[0], oracle._symbol(params, n, kind))
+        assert _close(spectrum._symbols(params, [n])[0], oracle._symbol(params, n))
 
     @given(params=st.one_of(BAROTROPIC, NONBAROTROPIC), n=st.integers(-300, 300), value=st.complex_numbers(max_magnitude=1e5))
     @settings(max_examples=100, deadline=None)

@@ -8,7 +8,9 @@ that no workload runs: ``closeness``, ``observe`` and ``synthesize`` on every
 valid channel of both systems, ``observe`` with more trials than one
 stacked pass takes, ``synthesize`` on 100 moment rows, which solves at 80
 digits, ``synthesize`` on 32 moment rows at T = 0.5, which solves at 160
-digits, ``validate-fdm`` with a trajectory export,
+digits, ``validate-fdm`` with a trajectory export on the workhorse, the
+coincidence-free three-field set, the Jordan-pair barotropic set and the
+triple-root three-field set (its spectral side runs the Jordan chains),
 ``ingham`` on the barotropic workhorse, ``witness-regularity`` on the
 workhorse and on velocity and temperature of the three-field set,
 ``witness-smalltime`` on the coincidence-free three-field set,
@@ -56,6 +58,12 @@ GENERIC_THREE_FIELD = {"rho_bar": 1.0, "u_bar": 0.9, "theta_bar": 1.0, "lambda0"
 #: A barotropic set whose parabolic eigenvalues at n = 1 and n = -1 coincide: a cross-mode coincidence.
 DEGENERATE_BAROTROPIC = {"rho_bar": 1.0, "u_bar": 1.0, "mu0": 1.0, "b": 1.25}
 
+#: A barotropic set whose two values at n = 2 form a Jordan pair.
+JORDAN_PAIR_BAROTROPIC = {"rho_bar": 1.0, "u_bar": 1.0, "mu0": 1.0, "b": 1.0}
+
+#: A three-field set whose three values at n = 1 form a Jordan triple.
+TRIPLE_ROOT_THREE_FIELD = {"rho_bar": 1.0, "u_bar": 1.0, "theta_bar": 0.5, "lambda0": 1.0, "kappa0": 2.0, "R": 1.0, "c0": 1.0}
+
 #: name -> (system, params set, command, section text, verify); the sets are named in :func:`digests`.
 EXTRA = {
     "closeness-barotropic": ("barotropic", "workhorse", "closeness", "[closeness]\nN_start = 3\nN_end = 40\n", False),
@@ -89,11 +97,14 @@ EXTRA = {
         "barotropic", "workhorse", "synthesize",
         "[synthesize]\nN = 8\nT = 0.5\nchannel = density\nN_verify = 12\ngrid = 21\n", False,
     ),
+    # the jordan and triple sets put Jordan chains on the spectral side of the comparison
     **{
-        f"validate-fdm-{system}": (
+        f"validate-fdm-{name}": (
             system, key, "validate-fdm", "[fdm]\nN = 6\nM = 128\ndt = 1e-3\nT = 0.1\nexport_trajectory = yes\n", False,
         )
-        for system, key in (("barotropic", "workhorse"), ("nonbarotropic", "generic"))
+        for name, system, key in (("barotropic", "barotropic", "workhorse"), ("nonbarotropic", "nonbarotropic", "generic"),
+                                  ("barotropic-jordan", "barotropic", "jordan"),
+                                  ("nonbarotropic-triple", "nonbarotropic", "triple"))
     },
     "ingham-barotropic": ("barotropic", "workhorse", "ingham", "[ingham]\nN = 24\nT = 8.0\n", False),
     "witness-regularity": ("barotropic", "workhorse", "witness-regularity", "[witness]\ns = 0.5\nn_list = 4,8,16\n", False),
@@ -146,7 +157,7 @@ def digests(wl, keep: Path | None = None) -> list[str]:
             for run, text in enumerate(workload.configs(seed)):
                 lines += _run(wl, f"{name}/{seed}/{run}", text, keep=keep)
     params = {"workhorse": wl.WORKHORSE, "shared": wl.SHARED_EIGENVALUE, "generic": GENERIC_THREE_FIELD,
-              "degenerate": DEGENERATE_BAROTROPIC}
+              "degenerate": DEGENERATE_BAROTROPIC, "jordan": JORDAN_PAIR_BAROTROPIC, "triple": TRIPLE_ROOT_THREE_FIELD}
     for name, (system, key, command, section, verify) in EXTRA.items():
         text = "\n".join(
             ["[run]", f"system = {system}", f"command = {command}", "seed = 0", "", "[params]"]
