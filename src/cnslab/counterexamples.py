@@ -39,9 +39,6 @@ from .spectrum import _BRANCH_ORDER, SpectrumSlice, _anchors, build_slice
 TWO_PI = 2.0 * np.pi
 #: Branch column of the hyperbolic eigenpair in a basis table (first in either system).
 _HYPERBOLIC = 0
-#: Entries of one block of the witness's time-by-mode exponential tables, 128 kB per complex
-#: table (a block holds at least one stride of times).
-_TIME_BLOCK = 1 << 13
 #: Time stride of the witness's product-form exponentials, about the square root of ``_TRANSPORT_TIMES``.
 _TRANSPORT_STRIDE = 16
 #: Small-time witness: the carrier of N sits at mode ``_MODULATION_FACTOR*N``, below the cutoff
@@ -239,29 +236,24 @@ def _transport_gaps(
 ) -> dict[int, np.ndarray]:
     """``|sum amp * (e^{hyp s} - e^{rate s})|`` over the modes at ``s = T - t`` for each profile.
 
-    ``t`` runs over ``_TRANSPORT_TIMES`` points of [0, T].  The difference
-    is formed once per time, so no two sums of size ``sum|amp|`` are
-    subtracted.  The exponential at ``t_{qB+r}`` (``B = _TRANSPORT_STRIDE``)
-    is the product of one at ``t_{qB}`` and one at ``t_r``: the tables take
-    ``_TRANSPORT_TIMES/B + B`` exponentials per rate, not ``_TRANSPORT_TIMES``.
-    Blocks of whole strides bound the temporaries; each row's sum is the
-    same in any block.
+    ``t`` runs over ``_TRANSPORT_TIMES`` points of [0, T].  The exponential
+    at ``t_{qB+r}`` (``B = _TRANSPORT_STRIDE``) is the product of one at
+    ``t_{qB}`` and one at ``t_r``, so each profile's gaps are one complex
+    matrix product ``(signs * outer) @ inner.T`` of the tables at the times
+    ``t_{qB}`` (17 rows) and ``t_r`` (16 rows), read row by row and cut
+    from 272 entries to 257.  The two rates of each mode sit side by side
+    on the contracted axis, weighted ``amp`` and ``-amp`` in ``signs``, so
+    each mode's difference enters the sum as adjacent terms and no two sums
+    of size ``sum|amp|`` are formed and then subtracted.
     """
     ts = np.linspace(0.0, T, _TRANSPORT_TIMES)
-    both = np.stack((hyp, rates))[:, None, :]
-    outer = np.exp(both * (T - ts[::_TRANSPORT_STRIDE, None]))
-    inner = np.exp(both * -ts[:_TRANSPORT_STRIDE, None])
-    gaps = {N: np.empty(ts.size) for N in profiles}
-    groups = max(1, _TIME_BLOCK // (_TRANSPORT_STRIDE * hyp.size))
-    block = np.empty((2, groups, _TRANSPORT_STRIDE, hyp.size), dtype=complex)
-    for lo in range(0, outer.shape[1], groups):
-        part = block[:, : outer.shape[1] - lo]  # the last block may hold fewer strides
-        np.multiply(outer[:, lo : lo + groups, None, :], inner[:, None, :, :], out=part)
-        first = lo * _TRANSPORT_STRIDE
-        diff = part[0].reshape(-1, hyp.size)[: ts.size - first]
-        diff -= part[1].reshape(-1, hyp.size)[: diff.shape[0]]
-        for N, amp in profiles.items():
-            gaps[N][first : first + diff.shape[0]] = np.abs((amp * diff).sum(axis=1))
+    rate_pairs = np.stack((hyp, rates), axis=1).reshape(-1)  # hyp_0, rate_0, hyp_1, rate_1, ...
+    outer = np.exp(rate_pairs * (T - ts[::_TRANSPORT_STRIDE, None]))
+    inner = np.exp(rate_pairs * -ts[:_TRANSPORT_STRIDE, None])
+    gaps = {}
+    for N, amp in profiles.items():
+        signs = np.stack((amp, -amp), axis=1).reshape(-1)
+        gaps[N] = np.abs((signs * outer) @ inner.T).reshape(-1)[: ts.size]
     return gaps
 
 

@@ -183,33 +183,39 @@ def adjoint_state(
     return TrajectorySample(time=t, state=SpectralField(dim=slice_.dim, N=slice_.N, coeffs=state))
 
 
-def forward_state(initial_field: SpectralField, params: SystemParams, t: float) -> TrajectorySample:
-    """Homogeneous forward solution at t >= 0: the mode-reversed field's adjoint flow over ``s = t``, reversed.
+def forward_states(initial_field: SpectralField, params: SystemParams, times) -> list[TrajectorySample]:
+    """Homogeneous forward solutions at ``times``: the mode-reversed field's adjoint flow over ``s = t >= 0``, reversed.
 
-    The flow runs through ``build_slice(params, initial_field.N)``, whose
-    condition budget :func:`eigen_coordinates` checks.  Controlled trajectories
-    are not evolved here; the per-mode duality identity checks controls.
+    One slice, ``build_slice(params, initial_field.N)``, whose condition
+    budget :func:`eigen_coordinates` checks, and one set of coordinates
+    serve every time; each time's state is checked on its own.  Controlled
+    trajectories are not evolved here; the per-mode duality identity checks
+    controls.
     """
-    if t < 0:
+    if any(t < 0 for t in times):
         raise DomainError("forward evolution requires t >= 0")
     if initial_field.dim != params.dim:
         raise DimMismatch("field and system component counts differ")
     slice_ = build_slice(params, initial_field.N)
     reversed_ = SpectralField(initial_field.dim, initial_field.N, initial_field.coeffs[::-1])
-    flowed = adjoint_states(eigen_coordinates([reversed_], slice_), slice_.basis.ns, slice_, T=t, t=0.0)[0]
-    state = SpectralField(initial_field.dim, initial_field.N, flowed[::-1])
-    # contraction post-check: the homogeneous semigroup never grows the
-    # weighted norm; a violation signals a broken eigenbasis
+    coordinates = eigen_coordinates([reversed_], slice_)
     weighted = NormSpec.weighted_l2(params)
     n0 = sobolev_norm(initial_field, weighted)
-    nt = sobolev_norm(state, weighted)
-    if nt > n0 * (1.0 + 1e-8) + 1e-12:
-        warnings.warn(
-            f"forward evolution grew the weighted norm: {n0:.6e} -> {nt:.6e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return TrajectorySample(time=t, state=state)
+    samples = []
+    for t in times:
+        flowed = adjoint_states(coordinates, slice_.basis.ns, slice_, T=t, t=0.0)[0]
+        state = SpectralField(initial_field.dim, initial_field.N, flowed[::-1])
+        # contraction post-check: the homogeneous semigroup never grows the
+        # weighted norm; a violation signals a broken eigenbasis
+        nt = sobolev_norm(state, weighted)
+        if nt > n0 * (1.0 + 1e-8) + 1e-12:
+            warnings.warn(
+                f"forward evolution grew the weighted norm: {n0:.6e} -> {nt:.6e}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        samples.append(TrajectorySample(time=t, state=state))
+    return samples
 
 
 def observation_signals(

@@ -14,7 +14,8 @@ The per-mode and per-term code that production no longer runs:
 * the term-by-term evaluation of a signal;
 * the moment rows of ``control`` built from the clusters;
 * the small-time witness's loops over modes: the Fourier gather of the bump
-  and the hyperbolic lift;
+  and the hyperbolic lift; its transport gaps as two direct sums per time
+  and as the per-time product-form difference its matrix products replaced;
 * one observability quotient in unstacked array arithmetic, the per-field
   path that the stacked passes of ``observability_quotients`` replaced, as
   their bit-for-bit reference.
@@ -292,22 +293,41 @@ def bump_coefficients(spec, cutoff: int, samples: int = 8192, carrier: int = 0) 
     return coeffs, tail
 
 
-def transport_gaps(params: BarotropicParams, slice_: SpectrumSlice, profiles: dict, T: float, cutoff: int,
+def transport_gaps(params: SystemParams, slice_: SpectrumSlice, profiles: dict, T: float, cutoff: int,
                    times: int = 257) -> dict:
     """``|sum amp (e^{hyp s} - e^{rate s})|`` at ``times`` points, one exponential per (time, mode).
 
-    ``rate = i*u_bar*n - omega0`` is the pure transport rate; the two sums are
-    taken separately and subtracted, as the witness did before its
-    product-form tables.
+    ``rate = i*u_bar*n - omega`` is the pure transport rate at the
+    coefficient table's ``omega`` (``omega0`` on two fields, ``omega_bar`` on
+    three); the two sums are taken separately and subtracted, as the witness
+    did before its product-form tables.
     """
     ns = np.arange(-cutoff, cutoff + 1)
     s = T - np.linspace(0.0, T, times)[:, None]
     full_exp = np.exp(hyperbolic_values(slice_, cutoff)[None, :] * s)
-    transport_exp = np.exp((1j * params.u_bar * ns - params.omega0)[None, :] * s)
+    transport_exp = np.exp((1j * params.u_bar * ns - params.coefficients.omega)[None, :] * s)
     return {
         N: np.abs((amp[None, :] * full_exp).sum(axis=1) - (amp[None, :] * transport_exp).sum(axis=1))
         for N, amp in profiles.items()
     }
+
+
+def transport_gaps_per_time(profiles: dict, hyp: np.ndarray, rates: np.ndarray, T: float,
+                            times: int = 257, stride: int = 16) -> dict:
+    """``counterexamples._transport_gaps`` as the witness formed it before its matrix products.
+
+    The product-form tables of exponentials at ``t_{q*stride}`` and ``t_r``
+    are multiplied out into one table per rate over every time, the
+    difference of the two tables is formed once per (time, mode), and each
+    profile's weighted differences are summed along each time's row.
+    """
+    ts = np.linspace(0.0, T, times)
+    both = np.stack((hyp, rates))[:, None, :]
+    outer = np.exp(both * (T - ts[::stride, None]))
+    inner = np.exp(both * -ts[:stride, None])
+    full = (outer[:, :, None, :] * inner[:, None, :, :]).reshape(2, -1, hyp.size)[:, :times]
+    diff = full[0] - full[1]
+    return {N: np.abs((amp * diff).sum(axis=1)) for N, amp in profiles.items()}
 
 
 def hyperbolic_pair(slice_: SpectrumSlice, n: int):

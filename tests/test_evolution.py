@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cnslab.control import build_moment_system
-from cnslab.errors import DimMismatch, IllConditioned
+from cnslab.errors import DimMismatch, DomainError, IllConditioned
 from cnslab.evolution import (
     ObservationChannel,
     adjoint_state,
     boundary_control_weight,
-    forward_state,
+    forward_states,
     observation_signal,
     observation_value,
 )
@@ -178,12 +178,12 @@ class TestForwardState:
     def test_identity_at_zero(self, nondegenerate_barotropic):
         rng = np.random.default_rng(4)
         f = _random_mean_zero(rng, 2, 8)
-        sample = forward_state(f, nondegenerate_barotropic, 0.0)
+        sample = forward_states(f, nondegenerate_barotropic, [0.0])[0]
         assert np.allclose(sample.state.coeffs, f.coeffs)
 
     def test_zero_field(self, nondegenerate_barotropic):
         f = SpectralField.zeros(2, 4)
-        sample = forward_state(f, nondegenerate_barotropic, 1.3)
+        sample = forward_states(f, nondegenerate_barotropic, [1.3])[0]
         assert np.all(sample.state.coeffs == 0.0)
 
     def test_contraction(self, nondegenerate_barotropic):
@@ -191,11 +191,23 @@ class TestForwardState:
         f = _random_mean_zero(rng, 2, 16)
         spec = NormSpec.weighted_l2(nondegenerate_barotropic)
         norms = [
-            sobolev_norm(forward_state(f, nondegenerate_barotropic, t).state, spec)
-            for t in (0.0, 1.0, 2.0)
+            sobolev_norm(sample.state, spec) for sample in forward_states(f, nondegenerate_barotropic, [0.0, 1.0, 2.0])
         ]
         assert norms[2] <= norms[1] * (1 + 1e-12)
         assert norms[1] <= norms[0] * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name", ["nondegenerate_barotropic", "generic_nonbarotropic"])
+    def test_many_times_share_one_flow(self, name, request):
+        # each time's state is that of the time alone, bit for bit
+        params = request.getfixturevalue(name)
+        f = _random_mean_zero(np.random.default_rng(6), params.dim, 8)
+        times = [0.0, 0.35, 1.0, 0.35]
+        samples = forward_states(f, params, times)
+        assert [s.time for s in samples] == times
+        for t, sample in zip(times, samples):
+            assert sample.state.coeffs.tobytes() == forward_states(f, params, [t])[0].state.coeffs.tobytes()
+        with pytest.raises(DomainError, match="t >= 0"):
+            forward_states(f, params, [0.5, -1e-9])
 
     @given(
         params=st.one_of(
@@ -215,7 +227,7 @@ class TestForwardState:
         bound = 64 * np.finfo(float).eps * float(build_slice(params, N).conds.max())
         f = _random_mean_zero(np.random.default_rng(seed), params.dim, N)
         try:
-            got = forward_state(f, params, t).state.coeffs
+            got = forward_states(f, params, [t])[0].state.coeffs
         except IllConditioned:
             assume(False)
         want = evolution_oracle.forward_state(f, params, t).coeffs

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -103,13 +104,13 @@ class TestFdmEvolve:
         field = SpectralField.from_modes(2, 4, {4: vecs[:, k], -4: np.conj(vecs[:, k])})
         t_end = 0.25
         errors = []
-        from cnslab.evolution import forward_state
+        from cnslab.evolution import forward_states
 
         for M in (128, 256, 512):
             state = GridState.from_field(field, M)
             traj = fdm_evolve(nondegenerate_barotropic, state, T=t_end, dt=5e-5)
             xs = TWO_PI * np.arange(M) / M
-            exact = forward_state(field, nondegenerate_barotropic, t_end).state.sample(xs).real.T
+            exact = forward_states(field, nondegenerate_barotropic, [t_end])[0].state.sample(xs).real.T
             errors.append(np.linalg.norm(traj.final().components - exact) / np.linalg.norm(exact))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert all(1.8 <= o <= 2.2 for o in orders)
@@ -170,13 +171,27 @@ class TestCompare:
 
             return build
 
-        exact = evolution.forward_state(field, nondegenerate_barotropic, 0.4).state.coeffs
+        exact = evolution.forward_states(field, nondegenerate_barotropic, [0.4])[0].state.coeffs
         monkeypatch.setattr(evolution, "build_slice", perturbed(slice(None)))
-        scaled = evolution.forward_state(field, nondegenerate_barotropic, 0.4).state.coeffs
+        scaled = evolution.forward_states(field, nondegenerate_barotropic, [0.4])[0].state.coeffs
         assert np.linalg.norm(scaled - exact) <= 1e-13 * np.linalg.norm(exact)
         monkeypatch.setattr(evolution, "build_slice", perturbed(0))
         record = compare_spectral_fdm(nondegenerate_barotropic, field, T=0.4, M=1024, dt=1e-4)
         assert record.max_error > 1e-3
+
+    def test_one_slice_per_comparison(self, nondegenerate_barotropic, monkeypatch):
+        # the three checkpoints share one slice and one set of coordinates
+        field = _smooth_real_field(np.random.default_rng(3), 2, 8)
+        built = []
+        build_slice = evolution.build_slice
+
+        def counting(params, N):
+            built.append(N)
+            return build_slice(params, N)
+
+        monkeypatch.setattr(evolution, "build_slice", counting)
+        record = compare_spectral_fdm(nondegenerate_barotropic, field, T=0.1, M=128, dt=1e-3)
+        assert built == [8] and len(record.checkpoints) == 3
 
     def test_second_order_trend(self, nondegenerate_barotropic):
         rng = np.random.default_rng(3)
@@ -214,3 +229,33 @@ class TestCompare:
         record = compare_spectral_fdm(generic_nonbarotropic, field, T=0.2, M=512, dt=1e-4)
         assert record.max_error <= 2e-3
         assert record.energy_monotone
+
+
+def _trajectory_csv_rows(traj, path) -> None:
+    """``t,x,component,value`` rows of every stored state, written row by row through ``csv.writer``."""
+    M = traj.states[0].M
+    xs = TWO_PI * np.arange(M) / M
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "component", "value"])
+        for state in traj.states:
+            for j in range(state.dim):
+                for i in range(M):
+                    writer.writerow(
+                        [format(state.time, ".17g"), format(xs[i], ".17g"), j, format(state.components[j, i], ".17g")]
+                    )
+
+
+@pytest.mark.parametrize("name", ["nondegenerate_barotropic", "generic_nonbarotropic"])
+def test_trajectory_csv_bytes(name, request, tmp_path):
+    # one buffered write, byte for byte the rows of csv.writer: stored
+    # states of both systems, then a state of signed zeros, tiny and huge values
+    params = request.getfixturevalue(name)
+    grid0 = GridState.from_field(_smooth_real_field(np.random.default_rng(7), params.dim, 6), 64)
+    traj = fdm_evolve(params, grid0, 0.05, 1e-3, store_every=10)
+    special = np.resize([-0.0, 0.0, 5e-324, -1e-300, 1.7976931348623157e308, 0.1, -2.5], (params.dim, 64))
+    traj.states.append(GridState(M=64, components=special, time=1e-17))
+    for trajectory in (traj, dataclasses.replace(traj, states=traj.states[:1])):
+        oracle.export_trajectory_csv(trajectory, tmp_path / "new.csv")
+        _trajectory_csv_rows(trajectory, tmp_path / "rows.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
