@@ -206,7 +206,9 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # parameter names are case sensitive (R vs r)
     try:
-        read = parser.read(config_path)
+        read = parser.read(config_path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {config_path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
     if not read:
@@ -222,7 +224,10 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, verify: bool
     T = knobs.get("T")
     if knobs.get("N", 1) < 1:
         raise DomainError(f"N must be >= 1, got {knobs['N']}")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
 
     rng = np.random.default_rng(seed)
     outputs: list[Path] = []

@@ -6,8 +6,12 @@ Null control of the truncated dynamics reduces to the moment equations
         = -e^{conj(nu_n) T} <U0, Phi_n>_w
 
 one per (mode, branch) in the truncation, with ``(T-t)**j`` kernels added by
-generalized chains.  The synthesized control is the minimum-L2-norm element
-of the span of the conjugate kernels: writing ``p = sum_j x_j conj(k_j)``
+generalized chains.  Each row is the observation and the free flow of one
+unit eigen-coordinate: with ``Phi(t)`` the adjoint solution of that terminal
+datum, its kernel is ``w_ch * conj(B* Phi)`` and its target minus the free
+terminal pairing ``<U0, Phi(0)>_w``, both read from :mod:`~cnslab.evolution`.
+The synthesized control is the minimum-L2-norm element of the span of the
+conjugate kernels: writing ``p = sum_j x_j conj(k_j)``
 turns the constraints into the Hermitian Gram system ``G x = m``.  The Gram
 of an exponential family is exponentially ill conditioned, so the system is
 solved by Cholesky in extended precision, on the scaled integers of
@@ -33,8 +37,8 @@ import numpy as np
 
 from . import fixedpoint
 from .errors import DomainError, InfeasibleRow, RankDeficient
-from .evolution import ObservationChannel, boundary_control_weight, chain_links, observation_values
-from .fields import NormSpec, SpectralField
+from .evolution import ObservationChannel, adjoint_states, boundary_control_weight, observation_signals
+from .fields import SpectralField
 from .fixedpoint import Gram, Kernel, ScaledVector, require_finite
 from .kernels import KernelTerm
 from .kernels import poly_exp_integral_mp  # noqa: F401  (perfbench/spans.py traces this name)
@@ -84,55 +88,30 @@ def _proportional_rows(a: MomentRow, b: MomentRow) -> bool:
     )
 
 
-def _mode_inner_products(U0: SpectralField, vectors, n: int, norm_spec: NormSpec) -> list[complex]:
-    """<U0, v e^{inx}>_w for each basis vector v of mode n."""
-    c_n = U0.coeff(n)
-    w = np.asarray(norm_spec.weights)
-    return [complex(2.0 * np.pi * np.sum(w * c_n * np.conj(v))) for v in vectors]
-
-
 def _chain_rows(
     U0: SpectralField, channel: ObservationChannel, T: float, slice_: SpectrumSlice, N: int, above: int = 0
 ) -> Iterator[MomentRow]:
-    """Moment row of every basis element of the modes ``above < |n| <= N``.
+    """Moment row of every basis element of the modes ``above < |n| <= N``, read from its unit eigen-coordinate.
 
-    The element in basis column ``c`` pairs ``(T-t)**k / k!`` with column
-    ``c - k`` for the chain levels ``k`` of :func:`chain_links` (``k = 0``
-    alone outside a Jordan chain).  The target is minus the free terminal
-    pairing ``e^{conj(nu) T} sum_k T**k / k! <U0, Phi_{c-k}>_w``.
+    The kernel is ``w_ch * conj`` of the coordinate's :func:`observation_signals` terms, at rate ``conj(nu)``.
+    The target is minus the free terminal pairing: the weighted pairing of ``U0`` with the coordinate's
+    :func:`adjoint_states` at ``t = 0``, at its mode.
     """
-    params = slice_.params
+    params, table, dim = slice_.params, slice_.basis, slice_.dim
     w_ch = boundary_control_weight(channel, params)
-    norm_spec = NormSpec.weighted_l2(params)
-    table = slice_.basis
-    modes = np.abs(table.ns)
-    rows = np.flatnonzero((modes > above) & (modes <= N))
-    observed = observation_values(channel, table.basis[rows].swapaxes(1, 2), table.ns[rows, None], params).tolist()
-    for r, obs in zip(rows.tolist(), observed):
-        n = int(table.ns[r])
-        vectors = list(table.basis[r].T)
-        inner = _mode_inner_products(U0, vectors, n, norm_spec)
-        links: list[list[tuple[int, int]]] = [[] for _ in vectors]
-        for c, k, factorial, linked in chain_links(table.levels[r]):
-            if linked:
-                links[c].append((k, factorial))
-        clusters = table.clusters[r].tolist()
-        for c, column_links in enumerate(links):
-            nu_bar = np.conj(table.rates[r, c])
-            kernel = [
-                KernelTerm(coef=w_ch * np.conj(obs[c - k]) / factorial, rate=nu_bar, degree=k)
-                for k, factorial in column_links
-            ]
-            free = np.exp(nu_bar * T) * sum((T**k / factorial) * inner[c - k] for k, factorial in column_links)
-            yield MomentRow(
-                n=n,
-                cluster_index=clusters[c],
-                level=int(table.levels[r, c]),
-                rate=nu_bar,
-                kernel=kernel,
-                target=complex(-free),
-                position=c - clusters.index(clusters[c]),
-            )
+    rows = np.flatnonzero((np.abs(table.ns) > above) & (np.abs(table.ns) <= N))
+    ns, own = table.ns[rows], np.repeat(table.ns[rows], dim)  # the mode of each row, of each coordinate
+    units = np.eye(own.size, dtype=complex).reshape(own.size, ns.size, dim)
+    flowed = adjoint_states(units, ns, slice_, T, 0.0)[np.arange(own.size), own + slice_.N]
+    datum = np.array([U0.coeff(n) for n in own.tolist()]).reshape(flowed.shape)
+    free = 2.0 * np.pi * np.sum(np.array(params.coefficients.weights) * datum * np.conj(flowed), axis=-1)
+    for j, (signal, target) in enumerate(zip(observation_signals(units, ns, slice_, channel, T), free.tolist())):
+        r, c = rows[j // dim], j % dim
+        nu_bar, clusters = np.conj(table.rates[r, c]), table.clusters[r].tolist()
+        kernel = [KernelTerm(coef=w_ch * np.conj(coef), rate=nu_bar, degree=degree)
+                  for coef, degree in zip(signal.coefficients.tolist(), signal.degrees.tolist())]
+        yield MomentRow(n=int(table.ns[r]), cluster_index=clusters[c], level=int(table.levels[r, c]), rate=nu_bar,
+                        kernel=kernel, target=-target, position=c - clusters.index(clusters[c]))
 
 
 def build_moment_system(

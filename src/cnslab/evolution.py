@@ -126,7 +126,9 @@ class TrajectorySample:
 
 
 def chain_links(levels: np.ndarray) -> list[tuple[int, int, int, np.ndarray]]:
-    """The Jordan-chain bookkeeping of basis columns, shared by every closed-form consumer.
+    """The Jordan-chain bookkeeping of basis columns, read by :func:`adjoint_states` and :func:`observation_signals`.
+
+    Every other closed-form consumer, the moment rows of :mod:`~cnslab.control` included, reads those two.
 
     Under the adjoint flow a column at Jordan level ``L`` carries
     ``(T-t)**k / k!`` against the column ``k`` places before it, for

@@ -23,6 +23,7 @@ convergents, errors) alongside the verdict.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -58,6 +59,23 @@ class Coefficients(NamedTuple):
     pinned: tuple[float, ...]
 
 
+def _finite_table(build: Callable[[], Coefficients], **derived: float) -> Coefficients:
+    """The table ``build`` gives, refused with :class:`DomainError` where an entry or ``derived`` constant overflows."""
+    try:
+        table = build()
+    except OverflowError:
+        raise DomainError("the coefficient table overflows") from None
+    for name, value in [*table._asdict().items(), *derived.items()]:
+        if not all(map(math.isfinite, _numbers(value))):
+            raise DomainError(f"coefficient {name} is not finite: the coefficient set overflows")
+    return table
+
+
+def _numbers(value) -> list[float]:
+    """The numbers of a nest of tuples, in order."""
+    return [x for v in value for x in _numbers(v)] if isinstance(value, tuple) else [value]
+
+
 @dataclass(frozen=True)
 class BarotropicParams:
     """Coefficients of the two-field system.
@@ -79,7 +97,7 @@ class BarotropicParams:
         _require_positive(rho_bar=self.rho_bar, u_bar=self.u_bar, mu0=self.mu0, b=self.b)
         rho, u, b = self.rho_bar, self.u_bar, self.b
         object.__setattr__(self, "omega0", b * rho / self.mu0)
-        object.__setattr__(self, "coefficients", Coefficients(
+        object.__setattr__(self, "coefficients", _finite_table(lambda: Coefficients(
             advection=((u, rho), (b, u)),
             diffusion=(0.0, self.mu0),
             weights=(b, rho),
@@ -87,7 +105,7 @@ class BarotropicParams:
             control=(b, rho),
             omega=self.omega0,
             pinned=(rho, 1.0),
-        ))
+        ), n0=self.n0))
 
     @property
     def dim(self) -> int:
@@ -138,7 +156,7 @@ class NonBarotropicParams:
         )
         rho, u, theta, R, c0 = self.rho_bar, self.u_bar, self.theta_bar, self.R, self.c0
         object.__setattr__(self, "omega_bar", R * theta / self.lambda0)
-        object.__setattr__(self, "coefficients", Coefficients(
+        object.__setattr__(self, "coefficients", _finite_table(lambda: Coefficients(
             advection=((u, rho, 0.0), (R * theta / rho, u, R), (0.0, R * theta / c0, u)),
             diffusion=(0.0, self.lambda0, self.kappa0),
             weights=(R * theta, rho**2, rho**2 * c0 / theta),
@@ -150,7 +168,7 @@ class NonBarotropicParams:
             control=(R * theta, rho, rho**2),
             omega=self.omega_bar,
             pinned=(R * rho, R, R**2 * theta**2 / (rho * c0)),
-        ))
+        )))
 
     @property
     def dim(self) -> int:

@@ -433,7 +433,8 @@ def _barotropic_roots(params: BarotropicParams, nf: np.ndarray, M: np.ndarray, t
     """Closed-form eigenvalues, ``nu_scaled`` and eigenvectors of the two-field symbols."""
     p = params
     n2 = nf * nf
-    disc = np.sqrt((p.mu0**2 * (n2 * n2) - 4.0 * p.b * p.rho_bar * n2).astype(complex))
+    # a numpy power overflows to inf, which _solve_modes refuses by mode, where a float's power raises
+    disc = np.sqrt((np.float64(p.mu0) ** 2 * (n2 * n2) - 4.0 * p.b * p.rho_bar * n2).astype(complex))
     # Principal square root throughout.  Below the threshold (imaginary
     # discriminant) the hyperbolic label follows conjugate symmetry in n, so
     # that the branch identity n -> -n pairs p with p; above the threshold
@@ -623,6 +624,14 @@ def _kernel_vectors(M: np.ndarray, values: np.ndarray) -> np.ndarray:
     return vh[:, -1].conj()
 
 
+def _refuse_non_finite(ns: np.ndarray, what: str, *arrays: np.ndarray) -> None:
+    """DomainError naming the mode of least ``|n|`` at which an entry of ``arrays`` (one row per mode) is not finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        bad = ~np.all([np.isfinite(a).reshape(ns.size, -1).all(axis=1) for a in arrays], axis=0)
+        n = ns[bad][np.argmin(np.abs(ns[bad]))]
+        raise DomainError(f"mode {n}: {what} not finite, the coefficients overflow there")
+
+
 def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> tuple[BasisTable, np.ndarray]:
     """Eigenpairs of the adjoint symbols of all modes ``ns`` in one batched pass.
 
@@ -634,19 +643,25 @@ def _solve_modes(params: SystemParams, ns, clustering_tolerance: float) -> tuple
     (:func:`_closed_form_svd`).  Returns
     the table with every eigenpair its own cluster (the eigenvectors as basis
     columns in branch order, level 0) and the mask of the modes within
-    clustering reach (see :func:`_within_reach`).
+    clustering reach (see :func:`_within_reach`).  A symbol, eigenvalue or
+    eigen-residual that is not finite raises :class:`DomainError` naming
+    its mode: finite coefficients can still overflow at large ``|n|``.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if np.any(ns == 0):
         raise DomainError("mode n = 0 is excluded")
-    M = _symbols(params, ns)
-    M_norm = _closed_form_svd(M)
     tol = clustering_tolerance
-    if isinstance(params, BarotropicParams):
-        values, nu_scaled, vectors, near = _barotropic_roots(params, ns.astype(float), M, tol)
-    else:
-        values, nu_scaled, vectors, near = _dense_nonbarotropic(params, ns, M, M_norm, tol)
-    residuals = _residuals(M[:, None], M_norm[:, None], values, vectors)
+    # an entry that overflows is refused below, naming its mode, instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _symbols(params, ns)
+        _refuse_non_finite(ns, "symbol", M)
+        M_norm = _closed_form_svd(M)
+        if isinstance(params, BarotropicParams):
+            values, nu_scaled, vectors, near = _barotropic_roots(params, ns.astype(float), M, tol)
+        else:
+            values, nu_scaled, vectors, near = _dense_nonbarotropic(params, ns, M, M_norm, tol)
+        residuals = _residuals(M[:, None], M_norm[:, None], values, vectors)
+    _refuse_non_finite(ns, "eigenvalue or eigen-residual", values, residuals)
     k, b = np.nonzero(residuals > EIGEN_RESIDUAL_TOL)
     if k.size:
         vectors[k, b] = _rescale_to_convention(np.array(params.coefficients.pinned)[b], b, _kernel_vectors(M[k], values[k, b]))

@@ -12,7 +12,9 @@ The per-mode and per-term code that production no longer runs:
 * the forward state as one matrix exponential per mode of the written-out
   forward symbol, which touches no eigenpair, chain or expansion;
 * the term-by-term evaluation of a signal;
-* the moment rows of ``control`` built from the clusters;
+* the moment rows of ``control`` built from the clusters, each target the
+  datum's weighted inner products with the chain vectors times
+  ``e^{conj(nu) T} T**k / k!``;
 * the small-time witness's loops over modes: the Fourier gather of the bump
   and the hyperbolic lift; its transport gaps as two direct sums per time
   and as the per-time product-form difference its matrix products replaced;
@@ -33,7 +35,7 @@ import scipy.linalg
 import spectrum_oracle
 
 from cnslab import evolution, fields
-from cnslab.control import MomentRow, _mode_inner_products
+from cnslab.control import MomentRow
 from cnslab.errors import DimMismatch, DomainError, IllConditioned
 from cnslab.evolution import ObservationChannel, ObservationSignal
 from cnslab.fields import EigenExpansion, NormSpec, SpectralField
@@ -238,6 +240,13 @@ def signal_values(terms: list[KernelTerm], horizon: float, t) -> np.ndarray:
     for term in terms:
         out = out + term.coef * s**term.degree * np.exp(term.rate * s)
     return out
+
+
+def _mode_inner_products(U0: SpectralField, vectors, n: int, norm_spec: NormSpec) -> list[complex]:
+    """<U0, v e^{inx}>_w for each basis vector v of mode n."""
+    c_n = U0.coeff(n)
+    w = np.asarray(norm_spec.weights)
+    return [complex(2.0 * np.pi * np.sum(w * c_n * np.conj(v))) for v in vectors]
 
 
 def chain_rows(U0: SpectralField, channel: ObservationChannel, T: float, slice_: SpectrumSlice, N: int):

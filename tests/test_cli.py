@@ -3,6 +3,7 @@ import csv
 import json
 import re
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,68 @@ class TestRun:
         assert "domain error" in err and "N_end = 9 < N_start = 10" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "closeness.csv").exists()
+
+    @pytest.mark.parametrize("where,out,reason", [
+        ("flag", "file", "File exists"),
+        ("config", "file", "File exists"),
+        ("flag", "file/sub", "Not a directory"),
+    ], ids=["out-flag-is-a-file", "out-key-is-a-file", "out-flag-below-a-file"])
+    def test_output_path_through_a_file_is_a_config_error(self, tmp_path, capsys, where, out, reason):
+        (tmp_path / "file").write_text("kept")
+        text = BASE.format(command="spectrum", u_bar=0.9, b=1.3) + "\n[spectrum]\nN = 4\n"
+        if where == "config":
+            text = text.replace("seed = 7\n", f"seed = 7\nout = {tmp_path / out}\n")
+        cfg = _write(tmp_path, text)
+        argv = ["run", str(cfg)] + (["--out", str(tmp_path / out)] if where == "flag" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot make output directory {tmp_path / out}: {reason}\n"
+        assert (tmp_path / "file").read_text() == "kept"
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        text = BASE.format(command="spectrum", u_bar=0.9, b=1.3) + "\n[spectrum]\nN = 4\n"
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(text.encode() + b"\xff\xfe\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {cfg} is not UTF-8: invalid start byte") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("system,params,section,message", [
+        # mu0**2 overflows: every mode's eigenvalues
+        ("barotropic", "rho_bar = 1.0\nu_bar = 0.9\nmu0 = 1e160\nb = 1.3\n", "[spectrum]\nN = 4\n",
+         "mode -1: eigenvalue or eigen-residual not finite"),
+        # mu0**2 * n**4 overflows from n = 12 on: N = 11 runs
+        ("barotropic", "rho_bar = 1.0\nu_bar = 0.9\nmu0 = 1e152\nb = 1.3\n", "[spectrum]\nN = 40\n",
+         "mode -12: eigenvalue or eigen-residual not finite"),
+        # lambda0 * n**2 overflows from n = 14 on: the dense eigensolve would meet an infinite symbol
+        ("nonbarotropic", "rho_bar = 1.0\nu_bar = 1.0\ntheta_bar = 1.0\nlambda0 = 1e306\nkappa0 = 2.0\nR = 1.0\n"
+         "c0 = 1.0\n", "[spectrum]\nN = 20\n", "mode -14: symbol not finite"),
+        # R**2 * theta**2 overflows while the table is built
+        ("nonbarotropic", "rho_bar = 1e-300\nu_bar = 1.0\ntheta_bar = 1e300\nlambda0 = 1.0\nkappa0 = 2.0\n"
+         "R = 1e10\nc0 = 1.0\n", "[spectrum]\nN = 4\n", "the coefficient table overflows"),
+        # omega0 = b * rho_bar / mu0 and n0 are infinite
+        *[("barotropic", "rho_bar = 1e308\nu_bar = 0.9\nmu0 = 1e-308\nb = 1.3\n", section,
+           "coefficient omega is not finite")
+          for section in ("[spectrum]\nN = 4\n", "[ingham]\nN = 4\nT = 8.0\n",
+                          "[closeness]\nN_start = 3\nN_end = 10\n")],
+    ], ids=["mu0-squared", "mode-12", "three-field-symbol", "three-field-table", "omega-spectrum", "omega-ingham",
+            "omega-closeness"])
+    def test_coefficients_that_overflow_are_a_domain_error(self, tmp_path, capsys, system, params, section, message):
+        command = section[1:section.index("]")]
+        cfg = _write(tmp_path, f"[run]\nsystem = {system}\ncommand = {command}\n\n[params]\n{params}\n{section}")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"domain error: {message}") and err.count("\n") == 1
+        assert not any("nan" in path.read_text() for path in tmp_path.glob("out/*"))
+
+    def test_coefficients_below_their_overflow_run(self, tmp_path):
+        text = BASE.format(command="spectrum", u_bar=0.9, b=1.3).replace("mu0 = 1.0", "mu0 = 1e152")
+        cfg = _write(tmp_path, text + "\n[spectrum]\nN = 11\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "nan" not in (tmp_path / "out" / "spectrum.csv").read_text()
 
     @pytest.mark.parametrize("command", ["observe", "synthesize"])
     def test_temperature_channel_on_two_fields_exits_2(self, tmp_path, capsys, command):

@@ -8,7 +8,9 @@ that no workload runs: ``closeness``, ``observe`` and ``synthesize`` on every
 valid channel of both systems, ``observe`` with more trials than one
 stacked pass takes, ``synthesize`` on 100 moment rows, which solves at 80
 digits, ``synthesize`` on 32 moment rows at T = 0.5, which solves at 160
-digits, ``validate-fdm`` with a trajectory export on the workhorse, the
+digits, ``synthesize`` on density and velocity of the Jordan-pair barotropic
+set and the triple-root three-field set (their moment rows run the Jordan
+chains), ``validate-fdm`` with a trajectory export on the workhorse, the
 coincidence-free three-field set, the Jordan-pair barotropic set and the
 triple-root three-field set (its spectral side runs the Jordan chains),
 ``ingham`` on the barotropic workhorse, ``witness-regularity`` on the
@@ -97,6 +99,16 @@ EXTRA = {
         "barotropic", "workhorse", "synthesize",
         "[synthesize]\nN = 8\nT = 0.5\nchannel = density\nN_verify = 12\ngrid = 21\n", False,
     ),
+    # the jordan and triple sets put Jordan chains into the moment rows: kernels with (T-t)**k terms
+    **{
+        f"synthesize-{name}-{channel}": (
+            system, key, "synthesize", f"[synthesize]\nN = 6\nT = 8.0\nchannel = {channel}\nN_verify = 9\ngrid = 21\n",
+            False,
+        )
+        for name, system, key in (("barotropic-jordan", "barotropic", "jordan"),
+                                  ("nonbarotropic-triple", "nonbarotropic", "triple"))
+        for channel in ("density", "velocity")
+    },
     # the jordan and triple sets put Jordan chains on the spectral side of the comparison
     **{
         f"validate-fdm-{name}": (
