@@ -2,11 +2,16 @@
 
 A number is a Python integer with an explicit power-of-two scale,
 ``n * 2**e``, in fixed point at ``bits`` fraction bits within one kernel,
-Gram or vector, with real and imaginary parts in separate lists, so that
-every inner product is one exact C-level ``sum(map(mul, ...))`` of
-integers, shifted once.  The exponentials are integers too (:func:`_exp`):
-one ``e^{rate T}`` per kernel term, paired by products, and the step
-factors of the control evaluation.  Its argument is formed exactly from the
+Gram or vector, with real and imaginary parts in separate lists.  A
+complex inner product is three exact C-level ``sum(map(mul, ...))`` of
+integers, shifted once: with ``p = ar . br`` and ``q = ai . bi``, its real
+part is ``p - q`` and its imaginary part ``(ar + ai) . (br + bi) - p - q``
+(Gauss's product; on integers the identity is exact, so the results are
+those of four products), where the sums ``ar + ai`` of a Cholesky factor's
+or a Gram's rows are formed once.  The exponentials are integers too
+(:func:`_exp`): one ``e^{rate T}`` per kernel term, paired by products, and
+the step factors of the control evaluation, which steps the weighted terms
+``x conj(coef) e^{conj(rate) s}`` themselves, so that a point is a plain sum.  Its argument is formed exactly from the
 double rate and the float horizon or integer step, reduced by ln 2 and
 pi/2, and summed as two short real series; ln 2 and pi/2 come from integer
 series once per precision.  Kernels come in as lists of
@@ -19,7 +24,7 @@ import math
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain, count, repeat
-from operator import add, floordiv, lshift, mul, neg, rshift, sub
+from operator import add, floordiv, lshift, mul, rshift, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -64,13 +69,15 @@ class Gram(NamedTuple):
 
     ``G[i][j] = (re + 1j * im)[i][j] * 2**(exps[i] + exps[j] - bits)``, and
     ``re[i][i] * 2**-bits`` lies in ``[1, 4)``: the scaled matrix has a unit
-    diagonal up to a factor below 4.
+    diagonal up to a factor below 4.  ``sums`` holds ``re + im`` row by row
+    for the products of :func:`_gram_times`.
     """
 
     re: list[list[int]]
     im: list[list[int]]
     exps: list[int]
     bits: int
+    sums: list[list[int]]
 
 
 def _shift(n: int, k: int) -> int:
@@ -327,13 +334,9 @@ def unit_gram(labels: list[str], kernels: list[list[KernelTerm]], T: float, dps:
     s = [(bits + 2 - re[i][i].bit_length()) // 2 if re[i][i] > 0 else 0 for i in range(len(re))]
     low = min(s, default=0)
     u = [v - low for v in s]
-    gram = Gram(
-        [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(re, u)],
-        [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(im, u)],
-        [c.exp - v for c, v in zip(columns, s)],
-        bits - 2 * low,
-    )
-    return gram, columns
+    re = [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(re, u)]
+    im = [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(im, u)]
+    return Gram(re, im, [c.exp - v for c, v in zip(columns, s)], bits - 2 * low, _row_sums(re, im)), columns
 
 
 def float_gram(gram: Gram) -> np.ndarray:
@@ -355,45 +358,53 @@ def float_gram(gram: Gram) -> np.ndarray:
 
 
 def factor(gram: Gram, dps: int) -> tuple | None:
-    """``(bits, Lr, Li, d, Ur, Ui)``: ``H = L L^H`` for the scaled ``H`` of ``gram`` at a rung of ``dps`` digits.
+    """``(bits, Lr, Li, d, Ls, Ur, Ui, Us)``: ``H = L L^H`` for the scaled ``H`` of ``gram`` at ``dps`` digits.
 
     ``L`` is at the ``bits`` of :func:`_dps_bits`, row by row as the real
-    parts, the imaginary parts and the diagonal; ``Ur`` and ``Ui`` are the
-    rows of ``L^H`` that the back substitution reads, the last first.  Each
-    entry's inner product with an earlier row is one exact C-level
-    ``sum(map(mul, ...))`` of integers per part, and the entry is rounded
-    once, by its division.  Returns None at the first pivot that is not
-    positive: ``H`` is not numerically definite at this precision.
+    parts, the imaginary parts, the diagonal and the sums ``Lr + Li``;
+    ``Ur``, ``Ui`` and ``Us`` are the same of the rows of ``L^H`` that the
+    back substitution reads, the last first.  Each entry's inner product
+    with an earlier row is three exact C-level ``sum(map(mul, ...))`` of
+    integers (Gauss's complex product, with the earlier row's ``Lr - Li``
+    kept from when it was finished), and the entry is rounded once, by its
+    division.  Returns None at the first pivot that is not positive: ``H``
+    is not numerically definite at this precision.
     """
     bits = _dps_bits(dps)
     Lr: list[list] = []
     Li: list[list] = []
+    Ls: list[list] = []
     d: list = []
-    # earlier rows j as [re, im] and [-im, re]: the real and the imaginary part of L[i] . conj(L[j])
-    rows_re: list[list] = []
-    rows_im: list[list] = []
+    # Lr - Li of the earlier rows: the real and imaginary parts of conj(L[j]) summed
+    diffs: list[list] = []
     scale = 2 * bits - gram.bits  # the entries of H at 2 * bits fraction bits, like the products of L
     for i in range(len(gram.re)):
         gr = _shift_all(gram.re[i][: i + 1], scale)
         gi = _shift_all(gram.im[i][:i], scale)
         ri: list = []
         ii: list = []
+        si: list = []
         for j in range(i):
-            row = ri + ii
-            ri.append((gr[j] - sum(map(mul, row, rows_re[j]))) // d[j])
-            ii.append((gi[j] - sum(map(mul, row, rows_im[j]))) // d[j])
+            # L[i] . conj(L[j]) = (p + q) + 1j * ((ri + ii) . (Lr - Li) - p + q)
+            p, q = sum(map(mul, ri, Lr[j])), sum(map(mul, ii, Li[j]))
+            re = (gr[j] - p - q) // d[j]
+            im = (gi[j] - sum(map(mul, si, diffs[j])) + p - q) // d[j]
+            ri.append(re)
+            ii.append(im)
+            si.append(re + im)
         pivot = gr[i] - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
         if pivot <= 0:
             return None
         d.append(math.isqrt(pivot))
         Lr.append(ri)
         Li.append(ii)
-        rows_re.append(ri + ii)
-        rows_im.append(list(map(neg, ii)) + ri)
+        Ls.append(si)
+        diffs.append(list(map(sub, ri, ii)))
     # row i of L^H holds conj(L[k][i]) for k from the last row down to i + 1
     Ur = [[row[i] for row in Lr[:i:-1]] for i in reversed(range(len(d)))]
     Ui = [[-row[i] for row in Li[:i:-1]] for i in reversed(range(len(d)))]
-    return bits, Lr, Li, d, Ur, Ui
+    Us = [[row[i] for row in diffs[:i:-1]] for i in reversed(range(len(d)))]
+    return bits, Lr, Li, d, Ls, Ur, Ui, Us
 
 
 def forward(factor: tuple, b: ScaledVector) -> ScaledVector:
@@ -402,32 +413,35 @@ def forward(factor: tuple, b: ScaledVector) -> ScaledVector:
     ``b`` is first shifted ``shift`` bits, so that its largest part lies just
     below 1 and ``y`` carries the factor's bits relative to ``b``, at ``y.exp = b.exp - shift``.
     """
-    bits, Lr, Li, d = factor[:4]
+    bits, Lr, Li, d, Ls = factor[:5]
     shift = bits - max(v.bit_length() for v in b.re + b.im)
-    yr, yi = _substitute(Lr, Li, d, _shift_all(b.re, shift + bits), _shift_all(b.im, shift + bits))
+    yr, yi = _substitute(Lr, Li, Ls, d, _shift_all(b.re, shift + bits), _shift_all(b.im, shift + bits))
     return ScaledVector(yr, yi, b.exp - shift)
 
 
 def _cholesky_solve(factor: tuple, b: ScaledVector) -> ScaledVector:
     """``x`` with ``L L^H x = b`` for a :func:`factor`: :func:`forward`, then ``L^H x = y`` from the last row up."""
-    bits, _, _, d, Ur, Ui = factor
+    bits, _, _, d, _, Ur, Ui, Us = factor
     y = forward(factor, b)
-    xr, xi = _substitute(Ur, Ui, d[::-1], _shift_all(y.re[::-1], bits), _shift_all(y.im[::-1], bits))
+    xr, xi = _substitute(Ur, Ui, Us, d[::-1], _shift_all(y.re[::-1], bits), _shift_all(y.im[::-1], bits))
     return ScaledVector(xr[::-1], xi[::-1], y.exp)
 
 
-def _substitute(Lr: list[list], Li: list[list], d: list, br: list, bi: list) -> tuple[list, list]:
+def _substitute(Lr: list[list], Li: list[list], Ls: list[list], d: list, br: list, bi: list) -> tuple[list, list]:
     """Forward substitution ``L y = b`` on integers: row ``i`` of ``L`` is ``Lr[i] + 1j * Li[i]`` left of ``d[i]``.
 
+    ``Ls[i]`` is ``Lr[i] + Li[i]``: each row's product with ``y`` is three
+    dot products, its imaginary part ``Ls . (yr + yi) - Lr . yr - Li . yi``.
     ``L`` and ``y`` share one count of fraction bits, and ``b`` has twice it.
     """
     yr: list = []
     yi: list = []
-    for lr, li, di, vr, vi in zip(Lr, Li, d, br, bi):
-        sr = vr - sum(map(mul, lr, yr)) + sum(map(mul, li, yi))
-        si = vi - sum(map(mul, lr, yi)) - sum(map(mul, li, yr))
-        yr.append(sr // di)
-        yi.append(si // di)
+    ys: list = []
+    for lr, li, ls, di, vr, vi in zip(Lr, Li, Ls, d, br, bi):
+        p, q = sum(map(mul, lr, yr)), sum(map(mul, li, yi))
+        yr.append((vr - p + q) // di)
+        yi.append((vi - sum(map(mul, ls, ys)) + p + q) // di)
+        ys.append(yr[-1] + yi[-1])
     return yr, yi
 
 
@@ -438,17 +452,26 @@ def _combine(op, a: ScaledVector, b: ScaledVector) -> ScaledVector:
     return ScaledVector(*(list(map(op, _shift_all(p, a.exp - exp), _shift_all(q, b.exp - exp))) for p, q in parts), exp)
 
 
-def _gram_times(re: list[list], im: list[list], xr: list, xi: list) -> tuple[list, list]:
-    """Real and imaginary parts of ``G x`` on integers, row by row, exactly."""
-    return (
-        [sum(map(mul, g, xr)) - sum(map(mul, h, xi)) for g, h in zip(re, im)],
-        [sum(map(mul, g, xi)) + sum(map(mul, h, xr)) for g, h in zip(re, im)],
-    )
+def _row_sums(re: list[list], im: list[list]) -> list[list]:
+    """``re[i][j] + im[i][j]`` row by row: the third operand of :func:`_gram_times`."""
+    return [list(map(add, g, h)) for g, h in zip(re, im)]
+
+
+def _gram_times(re: list[list], im: list[list], sums: list[list], xr: list, xi: list) -> tuple[list, list]:
+    """Real and imaginary parts of ``G x`` on integers, row by row, exactly.
+
+    ``sums`` are the :func:`_row_sums` of ``G``; each row costs three dot
+    products, its imaginary part ``sums . (xr + xi) - re . xr - im . xi``.
+    """
+    xs = list(map(add, xr, xi))
+    p = [sum(map(mul, g, xr)) for g in re]
+    q = [sum(map(mul, h, xi)) for h in im]
+    return list(map(sub, p, q)), [sum(map(mul, g, xs)) - a - b for g, a, b in zip(sums, p, q)]
 
 
 def _residual(gram: Gram, y: ScaledVector, b: ScaledVector) -> ScaledVector:
     """``b - H y`` for the scaled Gram ``H`` of ``gram``, exactly."""
-    return _combine(sub, b, ScaledVector(*_gram_times(gram.re, gram.im, y.re, y.im), y.exp - gram.bits))
+    return _combine(sub, b, ScaledVector(*_gram_times(gram.re, gram.im, gram.sums, y.re, y.im), y.exp - gram.bits))
 
 
 def _rescaled(v: ScaledVector, exps: list[int]) -> ScaledVector:
@@ -526,11 +549,12 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
     fresh = [_kernel(label, kernel, T, bits) for label, kernel in kernels]
     if hy is None:
         y = _rescaled(x, gram.exps)
-        hy = ScaledVector(*_gram_times(gram.re, gram.im, y.re, y.im), y.exp - gram.bits)
+        hy = ScaledVector(*_gram_times(gram.re, gram.im, gram.sums, y.re, y.im), y.exp - gram.bits)
     # x times the column scales of the cross rows integrated here
     fresh_x = _rescaled(x, [column.exp for column in columns])
+    cross = _moment_gram(fresh, columns, T, bits)
     fresh_rows = zip(
-        *_gram_times(*_moment_gram(fresh, columns, T, bits), fresh_x.re, fresh_x.im),
+        *_gram_times(*cross, _row_sums(*cross), fresh_x.re, fresh_x.im),
         [kernel.exp - bits + fresh_x.exp for kernel in fresh],
     )
     out = []
@@ -542,47 +566,72 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
 
 
 def evaluate(x: ScaledVector, columns: list[Kernel], T: float, times: list[float]) -> list[complex]:
-    """``p(t) = sum_j x_j conj(k_j(t))`` at finite ``times``.
+    """``p(t) = sum_j x_j conj(k_j(t))`` at finite ``times``: the exact sums of :func:`_weighted_walk`, rounded once.
 
-    Each term ``x conj(coef) (T-t)**degree e^{conj(rate) (T-t)}`` takes its
-    exponential from :func:`_exponential_walk`; the products
-    ``x conj(coef)`` are exact integers at one scale, and each point's sum
-    is exact and rounded once.
+    With ``w_j = x_j conj(coef_j)``, the step factors of the walk round to a
+    few units of ``2**-bits`` per step and term, so after ``k`` steps a
+    point is within about ``k 2**-bits sum_j |w_j| s**degree_j`` of the
+    exact ``p`` (``s = T - t``), as when the walk carried unit exponentials
+    that ``w`` multiplied per point.  Carrying ``w e^{conj(rate) s}`` at
+    ``bits + _GUARD_BITS`` fraction bits below ``max|w|`` adds at most ``k + 1``
+    units of ``2**-(bits + _GUARD_BITS) max|w|`` per term.  For decaying
+    rates every factor has modulus at most 1, so no step amplifies an
+    earlier rounding.
     """
     out = [0j] * len(times)
-    live = [(a, b, column) for a, b, column in zip(x.re, x.im, columns) if a or b]
-    if not live:
-        return out
-    bits = live[0][2].bits
-    low = min(column.exp for _, _, column in live)
-    terms = [
-        (a * cr + b * ci << k, b * cr - a * ci << k, rate.conjugate(), ar, -ai, degree)
-        for a, b, column in live
-        for k in (column.exp - low,)
-        for cr, ci, ar, ai, rate, degree, _, _ in column.terms
-    ]
-    wr, wi, rates, rate_re, rate_im, degrees = (list(v) for v in zip(*terms))
-    w_exp = x.exp + low - 2 * bits  # of a product w * e^{conj(rate) s}
-    T_int = _fixed(T, bits)
-    s_all = [T_int - _fixed(ti, bits) for ti in times]
-    for i, cur_r, cur_i in _exponential_walk(rates, (rate_re, rate_im), s_all, bits):
-        ur, ui, exp = wr, wi, w_exp
-        if any(degrees):
-            powers = [_shift(s_all[i] ** d, (1 - d) * bits) for d in degrees]  # s**d at bits fraction bits
-            ur, ui, exp = list(map(mul, wr, powers)), list(map(mul, wi, powers)), w_exp - bits
-        out[i] = complex(
-            _float(sum(map(mul, ur, cur_r)) - sum(map(mul, ui, cur_i)), exp),
-            _float(sum(map(mul, ur, cur_i)) + sum(map(mul, ui, cur_r)), exp),
-        )
+    for i, re, im, exp in _weighted_walk(x, columns, T, times):
+        out[i] = complex(_float(re, exp), _float(im, exp))
     return out
 
 
-def _exponential_walk(rates: list[complex], rate_ints: tuple[list, list], s_all: list[int], bits: int) -> Iterator:
-    """``(i, re, im)`` of ``e^{rate s_all[i]}`` per rate, for every ``i`` in increasing ``s_all[i]``.
+def _weighted_walk(x: ScaledVector, columns: list[Kernel], T: float, times: list[float]) -> Iterator:
+    """``(i, re, im, exp)``: ``p(times[i]) = (re + 1j * im) * 2**exp`` for every ``i``, in increasing ``T - times[i]``.
 
-    Rates come as complexes and as integers ``rate_ints`` (real parts,
-    imaginary parts), ``s_all`` and the exponentials at ``bits`` fraction
-    bits.  The walk starts at ``s = 0`` and carries the exponentials from
+    Each term of ``p`` is ``w (T-t)**degree e^{conj(rate) (T-t)}`` with
+    ``w = x conj(coef)``, an exact integer product.  The walk carries
+    ``v = w e^{conj(rate) s}`` at ``bits + _GUARD_BITS`` fraction bits below
+    ``max|w|`` and steps it by the factors of :func:`_walk`, so a point is
+    two plain sums of ``v``; only the chain terms take their ``s**degree``,
+    at ``bits`` fraction bits.
+    """
+    live = [(a, b, column) for a, b, column in zip(x.re, x.im, columns) if a or b]
+    if not live:
+        return
+    bits = live[0][2].bits
+    low = min(column.exp for _, _, column in live)
+    # plain terms first: a point sums them as they are and multiplies the chain terms after them by s**degree
+    terms = sorted(
+        ((a * cr + b * ci << k, b * cr - a * ci << k, rate.conjugate(), ar, -ai, degree)
+         for a, b, column in live
+         for k in (column.exp - low,)
+         for cr, ci, ar, ai, rate, degree, _, _ in column.terms),
+        key=lambda term: term[-1],
+    )
+    wr, wi, rates, rate_re, rate_im, degrees = (list(v) for v in zip(*terms))
+    plain = degrees.count(0)
+    shift = bits + _GUARD_BITS - max(v.bit_length() for v in wr + wi)
+    exp = x.exp + low - 2 * bits - shift  # of v times s**degree at bits fraction bits
+    T_int = _fixed(T, bits)
+    s_all = [T_int - _fixed(ti, bits) for ti in times]
+    walk = _walk(_shift_all(wr, shift), _shift_all(wi, shift), rates, (rate_re, rate_im), s_all, bits)
+    for i, vr, vi in walk:
+        powers = [_shift(s_all[i] ** d, (1 - d) * bits) for d in degrees[plain:]]  # s**d at bits fraction bits
+        yield (
+            i,
+            (sum(vr[:plain]) << bits) + sum(map(mul, vr[plain:], powers)),
+            (sum(vi[:plain]) << bits) + sum(map(mul, vi[plain:], powers)),
+            exp,
+        )
+
+
+def _walk(vr: list, vi: list, rates: list[complex], rate_ints: tuple[list, list], s_all: list[int],
+          bits: int) -> Iterator:
+    """``(i, re, im)`` of ``v e^{rate s_all[i]}`` per term, for every ``i`` in increasing ``s_all[i]``.
+
+    ``v`` comes as integer parts at any one scale, which the walk keeps;
+    rates come as complexes and as integers ``rate_ints`` (real parts,
+    imaginary parts), ``s_all`` and the step factors at ``bits`` fraction
+    bits.  The walk starts at ``s = 0`` and carries the products from
     point to point by the step factors ``e^{rate h}``, computed once per
     distinct step ``h``.  The steps of a uniform float grid differ only in
     their last bits, so one exponential per rate is taken, at the first step
@@ -590,12 +639,9 @@ def _exponential_walk(rates: list[complex], rate_ints: tuple[list, list], s_all:
     factors as ``e^{rate h0}`` times the short Taylor series of
     ``e^{rate (h - h0)}``.  Any other step takes its own exponentials and
     becomes the new ``h0``, so scattered points go through the same
-    recurrence.  Stepping toward larger ``s`` multiplies by factors of
-    modulus at most 1 for decaying rates, so the fixed-point rounding of each
-    step is never amplified.
+    recurrence.
     """
     rate_max = max(map(abs, rates))
-    cur_r, cur_i = [1 << bits] * len(rates), [0] * len(rates)
     s_prev = 0
     steps: dict = {}
     base = None  # (h0, factors of h0) of the last step that took exponentials
@@ -611,9 +657,9 @@ def _exponential_walk(rates: list[complex], rate_ints: tuple[list, list], s_all:
                     factors = [e[0] for e in exps], [e[1] for e in exps]
                     base = (h, factors)
                 steps[h] = factors
-            cur_r, cur_i = _complex_products(cur_r, cur_i, *factors, bits)
+            vr, vi = _complex_products(vr, vi, *factors, bits)
             s_prev = s_all[i]
-        yield i, cur_r, cur_i
+        yield i, vr, vi
 
 
 def _shifted_factors(factors: tuple[list, list], rates: tuple[list, list], d: int, bits: int) -> tuple[list, list]:

@@ -14,6 +14,12 @@ numbers where production works on Python integers with power-of-two scales:
 * moment integrals ``integral_0^T p(t) (T-t)**k e^{rate (T-t)} dt`` with one
   exponential per (solution term, rate) pair;
 * control evaluation with one exponential per (point, term);
+* the four-product integer kernels that production's three-product ones
+  replace (:func:`factor_four`, :func:`forward_four`,
+  :func:`cholesky_solve_four`, :func:`gram_times_four`), integer for
+  integer the same results, and the evaluation walk of unit exponentials
+  that four dot products with the weights ``x conj(coef)`` read per point
+  (:func:`unit_walk`);
 * the proportional-row scans over every pair of moment rows;
 * the control export written row by row through ``csv.writer``.
 
@@ -29,11 +35,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import itertools
+import math
+import operator
 
 import mpmath
 import numpy as np
 from energy_oracle import poly_exp_integral
 
+from cnslab import fixedpoint
 from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _SVD_THRESHOLD, _duplicate_row_structure, _proportional_rows
 from cnslab.fixedpoint import ScaledVector
 from cnslab.kernels import pair_integrals, poly_exp_integral_mp
@@ -236,6 +245,119 @@ def evaluate_control(solution, t) -> np.ndarray:
                     )
             out[i] = complex(acc)
     return out
+
+
+def _dot(a: list, b: list) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def factor_four(gram, dps: int) -> tuple | None:
+    """``fixedpoint.factor`` without the row sums, each entry's inner product two dot products of twice the length.
+
+    An earlier row ``j`` is kept as ``Lr + Li`` and ``-Li + Lr`` concatenated,
+    against the row being built as ``ri + ii``: four products per term.
+    """
+    bits = fixedpoint._dps_bits(dps)
+    Lr: list[list] = []
+    Li: list[list] = []
+    d: list = []
+    rows_re: list[list] = []
+    rows_im: list[list] = []
+    scale = 2 * bits - gram.bits
+    for i in range(len(gram.re)):
+        gr = fixedpoint._shift_all(gram.re[i][: i + 1], scale)
+        gi = fixedpoint._shift_all(gram.im[i][:i], scale)
+        ri: list = []
+        ii: list = []
+        for j in range(i):
+            row = ri + ii
+            ri.append((gr[j] - _dot(row, rows_re[j])) // d[j])
+            ii.append((gi[j] - _dot(row, rows_im[j])) // d[j])
+        pivot = gr[i] - _dot(ri, ri) - _dot(ii, ii)
+        if pivot <= 0:
+            return None
+        d.append(math.isqrt(pivot))
+        Lr.append(ri)
+        Li.append(ii)
+        rows_re.append(ri + ii)
+        rows_im.append([-v for v in ii] + ri)
+    Ur = [[row[i] for row in Lr[:i:-1]] for i in reversed(range(len(d)))]
+    Ui = [[-row[i] for row in Li[:i:-1]] for i in reversed(range(len(d)))]
+    return bits, Lr, Li, d, Ur, Ui
+
+
+def substitute_four(Lr, Li, d, br, bi) -> tuple[list, list]:
+    """``L y = b`` on integers as ``fixedpoint._substitute`` solves it, with four dot products per row."""
+    yr: list = []
+    yi: list = []
+    for lr, li, di, vr, vi in zip(Lr, Li, d, br, bi):
+        sr = vr - _dot(lr, yr) + _dot(li, yi)
+        si = vi - _dot(lr, yi) - _dot(li, yr)
+        yr.append(sr // di)
+        yi.append(si // di)
+    return yr, yi
+
+
+def forward_four(factor: tuple, b: ScaledVector) -> ScaledVector:
+    """``fixedpoint.forward`` on a :func:`factor_four`."""
+    bits, Lr, Li, d = factor[:4]
+    shift = bits - max(v.bit_length() for v in b.re + b.im)
+    parts = (fixedpoint._shift_all(p, shift + bits) for p in (b.re, b.im))
+    return ScaledVector(*substitute_four(Lr, Li, d, *parts), b.exp - shift)
+
+
+def cholesky_solve_four(factor: tuple, b: ScaledVector) -> ScaledVector:
+    """``fixedpoint._cholesky_solve`` on a :func:`factor_four`: :func:`forward_four`, then the back substitution."""
+    bits, _, _, d, Ur, Ui = factor
+    y = forward_four(factor, b)
+    parts = (fixedpoint._shift_all(p[::-1], bits) for p in (y.re, y.im))
+    xr, xi = substitute_four(Ur, Ui, d[::-1], *parts)
+    return ScaledVector(xr[::-1], xi[::-1], y.exp)
+
+
+def gram_times_four(re, im, xr, xi) -> tuple[list, list]:
+    """Real and imaginary parts of ``G x`` on integers with four dot products per row."""
+    return [_dot(g, xr) - _dot(h, xi) for g, h in zip(re, im)], [_dot(g, xi) + _dot(h, xr) for g, h in zip(re, im)]
+
+
+def weights(x: ScaledVector, columns) -> tuple[list, list, int, list, list, list, list]:
+    """``(wr, wi, exp, rates, rate_re, rate_im, degrees)`` of the control's terms, the zero coefficients left out.
+
+    ``w = x conj(coef) = (wr + 1j * wi) * 2**exp`` exactly; the rates come
+    conjugated, as complexes and as integer parts at the columns' bits.
+    """
+    live = [(a, b, column) for a, b, column in zip(x.re, x.im, columns) if a or b]
+    if not live:
+        return [], [], 0, [], [], [], []
+    bits = live[0][2].bits
+    low = min(column.exp for _, _, column in live)
+    terms = [
+        (a * cr + b * ci << column.exp - low, b * cr - a * ci << column.exp - low, rate.conjugate(), ar, -ai, degree)
+        for a, b, column in live
+        for cr, ci, ar, ai, rate, degree, _, _ in column.terms
+    ]
+    wr, wi, rates, rate_re, rate_im, degrees = (list(v) for v in zip(*terms))
+    return wr, wi, x.exp + low - bits, rates, rate_re, rate_im, degrees
+
+
+def unit_walk(x: ScaledVector, columns, T: float, times: list[float]):
+    """``(i, re, im, exp)`` of ``fixedpoint._weighted_walk`` from unit exponentials.
+
+    The walk of ``fixedpoint._walk`` carries ``e^{conj(rate) s}`` from 1 at
+    ``bits`` fraction bits, and each point takes four dot products of the
+    weights (times ``s**degree``) with it.
+    """
+    wr, wi, w_exp, rates, rate_re, rate_im, degrees = weights(x, columns)
+    if not rates:
+        return
+    bits = columns[0].bits
+    T_int = fixedpoint._fixed(T, bits)
+    s_all = [T_int - fixedpoint._fixed(t, bits) for t in times]
+    units = [1 << bits] * len(rates), [0] * len(rates)
+    for i, cur_r, cur_i in fixedpoint._walk(*units, rates, (rate_re, rate_im), s_all, bits):
+        powers = [fixedpoint._shift(s_all[i] ** d, (1 - d) * bits) for d in degrees]
+        ur, ui = list(map(operator.mul, wr, powers)), list(map(operator.mul, wi, powers))
+        yield i, _dot(ur, cur_r) - _dot(ui, cur_i), _dot(ur, cur_i) + _dot(ui, cur_r), w_exp - 2 * bits
 
 
 def export_control_csv(solution, grid, path) -> None:

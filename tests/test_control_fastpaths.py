@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import operator
 from fractions import Fraction
 
@@ -293,7 +294,8 @@ class TestSolution:
         verification that forms the product anew gives the same record."""
         gram = solution.gram
         y = fixedpoint._rescaled(solution.x, gram.exps)
-        fresh = fixedpoint.ScaledVector(*fixedpoint._gram_times(gram.re, gram.im, y.re, y.im), y.exp - gram.bits)
+        product = fixedpoint._gram_times(gram.re, gram.im, gram.sums, y.re, y.im)
+        fresh = fixedpoint.ScaledVector(*product, y.exp - gram.bits)
         difference = fixedpoint._combine(operator.sub, solution.hy, fresh)
         assert not any(difference.re) and not any(difference.im)
         # a solution replaced, even with the same coefficients, carries no product
@@ -327,6 +329,74 @@ class TestSolution:
             got = solution(t)
             want = oracle.evaluate_control(solution, t)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    #: largest gap between a point of the weighted walk and of the unit-exponential walk, in units of
+    #: 2**-bits * sum_j |w_j| max(1, s)**degree_j per step walked to the point and one more, fixed before the
+    #: test was run: the unit walk rounds each step by less than sqrt(2) units per term, the weighted walk by
+    #: 2**-guard of that, and the one more covers the weighted walk's first rounding of w
+    WALK_UNITS_PER_STEP = 2
+
+    @classmethod
+    def _assert_weighted_walk_near_unit_walk(cls, solution, t):
+        x, columns, T = solution.x, solution.columns, solution.system.horizon
+        times = [float(v) for v in t]
+        got = {i: rest for i, *rest in fixedpoint._weighted_walk(x, columns, T, times)}
+        want = {i: rest for i, *rest in oracle.unit_walk(x, columns, T, times)}
+        wr, wi, w_exp, _, _, _, degrees = oracle.weights(x, columns)
+        assert got.keys() == want.keys() == (set(range(len(times))) if degrees else set())
+        bits = columns[0].bits
+        # values relative to 2**top, where every part of w lies below 1
+        top = w_exp + max(v.bit_length() for v in wr + wi)
+        w = [math.hypot(fixedpoint._float(a, w_exp - top), fixedpoint._float(b, w_exp - top)) for a, b in zip(wr, wi)]
+        T_int = fixedpoint._fixed(T, bits)
+        s_all = [T_int - fixedpoint._fixed(ti, bits) for ti in times]
+        for i in got:
+            (re, im, exp), (re_old, im_old, exp_old) = got[i], want[i]
+            low = min(exp, exp_old)
+            gap = [(a << exp - low) - (b << exp_old - low) for a, b in ((re, re_old), (im, im_old))]
+            s = fixedpoint._float(s_all[i], -bits)
+            unit = 2.0**-bits * sum(a * max(1.0, s) ** d for a, d in zip(w, degrees))
+            steps = len({v for v in s_all if 0 < v <= s_all[i]})
+            assert math.hypot(*(fixedpoint._float(g, low - top) for g in gap)) <= (
+                cls.WALK_UNITS_PER_STEP * (steps + 1) * unit
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        system=st.one_of(kernel_systems(), physical_systems()),
+        points=st.integers(2, 60),
+        scattered=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    # a degree-1 chain on the Taylor-branch rate beside a separated rate
+    @example(
+        system=MomentSystem(
+            ObservationChannel.DENSITY, 2.5, 2,
+            _chain_system(2.5, SMALL_RATE).rows
+            + [MomentRow(2, 0, 0, complex(-0.75, 1.3), [KernelTerm(0.5 - 1j, complex(-0.75, 1.3), 0)], 1.0 + 0j)],
+            False,
+        ),
+        points=41,
+        scattered=[0.7, 0.05, 0.7, 1.0, 0.0, 0.33],
+    )
+    # the Jordan block of the UNIT set at mode 2
+    @example(
+        system=build_moment_system(_field(2, 3), ObservationChannel.DENSITY, 5.0, _slice(UNIT, 5), 3),
+        points=51,
+        scattered=[0.9, 0.1, 0.5, 0.25],
+    )
+    def test_weighted_walk_matches_the_unit_exponential_walk(self, system, points, scattered):
+        solution = _solved(system)
+        T = system.horizon
+        for t in (np.linspace(0.0, T, points), T * np.array(scattered)):
+            self._assert_weighted_walk_near_unit_walk(solution, t)
+
+    @pytest.mark.parametrize("params", [WORKHORSE, UNIT], ids=["workhorse", "jordan-chain"])
+    def test_weighted_walk_matches_the_unit_exponential_walk_at_the_second_rung(self, params):
+        system = build_moment_system(_field(1, 6), ObservationChannel.DENSITY, 0.5, _slice(params, 6), 6)
+        solution = synthesize_control(system)
+        assert solution.solve_dps == 80
+        for t in (np.linspace(0.0, 0.5, 51), 0.5 * np.array([0.9, 0.2, 0.2, 0.55, 0.0])):
+            self._assert_weighted_walk_near_unit_walk(solution, t)
 
     def test_scalar_and_array_shapes(self):
         system = build_moment_system(_field(3, 2), ObservationChannel.DENSITY, 8.0, _slice(WORKHORSE, 2), 2)

@@ -113,5 +113,5 @@ def test_float_gram_is_bit_identical_to_the_full_conversion(m):
             im[i][j] = rng.choice([0, 3 << 140, rng.randrange(-(1 << bits), 1 << bits)])
             re[j][i], im[j][i] = re[i][j], -im[i][j]
         re[i][i] = rng.randrange(1 << bits, 4 << bits)
-    gram = fixedpoint.Gram(re, im, [0] * m, bits)
+    gram = fixedpoint.Gram(re, im, [0] * m, bits, fixedpoint._row_sums(re, im))
     assert fixedpoint.float_gram(gram).tobytes() == _full_conversion(gram).tobytes()

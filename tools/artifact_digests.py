@@ -33,12 +33,16 @@ the checkout: ``workloads.py`` is imported by path with bytecode caching off.
 runs both checkouts, each in its own process, and prints for every artifact
 whose bytes differ one line per JSON key or CSV column that differs:
 
-    label/file key largest-relative-difference
+    label/file key largest-relative-difference largest-difference-over-largest-value
 
-The relative difference of two numbers is ``|a - b| / max(|a|, |b|)``.  A
-JSON key names its path, ``.``-joined; list items that are objects or lists
-share one ``[]`` key, scalar items keep their ``[i]``.  A non-numeric value
-that differs prints ``differs``, a key or file only one side has ``missing``.
+The relative difference of two numbers is ``|a - b| / max(|a|, |b|)``; the
+second figure is ``max|a - b| / max(max|a|, max|b|)`` over the key's or
+column's values, the difference at the scale of the whole column, which
+near-zero entries do not dominate.  A JSON key names its path,
+``.``-joined; list items that are objects or lists share one ``[]`` key,
+scalar items keep their ``[i]``.  A non-numeric value that differs prints
+``differs``, a key or file only one side has ``missing``.  Byte-identical
+trees print nothing.
 """
 
 from __future__ import annotations
@@ -213,7 +217,11 @@ def _number(x):
 
 
 def _key_differences(a: dict[str, list], b: dict[str, list]) -> list[tuple[str, str]]:
-    """``(key, difference)`` of every key whose values differ: the largest relative difference, ``differs`` or ``missing``."""
+    """``(key, difference)`` of every key whose values differ.
+
+    The difference is the largest relative difference and the largest
+    difference over the largest value, ``differs`` or ``missing``.
+    """
     out = []
     for key in sorted(set(a) | set(b)):
         if key not in a or key not in b or len(a[key]) != len(b[key]):
@@ -225,7 +233,9 @@ def _key_differences(a: dict[str, list], b: dict[str, list]) -> list[tuple[str, 
         if any(x is None or y is None for x, y in numbers):
             out.append((key, "differs"))
         else:
-            out.append((key, f"{max(_relative(x, y) for x, y in numbers):.2e}"))
+            top = max(abs(v) for pair in numbers for v in pair)
+            scaled = max(abs(x - y) for x, y in numbers) / top
+            out.append((key, f"{max(_relative(x, y) for x, y in numbers):.2e} {scaled:.2e}"))
     return out
 
 
@@ -270,7 +280,9 @@ def main(argv=None) -> int:
             # one process per checkout: each imports its own cnslab
             subprocess.run([sys.executable, __file__, str(checkout.resolve()), "--keep", str(tree)],
                            check=True, stdout=subprocess.DEVNULL)
-        print("\n".join(compare(*trees)))
+        lines = compare(*trees)
+        if lines:
+            print("\n".join(lines))
     return 0
 
 
