@@ -8,23 +8,28 @@ integers, shifted once: with ``p = ar . br`` and ``q = ai . bi``, its real
 part is ``p - q`` and its imaginary part ``(ar + ai) . (br + bi) - p - q``
 (Gauss's product; on integers the identity is exact, so the results are
 those of four products), where the sums ``ar + ai`` of a Cholesky factor's
-or a Gram's rows are formed once.  The exponentials are integers too
+or a Gram's rows are formed once.  The rates and coefficients of a kernel
+come from doubles, so their integers are short odd parts times powers of
+two; the moment Gram pairs the odd parts and shifts the powers back once,
+exactly (:func:`_moment_gram`).  The exponentials are integers too
 (:func:`_exp`): one ``e^{rate T}`` per kernel term, paired by products, and
 the step factors of the control evaluation, which steps the weighted terms
-``x conj(coef) e^{conj(rate) s}`` themselves, so that a point is a plain sum.  Its argument is formed exactly from the
-double rate and the float horizon or integer step, reduced by ln 2 and
-pi/2, and summed as two short real series; ln 2 and pi/2 come from integer
-series once per precision.  Kernels come in as lists of
-:class:`~cnslab.kernels.KernelTerm`.
+``x conj(coef) e^{conj(rate) s}`` themselves, so that a point is a plain
+sum; a step a few units from an earlier one takes its factors from that
+step's by a short series, rate by rate.  The argument of an exponential is
+formed exactly from the double rate and the float horizon or integer step,
+reduced by ln 2 and pi/2, and summed as two short real series; ln 2 and
+pi/2 come from integer series once per precision.  Kernels come in as lists
+of :class:`~cnslab.kernels.KernelTerm`.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, count, repeat
-from operator import add, floordiv, lshift, mul, rshift, sub
+from operator import add, lshift, mul, or_, rshift, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -237,32 +242,13 @@ def _arc(m: int, sign: int, bits: int) -> int:
     return total
 
 
-def _pair_integral(m: int, zr: int, zi: int, ezt: tuple[int, int], T: int, bits: int, near: bool) -> tuple[int, int]:
-    """``I_m(z, T)`` (see :mod:`~cnslab.kernels`) on integers at ``bits`` fraction bits.
-
-    ``z``, ``ezt = e^{zT}`` and ``T`` come at ``bits`` fraction bits, so
-    callers pairing many rates form ``ezt`` as a product of per-rate
-    exponentials.  ``near`` selects the Taylor series in ``zT``
-    (``|z| T < TAYLOR_RADIUS``, decided in double precision by the caller),
-    which works from ``z`` alone; away from it ``1/z`` enters as
-    ``conj(z) / |z|**2``, one division per part and step.
-    """
-    if near:
-        return _taylor(m, zr, zi, T, bits)
-    den = zr * zr + zi * zi
-    er, ei = ezt
-    ar, ai = er - (1 << bits), ei
-    vr, vi = ((ar * zr + ai * zi) << bits) // den, ((ai * zr - ar * zi) << bits) // den
-    Tk = 1 << bits
-    for k in range(1, m + 1):
-        Tk = (Tk * T) >> bits
-        ar, ai = ((Tk * er) >> bits) - k * vr, ((Tk * ei) >> bits) - k * vi
-        vr, vi = ((ar * zr + ai * zi) << bits) // den, ((ai * zr - ar * zi) << bits) // den
-    return vr, vi
-
-
 def _taylor(m: int, zr: int, zi: int, T: int, bits: int) -> tuple[int, int]:
-    """Taylor series of ``I_m(z, T)`` in ``zT`` at ``bits`` fraction bits, summed until a term is below ``2**-bits``."""
+    """Taylor series of ``I_m(z, T)`` in ``zT`` at ``bits`` fraction bits, summed until a term is below ``2**-bits``.
+
+    The powers ``z**k / k!`` are rounded down.  For ``Re z > 0`` a part can
+    settle at -1, a power that rounds to itself: its terms are rounding
+    alone, and for ``T > 1`` they would grow without end, so the sum ends there too.
+    """
     total_r = total_i = 0
     pr, pi = 1 << bits, 0  # z**k / k!
     Tp = _shift(T ** (m + 1), -m * bits)  # T**(m + k + 1)
@@ -273,10 +259,36 @@ def _taylor(m: int, zr: int, zi: int, T: int, bits: int) -> tuple[int, int]:
         total_r += tr
         total_i += ti
         if abs(tr) + abs(ti) < 1 << bits:
-            return total_r >> bits, total_i >> bits
+            break
         k += 1
+        last = pr, pi
         pr, pi = ((pr * zr - pi * zi) >> bits) // k, ((pr * zi + pi * zr) >> bits) // k
+        if (pr, pi) == last and abs(pr) <= 1 and abs(pi) <= 1:
+            break
         Tp = (Tp * T) >> bits
+    return total_r >> bits, total_i >> bits
+
+
+def _odd_parts(kernel: Kernel) -> tuple[int, list[tuple]]:
+    """``(p, terms)``: a kernel's terms with the powers of two their double-born parts share divided out.
+
+    ``p`` is shared by all the kernel's coefficient parts; each term becomes
+    ``(cr, ci, ar, ai, t, rate, degree, er, ei)`` with the coefficient
+    ``(cr + 1j * ci) * 2**p`` and the rate ``(ar + 1j * ai) * 2**t`` of the
+    :class:`Kernel`'s integers, ``t`` at most ``bits``.
+    """
+    bits = kernel.bits
+    p = _trailing_zeros(reduce(or_, (part for term in kernel.terms for part in term[:2]), 0), 0)
+    terms = []
+    for cr, ci, ar, ai, rate, degree, er, ei in kernel.terms:
+        t = min(_trailing_zeros(ar | ai, bits), bits)
+        terms.append((cr >> p, ci >> p, ar >> t, ai >> t, t, rate, degree, er, ei))
+    return p, terms
+
+
+def _trailing_zeros(n: int, zero: int) -> int:
+    """The largest ``k`` with ``2**k`` dividing ``n``, and ``zero`` for ``n = 0``."""
+    return (n & -n).bit_length() - 1 if n else zero
 
 
 def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int) -> tuple[list[list], list[list]]:
@@ -285,34 +297,58 @@ def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int)
     Kernels come as :func:`_kernel` made them at ``bits`` fraction bits; the
     entries come back as their real and their imaginary parts, two lists of
     lists of integers: entry ``[r][s]`` is ``(re + 1j * im)[r][s] *
-    2**(rows[r].exp + columns[s].exp - bits)``.  A term pair's
-    ``e^{(a + conj(b)) T}`` is the product ``e^{aT} conj(e^{bT})``.  The
-    products of an entry are summed exactly and shifted once.  When ``rows``
-    is ``columns`` the Gram is Hermitian: only the upper triangle is
+    2**(rows[r].exp + columns[s].exp - bits)``.  When ``rows`` is
+    ``columns`` the Gram is Hermitian: only the upper triangle is
     integrated, and the lower one mirrors it.
+
+    A term pair with the rates ``a`` and ``b`` adds ``c_a conj(c_b)
+    I_m(z, T)`` (see :mod:`~cnslab.kernels`) with ``z = a + conj(b)`` and
+    ``m`` the sum of the degrees.  Rates and coefficients come from doubles,
+    so their integers are short odd parts times powers of two
+    (:func:`_odd_parts`); a pair works on the odd parts.  With ``z = Z
+    2**s``, ``1/z`` enters ``I_m`` as ``conj(Z) / |Z|**2`` with the
+    numerator shifted by ``bits - s``, one division per part and step, and
+    ``floor(A 2**(bits+s) / (|Z|**2 2**(2s))) = floor(A 2**(bits-s) /
+    |Z|**2)`` keeps every bit of the full-width division.
+    ``e^{zT}`` is the product ``e^{aT} conj(e^{bT})``.  Pairs with ``|z| T <
+    TAYLOR_RADIUS``, decided in double precision, take :func:`_taylor`.  The
+    products of an entry are summed exactly and shifted once.
     """
     hermitian = rows is columns
     T_int = _fixed(T, bits)
+    one = 1 << bits
+    row_parts = list(map(_odd_parts, rows))
+    column_parts = row_parts if hermitian else list(map(_odd_parts, columns))
     re = [[0] * len(columns) for _ in rows]
     im = [[0] * len(columns) for _ in rows]
-    for i, row in enumerate(rows):
+    for i, (p_row, row) in enumerate(row_parts):
         for j in range(i if hermitian else 0, len(columns)):
+            p_column, column = column_parts[j]
             sr = si = 0
-            for car, cai, ar, ai, a, da, ear, eai in row.terms:
-                for cbr, cbi, br, bi, b, db, ebr, ebi in columns[j].terms:
-                    Ir, Ii = _pair_integral(
-                        da + db,
-                        ar + br,
-                        ai - bi,
-                        ((ear * ebr + eai * ebi) >> bits, (eai * ebr - ear * ebi) >> bits),
-                        T_int,
-                        bits,
-                        abs(a + b.conjugate()) * T < TAYLOR_RADIUS,
-                    )
+            for car, cai, ar, ai, ta, a, da, ear, eai in row:
+                for cbr, cbi, br, bi, tb, b, db, ebr, ebi in column:
+                    m = da + db
+                    if ta < tb:
+                        s, zr, zi = ta, ar + (br << tb - ta), ai - (bi << tb - ta)
+                    else:
+                        s, zr, zi = tb, (ar << ta - tb) + br, (ai << ta - tb) - bi
+                    if abs(a + b.conjugate()) * T < TAYLOR_RADIUS:
+                        Ir, Ii = _taylor(m, zr << s, zi << s, T_int, bits)
+                    else:
+                        den, up = zr * zr + zi * zi, bits - s
+                        er, ei = (ear * ebr + eai * ebi) >> bits, (eai * ebr - ear * ebi) >> bits
+                        nr, ni = er - one, ei
+                        Ir, Ii = ((nr * zr + ni * zi) << up) // den, ((ni * zr - nr * zi) << up) // den
+                        if m:  # the chain degrees: I_k = (T**k e^{zT} - k I_{k-1}) / z
+                            Tk = one
+                            for k in range(1, m + 1):
+                                Tk = (Tk * T_int) >> bits
+                                nr, ni = ((Tk * er) >> bits) - k * Ir, ((Tk * ei) >> bits) - k * Ii
+                                Ir, Ii = ((nr * zr + ni * zi) << up) // den, ((ni * zr - nr * zi) << up) // den
                     wr, wi = car * cbr + cai * cbi, cai * cbr - car * cbi
                     sr += wr * Ir - wi * Ii
                     si += wr * Ii + wi * Ir
-            re[i][j], im[i][j] = sr >> 2 * bits, si >> 2 * bits
+            re[i][j], im[i][j] = _shift(sr, p_row + p_column - 2 * bits), _shift(si, p_row + p_column - 2 * bits)
             if hermitian and j != i:
                 re[j][i], im[j][i] = re[i][j], -im[i][j]
     return re, im
@@ -666,22 +702,28 @@ def _shifted_factors(factors: tuple[list, list], rates: tuple[list, list], d: in
     """``f * e^{rate d}`` per rate, for the factors ``f`` of a step and a small shift ``d`` of it.
 
     Factors, the real and imaginary parts of the rates and ``d`` are integers
-    at ``bits`` fraction bits.  ``e^{rate d}`` is its Taylor series, summed for
-    all rates at once until every term falls to one unit of ``2**-bits``; with
-    ``|rate d|`` at most :data:`_STEP_SERIES_RADIUS` every term is smaller
-    than the last and the sum is near 1, so a few terms suffice and nothing
-    cancels.
+    at ``bits`` fraction bits.  ``e^{rate d}`` is its Taylor series, summed
+    rate by rate on plain integers; with ``|rate d|`` at most
+    :data:`_STEP_SERIES_RADIUS` every term is smaller than the last and the
+    sum is near 1, so a few terms suffice and nothing cancels.  A rate's
+    series runs until a term is at most one unit of ``2**-bits`` in both
+    parts; its terms never grow back from there.  The first sweep finds the
+    most terms any rate takes, and the second runs every rate on to that
+    count, whose rounded-down terms may still add units of ``-1``.
     """
-    fr, fi = factors
-    wr, wi = (list(map(rshift, map(mul, part, repeat(d)), repeat(bits))) for part in rates)
-    sr, si = [1 << bits] * len(fr), [0] * len(fr)
-    tr, ti = sr, si  # (rate d)**k / k!
-    k = 0
-    while max(map(abs, tr + ti)) > 1:
-        k += 1
-        tr, ti = (list(map(floordiv, part, repeat(k))) for part in _complex_products(tr, ti, wr, wi, bits))
-        sr, si = list(map(add, sr, tr)), list(map(add, si, ti))
-    return _complex_products(fr, fi, sr, si, bits)
+    one = 1 << bits
+    runs = [(one, 0, one, 0, ar * d >> bits, ai * d >> bits, 0) for ar, ai in zip(*rates)]  # sum, term, w, k
+    most = 0
+    for _ in range(2):
+        for i, (sr, si, tr, ti, wr, wi, k) in enumerate(runs):
+            while k < most or abs(tr) > 1 or abs(ti) > 1:
+                k += 1
+                tr, ti = ((tr * wr - ti * wi) >> bits) // k, ((tr * wi + ti * wr) >> bits) // k
+                sr += tr
+                si += ti
+            runs[i] = sr, si, tr, ti, wr, wi, k
+            most = max(most, k)
+    return _complex_products(*factors, [run[0] for run in runs], [run[1] for run in runs], bits)
 
 
 def _complex_products(ar: list, ai: list, br: list, bi: list, bits: int) -> tuple[list, list]:

@@ -20,6 +20,11 @@ numbers where production works on Python integers with power-of-two scales:
   integer the same results, and the evaluation walk of unit exponentials
   that four dot products with the weights ``x conj(coef)`` read per point
   (:func:`unit_walk`);
+* the pair loop of the moment Gram on the full-width integers of the
+  kernels (:func:`moment_gram`, :func:`pair_integral`), and the step
+  series summed for all rates at once (:func:`shifted_factors`), which
+  production's odd-part Gram and rate-by-rate series match integer for
+  integer;
 * the proportional-row scans over every pair of moment rows;
 * the control export written row by row through ``csv.writer``.
 
@@ -45,7 +50,7 @@ from energy_oracle import poly_exp_integral
 from cnslab import fixedpoint
 from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _SVD_THRESHOLD, _duplicate_row_structure, _proportional_rows
 from cnslab.fixedpoint import ScaledVector
-from cnslab.kernels import pair_integrals, poly_exp_integral_mp
+from cnslab.kernels import TAYLOR_RADIUS, pair_integrals, poly_exp_integral_mp
 
 
 def mp_complex(re: int, im: int, exp: int):
@@ -358,6 +363,71 @@ def unit_walk(x: ScaledVector, columns, T: float, times: list[float]):
         powers = [fixedpoint._shift(s_all[i] ** d, (1 - d) * bits) for d in degrees]
         ur, ui = list(map(operator.mul, wr, powers)), list(map(operator.mul, wi, powers))
         yield i, _dot(ur, cur_r) - _dot(ui, cur_i), _dot(ur, cur_i) + _dot(ui, cur_r), w_exp - 2 * bits
+
+
+def pair_integral(m: int, zr: int, zi: int, ezt: tuple[int, int], T: int, bits: int, near: bool) -> tuple[int, int]:
+    """``I_m(z, T)`` on integers at ``bits`` fraction bits, from the full-width ``z``.
+
+    ``z``, ``ezt = e^{zT}`` and ``T`` come at ``bits`` fraction bits.
+    ``near`` selects ``fixedpoint._taylor``; away from it ``1/z`` enters as
+    ``conj(z) / |z|**2``, one division per part and step.
+    """
+    if near:
+        return fixedpoint._taylor(m, zr, zi, T, bits)
+    den = zr * zr + zi * zi
+    er, ei = ezt
+    ar, ai = er - (1 << bits), ei
+    vr, vi = ((ar * zr + ai * zi) << bits) // den, ((ai * zr - ar * zi) << bits) // den
+    Tk = 1 << bits
+    for k in range(1, m + 1):
+        Tk = (Tk * T) >> bits
+        ar, ai = ((Tk * er) >> bits) - k * vr, ((Tk * ei) >> bits) - k * vi
+        vr, vi = ((ar * zr + ai * zi) << bits) // den, ((ai * zr - ar * zi) << bits) // den
+    return vr, vi
+
+
+def moment_gram(rows, columns, T: float, bits: int) -> tuple[list[list], list[list]]:
+    """``fixedpoint._moment_gram`` with every term pair's :func:`pair_integral` on the kernels' full-width integers."""
+    hermitian = rows is columns
+    T_int = fixedpoint._fixed(T, bits)
+    re = [[0] * len(columns) for _ in rows]
+    im = [[0] * len(columns) for _ in rows]
+    for i, row in enumerate(rows):
+        for j in range(i if hermitian else 0, len(columns)):
+            sr = si = 0
+            for car, cai, ar, ai, a, da, ear, eai in row.terms:
+                for cbr, cbi, br, bi, b, db, ebr, ebi in columns[j].terms:
+                    Ir, Ii = pair_integral(
+                        da + db,
+                        ar + br,
+                        ai - bi,
+                        ((ear * ebr + eai * ebi) >> bits, (eai * ebr - ear * ebi) >> bits),
+                        T_int,
+                        bits,
+                        abs(a + b.conjugate()) * T < TAYLOR_RADIUS,
+                    )
+                    wr, wi = car * cbr + cai * cbi, cai * cbr - car * cbi
+                    sr += wr * Ir - wi * Ii
+                    si += wr * Ii + wi * Ir
+            re[i][j], im[i][j] = sr >> 2 * bits, si >> 2 * bits
+            if hermitian and j != i:
+                re[j][i], im[j][i] = re[i][j], -im[i][j]
+    return re, im
+
+
+def shifted_factors(factors: tuple[list, list], rates: tuple[list, list], d: int, bits: int) -> tuple[list, list]:
+    """``fixedpoint._shifted_factors`` with the series of all rates summed at once, until every term is at most 1."""
+    fr, fi = factors
+    wr, wi = ([v * d >> bits for v in part] for part in rates)
+    sr, si = [1 << bits] * len(fr), [0] * len(fr)
+    tr, ti = sr, si
+    k = 0
+    while max(map(abs, tr + ti)) > 1:
+        k += 1
+        tr, ti = (list(map(operator.floordiv, part, itertools.repeat(k)))
+                  for part in fixedpoint._complex_products(tr, ti, wr, wi, bits))
+        sr, si = list(map(operator.add, sr, tr)), list(map(operator.add, si, ti))
+    return fixedpoint._complex_products(fr, fi, sr, si, bits)
 
 
 def export_control_csv(solution, grid, path) -> None:

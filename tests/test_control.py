@@ -267,9 +267,13 @@ class TestVerifyTerminal:
         assert all(len(row.kernel) == 1 for row in system.rows)
         if field_seed is None:
             assert len(solution.keep) < len(system.rows)
+        # single-term kernels: a Gram of rows against columns integrates rows * columns term pairs
         pairs = []
-        integral = fixedpoint._pair_integral
-        monkeypatch.setattr(fixedpoint, "_pair_integral", lambda *args: pairs.append(1) or integral(*args))
+        gram = fixedpoint._moment_gram
+        monkeypatch.setattr(
+            fixedpoint, "_moment_gram", lambda rows, columns, *args: pairs.extend([1] * len(rows) * len(columns))
+            or gram(rows, columns, *args)
+        )
         record = verify_terminal(solution, N_verify)
         kept = len(solution.keep)
         assert len(pairs) == (len(record.per_row_residuals) - kept) * kept

@@ -1,4 +1,4 @@
-"""The integer exponential, its constants, the digits-to-bits rule and the double Gram of ``fixedpoint``.
+"""The integer exponential, its constants, the digits-to-bits rule, the double Gram and the Taylor pair integral.
 
 mpmath is the oracle here: :func:`fixedpoint._exp` is compared with
 ``mpmath.exp`` of the same exact argument at 80 more bits, at the working
@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnslab import fixedpoint
+from cnslab.kernels import poly_exp_integral_mp
 
 #: working bits of the exponentials at the 40- and 80-digit rungs, without the range bits of a kernel set
 RUNG_BITS = [fixedpoint._dps_bits(dps) + fixedpoint._GUARD_BITS for dps in (40, 80)]
@@ -90,6 +91,18 @@ def test_reduction_constants_within_one_unit(bits):
 
 def test_digits_to_bits_is_mpmaths_rule():
     assert [fixedpoint._dps_bits(d) for d in range(1, 1001)] == [mpmath.libmp.dps_to_prec(d) for d in range(1, 1001)]
+
+
+@pytest.mark.parametrize("m", [0, 3, 7])
+@pytest.mark.parametrize("z", [complex(6.7e-7, 1.37e-7), complex(1e-3, 0.0), complex(2e-9, -3e-8)])
+def test_taylor_sum_of_a_growing_near_pair_ends(m, z):
+    # Re z > 0 rounds a part of z**k / k! down to -1 for good; at T = 2 its terms grow, and the sum must still end
+    bits, T = RUNG_BITS[0], 2.0
+    re, im = fixedpoint._taylor(m, fixedpoint._fixed(z.real, bits), fixedpoint._fixed(z.imag, bits),
+                                fixedpoint._fixed(T, bits), bits)
+    with mpmath.workprec(bits + 60):
+        want = poly_exp_integral_mp(m, mpmath.mpc(z), T)
+        assert abs(mpmath.mpc(mpmath.ldexp(re, -bits), mpmath.ldexp(im, -bits)) - want) <= 1e-40 * abs(want)
 
 
 def _full_conversion(gram: fixedpoint.Gram) -> np.ndarray:

@@ -8,7 +8,9 @@ that no workload runs: ``closeness``, ``observe`` and ``synthesize`` on every
 valid channel of both systems, ``observe`` with more trials than one
 stacked pass takes, ``synthesize`` on 100 moment rows, which solves at 80
 digits, ``synthesize`` on 32 moment rows at T = 0.5, which solves at 160
-digits, ``synthesize`` on density and velocity of the Jordan-pair barotropic
+digits, ``synthesize`` on 16 moment rows of a weakly damped barotropic set
+at T = 2, whose slowest rates put 8 moment pairs on the Gram's Taylor
+branch, ``synthesize`` on density and velocity of the Jordan-pair barotropic
 set and the triple-root three-field set (their moment rows run the Jordan
 chains), ``validate-fdm`` with a trajectory export on the workhorse, the
 coincidence-free three-field set, the Jordan-pair barotropic set and the
@@ -70,6 +72,9 @@ JORDAN_PAIR_BAROTROPIC = {"rho_bar": 1.0, "u_bar": 1.0, "mu0": 1.0, "b": 1.0}
 #: A three-field set whose three values at n = 1 form a Jordan triple.
 TRIPLE_ROOT_THREE_FIELD = {"rho_bar": 1.0, "u_bar": 1.0, "theta_bar": 0.5, "lambda0": 1.0, "kappa0": 2.0, "R": 1.0, "c0": 1.0}
 
+#: A barotropic set with weak damping: at small T its slowest rates put moment pairs on the Taylor branch.
+WEAKLY_DAMPED_BAROTROPIC = {"rho_bar": 1.0, "u_bar": 0.9, "mu0": 1.0, "b": 0.05}
+
 #: name -> (system, params set, command, section text, verify); the sets are named in :func:`digests`.
 EXTRA = {
     "closeness-barotropic": ("barotropic", "workhorse", "closeness", "[closeness]\nN_start = 3\nN_end = 40\n", False),
@@ -102,6 +107,11 @@ EXTRA = {
     "synthesize-barotropic-density-rung160": (
         "barotropic", "workhorse", "synthesize",
         "[synthesize]\nN = 8\nT = 0.5\nchannel = density\nN_verify = 12\ngrid = 21\n", False,
+    ),
+    # 8 moment pairs with |z| T below the Taylor radius: the digests cover the Gram's Taylor branch
+    "synthesize-barotropic-weak-taylor": (
+        "barotropic", "weak", "synthesize", "[synthesize]\nN = 4\nT = 2.0\nchannel = density\nN_verify = 6\ngrid = 21\n",
+        False,
     ),
     # the jordan and triple sets put Jordan chains into the moment rows: kernels with (T-t)**k terms
     **{
@@ -173,7 +183,8 @@ def digests(wl, keep: Path | None = None) -> list[str]:
             for run, text in enumerate(workload.configs(seed)):
                 lines += _run(wl, f"{name}/{seed}/{run}", text, keep=keep)
     params = {"workhorse": wl.WORKHORSE, "shared": wl.SHARED_EIGENVALUE, "generic": GENERIC_THREE_FIELD,
-              "degenerate": DEGENERATE_BAROTROPIC, "jordan": JORDAN_PAIR_BAROTROPIC, "triple": TRIPLE_ROOT_THREE_FIELD}
+              "degenerate": DEGENERATE_BAROTROPIC, "jordan": JORDAN_PAIR_BAROTROPIC, "triple": TRIPLE_ROOT_THREE_FIELD,
+              "weak": WEAKLY_DAMPED_BAROTROPIC}
     for name, (system, key, command, section, verify) in EXTRA.items():
         text = "\n".join(
             ["[run]", f"system = {system}", f"command = {command}", "seed = 0", "", "[params]"]
