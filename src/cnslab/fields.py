@@ -56,20 +56,6 @@ class SpectralField:
     def zeros(cls, dim: int, N: int) -> "SpectralField":
         return cls(dim=dim, N=N, coeffs=np.zeros((2 * N + 1, dim), dtype=complex))
 
-    @classmethod
-    def from_modes(cls, dim: int, N: int, modes: dict[int, np.ndarray]) -> "SpectralField":
-        out = np.zeros((2 * N + 1, dim), dtype=complex)
-        for n, c in modes.items():
-            if abs(n) > N:
-                raise DomainError(f"mode {n} outside cutoff N={N}")
-            out[n + N] = np.asarray(c, dtype=complex)
-        return cls(dim=dim, N=N, coeffs=out)
-
-    @classmethod
-    def single_mode(cls, n: int, vector: np.ndarray, N: int) -> "SpectralField":
-        vector = np.asarray(vector, dtype=complex)
-        return cls.from_modes(dim=vector.size, N=N, modes={n: vector})
-
     def coeff(self, n: int) -> np.ndarray:
         if abs(n) > self.N:
             return np.zeros(self.dim, dtype=complex)

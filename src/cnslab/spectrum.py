@@ -843,6 +843,51 @@ def _clustered_modes(params: SystemParams, table: BasisTable, rows, tol: float) 
     ]
 
 
+def axis_sorts(values: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Stable sort order and sorted coordinates of complex values, along the real then the imaginary axis."""
+    sorts = []
+    for coord in (values.real, values.imag):
+        order = np.argsort(coord, kind="stable")
+        sorts.append((order, coord[order]))
+    return tuple(sorts)
+
+
+def window_pairs(rows: np.ndarray, radius, sorts, block: int | None = None):
+    """The (row, column) index pairs whose coordinates lie within ``radius`` along one axis, in row chunks.
+
+    The columns are the values that :func:`axis_sorts` sorted into
+    ``sorts``.  Column ``j`` is in row ``i``'s window when its real part lies
+    within ``radius*(1 + 1e-12) + 1e-15*|Re rows_i|`` of ``Re rows_i`` (an
+    array ``radius`` gives one radius per row), and likewise on the
+    imaginary axis; of the two axes the one with fewer pairs in total is
+    searched.  The factor ``1 + 1e-12`` covers the rounding of a radius
+    computed from rounded values; the window's ends round monotonically, so
+    they lose no column within the widened radius, and the few rounding
+    units of ``|x_i|`` are a further margin.  Rows and columns must be
+    finite.  Yields ``(i, j)`` arrays, row by row ascending and, within a
+    row, in the column sort: one chunk of every row, or, with a ``block``,
+    chunks of consecutive rows of at most ``block`` pairs each unless the
+    chunk is one row.
+    """
+    windows = []
+    for coord, (by_coord, sorted_coord) in zip((rows.real, rows.imag), sorts):
+        reach = radius * (1.0 + 1e-12) + 1e-15 * np.abs(coord)
+        lo = np.searchsorted(sorted_coord, coord - reach, side="left")
+        hi = np.searchsorted(sorted_coord, coord + reach, side="right")
+        windows.append((int((hi - lo).sum()), by_coord, lo, hi - lo))
+    _, by_coord, lo, counts = min(windows, key=lambda w: w[0])
+    ends = np.cumsum(counts)
+    start = 0
+    while start < rows.size:
+        stop = rows.size
+        if block is not None:
+            stop = max(start + 1, int(np.searchsorted(ends, ends[start] - counts[start] + block, side="right")))
+        c = counts[start:stop]
+        i = np.repeat(np.arange(start, stop), c)
+        yield i, by_coord[np.repeat(lo[start:stop] - np.cumsum(c) + c, c) + np.arange(int(c.sum()))]
+        start = stop
+
+
 def _coincidences(table: BasisTable, branches: tuple[BranchLabel, ...], tol: float) -> list[Coincidence]:
     """Every pair of (mode, branch) slots whose values agree within ``tol``.
 
@@ -850,24 +895,15 @@ def _coincidences(table: BasisTable, branches: tuple[BranchLabel, ...], tol: flo
     recorded when ``|v_i - v_j| <= tol*max(1, |v_i|)``.  Slot ``j`` can
     only match ``i`` when its real part, and its imaginary part, lies within
     that radius of ``v_i``'s, so the candidates come from a sort along one
-    axis and a window search.  The axis is the one with fewer candidates:
-    the real parts of a hyperbolic branch all crowd around ``-omega`` and
-    would make every pair of its slots a candidate at large N.  The windows
-    are widened by a few rounding units so that no match is lost.
+    axis and a window search (:func:`window_pairs`).  The axis is the one
+    with fewer candidates: the real parts of a hyperbolic branch all crowd
+    around ``-omega`` and would make every pair of its slots a candidate at
+    large N.
     """
     order = np.argsort(table.ns, kind="stable")
     values = table.values[order].ravel()
     radius = tol * np.fmax(1.0, np.abs(values))
-    windows = []
-    for coord in (values.real, values.imag):
-        by_coord = np.argsort(coord, kind="stable")
-        reach = radius * (1.0 + 1e-12) + 1e-15 * np.abs(coord)
-        lo = np.searchsorted(coord[by_coord], coord - reach, side="left")
-        hi = np.searchsorted(coord[by_coord], coord + reach, side="right")
-        windows.append((int((hi - lo).sum()), by_coord, lo, hi - lo))
-    total, by_coord, lo, counts = min(windows, key=lambda w: w[0])
-    i = np.repeat(np.arange(values.size), counts)
-    j = by_coord[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)]
+    ((i, j),) = window_pairs(values, radius, axis_sorts(values))
     later = j > i
     i, j = i[later], j[later]
     distance = np.abs(values[i] - values[j])

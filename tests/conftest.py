@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cnslab.fields import SpectralField
 from cnslab.model import BarotropicParams, NonBarotropicParams
 from cnslab.spectrum import DegenerateWarning
 
@@ -41,6 +42,21 @@ def shared_eigenvalue_nonbarotropic():
 def generic_nonbarotropic():
     """A three-field set without eigenvalue coincidences (``u_bar = 0.9``; the shared-eigenvalue set has 1)."""
     return NonBarotropicParams(rho_bar=1.0, u_bar=0.9, theta_bar=1.0, lambda0=1.0, kappa0=2.0, R=1.0, c0=1.0)
+
+
+def field_from_modes(dim: int, N: int, modes: dict[int, np.ndarray]) -> SpectralField:
+    """The field with coefficient vector ``modes[n]`` at each listed mode ``n`` (``|n| <= N``) and zero elsewhere."""
+    coeffs = np.zeros((2 * N + 1, dim), dtype=complex)
+    for n, c in modes.items():
+        assert abs(n) <= N, f"mode {n} outside cutoff N={N}"
+        coeffs[n + N] = c
+    return SpectralField(dim=dim, N=N, coeffs=coeffs)
+
+
+def single_mode_field(n: int, vector: np.ndarray, N: int) -> SpectralField:
+    """The field with coefficient vector ``vector`` at mode ``n`` alone."""
+    vector = np.asarray(vector, dtype=complex)
+    return field_from_modes(vector.size, N, {n: vector})
 
 
 def random_barotropic(rng: np.random.Generator) -> BarotropicParams:

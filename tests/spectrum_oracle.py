@@ -17,8 +17,10 @@ The per-mode code that production no longer runs:
   also hand production a hand-built slice with complete basis blocks;
 * the quadratic-closeness deficits, two per-mode solves per ``n``;
 * the Ingham audit with its loops over every pair of modes;
-* the full-table pair scan (:func:`first_minima`) that production's
-  triangular row blocks replace;
+* the full-table pair scan (:func:`first_minima`) that production's row
+  blocks replace, and the whole pair tables of H1, P1, P3, relaxed and the
+  disjoint gap (:func:`min_pairwise_gap`, :func:`parabolic_minima`,
+  :func:`min_cross_gap`) that production reads on sorted windows;
 * the singular values of small blocks at 40 digits (:func:`singular_values`,
   :func:`condition_numbers`), the reference of production's closed forms.
 
@@ -744,6 +746,50 @@ def first_minima(row_keys: list, col_keys: list, tables, triangle: bool = False)
         else:
             best.append((np.inf, None))
     return best
+
+
+def _later(size: int) -> np.ndarray:
+    """Mask of the pairs ``j > i`` of a square table."""
+    return np.arange(size)[None, :] > np.arange(size)[:, None]
+
+
+def _sorted(keys: np.ndarray, values: np.ndarray) -> tuple[list[int], np.ndarray]:
+    order = np.argsort(keys)
+    return keys[order].tolist(), values[order]
+
+
+def min_pairwise_gap(keys: np.ndarray, values: np.ndarray) -> tuple[float, tuple[int, int] | None]:
+    """:func:`cnslab.observability._min_pairwise_gap` on the whole table:
+    ``|v_n - v_l|`` over every pair of keys ``n < l``."""
+    keys, v = _sorted(keys, values)
+    table = np.where(_later(v.size), np.abs(v[:, None] - v[None, :]), np.inf)
+    return first_minima(keys, keys, lambda *_: (table,))[0]
+
+
+def parabolic_minima(keys: np.ndarray, values: np.ndarray, r: float) -> list[tuple[float, tuple[int, int] | None]]:
+    """:func:`cnslab.observability._parabolic_minima` on the whole tables: the
+    P1 gaps, the P3 quotients by ``||n|**r - |l|**r|`` (zero denominators
+    excluded) and the relaxed ones by ``|n - l|``, over pairs ``n < l``."""
+    keys, v = _sorted(keys, values)
+    n = np.array(keys, dtype=float)
+    powers = np.abs(n) ** r
+    gaps = np.abs(v[:, None] - v[None, :])
+    later = _later(n.size)
+    denom = np.abs(powers[:, None] - powers[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tables = (
+            np.where(later, gaps, np.inf),
+            np.where(later & (denom != 0.0), gaps / denom, np.inf),
+            np.where(later, gaps / np.abs(n[:, None] - n[None, :]), np.inf),
+        )
+    return first_minima(keys, keys, lambda *_: tables)
+
+
+def min_cross_gap(row_keys: np.ndarray, rows: np.ndarray, col_keys: np.ndarray, cols: np.ndarray):
+    """:func:`cnslab.observability._min_cross_gap` on the whole table:
+    ``|a_n - b_l|`` over every row value and column value."""
+    table = np.abs(rows[:, None] - cols[None, :])
+    return first_minima(row_keys.tolist(), col_keys.tolist(), lambda *_: (table,))[0]
 
 
 def _min_pairwise_gap(values: dict[int, complex]) -> tuple[float, tuple[int, int] | None]:

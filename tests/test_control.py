@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import control_oracle
+from conftest import single_mode_field
 from control_oracle import coefficients_mp, gram_mp, targets_mp, with_coefficients
 from energy_oracle import quadrature_energy
 
@@ -43,7 +44,7 @@ class TestBuildMomentSystem:
 
     def test_row_count_two_per_mode(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 2)
-        field = SpectralField.single_mode(1, np.array([1.0, 0.5]), 2)
+        field = single_mode_field(1, np.array([1.0, 0.5]), 2)
         system = build_moment_system(field, ObservationChannel.DENSITY, 2.0, slice_, 1)
         # two rows (dim 2) for each of the modes +-1 in the truncation
         assert len(system.rows) == 4
@@ -60,7 +61,7 @@ class TestBuildMomentSystem:
 
     def test_below_critical_watermark(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 2)
-        field = SpectralField.single_mode(1, np.array([1.0, 0.0]), 2)
+        field = single_mode_field(1, np.array([1.0, 0.0]), 2)
         fast = build_moment_system(field, ObservationChannel.DENSITY, 3.0, slice_, 1)
         slow = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 1)
         assert fast.below_critical_time
@@ -98,7 +99,7 @@ class TestSynthesizeControl:
         # forward eigenfunction of mode 2: the forward symbol at n is the adjoint one at -n
         M = _symbol(nondegenerate_barotropic, -2)
         vals, vecs = np.linalg.eig(M)
-        field = SpectralField.single_mode(2, vecs[:, 0], 16)
+        field = single_mode_field(2, vecs[:, 0], 16)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 8)
         solution = synthesize_control(system)
         assert solution.residual <= 1e-8
@@ -132,7 +133,7 @@ class TestSynthesizeControl:
         # data orthogonal to the obstruction: both coincident rows carry zero
         # targets, so the duplicate is redundant rather than contradictory
         slice_ = build_slice(uc_failing_barotropic, 2)
-        field = SpectralField.single_mode(2, np.array([0.3, -0.1 + 0.2j]), 2)
+        field = single_mode_field(2, np.array([0.3, -0.1 + 0.2j]), 2)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 1)
         solution = synthesize_control(system)
         assert solution.residual <= 1e-10
@@ -186,7 +187,7 @@ class TestDiscardedSingularValues:
         # a shared parabolic eigenvalue at modes +-1: one row of the pair is
         # dropped and counts as discarded on top of the kept rows' count
         slice_ = build_slice(uc_failing_barotropic, N)
-        field = SpectralField.single_mode(2, np.array([0.3, -0.1 + 0.2j]), N)
+        field = single_mode_field(2, np.array([0.3, -0.1 + 0.2j]), N)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, N)
         solution = synthesize_control(system)
         assert len(solution.keep) < len(system.rows)
@@ -259,7 +260,7 @@ class TestVerifyTerminal:
         params = request.getfixturevalue(fixture)
         slice_ = build_slice(params, N_verify)
         if field_seed is None:
-            field = SpectralField.single_mode(2, np.array([0.3, -0.1 + 0.2j]), N_verify)
+            field = single_mode_field(2, np.array([0.3, -0.1 + 0.2j]), N_verify)
         else:
             field = _random_mean_zero(np.random.default_rng(field_seed), 2, N_verify, content=N)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, N)
@@ -303,7 +304,7 @@ class TestVerifyTerminal:
 
     def test_coefficients_not_aligned_with_the_kept_rows_are_refused(self, uc_failing_barotropic):
         slice_ = build_slice(uc_failing_barotropic, 4)
-        field = SpectralField.single_mode(2, np.array([0.3, -0.1 + 0.2j]), 4)
+        field = single_mode_field(2, np.array([0.3, -0.1 + 0.2j]), 4)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 2)
         solution = synthesize_control(system)
         assert len(solution.keep) < len(system.rows)
@@ -357,7 +358,7 @@ class TestVerifyTerminal:
 
     def test_window_must_cover_truncation(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 8)
-        field = SpectralField.single_mode(1, np.array([1.0, 0.0]), 8)
+        field = single_mode_field(1, np.array([1.0, 0.0]), 8)
         system = build_moment_system(field, ObservationChannel.DENSITY, 8.0, slice_, 4)
         solution = synthesize_control(system)
         with pytest.raises(DomainError):

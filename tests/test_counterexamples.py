@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import evolution_oracle
+from conftest import single_mode_field
 from cnslab import counterexamples, kernels
 from cnslab.counterexamples import (
     BumpSpec,
@@ -254,7 +255,7 @@ class TestRegularityGap:
         regularity_gap_witness(params, channel, 0.5, n_list)
         slice_ = seen["slice"]
         hyperbolic = slice_.basis.vectors[slice_.basis.rows(n_list), counterexamples._HYPERBOLIC]
-        fields_ = [SpectralField.single_mode(n, vector, max(n_list)) for n, vector in zip(n_list, hyperbolic)]
+        fields_ = [single_mode_field(n, vector, max(n_list)) for n, vector in zip(n_list, hyperbolic)]
         ref = observability_quotients(fields_, channel, 2.0, NormSpec.dual_order(params, 0.5), slice_)
         assert [_bits(r) for r in seen["reports"]] == [_bits(r) for r in ref]
 

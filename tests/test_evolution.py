@@ -4,7 +4,7 @@ import evolution_oracle
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_barotropic, random_nonbarotropic
+from conftest import field_from_modes, random_barotropic, random_nonbarotropic, single_mode_field
 from energy_oracle import quadrature_energy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -78,7 +78,7 @@ class TestObservationValue:
     def test_temperature_needs_three_fields(self, nondegenerate_barotropic):
         # refused where the channel meets the system, whichever entry reaches it
         slice_ = build_slice(nondegenerate_barotropic, 2)
-        field = SpectralField.from_modes(2, 2, {1: np.array([1.0, 0.5])})
+        field = field_from_modes(2, 2, {1: np.array([1.0, 0.5])})
         expansion = expand_in_eigenbasis(field, slice_)
         temperature = ObservationChannel.TEMPERATURE
         for call in (
@@ -104,7 +104,7 @@ class TestAdjointState:
     def test_single_mode_exponential_ratio(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 3)
         h, _ = eigen_barotropic(nondegenerate_barotropic, 2)
-        f = SpectralField.single_mode(2, h.vector, 3)
+        f = single_mode_field(2, h.vector, 3)
         expansion = expand_in_eigenbasis(f, slice_)
         spec = NormSpec.weighted_l2(nondegenerate_barotropic)
         T, t = 3.0, 1.2
@@ -117,7 +117,7 @@ class TestAdjointState:
         M = mode_matrix(unit_barotropic, 2).entries
         rng = np.random.default_rng(1)
         c_T = rng.normal(size=2) + 1j * rng.normal(size=2)
-        f = SpectralField.from_modes(2, 2, {2: c_T})
+        f = field_from_modes(2, 2, {2: c_T})
         expansion = expand_in_eigenbasis(f, slice_)
         T = 1.5
         for t in (0.0, 0.4, 1.1):
@@ -143,7 +143,7 @@ class TestAdjointState:
         M = mode_matrix(triple_root_nonbarotropic, 1).entries
         rng = np.random.default_rng(2)
         c_T = rng.normal(size=3) + 1j * rng.normal(size=3)
-        f = SpectralField.from_modes(3, 1, {1: c_T})
+        f = field_from_modes(3, 1, {1: c_T})
         expansion = expand_in_eigenbasis(f, slice_)
         T = 1.0
         for t in (0.0, 0.5):

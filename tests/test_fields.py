@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import field_from_modes, single_mode_field
 from cnslab.errors import DomainError
 from cnslab.fields import (
     NormSpec,
@@ -24,12 +25,12 @@ def _random_mean_zero(rng, dim, N):
 
 class TestSobolevNorm:
     def test_single_mode_l2(self):
-        f = SpectralField.from_modes(2, 5, {5: np.array([1.0, 0.0])})
+        f = field_from_modes(2, 5, {5: np.array([1.0, 0.0])})
         spec = NormSpec(weights=(1.0, 1.0), orders=(0.0, 0.0))
         assert sobolev_norm(f, spec) == pytest.approx(math.sqrt(TWO_PI))
 
     def test_negative_order_weighting(self):
-        f = SpectralField.from_modes(2, 3, {3: np.array([1.0, 0.0])})
+        f = field_from_modes(2, 3, {3: np.array([1.0, 0.0])})
         spec = NormSpec(weights=(1.0, 1.0), orders=(-1.0, 0.0))
         assert sobolev_norm(f, spec) == pytest.approx(math.sqrt(TWO_PI / 10.0))
 
@@ -52,7 +53,7 @@ class TestSobolevNorm:
 
     def test_hyperbolic_eigenfunction_norm(self, unit_barotropic):
         h, _ = eigen_barotropic(unit_barotropic, 3)
-        f = SpectralField.single_mode(3, h.vector, 3)
+        f = single_mode_field(3, h.vector, 3)
         spec = NormSpec.weighted_l2(unit_barotropic)
         value = sobolev_norm(f, spec) ** 2
         expected = TWO_PI * (1.0 * 1.0**2 + 1.0 * abs(h.nu_scaled - 1.0) ** 2)
@@ -64,7 +65,7 @@ class TestExpansion:
     def test_basis_vector_expands_to_unit_coefficient(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 4)
         h, _ = eigen_barotropic(nondegenerate_barotropic, 1)
-        f = SpectralField.single_mode(1, h.vector, 4)
+        f = single_mode_field(1, h.vector, 4)
         expansion = expand_in_eigenbasis(f, slice_)
         coeffs = expansion.coefficients[1]
         assert coeffs[0] == pytest.approx(1.0, rel=1e-12)
@@ -75,7 +76,7 @@ class TestExpansion:
 
     def test_two_by_two_solve_matches_closed_forms(self, unit_barotropic):
         slice_ = build_slice(unit_barotropic, 1)
-        f = SpectralField.from_modes(2, 1, {1: np.array([1.0, 0.0])})
+        f = field_from_modes(2, 1, {1: np.array([1.0, 0.0])})
         expansion = expand_in_eigenbasis(f, slice_)
         h, p = eigen_barotropic(unit_barotropic, 1)
         V = np.column_stack([h.vector, p.vector])
@@ -83,13 +84,13 @@ class TestExpansion:
         assert np.allclose(expansion.coefficients[1], expected, rtol=1e-12)
 
     def test_constant_field_rejected(self):
-        # a constant is never expanded: from_modes and single_mode refuse n = 0 content
+        # a constant is never expanded: the constructor refuses a field built with n = 0 content
         with pytest.raises(DomainError, match="mean zero"):
-            SpectralField.from_modes(2, 2, {1: np.array([0.5, 1.0]), 0: np.array([1.0, 0.0])})
+            field_from_modes(2, 2, {1: np.array([0.5, 1.0]), 0: np.array([1.0, 0.0])})
         with pytest.raises(DomainError, match="mean zero"):
-            SpectralField.single_mode(0, np.array([1.0, 0.0]), 2)
+            single_mode_field(0, np.array([1.0, 0.0]), 2)
         # a zero n = 0 entry is no mean
-        f = SpectralField.from_modes(2, 2, {0: np.zeros(2), 1: np.array([0.5, 1.0])})
+        f = field_from_modes(2, 2, {0: np.zeros(2), 1: np.array([0.5, 1.0])})
         assert np.all(f.coeff(0) == 0.0) and f.coeff(1).tolist() == [0.5, 1.0]
 
     def test_round_trip_random_field(self, nondegenerate_barotropic):

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import single_mode_field
 from energy_oracle import energy_mp, poly_exp_integral, poly_exp_integral_scalar, quadrature_energy
 from evolution_oracle import signal_from_terms
 from hypothesis import given, settings
@@ -383,7 +384,7 @@ class TestObservabilityQuotient:
     def test_single_mode_closed_form(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 4)
         h, _ = eigen_barotropic(nondegenerate_barotropic, 3)
-        field = SpectralField.single_mode(3, h.vector, 4)
+        field = single_mode_field(3, h.vector, 4)
         T = 5.0
         report = observability_quotient(field, ObservationChannel.DENSITY, T, None, slice_)
         from cnslab.evolution import observation_value
@@ -415,7 +416,7 @@ class TestObservabilityQuotient:
 
     def test_nonstandard_norm_watermark(self, nondegenerate_barotropic):
         slice_ = build_slice(nondegenerate_barotropic, 3)
-        field = SpectralField.single_mode(1, eigen_barotropic(nondegenerate_barotropic, 1)[0].vector, 3)
+        field = single_mode_field(1, eigen_barotropic(nondegenerate_barotropic, 1)[0].vector, 3)
         custom = NormSpec(weights=(1.0, 1.0), orders=(0.0, 0.0))
         report = observability_quotient(field, ObservationChannel.DENSITY, 2.0, custom, slice_)
         assert report.metadata.get("watermark") == "nonstandard-norm"

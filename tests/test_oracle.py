@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spectrum_oracle
+from conftest import field_from_modes
 from cnslab import evolution, oracle
 from cnslab.errors import CFLViolation, DomainError
 from cnslab.fields import SpectralField
@@ -88,7 +89,7 @@ class TestFdmEvolve:
         vals, vecs = np.linalg.eig(M)
         k = int(np.argmin(vals.real))  # parabolic branch decays fastest
         nu, vec = vals[k], vecs[:, k]
-        field = SpectralField.from_modes(2, 4, {4: vec, -4: np.conj(vec)})
+        field = field_from_modes(2, 4, {4: vec, -4: np.conj(vec)})
         state = GridState.from_field(field, 1024)
         short = fdm_evolve(nondegenerate_barotropic, state, T=0.1, dt=1e-4)
         ratio = np.linalg.norm(short.final().components) / np.linalg.norm(state.components)
@@ -101,7 +102,7 @@ class TestFdmEvolve:
         M_op = _symbol(nondegenerate_barotropic, -4)
         vals, vecs = np.linalg.eig(M_op)
         k = int(np.argmin(vals.real))
-        field = SpectralField.from_modes(2, 4, {4: vecs[:, k], -4: np.conj(vecs[:, k])})
+        field = field_from_modes(2, 4, {4: vecs[:, k], -4: np.conj(vecs[:, k])})
         t_end = 0.25
         errors = []
         from cnslab.evolution import forward_states

@@ -1,9 +1,10 @@
-"""The batched spectrum slice and the broadcast Ingham audit against the per-mode oracle.
+"""The batched spectrum slice and the windowed Ingham audit against the per-mode oracle.
 
 Production solves all modes of a window in one stacked pass, finds
-coincidences by a sort on real parts and takes the Ingham pair minima by
-broadcasting.  ``spectrum_oracle`` keeps the per-mode solves, the
-all-pairs coincidence scan and the pair loops.  Both run plain floating
+coincidences by a sorted window search and takes the Ingham pair minima on
+sorted windows (the cross gaps in broadcast row blocks).  ``spectrum_oracle``
+keeps the per-mode solves, the all-pairs coincidence scan, the pair loops
+and the whole pair tables.  Both run plain floating
 point arithmetic in different orders and kernels (numpy's vectorized complex
 multiply and modulus, Python's complex division), so the numbers agree
 within the bounds below, not bit for bit.  Every discrete output is
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -49,6 +51,9 @@ NAMED = {
         rho_bar=1.0, u_bar=1.0, theta_bar=1.0, lambda0=1.5, kappa0=1.5, R=1.0, c0=1.0
     ),
 }
+
+#: A three-field set without coincidences (the shared-eigenvalue set with u_bar = 0.9).
+COINCIDENCE_FREE = NonBarotropicParams(rho_bar=1.0, u_bar=0.9, theta_bar=1.0, lambda0=1.0, kappa0=2.0, R=1.0, c0=1.0)
 
 _COEF = st.floats(0.5, 2.0)
 BAROTROPIC = st.builds(BarotropicParams, rho_bar=_COEF, u_bar=st.floats(0.3, 1.5), mu0=_COEF, b=_COEF)
@@ -87,6 +92,10 @@ RANDOM_RESIDUAL = 1e-13
 #: 2.4e-11 on the random sample, where the closed forms lose digits to
 #: cancellation.
 CLOSED_FORM_RTOL = 1e-10
+#: Largest share of all (row, column) pairs that the H1, P1, P3 and disjoint
+#: windows may hold at N = 1024 on the three-field sets, set before the
+#: first run (a window counts a triangle's pairs in both orders).
+WINDOW_SHARE = 0.05
 
 
 def _close(got, ref, rtol: float = RTOL, scale: float | None = None) -> bool:
@@ -220,13 +229,14 @@ def _assert_audits_agree(params, N):
     """Flags and window exact, values within ``RTOL``; a witness may be any
     pair that attains the oracle's extremum within ``RTOL`` (ties between
     conjugate modes are broken by rounding).  Against the same audit on
-    whole pair tables (:func:`spectrum_oracle.first_minima`), whose
-    arithmetic per entry is the same, the report is equal."""
+    whole pair tables (:func:`spectrum_oracle.first_minima` and the oracle's
+    pair minima), whose arithmetic per entry is the same, the report is
+    equal bit for bit."""
     slice_ = build_slice(params, N)
     got = ingham_audit(slice_).to_dict()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(observability, "_first_minima", oracle.first_minima)
-        assert ingham_audit(slice_).to_dict() == got
+        _whole_tables(mp)
+        assert repr(ingham_audit(slice_).to_dict()) == repr(got)
     ref = oracle.ingham_audit(slice_, params, 8.0).to_dict()
     assert got.keys() == ref.keys() and got["window"] == ref["window"]
     if "cross_gaps" in ref:
@@ -242,6 +252,14 @@ def _assert_audits_agree(params, N):
         assert _close(_witness_value(slice_, name, g["witness"]), r["value"]), name
         if name in _PAIR_WITNESSES:
             assert g["witness"][0] < g["witness"][1]
+
+
+def _whole_tables(mp: pytest.MonkeyPatch) -> None:
+    """Point the audit's pair minima at the oracle's whole tables."""
+    mp.setattr(observability, "_first_minima", oracle.first_minima)
+    mp.setattr(observability, "_min_pairwise_gap", oracle.min_pairwise_gap)
+    mp.setattr(observability, "_parabolic_minima", oracle.parabolic_minima)
+    mp.setattr(observability, "_min_cross_gap", oracle.min_cross_gap)
 
 
 def _values_table(ns, values) -> spectrum.BasisTable:
@@ -506,10 +524,28 @@ class TestInghamAudit:
             assert got["relaxed"]["inv_abs_partial_sum"].hex() == ref["inv_abs_partial_sum"].hex()
 
     def test_pair_blocks_cover_every_pair(self, monkeypatch):
-        # blocks of a few rows: witnesses must still be the first minimum
+        # chunks and blocks of a few rows: witnesses must still be the first minimum
         monkeypatch.setattr(observability, "_PAIR_BLOCK", 7)
         for name in ("shared_eigenvalue", "workhorse"):
             _assert_audits_agree(NAMED[name], 40)
+
+    def test_documented_p3_witness(self):
+        # the example of ingham_audit's docstring: branch 2 at mode 2 and branch 1 at mode 3
+        p3 = ingham_audit(build_slice(NAMED["shared_eigenvalue"], 3)).p3
+        assert (p3.witness, p3.value.hex()) == ((4, 5), (0.26563989252457987).hex())
+
+    @pytest.mark.parametrize("params", [NAMED["shared_eigenvalue"], COINCIDENCE_FREE],
+                             ids=["shared_eigenvalue", "coincidence_free"])
+    def test_windows_prune_at_scale(self, monkeypatch, params):
+        # the H1, P1, P3 and disjoint windows of an N = 1024 audit keep under
+        # WINDOW_SHARE of all pairs, in chunks of at most _PAIR_BLOCK pairs or one row
+        calls = []
+        monkeypatch.setattr(observability, "window_pairs", _recording_windows(calls))
+        ingham_audit(build_slice(params, 1024))
+        h1, p1, p3, relaxed, disjoint = calls
+        for rows, cols, chunks in (h1, p1, p3, disjoint):
+            assert sum(pairs for pairs, _ in chunks) < WINDOW_SHARE * rows * cols
+        assert all(pairs <= observability._PAIR_BLOCK or rows == 1 for *_, chunks in calls for pairs, rows in chunks)
 
 
 def _scalar_family_reductions(slice_) -> dict:
@@ -553,42 +589,126 @@ _PAIR_VALUES = st.one_of(
 )
 
 
+def _nudged(x: float, ulps: int) -> float:
+    """``x`` moved by ``ulps`` units in the last place, toward -inf for negative ``ulps``."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(np.inf, ulps)))
+    return x
+
+
+@st.composite
+def _roundoff_values(draw, size: int) -> list:
+    """``size`` values 0-4 ulps from a few lattice anchors at one scale, some
+    of them conjugated: gaps of a few rounding units, exact duplicates and
+    conjugate pairs.  Anchors at 0 give subnormal gaps, and at the scale
+    1e-300 the gaps are subnormal too."""
+    scale = draw(st.sampled_from([1e-300, 1.0, 370.0, 1e15]))
+    anchors = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=3))
+    out = []
+    for _ in range(size):
+        a, b = draw(st.sampled_from(anchors))
+        value = complex(_nudged(a * scale, draw(st.integers(-4, 4))), _nudged(b * scale, draw(st.integers(-4, 4))))
+        out.append(value.conjugate() if draw(st.booleans()) else value)
+    return out
+
+
+def _unique_keys(data, size: int) -> np.ndarray:
+    # keys of equal |n| give zero P3 denominators
+    return np.array(data.draw(st.lists(st.integers(-40, 40).filter(bool), min_size=size, max_size=size, unique=True)))
+
+
+def _pair_minima(keys, v, col_keys, cols) -> tuple:
+    """Every pair minimum of the audit on one value set, and its cross gap to a second, as bytes."""
+    return (
+        _bits([observability._min_pairwise_gap(keys, v)]),
+        _bits(observability._parabolic_minima(keys, v, 2.0)),
+        _bits([observability._min_cross_gap(keys, v, col_keys, cols)]),
+        np.float64(observability._min_squared_gap(keys, v, keys, v, 1.0, 1.0)).tobytes(),
+        np.float64(observability._min_squared_gap(keys, v, keys, v, 1.0, 2.0)).tobytes(),
+        np.float64(observability._min_squared_gap(keys, v, keys[::-1], v, 1.0, 2.0)).tobytes(),
+    )
+
+
+def _recording_windows(calls: list):
+    """:func:`cnslab.spectrum.window_pairs`, appending ``(rows, columns, chunks)`` per
+    call to ``calls``, with ``(pairs, distinct rows)`` per chunk."""
+
+    def windows(rows, radius, sorts, block=None):
+        chunks = []
+        calls.append((rows.size, sorts[0][0].size, chunks))
+        for i, j in spectrum.window_pairs(rows, radius, sorts, block):
+            chunks.append((i.size, np.unique(i).size))
+            yield i, j
+
+    return windows
+
+
+def _assert_minima_match_whole_tables(keys, v, col_keys, cols, block: int) -> None:
+    """:func:`_pair_minima` equal bit for bit to the oracle's whole tables, with
+    ``_PAIR_BLOCK`` set to ``block`` and every chunk and block within it."""
+    calls, shapes = [], []
+    gaps = observability._gaps
+
+    def recording_gaps(a, b):
+        if a.ndim == 2:
+            shapes.append((a.shape[0], b.shape[1]))
+        return gaps(a, b)
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(observability, "_PAIR_BLOCK", block)
+        mp.setattr(observability, "window_pairs", _recording_windows(calls))
+        mp.setattr(observability, "_gaps", recording_gaps)
+        got = _pair_minima(keys, v, col_keys, cols)
+        # a window chunk holds at most _PAIR_BLOCK candidates, a block at
+        # most _PAIR_BLOCK entries, or either one row
+        assert all(pairs <= block or rows == 1 for *_, chunks in calls for pairs, rows in chunks)
+        assert all(rows * width <= block or rows == 1 for rows, width in shapes)
+        _whole_tables(mp)
+        assert got == _pair_minima(keys, v, col_keys, cols)
+
+
 class TestTriangularMinima:
-    """The triangular row blocks against the whole tables of the oracle, bit for bit."""
+    """The sorted windows and the row blocks against the whole tables of the oracle, bit for bit."""
 
     @given(
         values=st.lists(_PAIR_VALUES, min_size=1, max_size=60),
+        cols=st.lists(_PAIR_VALUES, min_size=1, max_size=30),
         data=st.data(),
         block=st.sampled_from([1, 5, 64]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_pair_tables(self, values, data, block):
-        # keys of equal |n| give zero P3 denominators; block 1 and 5 split
-        # the triangle into many blocks and end on a row of width 0
-        keys = np.array(
-            data.draw(st.lists(st.integers(-40, 40).filter(bool), min_size=len(values), max_size=len(values), unique=True))
+    def test_pair_tables(self, values, cols, data, block):
+        # block 1 and 5 split the tables into many chunks and blocks and end
+        # the triangle on a row of width 0
+        keys = _unique_keys(data, len(values))
+        _assert_minima_match_whole_tables(
+            keys, np.array(values, dtype=complex), np.arange(len(cols)), np.array(cols, dtype=complex), block
         )
-        v = np.array(values, dtype=complex)
 
-        def minima():
-            return (
-                _bits([observability._min_pairwise_gap(keys, v)]),
-                _bits(observability._parabolic_minima(keys, v, 2.0)),
-                np.float64(observability._min_squared_gap(keys, v, keys, v, 1.0, 1.0)).tobytes(),
-                np.float64(observability._min_squared_gap(keys, v, keys, v, 1.0, 2.0)).tobytes(),
-                np.float64(observability._min_squared_gap(keys, v, keys[::-1], v, 1.0, 2.0)).tobytes(),
-            )
+    def test_subnormal_quotients(self):
+        # a gap of one subnormal over the denominators 13 (P3) and 2 (relaxed)
+        # rounds to 0, the minimum, though the pair lies 5e-324 apart: the
+        # window's radius carries 2**-1074 per unit of the largest denominator
+        keys = np.array([1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7])
+        v = np.zeros(keys.size, dtype=complex)
+        v[-1] = 5e-324j
+        got = observability._parabolic_minima(keys, v, 2.0)
+        assert [witness for _, witness in got] == [(-6, -5), (-7, -6), (-7, -5)]
+        assert _bits(got) == _bits(oracle.parabolic_minima(keys, v, 2.0))
 
-        shapes = []
-        gaps = observability._gaps
-        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-            mp.setattr(observability, "_PAIR_BLOCK", block)
-            mp.setattr(observability, "_gaps", lambda a, b: shapes.append((a.size, b.size)) or gaps(a, b))
-            got = minima()
-            # a block holds at most _PAIR_BLOCK entries, or one row
-            assert all(rows * width <= block or rows == 1 for rows, width in shapes)
-            mp.setattr(observability, "_first_minima", oracle.first_minima)
-            assert got == minima()
+    @given(size=st.integers(1, 40), data=st.data(), block=st.sampled_from([1, 5, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_roundoff_gaps(self, size, data, block):
+        # the columns are the values again, each moved by 1-4 ulps along one
+        # axis: at scale 1 the rectangle's minimum is near 1e-16, as the
+        # shared-eigenvalue set's disjoint gap (4.38e-16)
+        v = np.array(data.draw(_roundoff_values(size)))
+        cols = []
+        for z in v.tolist():
+            ulps = data.draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+            cols.append(complex(_nudged(z.real, ulps), z.imag) if data.draw(st.booleans())
+                        else complex(z.real, _nudged(z.imag, ulps)))
+        _assert_minima_match_whole_tables(_unique_keys(data, size), v, np.arange(size)[::-1], np.array(cols), block)
 
 
 class TestRieszCloseness:

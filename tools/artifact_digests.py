@@ -15,7 +15,8 @@ set and the triple-root three-field set (their moment rows run the Jordan
 chains), ``validate-fdm`` with a trajectory export on the workhorse, the
 coincidence-free three-field set, the Jordan-pair barotropic set and the
 triple-root three-field set (its spectral side runs the Jordan chains),
-``ingham`` on the barotropic workhorse, ``witness-regularity`` on the
+``ingham`` on the barotropic workhorse at N = 24 and 512 and on the
+coincidence-free three-field set at N = 1024, ``witness-regularity`` on the
 workhorse and on velocity and temperature of the three-field set,
 ``witness-smalltime`` on the coincidence-free three-field set,
 ``witness-degenerate`` on velocity and temperature of the three-field set
@@ -133,6 +134,10 @@ EXTRA = {
                                   ("nonbarotropic-triple", "nonbarotropic", "triple"))
     },
     "ingham-barotropic": ("barotropic", "workhorse", "ingham", "[ingham]\nN = 24\nT = 8.0\n", False),
+    # the Ingham pair minima at scale: on the coincidence-free three-field set at N = 1024 the sorted windows keep
+    # under 1% of the pairs; on the barotropic workhorse at N = 512 the P3 window keeps three quarters of them
+    "ingham-nonbarotropic-1024": ("nonbarotropic", "generic", "ingham", "[ingham]\nN = 1024\nT = 8.0\n", False),
+    "ingham-barotropic-512": ("barotropic", "workhorse", "ingham", "[ingham]\nN = 512\nT = 8.0\n", False),
     "witness-regularity": ("barotropic", "workhorse", "witness-regularity", "[witness]\ns = 0.5\nn_list = 4,8,16\n", False),
     **{
         f"witness-regularity-nonbarotropic-{channel}": (
