@@ -182,10 +182,10 @@ def eigen_coordinates(fields: Sequence[SpectralField], slice_: SpectrumSlice) ->
     The fields are checked in order (:func:`field_misfit`), then the
     condition budget once: a mode whose basis condition number exceeds it
     raises :class:`IllConditioned`, the first such mode in ascending order.
-    The fields' targets are solved in one broadcast call against the basis
-    blocks of all modes, one right-hand side per matrix, so each field's
-    coordinates are those of a solve of that field alone.  The fields may
-    have different cutoffs.
+    Each mode's basis block is solved once, with the ``k`` fields' targets
+    as the columns of its right-hand side; each field's coordinates are,
+    bit for bit, those of a solve of that field alone.  The fields may have
+    different cutoffs.
     """
     for field_ in fields:
         error = field_misfit(field_, slice_)
@@ -199,7 +199,7 @@ def eigen_coordinates(fields: Sequence[SpectralField], slice_: SpectrumSlice) ->
     for target, field_ in zip(targets, fields):
         inside = np.abs(table.ns) <= field_.N
         target[inside] = field_.coeffs[table.ns[inside] + field_.N]
-    return np.linalg.solve(table.basis, targets[..., None])[..., 0]
+    return np.ascontiguousarray(np.linalg.solve(table.basis, targets.transpose(1, 2, 0)).transpose(2, 0, 1))
 
 
 def expand_in_eigenbasis(field_: SpectralField, slice_: SpectrumSlice) -> EigenExpansion:

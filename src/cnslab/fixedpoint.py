@@ -12,11 +12,16 @@ or a Gram's rows are formed once.  The rates and coefficients of a kernel
 come from doubles, so their integers are short odd parts times powers of
 two; the moment Gram pairs the odd parts and shifts the powers back once,
 exactly (:func:`_moment_gram`).  The exponentials are integers too
-(:func:`_exp`): one ``e^{rate T}`` per kernel term, paired by products, and
+(:func:`_exp`): ``e^{rate T}`` of the kernel terms, paired by products, and
 the step factors of the control evaluation, which steps the weighted terms
 ``x conj(coef) e^{conj(rate) s}`` themselves, so that a point is a plain
 sum; a step a few units from an earlier one takes its factors from that
-step's by a short series, rate by rate.  The argument of an exponential is
+step's by a short series, rate by rate.  The systems have real
+coefficients, so the kernels of modes ``n`` and ``-n`` are conjugates:
+:func:`_exp` gives a rate's conjugate the conjugate integers, one
+exponential serves both (:func:`_exps`), and a Gram entry whose kernels
+are the conjugates of an entry's already formed is that entry's conjugate
+(:func:`_conjugates`).  The argument of an exponential is
 formed exactly from the double rate and the float horizon or integer step,
 reduced by ln 2 and pi/2, and summed as two short real series; ln 2 and
 pi/2 come from integer series once per precision.  Kernels come in as lists
@@ -26,7 +31,7 @@ of :class:`~cnslab.kernels.KernelTerm`.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache, reduce
 from itertools import chain, count, repeat
 from operator import add, lshift, mul, or_, rshift, sub
@@ -139,7 +144,7 @@ def _range_bits(kernels: list[list[KernelTerm]], T: float) -> int:
     smaller of the two is taken.  Pair integrals carry these bits on top of
     the working ones, so rescaling the Gram to a unit diagonal keeps every
     working bit.  Non-finite rates are skipped here and refused by
-    :func:`_kernel`.
+    :func:`_kernels`.
     """
     smallest = 0.0
     for kernel in kernels:
@@ -153,26 +158,50 @@ def _range_bits(kernels: list[list[KernelTerm]], T: float) -> int:
     return math.ceil(-smallest)
 
 
-def _kernel(label: str, kernel: list[KernelTerm], T: float, bits: int) -> Kernel:
-    """The terms of one kernel as integers at ``bits`` fraction bits (see :class:`Kernel`).
+def _kernels(labelled: Iterable[tuple[str, list[KernelTerm]]], T: float, bits: int) -> list[Kernel]:
+    """The terms of each ``(label, kernel)`` as integers at ``bits`` fraction bits (see :class:`Kernel`).
 
-    Each term costs one integer exponential :func:`_exp` of ``rate T``, formed
-    exactly from the double rate and the float ``T``.  Non-finite
+    The exponentials ``e^{rate T}``, formed exactly from the double rates and
+    the float ``T``, come from one :func:`_exps` over all the kernels' terms:
+    one integer exponential per distinct rate up to conjugation.  Non-finite
     coefficients and rates are refused here, where they would enter the
-    integer arithmetic.
+    integer arithmetic, in the order of the kernels.
     """
-    coefs = [complex(t.coef) for t in kernel]
-    rates = [complex(t.rate) for t in kernel]
-    require_finite(label, "kernel coefficient", coefs)
-    require_finite(label, "kernel rate", rates)
-    exp = max((math.frexp(v)[1] for c in coefs for v in (c.real, c.imag)), default=0)
-    Tn, Te = _ratio(T)
-    terms = []
-    for t, c, rate in zip(kernel, coefs, rates):
-        coef = _fixed(c.real, bits - exp), _fixed(c.imag, bits - exp)
-        terms.append((*coef, _fixed(rate.real, bits), _fixed(rate.imag, bits), rate, t.degree,
-                      *_exp(rate, Tn, Te, bits)))
-    return Kernel(exp, bits, terms)
+    parts = []
+    for label, kernel in labelled:
+        coefs = [complex(t.coef) for t in kernel]
+        rates = [complex(t.rate) for t in kernel]
+        require_finite(label, "kernel coefficient", coefs)
+        require_finite(label, "kernel rate", rates)
+        parts.append((coefs, rates, [t.degree for t in kernel]))
+    exps = zip(*_exps([rate for _, rates, _ in parts for rate in rates], *_ratio(T), bits))
+    out = []
+    for coefs, rates, degrees in parts:
+        exp = max((math.frexp(v)[1] for c in coefs for v in (c.real, c.imag)), default=0)
+        out.append(Kernel(exp, bits, [(_fixed(c.real, bits - exp), _fixed(c.imag, bits - exp), _fixed(rate.real, bits),
+                                       _fixed(rate.imag, bits), rate, degree, *next(exps))
+                                      for c, rate, degree in zip(coefs, rates, degrees)]))
+    return out
+
+
+def _exps(rates: list[complex], n: int, e: int, bits: int) -> tuple[list[int], list[int]]:
+    """The parts of :func:`_exp` of ``rate * n * 2**e`` per rate, one call per distinct rate up to conjugation.
+
+    A rate and its conjugate share the call through a dict local to this
+    one: a rate with a negative imaginary part reads its conjugate's
+    integers with the imaginary part negated, which is what :func:`_exp`
+    itself returns for it.
+    """
+    table: dict = {}
+    re, im = [], []
+    for rate in rates:
+        key = complex(rate.real, abs(rate.imag))
+        if key not in table:
+            table[key] = _exp(key, n, e, bits)
+        a, b = table[key]
+        re.append(a)
+        im.append(b if rate.imag >= 0 else -b)
+    return re, im
 
 
 def _exp(rate: complex, n: int, e: int, bits: int) -> tuple[int, int]:
@@ -187,7 +216,13 @@ def _exp(rate: complex, n: int, e: int, bits: int) -> tuple[int, int]:
     Taylor series at :data:`_EXP_GUARD` bits above ``bits``; the product is
     shifted by ``k`` and turned by ``i**q``.  Below ``Re z = -(bits + 2) ln 2``
     the result is 0.  The error stays within about one unit of ``2**-bits``.
+    A rate with a negative imaginary part takes the integers of its
+    conjugate with the imaginary part negated, so ``_exp(conj(rate))`` is
+    ``conj(_exp(rate))`` integer for integer.
     """
+    if rate.imag < 0:
+        re, im = _exp(rate.conjugate(), n, e, bits)
+        return re, -im
     (ar, er), (ai, ei) = _ratio(rate.real), _ratio(rate.imag)
     low = min(er, ei)
     zr, zi, exp = (ar << er - low) * n, (ai << ei - low) * n, low + e
@@ -291,15 +326,37 @@ def _trailing_zeros(n: int, zero: int) -> int:
     return (n & -n).bit_length() - 1 if n else zero
 
 
+def _conjugates(kernels: list[Kernel]) -> list[int | None]:
+    """Per kernel, the index of the first kernel whose terms are its conjugate's, integer for integer, or None.
+
+    A kernel's key is its ``exp`` and its terms; its conjugate key negates
+    the imaginary parts of each term's coefficient, rate and ``e^{rate T}``
+    and conjugates the double rate, on which the Taylor branch is decided.
+    """
+    first: dict = {}
+    for i, kernel in enumerate(kernels):
+        first.setdefault((kernel.exp, *kernel.terms), i)
+    return [first.get((kernel.exp, *((cr, -ci, ar, -ai, rate.conjugate(), degree, er, -ei)
+                                     for cr, ci, ar, ai, rate, degree, er, ei in kernel.terms)))
+            for kernel in kernels]
+
+
 def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int) -> tuple[list[list], list[list]]:
     """``integral_0^T k_r conj(k_s) dt`` of row kernels against column kernels.
 
-    Kernels come as :func:`_kernel` made them at ``bits`` fraction bits; the
+    Kernels come as :func:`_kernels` made them at ``bits`` fraction bits; the
     entries come back as their real and their imaginary parts, two lists of
     lists of integers: entry ``[r][s]`` is ``(re + 1j * im)[r][s] *
     2**(rows[r].exp + columns[s].exp - bits)``.  When ``rows`` is
     ``columns`` the Gram is Hermitian: only the upper triangle is
-    integrated, and the lower one mirrors it.
+    integrated, and the lower one mirrors it.  An entry whose row and column
+    are, integer for integer, the conjugates of those of an entry already
+    formed (:func:`_conjugates`) is that entry's conjugate, as the integral
+    is.  Integrating it would floor the negated operands, whose floors may
+    lie a unit below the negated floors, so the two differ by those units
+    as the pair integrals carry them (2 units of ``2**-bits`` per part at
+    most on the workhorse Gram of ``N = 8``, ``T = 8``); kernels without a
+    partner are integrated.
 
     A term pair with the rates ``a`` and ``b`` adds ``c_a conj(c_b)
     I_m(z, T)`` (see :mod:`~cnslab.kernels`) with ``z = a + conj(b)`` and
@@ -319,36 +376,43 @@ def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int)
     one = 1 << bits
     row_parts = list(map(_odd_parts, rows))
     column_parts = row_parts if hermitian else list(map(_odd_parts, columns))
-    re = [[0] * len(columns) for _ in rows]
-    im = [[0] * len(columns) for _ in rows]
+    row_conjugates = _conjugates(rows)
+    column_conjugates = row_conjugates if hermitian else _conjugates(columns)
+    re = [[None] * len(columns) for _ in rows]
+    im = [[None] * len(columns) for _ in rows]
     for i, (p_row, row) in enumerate(row_parts):
         for j in range(i if hermitian else 0, len(columns)):
-            p_column, column = column_parts[j]
-            sr = si = 0
-            for car, cai, ar, ai, ta, a, da, ear, eai in row:
-                for cbr, cbi, br, bi, tb, b, db, ebr, ebi in column:
-                    m = da + db
-                    if ta < tb:
-                        s, zr, zi = ta, ar + (br << tb - ta), ai - (bi << tb - ta)
-                    else:
-                        s, zr, zi = tb, (ar << ta - tb) + br, (ai << ta - tb) - bi
-                    if abs(a + b.conjugate()) * T < TAYLOR_RADIUS:
-                        Ir, Ii = _taylor(m, zr << s, zi << s, T_int, bits)
-                    else:
-                        den, up = zr * zr + zi * zi, bits - s
-                        er, ei = (ear * ebr + eai * ebi) >> bits, (eai * ebr - ear * ebi) >> bits
-                        nr, ni = er - one, ei
-                        Ir, Ii = ((nr * zr + ni * zi) << up) // den, ((ni * zr - nr * zi) << up) // den
-                        if m:  # the chain degrees: I_k = (T**k e^{zT} - k I_{k-1}) / z
-                            Tk = one
-                            for k in range(1, m + 1):
-                                Tk = (Tk * T_int) >> bits
-                                nr, ni = ((Tk * er) >> bits) - k * Ir, ((Tk * ei) >> bits) - k * Ii
-                                Ir, Ii = ((nr * zr + ni * zi) << up) // den, ((ni * zr - nr * zi) << up) // den
-                    wr, wi = car * cbr + cai * cbi, cai * cbr - car * cbi
-                    sr += wr * Ir - wi * Ii
-                    si += wr * Ii + wi * Ir
-            re[i][j], im[i][j] = _shift(sr, p_row + p_column - 2 * bits), _shift(si, p_row + p_column - 2 * bits)
+            ci, cj = row_conjugates[i], column_conjugates[j]
+            if ci is not None and cj is not None and re[ci][cj] is not None:
+                re[i][j], im[i][j] = re[ci][cj], -im[ci][cj]
+            else:
+                p_column, column = column_parts[j]
+                sr = si = 0
+                for car, cai, ar, ai, ta, a, da, ear, eai in row:
+                    for cbr, cbi, br, bi, tb, b, db, ebr, ebi in column:
+                        m = da + db
+                        if ta < tb:
+                            s, zr, zi = ta, ar + (br << tb - ta), ai - (bi << tb - ta)
+                        else:
+                            s, zr, zi = tb, (ar << ta - tb) + br, (ai << ta - tb) - bi
+                        if abs(a + b.conjugate()) * T < TAYLOR_RADIUS:
+                            Ir, Ii = _taylor(m, zr << s, zi << s, T_int, bits)
+                        else:
+                            den, up = zr * zr + zi * zi, bits - s
+                            er, ei = (ear * ebr + eai * ebi) >> bits, (eai * ebr - ear * ebi) >> bits
+                            nr, ni = er - one, ei
+                            Ir, Ii = ((nr * zr + ni * zi) << up) // den, ((ni * zr - nr * zi) << up) // den
+                            if m:  # the chain degrees: I_k = (T**k e^{zT} - k I_{k-1}) / z
+                                Tk = one
+                                for k in range(1, m + 1):
+                                    Tk = (Tk * T_int) >> bits
+                                    nr, ni = ((Tk * er) >> bits) - k * Ir, ((Tk * ei) >> bits) - k * Ii
+                                    Ir, Ii = ((nr * zr + ni * zi) << up) // den, ((ni * zr - nr * zi) << up) // den
+                        wr, wi = car * cbr + cai * cbi, cai * cbr - car * cbi
+                        sr += wr * Ir - wi * Ii
+                        si += wr * Ii + wi * Ir
+                shift = p_row + p_column - 2 * bits
+                re[i][j], im[i][j] = _shift(sr, shift), _shift(si, shift)
             if hermitian and j != i:
                 re[j][i], im[j][i] = re[i][j], -im[i][j]
     return re, im
@@ -365,7 +429,7 @@ def unit_gram(labels: list[str], kernels: list[list[KernelTerm]], T: float, dps:
     entries gain ``-2 * min(s)`` fraction bits, so every shift is to the left.
     """
     bits = _dps_bits(dps) + _GUARD_BITS + _range_bits(kernels, T)
-    columns = [_kernel(label, kernel, T, bits) for label, kernel in zip(labels, kernels)]
+    columns = _kernels(zip(labels, kernels), T, bits)
     re, im = _moment_gram(columns, columns, T, bits)
     s = [(bits + 2 - re[i][i].bit_length()) // 2 if re[i][i] > 0 else 0 for i in range(len(re))]
     low = min(s, default=0)
@@ -582,7 +646,7 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
     if gram is None:
         return [complex(math.ldexp(f.real, shift), math.ldexp(f.imag, shift)) for f in free]
     bits = columns[0].bits
-    fresh = [_kernel(label, kernel, T, bits) for label, kernel in kernels]
+    fresh = _kernels(kernels, T, bits)
     if hy is None:
         y = _rescaled(x, gram.exps)
         hy = ScaledVector(*_gram_times(gram.re, gram.im, gram.sums, y.re, y.im), y.exp - gram.bits)
@@ -689,8 +753,7 @@ def _walk(vr: list, vi: list, rates: list[complex], rate_ints: tuple[list, list]
                 if base is not None and rate_max * abs(_float(h - base[0], -bits)) <= _STEP_SERIES_RADIUS:
                     factors = _shifted_factors(base[1], rate_ints, h - base[0], bits)
                 else:
-                    exps = [_exp(rate, h, -bits, bits) for rate in rates]
-                    factors = [e[0] for e in exps], [e[1] for e in exps]
+                    factors = _exps(rates, h, -bits, bits)
                     base = (h, factors)
                 steps[h] = factors
             vr, vi = _complex_products(vr, vi, *factors, bits)

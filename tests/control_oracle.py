@@ -25,6 +25,10 @@ numbers where production works on Python integers with power-of-two scales:
   series summed for all rates at once (:func:`shifted_factors`), which
   production's odd-part Gram and rate-by-rate series match integer for
   integer;
+* the integer exponential that reduces every rate as it is
+  (:func:`exp_direct`), which production's conjugation-equivariant
+  ``fixedpoint._exp`` matches integer for integer on rates with a
+  nonnegative imaginary part;
 * the proportional-row scans over every pair of moment rows;
 * the control export written row by row through ``csv.writer``.
 
@@ -363,6 +367,38 @@ def unit_walk(x: ScaledVector, columns, T: float, times: list[float]):
         powers = [fixedpoint._shift(s_all[i] ** d, (1 - d) * bits) for d in degrees]
         ur, ui = list(map(operator.mul, wr, powers)), list(map(operator.mul, wi, powers))
         yield i, _dot(ur, cur_r) - _dot(ui, cur_i), _dot(ur, cur_i) + _dot(ui, cur_r), w_exp - 2 * bits
+
+
+def exp_direct(rate: complex, n: int, e: int, bits: int) -> tuple[int, int]:
+    """``fixedpoint._exp`` with every rate reduced as it is, a negative imaginary part included.
+
+    ``e^z`` for ``z = rate * n * 2**e`` at ``bits`` fraction bits, within
+    about one unit: ``z`` formed exactly, reduced by ln 2 and pi/2, and
+    summed as two odd Taylor series (see ``fixedpoint._exp``).
+    """
+    (ar, er), (ai, ei) = fixedpoint._ratio(rate.real), fixedpoint._ratio(rate.imag)
+    low = min(er, ei)
+    zr, zi, exp = (ar << er - low) * n, (ai << ei - low) * n, low + e
+    x = fixedpoint._float(zr, exp)
+    if x < -(bits + 2) * fixedpoint._LN2:
+        return 0, 0
+    k, q = round(x / fixedpoint._LN2), round(fixedpoint._float(zi, exp) / (math.pi / 2))
+    w = bits + fixedpoint._EXP_GUARD + max(k, 0)
+    c = -(-(w + max(abs(k), abs(q), 1).bit_length() + 2) // 64) * 64
+    ln2, half_pi = fixedpoint._ln2_half_pi(c)
+    r = fixedpoint._shift(fixedpoint._shift(zr, exp + c) - k * ln2, w - c)
+    s = fixedpoint._shift(fixedpoint._shift(zi, exp + c) - q * half_pi, w - c)
+    one = 1 << 2 * w
+    sinh = sum(fixedpoint._odd_terms(abs(r), w))
+    modulus = sinh + math.isqrt(one + sinh * sinh)
+    if r < 0:
+        modulus = one // modulus
+    terms = fixedpoint._odd_terms(abs(s), w)
+    sin = sum(terms[::2]) - sum(terms[1::2])
+    re, im = modulus * math.isqrt(one - sin * sin), modulus * sin if s >= 0 else -modulus * sin
+    for _ in range(q % 4):
+        re, im = -im, re
+    return fixedpoint._shift(re, k + bits - 2 * w), fixedpoint._shift(im, k + bits - 2 * w)
 
 
 def pair_integral(m: int, zr: int, zi: int, ezt: tuple[int, int], T: int, bits: int, near: bool) -> tuple[int, int]:

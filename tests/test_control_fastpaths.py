@@ -132,7 +132,7 @@ def _gram(rows, T: float, columns=None, bits=None) -> list[list]:
     if bits is None:
         range_bits = fixedpoint._range_bits([r.kernel for r in rows], T)
         bits = mpmath.libmp.dps_to_prec(40) + fixedpoint._GUARD_BITS + range_bits
-    kernels = [fixedpoint._kernel("row", r.kernel, T, bits) for r in rows]
+    kernels = fixedpoint._kernels([("row", r.kernel) for r in rows], T, bits)
     columns = kernels if columns is None else columns
     re, im = fixedpoint._moment_gram(kernels, columns, T, bits)
     return [
@@ -411,17 +411,20 @@ class TestSolution:
         with pytest.raises(DomainError, match="times must be finite"):
             solution(np.array([0.0, np.nan]))
 
-    def test_uniform_grid_takes_one_exponential_per_term(self, monkeypatch):
+    def test_uniform_grid_takes_one_exponential_per_conjugate_pair(self, monkeypatch):
         # the control-roundtrip configuration at seed 0: the steps of the float
-        # grid differ in their last bits, and only the first takes exponentials
+        # grid differ in their last bits, and only the first takes exponentials,
+        # one per rate up to conjugation (modes n and -n have conjugate rates)
         field = cli._random_field(2, 8, np.random.default_rng(0))
         solution = synthesize_control(build_moment_system(field, ObservationChannel.DENSITY, 8.0, _slice(WORKHORSE, 12), 8))
-        terms = sum(len(column.terms) for column, a, b in zip(solution.columns, solution.x.re, solution.x.im) if a or b)
+        rates = [t[4] for column, a, b in zip(solution.columns, solution.x.re, solution.x.im) if a or b
+                 for t in column.terms]
         calls = []
         exp = fixedpoint._exp
         monkeypatch.setattr(fixedpoint, "_exp", lambda *args: calls.append(args) or exp(*args))
         solution(np.linspace(0.0, 8.0, 51))
-        assert terms == len(calls) == 32
+        assert len(rates) == 32
+        assert len({complex(r.real, abs(r.imag)) for r in rates}) == len(calls) == 16
 
     @pytest.mark.parametrize("ulps", [1, -3, 40])
     def test_shifted_step_factors_equal_the_step_exponentials(self, ulps):

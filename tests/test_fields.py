@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import field_from_modes, single_mode_field
+from conftest import field_from_modes, random_barotropic, random_nonbarotropic, single_mode_field
 from cnslab.errors import DomainError
 from cnslab.fields import (
     NormSpec,
     SpectralField,
+    eigen_coordinates,
     expand_in_eigenbasis,
     reconstruct,
     sobolev_norm,
@@ -156,3 +159,23 @@ class TestExpansion:
             ratios.append(sobolev_norm(field, spec) ** 2)
         assert min(ratios) > 0.0
         assert max(ratios) / min(ratios) < 50.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), three_field=st.booleans(), N=st.integers(1, 24), k=st.integers(1, 8))
+def test_one_multi_column_solve_equals_the_one_column_solves(seed, three_field, N, k):
+    # a stack of k fields of random cutoffs, some modes exactly zero, against one solve per field and mode
+    rng = np.random.default_rng(seed)
+    slice_ = build_slice((random_nonbarotropic if three_field else random_barotropic)(rng), N)
+    fields = []
+    for _ in range(k):
+        field = _random_mean_zero(rng, slice_.dim, int(rng.integers(1, N + 1)))
+        field.coeffs[rng.random(field.coeffs.shape) < 0.2] = 0.0
+        fields.append(field)
+    table = slice_.basis
+    got = eigen_coordinates(fields, slice_)
+    for coordinates, field in zip(got, fields):
+        target = np.zeros((table.ns.size, slice_.dim), dtype=complex)
+        inside = np.abs(table.ns) <= field.N
+        target[inside] = field.coeffs[table.ns[inside] + field.N]
+        assert coordinates.tobytes() == np.linalg.solve(table.basis, target[..., None])[..., 0].tobytes()
