@@ -287,10 +287,11 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
             discarded = _discarded_singular_values(gram)
             if not any(targets):
                 return ControlSolution(system, ScaledVector([], [], 0), 0.0, 0.0, discarded + len(dropped), 15)
-        factor = fixedpoint.factor(gram, dps)
+        form = fixedpoint.real_form(gram, fixedpoint.partners(columns))
+        factor = fixedpoint.factor(form, dps)
         if factor is None:
             continue
-        residual, x, control_norm, hy = fixedpoint.solve(gram, factor, columns, targets, _RESIDUAL_TOL)
+        residual, x, control_norm, hy = fixedpoint.solve(gram, form, factor, columns, targets, _RESIDUAL_TOL)
         if x is not None:
             discarded += len(dropped)
             solution = ControlSolution(system, x, residual, control_norm, discarded, dps, keep, gram, columns)

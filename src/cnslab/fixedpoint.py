@@ -2,13 +2,9 @@
 
 A number is a Python integer with an explicit power-of-two scale,
 ``n * 2**e``, in fixed point at ``bits`` fraction bits within one kernel,
-Gram or vector, with real and imaginary parts in separate lists.  A
-complex inner product is three exact C-level ``sum(map(mul, ...))`` of
-integers, shifted once: with ``p = ar . br`` and ``q = ai . bi``, its real
-part is ``p - q`` and its imaginary part ``(ar + ai) . (br + bi) - p - q``
-(Gauss's product; on integers the identity is exact, so the results are
-those of four products), where the sums ``ar + ai`` of a Cholesky factor's
-or a Gram's rows are formed once.  The rates and coefficients of a kernel
+Gram or vector, with real and imaginary parts in separate lists.  An inner
+product is an exact C-level ``sum(map(mul, ...))`` of integers per pair of
+parts that are not all zero, shifted once.  The rates and coefficients of a kernel
 come from doubles, so their integers are short odd parts times powers of
 two; the moment Gram pairs the odd parts and shifts the powers back once,
 exactly (:func:`_moment_gram`).  The exponentials are integers too
@@ -21,7 +17,15 @@ coefficients, so the kernels of modes ``n`` and ``-n`` are conjugates:
 :func:`_exp` gives a rate's conjugate the conjugate integers, one
 exponential serves both (:func:`_exps`), and a Gram entry whose kernels
 are the conjugates of an entry's already formed is that entry's conjugate
-(:func:`_conjugates`).  The argument of an exponential is
+(:func:`partners`).  So the Gram is conjugate-persymmetric integer for
+integer, and :func:`real_form` turns it, by exact additions, into a
+matrix whose rows of conjugate pairs and real kernels are real: the
+Cholesky (:func:`factor`), the substitutions and the residual take one
+real product per entry there, and Gauss's three-product complex
+multiplication only on the rows of kernels without a partner.  The
+coefficients of a real datum come back as exact conjugates, so the
+control evaluation walks one term per conjugate pair and the verification
+forms one cross product per pair of rows.  The argument of an exponential is
 formed exactly from the double rate and the float horizon or integer step,
 reduced by ln 2 and pi/2, and summed as two short real series; ln 2 and
 pi/2 come from integer series once per precision.  Kernels come in as lists
@@ -34,7 +38,7 @@ import math
 from collections.abc import Iterable, Iterator
 from functools import lru_cache, reduce
 from itertools import chain, count, repeat
-from operator import add, lshift, mul, or_, rshift, sub
+from operator import add, lshift, mul, neg, or_, rshift, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -79,15 +83,13 @@ class Gram(NamedTuple):
 
     ``G[i][j] = (re + 1j * im)[i][j] * 2**(exps[i] + exps[j] - bits)``, and
     ``re[i][i] * 2**-bits`` lies in ``[1, 4)``: the scaled matrix has a unit
-    diagonal up to a factor below 4.  ``sums`` holds ``re + im`` row by row
-    for the products of :func:`_gram_times`.
+    diagonal up to a factor below 4.
     """
 
     re: list[list[int]]
     im: list[list[int]]
     exps: list[int]
     bits: int
-    sums: list[list[int]]
 
 
 def _shift(n: int, k: int) -> int:
@@ -101,9 +103,9 @@ def _shift_all(values: list[int], k: int) -> list[int]:
 
 
 def _fixed(x: float, bits: int) -> int:
-    """``floor(x * 2**bits)`` for a finite float ``x``."""
+    """``x * 2**bits`` rounded toward zero, for a finite float ``x``, so that ``_fixed(-x) = -_fixed(x)``."""
     n, d = x.as_integer_ratio()
-    return _shift(n, bits) // d
+    return _shift(n, bits) // d if n >= 0 else -(_shift(-n, bits) // d)
 
 
 def _ratio(x: float) -> tuple[int, int]:
@@ -278,30 +280,28 @@ def _arc(m: int, sign: int, bits: int) -> int:
 
 
 def _taylor(m: int, zr: int, zi: int, T: int, bits: int) -> tuple[int, int]:
-    """Taylor series of ``I_m(z, T)`` in ``zT`` at ``bits`` fraction bits, summed until a term is below ``2**-bits``.
+    """``I_m(z, T) = T**(m+1) sum_k w**k / (k! (m+k+1))``, ``w = zT``, for ``z`` and ``T`` at ``bits`` fraction bits.
 
-    The powers ``z**k / k!`` are rounded down.  For ``Re z > 0`` a part can
-    settle at -1, a power that rounds to itself: its terms are rounding
-    alone, and for ``T > 1`` they would grow without end, so the sum ends there too.
+    The series runs in ``w``, its powers ``w**k / k!`` rounded down, at
+    ``g`` fraction bits: ``bits``, the bits of ``T**(m+1)`` above 1 and 8
+    for the rounding of the terms (``|w|`` is below
+    :data:`~cnslab.kernels.TAYLOR_RADIUS`, so a few dozen terms reach one
+    unit).  So the sum times the exact ``T**(m+1)`` is within about one unit
+    of ``2**-bits``, at every ``T``.  A term at most one unit in both parts
+    ends the sum: from there on the powers are rounding alone (for ``Re w >
+    0`` a part can settle at -1).
     """
-    total_r = total_i = 0
-    pr, pi = 1 << bits, 0  # z**k / k!
-    Tp = _shift(T ** (m + 1), -m * bits)  # T**(m + k + 1)
-    k = 0
-    while True:
-        c = Tp // (m + k + 1)
-        tr, ti = pr * c, pi * c
-        total_r += tr
-        total_i += ti
-        if abs(tr) + abs(ti) < 1 << bits:
-            break
+    Tm = T ** (m + 1)  # at (m + 1) * bits fraction bits, exactly
+    g = bits + max(Tm.bit_length() - (m + 1) * bits, 0) + 8
+    wr, wi = _shift(zr * T, g - 2 * bits), _shift(zi * T, g - 2 * bits)
+    pr, pi = 1 << g, 0
+    sr, si, k = pr // (m + 1), 0, 0
+    while abs(pr) > 1 or abs(pi) > 1:
         k += 1
-        last = pr, pi
-        pr, pi = ((pr * zr - pi * zi) >> bits) // k, ((pr * zi + pi * zr) >> bits) // k
-        if (pr, pi) == last and abs(pr) <= 1 and abs(pi) <= 1:
-            break
-        Tp = (Tp * T) >> bits
-    return total_r >> bits, total_i >> bits
+        pr, pi = ((pr * wr - pi * wi) >> g) // k, ((pr * wi + pi * wr) >> g) // k
+        sr += pr // (m + k + 1)
+        si += pi // (m + k + 1)
+    return _shift(sr * Tm, -g - m * bits), _shift(si * Tm, -g - m * bits)
 
 
 def _odd_parts(kernel: Kernel) -> tuple[int, list[tuple]]:
@@ -326,19 +326,25 @@ def _trailing_zeros(n: int, zero: int) -> int:
     return (n & -n).bit_length() - 1 if n else zero
 
 
-def _conjugates(kernels: list[Kernel]) -> list[int | None]:
-    """Per kernel, the index of the first kernel whose terms are its conjugate's, integer for integer, or None.
+def partners(kernels: list[Kernel], x: ScaledVector | None = None) -> list[int | None]:
+    """Per kernel, the index of the kernel whose terms are its conjugate's, integer for integer, or None.
 
     A kernel's key is its ``exp`` and its terms; its conjugate key negates
     the imaginary parts of each term's coefficient, rate and ``e^{rate T}``
     and conjugates the double rate, on which the Taylor branch is decided.
+    The partner is the first kernel of the conjugate key, for the first
+    kernel of a key (a real kernel is its own partner).  With coefficients
+    ``x``, one per kernel, a partner counts only where its coefficient is the
+    conjugate of the kernel's, integer for integer.
     """
     first: dict = {}
     for i, kernel in enumerate(kernels):
         first.setdefault((kernel.exp, *kernel.terms), i)
-    return [first.get((kernel.exp, *((cr, -ci, ar, -ai, rate.conjugate(), degree, er, -ei)
-                                     for cr, ci, ar, ai, rate, degree, er, ei in kernel.terms)))
-            for kernel in kernels]
+    return [p if p is not None and first[(k.exp, *k.terms)] == i
+            and (x is None or (x.re[p], x.im[p]) == (x.re[i], -x.im[i])) else None
+            for i, k in enumerate(kernels)
+            for p in (first.get((k.exp, *((cr, -ci, ar, -ai, rate.conjugate(), degree, er, -ei)
+                                          for cr, ci, ar, ai, rate, degree, er, ei in k.terms))),)]
 
 
 def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int) -> tuple[list[list], list[list]]:
@@ -351,7 +357,7 @@ def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int)
     ``columns`` the Gram is Hermitian: only the upper triangle is
     integrated, and the lower one mirrors it.  An entry whose row and column
     are, integer for integer, the conjugates of those of an entry already
-    formed (:func:`_conjugates`) is that entry's conjugate, as the integral
+    formed (:func:`partners`) is that entry's conjugate, as the integral
     is.  Integrating it would floor the negated operands, whose floors may
     lie a unit below the negated floors, so the two differ by those units
     as the pair integrals carry them (2 units of ``2**-bits`` per part at
@@ -376,8 +382,8 @@ def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int)
     one = 1 << bits
     row_parts = list(map(_odd_parts, rows))
     column_parts = row_parts if hermitian else list(map(_odd_parts, columns))
-    row_conjugates = _conjugates(rows)
-    column_conjugates = row_conjugates if hermitian else _conjugates(columns)
+    row_conjugates = partners(rows)
+    column_conjugates = row_conjugates if hermitian else partners(columns)
     re = [[None] * len(columns) for _ in rows]
     im = [[None] * len(columns) for _ in rows]
     for i, (p_row, row) in enumerate(row_parts):
@@ -422,21 +428,113 @@ def unit_gram(labels: list[str], kernels: list[list[KernelTerm]], T: float, dps:
     """The Hermitian :class:`Gram` of ``kernels`` at a rung of ``dps`` digits, at a unit diagonal, and its columns.
 
     The columns carry :data:`_GUARD_BITS` and :func:`_range_bits` on top of
-    :func:`_dps_bits` of ``dps``; ``labels`` name them in errors.  Row and
-    column ``i`` are multiplied by the power of two ``2**s[i]`` that brings
-    the diagonal entry into ``[1, 4)``, an exact shift that leaves
-    Cholesky's rounding errors as they were relative to the diagonal.  The
-    entries gain ``-2 * min(s)`` fraction bits, so every shift is to the left.
+    :func:`_dps_bits` of ``dps``; ``labels`` name them in errors.  The
+    diagonal, ``integral |k|**2``, is real: the imaginary parts that the pair
+    loop's roundings leave there are set to 0, so that the Gram is exactly
+    Hermitian.  It comes to a unit diagonal by :func:`_unit_diagonal`.
     """
     bits = _dps_bits(dps) + _GUARD_BITS + _range_bits(kernels, T)
     columns = _kernels(zip(labels, kernels), T, bits)
     re, im = _moment_gram(columns, columns, T, bits)
-    s = [(bits + 2 - re[i][i].bit_length()) // 2 if re[i][i] > 0 else 0 for i in range(len(re))]
+    for i, row in enumerate(im):
+        row[i] = 0
+    re, im, s, bits = _unit_diagonal(re, im, bits)
+    return Gram(re, im, [c.exp - v for c, v in zip(columns, s)], bits), columns
+
+
+def _unit_diagonal(re: list[list], im: list[list], bits: int) -> tuple:
+    """``(re, im, s, bits)`` of a Hermitian matrix with row and column ``i`` multiplied by ``2**s[i]``.
+
+    ``s[i]`` brings the diagonal entry into ``[1, 4)``, an exact shift that
+    leaves Cholesky's rounding errors as they were relative to the diagonal.
+    The entries gain ``-2 * min(s)`` fraction bits, so every shift is to
+    the left.  A row of ``im`` may hold only its last parts (see :class:`RealForm`).
+    """
+    s = [(bits + 2 - row[i].bit_length()) // 2 if row[i] > 0 else 0 for i, row in enumerate(re)]
     low = min(s, default=0)
     u = [v - low for v in s]
-    re = [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(re, u)]
-    im = [list(map(lshift, map(lshift, row, u), repeat(ui))) for row, ui in zip(im, u)]
-    return Gram(re, im, [c.exp - v for c, v in zip(columns, s)], bits - 2 * low, _row_sums(re, im)), columns
+    # an empty row's shifts are all of u, and map stops at the row's end
+    re, im = ([list(map(lshift, row, [ui + v for v in u[-len(row):]])) for row, ui in zip(part, u)]
+              for part in (re, im))
+    return re, im, s, bits - 2 * low
+
+
+class RealForm(NamedTuple):
+    """``M = E S^H H S E`` for the scaled ``H`` of a :class:`Gram`: the moment system in real coordinates.
+
+    A pair ``(j, p)`` of :func:`partners` in ``groups`` gives the columns
+    ``e_j + e_p`` and ``1j * (e_j - e_p)`` of ``S``, a single ``(j, j)`` the
+    column ``e_j``: pairs first, then the kernels that are their own
+    partners, then those without one.  ``H[p][q] = conj(H[j][k])`` integer
+    for integer when ``(j, p)`` and ``(k, q)`` are partners, so the first
+    ``real`` rows and columns of ``M`` are real; the unpaired rows come
+    last.  ``M[a][b] = (re + 1j * im)[a][b] * 2**-bits``, and ``im[a]``
+    holds the last ``len(im[a])`` imaginary parts of row ``a``, the others
+    being 0: those of the unpaired columns on a real row, all of them on an
+    unpaired row.  ``E = diag(2**exps)`` brings the diagonal into ``[1, 4)``
+    (:func:`_unit_diagonal`).  Only additions and shifts form ``M``, so it
+    is exactly the congruence of ``H``.
+    """
+
+    re: list[list[int]]
+    im: list[list[int]]
+    exps: list[int]
+    bits: int
+    real: int
+    groups: list[tuple]
+
+
+def real_form(gram: Gram, mates: list[int | None]) -> RealForm:
+    """The :class:`RealForm` of ``gram`` for the :func:`partners` ``mates`` of its columns."""
+    real = len(mates) - mates.count(None)
+    # pairs, then the real kernels, then the unpaired ones, each in the order of the kernels
+    groups = sorted(((j, j if p is None else p) for j, p in enumerate(mates) if p is None or p >= j),
+                    key=lambda g: (g[0] == g[1]) + (mates[g[0]] is None))
+    # S^H H, then S^H (S^H H)^H = S^H H S, as H is Hermitian
+    re, im = _rows(groups, gram.re, gram.im)
+    re, im = _rows(groups, list(zip(*re)), [list(map(neg, col)) for col in zip(*im)])
+    re, im, s, bits = _unit_diagonal(re, [row[real:] if a < real else row for a, row in enumerate(im)], gram.bits)
+    return RealForm(re, im, s, bits, real, groups)
+
+
+def _rows(groups: list[tuple], re: list, im: list) -> tuple:
+    """The real and imaginary parts of ``S^H A`` for the rows ``re + 1j * im`` of ``A`` (see :class:`RealForm`).
+
+    A pair ``(j, p)`` gives the rows ``A[j] + A[p]`` and ``-1j * (A[j] - A[p])``.
+    """
+    out_re, out_im = [], []
+    for j, k in groups:
+        out_re += [list(map(add, re[j], re[k])), list(map(sub, im[j], im[k]))] if k != j else [re[j]]
+        out_im += [list(map(add, im[j], im[k])), list(map(sub, re[k], re[j]))] if k != j else [im[j]]
+    return out_re, out_im
+
+
+def _from_form(form: RealForm, w: ScaledVector, inverse: bool = False) -> ScaledVector:
+    """``S E w``, or with ``inverse`` ``S^-H E^-1 w``, exactly: ``S^-H`` is ``S / 2`` on a pair and 1 on a single."""
+    v = _rescaled(w, [-e for e in form.exps] if inverse else form.exps)
+    parts = zip(v.re, v.im)
+    re, im = [0] * len(v.re), [0] * len(v.re)
+    for j, k in form.groups:
+        ar, ai = next(parts)
+        if k != j:
+            br, bi = next(parts)
+            re[j], im[j], re[k], im[k] = ar - bi, ai + br, ar + bi, ai - br
+        else:
+            re[j], im[j] = ar << inverse, ai << inverse
+    return ScaledVector(re, im, v.exp - inverse)
+
+
+def _times(re: list[list], im: list[list], x: ScaledVector) -> tuple[list, list]:
+    """Real and imaginary parts of ``A x`` on integers, row by row, exactly, for the rows ``re + 1j * im`` of ``A``.
+
+    A row of ``im`` may hold only its last parts, the others being 0 (see
+    :class:`RealForm`).  An entry takes one dot product per part of it and
+    of ``x`` that is not all zero: a real row against a real ``x`` takes one.
+    """
+    xr, xi = x.re, x.im if any(x.im) else []
+    m = len(xr)
+    return ([sum(map(mul, g, xr)) - sum(map(mul, h, xi[m - len(h):])) for g, h in zip(re, im)],
+            [sum(map(mul, g, xi)) + sum(map(mul, h, xr[m - len(h):])) for g, h in zip(re, im)])
 
 
 def float_gram(gram: Gram) -> np.ndarray:
@@ -457,30 +555,33 @@ def float_gram(gram: Gram) -> np.ndarray:
     return (re + 1j * im) * 2.0**-60
 
 
-def factor(gram: Gram, dps: int) -> tuple | None:
-    """``(bits, Lr, Li, d, Ls, Ur, Ui, Us)``: ``H = L L^H`` for the scaled ``H`` of ``gram`` at ``dps`` digits.
+def factor(form: RealForm, dps: int) -> tuple | None:
+    """``(bits, Lr, Li, d, Ur, Ui)``: ``M = L L^H`` for the :class:`RealForm` ``M`` at ``dps`` digits.
 
     ``L`` is at the ``bits`` of :func:`_dps_bits`, row by row as the real
-    parts, the imaginary parts, the diagonal and the sums ``Lr + Li``;
-    ``Ur``, ``Ui`` and ``Us`` are the same of the rows of ``L^H`` that the
-    back substitution reads, the last first.  Each entry's inner product
-    with an earlier row is three exact C-level ``sum(map(mul, ...))`` of
-    integers (Gauss's complex product, with the earlier row's ``Lr - Li``
-    kept from when it was finished), and the entry is rounded once, by its
-    division.  Returns None at the first pivot that is not positive: ``H``
+    parts, the imaginary parts and the diagonal; ``Ur`` and ``Ui`` are the
+    same of the rows of ``L^H`` that the back substitution reads, the last
+    first.  The first ``form.real`` rows of ``L`` are real: their imaginary
+    parts are empty lists, and an entry's inner product with an earlier row
+    is one exact C-level ``sum(map(mul, ...))`` of integers.  An unpaired row's entry takes two
+    against a real row and three against an unpaired one (Gauss's complex
+    product, with the earlier row's ``Lr - Li`` kept from when it was
+    finished); so a row of ``Ui`` holds the parts of the unpaired rows, which
+    come first in it, and no more.  Each entry is rounded once, by its
+    division.  Returns None at the first pivot that is not positive: ``M``
     is not numerically definite at this precision.
     """
     bits = _dps_bits(dps)
     Lr: list[list] = []
     Li: list[list] = []
-    Ls: list[list] = []
     d: list = []
     # Lr - Li of the earlier rows: the real and imaginary parts of conj(L[j]) summed
     diffs: list[list] = []
-    scale = 2 * bits - gram.bits  # the entries of H at 2 * bits fraction bits, like the products of L
-    for i in range(len(gram.re)):
-        gr = _shift_all(gram.re[i][: i + 1], scale)
-        gi = _shift_all(gram.im[i][:i], scale)
+    scale = 2 * bits - form.bits  # the entries of M at 2 * bits fraction bits, like the products of L
+    for i in range(len(form.re)):
+        real = i < form.real
+        gr = _shift_all(form.re[i][: i + 1], scale)
+        gi = [] if real else _shift_all(form.im[i][:i], scale)
         ri: list = []
         ii: list = []
         si: list = []
@@ -488,23 +589,22 @@ def factor(gram: Gram, dps: int) -> tuple | None:
             # L[i] . conj(L[j]) = (p + q) + 1j * ((ri + ii) . (Lr - Li) - p + q)
             p, q = sum(map(mul, ri, Lr[j])), sum(map(mul, ii, Li[j]))
             re = (gr[j] - p - q) // d[j]
-            im = (gi[j] - sum(map(mul, si, diffs[j])) + p - q) // d[j]
             ri.append(re)
-            ii.append(im)
-            si.append(re + im)
+            if not real:
+                im = (gi[j] - sum(map(mul, si, diffs[j])) + p - q) // d[j]
+                ii.append(im)
+                si.append(re + im)
         pivot = gr[i] - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
         if pivot <= 0:
             return None
         d.append(math.isqrt(pivot))
         Lr.append(ri)
         Li.append(ii)
-        Ls.append(si)
-        diffs.append(list(map(sub, ri, ii)))
+        diffs.append(list(map(sub, ri, ii)) if ii else ri)
     # row i of L^H holds conj(L[k][i]) for k from the last row down to i + 1
     Ur = [[row[i] for row in Lr[:i:-1]] for i in reversed(range(len(d)))]
-    Ui = [[-row[i] for row in Li[:i:-1]] for i in reversed(range(len(d)))]
-    Us = [[row[i] for row in diffs[:i:-1]] for i in reversed(range(len(d)))]
-    return bits, Lr, Li, d, Ls, Ur, Ui, Us
+    Ui = [[-row[i] for row in Li[: max(i, form.real - 1) : -1]] for i in reversed(range(len(d)))]
+    return bits, Lr, Li, d, Ur, Ui
 
 
 def forward(factor: tuple, b: ScaledVector) -> ScaledVector:
@@ -513,36 +613,40 @@ def forward(factor: tuple, b: ScaledVector) -> ScaledVector:
     ``b`` is first shifted ``shift`` bits, so that its largest part lies just
     below 1 and ``y`` carries the factor's bits relative to ``b``, at ``y.exp = b.exp - shift``.
     """
-    bits, Lr, Li, d, Ls = factor[:5]
+    bits, Lr, Li, d = factor[:4]
     shift = bits - max(v.bit_length() for v in b.re + b.im)
-    yr, yi = _substitute(Lr, Li, Ls, d, _shift_all(b.re, shift + bits), _shift_all(b.im, shift + bits))
+    yr, yi = _substitute(Lr, Li, d, _shift_all(b.re, shift + bits), _shift_all(b.im, shift + bits))
     return ScaledVector(yr, yi, b.exp - shift)
 
 
 def _cholesky_solve(factor: tuple, b: ScaledVector) -> ScaledVector:
     """``x`` with ``L L^H x = b`` for a :func:`factor`: :func:`forward`, then ``L^H x = y`` from the last row up."""
-    bits, _, _, d, _, Ur, Ui, Us = factor
+    bits, _, _, d, Ur, Ui = factor
     y = forward(factor, b)
-    xr, xi = _substitute(Ur, Ui, Us, d[::-1], _shift_all(y.re[::-1], bits), _shift_all(y.im[::-1], bits))
+    xr, xi = _substitute(Ur, Ui, d[::-1], _shift_all(y.re[::-1], bits), _shift_all(y.im[::-1], bits))
     return ScaledVector(xr[::-1], xi[::-1], y.exp)
 
 
-def _substitute(Lr: list[list], Li: list[list], Ls: list[list], d: list, br: list, bi: list) -> tuple[list, list]:
+def _substitute(Lr: list[list], Li: list[list], d: list, br: list, bi: list) -> tuple[list, list]:
     """Forward substitution ``L y = b`` on integers: row ``i`` of ``L`` is ``Lr[i] + 1j * Li[i]`` left of ``d[i]``.
 
-    ``Ls[i]`` is ``Lr[i] + Li[i]``: each row's product with ``y`` is three
-    dot products, its imaginary part ``Ls . (yr + yi) - Lr . yr - Li . yi``.
-    ``L`` and ``y`` share one count of fraction bits, and ``b`` has twice it.
+    A row of ``Li`` may hold only its first parts, the others being 0.
+    With every ``Li`` row empty and ``bi`` zero, ``y`` is real and a row
+    takes one dot product.  Otherwise a row's product with ``y`` is three,
+    its imaginary part ``(Lr + Li) . (yr + yi) - Lr . yr - Li . yi``.  ``L``
+    and ``y`` share one count of fraction bits, and ``b`` has twice it.
     """
     yr: list = []
     yi: list = []
     ys: list = []
-    for lr, li, ls, di, vr, vi in zip(Lr, Li, Ls, d, br, bi):
+    real = not any(bi) and not any(Li)
+    for lr, li, di, vr, vi in zip(Lr, Li, d, br, bi):
         p, q = sum(map(mul, lr, yr)), sum(map(mul, li, yi))
         yr.append((vr - p + q) // di)
-        yi.append((vi - sum(map(mul, ls, ys)) + p + q) // di)
-        ys.append(yr[-1] + yi[-1])
-    return yr, yi
+        if not real:
+            yi.append((vi - sum(map(mul, map(add, lr, chain(li, repeat(0))), ys)) + p + q) // di)
+            ys.append(yr[-1] + yi[-1])
+    return yr, yi or [0] * len(yr)
 
 
 def _combine(op, a: ScaledVector, b: ScaledVector) -> ScaledVector:
@@ -550,28 +654,6 @@ def _combine(op, a: ScaledVector, b: ScaledVector) -> ScaledVector:
     exp = min(a.exp, b.exp)
     parts = ((a.re, b.re), (a.im, b.im))
     return ScaledVector(*(list(map(op, _shift_all(p, a.exp - exp), _shift_all(q, b.exp - exp))) for p, q in parts), exp)
-
-
-def _row_sums(re: list[list], im: list[list]) -> list[list]:
-    """``re[i][j] + im[i][j]`` row by row: the third operand of :func:`_gram_times`."""
-    return [list(map(add, g, h)) for g, h in zip(re, im)]
-
-
-def _gram_times(re: list[list], im: list[list], sums: list[list], xr: list, xi: list) -> tuple[list, list]:
-    """Real and imaginary parts of ``G x`` on integers, row by row, exactly.
-
-    ``sums`` are the :func:`_row_sums` of ``G``; each row costs three dot
-    products, its imaginary part ``sums . (xr + xi) - re . xr - im . xi``.
-    """
-    xs = list(map(add, xr, xi))
-    p = [sum(map(mul, g, xr)) for g in re]
-    q = [sum(map(mul, h, xi)) for h in im]
-    return list(map(sub, p, q)), [sum(map(mul, g, xs)) - a - b for g, a, b in zip(sums, p, q)]
-
-
-def _residual(gram: Gram, y: ScaledVector, b: ScaledVector) -> ScaledVector:
-    """``b - H y`` for the scaled Gram ``H`` of ``gram``, exactly."""
-    return _combine(sub, b, ScaledVector(*_gram_times(gram.re, gram.im, gram.sums, y.re, y.im), y.exp - gram.bits))
 
 
 def _rescaled(v: ScaledVector, exps: list[int]) -> ScaledVector:
@@ -592,39 +674,55 @@ def top_exponent(values: list[complex]) -> int:
 
 
 def _scaled_targets(targets: list[complex], exps: list[int], bits: int) -> ScaledVector:
-    """The finite targets times ``2**-exps[k]``, each to ``bits`` bits below the largest of them."""
+    """The finite targets times ``2**-exps[k]``, each to ``bits`` bits below the largest of them.
+
+    :func:`_fixed` rounds toward zero, so conjugate targets give conjugate
+    integers even where a tiny target's bits fall below the last place.
+    """
     top = max((math.frexp(p)[1] - e for v, e in zip(targets, exps) for p in (v.real, v.imag) if p), default=0)
     exp = top - bits
     re = [_fixed(v.real, -exp - e) for v, e in zip(targets, exps)]
     return ScaledVector(re, [_fixed(v.imag, -exp - e) for v, e in zip(targets, exps)], exp)
 
 
-def solve(gram: Gram, factor: tuple, columns: list[Kernel], targets: list[complex], tol: float) -> tuple:
-    """``(residual, x, sqrt(x^H G x), H y)`` of the Cholesky solve of ``G x = targets`` on a :func:`factor` of ``gram``.
+def solve(gram: Gram, form: RealForm, factor: tuple, columns: list[Kernel], targets: list[complex],
+          tol: float) -> tuple:
+    """``(residual, x, sqrt(x^H G x), H y)`` of the Cholesky solve of ``G x = targets`` on a :func:`factor` of ``form``.
 
-    ``gram`` and ``columns`` come from :func:`unit_gram` at one rung.  ``H y = D b``
-    (``H = D G D``) is substituted on the factor, and ``x = D y``.  Returns
-    ``(residual, None, 0.0, None)`` when the relative moment residual exceeds
-    ``tol``; otherwise ``x`` is refined once and ``H y``, exact, is that of the refined ``y``.
+    ``gram`` and ``columns`` come from :func:`unit_gram` at one rung, and
+    ``form`` is their :func:`real_form`.  ``H y = D b`` (``H = D G D``) is
+    solved as ``M w = c`` with ``c = E S^H D b`` on the factor, ``y = S E
+    w`` and ``x = D y``; ``c`` is the :func:`_rows` of ``D b``'s entries as
+    rows of one column.  Targets that are conjugates across partners make
+    ``c`` real, and then ``w`` is real.  The residual ``D b - H y`` is
+    ``S^-H E^-1 (c - M w)``, exactly, and ``b - G x = D^-1 (D b - H y)``;
+    the relative residual is formed at the targets' scale, where a tiny
+    datum's residual does not underflow.  Returns ``(residual, None, 0.0,
+    None)`` when it exceeds ``tol``.  Otherwise ``w`` is refined once: the
+    rung's arithmetic leaves an error of about ``cond(M) 2**-bits`` in ``w``
+    at the factor's bits, and the guard-bit residual and Gram bring it to
+    about ``cond(M) 2**-(bits + guard)``; the new residual is formed at the
+    same scale from the short integers of the step.  ``H y = D b - r``,
+    exact, is that of the refined ``y``, and ``x^H G x = y^H H y``.
     """
     b = _scaled_targets(targets, gram.exps, columns[0].bits)
-    # the relative residual is formed at the targets' scale, where a tiny datum's residual does not underflow
     shift = -top_exponent(targets)
     b_norm = math.hypot(*(math.ldexp(p, shift) for v in targets for p in (v.real, v.imag)))
-    y = _cholesky_solve(factor, b)
-    r = _residual(gram, y, b)
-    # b - G x = D^-1 (D b - H y)
-    residual = _norm(_rescaled(r, gram.exps), shift) / b_norm
+    c = _rows(form.groups, [[v] for v in b.re], [[v] for v in b.im])
+    c = _rescaled(ScaledVector(*([v for v, in part] for part in c), b.exp), form.exps)
+
+    def residual_of(v, rhs):  # rhs - M v, exactly
+        return _combine(sub, rhs, ScaledVector(*_times(form.re, form.im, v), v.exp - form.bits))
+
+    w = _cholesky_solve(factor, c)
+    r = residual_of(w, c)
+    residual = _norm(_rescaled(_from_form(form, r, True), gram.exps), shift) / b_norm
     if residual > tol:
         return residual, None, 0.0, None
-    # one step of refinement: the rung's arithmetic leaves an error of about
-    # cond(H) 2**-bits in y at the factor's bits, the guard-bit residual and
-    # Gram bring it to about cond(H) 2**-(bits + guard)
-    dy = _cholesky_solve(factor, r)
-    y = _combine(add, y, dy)
-    # b - H (y + dy), at the same scale, from the short integers of dy
-    r = _residual(gram, dy, r)
-    # x^H G x = y^H H y with H y = D b - r
+    dw = _cholesky_solve(factor, r)
+    w = _combine(add, w, dw)
+    r = _from_form(form, residual_of(dw, r), True)
+    y = _from_form(form, w)
     hy = _combine(sub, b, r)
     energy = sum(map(mul, y.re, hy.re)) + sum(map(mul, y.im, hy.im))
     x = _rescaled(y, [-e for e in gram.exps])
@@ -640,8 +738,12 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
     ``hy`` (``H y`` of :func:`solve`, whose ``x`` this must be) scaled by
     ``2**exps[g]``, or, with None, the product formed here.  A row with
     None integrates the next ``(label, kernel)`` of ``kernels`` against the
-    kept ``columns``.  With no Gram (no kept rows, the zero control) the
-    pairings are ``free``.  A ``shift`` set by the targets keeps tiny pairings from underflowing.
+    kept ``columns``.  When every column's coefficient is its partner's
+    conjugate (:func:`partners`), the product of a row whose partner comes
+    first is the conjugate of that row's, integer for integer, as the cross
+    Gram's entries are: it is not formed again.  With no Gram (no kept rows,
+    the zero control) the pairings are ``free``.  A ``shift`` set by the
+    targets keeps tiny pairings from underflowing.
     """
     if gram is None:
         return [complex(math.ldexp(f.real, shift), math.ldexp(f.imag, shift)) for f in free]
@@ -649,14 +751,18 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
     fresh = _kernels(kernels, T, bits)
     if hy is None:
         y = _rescaled(x, gram.exps)
-        hy = ScaledVector(*_gram_times(gram.re, gram.im, gram.sums, y.re, y.im), y.exp - gram.bits)
+        hy = ScaledVector(*_times(gram.re, gram.im, y), y.exp - gram.bits)
     # x times the column scales of the cross rows integrated here
     fresh_x = _rescaled(x, [column.exp for column in columns])
-    cross = _moment_gram(fresh, columns, T, bits)
-    fresh_rows = zip(
-        *_gram_times(*cross, _row_sums(*cross), fresh_x.re, fresh_x.im),
-        [kernel.exp - bits + fresh_x.exp for kernel in fresh],
-    )
+    mates = partners(fresh)
+    later = [r for r, p in enumerate(mates) if p is not None and p < r] if None not in partners(columns, x) else []
+    re, im = _moment_gram(fresh, columns, T, bits)
+    for r in later:
+        re[r] = im[r] = []
+    pr, pi = _times(re, im, fresh_x)
+    for r in later:
+        pr[r], pi[r] = pr[mates[r]], -pi[mates[r]]
+    fresh_rows = zip(pr, pi, [kernel.exp - bits + fresh_x.exp for kernel in fresh])
     out = []
     for f, g in zip(free, gram_rows):
         fr, fi, exp = next(fresh_rows) if g is None else (hy.re[g], hy.im[g], gram.exps[g] + hy.exp)
@@ -668,11 +774,13 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
 def evaluate(x: ScaledVector, columns: list[Kernel], T: float, times: list[float]) -> list[complex]:
     """``p(t) = sum_j x_j conj(k_j(t))`` at finite ``times``: the exact sums of :func:`_weighted_walk`, rounded once.
 
-    With ``w_j = x_j conj(coef_j)``, the step factors of the walk round to a
-    few units of ``2**-bits`` per step and term, so after ``k`` steps a
-    point is within about ``k 2**-bits sum_j |w_j| s**degree_j`` of the
-    exact ``p`` (``s = T - t``), as when the walk carried unit exponentials
-    that ``w`` multiplied per point.  Carrying ``w e^{conj(rate) s}`` at
+    With ``w_j = x_j conj(coef_j)``, the step factors of the walk and their
+    products round to a few units of ``2**-bits`` per step and term (up to 18
+    seen, where a step series runs many terms), so after ``k`` steps a point
+    is within ``20 (k + 1) 2**-bits sum_j |w_j| s**degree_j`` of the exact
+    ``p`` (``s = T - t``), as when the walk carried unit exponentials that
+    ``w`` multiplied per point.  A conjugate pair walked once, its real part
+    doubled, is as near.  Carrying ``w e^{conj(rate) s}`` at
     ``bits + _GUARD_BITS`` fraction bits below ``max|w|`` adds at most ``k + 1``
     units of ``2**-(bits + _GUARD_BITS) max|w|`` per term.  For decaying
     rates every factor has modulus at most 1, so no step amplifies an
@@ -692,23 +800,30 @@ def _weighted_walk(x: ScaledVector, columns: list[Kernel], T: float, times: list
     ``v = w e^{conj(rate) s}`` at ``bits + _GUARD_BITS`` fraction bits below
     ``max|w|`` and steps it by the factors of :func:`_walk`, so a point is
     two plain sums of ``v``; only the chain terms take their ``s**degree``,
-    at ``bits`` fraction bits.
+    at ``bits`` fraction bits.  A column whose coefficient is its partner's
+    conjugate (:func:`partners`) has the conjugate terms of that partner's:
+    the first of the two walks with ``2 w`` and enters the real sum alone,
+    ``p = sum v_single + 2 Re sum v_pair``, and the second does not walk.
     """
-    live = [(a, b, column) for a, b, column in zip(x.re, x.im, columns) if a or b]
+    live = [(a, b, column, p not in (None, j))
+            for j, (a, b, column, p) in enumerate(zip(x.re, x.im, columns, partners(columns, x)))
+            if (a or b) and (p is None or p >= j)]
     if not live:
         return
     bits = live[0][2].bits
-    low = min(column.exp for _, _, column in live)
-    # plain terms first: a point sums them as they are and multiplies the chain terms after them by s**degree
+    low = min(column.exp for _, _, column, _ in live)
+    # plain terms first, singles before pairs: a point sums the plain terms as they are and multiplies the chain
+    # terms after them by s**degree, and only the singles enter the imaginary sums
     terms = sorted(
-        ((a * cr + b * ci << k, b * cr - a * ci << k, rate.conjugate(), ar, -ai, degree)
-         for a, b, column in live
-         for k in (column.exp - low,)
+        ((a * cr + b * ci << k, b * cr - a * ci << k, rate.conjugate(), ar, -ai, degree, twice)
+         for a, b, column, twice in live
+         for k in (column.exp - low + twice,)
          for cr, ci, ar, ai, rate, degree, _, _ in column.terms),
-        key=lambda term: term[-1],
+        key=lambda term: (term[5] > 0, term[6]),
     )
-    wr, wi, rates, rate_re, rate_im, degrees = (list(v) for v in zip(*terms))
+    wr, wi, rates, rate_re, rate_im, degrees, twice = (list(v) for v in zip(*terms))
     plain = degrees.count(0)
+    single, chained = twice[:plain].count(False), plain + twice[plain:].count(False)
     shift = bits + _GUARD_BITS - max(v.bit_length() for v in wr + wi)
     exp = x.exp + low - 2 * bits - shift  # of v times s**degree at bits fraction bits
     T_int = _fixed(T, bits)
@@ -719,7 +834,7 @@ def _weighted_walk(x: ScaledVector, columns: list[Kernel], T: float, times: list
         yield (
             i,
             (sum(vr[:plain]) << bits) + sum(map(mul, vr[plain:], powers)),
-            (sum(vi[:plain]) << bits) + sum(map(mul, vi[plain:], powers)),
+            (sum(vi[:single]) << bits) + sum(map(mul, vi[plain:chained], powers)),
             exp,
         )
 

@@ -20,6 +20,12 @@ numbers where production works on Python integers with power-of-two scales:
   integer the same results, and the evaluation walk of unit exponentials
   that four dot products with the weights ``x conj(coef)`` read per point
   (:func:`unit_walk`);
+* the complex solve that production's real form replaces: the complex
+  Cholesky of the scaled Gram itself (:func:`factor_four`, the integers of
+  the complex factor) and its refined solve (:func:`solve_complex`), the
+  evaluation walk of every term, a partner's conjugate terms too
+  (:func:`full_walk`), and the verification's cross products with every
+  row formed (:func:`terminal_pairings_every_row`);
 * the pair loop of the moment Gram on the full-width integers of the
   kernels (:func:`moment_gram`, :func:`pair_integral`), and the step
   series summed for all rates at once (:func:`shifted_factors`), which
@@ -329,6 +335,59 @@ def gram_times_four(re, im, xr, xi) -> tuple[list, list]:
     return [_dot(g, xr) - _dot(h, xi) for g, h in zip(re, im)], [_dot(g, xi) + _dot(h, xr) for g, h in zip(re, im)]
 
 
+def solve_complex(gram, factor: tuple, columns, targets: list[complex], tol: float) -> tuple:
+    """``fixedpoint.solve`` on the complex Cholesky of the scaled Gram ``H`` itself, for a :func:`factor_four` of it.
+
+    The solve before the real form: ``H y = D b`` substituted on ``L L^H =
+    H``, the residual ``D b - H y`` and the one refinement step formed from
+    ``H``'s own rows.  Returns ``(residual, x, sqrt(x^H G x), H y)``, or
+    ``(residual, None, 0.0, None)`` above ``tol``.
+    """
+    b = fixedpoint._scaled_targets(targets, gram.exps, columns[0].bits)
+    shift = -fixedpoint.top_exponent(targets)
+    b_norm = math.hypot(*(math.ldexp(p, shift) for v in targets for p in (v.real, v.imag)))
+
+    def residual_of(y, rhs):  # rhs - H y, exactly
+        product = ScaledVector(*gram_times_four(gram.re, gram.im, y.re, y.im), y.exp - gram.bits)
+        return fixedpoint._combine(operator.sub, rhs, product)
+
+    y = cholesky_solve_four(factor, b)
+    r = residual_of(y, b)
+    residual = fixedpoint._norm(fixedpoint._rescaled(r, gram.exps), shift) / b_norm
+    if residual > tol:
+        return residual, None, 0.0, None
+    dy = cholesky_solve_four(factor, r)
+    y = fixedpoint._combine(operator.add, y, dy)
+    r = residual_of(dy, r)
+    hy = fixedpoint._combine(operator.sub, b, r)
+    energy = _dot(y.re, hy.re) + _dot(y.im, hy.im)
+    x = fixedpoint._rescaled(y, [-e for e in gram.exps])
+    residual = fixedpoint._norm(fixedpoint._rescaled(r, gram.exps), shift) / b_norm
+    return residual, x, fixedpoint._sqrt_float(abs(energy), y.exp + hy.exp), hy
+
+
+def terminal_pairings_every_row(free, gram_rows, kernels, T: float, gram, columns, x: ScaledVector, hy=None,
+                                shift: int = 0) -> list[complex]:
+    """``fixedpoint.terminal_pairings`` with the product of every cross row formed, none taken from its partner's."""
+    if gram is None:
+        return [complex(math.ldexp(f.real, shift), math.ldexp(f.imag, shift)) for f in free]
+    bits = columns[0].bits
+    fresh = fixedpoint._kernels(kernels, T, bits)
+    if hy is None:
+        y = fixedpoint._rescaled(x, gram.exps)
+        hy = ScaledVector(*gram_times_four(gram.re, gram.im, y.re, y.im), y.exp - gram.bits)
+    fresh_x = fixedpoint._rescaled(x, [column.exp for column in columns])
+    cross = fixedpoint._moment_gram(fresh, columns, T, bits)
+    fresh_rows = zip(*gram_times_four(*cross, fresh_x.re, fresh_x.im),
+                     [kernel.exp - bits + fresh_x.exp for kernel in fresh])
+    out = []
+    for f, g in zip(free, gram_rows):
+        fr, fi, exp = next(fresh_rows) if g is None else (hy.re[g], hy.im[g], gram.exps[g] + hy.exp)
+        re, im = fixedpoint._fixed(f.real, -exp) + fr, fixedpoint._fixed(f.imag, -exp) + fi
+        out.append(complex(fixedpoint._float(re, exp + shift), fixedpoint._float(im, exp + shift)))
+    return out
+
+
 def weights(x: ScaledVector, columns) -> tuple[list, list, int, list, list, list, list]:
     """``(wr, wi, exp, rates, rate_re, rate_im, degrees)`` of the control's terms, the zero coefficients left out.
 
@@ -367,6 +426,31 @@ def unit_walk(x: ScaledVector, columns, T: float, times: list[float]):
         powers = [fixedpoint._shift(s_all[i] ** d, (1 - d) * bits) for d in degrees]
         ur, ui = list(map(operator.mul, wr, powers)), list(map(operator.mul, wi, powers))
         yield i, _dot(ur, cur_r) - _dot(ui, cur_i), _dot(ur, cur_i) + _dot(ui, cur_r), w_exp - 2 * bits
+
+
+def full_walk(x: ScaledVector, columns, T: float, times: list[float]):
+    """``(i, re, im, exp)`` of ``fixedpoint._weighted_walk`` with every term walked, a partner's conjugate terms too.
+
+    The walk before the per-pair one: the weighted terms of
+    :func:`weights`, at ``bits + _GUARD_BITS`` fraction bits below their
+    largest, stepped by ``fixedpoint._walk``; a point sums all of them.
+    """
+    wr, wi, w_exp, rates, rate_re, rate_im, degrees = weights(x, columns)
+    if not rates:
+        return
+    bits = columns[0].bits
+    order = sorted(range(len(rates)), key=degrees.__getitem__)  # plain terms first
+    parts = (wr, wi, rates, rate_re, rate_im, degrees)
+    wr, wi, rates, rate_re, rate_im, degrees = ([v[k] for k in order] for v in parts)
+    plain = degrees.count(0)
+    shift = bits + fixedpoint._GUARD_BITS - max(v.bit_length() for v in wr + wi)
+    T_int = fixedpoint._fixed(T, bits)
+    s_all = [T_int - fixedpoint._fixed(t, bits) for t in times]
+    vr, vi = fixedpoint._shift_all(wr, shift), fixedpoint._shift_all(wi, shift)
+    for i, vr, vi in fixedpoint._walk(vr, vi, rates, (rate_re, rate_im), s_all, bits):
+        powers = [fixedpoint._shift(s_all[i] ** d, (1 - d) * bits) for d in degrees[plain:]]
+        re = (sum(vr[:plain]) << bits) + _dot(vr[plain:], powers)
+        yield i, re, (sum(vi[:plain]) << bits) + _dot(vi[plain:], powers), w_exp - bits - shift
 
 
 def exp_direct(rate: complex, n: int, e: int, bits: int) -> tuple[int, int]:

@@ -294,7 +294,7 @@ class TestSolution:
         verification that forms the product anew gives the same record."""
         gram = solution.gram
         y = fixedpoint._rescaled(solution.x, gram.exps)
-        product = fixedpoint._gram_times(gram.re, gram.im, gram.sums, y.re, y.im)
+        product = fixedpoint._times(gram.re, gram.im, y)
         fresh = fixedpoint.ScaledVector(*product, y.exp - gram.bits)
         difference = fixedpoint._combine(operator.sub, solution.hy, fresh)
         assert not any(difference.re) and not any(difference.im)
@@ -479,10 +479,13 @@ class TestLadder:
         # 0 and below one unit of y's last place times the row's pivot, in
         # both parts, for right-hand sides of fewer bits than twice the factor's
         keep = control._duplicate_row_structure(system)[0]
-        gram, _ = fixedpoint.unit_gram(["row"] * len(keep), [system.rows[i].kernel for i in keep], system.horizon, 40)
-        factor = fixedpoint.factor(gram, 40)
+        gram, columns = fixedpoint.unit_gram(["row"] * len(keep), [system.rows[i].kernel for i in keep],
+                                             system.horizon, 40)
+        factor = fixedpoint.factor(fixedpoint.real_form(gram, fixedpoint.partners(columns)), 40)
         assume(factor is not None)
         bits, Lr, Li, d = factor[:4]
+        # the real rows of the real form keep no imaginary parts
+        Li = [row + [0] * (i - len(row)) for i, row in enumerate(Li)]
         part = st.lists(st.integers(-(1 << 256), 1 << 256), min_size=len(d), max_size=len(d))
         b = fixedpoint.ScaledVector(data.draw(part), data.draw(part), data.draw(st.integers(-1100, 1100)))
         assume(any(b.re + b.im))

@@ -105,6 +105,29 @@ def test_taylor_sum_of_a_growing_near_pair_ends(m, z):
         assert abs(mpmath.mpc(mpmath.ldexp(re, -bits), mpmath.ldexp(im, -bits)) - want) <= 1e-40 * abs(want)
 
 
+#: largest distance of the near-pair Taylor sum from ``I_m`` at its integer ``z`` and ``T``, in units of ``2**-bits``:
+#: the terms round to a unit of ``2**-g`` each, a few dozen of them, and ``g`` carries 8 bits above those of
+#: ``T**(m+1)``, so the sum times ``T**(m+1)`` stays within a unit, and the last shift floors once more
+TAYLOR_UNITS = 4
+
+
+@pytest.mark.parametrize("T", [2.0, 8.0])
+@pytest.mark.parametrize("m", [0, 1, 2, 4, 7])
+@pytest.mark.parametrize("z", [complex(-0.031, 0.0), complex(-0.02, 0.02), complex(0.01, -0.0297),
+                               complex(-1e-3, 0.0), complex(6.7e-7, 1.37e-7), complex(0.0, 0.03)])
+@pytest.mark.parametrize("dps", [40, 80, 160])
+def test_taylor_sum_keeps_its_bits_at_long_horizons(T, m, z, dps):
+    # the sum runs in w = zT with T**(m+1) factored out, so that the rounding of z**k / k! is not multiplied by
+    # T**(m+k+1): at T = 8 and |zT| near the Taylor radius, every bit of the rung is kept
+    bits = fixedpoint._dps_bits(dps) + fixedpoint._GUARD_BITS
+    zr, zi, T_int = fixedpoint._fixed(z.real, bits), fixedpoint._fixed(z.imag, bits), fixedpoint._fixed(T, bits)
+    re, im = fixedpoint._taylor(m, zr, zi, T_int, bits)
+    with mpmath.workprec(bits + 80):
+        want = poly_exp_integral_mp(m, mpmath.mpc(mpmath.ldexp(zr, -bits), mpmath.ldexp(zi, -bits)), T)
+        got = mpmath.mpc(re, im)
+        assert abs(got - want * mpmath.mpf(2) ** bits) <= TAYLOR_UNITS
+
+
 def _full_conversion(gram: fixedpoint.Gram) -> np.ndarray:
     """The scaled Gram in doubles, every one of its 2 m**2 integers converted on its own."""
     m = len(gram.re)
@@ -126,5 +149,5 @@ def test_float_gram_is_bit_identical_to_the_full_conversion(m):
             im[i][j] = rng.choice([0, 3 << 140, rng.randrange(-(1 << bits), 1 << bits)])
             re[j][i], im[j][i] = re[i][j], -im[i][j]
         re[i][i] = rng.randrange(1 << bits, 4 << bits)
-    gram = fixedpoint.Gram(re, im, [0] * m, bits, fixedpoint._row_sums(re, im))
+    gram = fixedpoint.Gram(re, im, [0] * m, bits)
     assert fixedpoint.float_gram(gram).tobytes() == _full_conversion(gram).tobytes()

@@ -108,9 +108,9 @@ def test_barotropic_modes_and_kernels_are_conjugate_pairs(request, fixture, chan
             assert (part[row[-n]] + 0.0).tobytes() == (part[row[n]].conj() + 0.0).tobytes(), (fixture, n)
     T = 8.0
     system = build_moment_system(cli._random_field(2, 8, np.random.default_rng(1)), channel, T, slice_, 8)
-    assert None not in fixedpoint._conjugates(_kernels_at_the_first_rung(system.rows, T))
+    assert None not in fixedpoint.partners(_kernels_at_the_first_rung(system.rows, T))
     keep, inconsistent, _ = control._duplicate_row_structure(system)
-    kept = fixedpoint._conjugates(_kernels_at_the_first_rung([system.rows[i] for i in keep], T))
+    kept = fixedpoint.partners(_kernels_at_the_first_rung([system.rows[i] for i in keep], T))
     # unique continuation fails on the b = 1.25 set: the rows of modes -1 and 1 are proportional, and the one
     # kept has lost its partner
     assert kept.count(None) == len(inconsistent) == (fixture == "uc_failing_barotropic")
@@ -127,7 +127,7 @@ def _synthesized(params, N: int = 8, T: float = 8.0):
 
 def test_a_symmetric_three_field_slice_pairs_its_kernels(generic_nonbarotropic):
     solution = _synthesized(generic_nonbarotropic)
-    assert None not in fixedpoint._conjugates(solution.columns)
+    assert None not in fixedpoint.partners(solution.columns)
 
 
 def test_three_field_modes_whose_labels_swap_find_no_partner():
@@ -136,6 +136,6 @@ def test_three_field_modes_whose_labels_swap_find_no_partner():
     params = random_nonbarotropic(np.random.default_rng(5))
     solution = _synthesized(params)
     modes = [solution.system.rows[i].n for i in solution.keep]
-    partners = fixedpoint._conjugates(solution.columns)
+    partners = fixedpoint.partners(solution.columns)
     assert {n for n, p in zip(modes, partners) if p is None} == {-2, -1, 1, 2}
     assert len(partners) - partners.count(None) == 36

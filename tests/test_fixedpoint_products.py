@@ -1,12 +1,14 @@
-"""The three-product integer kernels of ``fixedpoint`` against the four-product forms of ``control_oracle``.
+"""The integer kernels of ``fixedpoint`` against the four-product forms of ``control_oracle``.
 
-Production forms each complex inner product from three integer dot
-products (Gauss's complex multiplication); ``control_oracle`` keeps the
-four-product forms they replace.  Both are exact integer identities, so
-the Cholesky factor, the forward and back substitutions and the Gram
-products must agree integer for integer, on random integer Grams and
-vectors of mixed signs and sizes, at the fraction bits of the 40-, 80- and
-160-digit rungs.
+Production forms the complex inner products of the Cholesky factor and the
+substitutions from three integer dot products (Gauss's complex
+multiplication), and the Gram products from the four products of each part
+pair that is not all zero; ``control_oracle`` keeps the four-product forms.
+Both are exact integer identities, so the Cholesky factor of a real form
+without pairs (every row complex), the forward and back substitutions and
+the Gram products must agree integer for integer, on random integer Grams
+and vectors of mixed signs and sizes, at the fraction bits of the 40-, 80-
+and 160-digit rungs.
 """
 
 import control_oracle as oracle
@@ -42,7 +44,7 @@ def grams(draw):
         for j in range(i + 1, m):
             re[i][j], im[i][j] = draw(part), draw(part)
             re[j][i], im[j][i] = re[i][j], -im[i][j]
-    return dps, fixedpoint.Gram(re, im, [0] * m, bits, fixedpoint._row_sums(re, im))
+    return dps, fixedpoint.Gram(re, im, [0] * m, bits)
 
 
 def _vector(data, m: int, bits: int) -> fixedpoint.ScaledVector:
@@ -57,19 +59,21 @@ def _vector(data, m: int, bits: int) -> fixedpoint.ScaledVector:
 @given(case=grams())
 def test_factor_equals_the_four_product_factor(case):
     dps, gram = case
-    got, want = fixedpoint.factor(gram, dps), oracle.factor_four(gram, dps)
-    assert (got is None) == (want is None)
-    if got is not None:
-        bits, Lr, Li, d, Ls, Ur, Ui, Us = got
-        assert (bits, Lr, Li, d, Ur, Ui) == want
-        assert Ls == fixedpoint._row_sums(Lr, Li) and Us == fixedpoint._row_sums(Ur, Ui)
+    assert fixedpoint.factor(_unpaired(gram), dps) == oracle.factor_four(gram, dps)
+
+
+def _unpaired(gram: fixedpoint.Gram) -> fixedpoint.RealForm:
+    """The real form of ``gram`` with no partners: ``gram``'s own integers, every row complex."""
+    form = fixedpoint.real_form(gram, [None] * len(gram.re))
+    assert (form.re, form.im, form.bits, form.real) == (gram.re, gram.im, gram.bits, 0)
+    return form
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=grams(), data=st.data())
 def test_substitutions_equal_the_four_product_substitutions(case, data):
     dps, gram = case
-    got = fixedpoint.factor(gram, dps)
+    got = fixedpoint.factor(_unpaired(gram), dps)
     if got is None:
         return
     want = oracle.factor_four(gram, dps)
@@ -87,17 +91,22 @@ def test_triangular_substitution_equals_the_four_product_form(dps, m, data):
     Li = [data.draw(st.lists(_mixed(bits), min_size=i, max_size=i)) for i in range(m)]
     d = data.draw(st.lists(st.integers(1, 1 << bits), min_size=m, max_size=m))
     br, bi = (data.draw(st.lists(_mixed(2 * bits), min_size=m, max_size=m)) for _ in range(2))
-    got = fixedpoint._substitute(Lr, Li, fixedpoint._row_sums(Lr, Li), d, br, bi)
+    got = fixedpoint._substitute(Lr, Li, d, br, bi)
     assert got == oracle.substitute_four(Lr, Li, d, br, bi)
 
 
 @settings(max_examples=200, deadline=None)
 @given(dps=st.sampled_from(RUNG_DPS), rows=st.integers(1, 7), cols=st.integers(1, 7), data=st.data())
 def test_gram_times_equals_the_four_product_form(dps, rows, cols, data):
-    # square or not: the solve's Gram and the verification's cross Gram go through the same product
+    # square or not: the solve's Gram and the verification's cross Gram go through the same product; a
+    # real form's rows keep only their last imaginary parts, and a real vector takes no imaginary products
     bits = fixedpoint._dps_bits(dps) + fixedpoint._GUARD_BITS
     matrix = st.lists(st.lists(_mixed(bits), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
     re, im = data.draw(matrix), data.draw(matrix)
     x = _vector(data, cols, 2 * bits)
-    got = fixedpoint._gram_times(re, im, fixedpoint._row_sums(re, im), x.re, x.im)
-    assert got == oracle.gram_times_four(re, im, x.re, x.im)
+    if data.draw(st.booleans()):
+        x = x._replace(im=[0] * cols)
+    tails = data.draw(st.lists(st.integers(0, cols), min_size=rows, max_size=rows))
+    im = [row[cols - k:] if k < cols else row for row, k in zip(im, tails)]
+    padded = [[0] * (cols - len(row)) + row for row in im]
+    assert fixedpoint._times(re, im, x) == oracle.gram_times_four(re, padded, x.re, x.im)

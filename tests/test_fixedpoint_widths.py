@@ -9,7 +9,7 @@ that production integrates must agree integer for integer.
 
 Production also takes an entry as the conjugate of an entry already formed
 when its row and column kernels are, integer for integer, the conjugates of
-that entry's (``fixedpoint._conjugates``).  The full-width loop integrates
+that entry's (``fixedpoint.partners``).  The full-width loop integrates
 such an entry from the negated operands, whose floors differ from the
 negated floors, so it may differ from the conjugate by the propagation of
 a unit or two per rounding, which :func:`_asymmetry_units` bounds.
@@ -194,7 +194,7 @@ def test_cross_gram_equals_the_full_width_pair_loop(case):
 @pytest.mark.parametrize("dps", [40, 80, 160])
 def test_the_conjugate_case_takes_entries_from_their_partners(dps):
     rows, columns, T, bits = _case(_CONJUGATE_CASE, _CONJUGATE_CASE[::-1], 8.0, dps)
-    assert _partners(rows) == fixedpoint._conjugates(rows) == [1, 0, 3, 2, 4]
+    assert _partners(rows) == fixedpoint.partners(rows) == [1, 0, 3, 2, 4]
     assert _near_pairs(rows[:1], rows[2:3], T) == _near_pairs(rows[1:2], rows[3:4], T) == 1
     # a mirrored entry that the loop would round otherwise shows the path is taken
     conjugated = _assert_integrated_or_conjugated(rows, rows, T, bits)
