@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from . import fixedpoint
+from . import fixedpoint, walk
 from .errors import DomainError, InfeasibleRow, RankDeficient
 from .evolution import ObservationChannel, adjoint_states, boundary_control_weight, observation_signals
 from .fields import SpectralField
@@ -185,8 +185,8 @@ class ControlSolution:
     ``x`` holds them exactly, one per kept row ``keep`` (the other rows'
     constraints are implied); every closed-form identity downstream reads
     its current values.  ``gram``, ``columns`` and ``hy`` keep the solve's
-    scaled Gram, kernels and product ``H y`` of that Gram with ``x``, which
-    the verification reuses; only the solve sets ``hy``, so a solution
+    Gram (with the columns' partners), kernels and product ``H y`` of the
+    scaled Gram with ``x``, which the verification and the evaluation reuse; only the solve sets ``hy``, so a solution
     replaced with other coefficients has none.  The constructor refuses
     ``x`` parts or ``columns`` without one entry per kept row.
     """
@@ -207,11 +207,12 @@ class ControlSolution:
             raise DomainError("the coefficients and kernel columns must align with the kept rows")
 
     def __call__(self, t) -> np.ndarray:
-        """Evaluate p(t) = sum_j x_j conj(k_j(t)) (see :func:`~cnslab.fixedpoint.evaluate`); times must be finite."""
+        """Evaluate p(t) = sum_j x_j conj(k_j(t)) (see :func:`~cnslab.walk.evaluate`); times must be finite."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.isfinite(t).all():
             raise DomainError("control evaluation times must be finite")
-        values = fixedpoint.evaluate(self.x, self.columns, self.system.horizon, t.ravel().tolist())
+        mates = self.gram.mates if self.gram else []
+        values = walk.evaluate(self.x, self.columns, self.system.horizon, t.ravel().tolist(), mates)
         return np.array(values, dtype=complex).reshape(t.shape)
 
 
@@ -287,7 +288,7 @@ def synthesize_control(system: MomentSystem) -> ControlSolution:
             discarded = _discarded_singular_values(gram)
             if not any(targets):
                 return ControlSolution(system, ScaledVector([], [], 0), 0.0, 0.0, discarded + len(dropped), 15)
-        form = fixedpoint.real_form(gram, fixedpoint.partners(columns))
+        form = fixedpoint.real_form(gram)
         factor = fixedpoint.factor(form, dps)
         if factor is None:
             continue

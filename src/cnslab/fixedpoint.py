@@ -1,4 +1,4 @@
-"""Scaled-integer arithmetic of the moment method: Gram, Cholesky, pairings and control evaluation.
+"""Scaled-integer arithmetic of the moment method: Gram, Cholesky, pairings and exponentials.
 
 A number is a Python integer with an explicit power-of-two scale,
 ``n * 2**e``, in fixed point at ``bits`` fraction bits within one kernel,
@@ -6,39 +6,42 @@ Gram or vector, with real and imaginary parts in separate lists.  An inner
 product is an exact C-level ``sum(map(mul, ...))`` of integers per pair of
 parts that are not all zero, shifted once.  The rates and coefficients of a kernel
 come from doubles, so their integers are short odd parts times powers of
-two; the moment Gram pairs the odd parts and shifts the powers back once,
-exactly (:func:`_moment_gram`).  The exponentials are integers too
-(:func:`_exp`): ``e^{rate T}`` of the kernel terms, paired by products, and
-the step factors of the control evaluation, which steps the weighted terms
-``x conj(coef) e^{conj(rate) s}`` themselves, so that a point is a plain
-sum; a step a few units from an earlier one takes its factors from that
-step's by a short series, rate by rate.  The systems have real
-coefficients, so the kernels of modes ``n`` and ``-n`` are conjugates:
-:func:`_exp` gives a rate's conjugate the conjugate integers, one
-exponential serves both (:func:`_exps`), and a Gram entry whose kernels
-are the conjugates of an entry's already formed is that entry's conjugate
-(:func:`partners`).  So the Gram is conjugate-persymmetric integer for
-integer, and :func:`real_form` turns it, by exact additions, into a
-matrix whose rows of conjugate pairs and real kernels are real: the
-Cholesky (:func:`factor`), the substitutions and the residual take one
-real product per entry there, and Gauss's three-product complex
-multiplication only on the rows of kernels without a partner.  The
-coefficients of a real datum come back as exact conjugates, so the
-control evaluation walks one term per conjugate pair and the verification
-forms one cross product per pair of rows.  The argument of an exponential is
-formed exactly from the double rate and the float horizon or integer step,
+two, formed once per kernel (``Kernel.odd``); the moment Gram pairs the
+odd parts and shifts the powers back once, exactly (:func:`_moment_gram`).
+The exponentials are integers too (:func:`_exp`): ``e^{rate T}`` of the
+kernel terms, paired by products, and the step factors of the control
+evaluation (:mod:`~cnslab.walk`).  The systems have real coefficients, so
+the kernels of modes ``n`` and ``-n`` are conjugates: :func:`_exp` gives a
+rate's conjugate the conjugate integers, one exponential serves both
+(:func:`_exps`), and a Gram entry whose kernels are the conjugates of an
+entry's already formed is that entry's conjugate (:func:`partners`, found
+once per Gram and kept on it).  So the Gram is conjugate-persymmetric
+integer for integer, and :func:`real_form` turns it, by exact additions
+in one pass over the lead row of each pair, into a matrix whose rows of
+conjugate pairs and real kernels are real: the Cholesky (:func:`factor`),
+the substitutions and the residual take one real product per entry
+there, and Gauss's three-product complex multiplication only on the rows
+of kernels without a partner.  The powers of two that bring the Gram and
+its real form to a unit diagonal are never applied to their integers:
+they are kept as shifts and folded into the shift that :func:`factor`
+makes of each entry anyway and into the vectors of the products, which
+gives the integers of the scaled matrices exactly.  The coefficients of
+a real datum come back as exact conjugates, so the control evaluation
+walks one term per conjugate pair and the verification forms one cross
+product per pair of rows.  The argument of an exponential is formed
+exactly from the double rate and the float horizon or integer step,
 reduced by ln 2 and pi/2, and summed as two short real series; ln 2 and
-pi/2 come from integer series once per precision.  Kernels come in as lists
-of :class:`~cnslab.kernels.KernelTerm`.
+pi/2 come from integer series once per precision.  Kernels come in as
+lists of :class:`~cnslab.kernels.KernelTerm`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import lru_cache, reduce
 from itertools import chain, count, repeat
-from operator import add, lshift, mul, neg, or_, rshift, sub
+from operator import add, lshift, mul, or_, rshift, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +51,6 @@ from .kernels import TAYLOR_RADIUS, KernelTerm
 
 #: extra bits (ten digits) of the Gram, its exponentials and the residual that refines the solution
 _GUARD_BITS = 34
-#: largest ``max|rate| * |h - h0|`` at which the control evaluation derives a step's factors from step ``h0``'s
-_STEP_SERIES_RADIUS = 1e-6
 #: extra bits of the series inside the integer exponential :func:`_exp`
 _EXP_GUARD = 12
 _LN2 = math.log(2.0)
@@ -70,26 +71,33 @@ class Kernel(NamedTuple):
     ``(cr + 1j * ci) * 2**(exp - bits)``, the rate ``(ar + 1j * ai) * 2**-bits``
     (also kept as the complex ``rate``), the degree, and ``e^{rate T}`` as
     ``(er + 1j * ei) * 2**-bits``.  ``exp`` brings the row's coefficients
-    below 1 in modulus.
+    below 1 in modulus.  ``odd`` is :func:`_odd_parts` of the terms, which
+    the pair integrals read.
     """
 
     exp: int
     bits: int
     terms: list[tuple]
+    odd: tuple
 
 
 class Gram(NamedTuple):
-    """A Hermitian Gram with its rows and columns scaled by powers of two.
+    """A Hermitian moment Gram as its pair integrals leave it, with the powers of two of its unit diagonal.
 
-    ``G[i][j] = (re + 1j * im)[i][j] * 2**(exps[i] + exps[j] - bits)``, and
-    ``re[i][i] * 2**-bits`` lies in ``[1, 4)``: the scaled matrix has a unit
-    diagonal up to a factor below 4.
+    ``G[i][j] = (re + 1j * im)[i][j] * 2**(exps[i] + exps[j] + shifts[i] +
+    shifts[j] - bits)``.  The scaled Gram ``H = D G D``, ``D =
+    diag(2**-exps)``, has the entries ``(re + 1j * im)[i][j] * 2**(shifts[i]
+    + shifts[j] - bits)``, and ``H[i][i]`` lies in ``[1, 4)``: the shifts,
+    all at least 0, are exact and are applied where an entry is read, never
+    to the matrix.  ``mates`` are the :func:`partners` of the columns.
     """
 
     re: list[list[int]]
     im: list[list[int]]
     exps: list[int]
     bits: int
+    shifts: list[int]
+    mates: list[int | None]
 
 
 def _shift(n: int, k: int) -> int:
@@ -180,9 +188,9 @@ def _kernels(labelled: Iterable[tuple[str, list[KernelTerm]]], T: float, bits: i
     out = []
     for coefs, rates, degrees in parts:
         exp = max((math.frexp(v)[1] for c in coefs for v in (c.real, c.imag)), default=0)
-        out.append(Kernel(exp, bits, [(_fixed(c.real, bits - exp), _fixed(c.imag, bits - exp), _fixed(rate.real, bits),
-                                       _fixed(rate.imag, bits), rate, degree, *next(exps))
-                                      for c, rate, degree in zip(coefs, rates, degrees)]))
+        terms = [(_fixed(c.real, bits - exp), _fixed(c.imag, bits - exp), _fixed(rate.real, bits),
+                  _fixed(rate.imag, bits), rate, degree, *next(exps)) for c, rate, degree in zip(coefs, rates, degrees)]
+        out.append(Kernel(exp, bits, terms, _odd_parts(terms, bits)))
     return out
 
 
@@ -304,7 +312,7 @@ def _taylor(m: int, zr: int, zi: int, T: int, bits: int) -> tuple[int, int]:
     return _shift(sr * Tm, -g - m * bits), _shift(si * Tm, -g - m * bits)
 
 
-def _odd_parts(kernel: Kernel) -> tuple[int, list[tuple]]:
+def _odd_parts(kernel_terms: list[tuple], bits: int) -> tuple[int, list[tuple]]:
     """``(p, terms)``: a kernel's terms with the powers of two their double-born parts share divided out.
 
     ``p`` is shared by all the kernel's coefficient parts; each term becomes
@@ -312,10 +320,9 @@ def _odd_parts(kernel: Kernel) -> tuple[int, list[tuple]]:
     ``(cr + 1j * ci) * 2**p`` and the rate ``(ar + 1j * ai) * 2**t`` of the
     :class:`Kernel`'s integers, ``t`` at most ``bits``.
     """
-    bits = kernel.bits
-    p = _trailing_zeros(reduce(or_, (part for term in kernel.terms for part in term[:2]), 0), 0)
+    p = _trailing_zeros(reduce(or_, (part for term in kernel_terms for part in term[:2]), 0), 0)
     terms = []
-    for cr, ci, ar, ai, rate, degree, er, ei in kernel.terms:
+    for cr, ci, ar, ai, rate, degree, er, ei in kernel_terms:
         t = min(_trailing_zeros(ar | ai, bits), bits)
         terms.append((cr >> p, ci >> p, ar >> t, ai >> t, t, rate, degree, er, ei))
     return p, terms
@@ -326,28 +333,31 @@ def _trailing_zeros(n: int, zero: int) -> int:
     return (n & -n).bit_length() - 1 if n else zero
 
 
-def partners(kernels: list[Kernel], x: ScaledVector | None = None) -> list[int | None]:
+def partners(kernels: list[Kernel]) -> list[int | None]:
     """Per kernel, the index of the kernel whose terms are its conjugate's, integer for integer, or None.
 
     A kernel's key is its ``exp`` and its terms; its conjugate key negates
     the imaginary parts of each term's coefficient, rate and ``e^{rate T}``
     and conjugates the double rate, on which the Taylor branch is decided.
     The partner is the first kernel of the conjugate key, for the first
-    kernel of a key (a real kernel is its own partner).  With coefficients
-    ``x``, one per kernel, a partner counts only where its coefficient is the
-    conjugate of the kernel's, integer for integer.
+    kernel of a key (a real kernel is its own partner).
     """
     first: dict = {}
     for i, kernel in enumerate(kernels):
         first.setdefault((kernel.exp, *kernel.terms), i)
-    return [p if p is not None and first[(k.exp, *k.terms)] == i
-            and (x is None or (x.re[p], x.im[p]) == (x.re[i], -x.im[i])) else None
+    return [p if p is not None and first[(k.exp, *k.terms)] == i else None
             for i, k in enumerate(kernels)
             for p in (first.get((k.exp, *((cr, -ci, ar, -ai, rate.conjugate(), degree, er, -ei)
                                           for cr, ci, ar, ai, rate, degree, er, ei in k.terms))),)]
 
 
-def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int) -> tuple[list[list], list[list]]:
+def _paired(mates: list[int | None], x: ScaledVector) -> list[int | None]:
+    """The :func:`partners` ``mates`` that hold where the coefficient ``x`` of the partner is the kernel's conjugate."""
+    return [p if p is not None and (x.re[p], x.im[p]) == (x.re[i], -x.im[i]) else None for i, p in enumerate(mates)]
+
+
+def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int, row_mates: list[int | None],
+                 column_mates: list[int | None]) -> tuple[list[list], list[list]]:
     """``integral_0^T k_r conj(k_s) dt`` of row kernels against column kernels.
 
     Kernels come as :func:`_kernels` made them at ``bits`` fraction bits; the
@@ -357,18 +367,18 @@ def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int)
     ``columns`` the Gram is Hermitian: only the upper triangle is
     integrated, and the lower one mirrors it.  An entry whose row and column
     are, integer for integer, the conjugates of those of an entry already
-    formed (:func:`partners`) is that entry's conjugate, as the integral
-    is.  Integrating it would floor the negated operands, whose floors may
-    lie a unit below the negated floors, so the two differ by those units
-    as the pair integrals carry them (2 units of ``2**-bits`` per part at
-    most on the workhorse Gram of ``N = 8``, ``T = 8``); kernels without a
-    partner are integrated.
+    formed (the :func:`partners` ``row_mates`` and ``column_mates``) is
+    that entry's conjugate, as the integral is.  Integrating it would floor
+    the negated operands, whose floors may lie a unit below the negated
+    floors, so the two differ by those units as the pair integrals carry
+    them (2 units of ``2**-bits`` per part at most on the workhorse Gram of
+    ``N = 8``, ``T = 8``); kernels without a partner are integrated.
 
     A term pair with the rates ``a`` and ``b`` adds ``c_a conj(c_b)
     I_m(z, T)`` (see :mod:`~cnslab.kernels`) with ``z = a + conj(b)`` and
     ``m`` the sum of the degrees.  Rates and coefficients come from doubles,
     so their integers are short odd parts times powers of two
-    (:func:`_odd_parts`); a pair works on the odd parts.  With ``z = Z
+    (``Kernel.odd``); a pair works on the odd parts.  With ``z = Z
     2**s``, ``1/z`` enters ``I_m`` as ``conj(Z) / |Z|**2`` with the
     numerator shifted by ``bits - s``, one division per part and step, and
     ``floor(A 2**(bits+s) / (|Z|**2 2**(2s))) = floor(A 2**(bits-s) /
@@ -380,19 +390,15 @@ def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int)
     hermitian = rows is columns
     T_int = _fixed(T, bits)
     one = 1 << bits
-    row_parts = list(map(_odd_parts, rows))
-    column_parts = row_parts if hermitian else list(map(_odd_parts, columns))
-    row_conjugates = partners(rows)
-    column_conjugates = row_conjugates if hermitian else partners(columns)
     re = [[None] * len(columns) for _ in rows]
     im = [[None] * len(columns) for _ in rows]
-    for i, (p_row, row) in enumerate(row_parts):
+    for i, (p_row, row) in enumerate(kernel.odd for kernel in rows):
         for j in range(i if hermitian else 0, len(columns)):
-            ci, cj = row_conjugates[i], column_conjugates[j]
+            ci, cj = row_mates[i], column_mates[j]
             if ci is not None and cj is not None and re[ci][cj] is not None:
                 re[i][j], im[i][j] = re[ci][cj], -im[ci][cj]
             else:
-                p_column, column = column_parts[j]
+                p_column, column = columns[j].odd
                 sr = si = 0
                 for car, cai, ar, ai, ta, a, da, ear, eai in row:
                     for cbr, cbi, br, bi, tb, b, db, ebr, ebi in column:
@@ -418,45 +424,46 @@ def _moment_gram(rows: list[Kernel], columns: list[Kernel], T: float, bits: int)
                         sr += wr * Ir - wi * Ii
                         si += wr * Ii + wi * Ir
                 shift = p_row + p_column - 2 * bits
-                re[i][j], im[i][j] = _shift(sr, shift), _shift(si, shift)
+                re[i][j], im[i][j] = (sr << shift, si << shift) if shift >= 0 else (sr >> -shift, si >> -shift)
             if hermitian and j != i:
                 re[j][i], im[j][i] = re[i][j], -im[i][j]
     return re, im
 
 
 def unit_gram(labels: list[str], kernels: list[list[KernelTerm]], T: float, dps: int) -> tuple[Gram, list[Kernel]]:
-    """The Hermitian :class:`Gram` of ``kernels`` at a rung of ``dps`` digits, at a unit diagonal, and its columns.
+    """The Hermitian :class:`Gram` of ``kernels`` at a rung of ``dps`` digits, and its columns.
 
     The columns carry :data:`_GUARD_BITS` and :func:`_range_bits` on top of
     :func:`_dps_bits` of ``dps``; ``labels`` name them in errors.  The
     diagonal, ``integral |k|**2``, is real: the imaginary parts that the pair
     loop's roundings leave there are set to 0, so that the Gram is exactly
-    Hermitian.  It comes to a unit diagonal by :func:`_unit_diagonal`.
+    Hermitian.  ``s[i] = (bits + 2 - re[i][i].bit_length()) // 2`` brings
+    entry ``i`` of the diagonal into ``[1, 4)``; the Gram keeps the pair
+    integrals and takes ``s - min(s)`` as its shifts and ``bits - 2 min(s)``
+    as its bits, so every shift is to the left.
     """
     bits = _dps_bits(dps) + _GUARD_BITS + _range_bits(kernels, T)
     columns = _kernels(zip(labels, kernels), T, bits)
-    re, im = _moment_gram(columns, columns, T, bits)
+    mates = partners(columns)
+    re, im = _moment_gram(columns, columns, T, bits, mates, mates)
     for i, row in enumerate(im):
         row[i] = 0
-    re, im, s, bits = _unit_diagonal(re, im, bits)
-    return Gram(re, im, [c.exp - v for c, v in zip(columns, s)], bits), columns
-
-
-def _unit_diagonal(re: list[list], im: list[list], bits: int) -> tuple:
-    """``(re, im, s, bits)`` of a Hermitian matrix with row and column ``i`` multiplied by ``2**s[i]``.
-
-    ``s[i]`` brings the diagonal entry into ``[1, 4)``, an exact shift that
-    leaves Cholesky's rounding errors as they were relative to the diagonal.
-    The entries gain ``-2 * min(s)`` fraction bits, so every shift is to
-    the left.  A row of ``im`` may hold only its last parts (see :class:`RealForm`).
-    """
-    s = [(bits + 2 - row[i].bit_length()) // 2 if row[i] > 0 else 0 for i, row in enumerate(re)]
+    s = _diagonal_exponents(re, bits)
     low = min(s, default=0)
-    u = [v - low for v in s]
-    # an empty row's shifts are all of u, and map stops at the row's end
-    re, im = ([list(map(lshift, row, [ui + v for v in u[-len(row):]])) for row, ui in zip(part, u)]
-              for part in (re, im))
-    return re, im, s, bits - 2 * low
+    return Gram(re, im, [c.exp - v for c, v in zip(columns, s)], bits - 2 * low, [v - low for v in s], mates), columns
+
+
+def _diagonal_exponents(re: list[list], bits: int) -> list[int]:
+    """Per row ``i``, the ``s`` with ``re[i][i] * 2**(2 s - bits)`` in ``[1, 4)``, or 0 for a diagonal not above 0."""
+    return [(bits + 2 - row[i].bit_length()) // 2 if row[i] > 0 else 0 for i, row in enumerate(re)]
+
+
+def _shift_by(values: list[int], shifts: list[int], k: int) -> list[int]:
+    """``values[j] * 2**(shifts[j] + k)`` rounded down, for ``shifts`` at least 0: one left shift per value for
+    ``k >= 0``, and otherwise the exact left shifts by ``shifts[j]`` before the right shift by ``-k``."""
+    if k >= 0:
+        return list(map(lshift, values, map(add, shifts, repeat(k))))
+    return list(map(rshift, map(lshift, values, shifts), repeat(-k)))
 
 
 class RealForm(NamedTuple):
@@ -468,45 +475,63 @@ class RealForm(NamedTuple):
     partners, then those without one.  ``H[p][q] = conj(H[j][k])`` integer
     for integer when ``(j, p)`` and ``(k, q)`` are partners, so the first
     ``real`` rows and columns of ``M`` are real; the unpaired rows come
-    last.  ``M[a][b] = (re + 1j * im)[a][b] * 2**-bits``, and ``im[a]``
-    holds the last ``len(im[a])`` imaginary parts of row ``a``, the others
-    being 0: those of the unpaired columns on a real row, all of them on an
-    unpaired row.  ``E = diag(2**exps)`` brings the diagonal into ``[1, 4)``
-    (:func:`_unit_diagonal`).  Only additions and shifts form ``M``, so it
-    is exactly the congruence of ``H``.
+    last.  ``re`` and ``im`` hold ``S^H R S`` for the pair integrals ``R``
+    of the Gram, and ``M[a][b] = (re + 1j * im)[a][b] * 2**(shifts[a] +
+    shifts[b] - bits)``: the shifts, at least 0, fold the Gram's own into
+    those of ``E = diag(2**exps)``, which brings the diagonal into ``[1,
+    4)``, and :func:`factor` and the residual apply them.  ``im[a]`` holds
+    the last ``len(im[a])`` imaginary parts of row ``a``, the others being
+    0: those of the unpaired columns on a real row, all of them on an
+    unpaired row.  Only additions form ``re`` and ``im``, so ``M`` is
+    exactly the congruence of ``H``.
     """
 
     re: list[list[int]]
     im: list[list[int]]
     exps: list[int]
     bits: int
+    shifts: list[int]
     real: int
     groups: list[tuple]
 
 
-def real_form(gram: Gram, mates: list[int | None]) -> RealForm:
-    """The :class:`RealForm` of ``gram`` for the :func:`partners` ``mates`` of its columns."""
-    real = len(mates) - mates.count(None)
+def real_form(gram: Gram) -> RealForm:
+    """The :class:`RealForm` of ``gram``, each row from the lead row of its group.
+
+    For a pair ``(j, p)``, a column pair ``(k, q)``, ``a = R[j][k]`` and
+    ``b = R[j][q]``, the block of ``S^H R S`` is ``[[2 Re(a + b), 2 Im(b -
+    a)], [2 Im(a + b), 2 Re(a - b)]]``, and a real kernel's column ``k``
+    gives ``2 Re a`` and ``2 Im a``: there the rows of ``p`` are the
+    conjugates of ``j``'s, integer for integer.  On the column of a kernel
+    without a partner they are not, and row ``p`` is read too.  A single
+    row ``j`` is ``R[j] S``: ``a + b`` and ``1j * (a - b)`` per column pair.
+    """
+    mates = gram.mates
     # pairs, then the real kernels, then the unpaired ones, each in the order of the kernels
     groups = sorted(((j, j if p is None else p) for j, p in enumerate(mates) if p is None or p >= j),
                     key=lambda g: (g[0] == g[1]) + (mates[g[0]] is None))
-    # S^H H, then S^H (S^H H)^H = S^H H S, as H is Hermitian
-    re, im = _rows(groups, gram.re, gram.im)
-    re, im = _rows(groups, list(zip(*re)), [list(map(neg, col)) for col in zip(*im)])
-    re, im, s, bits = _unit_diagonal(re, [row[real:] if a < real else row for a, row in enumerate(im)], gram.bits)
-    return RealForm(re, im, s, bits, real, groups)
-
-
-def _rows(groups: list[tuple], re: list, im: list) -> tuple:
-    """The real and imaginary parts of ``S^H A`` for the rows ``re + 1j * im`` of ``A`` (see :class:`RealForm`).
-
-    A pair ``(j, p)`` gives the rows ``A[j] + A[p]`` and ``-1j * (A[j] - A[p])``.
-    """
-    out_re, out_im = [], []
+    n, real = len(mates) - len(groups), len(mates) - mates.count(None)
+    # the leads of the pairs, their partners, then the single kernels: the unpaired ones last
+    order = [j for j, _ in groups[:n]] + [k for _, k in groups]
+    re, im = [], []
     for j, k in groups:
-        out_re += [list(map(add, re[j], re[k])), list(map(sub, im[j], im[k]))] if k != j else [re[j]]
-        out_im += [list(map(add, im[j], im[k])), list(map(sub, re[k], re[j]))] if k != j else [im[j]]
-    return out_re, out_im
+        (ar, br, hr), (ai, bi, hi) = ((v[:n], v[n:2 * n], v[2 * n:]) for row in (gram.re[j], gram.im[j])
+                                      for v in (list(map(row.__getitem__, order)),))
+        row_re = list(chain.from_iterable(zip(map(add, ar, br), map(sub, bi, ai)))) + hr
+        row_im = list(chain.from_iterable(zip(map(add, ai, bi), map(sub, ar, br)))) + hi
+        if k == j:
+            re.append(row_re)
+            im.append(row_im if mates[j] is None else row_im[real:])
+        else:
+            pr, pi = (list(map(row.__getitem__, order[real:])) for row in (gram.re[k], gram.im[k]))
+            re += [_shift_all(row_re[:real], 1) + list(map(add, row_re[real:], pr)),
+                   _shift_all(row_im[:real], 1) + list(map(sub, row_im[real:], pi))]
+            im += [list(map(add, row_im[real:], pi)), list(map(sub, pr, row_re[real:]))]
+    # the shifts that bring each diagonal entry of M into [1, 4), as two steps would: the Gram's, then M's own
+    u = [gram.shifts[j] for j, k in groups for _ in range(1 + (k != j))]
+    s = [v - w if row[a] > 0 else 0 for a, (row, v, w) in enumerate(zip(re, _diagonal_exponents(re, gram.bits), u))]
+    low = min(s, default=0)
+    return RealForm(re, im, s, gram.bits - 2 * low, [w + v - low for v, w in zip(s, u)], real, groups)
 
 
 def _from_form(form: RealForm, w: ScaledVector, inverse: bool = False) -> ScaledVector:
@@ -524,6 +549,15 @@ def _from_form(form: RealForm, w: ScaledVector, inverse: bool = False) -> Scaled
     return ScaledVector(re, im, v.exp - inverse)
 
 
+def _to_form(form: RealForm, b: ScaledVector) -> ScaledVector:
+    """``E S^H b``, exactly: a pair ``(j, p)`` gives ``b[j] + b[p]`` and ``-1j * (b[j] - b[p])``."""
+    re, im = [], []
+    for j, k in form.groups:
+        re += [b.re[j] + b.re[k], b.im[j] - b.im[k]] if k != j else [b.re[j]]
+        im += [b.im[j] + b.im[k], b.re[k] - b.re[j]] if k != j else [b.im[j]]
+    return _rescaled(ScaledVector(re, im, b.exp), form.exps)
+
+
 def _times(re: list[list], im: list[list], x: ScaledVector) -> tuple[list, list]:
     """Real and imaginary parts of ``A x`` on integers, row by row, exactly, for the rows ``re + 1j * im`` of ``A``.
 
@@ -531,28 +565,42 @@ def _times(re: list[list], im: list[list], x: ScaledVector) -> tuple[list, list]
     :class:`RealForm`).  An entry takes one dot product per part of it and
     of ``x`` that is not all zero: a real row against a real ``x`` takes one.
     """
-    xr, xi = x.re, x.im if any(x.im) else []
-    m = len(xr)
+    xr, m = x.re, len(x.re)
+    imag = [sum(map(mul, h, xr[m - len(h):])) if h else 0 for h in im]
+    if not any(x.im):
+        return [sum(map(mul, g, xr)) for g in re], imag
+    xi = x.im
     return ([sum(map(mul, g, xr)) - sum(map(mul, h, xi[m - len(h):])) for g, h in zip(re, im)],
-            [sum(map(mul, g, xi)) + sum(map(mul, h, xr[m - len(h):])) for g, h in zip(re, im)])
+            [sum(map(mul, g, xi)) + v for g, v in zip(re, imag)])
+
+
+def _scaled_times(a: Gram | RealForm, v: ScaledVector) -> ScaledVector:
+    """``A v`` exactly, for the scaled matrix ``A`` of a :class:`Gram` or :class:`RealForm`: ``v`` and rows shifted."""
+    shifts = a.shifts
+    pr, pi = _times(a.re, a.im, ScaledVector(*(list(map(lshift, p, shifts)) for p in (v.re, v.im)), v.exp))
+    return ScaledVector(list(map(lshift, pr, shifts)), list(map(lshift, pi, shifts)), v.exp - a.bits)
 
 
 def float_gram(gram: Gram) -> np.ndarray:
     """The scaled Gram ``H`` in doubles: its entries lie below 4, so at 60 fraction bits they fit int64.
 
-    Each part is rounded down to 60 bits.  The real parts are converted on
+    Each part is shifted to 60 bits once, its row's and column's shifts
+    included, and so rounded down once.  The real parts are converted on
     the upper triangle only, and the lower one mirrors them; the imaginary
     parts are converted in full, because rounding down does not commute with
     their negation.
     """
-    m = len(gram.re)
-    k = 60 - gram.bits
-    upper = np.array(_shift_all(list(chain.from_iterable(row[i:] for i, row in enumerate(gram.re))), k), dtype=np.int64)
-    im = np.array(_shift_all(list(chain.from_iterable(gram.im)), k), dtype=np.int64).reshape(m, m)
+    m, u, k = len(gram.re), gram.shifts, gram.bits - 60
+    # entry (i, j) comes to 60 fraction bits by a right shift of k - u[i] - u[j], not negative unless a shift
+    # exceeds k / 2
+    shift = rshift if 2 * max(u, default=0) <= k else lambda n, c: _shift(n, -c)
+    upper = list(map(shift, chain.from_iterable(row[i:] for i, row in enumerate(gram.re)),
+                     chain.from_iterable(map(sub, repeat(k - v), u[i:]) for i, v in enumerate(u))))
+    im = list(map(shift, chain.from_iterable(gram.im), chain.from_iterable(map(sub, repeat(k - v), u) for v in u)))
     rows, cols = np.triu_indices(m)
     re = np.empty((m, m))
-    re[rows, cols] = re[cols, rows] = upper
-    return (re + 1j * im) * 2.0**-60
+    re[rows, cols] = re[cols, rows] = np.array(upper, dtype=np.int64)
+    return (re + 1j * np.array(im, dtype=np.int64).reshape(m, m)) * 2.0**-60
 
 
 def factor(form: RealForm, dps: int) -> tuple | None:
@@ -561,7 +609,9 @@ def factor(form: RealForm, dps: int) -> tuple | None:
     ``L`` is at the ``bits`` of :func:`_dps_bits`, row by row as the real
     parts, the imaginary parts and the diagonal; ``Ur`` and ``Ui`` are the
     same of the rows of ``L^H`` that the back substitution reads, the last
-    first.  The first ``form.real`` rows of ``L`` are real: their imaginary
+    first.  Each entry of ``M`` is brought to ``2 * bits`` fraction bits,
+    like the products of ``L``, by one shift that includes the form's
+    shifts.  The first ``form.real`` rows of ``L`` are real: their imaginary
     parts are empty lists, and an entry's inner product with an earlier row
     is one exact C-level ``sum(map(mul, ...))`` of integers.  An unpaired row's entry takes two
     against a real row and three against an unpaired one (Gauss's complex
@@ -577,21 +627,22 @@ def factor(form: RealForm, dps: int) -> tuple | None:
     d: list = []
     # Lr - Li of the earlier rows: the real and imaginary parts of conj(L[j]) summed
     diffs: list[list] = []
-    scale = 2 * bits - form.bits  # the entries of M at 2 * bits fraction bits, like the products of L
-    for i in range(len(form.re)):
-        real = i < form.real
-        gr = _shift_all(form.re[i][: i + 1], scale)
-        gi = [] if real else _shift_all(form.im[i][:i], scale)
+    scale = 2 * bits - form.bits
+    for i, (row_re, row_im, shift) in enumerate(zip(form.re, form.im, form.shifts)):
+        gr = _shift_by(row_re[: i + 1], form.shifts, shift + scale)
         ri: list = []
         ii: list = []
-        si: list = []
-        for j in range(i):
-            # L[i] . conj(L[j]) = (p + q) + 1j * ((ri + ii) . (Lr - Li) - p + q)
-            p, q = sum(map(mul, ri, Lr[j])), sum(map(mul, ii, Li[j]))
-            re = (gr[j] - p - q) // d[j]
-            ri.append(re)
-            if not real:
-                im = (gi[j] - sum(map(mul, si, diffs[j])) + p - q) // d[j]
+        if i < form.real:
+            for j in range(i):
+                ri.append((gr[j] - sum(map(mul, ri, Lr[j]))) // d[j])
+        else:
+            gi = _shift_by(row_im[:i], form.shifts, shift + scale)
+            si: list = []
+            for j in range(i):
+                # L[i] . conj(L[j]) = (p + q) + 1j * ((ri + ii) . (Lr - Li) - p + q)
+                p, q = sum(map(mul, ri, Lr[j])), sum(map(mul, ii, Li[j]))
+                re, im = (gr[j] - p - q) // d[j], (gi[j] - sum(map(mul, si, diffs[j])) + p - q) // d[j]
+                ri.append(re)
                 ii.append(im)
                 si.append(re + im)
         pivot = gr[i] - sum(map(mul, ri, ri)) - sum(map(mul, ii, ii))
@@ -641,7 +692,7 @@ def _substitute(Lr: list[list], Li: list[list], d: list, br: list, bi: list) -> 
     ys: list = []
     real = not any(bi) and not any(Li)
     for lr, li, di, vr, vi in zip(Lr, Li, d, br, bi):
-        p, q = sum(map(mul, lr, yr)), sum(map(mul, li, yi))
+        p, q = sum(map(mul, lr, yr)), sum(map(mul, li, yi)) if li else 0
         yr.append((vr - p + q) // di)
         if not real:
             yi.append((vi - sum(map(mul, map(add, lr, chain(li, repeat(0))), ys)) + p + q) // di)
@@ -665,7 +716,7 @@ def _rescaled(v: ScaledVector, exps: list[int]) -> ScaledVector:
 
 def _norm(v: ScaledVector, shift: int) -> float:
     """Euclidean norm of ``v * 2**shift`` as a float."""
-    return math.hypot(*(_float(p, v.exp + shift) for p in v.re + v.im))
+    return math.hypot(*map(_float, v.re + v.im, repeat(v.exp + shift)))
 
 
 def top_exponent(values: list[complex]) -> int:
@@ -690,11 +741,12 @@ def solve(gram: Gram, form: RealForm, factor: tuple, columns: list[Kernel], targ
     """``(residual, x, sqrt(x^H G x), H y)`` of the Cholesky solve of ``G x = targets`` on a :func:`factor` of ``form``.
 
     ``gram`` and ``columns`` come from :func:`unit_gram` at one rung, and
-    ``form`` is their :func:`real_form`.  ``H y = D b`` (``H = D G D``) is
-    solved as ``M w = c`` with ``c = E S^H D b`` on the factor, ``y = S E
-    w`` and ``x = D y``; ``c`` is the :func:`_rows` of ``D b``'s entries as
-    rows of one column.  Targets that are conjugates across partners make
-    ``c`` real, and then ``w`` is real.  The residual ``D b - H y`` is
+    ``form`` is the Gram's :func:`real_form`.  ``H y = D b`` (``H = D G
+    D``) is solved as ``M w = c`` with ``c = E S^H D b`` on the factor,
+    ``y = S E w`` and ``x = D y``; ``M w`` is formed on the form's
+    integers, its shifts applied to ``w`` and to the product's rows
+    (:func:`_scaled_times`).  Targets that are conjugates across partners
+    make ``c`` real, and then ``w`` is real.  The residual ``D b - H y`` is
     ``S^-H E^-1 (c - M w)``, exactly, and ``b - G x = D^-1 (D b - H y)``;
     the relative residual is formed at the targets' scale, where a tiny
     datum's residual does not underflow.  Returns ``(residual, None, 0.0,
@@ -708,11 +760,10 @@ def solve(gram: Gram, form: RealForm, factor: tuple, columns: list[Kernel], targ
     b = _scaled_targets(targets, gram.exps, columns[0].bits)
     shift = -top_exponent(targets)
     b_norm = math.hypot(*(math.ldexp(p, shift) for v in targets for p in (v.real, v.imag)))
-    c = _rows(form.groups, [[v] for v in b.re], [[v] for v in b.im])
-    c = _rescaled(ScaledVector(*([v for v, in part] for part in c), b.exp), form.exps)
+    c = _to_form(form, b)
 
     def residual_of(v, rhs):  # rhs - M v, exactly
-        return _combine(sub, rhs, ScaledVector(*_times(form.re, form.im, v), v.exp - form.bits))
+        return _combine(sub, rhs, _scaled_times(form, v))
 
     w = _cholesky_solve(factor, c)
     r = residual_of(w, c)
@@ -739,10 +790,10 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
     ``2**exps[g]``, or, with None, the product formed here.  A row with
     None integrates the next ``(label, kernel)`` of ``kernels`` against the
     kept ``columns``.  When every column's coefficient is its partner's
-    conjugate (:func:`partners`), the product of a row whose partner comes
-    first is the conjugate of that row's, integer for integer, as the cross
-    Gram's entries are: it is not formed again.  With no Gram (no kept rows,
-    the zero control) the pairings are ``free``.  A ``shift`` set by the
+    conjugate (the partners are the Gram's ``mates``), the product of a row
+    whose partner comes first is the conjugate of that row's, integer for
+    integer, as the cross Gram's entries are: it is not formed again.  With
+    no Gram (no kept rows, the zero control) the pairings are ``free``.  A ``shift`` set by the
     targets keeps tiny pairings from underflowing.
     """
     if gram is None:
@@ -750,13 +801,12 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
     bits = columns[0].bits
     fresh = _kernels(kernels, T, bits)
     if hy is None:
-        y = _rescaled(x, gram.exps)
-        hy = ScaledVector(*_times(gram.re, gram.im, y), y.exp - gram.bits)
+        hy = _scaled_times(gram, _rescaled(x, gram.exps))
     # x times the column scales of the cross rows integrated here
     fresh_x = _rescaled(x, [column.exp for column in columns])
     mates = partners(fresh)
-    later = [r for r, p in enumerate(mates) if p is not None and p < r] if None not in partners(columns, x) else []
-    re, im = _moment_gram(fresh, columns, T, bits)
+    later = [r for r, p in enumerate(mates) if p is not None and p < r] if None not in _paired(gram.mates, x) else []
+    re, im = _moment_gram(fresh, columns, T, bits, mates, gram.mates)
     for r in later:
         re[r] = im[r] = []
     pr, pi = _times(re, im, fresh_x)
@@ -769,144 +819,3 @@ def terminal_pairings(free: list[complex], gram_rows: list[int | None], kernels:
         re, im = _fixed(f.real, -exp) + fr, _fixed(f.imag, -exp) + fi
         out.append(complex(_float(re, exp + shift), _float(im, exp + shift)))
     return out
-
-
-def evaluate(x: ScaledVector, columns: list[Kernel], T: float, times: list[float]) -> list[complex]:
-    """``p(t) = sum_j x_j conj(k_j(t))`` at finite ``times``: the exact sums of :func:`_weighted_walk`, rounded once.
-
-    With ``w_j = x_j conj(coef_j)``, the step factors of the walk and their
-    products round to a few units of ``2**-bits`` per step and term (up to 18
-    seen, where a step series runs many terms), so after ``k`` steps a point
-    is within ``20 (k + 1) 2**-bits sum_j |w_j| s**degree_j`` of the exact
-    ``p`` (``s = T - t``), as when the walk carried unit exponentials that
-    ``w`` multiplied per point.  A conjugate pair walked once, its real part
-    doubled, is as near.  Carrying ``w e^{conj(rate) s}`` at
-    ``bits + _GUARD_BITS`` fraction bits below ``max|w|`` adds at most ``k + 1``
-    units of ``2**-(bits + _GUARD_BITS) max|w|`` per term.  For decaying
-    rates every factor has modulus at most 1, so no step amplifies an
-    earlier rounding.
-    """
-    out = [0j] * len(times)
-    for i, re, im, exp in _weighted_walk(x, columns, T, times):
-        out[i] = complex(_float(re, exp), _float(im, exp))
-    return out
-
-
-def _weighted_walk(x: ScaledVector, columns: list[Kernel], T: float, times: list[float]) -> Iterator:
-    """``(i, re, im, exp)``: ``p(times[i]) = (re + 1j * im) * 2**exp`` for every ``i``, in increasing ``T - times[i]``.
-
-    Each term of ``p`` is ``w (T-t)**degree e^{conj(rate) (T-t)}`` with
-    ``w = x conj(coef)``, an exact integer product.  The walk carries
-    ``v = w e^{conj(rate) s}`` at ``bits + _GUARD_BITS`` fraction bits below
-    ``max|w|`` and steps it by the factors of :func:`_walk`, so a point is
-    two plain sums of ``v``; only the chain terms take their ``s**degree``,
-    at ``bits`` fraction bits.  A column whose coefficient is its partner's
-    conjugate (:func:`partners`) has the conjugate terms of that partner's:
-    the first of the two walks with ``2 w`` and enters the real sum alone,
-    ``p = sum v_single + 2 Re sum v_pair``, and the second does not walk.
-    """
-    live = [(a, b, column, p not in (None, j))
-            for j, (a, b, column, p) in enumerate(zip(x.re, x.im, columns, partners(columns, x)))
-            if (a or b) and (p is None or p >= j)]
-    if not live:
-        return
-    bits = live[0][2].bits
-    low = min(column.exp for _, _, column, _ in live)
-    # plain terms first, singles before pairs: a point sums the plain terms as they are and multiplies the chain
-    # terms after them by s**degree, and only the singles enter the imaginary sums
-    terms = sorted(
-        ((a * cr + b * ci << k, b * cr - a * ci << k, rate.conjugate(), ar, -ai, degree, twice)
-         for a, b, column, twice in live
-         for k in (column.exp - low + twice,)
-         for cr, ci, ar, ai, rate, degree, _, _ in column.terms),
-        key=lambda term: (term[5] > 0, term[6]),
-    )
-    wr, wi, rates, rate_re, rate_im, degrees, twice = (list(v) for v in zip(*terms))
-    plain = degrees.count(0)
-    single, chained = twice[:plain].count(False), plain + twice[plain:].count(False)
-    shift = bits + _GUARD_BITS - max(v.bit_length() for v in wr + wi)
-    exp = x.exp + low - 2 * bits - shift  # of v times s**degree at bits fraction bits
-    T_int = _fixed(T, bits)
-    s_all = [T_int - _fixed(ti, bits) for ti in times]
-    walk = _walk(_shift_all(wr, shift), _shift_all(wi, shift), rates, (rate_re, rate_im), s_all, bits)
-    for i, vr, vi in walk:
-        powers = [_shift(s_all[i] ** d, (1 - d) * bits) for d in degrees[plain:]]  # s**d at bits fraction bits
-        yield (
-            i,
-            (sum(vr[:plain]) << bits) + sum(map(mul, vr[plain:], powers)),
-            (sum(vi[:single]) << bits) + sum(map(mul, vi[plain:chained], powers)),
-            exp,
-        )
-
-
-def _walk(vr: list, vi: list, rates: list[complex], rate_ints: tuple[list, list], s_all: list[int],
-          bits: int) -> Iterator:
-    """``(i, re, im)`` of ``v e^{rate s_all[i]}`` per term, for every ``i`` in increasing ``s_all[i]``.
-
-    ``v`` comes as integer parts at any one scale, which the walk keeps;
-    rates come as complexes and as integers ``rate_ints`` (real parts,
-    imaginary parts), ``s_all`` and the step factors at ``bits`` fraction
-    bits.  The walk starts at ``s = 0`` and carries the products from
-    point to point by the step factors ``e^{rate h}``, computed once per
-    distinct step ``h``.  The steps of a uniform float grid differ only in
-    their last bits, so one exponential per rate is taken, at the first step
-    ``h0``, and a step within :data:`_STEP_SERIES_RADIUS` of it gets its
-    factors as ``e^{rate h0}`` times the short Taylor series of
-    ``e^{rate (h - h0)}``.  Any other step takes its own exponentials and
-    becomes the new ``h0``, so scattered points go through the same
-    recurrence.
-    """
-    rate_max = max(map(abs, rates))
-    s_prev = 0
-    steps: dict = {}
-    base = None  # (h0, factors of h0) of the last step that took exponentials
-    for i in sorted(range(len(s_all)), key=s_all.__getitem__):
-        h = s_all[i] - s_prev
-        if h:
-            factors = steps.get(h)
-            if factors is None:
-                if base is not None and rate_max * abs(_float(h - base[0], -bits)) <= _STEP_SERIES_RADIUS:
-                    factors = _shifted_factors(base[1], rate_ints, h - base[0], bits)
-                else:
-                    factors = _exps(rates, h, -bits, bits)
-                    base = (h, factors)
-                steps[h] = factors
-            vr, vi = _complex_products(vr, vi, *factors, bits)
-            s_prev = s_all[i]
-        yield i, vr, vi
-
-
-def _shifted_factors(factors: tuple[list, list], rates: tuple[list, list], d: int, bits: int) -> tuple[list, list]:
-    """``f * e^{rate d}`` per rate, for the factors ``f`` of a step and a small shift ``d`` of it.
-
-    Factors, the real and imaginary parts of the rates and ``d`` are integers
-    at ``bits`` fraction bits.  ``e^{rate d}`` is its Taylor series, summed
-    rate by rate on plain integers; with ``|rate d|`` at most
-    :data:`_STEP_SERIES_RADIUS` every term is smaller than the last and the
-    sum is near 1, so a few terms suffice and nothing cancels.  A rate's
-    series runs until a term is at most one unit of ``2**-bits`` in both
-    parts; its terms never grow back from there.  The first sweep finds the
-    most terms any rate takes, and the second runs every rate on to that
-    count, whose rounded-down terms may still add units of ``-1``.
-    """
-    one = 1 << bits
-    runs = [(one, 0, one, 0, ar * d >> bits, ai * d >> bits, 0) for ar, ai in zip(*rates)]  # sum, term, w, k
-    most = 0
-    for _ in range(2):
-        for i, (sr, si, tr, ti, wr, wi, k) in enumerate(runs):
-            while k < most or abs(tr) > 1 or abs(ti) > 1:
-                k += 1
-                tr, ti = ((tr * wr - ti * wi) >> bits) // k, ((tr * wi + ti * wr) >> bits) // k
-                sr += tr
-                si += ti
-            runs[i] = sr, si, tr, ti, wr, wi, k
-            most = max(most, k)
-    return _complex_products(*factors, [run[0] for run in runs], [run[1] for run in runs], bits)
-
-
-def _complex_products(ar: list, ai: list, br: list, bi: list, bits: int) -> tuple[list, list]:
-    """Real and imaginary parts of ``a[k] * b[k]`` for integers at ``bits`` fraction bits, at ``bits`` again."""
-    return (
-        list(map(rshift, map(sub, map(mul, ar, br), map(mul, ai, bi)), repeat(bits))),
-        list(map(rshift, map(add, map(mul, ar, bi), map(mul, ai, br)), repeat(bits))),
-    )

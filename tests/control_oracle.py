@@ -20,6 +20,12 @@ numbers where production works on Python integers with power-of-two scales:
   integer the same results, and the evaluation walk of unit exponentials
   that four dot products with the weights ``x conj(coef)`` read per point
   (:func:`unit_walk`);
+* the unit-diagonal scaling applied to the integers of the Gram and of its
+  real form as steps of their own (:func:`unit_diagonal`,
+  :func:`scaled_gram`), and the real form formed in two passes over full
+  rows (:func:`two_pass_real_form`), which production's one pass from the
+  lead rows, with the scaling folded into the factor's and the products'
+  shifts, matches integer for integer;
 * the complex solve that production's real form replaces: the complex
   Cholesky of the scaled Gram itself (:func:`factor_four`, the integers of
   the complex factor) and its refined solve (:func:`solve_complex`), the
@@ -57,7 +63,7 @@ import mpmath
 import numpy as np
 from energy_oracle import poly_exp_integral
 
-from cnslab import fixedpoint
+from cnslab import fixedpoint, walk
 from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, _SVD_THRESHOLD, _duplicate_row_structure, _proportional_rows
 from cnslab.fixedpoint import ScaledVector
 from cnslab.kernels import TAYLOR_RADIUS, pair_integrals, poly_exp_integral_mp
@@ -335,13 +341,67 @@ def gram_times_four(re, im, xr, xi) -> tuple[list, list]:
     return [_dot(g, xr) - _dot(h, xi) for g, h in zip(re, im)], [_dot(g, xi) + _dot(h, xr) for g, h in zip(re, im)]
 
 
+def unit_diagonal(re: list, im: list, bits: int) -> tuple:
+    """``(re, im, s, bits)`` of a Hermitian matrix with row and column ``i`` multiplied by ``2**s[i]``.
+
+    ``s[i]`` brings the diagonal entry into ``[1, 4)``, and 0 where it is not
+    positive.  The entries gain ``-2 * min(s)`` fraction bits, so every shift
+    is to the left.  A row of ``im`` may hold only its last parts.
+    """
+    s = [(bits + 2 - row[i].bit_length()) // 2 if row[i] > 0 else 0 for i, row in enumerate(re)]
+    low = min(s, default=0)
+    u = [v - low for v in s]
+    # an empty row's shifts are all of u, and map stops at the row's end
+    re, im = ([list(map(operator.lshift, row, [ui + v for v in u[-len(row):]])) for row, ui in zip(part, u)]
+              for part in (re, im))
+    return re, im, s, bits - 2 * low
+
+
+def scaled_gram(gram, columns) -> fixedpoint.Gram:
+    """``gram`` with its unit-diagonal scaling applied to its integers, as a step of its own: ``H`` with zero shifts.
+
+    The pair integrals are at the columns' bits; the exponents are the
+    production Gram's, and so is every entry of ``H``.
+    """
+    re, im, s, bits = unit_diagonal(gram.re, gram.im, columns[0].bits)
+    return fixedpoint.Gram(re, im, [c.exp - v for c, v in zip(columns, s)], bits, [0] * len(s), gram.mates)
+
+
+def _rows(groups: list[tuple], re: list, im: list) -> tuple:
+    """The real and imaginary parts of ``S^H A`` for the rows ``re + 1j * im`` of ``A``: a pair ``(j, p)`` gives the
+    rows ``A[j] + A[p]`` and ``-1j * (A[j] - A[p])``."""
+    out_re, out_im = [], []
+    for j, k in groups:
+        out_re += [list(map(operator.add, re[j], re[k])), list(map(operator.sub, im[j], im[k]))] if k != j else [re[j]]
+        out_im += [list(map(operator.add, im[j], im[k])), list(map(operator.sub, re[k], re[j]))] if k != j else [im[j]]
+    return out_re, out_im
+
+
+def two_pass_real_form(gram) -> fixedpoint.RealForm:
+    """``fixedpoint.real_form`` of a :func:`scaled_gram`: ``S^H H``, then ``S^H (S^H H)^H``, then :func:`unit_diagonal`.
+
+    Every row of ``M`` is formed from full rows of ``H``, and the scaling
+    of ``M``'s diagonal is applied to its integers: the form has zero
+    shifts.
+    """
+    mates = gram.mates
+    real = len(mates) - mates.count(None)
+    groups = sorted(((j, j if p is None else p) for j, p in enumerate(mates) if p is None or p >= j),
+                    key=lambda g: (g[0] == g[1]) + (mates[g[0]] is None))
+    re, im = _rows(groups, gram.re, gram.im)
+    re, im = _rows(groups, list(zip(*re)), [list(map(operator.neg, col)) for col in zip(*im)])
+    re, im, s, bits = unit_diagonal(re, [row[real:] if a < real else row for a, row in enumerate(im)], gram.bits)
+    return fixedpoint.RealForm(re, im, s, bits, [0] * len(s), real, groups)
+
+
 def solve_complex(gram, factor: tuple, columns, targets: list[complex], tol: float) -> tuple:
     """``fixedpoint.solve`` on the complex Cholesky of the scaled Gram ``H`` itself, for a :func:`factor_four` of it.
 
     The solve before the real form: ``H y = D b`` substituted on ``L L^H =
     H``, the residual ``D b - H y`` and the one refinement step formed from
-    ``H``'s own rows.  Returns ``(residual, x, sqrt(x^H G x), H y)``, or
-    ``(residual, None, 0.0, None)`` above ``tol``.
+    ``H``'s own rows, for ``H`` the :func:`scaled_gram` ``gram``.  Returns
+    ``(residual, x, sqrt(x^H G x), H y)``, or ``(residual, None, 0.0,
+    None)`` above ``tol``.
     """
     b = fixedpoint._scaled_targets(targets, gram.exps, columns[0].bits)
     shift = -fixedpoint.top_exponent(targets)
@@ -374,10 +434,11 @@ def terminal_pairings_every_row(free, gram_rows, kernels, T: float, gram, column
     bits = columns[0].bits
     fresh = fixedpoint._kernels(kernels, T, bits)
     if hy is None:
-        y = fixedpoint._rescaled(x, gram.exps)
-        hy = ScaledVector(*gram_times_four(gram.re, gram.im, y.re, y.im), y.exp - gram.bits)
+        scaled = scaled_gram(gram, columns)
+        y = fixedpoint._rescaled(x, scaled.exps)
+        hy = ScaledVector(*gram_times_four(scaled.re, scaled.im, y.re, y.im), y.exp - scaled.bits)
     fresh_x = fixedpoint._rescaled(x, [column.exp for column in columns])
-    cross = fixedpoint._moment_gram(fresh, columns, T, bits)
+    cross = fixedpoint._moment_gram(fresh, columns, T, bits, fixedpoint.partners(fresh), fixedpoint.partners(columns))
     fresh_rows = zip(*gram_times_four(*cross, fresh_x.re, fresh_x.im),
                      [kernel.exp - bits + fresh_x.exp for kernel in fresh])
     out = []
@@ -409,9 +470,9 @@ def weights(x: ScaledVector, columns) -> tuple[list, list, int, list, list, list
 
 
 def unit_walk(x: ScaledVector, columns, T: float, times: list[float]):
-    """``(i, re, im, exp)`` of ``fixedpoint._weighted_walk`` from unit exponentials.
+    """``(i, re, im, exp)`` of ``walk._weighted_walk`` from unit exponentials.
 
-    The walk of ``fixedpoint._walk`` carries ``e^{conj(rate) s}`` from 1 at
+    The walk of ``walk._walk`` carries ``e^{conj(rate) s}`` from 1 at
     ``bits`` fraction bits, and each point takes four dot products of the
     weights (times ``s**degree``) with it.
     """
@@ -422,18 +483,18 @@ def unit_walk(x: ScaledVector, columns, T: float, times: list[float]):
     T_int = fixedpoint._fixed(T, bits)
     s_all = [T_int - fixedpoint._fixed(t, bits) for t in times]
     units = [1 << bits] * len(rates), [0] * len(rates)
-    for i, cur_r, cur_i in fixedpoint._walk(*units, rates, (rate_re, rate_im), s_all, bits):
+    for i, cur_r, cur_i in walk._walk(*units, rates, (rate_re, rate_im), s_all, bits):
         powers = [fixedpoint._shift(s_all[i] ** d, (1 - d) * bits) for d in degrees]
         ur, ui = list(map(operator.mul, wr, powers)), list(map(operator.mul, wi, powers))
         yield i, _dot(ur, cur_r) - _dot(ui, cur_i), _dot(ur, cur_i) + _dot(ui, cur_r), w_exp - 2 * bits
 
 
 def full_walk(x: ScaledVector, columns, T: float, times: list[float]):
-    """``(i, re, im, exp)`` of ``fixedpoint._weighted_walk`` with every term walked, a partner's conjugate terms too.
+    """``(i, re, im, exp)`` of ``walk._weighted_walk`` with every term walked, a partner's conjugate terms too.
 
     The walk before the per-pair one: the weighted terms of
     :func:`weights`, at ``bits + _GUARD_BITS`` fraction bits below their
-    largest, stepped by ``fixedpoint._walk``; a point sums all of them.
+    largest, stepped by ``walk._walk``; a point sums all of them.
     """
     wr, wi, w_exp, rates, rate_re, rate_im, degrees = weights(x, columns)
     if not rates:
@@ -447,7 +508,7 @@ def full_walk(x: ScaledVector, columns, T: float, times: list[float]):
     T_int = fixedpoint._fixed(T, bits)
     s_all = [T_int - fixedpoint._fixed(t, bits) for t in times]
     vr, vi = fixedpoint._shift_all(wr, shift), fixedpoint._shift_all(wi, shift)
-    for i, vr, vi in fixedpoint._walk(vr, vi, rates, (rate_re, rate_im), s_all, bits):
+    for i, vr, vi in walk._walk(vr, vi, rates, (rate_re, rate_im), s_all, bits):
         powers = [fixedpoint._shift(s_all[i] ** d, (1 - d) * bits) for d in degrees[plain:]]
         re = (sum(vr[:plain]) << bits) + _dot(vr[plain:], powers)
         yield i, re, (sum(vi[:plain]) << bits) + _dot(vi[plain:], powers), w_exp - bits - shift
@@ -536,7 +597,7 @@ def moment_gram(rows, columns, T: float, bits: int) -> tuple[list[list], list[li
 
 
 def shifted_factors(factors: tuple[list, list], rates: tuple[list, list], d: int, bits: int) -> tuple[list, list]:
-    """``fixedpoint._shifted_factors`` with the series of all rates summed at once, until every term is at most 1."""
+    """``walk._shifted_factors`` with the series of all rates summed at once, until every term is at most 1."""
     fr, fi = factors
     wr, wi = ([v * d >> bits for v in part] for part in rates)
     sr, si = [1 << bits] * len(fr), [0] * len(fr)
@@ -545,9 +606,9 @@ def shifted_factors(factors: tuple[list, list], rates: tuple[list, list], d: int
     while max(map(abs, tr + ti)) > 1:
         k += 1
         tr, ti = (list(map(operator.floordiv, part, itertools.repeat(k)))
-                  for part in fixedpoint._complex_products(tr, ti, wr, wi, bits))
+                  for part in walk._complex_products(tr, ti, wr, wi, bits))
         sr, si = list(map(operator.add, sr, tr)), list(map(operator.add, si, ti))
-    return fixedpoint._complex_products(fr, fi, sr, si, bits)
+    return walk._complex_products(fr, fi, sr, si, bits)
 
 
 def export_control_csv(solution, grid, path) -> None:

@@ -24,7 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import control_oracle as oracle
-from cnslab import cli, control, fixedpoint
+from cnslab import cli, control, fixedpoint, walk
 from cnslab.cli import main
 from cnslab.control import (
     MomentRow,
@@ -122,6 +122,11 @@ def _solved(system):
     return solution
 
 
+def _mates(solution) -> list:
+    """The partners of the solution's columns, none for the zero control."""
+    return solution.gram.mates if solution.gram else []
+
+
 def _gram(rows, T: float, columns=None, bits=None) -> list[list]:
     """Production cross-Gram of ``rows`` against ``columns`` as exact mpmath complexes.
 
@@ -134,7 +139,9 @@ def _gram(rows, T: float, columns=None, bits=None) -> list[list]:
         bits = mpmath.libmp.dps_to_prec(40) + fixedpoint._GUARD_BITS + range_bits
     kernels = fixedpoint._kernels([("row", r.kernel) for r in rows], T, bits)
     columns = kernels if columns is None else columns
-    re, im = fixedpoint._moment_gram(kernels, columns, T, bits)
+    mates = fixedpoint.partners(kernels)
+    re, im = fixedpoint._moment_gram(kernels, columns, T, bits, mates,
+                                     mates if columns is kernels else fixedpoint.partners(columns))
     return [
         [oracle.mp_complex(a, b, kernel.exp + column.exp - bits) for a, b, column in zip(ra, ia, columns)]
         for ra, ia, kernel in zip(re, im, kernels)
@@ -292,7 +299,7 @@ class TestSolution:
     def _assert_solve_products_reused(solution, N_verify: int):
         """The solve's ``H y`` is its Gram times the solution, exactly, and a
         verification that forms the product anew gives the same record."""
-        gram = solution.gram
+        gram = oracle.scaled_gram(solution.gram, solution.columns)
         y = fixedpoint._rescaled(solution.x, gram.exps)
         product = fixedpoint._times(gram.re, gram.im, y)
         fresh = fixedpoint.ScaledVector(*product, y.exp - gram.bits)
@@ -340,7 +347,7 @@ class TestSolution:
     def _assert_weighted_walk_near_unit_walk(cls, solution, t):
         x, columns, T = solution.x, solution.columns, solution.system.horizon
         times = [float(v) for v in t]
-        got = {i: rest for i, *rest in fixedpoint._weighted_walk(x, columns, T, times)}
+        got = {i: rest for i, *rest in walk._weighted_walk(x, columns, T, times, _mates(solution))}
         want = {i: rest for i, *rest in oracle.unit_walk(x, columns, T, times)}
         wr, wi, w_exp, _, _, _, degrees = oracle.weights(x, columns)
         assert got.keys() == want.keys() == (set(range(len(times))) if degrees else set())
@@ -436,7 +443,7 @@ class TestSolution:
             h0 = mpmath.mpf(-0.16)
             d = mpmath.mpf(ulps) * 2.0**-55
             base = [mpmath.exp(mpmath.mpc(r) * h0) for r in rates]
-            got = fixedpoint._shifted_factors(
+            got = walk._shifted_factors(
                 ([oracle.mpf_fixed(e.real, bits) for e in base], [oracle.mpf_fixed(e.imag, bits) for e in base]),
                 ([fixedpoint._fixed(r.real, bits) for r in rates], [fixedpoint._fixed(r.imag, bits) for r in rates]),
                 oracle.mpf_fixed(d, bits),
@@ -481,7 +488,7 @@ class TestLadder:
         keep = control._duplicate_row_structure(system)[0]
         gram, columns = fixedpoint.unit_gram(["row"] * len(keep), [system.rows[i].kernel for i in keep],
                                              system.horizon, 40)
-        factor = fixedpoint.factor(fixedpoint.real_form(gram, fixedpoint.partners(columns)), 40)
+        factor = fixedpoint.factor(fixedpoint.real_form(gram), 40)
         assume(factor is not None)
         bits, Lr, Li, d = factor[:4]
         # the real rows of the real form keep no imaginary parts

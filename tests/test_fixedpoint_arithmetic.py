@@ -9,7 +9,6 @@ the control evaluation's series, and zero.
 """
 
 import random
-from itertools import chain
 
 import mpmath
 import numpy as np
@@ -129,25 +128,51 @@ def test_taylor_sum_keeps_its_bits_at_long_horizons(T, m, z, dps):
 
 
 def _full_conversion(gram: fixedpoint.Gram) -> np.ndarray:
-    """The scaled Gram in doubles, every one of its 2 m**2 integers converted on its own."""
-    m = len(gram.re)
-    re, im = (np.array(fixedpoint._shift_all(list(chain.from_iterable(part)), 60 - gram.bits), dtype=np.int64)
-              .reshape(m, m) for part in (gram.re, gram.im))
+    """The scaled Gram in doubles: the shifts applied to every one of its 2 m**2 integers, then each converted on its
+    own."""
+    m, u = len(gram.re), gram.shifts
+    parts = (gram.re, gram.im)
+    scaled = ([v << u[i] + u[j] for i, row in enumerate(part) for j, v in enumerate(row)] for part in parts)
+    re, im = (np.array(fixedpoint._shift_all(part, 60 - gram.bits), dtype=np.int64).reshape(m, m) for part in scaled)
     return (re + 1j * im) * 2.0**-60
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 32])
-def test_float_gram_is_bit_identical_to_the_full_conversion(m):
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-(1 << 300), 1 << 300), min_size=1, max_size=8), data=st.data())
+def test_shift_by_is_one_rounding_down_per_value(values, data):
+    shifts = data.draw(st.lists(st.integers(0, 200), min_size=len(values), max_size=len(values)))
+    k = data.draw(st.integers(-400, 200))
+    assert fixedpoint._shift_by(values, shifts, k) == [fixedpoint._shift(v, s + k) for v, s in zip(values, shifts)]
+
+
+def _assert_float_gram_is_the_full_conversion(m: int, shifted: bool) -> None:
     rng = random.Random(m)
     bits = 200
+    u = [rng.choice([0, rng.randrange(0, 60)]) if shifted else 0 for _ in range(m)]
+    if shifted and m % 2:
+        # a shift above (200 - 60) / 2 makes its diagonal entry's conversion a left shift
+        u[-1] = 85
     re = [[0] * m for _ in range(m)]
     im = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            # zeros and exact multiples of the discarded bits round the same both ways; others do not
-            re[i][j] = rng.choice([0, -(1 << 150), rng.randrange(-(1 << bits), 1 << bits)])
-            im[i][j] = rng.choice([0, 3 << 140, rng.randrange(-(1 << bits), 1 << bits)])
+            # zeros and exact multiples of the discarded bits round the same both ways; others do not; the scaled
+            # entries lie below 4
+            top = 1 << bits - u[i] - u[j]
+            re[i][j] = rng.choice([0, -(1 << max(150 - u[i] - u[j], 0)), rng.randrange(-top, top)])
+            im[i][j] = rng.choice([0, 3 << max(140 - u[i] - u[j], 0), rng.randrange(-top, top)])
             re[j][i], im[j][i] = re[i][j], -im[i][j]
-        re[i][i] = rng.randrange(1 << bits, 4 << bits)
-    gram = fixedpoint.Gram(re, im, [0] * m, bits)
+        re[i][i] = rng.randrange(1 << bits - 2 * u[i], 4 << bits - 2 * u[i])
+    gram = fixedpoint.Gram(re, im, [0] * m, bits, u, [None] * m)
     assert fixedpoint.float_gram(gram).tobytes() == _full_conversion(gram).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 32])
+def test_float_gram_is_bit_identical_to_the_full_conversion(m):
+    _assert_float_gram_is_the_full_conversion(m, shifted=False)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 32])
+def test_float_gram_applies_the_shifts_as_one_shift_per_entry(m):
+    # the shifts of a unit diagonal folded into the conversion: one rounding per entry, as shifting first would give
+    _assert_float_gram_is_the_full_conversion(m, shifted=True)

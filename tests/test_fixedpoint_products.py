@@ -44,7 +44,7 @@ def grams(draw):
         for j in range(i + 1, m):
             re[i][j], im[i][j] = draw(part), draw(part)
             re[j][i], im[j][i] = re[i][j], -im[i][j]
-    return dps, fixedpoint.Gram(re, im, [0] * m, bits)
+    return dps, fixedpoint.Gram(re, im, [0] * m, bits, [0] * m, [None] * m)
 
 
 def _vector(data, m: int, bits: int) -> fixedpoint.ScaledVector:
@@ -64,8 +64,9 @@ def test_factor_equals_the_four_product_factor(case):
 
 def _unpaired(gram: fixedpoint.Gram) -> fixedpoint.RealForm:
     """The real form of ``gram`` with no partners: ``gram``'s own integers, every row complex."""
-    form = fixedpoint.real_form(gram, [None] * len(gram.re))
+    form = fixedpoint.real_form(gram)
     assert (form.re, form.im, form.bits, form.real) == (gram.re, gram.im, gram.bits, 0)
+    assert not any(form.shifts)
     return form
 
 

@@ -20,7 +20,6 @@ rows, are those of every row formed, bit for bit.
 import cmath
 import math
 import operator
-from fractions import Fraction
 from unittest import mock
 
 import control_oracle as oracle
@@ -30,8 +29,8 @@ from conftest import random_nonbarotropic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnslab import cli, control, fixedpoint
-from cnslab.control import _RESIDUAL_TOL, build_moment_system, synthesize_control, verify_terminal
+from cnslab import cli, control, fixedpoint, walk
+from cnslab.control import _DPS_LADDER, _RESIDUAL_TOL, build_moment_system, synthesize_control, verify_terminal
 from cnslab.evolution import ObservationChannel
 from cnslab.kernels import KernelTerm
 from cnslab.model import BarotropicParams, NonBarotropicParams
@@ -49,10 +48,14 @@ REAL_RATES = [-0.15, -0.6, -0.004]
 COEFFICIENT_BOUND = 1e-25
 #: largest gap between a point of the per-pair walk and of the walk of every term, in units of
 #: 2**-bits * sum_j |w_j| max(1, s)**degree_j per step walked to the point and one more: each walk is within
-#: 20 such units per step of the exact p, the bound that fixedpoint.evaluate states.  A first bound of 2 (one unit
-#: per step and walk) failed: the full walk alone is 90 units from the exact p after 42 steps at 160 digits, T = 5,
-#: on the rates -0.003 +- 4.3i and -0.5 +- 1.7i, and the rounding of one step factor and product reaches 18 units
-WALK_UNITS_PER_STEP = 40
+#: k / 4 + 1 such units of the exact p after k steps, the bound that walk.evaluate states and tests/test_walk.py
+#: checks, so the two are within k / 2 + 2.  With step factors at the walk's own bits this was 40: the full walk
+#: alone was 90 units from the exact p after 42 steps at 160 digits, T = 5, on the rates -0.003 +- 4.3i and
+#: -0.5 +- 1.7i, where the rounding of one step factor and product reached 18 units
+WALK_UNITS_PER_STEP = 2
+
+#: the rungs below each rung of the ladder
+_DPS_LADDER_INDEX = {dps: k for k, dps in enumerate(_DPS_LADDER)}
 
 _COEF = st.builds(cmath.rect, st.floats(0.2, 2.0), st.floats(-math.pi, math.pi))
 _REAL_COEF = st.builds(operator.mul, st.floats(0.2, 2.0), st.sampled_from([1.0, -1.0]))
@@ -102,14 +105,15 @@ def _built(case):
     """``(gram, columns, form, mates)`` of a drawn kernel set at its rung."""
     dps, T, kernels, _, roles = case
     gram, columns = fixedpoint.unit_gram(["row"] * len(kernels), kernels, T, dps)
-    mates = fixedpoint.partners(columns)
+    mates = gram.mates
     # the partners are those the set was drawn with
+    assert mates == fixedpoint.partners(columns)
     assert [(p is not None, p == j) for j, p in enumerate(mates)] == [(r != "none", r == "real") for r in roles]
-    return gram, columns, fixedpoint.real_form(gram, mates), mates
+    return gram, columns, fixedpoint.real_form(gram), mates
 
 
 def _congruence(gram: fixedpoint.Gram, groups: list[tuple]) -> list[list[tuple[int, int]]]:
-    """``S^H H S`` for the integers of ``gram``, as ``(re, im)`` integer pairs, formed entry by entry."""
+    """``S^H R S`` for the integers ``R`` of ``gram``, as ``(re, im)`` integer pairs, formed entry by entry."""
     columns = []
     for j, k in groups:
         columns += [[(j, 1), (k, 1)], [(j, 1j), (k, -1j)]] if k != j else [[(j, 1)]]
@@ -140,16 +144,59 @@ def test_the_real_form_is_the_exact_congruence(case):
     kinds = [0 if k != j else 1 if mates[j] == j else 2 for j, k in form.groups]
     assert kinds == sorted(kinds) and form.real == m - mates.count(None)
     full = _congruence(gram, form.groups)
+    leads = [j for j, k in form.groups for _ in {j, k}]
+    assert (form.bits - gram.bits) % 2 == 0
     for a in range(m):
         tail = len(form.im[a])
         assert tail == (m - form.real if a < form.real else m)
         for b in range(m):
             im = form.im[a][b - (m - tail)] if b >= m - tail else 0
-            # M[a][b] 2**-form.bits = E[a] E[b] (S^H H S)[a][b] 2**-gram.bits
-            scale = Fraction(2) ** (form.exps[a] + form.exps[b] + form.bits - gram.bits)
-            assert (form.re[a][b], im) == tuple(v * scale for v in full[a][b])
+            assert (form.re[a][b], im) == full[a][b]
+        # M[a][b] = (re + 1j im)[a][b] 2**(shifts[a] + shifts[b] - form.bits) = E[a] E[b] (S^H H S)[a][b], and a
+        # pair's rows share the Gram's shift: H[j][k] = R[j][k] 2**(u[j] + u[k] - gram.bits)
+        assert form.shifts[a] >= 0
+        assert form.shifts[a] - form.exps[a] - gram.shifts[leads[a]] == (form.bits - gram.bits) // 2
         # the diagonal is brought into [1, 4)
-        assert form.re[a][a] <= 0 or 1 << form.bits <= form.re[a][a] < 4 << form.bits
+        assert form.re[a][a] <= 0 or 1 << form.bits <= form.re[a][a] << 2 * form.shifts[a] < 4 << form.bits
+
+
+def _assert_one_pass_is_the_two_step_path(gram, columns, targets: list[complex], dps: int) -> None:
+    """The one-pass real form with its scaling in the shifts gives the oracle's integers, factor, solve and doubles.
+
+    The oracle applies the unit-diagonal scaling of the Gram and of its real
+    form to their integers as steps of their own and forms the real form in
+    two passes over full rows; production's ``factor``, ``solve`` and
+    ``float_gram`` read its results with zero shifts.
+    """
+    scaled = oracle.scaled_gram(gram, columns)
+    old = oracle.two_pass_real_form(scaled)
+    form = fixedpoint.real_form(gram)
+    u, sh = gram.shifts, form.shifts
+    assert [[v << u[i] + u[j] for j, v in enumerate(row)] for i, row in enumerate(gram.re)] == scaled.re
+    assert gram.exps == scaled.exps
+    assert [[v << sh[a] + sh[b] for b, v in enumerate(row)] for a, row in enumerate(form.re)] == old.re
+    assert [[v << sh[a] + sh[b] for b, v in enumerate(row, len(sh) - len(row))]
+            for a, row in enumerate(form.im)] == old.im
+    assert (form.exps, form.bits, form.real, form.groups) == (old.exps, old.bits, old.real, old.groups)
+    assert fixedpoint.float_gram(gram).tobytes() == fixedpoint.float_gram(scaled).tobytes()
+    factor = fixedpoint.factor(form, dps)
+    assert factor == fixedpoint.factor(old, dps)
+    if factor is None:
+        return
+    got = fixedpoint.solve(gram, form, factor, columns, targets, _RESIDUAL_TOL)
+    # (residual, x, sqrt(x^H G x), H y), bit for bit
+    assert got == fixedpoint.solve(scaled, old, factor, columns, targets, _RESIDUAL_TOL)
+    if got[1] is not None:
+        y = fixedpoint._rescaled(got[1], gram.exps)
+        assert fixedpoint._scaled_times(gram, y) == fixedpoint._scaled_times(scaled, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kernel_sets(unpaired=False, real_datum=True) | kernel_sets())
+def test_the_one_pass_path_equals_the_two_step_path(case):
+    dps, T, kernels, targets, _ = case
+    gram, columns, _, _ = _built(case)
+    _assert_one_pass_is_the_two_step_path(gram, columns, targets, dps)
 
 
 def _within(got: fixedpoint.ScaledVector, want: fixedpoint.ScaledVector, bound: float) -> bool:
@@ -167,10 +214,11 @@ def _solved(case):
     """``(columns, x, x of the complex solve)`` of a drawn set; both solves pass the residual gate."""
     dps, T, kernels, targets, roles = case
     gram, columns, form, _ = _built(case)
-    factor, complex_factor = fixedpoint.factor(form, dps), oracle.factor_four(gram, dps)
+    scaled = oracle.scaled_gram(gram, columns)
+    factor, complex_factor = fixedpoint.factor(form, dps), oracle.factor_four(scaled, dps)
     assert factor is not None and complex_factor is not None
     got = fixedpoint.solve(gram, form, factor, columns, targets, _RESIDUAL_TOL)
-    want = oracle.solve_complex(gram, complex_factor, columns, targets, _RESIDUAL_TOL)
+    want = oracle.solve_complex(scaled, complex_factor, columns, targets, _RESIDUAL_TOL)
     assert got[1] is not None and want[1] is not None
     return columns, got[1], want[1]
 
@@ -181,7 +229,7 @@ def test_the_real_form_solve_matches_the_complex_solve(case):
     dps, T, kernels, targets, roles = case
     columns, x, want = _solved(case)
     assert _within(x, want, COEFFICIENT_BOUND)
-    mates = fixedpoint.partners(columns, x)
+    mates = fixedpoint._paired(fixedpoint.partners(columns), x)
     if "none" not in roles and all(t == targets[p].conjugate() for t, p in zip(targets, fixedpoint.partners(columns))):
         # a real datum on a set without unpaired kernels: partners' coefficients are exact conjugates
         assert None not in mates
@@ -192,14 +240,16 @@ def test_the_real_form_solve_matches_the_complex_solve(case):
 def test_an_indefinite_gram_fails_both_factors(case, data):
     # negating the diagonal of a kernel and its partner keeps the Gram conjugate-persymmetric and makes it indefinite
     dps = case[0]
-    gram, _, _, mates = _built(case)
+    gram, columns, _, mates = _built(case)
     j = data.draw(st.integers(0, len(mates) - 1))
     re = [list(row) for row in gram.re]
     for k in {j, mates[j] if mates[j] is not None else j}:
         re[k][k] = -re[k][k]
     indefinite = gram._replace(re=re)
-    assert fixedpoint.factor(fixedpoint.real_form(indefinite, mates), dps) is None
-    assert oracle.factor_four(indefinite, dps) is None
+    assert fixedpoint.factor(fixedpoint.real_form(indefinite), dps) is None
+    scaled = oracle.scaled_gram(indefinite, columns)
+    assert fixedpoint.factor(oracle.two_pass_real_form(scaled), dps) is None
+    assert oracle.factor_four(scaled, dps) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,7 +264,7 @@ def test_the_pair_walk_stays_within_the_bound_of_the_full_walk(case, points, sca
     w = [math.hypot(fixedpoint._float(a, w_exp - top), fixedpoint._float(b, w_exp - top)) for a, b in zip(wr, wi)]
     T_int = fixedpoint._fixed(T, bits)
     for times in (np.linspace(0.0, T, points).tolist(), [T * v for v in scattered]):
-        got = {i: rest for i, *rest in fixedpoint._weighted_walk(x, columns, T, times)}
+        got = {i: rest for i, *rest in walk._weighted_walk(x, columns, T, times, fixedpoint.partners(columns))}
         want = {i: rest for i, *rest in oracle.full_walk(x, columns, T, times)}
         assert got.keys() == want.keys() == set(range(len(times)))
         s_all = [T_int - fixedpoint._fixed(t, bits) for t in times]
@@ -246,7 +296,7 @@ def _assert_pairings_every_row(solution, N_verify: int) -> int:
     (free, gram_rows, kernels, T, gram, columns, x, *_), = calls
     fresh = fixedpoint._kernels(kernels, T, columns[0].bits)
     mates = fixedpoint.partners(fresh)
-    if None in fixedpoint.partners(columns, x):
+    if None in fixedpoint._paired(gram.mates, x):
         return 0
     return sum(p is not None and p < r for r, p in enumerate(mates))
 
@@ -266,8 +316,9 @@ def test_pairings_of_partner_rows_equal_every_row_formed(seed, T, dps):
 def _complex_solve(solution):
     """The x of the complex Cholesky of the solution's own Gram, at its rung."""
     targets = [complex(solution.system.rows[i].target) for i in solution.keep]
-    factor = oracle.factor_four(solution.gram, solution.solve_dps)
-    return oracle.solve_complex(solution.gram, factor, solution.columns, targets, _RESIDUAL_TOL)[1]
+    scaled = oracle.scaled_gram(solution.gram, solution.columns)
+    factor = oracle.factor_four(scaled, solution.solve_dps)
+    return oracle.solve_complex(scaled, factor, solution.columns, targets, _RESIDUAL_TOL)[1]
 
 
 #: the shared-eigenvalue set: modes +1 and -1 share the eigenvalue -1, so one of their proportional rows is dropped
@@ -297,5 +348,27 @@ def test_three_field_solves_match_the_complex_solve(name, params, kept, paired, 
     assert verify_terminal(solution, N + 2).in_truncation_residual <= 1e-6
     assert _within(solution.x, _complex_solve(solution), COEFFICIENT_BOUND)
     # a real datum pairs the coefficients exactly when every kernel pairs
-    assert (None in fixedpoint.partners(solution.columns, solution.x)) == (paired < kept)
+    assert (None in fixedpoint._paired(solution.gram.mates, solution.x)) == (paired < kept)
     assert _assert_pairings_every_row(solution, N + 2) == (0 if paired < kept else 6)
+    targets = [complex(system.rows[i].target) for i in solution.keep]
+    _assert_one_pass_is_the_two_step_path(solution.gram, solution.columns, targets, solution.solve_dps)
+
+
+@pytest.mark.parametrize("T,N,N_verify,dps", [(8.0, 8, 12, 40), (0.5, 6, 9, 80)], ids=["rung40", "rung80"])
+def test_a_solve_forms_the_partners_and_odd_parts_once(T, N, N_verify, dps, monkeypatch):
+    # one synthesize, verify and evaluate: the columns' partners and odd parts, those of the spill-over rows, and
+    # nothing again; the evaluation and the verification read the Gram's partners
+    system = build_moment_system(cli._random_field(2, N, np.random.default_rng(3)), ObservationChannel.DENSITY, T,
+                                 build_slice(WORKHORSE, N_verify), N)
+    calls = {"partners": [], "_odd_parts": []}
+    for name, kept in calls.items():
+        monkeypatch.setattr(fixedpoint, name, lambda first, *rest, f=getattr(fixedpoint, name), kept=kept:
+                            kept.append(len(first)) or f(first, *rest))
+    solution = synthesize_control(system)
+    grams = calls["partners"][:-1]  # the rungs below the solve's refused the residual gate
+    verify_terminal(solution, N_verify)
+    solution(np.linspace(0.0, T, 51))
+    columns, spill = len(solution.columns), 2 * 2 * (N_verify - N)
+    assert solution.solve_dps == dps and len(grams) == _DPS_LADDER_INDEX[dps]
+    assert calls["partners"] == grams + [columns, spill]
+    assert len(calls["_odd_parts"]) == columns * (len(grams) + 1) + spill

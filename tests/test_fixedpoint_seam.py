@@ -1,10 +1,11 @@
-"""The scaled-integer number format lives in ``fixedpoint`` alone.
+"""The scaled-integer number format lives in ``fixedpoint`` and its control evaluation ``walk`` alone.
 
 ``control`` keeps the moment system, the precision ladder and the
-verification, and calls ``fixedpoint`` for every operation on the integers
-and their power-of-two scales; ``fixedpoint`` knows nothing of moment rows
-or systems.  The AST lint keeps that seam: ``fixedpoint`` imports nothing
-from ``control``, and ``control`` neither imports mpmath nor shifts bits.
+verification, and calls ``fixedpoint`` (and ``walk``, to evaluate a
+control) for every operation on the integers and their power-of-two
+scales; neither knows anything of moment rows or systems.  The AST lint
+keeps that seam: ``fixedpoint`` and ``walk`` import nothing from
+``control``, and ``control`` neither imports mpmath nor shifts bits.
 """
 
 import ast
@@ -56,6 +57,11 @@ def test_lint_sees_every_form():
 
 def test_fixedpoint_does_not_import_control():
     imports = imported_modules(_tree("fixedpoint.py"))
+    assert imports and not imports & {".control", "cnslab.control"}
+
+
+def test_walk_does_not_import_control():
+    imports = imported_modules(_tree("walk.py"))
     assert imports and not imports & {".control", "cnslab.control"}
 
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cnslab import fixedpoint
+from cnslab import fixedpoint, walk
 from cnslab.kernels import TAYLOR_RADIUS, KernelTerm
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -103,7 +103,7 @@ def test_the_pinned_case_has_near_pairs_and_a_capped_rate_power():
     rows, columns, T, bits = _case(*_TAYLOR_CASE)
     assert _near_pairs(rows, rows, T) == 1 and _near_pairs(rows, columns, T) == 1
     # the integer-valued rate -2 has bits + 1 trailing zeros, one more than the cap
-    assert fixedpoint._odd_parts(rows[0])[1][1][4] == bits
+    assert rows[0].odd[1][1][4] == bits
 
 
 def _partners(kernels: list) -> list:
@@ -157,10 +157,10 @@ def _asymmetry_units(row, column, T: float, bits: int) -> float:
 def _assert_integrated_or_conjugated(rows, columns, T: float, bits: int) -> int:
     """Every entry is the full-width loop's, or the exact conjugate of the entry of its rows' and columns' first
     conjugate partners and within :func:`_asymmetry_units` of the loop's; returns the count of the latter."""
-    got = fixedpoint._moment_gram(rows, columns, T, bits)
-    want = oracle.moment_gram(rows, columns, T, bits)
     row_partners = _partners(rows)
     column_partners = row_partners if rows is columns else _partners(columns)
+    got = fixedpoint._moment_gram(rows, columns, T, bits, row_partners, column_partners)
+    want = oracle.moment_gram(rows, columns, T, bits)
     conjugated = 0
     for i, j in ((i, j) for i in range(len(rows)) for j in range(len(columns))):
         entry = got[0][i][j], got[1][i][j]
@@ -209,7 +209,7 @@ def step_cases(draw):
                                                                                     st.floats(-50.0, 50.0)),
                           min_size=1, max_size=6))
     largest = max(max(abs(r.real), abs(r.imag)) for r in rates)
-    reach = int(fixedpoint._STEP_SERIES_RADIUS / max(2 * largest, 1.0) * 2.0**bits)
+    reach = int(walk._STEP_SERIES_RADIUS / max(2 * largest, 1.0) * 2.0**bits)
     d = draw(st.integers(-reach, reach) | st.integers(-64, 64))
     unit = st.integers(-(1 << bits), 1 << bits)
     factors = [draw(unit) for _ in rates], [draw(unit) for _ in rates]
@@ -220,7 +220,7 @@ def step_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=step_cases())
 def test_step_series_equals_the_list_wide_series(case):
-    assert fixedpoint._shifted_factors(*case) == oracle.shifted_factors(*case)
+    assert walk._shifted_factors(*case) == oracle.shifted_factors(*case)
 
 
 def test_a_rate_stuck_at_minus_one_runs_on_to_the_longest_series():
@@ -229,7 +229,7 @@ def test_a_rate_stuck_at_minus_one_runs_on_to_the_longest_series():
     bits = 64
     rates = [1 << bits, 1 << 2 * bits - 20], [-(1 << bits), 0]
     units = [1 << bits] * 2, [0] * 2
-    both = fixedpoint._shifted_factors(units, rates, 1, bits)
+    both = walk._shifted_factors(units, rates, 1, bits)
     assert both == oracle.shifted_factors(units, rates, 1, bits)
-    alone = fixedpoint._shifted_factors(([1 << bits], [0]), ([1 << bits], [-(1 << bits)]), 1, bits)
+    alone = walk._shifted_factors(([1 << bits], [0]), ([1 << bits], [-(1 << bits)]), 1, bits)
     assert (both[0][0], both[1][0]) != (alone[0][0], alone[1][0])
